@@ -205,6 +205,11 @@ impl Criu {
         self.chains.get(&task)
     }
 
+    /// Every task with an image chain, in no particular order.
+    pub fn chains(&self) -> impl Iterator<Item = (u64, &ImageChain)> {
+        self.chains.iter().map(|(&task, chain)| (task, chain))
+    }
+
     /// Bytes the next dump of `task` would write: the dirty bytes if an
     /// incremental dump is possible (image exists and the chain is below the
     /// consolidation bound), else the full footprint.

@@ -54,7 +54,7 @@ pub use criu::{
 };
 pub use image::{CheckpointKind, ImageChain, ImageId, ImageRecord};
 pub use integrity::{chunk_checksum, ChunkEntry, ChunkManifest, DEFAULT_CHUNK_BYTES};
-pub use lifecycle::{admit, plan_evictions, Admission, EvictionCandidate, ImageLedger};
+pub use lifecycle::{plan_evictions, EvictionCandidate, ImageLedger};
 pub use memory::{DirtyBitmap, TaskMemory, DEFAULT_PAGE_SIZE};
 pub use nvram::{
     NvmPathComparison, NvramCheckpointer, NvramError, NvramResume, NvramSpec, NvramSuspend,

@@ -9,25 +9,22 @@
 //!    maintained alongside the [`crate::Criu`] catalog, so the simulators
 //!    can hard-assert the conservation invariant *device reserved bytes ==
 //!    live catalog bytes (+ injected leaks)* after every event.
-//! 2. **Admission control** ([`admit`]): before submitting a dump, the
-//!    estimated image size is compared against the device headroom — which
-//!    already includes queued-but-unfinished dump reservations, because
-//!    reservations are taken at submission.
-//! 3. **Degradation ladder** (driven by the simulators, planned here):
-//!    when headroom is insufficient the caller first runs a **GC pass**
-//!    (reclaiming dead/stale reservations), then **evicts** the
-//!    cheapest-to-lose live chains ([`plan_evictions`]; the owning tasks
-//!    fall back to scratch-restart), then **spills** the dump to a remote
-//!    node's device via the DFS (paying pipeline cost; the restore becomes
-//!    remote), and only then gives up with a `DumpFallback("no-space")`
-//!    kill.
+//! 2. **Degradation ladder** (planned here, driven by
+//!    `cbp_core::ckpt_path`): when no device has room for a dump — free
+//!    capacity already subtracts every queued-but-unfinished dump, because
+//!    reservations are taken at submission — the checkpoint path first
+//!    runs a **GC pass** (reclaiming dead/stale reservations), then
+//!    **evicts** the cheapest-to-lose live chains ([`plan_evictions`]; the
+//!    owning tasks fall back to scratch-restart), then **spills** the dump
+//!    to a remote node's device via the DFS (paying pipeline cost; the
+//!    restore becomes remote), and only then gives up with a
+//!    `DumpFallback("no-space")` kill.
 //!
-//! The ladder itself lives in the simulators (they own task state and
-//! tracing); everything here is pure bookkeeping so both engines share one
-//! definition of "fits", "cheapest to lose", and "conserved".
+//! The ladder itself lives in `cbp_core::ckpt_path`, the checkpoint-image
+//! path both simulators share; everything here is pure bookkeeping, the
+//! one definition of "cheapest to lose" and "conserved".
 
 use cbp_simkit::units::ByteSize;
-use cbp_storage::Device;
 
 /// Per-node live-image byte ledger.
 ///
@@ -84,35 +81,6 @@ impl ImageLedger {
     }
 }
 
-/// The admission-control verdict for a dump of `estimated` bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
-    /// The device headroom (including queued reservations) covers the dump.
-    Fits,
-    /// The dump does not fit; `shortfall` bytes must be reclaimed (GC,
-    /// eviction) or the dump relocated (spill) before it can proceed.
-    NeedsReclaim {
-        /// Bytes missing from the device headroom.
-        shortfall: ByteSize,
-    },
-}
-
-/// Admission control: does a dump of `estimated` bytes fit on `device`?
-///
-/// Headroom already reflects every queued-but-unfinished dump (reservations
-/// are taken at submission), so admitting here cannot oversubscribe the
-/// device no matter how deep its FIFO queue is.
-pub fn admit(estimated: ByteSize, device: &Device) -> Admission {
-    let headroom = device.headroom();
-    if estimated <= headroom {
-        Admission::Fits
-    } else {
-        Admission::NeedsReclaim {
-            shortfall: estimated.saturating_sub(headroom),
-        }
-    }
-}
-
 /// A live chain that could be evicted to make room on its device.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvictionCandidate {
@@ -161,8 +129,6 @@ pub fn plan_evictions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cbp_simkit::SimTime;
-    use cbp_storage::{MediaSpec, OpKind};
 
     fn cand(task: u64, cost: f64, mb: u64) -> EvictionCandidate {
         EvictionCandidate {
@@ -185,31 +151,6 @@ mod tests {
         l.sub(3, ByteSize::from_mb(125));
         assert_eq!(l.bytes_on(3), ByteSize::ZERO);
         assert_eq!(l.total(), ByteSize::from_mb(50));
-    }
-
-    #[test]
-    fn admission_accounts_for_queued_reservations() {
-        let spec = MediaSpec::nvm().with_capacity(ByteSize::from_gb(10));
-        let mut dev = Device::new(spec);
-        assert_eq!(admit(ByteSize::from_gb(4), &dev), Admission::Fits);
-        // Two queued dumps reserve 8 GB: a third 4 GB dump must not admit
-        // even though neither earlier write has completed.
-        for _ in 0..2 {
-            dev.reserve(ByteSize::from_gb(4)).unwrap();
-            dev.submit_custom(
-                SimTime::ZERO,
-                OpKind::Write,
-                ByteSize::from_gb(4),
-                cbp_simkit::SimDuration::from_secs(60),
-            );
-        }
-        assert_eq!(
-            admit(ByteSize::from_gb(4), &dev),
-            Admission::NeedsReclaim {
-                shortfall: ByteSize::from_gb(2)
-            }
-        );
-        assert_eq!(admit(ByteSize::from_gb(2), &dev), Admission::Fits);
     }
 
     #[test]

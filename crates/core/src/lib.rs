@@ -40,6 +40,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod ckpt_path;
 mod config;
 mod metrics;
 pub mod scenario;

@@ -7,6 +7,8 @@ use cbp_simkit::{SimDuration, SimTime};
 use cbp_telemetry::{MetricsRegistry, TimeSeries};
 use cbp_workload::analysis::TraceLog;
 use cbp_workload::{LatencyClass, PriorityBand};
+
+use crate::ckpt_path::CkptCounters;
 use serde::Serialize;
 
 /// Percentile summary of a band's response times, seconds.
@@ -272,25 +274,13 @@ pub(crate) struct MetricsCollector {
     pub checkpoints: u64,
     pub restores: u64,
     pub remote_restores: u64,
-    pub capacity_fallbacks: u64,
-    pub gc_reclaimed_bytes: u64,
-    pub evicted_chains: u64,
-    pub spill_dumps: u64,
-    pub no_space_kills: u64,
     pub failure_evictions: u64,
     pub crash_evictions: u64,
-    pub breaker_open_kills: u64,
     pub breaker_open_secs: f64,
     pub images_lost_to_failures: u64,
     pub dump_fail_retries: u64,
-    pub dump_fail_kills: u64,
     pub restore_fail_retries: u64,
     pub scratch_restarts: u64,
-    pub resumed_dumps: u64,
-    pub resumed_bytes: u64,
-    pub chunk_refetches: u64,
-    pub chain_truncations: u64,
-    pub integrity_scratch_restarts: u64,
     pub retry_cpu_secs: f64,
     pub dfs_blocks_repaired: u64,
     pub dfs_repair_bytes: u64,
@@ -358,6 +348,7 @@ impl MetricsCollector {
         io_overhead_fraction: f64,
         storage_peak_fraction: f64,
         incremental_checkpoints: u64,
+        ckpt: &CkptCounters,
     ) -> RunMetrics {
         fn to_band_metrics(mut samples: Samples) -> BandMetrics {
             let response_summary = ResponseSummary::from_samples(&mut samples);
@@ -386,25 +377,25 @@ impl MetricsCollector {
             incremental_checkpoints,
             restores: self.restores,
             remote_restores: self.remote_restores,
-            capacity_fallbacks: self.capacity_fallbacks,
-            gc_reclaimed_bytes: self.gc_reclaimed_bytes,
-            evicted_chains: self.evicted_chains,
-            spill_dumps: self.spill_dumps,
-            no_space_kills: self.no_space_kills,
+            capacity_fallbacks: ckpt.capacity_fallbacks,
+            gc_reclaimed_bytes: ckpt.gc_reclaimed_bytes,
+            evicted_chains: ckpt.evicted_chains,
+            spill_dumps: ckpt.spill_dumps,
+            no_space_kills: ckpt.no_space_kills,
             failure_evictions: self.failure_evictions,
             crash_evictions: self.crash_evictions,
-            breaker_open_kills: self.breaker_open_kills,
+            breaker_open_kills: ckpt.breaker_open_kills,
             breaker_open_secs: self.breaker_open_secs,
             images_lost_to_failures: self.images_lost_to_failures,
             dump_fail_retries: self.dump_fail_retries,
-            dump_fail_kills: self.dump_fail_kills,
+            dump_fail_kills: ckpt.dump_fail_kills,
             restore_fail_retries: self.restore_fail_retries,
             scratch_restarts: self.scratch_restarts,
-            resumed_dumps: self.resumed_dumps,
-            resumed_bytes: self.resumed_bytes,
-            chunk_refetches: self.chunk_refetches,
-            chain_truncations: self.chain_truncations,
-            integrity_scratch_restarts: self.integrity_scratch_restarts,
+            resumed_dumps: ckpt.resumed_dumps,
+            resumed_bytes: ckpt.resumed_bytes,
+            chunk_refetches: ckpt.chunk_refetches,
+            chain_truncations: ckpt.chain_truncations,
+            integrity_scratch_restarts: ckpt.integrity_scratch_restarts,
             retry_overhead_cpu_hours: self.retry_cpu_secs / 3600.0,
             dfs_blocks_repaired: self.dfs_blocks_repaired,
             dfs_repair_bytes: self.dfs_repair_bytes,
@@ -435,17 +426,20 @@ mod tests {
         c.charge_restore(SimDuration::from_secs(1800), 1.0, true);
         c.useful_cpu_secs = 3600.0 * 6.0;
         c.crash_evictions = 2;
-        c.breaker_open_kills = 1;
         c.breaker_open_secs = 42.0;
-        c.gc_reclaimed_bytes = 1_000_000;
-        c.evicted_chains = 3;
-        c.spill_dumps = 4;
-        c.no_space_kills = 1;
-        c.resumed_dumps = 2;
-        c.resumed_bytes = 128_000_000;
-        c.chunk_refetches = 5;
-        c.chain_truncations = 1;
-        c.integrity_scratch_restarts = 1;
+        let k = CkptCounters {
+            breaker_open_kills: 1,
+            gc_reclaimed_bytes: 1_000_000,
+            evicted_chains: 3,
+            spill_dumps: 4,
+            no_space_kills: 1,
+            resumed_dumps: 2,
+            resumed_bytes: 128_000_000,
+            chunk_refetches: 5,
+            chain_truncations: 1,
+            integrity_scratch_restarts: 1,
+            ..CkptCounters::default()
+        };
         c.record_response(
             PriorityBand::Free,
             LatencyClass::new(0),
@@ -464,7 +458,7 @@ mod tests {
             SimTime::from_secs(60),
             SimTime::from_secs(120),
         );
-        let m = c.into_metrics(SimTime::from_secs(1000), 12.5, 0.25, 0.1, inc);
+        let m = c.into_metrics(SimTime::from_secs(1000), 12.5, 0.25, 0.1, inc, &k);
 
         assert_eq!(m.kills, 1);
         assert_eq!(m.checkpoints, 1);
@@ -512,7 +506,14 @@ mod tests {
                 SimTime::from_secs(i),
             );
         }
-        let m = c.into_metrics(SimTime::from_secs(100), 0.0, 0.0, 0.0, 0);
+        let m = c.into_metrics(
+            SimTime::from_secs(100),
+            0.0,
+            0.0,
+            0.0,
+            0,
+            &CkptCounters::default(),
+        );
         let band = &m.per_band[&PriorityBand::Middle];
         let s = band.response_summary;
         assert!((s.p50 - 50.5).abs() < 1e-9, "p50 = {}", s.p50);
@@ -525,7 +526,14 @@ mod tests {
 
     #[test]
     fn empty_metrics_are_zero() {
-        let m = MetricsCollector::default().into_metrics(SimTime::ZERO, 0.0, 0.0, 0.0, 0);
+        let m = MetricsCollector::default().into_metrics(
+            SimTime::ZERO,
+            0.0,
+            0.0,
+            0.0,
+            0,
+            &CkptCounters::default(),
+        );
         assert_eq!(m.waste_fraction(), 0.0);
         assert_eq!(m.cpu_overhead_fraction(), 0.0);
         assert_eq!(m.mean_response_overall(), 0.0);

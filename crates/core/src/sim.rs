@@ -7,35 +7,25 @@
 //! according to the configured [`PreemptionPolicy`].
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
-use cbp_checkpoint::{plan_evictions, Criu, EvictionCandidate, NvramCheckpointer};
+use cbp_checkpoint::{Criu, NvramCheckpointer};
 use cbp_cluster::{Container, ContainerId, EnergyMeter, Node, NodeId, Resources};
-use cbp_dfs::{DfsCluster, DnId};
-use cbp_faults::{BreakerTransition, FaultPlan, HealthMonitor};
-use cbp_simkit::units::ByteSize;
+use cbp_dfs::DfsCluster;
+use cbp_faults::FaultPlan;
 use cbp_simkit::{
     run_until_observed, EventQueue, RunStats, SimDuration, SimRng, SimTime, Simulation,
 };
-use cbp_storage::{Device, MediaKind, OpKind};
 use cbp_telemetry::{
-    MetricsRegistry, NullTracer, PreemptAction, StreamingQuantiles, TimeSeries, TraceRecord, Tracer,
+    MetricsRegistry, PreemptAction, StreamingQuantiles, TimeSeries, TraceRecord, TraceSink, Tracer,
 };
 use cbp_workload::analysis::{TraceEvent, TraceEventKind, TraceLog};
 use cbp_workload::{Priority, PriorityBand, TaskSpec, Workload};
 
+use crate::ckpt_path::{media_name, ChainValidation, CkptPath};
 use crate::config::{PreemptionPolicy, RestorePlacement, SimConfig, VictimSelection};
 use crate::metrics::{MetricsCollector, RunReport, TelemetryReport};
 use crate::task::{TaskState, TaskStatus};
-
-/// Short stable device name for trace records.
-fn media_name(kind: MediaKind) -> &'static str {
-    match kind {
-        MediaKind::Hdd => "hdd",
-        MediaKind::Ssd => "ssd",
-        MediaKind::Nvm => "nvm",
-    }
-}
 
 /// Periodic sim-time probe state (see [`ClusterSim::enable_sampling`]).
 struct Sampler {
@@ -94,7 +84,6 @@ type PendingKey = (Reverse<u8>, u64, u64, u32);
 
 struct NodeSlot {
     node: Node,
-    device: Device,
     meter: EnergyMeter,
     /// NVRAM checkpoint engine (when the NVRAM backend is configured).
     nvram: Option<NvramCheckpointer>,
@@ -111,9 +100,9 @@ pub struct ClusterSim {
     nodes: Vec<NodeSlot>,
     tasks: Vec<TaskState>,
     pending: BTreeSet<PendingKey>,
-    criu: Criu,
-    dfs: Option<DfsCluster>,
-    trace: TraceLog,
+    /// Checkpoint images, devices, DFS files, retry state and breakers.
+    ckpt: CkptPath,
+    trace_log: TraceLog,
     metrics: MetricsCollector,
     rng: SimRng,
     next_container: u64,
@@ -130,10 +119,8 @@ pub struct ClusterSim {
     node_reserved: Vec<Resources>,
     job_remaining: Vec<u32>,
     place_cursor: usize,
-    /// Structured-event sink ([`NullTracer`] by default).
-    tracer: Box<dyn Tracer>,
-    /// Cached `tracer.enabled()` so the disabled path costs one branch.
-    trace_on: bool,
+    /// Structured-event sink (disabled by default).
+    trace: TraceSink,
     /// Periodic time-series probe (absent unless enabled).
     sampler: Option<Sampler>,
     /// Pending-queue depth after the previous event (for change records).
@@ -142,28 +129,10 @@ pub struct ClusterSim {
     /// decision is a pure hash of (plan seed, identity), so enabling an
     /// inert plan perturbs nothing and the same plan replays identically.
     faults: Option<FaultPlan>,
-    /// Task → 0-based attempt index of its in-flight dump episode.
-    dump_attempts: HashMap<u32, u32>,
-    /// Task → durable bytes of its in-flight dump episode (the chunked
-    /// resume frontier: monotone within an episode, cleared when the
-    /// episode ends). A retried dump rewrites only the suffix past it.
-    dump_frontier: HashMap<u32, u64>,
     /// Task → 0-based attempt index of its in-flight restore episode.
     restore_attempts: HashMap<u32, u32>,
-    /// Tasks whose *current* image chain was corrupted at dump time
-    /// (decided once per image: restore retries never help).
-    corrupt_images: HashSet<u32>,
-    /// Checkpoint-path circuit breakers (present iff the plan configures
-    /// a breaker). Fed by dump/restore outcomes, capacity fallbacks and
-    /// stall observations; consulted before every checkpoint preemption.
-    health: Option<HealthMonitor>,
     /// Rack currently isolated by a chaos-plan network partition.
     active_partition: Option<u32>,
-    /// Per-node checkpoint-device bytes reserved by injected leaks
-    /// (pressure plan) that no live image owns. The conservation
-    /// invariant is `device.used == ledger live bytes + leaked`; a GC
-    /// pass reclaims these.
-    leaked: Vec<u64>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -171,19 +140,6 @@ struct Reservation {
     node: usize,
     amount: Resources,
     drains_left: u32,
-}
-
-/// Outcome of chunk-level restore validation (resume mode).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ChainValidation {
-    /// Every image verified (possibly after targeted replica re-fetches):
-    /// the restore proceeds.
-    Intact,
-    /// The chain was cut to its longest valid prefix and a restore of the
-    /// shorter chain is in flight.
-    Truncated,
-    /// No valid prefix survived: the task restarted from scratch.
-    Dead,
 }
 
 impl ClusterSim {
@@ -196,19 +152,9 @@ impl ClusterSim {
             .clone()
             .filter(|spec| !spec.is_inert())
             .map(FaultPlan::new);
-        // A pressure plan shrinks every node's checkpoint device before the
-        // run starts (the fleet was provisioned smaller than the workload
-        // needs); leak injection on top happens via `PressureTick`.
-        let frac = faults.as_ref().map_or(1.0, |p| p.capacity_frac());
-        let media = if frac < 1.0 {
-            cfg.media.with_capacity(cfg.media.capacity().mul_f64(frac))
-        } else {
-            cfg.media
-        };
         let nodes = (0..cfg.nodes)
             .map(|i| NodeSlot {
                 node: Node::new(NodeId(i as u32), cfg.node_resources),
-                device: Device::new(media),
                 meter: EnergyMeter::new(cfg.energy),
                 nvram: cfg.nvram.map(NvramCheckpointer::new),
                 up: true,
@@ -238,26 +184,26 @@ impl ClusterSim {
         if let Some(compression) = cfg.compression {
             criu = criu.with_compression(compression);
         }
-        if let Some(plan) = &faults {
-            // Manifests chunk at the plan's transfer granularity so the
-            // per-chunk corruption draws and the resume frontier agree.
-            criu = criu.with_chunk_bytes(plan.chunk_bytes());
-        }
-        let health = faults
-            .as_ref()
-            .and_then(|p| p.breaker())
-            .map(|spec| HealthMonitor::new(*spec, n_nodes));
-        ClusterSim {
-            health,
+        // A pressure plan shrinks every node's checkpoint device before the
+        // run starts (the fleet was provisioned smaller than the workload
+        // needs); leak injection on top happens via `PressureTick`.
+        let ckpt = CkptPath::new(
+            n_nodes,
+            cfg.media,
             criu,
+            dfs,
+            faults.as_ref(),
+            cfg.nvram.is_none(),
+        );
+        ClusterSim {
+            ckpt,
             faults,
             cfg,
             workload,
             nodes,
             tasks,
             pending: BTreeSet::new(),
-            dfs,
-            trace: TraceLog::new(),
+            trace_log: TraceLog::new(),
             metrics: MetricsCollector::default(),
             rng,
             next_container: 1,
@@ -268,16 +214,11 @@ impl ClusterSim {
             node_reserved: vec![Resources::ZERO; n_nodes],
             job_remaining,
             place_cursor: 0,
-            tracer: Box::new(NullTracer),
-            trace_on: false,
+            trace: TraceSink::default(),
             sampler: None,
             last_queue_depth: 0,
-            dump_attempts: HashMap::new(),
-            dump_frontier: HashMap::new(),
             restore_attempts: HashMap::new(),
-            corrupt_images: HashSet::new(),
             active_partition: None,
-            leaked: vec![0; n_nodes],
         }
     }
 
@@ -286,8 +227,7 @@ impl ClusterSim {
     /// `MultiTracer` to capture the run. The tracer's `finish()` is called
     /// at the end of [`ClusterSim::run`].
     pub fn set_tracer(&mut self, tracer: Box<dyn Tracer>) {
-        self.trace_on = tracer.enabled();
-        self.tracer = tracer;
+        self.trace = TraceSink::new(tracer);
     }
 
     /// Enables the periodic time-series probe: every `interval` of sim
@@ -352,31 +292,34 @@ impl ClusterSim {
         }
         let stats = run_until_observed(&mut self, &mut queue, SimTime::MAX, &mut |_| {});
         let makespan = stats.now;
-        if let Some(h) = &self.health {
-            self.metrics.breaker_open_secs = h.open_secs_total(makespan);
-        }
-        self.tracer.finish();
+        self.metrics.breaker_open_secs = self.ckpt.breaker_open_secs(makespan);
+        self.trace.finish();
 
         let label = format!("{}-{}", self.cfg.policy, self.cfg.media.kind());
         let energy_kwh: f64 = self.nodes.iter().map(|n| n.meter.kwh(makespan)).sum();
         let horizon = makespan.since(SimTime::ZERO);
-        let io_overhead = mean(self.nodes.iter().map(|n| n.device.busy_fraction(horizon)));
-        let storage_peak = mean(self.nodes.iter().map(|n| n.device.peak_used_fraction()));
-        let incremental = self.criu.incremental_dumps();
-        let registry = self.build_registry(makespan, energy_kwh, io_overhead, storage_peak, &stats);
+        let io_overhead = self.ckpt.io_busy_fraction(horizon);
+        let storage_peak = self.ckpt.peak_used_fraction();
+        let incremental = self.ckpt.criu().incremental_dumps();
+        let registry = self.build_registry(makespan, energy_kwh, &stats);
         let telemetry = TelemetryReport {
             registry,
             timeseries: self.sampler.take().map(|s| s.series),
             engine_events: stats.events,
             engine_wall_secs: stats.wall.as_secs_f64(),
         };
-        let metrics =
-            self.metrics
-                .into_metrics(makespan, energy_kwh, io_overhead, storage_peak, incremental);
+        let metrics = self.metrics.into_metrics(
+            makespan,
+            energy_kwh,
+            io_overhead,
+            storage_peak,
+            incremental,
+            &self.ckpt.counters,
+        );
         RunReport {
             label,
             metrics,
-            trace: self.trace,
+            trace: self.trace_log,
             telemetry,
         }
     }
@@ -392,27 +335,17 @@ impl ClusterSim {
         &self,
         makespan: SimTime,
         energy_kwh: f64,
-        io_overhead: f64,
-        storage_peak: f64,
         stats: &RunStats,
     ) -> MetricsRegistry {
         let m = &self.metrics;
         let mut reg = MetricsRegistry::new();
+        self.ckpt.export(&mut reg, makespan);
         reg.set_counter("engine.events", "events", stats.events);
         reg.set_counter("scheduler.preemptions", "ops", m.preemptions);
         reg.set_counter("scheduler.kills", "ops", m.kills);
         reg.set_counter("scheduler.checkpoints", "ops", m.checkpoints);
         reg.set_counter("scheduler.restores", "ops", m.restores);
         reg.set_counter("scheduler.remote_restores", "ops", m.remote_restores);
-        reg.set_counter("scheduler.capacity_fallbacks", "ops", m.capacity_fallbacks);
-        reg.set_counter(
-            "lifecycle.gc_reclaimed_bytes",
-            "bytes",
-            m.gc_reclaimed_bytes,
-        );
-        reg.set_counter("lifecycle.evicted_chains", "ops", m.evicted_chains);
-        reg.set_counter("lifecycle.spill_dumps", "ops", m.spill_dumps);
-        reg.set_counter("lifecycle.no_space_kills", "ops", m.no_space_kills);
         reg.set_counter("scheduler.failure_evictions", "ops", m.failure_evictions);
         reg.set_counter(
             "scheduler.images_lost_to_failures",
@@ -422,21 +355,9 @@ impl ClusterSim {
         reg.set_counter("scheduler.tasks_finished", "ops", m.tasks_finished);
         reg.set_counter("scheduler.jobs_finished", "ops", m.jobs_finished);
         reg.set_counter("faults.crash_evictions", "ops", m.crash_evictions);
-        reg.set_counter("faults.breaker_open_kills", "ops", m.breaker_open_kills);
-        reg.set_gauge("faults.breaker_open_secs", "s", m.breaker_open_secs);
         reg.set_counter("faults.dump_fail_retries", "ops", m.dump_fail_retries);
-        reg.set_counter("faults.dump_fail_kills", "ops", m.dump_fail_kills);
         reg.set_counter("faults.restore_fail_retries", "ops", m.restore_fail_retries);
         reg.set_counter("faults.scratch_restarts", "ops", m.scratch_restarts);
-        reg.set_counter("integrity.resumed_dumps", "ops", m.resumed_dumps);
-        reg.set_counter("integrity.resumed_bytes", "bytes", m.resumed_bytes);
-        reg.set_counter("integrity.chunk_refetches", "ops", m.chunk_refetches);
-        reg.set_counter("integrity.chain_truncations", "ops", m.chain_truncations);
-        reg.set_counter(
-            "integrity.scratch_restarts",
-            "ops",
-            m.integrity_scratch_restarts,
-        );
         reg.set_counter("dfs.blocks_repaired", "blocks", m.dfs_blocks_repaired);
         reg.set_counter("dfs.repair_bytes", "bytes", m.dfs_repair_bytes);
         reg.set_counter("dfs.blocks_lost", "blocks", m.dfs_blocks_lost);
@@ -458,36 +379,6 @@ impl ClusterSim {
             m.restore_overhead_cpu_secs / 3600.0,
         );
         reg.set_gauge("energy.total_kwh", "kWh", energy_kwh);
-        reg.set_gauge("storage.io_busy_fraction", "fraction", io_overhead);
-        reg.set_gauge("storage.peak_used_fraction", "fraction", storage_peak);
-        if let Some(first) = self.nodes.first() {
-            let mut writes = first.device.write_latency().clone();
-            let mut reads = first.device.read_latency().clone();
-            for slot in &self.nodes[1..] {
-                writes.merge(slot.device.write_latency());
-                reads.merge(slot.device.read_latency());
-            }
-            reg.set_histogram("storage.write_latency_secs", "s", &writes);
-            reg.set_histogram("storage.read_latency_secs", "s", &reads);
-            let written: u64 = self
-                .nodes
-                .iter()
-                .map(|n| n.device.bytes_written().as_u64())
-                .sum();
-            let read: u64 = self
-                .nodes
-                .iter()
-                .map(|n| n.device.bytes_read().as_u64())
-                .sum();
-            reg.set_counter("storage.bytes_written", "bytes", written);
-            reg.set_counter("storage.bytes_read", "bytes", read);
-        }
-        let underflows: u64 = self
-            .nodes
-            .iter()
-            .map(|n| n.device.accounting_underflows())
-            .sum();
-        reg.set_counter("storage.accounting_underflows", "ops", underflows);
         let mut responses = StreamingQuantiles::new();
         for samples in m.responses.values() {
             for &v in samples.values() {
@@ -529,8 +420,9 @@ impl ClusterSim {
                 util_sum += slot.node.cpu_utilization();
                 up_nodes += 1;
             }
-            ckpt.push(slot.device.used_fraction());
-            let total = slot.device.busy_time().as_secs_f64();
+            let device = self.ckpt.device(i);
+            ckpt.push(device.used_fraction());
+            let total = device.busy_time().as_secs_f64();
             let delta = (total - s.prev_busy[i]).max(0.0);
             s.prev_busy[i] = total;
             busy.push((delta / s.interval.as_secs_f64()).min(1.0));
@@ -611,7 +503,7 @@ impl ClusterSim {
 
     fn emit(&mut self, now: SimTime, t: u32, kind: TraceEventKind) {
         let task = &self.tasks[t as usize];
-        self.trace.push(TraceEvent {
+        self.trace_log.push(TraceEvent {
             time: now,
             task: task.spec.id,
             priority: task.priority,
@@ -685,7 +577,7 @@ impl ClusterSim {
         if self.cfg.nvram.is_some() {
             self.nvram_origin.contains_key(&t)
         } else {
-            self.criu.has_image(handle_u64(t))
+            self.ckpt.criu().has_image(handle_u64(t))
         }
     }
 
@@ -704,7 +596,7 @@ impl ClusterSim {
         // ablation.
         if self.cfg.nvram.is_some()
             || self.cfg.restore_placement == RestorePlacement::LocalOnly
-            || self.dfs.is_none()
+            || !self.ckpt.has_dfs()
         {
             return origin_fits.then_some(origin);
         }
@@ -757,52 +649,23 @@ impl ClusterSim {
         factor
     }
 
-    /// Feeds one checkpoint-path outcome on `node` into the breakers and
-    /// traces any state transitions.
-    fn observe_health(&mut self, node: usize, now: SimTime, ok: bool) {
-        let Some(h) = self.health.as_mut() else {
-            return;
-        };
-        let events = h.observe(node as u32, now, ok);
-        if self.trace_on {
-            for e in events {
-                let rec = match e.transition {
-                    BreakerTransition::Opened => TraceRecord::BreakerOpen {
-                        node: e.node.unwrap_or(0),
-                        global: e.node.is_none(),
-                    },
-                    BreakerTransition::Closed => TraceRecord::BreakerClose {
-                        node: e.node.unwrap_or(0),
-                        global: e.node.is_none(),
-                    },
-                };
-                self.tracer.record(now.as_micros(), &rec);
-            }
-        }
-    }
-
     /// Breaker gate for a checkpoint decision: when the checkpoint path
     /// on `node` is considered down, the victim is killed instead
     /// (graceful degradation) and `true` is returned.
     fn breaker_denies(&mut self, v: u32, node: usize, now: SimTime, policy: &'static str) -> bool {
-        let Some(h) = self.health.as_mut() else {
-            return false;
-        };
-        if h.allow(node as u32, now) {
+        if self.ckpt.breaker_allows(node, now) {
             return false;
         }
         self.trace_preempt_decision(now, v, node, PreemptAction::Kill, policy, "breaker-open");
-        if self.trace_on {
-            self.tracer.record(
-                now.as_micros(),
-                &TraceRecord::DumpFallback {
-                    task: v as u64,
-                    node: node as u32,
-                    reason: "breaker-open",
-                },
-            );
-        }
-        self.metrics.breaker_open_kills += 1;
+        self.trace.record(
+            now.as_micros(),
+            TraceRecord::DumpFallback {
+                task: v as u64,
+                node: node as u32,
+                reason: "breaker-open",
+            },
+        );
+        self.ckpt.counters.breaker_open_kills += 1;
         self.kill_task(v, node, now);
         true
     }
@@ -811,7 +674,7 @@ impl ClusterSim {
     /// Degradation-aware: a stalled device makes its own restores look
     /// expensive, steering cost-aware placement elsewhere.
     fn restore_cost(&self, t: u32, i: usize, now: SimTime) -> SimDuration {
-        let queue = self.nodes[i].device.queue_wait(now);
+        let queue = self.ckpt.device(i).queue_wait(now);
         let cost = queue + self.restore_service(t, i);
         let factor = self.device_factor(i, now);
         if factor > 1.0 {
@@ -830,22 +693,11 @@ impl ClusterSim {
                 .restore_bw
                 .transfer_time(footprint.mul_f64(spec.lazy_restore_fraction));
         }
-        let task = &self.tasks[t as usize];
-        match &self.dfs {
-            Some(dfs) => task
-                .dfs_paths
-                .iter()
-                .map(|p| {
-                    dfs.read_cost(p, DnId(i as u32))
-                        .map(|c| c.duration)
-                        .unwrap_or(SimDuration::ZERO)
-                })
-                .sum(),
-            None => {
-                let size = self.criu.image_size(handle_u64(t));
-                self.nodes[i].device.spec().read_time(size)
-            }
+        if self.ckpt.has_dfs() {
+            return self.ckpt.dfs_read_time(handle_u64(t), i);
         }
+        let size = self.ckpt.criu().image_size(handle_u64(t));
+        self.ckpt.device(i).spec().read_time(size)
     }
 
     // ---- lifecycle transitions -----------------------------------------
@@ -869,16 +721,14 @@ impl ClusterSim {
         );
 
         let has_image = self.has_checkpoint(t);
-        if self.trace_on {
-            self.tracer.record(
-                now.as_micros(),
-                &TraceRecord::TaskSchedule {
-                    task: t as u64,
-                    node: node as u32,
-                    restore: has_image,
-                },
-            );
-        }
+        self.trace.record(
+            now.as_micros(),
+            TraceRecord::TaskSchedule {
+                task: t as u64,
+                node: node as u32,
+                restore: has_image,
+            },
+        );
         if has_image {
             // Resume from checkpoint: read the image chain (or NVRAM
             // mirror) first.
@@ -904,13 +754,11 @@ impl ClusterSim {
                 }
                 (now, now + service)
             } else {
-                let size = self.criu.image_size(handle_u64(t));
-                let op = self.nodes[node]
-                    .device
-                    .submit_custom(now, OpKind::Read, size, service);
+                let size = self.ckpt.criu().image_size(handle_u64(t));
+                let op = self.ckpt.read(node, now, size, service);
                 (op.start, op.end)
             };
-            if self.trace_on {
+            if self.trace.on() {
                 let (device, bytes) = if self.cfg.nvram.is_some() {
                     (
                         "nvram",
@@ -919,12 +767,12 @@ impl ClusterSim {
                 } else {
                     (
                         media_name(self.cfg.media.kind()),
-                        self.criu.image_size(handle_u64(t)).as_u64(),
+                        self.ckpt.criu().image_size(handle_u64(t)).as_u64(),
                     )
                 };
-                self.tracer.record(
+                self.trace.record(
                     now.as_micros(),
-                    &TraceRecord::RestoreStart {
+                    TraceRecord::RestoreStart {
                         task: t as u64,
                         node: node as u32,
                         origin,
@@ -996,23 +844,22 @@ impl ClusterSim {
                 machine: node as u32,
             },
         );
-        if self.trace_on {
-            self.tracer.record(
-                now.as_micros(),
-                &TraceRecord::TaskEvict {
-                    task: t as u64,
-                    node: node as u32,
-                    reason: "kill",
-                },
-            );
-        }
+        self.trace.record(
+            now.as_micros(),
+            TraceRecord::TaskEvict {
+                task: t as u64,
+                node: node as u32,
+                reason: "kill",
+            },
+        );
         self.release_container(t, now);
 
         let has_image = self.has_checkpoint(t);
         let origin = if self.cfg.nvram.is_some() {
             self.nvram_origin.get(&t).copied()
         } else {
-            self.criu
+            self.ckpt
+                .criu()
                 .chain(handle_u64(t))
                 .and_then(|c| c.tip())
                 .map(|r| r.origin_node)
@@ -1048,201 +895,7 @@ impl ClusterSim {
         }
     }
 
-    /// Picks the device that will hold a dump of `size` from `node`:
-    /// node-local if it has room, else (HDFS only) the node with the most
-    /// free checkpoint space — HDFS writes spill to any datanode.
-    fn dump_origin_for(&self, node: usize, size: cbp_simkit::units::ByteSize) -> Option<usize> {
-        if self.nodes[node].device.free_capacity() >= size {
-            return Some(node);
-        }
-        self.dfs.as_ref()?;
-        (0..self.nodes.len())
-            .filter(|&i| self.nodes[i].up)
-            .max_by_key(|&i| (self.nodes[i].device.free_capacity(), std::cmp::Reverse(i)))
-            .filter(|&i| self.nodes[i].device.free_capacity() >= size)
-    }
-
     // ---- image lifecycle (capacity backpressure ladder) -----------------
-
-    /// Image bytes task `v`'s chain holds on node `node`'s device.
-    fn chain_bytes_on(&self, v: u32, node: usize) -> ByteSize {
-        let Some(chain) = self.criu.chain(handle_u64(v)) else {
-            return ByteSize::ZERO;
-        };
-        chain
-            .images()
-            .iter()
-            .filter(|r| r.origin_node == node as u32)
-            .map(|r| r.size)
-            .fold(ByteSize::ZERO, |a, b| a + b)
-    }
-
-    /// The degradation ladder, entered when no device can hold a dump of
-    /// `size` from `node`: a GC pass (reclaiming leaked reservations and
-    /// dead chains), then eviction of the cheapest-to-lose live chains on
-    /// the local device, re-running the origin search after each rung —
-    /// which also re-offers the remote spill. Returns the origin to dump
-    /// to, or `None` when the ladder is exhausted.
-    fn reclaim_for_dump(
-        &mut self,
-        t: u32,
-        node: usize,
-        size: ByteSize,
-        now: SimTime,
-    ) -> Option<usize> {
-        self.gc_pass(now);
-        if let Some(origin) = self.dump_origin_for(node, size) {
-            return Some(origin);
-        }
-        self.evict_for(t, node, size, now);
-        self.dump_origin_for(node, size)
-    }
-
-    /// GC pass: releases every injected leaked reservation and discards
-    /// dead chains (corrupt images can never be restored, so their bytes
-    /// are pure waste). Chains with an in-flight dump or restore are left
-    /// alone — the episode owns them.
-    fn gc_pass(&mut self, now: SimTime) {
-        let n = self.nodes.len();
-        let mut reclaimed = vec![0u64; n];
-        let mut chains = vec![0u64; n];
-        for (i, bytes) in self.leaked.iter_mut().enumerate() {
-            if *bytes > 0 {
-                self.nodes[i].device.release(ByteSize::from_bytes(*bytes));
-                reclaimed[i] += *bytes;
-                *bytes = 0;
-            }
-        }
-        let mut corrupt: Vec<u32> = self.corrupt_images.iter().copied().collect();
-        corrupt.sort_unstable();
-        for v in corrupt {
-            if matches!(
-                self.tasks[v as usize].status,
-                TaskStatus::Dumping { .. } | TaskStatus::Restoring { .. }
-            ) {
-                continue;
-            }
-            let tip_origin = self
-                .criu
-                .chain(handle_u64(v))
-                .and_then(|c| c.tip())
-                .map(|r| r.origin_node);
-            let mut freed_any = false;
-            if let Some(chain) = self.criu.chain(handle_u64(v)) {
-                for r in chain.images() {
-                    reclaimed[r.origin_node as usize] += r.size.as_u64();
-                    freed_any = true;
-                }
-            }
-            self.discard_chain(v);
-            if freed_any {
-                if let Some(o) = tip_origin {
-                    chains[o as usize] += 1;
-                }
-                // Same degradation as losing the chain to a failure: the
-                // checkpointed progress was never restorable anyway.
-                let task = &mut self.tasks[v as usize];
-                task.checkpointed_progress = SimDuration::ZERO;
-                if let Some(mem) = task.memory.as_mut() {
-                    mem.mark_all_dirty();
-                }
-                if matches!(task.status, TaskStatus::Checkpointed { .. }) {
-                    task.status = TaskStatus::Pending;
-                }
-            }
-        }
-        for i in 0..n {
-            if reclaimed[i] == 0 && chains[i] == 0 {
-                continue;
-            }
-            self.metrics.gc_reclaimed_bytes += reclaimed[i];
-            if self.trace_on {
-                self.tracer.record(
-                    now.as_micros(),
-                    &TraceRecord::GcPass {
-                        node: i as u32,
-                        reclaimed: reclaimed[i],
-                        chains: chains[i],
-                    },
-                );
-            }
-        }
-    }
-
-    /// Evicts the cheapest-to-lose live chains holding bytes on `node`'s
-    /// device until a dump of `size` fits (or no plan covers the
-    /// shortfall; partial eviction would destroy progress for nothing).
-    /// Evicted tasks degrade exactly like tasks whose chain was lost: the
-    /// next dump is full, a queued restore becomes a fresh start.
-    fn evict_for(&mut self, t: u32, node: usize, size: ByteSize, now: SimTime) {
-        let shortfall = size.saturating_sub(self.nodes[node].device.free_capacity());
-        if shortfall.is_zero() {
-            return;
-        }
-        let mut candidates: Vec<EvictionCandidate> = Vec::new();
-        for v in 0..self.tasks.len() as u32 {
-            if v == t
-                || matches!(
-                    self.tasks[v as usize].status,
-                    TaskStatus::Dumping { .. } | TaskStatus::Restoring { .. }
-                )
-            {
-                continue;
-            }
-            let bytes_on_node = self.chain_bytes_on(v, node);
-            if bytes_on_node.is_zero() {
-                continue;
-            }
-            let task = &self.tasks[v as usize];
-            candidates.push(EvictionCandidate {
-                task: handle_u64(v),
-                cost_core_secs: task.checkpointed_progress.as_secs_f64()
-                    * task.spec.resources.cores_f64(),
-                bytes_on_node,
-            });
-        }
-        for victim in plan_evictions(candidates, shortfall) {
-            let v = victim.task as u32;
-            self.metrics.evicted_chains += 1;
-            if self.trace_on {
-                self.tracer.record(
-                    now.as_micros(),
-                    &TraceRecord::ImageEvict {
-                        task: victim.task,
-                        node: node as u32,
-                        bytes: victim.bytes_on_node.as_u64(),
-                    },
-                );
-            }
-            self.discard_chain(v);
-            let task = &mut self.tasks[v as usize];
-            task.checkpointed_progress = SimDuration::ZERO;
-            if let Some(mem) = task.memory.as_mut() {
-                mem.mark_all_dirty();
-            }
-            if matches!(task.status, TaskStatus::Checkpointed { .. }) {
-                task.status = TaskStatus::Pending;
-            }
-        }
-    }
-
-    /// Hard conservation invariant (checked after every event in debug
-    /// builds): every byte reserved on a node's checkpoint device is owned
-    /// by a live catalog image or an injected leak.
-    #[cfg(debug_assertions)]
-    fn assert_image_conservation(&self, now: SimTime) {
-        // Manifest ↔ catalog ↔ ledger first (per-image checksums and
-        // per-node byte recomputation), then ledger ↔ device reservations.
-        self.criu.assert_manifest_consistency();
-        for (i, slot) in self.nodes.iter().enumerate() {
-            let expected = self.criu.live_bytes_on(i as u32).as_u64() + self.leaked[i];
-            assert_eq!(
-                slot.device.used().as_u64(),
-                expected,
-                "image-ledger conservation violated on node {i} at {now:?}"
-            );
-        }
-    }
 
     /// Suspends `t` into the node's NVRAM (the §3.2.3 backend): a shadowed
     /// DRAM→NVM copy with no file system, no serialization and no device
@@ -1275,26 +928,24 @@ impl ClusterSim {
                         machine: node as u32,
                     },
                 );
-                if self.trace_on {
-                    self.tracer.record(
-                        now.as_micros(),
-                        &TraceRecord::DumpStart {
-                            task: t as u64,
-                            node: node as u32,
-                            device: "nvram",
-                            bytes: suspend.copied.as_u64(),
-                            incremental,
-                        },
-                    );
-                    self.tracer.record(
-                        now.as_micros(),
-                        &TraceRecord::TaskEvict {
-                            task: t as u64,
-                            node: node as u32,
-                            reason: "dump",
-                        },
-                    );
-                }
+                self.trace.record(
+                    now.as_micros(),
+                    TraceRecord::DumpStart {
+                        task: t as u64,
+                        node: node as u32,
+                        device: "nvram",
+                        bytes: suspend.copied.as_u64(),
+                        incremental,
+                    },
+                );
+                self.trace.record(
+                    now.as_micros(),
+                    TraceRecord::TaskEvict {
+                        task: t as u64,
+                        node: node as u32,
+                        reason: "dump",
+                    },
+                );
                 let task = &mut self.tasks[t as usize];
                 let container = match task.status {
                     TaskStatus::Running { container, .. } => container,
@@ -1320,18 +971,16 @@ impl ClusterSim {
             Err(_) => {
                 // The node's NVRAM is full; mirrors are node-local so there
                 // is nowhere to spill.
-                self.metrics.capacity_fallbacks += 1;
-                self.observe_health(node, now, false);
-                if self.trace_on {
-                    self.tracer.record(
-                        now.as_micros(),
-                        &TraceRecord::DumpFallback {
-                            task: t as u64,
-                            node: node as u32,
-                            reason: "nvram-full",
-                        },
-                    );
-                }
+                self.ckpt.counters.capacity_fallbacks += 1;
+                self.ckpt.observe_health(node, now, false, &mut self.trace);
+                self.trace.record(
+                    now.as_micros(),
+                    TraceRecord::DumpFallback {
+                        task: t as u64,
+                        node: node as u32,
+                        reason: "nvram-full",
+                    },
+                );
                 self.kill_task(t, node, now);
                 true
             }
@@ -1346,79 +995,39 @@ impl ClusterSim {
         if self.cfg.nvram.is_some() {
             return !self.dump_task_nvram(t, node, now, q);
         }
+        let key = handle_u64(t);
         let (size, _) = {
             let task = &self.tasks[t as usize];
-            self.criu.next_dump_size(
-                handle_u64(t),
+            self.ckpt.criu().next_dump_size(
+                key,
                 task.memory.as_ref().expect("sync_memory created the image"),
             )
         };
-
-        let origin = match self.dump_origin_for(node, size) {
-            Some(origin) => Some(origin),
-            // Degradation ladder: GC leaked/dead reservations, then evict
-            // the cheapest live chains, then retry the origin search
-            // (which spills to a remote device when the DFS allows it).
-            None if self.cfg.lifecycle => self.reclaim_for_dump(t, node, size, now),
-            None => None,
-        };
+        let (nodes, tasks) = (&self.nodes, &self.tasks);
+        let (origin, dropped) = self.ckpt.place_dump(
+            key,
+            node,
+            size,
+            self.cfg.lifecycle,
+            now,
+            &mut self.trace,
+            &|i| nodes[i].up,
+            &|k| chain_loss(&tasks[k as usize]),
+        );
+        for k in dropped {
+            self.chain_lost(k as u32);
+        }
         let Some(origin) = origin else {
-            // No node can hold the image, even after the ladder (or with
-            // lifecycle disabled, after the bare search): fall back to
-            // killing.
-            self.metrics.capacity_fallbacks += 1;
-            self.metrics.no_space_kills += 1;
-            self.observe_health(node, now, false);
-            if self.trace_on {
-                if self.cfg.lifecycle {
-                    self.tracer.record(
-                        now.as_micros(),
-                        &TraceRecord::NoSpace {
-                            task: t as u64,
-                            node: node as u32,
-                            wanted: size.as_u64(),
-                        },
-                    );
-                }
-                let reason = if self.cfg.lifecycle {
-                    "no-space"
-                } else {
-                    "no-capacity"
-                };
-                self.tracer.record(
-                    now.as_micros(),
-                    &TraceRecord::DumpFallback {
-                        task: t as u64,
-                        node: node as u32,
-                        reason,
-                    },
-                );
-            }
             self.kill_task(t, node, now);
             return false;
         };
-        if origin != node && self.cfg.lifecycle {
-            // The dump is being written to a remote node's device (spill):
-            // the write pays the DFS pipeline and the restore is remote.
-            self.metrics.spill_dumps += 1;
-            if self.trace_on {
-                self.tracer.record(
-                    now.as_micros(),
-                    &TraceRecord::ImageSpill {
-                        task: t as u64,
-                        node: node as u32,
-                        origin: origin as u32,
-                        bytes: size.as_u64(),
-                    },
-                );
-            }
-        }
 
         // Through HDFS the pipelined write is the service time; locally the
         // device's own write speed applies. With compression enabled, only
         // the compressed bytes cross the pipeline.
         let wire_size = self
-            .criu
+            .ckpt
+            .criu()
             .compression()
             .map(|c| c.compressed_size(size))
             .unwrap_or(size);
@@ -1429,142 +1038,113 @@ impl ClusterSim {
         if factor > 1.0 {
             // A degraded checkpoint path (stall window or rack partition)
             // is a health signal even when the dump eventually completes.
-            self.observe_health(origin, now, false);
+            self.ckpt
+                .observe_health(origin, now, false, &mut self.trace);
         }
-        let service = match &mut self.dfs {
-            Some(dfs) => {
-                let path = format!(
-                    "/ckpt/{t}/{epoch}/{}",
-                    self.tasks[t as usize].dfs_paths.len()
-                );
-                match dfs.create(&path, wire_size, DnId(node as u32)) {
-                    Ok(receipt) => {
-                        self.tasks[t as usize].dfs_paths.push(path);
-                        if factor > 1.0 {
-                            Some(receipt.duration.mul_f64(factor))
-                        } else {
-                            Some(receipt.duration)
-                        }
-                    }
-                    Err(_) => None,
-                }
-            }
-            None if factor > 1.0 => Some(
-                self.nodes[origin]
-                    .device
-                    .spec()
-                    .write_time(wire_size)
-                    .mul_f64(factor),
-            ),
-            None => None,
+        let service = if self.ckpt.has_dfs() {
+            let path = format!("/ckpt/{t}/{epoch}/{}", self.ckpt.path_count(key));
+            let write = self.ckpt.write_dfs(key, path, wire_size, node);
+            write.map(|d| if factor > 1.0 { d.mul_f64(factor) } else { d })
+        } else if factor > 1.0 {
+            let write = self.ckpt.device(origin).spec().write_time(wire_size);
+            Some(write.mul_f64(factor))
+        } else {
+            None
         };
 
         let task = &mut self.tasks[t as usize];
         let mem = task.memory.as_mut().expect("sync_memory created the image");
-        let dump = self.criu.dump_with(
-            handle_u64(t),
-            mem,
-            origin as u32,
-            &mut self.nodes[origin].device,
-            now,
-            service,
+        let Some(result) =
+            self.ckpt
+                .dump_image(key, mem, node, origin, service, now, &mut self.trace)
+        else {
+            self.kill_task(t, node, now);
+            return false;
+        };
+        let was_incremental = matches!(
+            result.kind,
+            cbp_checkpoint::CheckpointKind::Incremental { .. }
         );
-        match dump {
-            Ok(result) => {
-                for (origin, bytes) in &result.freed {
-                    self.nodes[*origin as usize].device.release(*bytes);
-                }
-                let was_incremental = matches!(
-                    result.kind,
-                    cbp_checkpoint::CheckpointKind::Incremental { .. }
-                );
-                let cores = self.tasks[t as usize].spec.resources.cores_f64();
-                let mut unused = 0;
-                // Wastage is *CPU time*: the dump burns CPU while copying
-                // (service time); while queued the victim is stopped and
-                // burns none. Queueing still delays resource release and
-                // response times through the DumpDone event time.
-                self.metrics.charge_dump(
-                    result.op.end.since(result.op.start),
-                    cores,
-                    &mut unused,
-                    was_incremental,
-                );
-                self.emit(
-                    now,
-                    t,
-                    TraceEventKind::Evict {
-                        machine: node as u32,
-                    },
-                );
-                if self.trace_on {
-                    self.tracer.record(
-                        now.as_micros(),
-                        &TraceRecord::DumpStart {
-                            task: t as u64,
-                            node: node as u32,
-                            device: media_name(self.cfg.media.kind()),
-                            bytes: wire_size.as_u64(),
-                            incremental: was_incremental,
-                        },
-                    );
-                    self.tracer.record(
-                        now.as_micros(),
-                        &TraceRecord::TaskEvict {
-                            task: t as u64,
-                            node: node as u32,
-                            reason: "dump",
-                        },
-                    );
-                }
-                let task = &mut self.tasks[t as usize];
-                let container = match task.status {
-                    TaskStatus::Running { container, .. } => container,
-                    _ => unreachable!("dump victim must be running"),
-                };
-                task.status = TaskStatus::Dumping {
-                    node: node as u32,
-                    container,
-                };
-                task.epoch += 1;
-                task.preemptions += 1;
-                let epoch = task.epoch;
-                if self.faults.is_some() {
-                    // New dump episode: attempt numbering restarts.
-                    self.dump_attempts.insert(t, 0);
-                }
-                q.push(
-                    result.op.end,
-                    Event::DumpDone {
-                        task: t,
-                        epoch,
-                        // Device service start (not submission time): the
-                        // trace's dump span then measures service time, and
-                        // `start_us - evict time` exposes the checkpoint
-                        // queue wait to blame analysis.
-                        started: result.op.start,
-                    },
-                );
-                true
-            }
-            Err(_) => {
-                // Checkpoint storage is full: fall back to killing.
-                self.metrics.capacity_fallbacks += 1;
-                self.metrics.no_space_kills += 1;
-                self.observe_health(node, now, false);
-                if self.trace_on {
-                    self.tracer.record(
-                        now.as_micros(),
-                        &TraceRecord::DumpFallback {
-                            task: t as u64,
-                            node: node as u32,
-                            reason: "storage-full",
-                        },
-                    );
-                }
-                self.kill_task(t, node, now);
-                false
-            }
+        let cores = self.tasks[t as usize].spec.resources.cores_f64();
+        let mut unused = 0;
+        // Wastage is *CPU time*: the dump burns CPU while copying (service
+        // time); while queued the victim is stopped and burns none.
+        // Queueing still delays resource release and response times
+        // through the DumpDone event time.
+        self.metrics.charge_dump(
+            result.op.end.since(result.op.start),
+            cores,
+            &mut unused,
+            was_incremental,
+        );
+        self.emit(
+            now,
+            t,
+            TraceEventKind::Evict {
+                machine: node as u32,
+            },
+        );
+        self.trace.record(
+            now.as_micros(),
+            TraceRecord::DumpStart {
+                task: key,
+                node: node as u32,
+                device: media_name(self.cfg.media.kind()),
+                bytes: wire_size.as_u64(),
+                incremental: was_incremental,
+            },
+        );
+        self.trace.record(
+            now.as_micros(),
+            TraceRecord::TaskEvict {
+                task: key,
+                node: node as u32,
+                reason: "dump",
+            },
+        );
+        let task = &mut self.tasks[t as usize];
+        let container = match task.status {
+            TaskStatus::Running { container, .. } => container,
+            _ => unreachable!("dump victim must be running"),
+        };
+        task.status = TaskStatus::Dumping {
+            node: node as u32,
+            container,
+        };
+        task.epoch += 1;
+        task.preemptions += 1;
+        let epoch = task.epoch;
+        if self.faults.is_some() {
+            self.ckpt.begin_dump(key);
+        }
+        q.push(
+            result.op.end,
+            Event::DumpDone {
+                task: t,
+                epoch,
+                // Device service start (not submission time): the trace's
+                // dump span then measures service time, and `start_us -
+                // evict time` exposes the checkpoint queue wait to blame
+                // analysis.
+                started: result.op.start,
+            },
+        );
+        true
+    }
+
+    /// Degrades `t` after its chain was dropped (GC, eviction, block
+    /// loss): the next dump is full and a queued restore becomes a fresh
+    /// start.
+    fn chain_lost(&mut self, t: u32) {
+        let task = &mut self.tasks[t as usize];
+        task.checkpointed_progress = SimDuration::ZERO;
+        if let Some(mem) = task.memory.as_mut() {
+            mem.mark_all_dirty();
+        }
+        if matches!(task.status, TaskStatus::Checkpointed { .. }) {
+            // Still queued under its existing key; only the resume mode
+            // changes.
+            task.status = TaskStatus::Pending;
         }
     }
 
@@ -1611,8 +1191,9 @@ impl ClusterSim {
                     match &self.nodes[node].nvram {
                         Some(engine) => engine.estimate_total(handle_u64(v), mem),
                         None => self
-                            .criu
-                            .estimate(handle_u64(v), mem, &self.nodes[node].device, now)
+                            .ckpt
+                            .criu()
+                            .estimate(handle_u64(v), mem, self.ckpt.device(node), now)
                             .total(),
                     }
                 };
@@ -1655,18 +1236,16 @@ impl ClusterSim {
         policy: &'static str,
         reason: &'static str,
     ) {
-        if self.trace_on {
-            self.tracer.record(
-                now.as_micros(),
-                &TraceRecord::PreemptDecision {
-                    victim: victim as u64,
-                    node: node as u32,
-                    action,
-                    policy,
-                    reason,
-                },
-            );
-        }
+        self.trace.record(
+            now.as_micros(),
+            TraceRecord::PreemptDecision {
+                victim: victim as u64,
+                node: node as u32,
+                action,
+                policy,
+                reason,
+            },
+        );
     }
 
     /// Cheap (arithmetic-only) estimate of a victim's next dump size, used
@@ -1686,9 +1265,9 @@ impl ClusterSim {
         } else {
             mem
         };
-        let spec = self.nodes[node].device.spec();
+        let spec = self.ckpt.device(node).spec();
         let dump = spec.write_time(size) + spec.read_time(size);
-        let queue = self.nodes[node].device.queue_wait(now);
+        let queue = self.ckpt.device(node).queue_wait(now);
         let factor = self.device_factor(node, now);
         let mut cost = (dump + queue).as_secs_f64();
         if factor > 1.0 {
@@ -1725,7 +1304,7 @@ impl ClusterSim {
         let restrict = match self.tasks[t as usize].status {
             TaskStatus::Checkpointed { origin }
                 if self.cfg.restore_placement == RestorePlacement::LocalOnly
-                    || self.dfs.is_none() =>
+                    || !self.ckpt.has_dfs() =>
             {
                 Some(origin as usize)
             }
@@ -1830,20 +1409,6 @@ impl ClusterSim {
 
     // ---- fault handling (checkpoint failure recovery policies) ---------
 
-    /// Discards task `t`'s CRIU chain and DFS files, releasing device
-    /// reservations and namespace entries, and clears its corruption flag.
-    fn discard_chain(&mut self, t: u32) {
-        for (origin, bytes) in self.criu.discard(handle_u64(t)) {
-            self.nodes[origin as usize].device.release(bytes);
-        }
-        if let Some(dfs) = &mut self.dfs {
-            for path in std::mem::take(&mut self.tasks[t as usize].dfs_paths) {
-                let _ = dfs.delete(&path);
-            }
-        }
-        self.corrupt_images.remove(&t);
-    }
-
     /// Handles a dump attempt that failed (detected when its device
     /// operation completes): while retry budget remains, the image tip is
     /// rewritten after an exponential backoff; once the budget is
@@ -1859,124 +1424,46 @@ impl ClusterSim {
         now: SimTime,
         q: &mut EventQueue<Event>,
     ) {
-        self.observe_health(node, now, false);
         let plan = self.faults.as_ref().expect("caller checked plan presence");
-        let will_retry = attempt < plan.max_dump_retries();
-        let backoff = plan.dump_retry_backoff(attempt + 1);
-        if self.trace_on {
-            self.tracer.record(
-                now.as_micros(),
-                &TraceRecord::DumpFail {
-                    task: t as u64,
-                    node: node as u32,
-                    attempt,
-                    will_retry,
-                },
-            );
-        }
-        if will_retry {
-            self.metrics.dump_fail_retries += 1;
-            self.dump_attempts.insert(t, attempt + 1);
-            // Rewrite the stored tip after the backoff. The rewrite is a
-            // plain re-write of the stored bytes at the device's (possibly
-            // degraded) sequential speed; the victim keeps holding its
-            // resources, so the rewrite window is wasted CPU.
-            let size = self
-                .criu
-                .chain(handle_u64(t))
-                .and_then(|c| c.tip())
-                .map(|r| r.size)
-                .unwrap_or_else(|| self.tasks[t as usize].spec.resources.mem());
-            let mut rewrite = size;
-            if let Some(plan) = &self.faults {
-                if plan.resume_enabled() {
-                    // Chunked resume: chunks written before the interruption
-                    // are durable. The frontier is monotone within the
-                    // episode — a later attempt never re-pays chunks an
-                    // earlier attempt landed.
-                    let frac = plan.dump_durable_frac(t as u64, epoch, attempt);
-                    let tip = self.criu.chain(handle_u64(t)).and_then(|c| c.tip());
-                    if let Some(tip) = tip {
-                        let durable = tip.manifest.durable_bytes(frac).as_u64();
-                        let total_chunks = tip.manifest.chunk_count();
-                        let prev = self.dump_frontier.get(&t).copied().unwrap_or(0);
-                        let frontier = prev.max(durable);
-                        if frontier > 0 {
-                            self.dump_frontier.insert(t, frontier);
-                            rewrite = size.saturating_sub(ByteSize::from_bytes(frontier));
-                            self.metrics.resumed_dumps += 1;
-                            self.metrics.resumed_bytes += frontier;
-                            if self.trace_on {
-                                let done = tip
-                                    .manifest
-                                    .durable_chunks(frac)
-                                    .max(frontier / plan.chunk_bytes().max(1));
-                                self.tracer.record(
-                                    now.as_micros(),
-                                    &TraceRecord::ChunkDone {
-                                        task: t as u64,
-                                        node: node as u32,
-                                        chunk: done,
-                                        total: total_chunks,
-                                    },
-                                );
-                                self.tracer.record(
-                                    now.as_micros(),
-                                    &TraceRecord::ResumeDump {
-                                        task: t as u64,
-                                        node: node as u32,
-                                        resumed_bytes: frontier,
-                                        total_bytes: size.as_u64(),
-                                    },
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-            let factor = self.device_factor(node, now).max(1.0);
-            let service = self.nodes[node]
-                .device
-                .spec()
-                .write_time(rewrite)
-                .mul_f64(factor);
-            let cores = self.tasks[t as usize].spec.resources.cores_f64();
-            self.metrics.retry_cpu_secs += service.as_secs_f64() * cores;
-            let start = now + backoff;
-            q.push(
-                start + service,
-                Event::DumpDone {
-                    task: t,
-                    epoch,
-                    started: start,
-                },
-            );
-        } else {
+        let full = self.tasks[t as usize].spec.resources.mem();
+        let retry = self.ckpt.fail_dump(
+            plan,
+            handle_u64(t),
+            node,
+            epoch,
+            attempt,
+            full,
+            now,
+            &mut self.trace,
+        );
+        let Some(retry) = retry else {
             // Budget exhausted: the dump is abandoned for good.
-            self.metrics.dump_fail_kills += 1;
-            self.dump_attempts.remove(&t);
-            self.dump_frontier.remove(&t);
-            if let Some((origin, bytes)) = self.criu.abort_tip(handle_u64(t)) {
-                self.nodes[origin as usize].device.release(bytes);
-            }
-            if let Some(path) = self.tasks[t as usize].dfs_paths.pop() {
-                if let Some(dfs) = &mut self.dfs {
-                    let _ = dfs.delete(&path);
-                }
-            }
-            if self.trace_on {
-                self.tracer.record(
-                    now.as_micros(),
-                    &TraceRecord::DumpFallback {
-                        task: t as u64,
-                        node: node as u32,
-                        reason: "dump-fail",
-                    },
-                );
-            }
             self.kill_dump_victim(t, node, now);
             self.schedule_pass(now, q);
-        }
+            return;
+        };
+        self.metrics.dump_fail_retries += 1;
+        // Rewrite the stored tip after the backoff at the device's
+        // (possibly degraded) sequential speed; the victim keeps holding
+        // its resources, so the rewrite window is wasted CPU.
+        let factor = self.device_factor(node, now).max(1.0);
+        let service = self
+            .ckpt
+            .device(node)
+            .spec()
+            .write_time(retry.rewrite)
+            .mul_f64(factor);
+        let cores = self.tasks[t as usize].spec.resources.cores_f64();
+        self.metrics.retry_cpu_secs += service.as_secs_f64() * cores;
+        let start = now + retry.backoff;
+        q.push(
+            start + service,
+            Event::DumpDone {
+                task: t,
+                epoch,
+                started: start,
+            },
+        );
     }
 
     /// Kills a `Dumping` victim whose dump could not be completed: the
@@ -1996,16 +1483,14 @@ impl ClusterSim {
                 machine: node as u32,
             },
         );
-        if self.trace_on {
-            self.tracer.record(
-                now.as_micros(),
-                &TraceRecord::TaskEvict {
-                    task: t as u64,
-                    node: node as u32,
-                    reason: "dump-fail",
-                },
-            );
-        }
+        self.trace.record(
+            now.as_micros(),
+            TraceRecord::TaskEvict {
+                task: t as u64,
+                node: node as u32,
+                reason: "dump-fail",
+            },
+        );
         self.release_container(t, now);
         // Credit the drain to the blocked task it was serving: the kill
         // freed the resources the reservation was waiting for.
@@ -2016,7 +1501,8 @@ impl ClusterSim {
         }
         let has_image = self.has_checkpoint(t);
         let origin = self
-            .criu
+            .ckpt
+            .criu()
             .chain(handle_u64(t))
             .and_then(|c| c.tip())
             .map(|r| r.origin_node);
@@ -2061,31 +1547,27 @@ impl ClusterSim {
         } else {
             "transient"
         };
-        self.observe_health(node, now, false);
+        self.ckpt.observe_health(node, now, false, &mut self.trace);
         // The failed read occupied CPU for its whole service window.
         let cores = self.tasks[t as usize].spec.resources.cores_f64();
         self.metrics.retry_cpu_secs += now.since(started).as_secs_f64() * cores;
-        if self.trace_on {
-            self.tracer.record(
-                now.as_micros(),
-                &TraceRecord::RestoreFail {
-                    task: t as u64,
-                    node: node as u32,
-                    attempt,
-                    reason,
-                    will_retry,
-                },
-            );
-        }
+        self.trace.record(
+            now.as_micros(),
+            TraceRecord::RestoreFail {
+                task: t as u64,
+                node: node as u32,
+                attempt,
+                reason,
+                will_retry,
+            },
+        );
         if will_retry {
             self.metrics.restore_fail_retries += 1;
             self.restore_attempts.insert(t, attempt + 1);
             let factor = self.device_factor(node, now).max(1.0);
             let service = self.restore_service(t, node).mul_f64(factor);
-            let size = self.criu.image_size(handle_u64(t));
-            let op = self.nodes[node]
-                .device
-                .submit_custom(now, OpKind::Read, size, service);
+            let size = self.ckpt.criu().image_size(handle_u64(t));
+            let op = self.ckpt.read(node, now, size, service);
             q.push(
                 op.end,
                 Event::RestoreDone {
@@ -2099,7 +1581,7 @@ impl ClusterSim {
             if corrupt {
                 // Integrity loss forced this restart (legacy whole-image
                 // corruption path, i.e. the `resume=false` ablation).
-                self.metrics.integrity_scratch_restarts += 1;
+                self.ckpt.counters.integrity_scratch_restarts += 1;
             }
             self.restart_from_scratch(t, now);
             self.schedule_pass(now, q);
@@ -2107,10 +1589,8 @@ impl ClusterSim {
     }
 
     /// Chunk-level validation of `t`'s chain after a restore read completed
-    /// (resume mode): every corrupt chunk first attempts a targeted
-    /// re-fetch from a DFS replica; an image that stays invalid cuts the
-    /// chain at its longest valid prefix (restore continues from the older
-    /// tip), and a chain with no valid prefix forces a scratch restart.
+    /// (resume mode). A truncated chain is re-read in place from its
+    /// older tip; a dead chain restarts the task from scratch.
     fn validate_restored_chain(
         &mut self,
         t: u32,
@@ -2120,169 +1600,50 @@ impl ClusterSim {
         now: SimTime,
         q: &mut EventQueue<Event>,
     ) -> ChainValidation {
-        // Snapshot (image idx → corrupt chunks with lengths): the catalog
-        // is mutated during repair, so iterate over an owned copy.
-        let images: Vec<(usize, Vec<(u64, u64)>)> = match self.criu.chain(handle_u64(t)) {
-            Some(chain) => chain
-                .images()
-                .iter()
-                .enumerate()
-                .map(|(i, img)| {
-                    let bad = img
-                        .manifest
-                        .corrupt_chunks()
-                        .into_iter()
-                        .map(|c| (c, img.manifest.chunks[c as usize].len))
-                        .collect();
-                    (i, bad)
-                })
-                .collect(),
-            None => return ChainValidation::Intact,
-        };
-        if images.iter().all(|(_, bad)| bad.is_empty()) {
-            return ChainValidation::Intact;
-        }
+        let plan = self.faults.as_ref().expect("resume mode implies a plan");
         let cores = self.tasks[t as usize].spec.resources.cores_f64();
-        let total = images.len();
-        let mut valid_prefix = total;
-        'walk: for (i, bad) in images {
-            for (chunk, len) in bad {
-                // A replica exists when the image was written through the
-                // DFS and its blocks are still readable.
-                let replica = match &self.dfs {
-                    Some(dfs) => self.tasks[t as usize]
-                        .dfs_paths
-                        .get(i)
-                        .is_some_and(|p| dfs.is_readable(p).unwrap_or(false)),
-                    None => false,
-                };
-                // Per-image × per-chunk key so refetch draws across chain
-                // images stay independent.
-                let ckey = ((i as u64) << 20) | chunk;
-                let ok = replica
-                    && !self
-                        .faults
-                        .as_ref()
-                        .expect("resume mode implies a plan")
-                        .chunk_refetch_fails(t as u64, epoch, ckey);
-                if self.trace_on {
-                    self.tracer.record(
-                        now.as_micros(),
-                        &TraceRecord::ChunkRefetch {
-                            task: t as u64,
-                            node: node as u32,
-                            chunk,
-                            ok,
-                        },
-                    );
-                }
-                if ok {
-                    self.criu.repair_chunk(handle_u64(t), i, chunk);
-                    self.metrics.chunk_refetches += 1;
-                    // The targeted re-read holds the container for the
-                    // chunk's transfer time: charge it as retry overhead.
-                    let reread = self.nodes[node]
-                        .device
-                        .spec()
-                        .read_time(ByteSize::from_bytes(len));
-                    self.metrics.retry_cpu_secs += reread.as_secs_f64() * cores;
-                } else {
-                    valid_prefix = i;
-                    break 'walk;
-                }
-            }
-        }
-        if valid_prefix == total {
-            // Every corrupt chunk was repaired in place: the restore holds.
-            return ChainValidation::Intact;
-        }
-        // The read past the prefix was wasted work.
         let attempt = self.restore_attempts.get(&t).copied().unwrap_or(0);
-        self.metrics.retry_cpu_secs += now.since(started).as_secs_f64() * cores;
-        self.observe_health(node, now, false);
-        if valid_prefix == 0 {
-            if self.trace_on {
-                self.tracer.record(
-                    now.as_micros(),
-                    &TraceRecord::RestoreFail {
-                        task: t as u64,
-                        node: node as u32,
-                        attempt,
-                        reason: "corrupt-image",
-                        will_retry: false,
+        let verdict = self.ckpt.validate_chain(
+            plan,
+            handle_u64(t),
+            node,
+            epoch,
+            attempt,
+            started,
+            now,
+            cores,
+            &mut self.metrics.retry_cpu_secs,
+            &mut self.trace,
+        );
+        match verdict {
+            ChainValidation::Intact => {}
+            ChainValidation::Dead => {
+                self.metrics.scratch_restarts += 1;
+                self.restart_from_scratch(t, now);
+            }
+            ChainValidation::Truncated { stamp } => {
+                // Roll progress back to what the surviving tip certifies.
+                let task = &mut self.tasks[t as usize];
+                task.checkpointed_progress = SimDuration::from_micros(stamp);
+                task.progress = task.checkpointed_progress;
+                // Re-read the truncated chain in place (same node, same
+                // episode). The strictly shrinking chain bounds this loop
+                // without consuming the transient-retry budget.
+                let factor = self.device_factor(node, now).max(1.0);
+                let service = self.restore_service(t, node).mul_f64(factor);
+                let size = self.ckpt.criu().image_size(handle_u64(t));
+                let op = self.ckpt.read(node, now, size, service);
+                q.push(
+                    op.end,
+                    Event::RestoreDone {
+                        task: t,
+                        epoch,
+                        started: op.start,
                     },
                 );
             }
-            self.metrics.scratch_restarts += 1;
-            self.metrics.integrity_scratch_restarts += 1;
-            self.restart_from_scratch(t, now);
-            return ChainValidation::Dead;
         }
-        // Truncate to the longest valid prefix and restore from the older
-        // tip instead of losing the whole chain.
-        let dropped = (total - valid_prefix) as u64;
-        for (origin, bytes) in self.criu.truncate_chain(handle_u64(t), valid_prefix) {
-            self.nodes[origin as usize].device.release(bytes);
-        }
-        while self.tasks[t as usize].dfs_paths.len() > valid_prefix {
-            let path = self.tasks[t as usize]
-                .dfs_paths
-                .pop()
-                .expect("length checked");
-            if let Some(dfs) = &mut self.dfs {
-                let _ = dfs.delete(&path);
-            }
-        }
-        self.metrics.chain_truncations += 1;
-        if self.trace_on {
-            self.tracer.record(
-                now.as_micros(),
-                &TraceRecord::ChainTruncate {
-                    task: t as u64,
-                    node: node as u32,
-                    dropped,
-                    kept: valid_prefix as u64,
-                },
-            );
-            self.tracer.record(
-                now.as_micros(),
-                &TraceRecord::RestoreFail {
-                    task: t as u64,
-                    node: node as u32,
-                    attempt,
-                    reason: "corrupt-image",
-                    will_retry: true,
-                },
-            );
-        }
-        // Roll progress back to what the surviving tip certifies.
-        let stamp = self
-            .criu
-            .chain(handle_u64(t))
-            .and_then(|c| c.tip())
-            .map(|r| r.progress)
-            .unwrap_or(0);
-        let task = &mut self.tasks[t as usize];
-        task.checkpointed_progress = SimDuration::from_micros(stamp);
-        task.progress = task.checkpointed_progress;
-        // Re-read the truncated chain in place (same node, same episode).
-        // The strictly shrinking chain bounds this loop without consuming
-        // the transient-retry budget.
-        let factor = self.device_factor(node, now).max(1.0);
-        let service = self.restore_service(t, node).mul_f64(factor);
-        let size = self.criu.image_size(handle_u64(t));
-        let op = self.nodes[node]
-            .device
-            .submit_custom(now, OpKind::Read, size, service);
-        q.push(
-            op.end,
-            Event::RestoreDone {
-                task: t,
-                epoch,
-                started: op.start,
-            },
-        );
-        ChainValidation::Truncated
+        verdict
     }
 
     /// Abandons task `t`'s image for good: the checkpointed progress is
@@ -2293,7 +1654,7 @@ impl ClusterSim {
         let lost = self.tasks[t as usize].checkpointed_progress;
         self.metrics.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
         self.release_container(t, now);
-        self.discard_chain(t);
+        self.ckpt.discard_chain(handle_u64(t));
         self.restore_attempts.remove(&t);
         let task = &mut self.tasks[t as usize];
         task.epoch += 1;
@@ -2314,71 +1675,40 @@ impl ClusterSim {
     /// used next.
     fn drop_lost_chain(&mut self, t: u32, now: SimTime) {
         self.metrics.images_lost_to_failures += 1;
-        match self.tasks[t as usize].status {
+        let status = self.tasks[t as usize].status;
+        let dumping_on = match status {
+            TaskStatus::Dumping { node, .. } => Some(node as usize),
+            _ => None,
+        };
+        self.ckpt
+            .lose_chain(handle_u64(t), dumping_on, "node-fail", now, &mut self.trace);
+        match status {
             TaskStatus::Restoring { node, .. } => {
                 // The in-flight read can no longer complete: abandon it
                 // and restart from scratch (the epoch bump staled the
                 // queued RestoreDone).
-                if self.trace_on {
-                    let attempt = self.restore_attempts.get(&t).copied().unwrap_or(0);
-                    self.tracer.record(
-                        now.as_micros(),
-                        &TraceRecord::RestoreFail {
-                            task: t as u64,
-                            node,
-                            attempt,
-                            reason: "blocks-lost",
-                            will_retry: false,
-                        },
-                    );
-                }
+                let attempt = self.restore_attempts.get(&t).copied().unwrap_or(0);
+                self.trace.record(
+                    now.as_micros(),
+                    TraceRecord::RestoreFail {
+                        task: t as u64,
+                        node,
+                        attempt,
+                        reason: "blocks-lost",
+                        will_retry: false,
+                    },
+                );
                 self.metrics.scratch_restarts += 1;
                 self.restart_from_scratch(t, now);
             }
             TaskStatus::Dumping { node, .. } => {
                 // The tip being written sat below lost ancestor blocks:
-                // the whole chain is useless. Abort the write and fall
+                // the whole chain is useless, so the aborted write falls
                 // back to the hard kill (the epoch bump stales DumpDone).
-                if let Some((origin, bytes)) = self.criu.abort_tip(handle_u64(t)) {
-                    self.nodes[origin as usize].device.release(bytes);
-                }
-                if let Some(path) = self.tasks[t as usize].dfs_paths.pop() {
-                    if let Some(dfs) = &mut self.dfs {
-                        let _ = dfs.delete(&path);
-                    }
-                }
-                if self.trace_on {
-                    self.tracer.record(
-                        now.as_micros(),
-                        &TraceRecord::DumpFallback {
-                            task: t as u64,
-                            node,
-                            reason: "node-fail",
-                        },
-                    );
-                }
-                self.discard_chain(t);
                 self.tasks[t as usize].checkpointed_progress = SimDuration::ZERO;
-                self.dump_attempts.remove(&t);
-                self.dump_frontier.remove(&t);
                 self.kill_dump_victim(t, node as usize, now);
             }
-            _ => {
-                // Running, or queued (fresh or from the now-lost image):
-                // silently lose the chain; the next dump must be full and
-                // a queued restore degrades to a fresh start.
-                self.discard_chain(t);
-                let task = &mut self.tasks[t as usize];
-                task.checkpointed_progress = SimDuration::ZERO;
-                if let Some(mem) = task.memory.as_mut() {
-                    mem.mark_all_dirty();
-                }
-                if matches!(task.status, TaskStatus::Checkpointed { .. }) {
-                    // Still queued under its existing key; only the
-                    // resume mode changes.
-                    task.status = TaskStatus::Pending;
-                }
-            }
+            _ => self.chain_lost(t),
         }
     }
 
@@ -2403,43 +1733,23 @@ impl ClusterSim {
                 machine: node as u32,
             },
         );
-        if self.trace_on {
-            self.tracer.record(
-                now.as_micros(),
-                &TraceRecord::TaskEvict {
-                    task: t as u64,
-                    node: node as u32,
-                    reason,
-                },
-            );
-        }
+        self.trace.record(
+            now.as_micros(),
+            TraceRecord::TaskEvict {
+                task: t as u64,
+                node: node as u32,
+                reason,
+            },
+        );
         self.release_container(t, now);
         // An in-flight dump died with the node: abort its half-written tip.
         if matches!(self.tasks[t as usize].status, TaskStatus::Dumping { .. }) {
-            // Close the dangling DumpStart span: the epoch bump below makes
-            // the queued DumpDone stale, so without this record the trace
-            // would show a dump that never terminates.
-            if self.trace_on {
-                self.tracer.record(
-                    now.as_micros(),
-                    &TraceRecord::DumpFallback {
-                        task: t as u64,
-                        node: node as u32,
-                        reason,
-                    },
-                );
-            }
-            if let Some((origin, bytes)) = self.criu.abort_tip(handle_u64(t)) {
-                self.nodes[origin as usize].device.release(bytes);
-            }
-            // Delete (not just pop) the aborted write's DFS entry: leaving
-            // it behind leaked namespace and replica space, and the next
-            // dump of this task would collide with the dangling path.
-            if let Some(path) = self.tasks[t as usize].dfs_paths.pop() {
-                if let Some(dfs) = &mut self.dfs {
-                    let _ = dfs.delete(&path);
-                }
-            }
+            // The `DumpFallback` record closes the dangling DumpStart span
+            // (the epoch bump below makes the queued DumpDone stale), and
+            // the aborted write's DFS entry is deleted, not just dropped:
+            // the next dump of this task would collide with it.
+            self.ckpt
+                .abort_dump(handle_u64(t), node, reason, true, now, &mut self.trace);
             if let Some(owner) = self.drain_owner.remove(&t) {
                 if let Some(r) = self.reservations.get_mut(&owner) {
                     r.drains_left = r.drains_left.saturating_sub(1);
@@ -2449,10 +1759,8 @@ impl ClusterSim {
 
         // Local-FS images stored on the failed node are gone; HDFS
         // replication keeps DFS-backed chains readable.
-        if self.dfs.is_none() && self.criu.has_image_on(handle_u64(t), node as u32) {
-            for (origin, bytes) in self.criu.discard(handle_u64(t)) {
-                self.nodes[origin as usize].device.release(bytes);
-            }
+        if !self.ckpt.has_dfs() && self.ckpt.criu().has_image_on(handle_u64(t), node as u32) {
+            self.ckpt.discard_chain(handle_u64(t));
             self.metrics.images_lost_to_failures += 1;
             self.tasks[t as usize].checkpointed_progress = SimDuration::ZERO;
         }
@@ -2466,8 +1774,7 @@ impl ClusterSim {
         }
         // The node failure ends any in-flight dump/restore episode.
         if self.faults.is_some() {
-            self.dump_attempts.remove(&t);
-            self.dump_frontier.remove(&t);
+            self.ckpt.end_dump(handle_u64(t));
             self.restore_attempts.remove(&t);
         }
 
@@ -2475,7 +1782,8 @@ impl ClusterSim {
         let origin = if self.cfg.nvram.is_some() {
             self.nvram_origin.get(&t).copied()
         } else {
-            self.criu
+            self.ckpt
+                .criu()
                 .chain(handle_u64(t))
                 .and_then(|c| c.tip())
                 .map(|r| r.origin_node)
@@ -2507,13 +1815,13 @@ impl ClusterSim {
             return; // already down (stale event)
         }
         self.nodes[node].up = false;
-        if self.trace_on {
+        if self.trace.on() {
             let rec = if chaos {
                 TraceRecord::NodeDown { node: node as u32 }
             } else {
                 TraceRecord::NodeFail { node: node as u32 }
             };
-            self.tracer.record(now.as_micros(), &rec);
+            self.trace.record(now.as_micros(), rec);
         }
         let victims: Vec<u32> = self.nodes[node]
             .node
@@ -2528,41 +1836,14 @@ impl ClusterSim {
         // The node's datanode died with it: the NameNode re-replicates
         // every block that lost a replica onto the surviving datanodes
         // (blocks whose only replica lived here are lost for good).
-        let mut lost_chains: Vec<u32> = Vec::new();
-        if let Some(dfs) = &mut self.dfs {
-            if let Ok(repair) = dfs.fail_datanode(DnId(node as u32)) {
-                if self.trace_on && (repair.blocks_repaired > 0 || repair.blocks_lost > 0) {
-                    self.tracer.record(
-                        now.as_micros(),
-                        &TraceRecord::ReplicationRepair {
-                            node: node as u32,
-                            blocks: repair.blocks_repaired as u64,
-                            bytes: repair.bytes_copied.as_u64(),
-                        },
-                    );
-                }
-                self.metrics.dfs_blocks_repaired += repair.blocks_repaired as u64;
-                self.metrics.dfs_repair_bytes += repair.bytes_copied.as_u64();
-                self.metrics.dfs_blocks_lost += repair.blocks_lost as u64;
-                if repair.blocks_lost > 0 {
-                    // Some image chains just became unreadable; find them.
-                    for (t, task) in self.tasks.iter().enumerate() {
-                        if task.dfs_paths.is_empty() {
-                            continue;
-                        }
-                        let broken = task
-                            .dfs_paths
-                            .iter()
-                            .any(|p| !dfs.is_readable(p).unwrap_or(true));
-                        if broken {
-                            lost_chains.push(t as u32);
-                        }
-                    }
-                }
+        if let Some((repair, lost)) = self.ckpt.fail_datanode(node, now, &mut self.trace) {
+            self.metrics.dfs_blocks_repaired += repair.blocks_repaired as u64;
+            self.metrics.dfs_repair_bytes += repair.bytes_copied.as_u64();
+            self.metrics.dfs_blocks_lost += repair.blocks_lost as u64;
+            // Chains that lost a block for good are unreadable.
+            for t in lost {
+                self.drop_lost_chain(t as u32, now);
             }
-        }
-        for t in lost_chains {
-            self.drop_lost_chain(t, now);
         }
         // Any reservation earmarked on the failed node is void.
         let voided: Vec<u32> = self
@@ -2659,7 +1940,7 @@ impl ClusterSim {
 
     /// Read-only access to the metrics-in-progress trace (for tests).
     pub fn trace(&self) -> &TraceLog {
-        &self.trace
+        &self.trace_log
     }
 }
 
@@ -2674,12 +1955,12 @@ impl Simulation for ClusterSim {
         }
         self.dispatch(now, event, q);
         #[cfg(debug_assertions)]
-        self.assert_image_conservation(now);
+        self.ckpt.assert_image_conservation(now);
         let depth = self.pending.len();
-        if self.trace_on && depth != self.last_queue_depth {
-            self.tracer.record(
+        if self.trace.on() && depth != self.last_queue_depth {
+            self.trace.record(
                 now.as_micros(),
-                &TraceRecord::QueueDepth {
+                TraceRecord::QueueDepth {
                     pending: depth as u64,
                 },
             );
@@ -2712,11 +1993,11 @@ impl ClusterSim {
                 let range = self.task_handle_range(job_idx);
                 for t in range {
                     self.emit(now, t as u32, TraceEventKind::Submit);
-                    if self.trace_on {
+                    if self.trace.on() {
                         let priority = self.tasks[t].priority.0;
-                        self.tracer.record(
+                        self.trace.record(
                             now.as_micros(),
-                            &TraceRecord::TaskSubmit {
+                            TraceRecord::TaskSubmit {
                                 task: t as u64,
                                 job: job_idx as u64,
                                 priority,
@@ -2737,11 +2018,11 @@ impl ClusterSim {
                 debug_assert!(self.tasks[task as usize].remaining().is_zero());
                 debug_assert!(now >= self.tasks[task as usize].submit);
                 self.emit(now, task, TraceEventKind::Finish);
-                if self.trace_on {
+                if self.trace.on() {
                     if let TaskStatus::Running { node, .. } = self.tasks[task as usize].status {
-                        self.tracer.record(
+                        self.trace.record(
                             now.as_micros(),
-                            &TraceRecord::TaskFinish {
+                            TraceRecord::TaskFinish {
                                 task: task as u64,
                                 node,
                             },
@@ -2757,17 +2038,10 @@ impl ClusterSim {
                 self.tasks[task as usize].finished_at = Some(now);
 
                 // Drop checkpoint images / NVRAM mirrors.
-                for (origin, bytes) in self.criu.discard(handle_u64(task)) {
-                    self.nodes[origin as usize].device.release(bytes);
-                }
+                self.ckpt.discard_chain(handle_u64(task));
                 if let Some(origin) = self.nvram_origin.remove(&task) {
                     if let Some(engine) = self.nodes[origin as usize].nvram.as_mut() {
                         engine.discard(handle_u64(task));
-                    }
-                }
-                if let Some(dfs) = &mut self.dfs {
-                    for path in std::mem::take(&mut self.tasks[task as usize].dfs_paths) {
-                        let _ = dfs.delete(&path);
                     }
                 }
 
@@ -2792,84 +2066,48 @@ impl ClusterSim {
                 let TaskStatus::Dumping { node, .. } = self.tasks[task as usize].status else {
                     return;
                 };
-                self.nodes[node as usize].device.on_advance(now);
+                self.ckpt.advance(node as usize, now);
                 // Deterministic fault check: did this dump attempt fail?
                 // (NVRAM suspends are memory copies; they do not take the
                 // storage fault path.)
                 if self.cfg.nvram.is_none() {
                     if let Some(plan) = &self.faults {
-                        let attempt = self.dump_attempts.get(&task).copied().unwrap_or(0);
+                        let attempt = self.ckpt.dump_attempt(handle_u64(task));
                         if plan.dump_fails(task as u64, epoch, attempt) {
                             self.on_dump_failed(task, node as usize, epoch, attempt, now, q);
                             return;
                         }
                     }
                 }
-                self.observe_health(node as usize, now, true);
+                self.ckpt
+                    .observe_health(node as usize, now, true, &mut self.trace);
                 self.release_container(task, now);
                 // Overhead was charged at dump submission; `started` only
                 // feeds the trace record.
-                if self.trace_on {
-                    self.tracer.record(
-                        now.as_micros(),
-                        &TraceRecord::DumpDone {
-                            task: task as u64,
-                            node,
-                            start_us: started.as_micros(),
-                        },
-                    );
-                }
+                self.trace.record(
+                    now.as_micros(),
+                    TraceRecord::DumpDone {
+                        task: task as u64,
+                        node,
+                        start_us: started.as_micros(),
+                    },
+                );
                 let task_state = &mut self.tasks[task as usize];
                 task_state.checkpointed_progress = task_state.progress;
                 task_state.status = TaskStatus::Checkpointed { origin: node };
                 let stamp = task_state.checkpointed_progress.as_micros();
-                // Stamp the tip with the progress it certifies, so a later
-                // chain truncation can roll the task back to exactly the
-                // progress its surviving tip guarantees.
-                self.criu.set_tip_progress(handle_u64(task), stamp);
-                // Corruption is decided once per image. With chunked resume
-                // the draw is per *chunk* and lands in the tip's manifest
-                // (repairable at restore time); the legacy whole-image draw
-                // remains for the `resume=false` ablation, where every
-                // later restore of the poisoned image fails.
-                if let Some(plan) = &self.faults {
-                    self.dump_attempts.remove(&task);
-                    self.dump_frontier.remove(&task);
-                    if self.cfg.nvram.is_none() {
-                        if plan.resume_enabled() {
-                            let hit: Vec<(u64, u64)> = self
-                                .criu
-                                .chain(handle_u64(task))
-                                .and_then(|c| c.tip())
-                                .map(|tip| {
-                                    let n = tip.manifest.chunk_count();
-                                    (0..n)
-                                        .filter(|&c| plan.chunk_corrupt(task as u64, epoch, c, n))
-                                        .map(|c| (c, tip.id.0))
-                                        .collect()
-                                })
-                                .unwrap_or_default();
-                            for &(chunk, image) in &hit {
-                                self.criu.mark_tip_chunk_corrupt(handle_u64(task), chunk);
-                                if self.trace_on {
-                                    self.tracer.record(
-                                        now.as_micros(),
-                                        &TraceRecord::ChunkCorrupt {
-                                            task: task as u64,
-                                            node,
-                                            image,
-                                            chunk,
-                                        },
-                                    );
-                                }
-                            }
-                        } else if plan.image_corrupt(task as u64, epoch) {
-                            self.corrupt_images.insert(task);
-                        } else {
-                            self.corrupt_images.remove(&task);
-                        }
-                    }
-                }
+                // Stamp the tip with the progress it certifies (a later
+                // truncation rolls back to exactly that), end the episode
+                // and land the plan's corruption draws on the new image.
+                self.ckpt.commit_dump(
+                    self.faults.as_ref(),
+                    handle_u64(task),
+                    node,
+                    epoch,
+                    stamp,
+                    now,
+                    &mut self.trace,
+                );
                 // Credit the drain to the blocked task it was serving.
                 if let Some(owner) = self.drain_owner.remove(&task) {
                     if let Some(r) = self.reservations.get_mut(&owner) {
@@ -2921,14 +2159,14 @@ impl ClusterSim {
                     (p.window, plan.partition_isolates(widx, racks))
                 };
                 if next != self.active_partition {
-                    if self.trace_on {
+                    if self.trace.on() {
                         if let Some(rack) = self.active_partition {
-                            self.tracer
-                                .record(now.as_micros(), &TraceRecord::PartitionEnd { rack });
+                            self.trace
+                                .record(now.as_micros(), TraceRecord::PartitionEnd { rack });
                         }
                         if let Some(rack) = next {
-                            self.tracer
-                                .record(now.as_micros(), &TraceRecord::PartitionStart { rack });
+                            self.trace
+                                .record(now.as_micros(), TraceRecord::PartitionStart { rack });
                         }
                     }
                     self.active_partition = next;
@@ -2938,37 +2176,16 @@ impl ClusterSim {
                 } else if let Some(rack) = self.active_partition.take() {
                     // Heal the partition when the schedule winds down so
                     // the trace's start/end events tile.
-                    if self.trace_on {
-                        self.tracer
-                            .record(now.as_micros(), &TraceRecord::PartitionEnd { rack });
-                    }
+                    self.trace
+                        .record(now.as_micros(), TraceRecord::PartitionEnd { rack });
                 }
             }
             Event::PressureTick => {
-                let Some((window, leak_bytes, leaking)) = self.faults.as_ref().and_then(|plan| {
-                    plan.pressure().map(|p| {
-                        let widx = now.as_micros() / p.window.as_micros().max(1);
-                        let leaking: Vec<usize> = (0..self.nodes.len())
-                            .filter(|&i| self.nodes[i].up && plan.leaks(i as u32, widx))
-                            .collect();
-                        (p.window, p.leak_bytes, leaking)
-                    })
-                }) else {
+                let Some(plan) = &self.faults else { return };
+                let nodes = &self.nodes;
+                let Some(window) = self.ckpt.pressure_tick(plan, now, &|i| nodes[i].up) else {
                     return;
                 };
-                for i in leaking {
-                    // A leak can only orphan bytes the device actually has;
-                    // a full device leaks nothing this window.
-                    let amount = leak_bytes.min(self.nodes[i].device.free_capacity());
-                    if amount.is_zero() {
-                        continue;
-                    }
-                    self.nodes[i]
-                        .device
-                        .reserve(amount)
-                        .expect("leak amount clamped to free capacity");
-                    self.leaked[i] += amount.as_u64();
-                }
                 // Stop ticking once the workload drained, else the tick
                 // chain keeps the run alive forever.
                 if !self.job_remaining.iter().all(|&r| r == 0) {
@@ -2980,28 +2197,20 @@ impl ClusterSim {
                     return; // stale (never expected, but harmless)
                 }
                 self.nodes[node as usize].up = true;
-                if let Some(dfs) = &mut self.dfs {
-                    // Re-registration: the datanode rejoins empty (its
-                    // blocks were re-replicated or lost at crash time).
-                    let _ = dfs.recover_datanode(DnId(node));
-                }
-                if self.trace_on {
-                    self.tracer
-                        .record(now.as_micros(), &TraceRecord::NodeUp { node });
-                }
+                // Re-registration: the datanode rejoins empty (its blocks
+                // were re-replicated or lost at crash time).
+                self.ckpt.recover_datanode(node as usize);
+                self.trace
+                    .record(now.as_micros(), TraceRecord::NodeUp { node });
                 self.schedule_pass(now, q);
             }
             Event::NodeRecover(node) => {
                 self.nodes[node as usize].up = true;
-                if let Some(dfs) = &mut self.dfs {
-                    // The datanode rejoins empty (its blocks were already
-                    // re-replicated or lost at failure time).
-                    let _ = dfs.recover_datanode(DnId(node));
-                }
-                if self.trace_on {
-                    self.tracer
-                        .record(now.as_micros(), &TraceRecord::NodeRecover { node });
-                }
+                // The datanode rejoins empty (its blocks were already
+                // re-replicated or lost at failure time).
+                self.ckpt.recover_datanode(node as usize);
+                self.trace
+                    .record(now.as_micros(), TraceRecord::NodeRecover { node });
                 self.schedule_next_failure(node as usize, now, q);
                 self.schedule_pass(now, q);
             }
@@ -3017,7 +2226,7 @@ impl ClusterSim {
                 else {
                     return;
                 };
-                self.nodes[node as usize].device.on_advance(now);
+                self.ckpt.advance(node as usize, now);
                 // Chunk-level integrity validation first (resume mode):
                 // corrupt chunks re-fetch from replicas, unrepairable
                 // images truncate the chain to its longest valid prefix,
@@ -3028,7 +2237,7 @@ impl ClusterSim {
                     match self.validate_restored_chain(task, node as usize, epoch, started, now, q)
                     {
                         ChainValidation::Intact => {}
-                        ChainValidation::Truncated => return,
+                        ChainValidation::Truncated { .. } => return,
                         ChainValidation::Dead => {
                             self.schedule_pass(now, q);
                             return;
@@ -3040,7 +2249,7 @@ impl ClusterSim {
                 if self.cfg.nvram.is_none() {
                     if let Some(plan) = &self.faults {
                         let attempt = self.restore_attempts.get(&task).copied().unwrap_or(0);
-                        let corrupt = self.corrupt_images.contains(&task);
+                        let corrupt = self.ckpt.is_corrupt(handle_u64(task));
                         if corrupt || plan.restore_fails(task as u64, epoch, attempt) {
                             self.on_restore_failed(
                                 task,
@@ -3059,17 +2268,16 @@ impl ClusterSim {
                 if self.faults.is_some() {
                     self.restore_attempts.remove(&task);
                 }
-                self.observe_health(node as usize, now, true);
-                if self.trace_on {
-                    self.tracer.record(
-                        now.as_micros(),
-                        &TraceRecord::RestoreDone {
-                            task: task as u64,
-                            node,
-                            start_us: started.as_micros(),
-                        },
-                    );
-                }
+                self.ckpt
+                    .observe_health(node as usize, now, true, &mut self.trace);
+                self.trace.record(
+                    now.as_micros(),
+                    TraceRecord::RestoreDone {
+                        task: task as u64,
+                        node,
+                        start_us: started.as_micros(),
+                    },
+                );
                 let cores = self.tasks[task as usize].spec.resources.cores_f64();
                 // The remote flag was already recorded at placement time.
                 self.metrics
@@ -3089,12 +2297,12 @@ impl ClusterSim {
     }
 }
 
-fn mean(iter: impl Iterator<Item = f64>) -> f64 {
-    let (sum, n) = iter.fold((0.0, 0usize), |(s, n), x| (s + x, n + 1));
-    if n == 0 {
-        0.0
-    } else {
-        sum / n as f64
+/// Core-seconds `task` would lose with its checkpoint chain, or `None`
+/// while a dump or restore owns the chain.
+fn chain_loss(task: &TaskState) -> Option<f64> {
+    match task.status {
+        TaskStatus::Dumping { .. } | TaskStatus::Restoring { .. } => None,
+        _ => Some(task.checkpointed_progress.as_secs_f64() * task.spec.resources.cores_f64()),
     }
 }
 

@@ -76,8 +76,6 @@ pub struct TaskState {
     pub queue_seq: Option<u64>,
     /// Lazily created memory image (only checkpointing policies need it).
     pub memory: Option<TaskMemory>,
-    /// HDFS paths of this task's checkpoint images (when dumping via DFS).
-    pub dfs_paths: Vec<String>,
     /// When the task finished.
     pub finished_at: Option<SimTime>,
 }
@@ -106,7 +104,6 @@ impl TaskState {
             preemptions: 0,
             queue_seq: None,
             memory: None,
-            dfs_paths: Vec::new(),
             finished_at: None,
         }
     }

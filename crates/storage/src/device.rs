@@ -239,8 +239,8 @@ impl Device {
     ///
     /// Reservations are taken at dump *submission* (not completion), so
     /// `used` — and therefore this headroom — already accounts for every
-    /// queued-but-unfinished dump on the device. Admission control compares
-    /// an estimated image size against this value.
+    /// queued-but-unfinished dump on the device: a dump placed against it
+    /// cannot oversubscribe the device however deep its queue is.
     pub fn headroom(&self) -> ByteSize {
         self.free_capacity()
     }

@@ -57,5 +57,6 @@ pub use reader::{
 };
 pub use timeseries::TimeSeries;
 pub use trace::{
-    ChromeTraceTracer, JsonlTracer, MultiTracer, NullTracer, PreemptAction, TraceRecord, Tracer,
+    ChromeTraceTracer, JsonlTracer, MultiTracer, NullTracer, PreemptAction, TraceRecord, TraceSink,
+    Tracer,
 };

@@ -167,8 +167,6 @@ pub struct AmTask {
     pub preemptions: u32,
     /// Lazily created memory image.
     pub memory: Option<TaskMemory>,
-    /// HDFS image paths.
-    pub dfs_paths: Vec<String>,
 }
 
 /// AM-side task lifecycle.
@@ -220,7 +218,6 @@ impl AmTask {
             preempt_requested: false,
             preemptions: 0,
             memory: None,
-            dfs_paths: Vec::new(),
         }
     }
 
