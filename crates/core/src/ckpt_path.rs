@@ -215,11 +215,6 @@ impl CkptPath {
 
     // ---- per-task DFS files ----------------------------------------------
 
-    /// True if `key` has written DFS files.
-    pub fn has_paths(&self, key: u64) -> bool {
-        self.paths.get(&key).is_some_and(|p| !p.is_empty())
-    }
-
     /// Number of DFS files `key` has written.
     pub fn path_count(&self, key: u64) -> usize {
         self.paths.get(&key).map_or(0, Vec::len)

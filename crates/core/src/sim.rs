@@ -1840,7 +1840,6 @@ impl ClusterSim {
             self.metrics.dfs_blocks_repaired += repair.blocks_repaired as u64;
             self.metrics.dfs_repair_bytes += repair.bytes_copied.as_u64();
             self.metrics.dfs_blocks_lost += repair.blocks_lost as u64;
-            // Chains that lost a block for good are unreadable.
             for t in lost {
                 self.drop_lost_chain(t as u32, now);
             }

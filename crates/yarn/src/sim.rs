@@ -485,7 +485,7 @@ impl YarnSim {
     /// Cheap (arithmetic) checkpoint-cost estimate used for victim ranking.
     fn checkpoint_cost_secs(&self, key: u64, t: &AmTask, node: usize, now: SimTime) -> f64 {
         let mem = t.spec.resources.mem();
-        let size = if self.cfg.incremental && self.ckpt.has_paths(key) {
+        let size = if self.cfg.incremental && self.ckpt.path_count(key) > 0 {
             let since = now.saturating_since(t.mem_synced).as_secs_f64();
             let dirty = t.memory.as_ref().map(|m| m.dirty_fraction()).unwrap_or(0.0);
             mem.mul_f64((dirty + t.spec.dirty_rate_per_sec * since).min(1.0))
