@@ -118,7 +118,20 @@ pub struct ClusterSim {
     /// Per-node sum of reservation amounts.
     node_reserved: Vec<Resources>,
     job_remaining: Vec<u32>,
+    /// Jobs with unfinished tasks (the count of non-zero `job_remaining`).
+    jobs_left: usize,
+    /// Task handle of each job's first task, plus the total task count:
+    /// job `j` owns handles `job_first_task[j]..job_first_task[j + 1]`.
+    job_first_task: Vec<usize>,
     place_cursor: usize,
+    /// Pass-scoped Pareto front of per-node free capacity (see
+    /// [`FreeFront`]); `None` once a placement, cancel or preemption made
+    /// it stale.
+    free_front: Option<FreeFront>,
+    /// Pass-scoped per-node victim capacity for one priority (see
+    /// [`ClusterSim::victim_capacity`]); `None` once a placement or
+    /// preemption made it stale.
+    victim_cap: Option<(Priority, Vec<Resources>)>,
     /// Structured-event sink (disabled by default).
     trace: TraceSink,
     /// Periodic time-series probe (absent unless enabled).
@@ -140,6 +153,41 @@ struct Reservation {
     node: usize,
     amount: Resources,
     drains_left: u32,
+}
+
+/// The Pareto front of a set of free-capacity vectors: the vectors no
+/// other vector beats in both cpu and memory, sorted by cpu descending
+/// (and therefore memory ascending). "Does `d` fit in any of the vectors"
+/// is then one binary search instead of a scan.
+#[derive(Debug, Clone, Default)]
+struct FreeFront {
+    points: Vec<Resources>,
+}
+
+impl FreeFront {
+    fn new(free: impl IntoIterator<Item = Resources>) -> Self {
+        let mut all: Vec<Resources> = free.into_iter().collect();
+        all.sort_unstable_by_key(|r| Reverse((r.cpu_milli(), r.mem())));
+        // Sweeping by cpu descending, a vector is on the front iff it has
+        // more memory than every vector before it.
+        let mut points: Vec<Resources> = Vec::new();
+        for r in all {
+            if points.last().is_none_or(|last| r.mem() > last.mem()) {
+                points.push(r);
+            }
+        }
+        FreeFront { points }
+    }
+
+    /// True if `demand` fits in at least one of the vectors.
+    fn fits(&self, demand: &Resources) -> bool {
+        // The vectors with enough cpu are a prefix; its last one has the
+        // most memory among them.
+        let k = self
+            .points
+            .partition_point(|p| p.cpu_milli() >= demand.cpu_milli());
+        k > 0 && demand.mem() <= self.points[k - 1].mem()
+    }
 }
 
 impl ClusterSim {
@@ -166,8 +214,10 @@ impl ClusterSim {
 
         let mut tasks = Vec::with_capacity(workload.task_count());
         let mut job_remaining = Vec::with_capacity(workload.job_count());
+        let mut job_first_task = Vec::with_capacity(workload.job_count() + 1);
         for (job_idx, job) in workload.jobs().iter().enumerate() {
             job_remaining.push(job.tasks.len() as u32);
+            job_first_task.push(tasks.len());
             for spec in &job.tasks {
                 let spec = clamp_to_node(*spec, cfg.node_resources);
                 tasks.push(TaskState::new(
@@ -179,6 +229,8 @@ impl ClusterSim {
                 ));
             }
         }
+        job_first_task.push(tasks.len());
+        let jobs_left = job_remaining.iter().filter(|&&r| r > 0).count();
 
         let mut criu = Criu::new(cfg.incremental);
         if let Some(compression) = cfg.compression {
@@ -213,7 +265,11 @@ impl ClusterSim {
             nvram_origin: HashMap::new(),
             node_reserved: vec![Resources::ZERO; n_nodes],
             job_remaining,
+            jobs_left,
+            job_first_task,
             place_cursor: 0,
+            free_front: None,
+            victim_cap: None,
             trace: TraceSink::default(),
             sampler: None,
             last_queue_depth: 0,
@@ -252,7 +308,7 @@ impl ClusterSim {
         // Once the workload has drained, stop injecting failures —
         // otherwise the fail/recover chain regenerates events forever and
         // the run never terminates.
-        if self.job_remaining.iter().all(|&r| r == 0) {
+        if self.jobs_left == 0 {
             return;
         }
         if let Some(mtbf) = self.cfg.failure_mtbf_per_node {
@@ -270,7 +326,6 @@ impl ClusterSim {
     /// Runs the workload to completion and returns the report.
     pub fn run(mut self) -> RunReport {
         let mut queue = EventQueue::with_capacity(self.tasks.len() * 2);
-        // Task handles are assigned in job order; find each job's first task.
         for (job_idx, job) in self.workload.jobs().iter().enumerate() {
             queue.push(job.submit, Event::JobSubmit(job_idx as u32));
         }
@@ -468,15 +523,8 @@ impl ClusterSim {
     // ---- helpers -------------------------------------------------------
 
     fn task_handle_range(&self, job_idx: u32) -> std::ops::Range<usize> {
-        // Tasks were pushed in job order; compute the dense range.
-        let mut start = 0usize;
-        for (i, job) in self.workload.jobs().iter().enumerate() {
-            if i as u32 == job_idx {
-                return start..start + job.tasks.len();
-            }
-            start += job.tasks.len();
-        }
-        start..start
+        let j = job_idx as usize;
+        self.job_first_task[j]..self.job_first_task[j + 1]
     }
 
     fn enqueue_pending(&mut self, t: u32) {
@@ -535,31 +583,81 @@ impl ClusterSim {
     /// Free capacity of node `i` from task `t`'s point of view: physical
     /// availability minus capacity earmarked for *other* blocked tasks.
     fn free_for(&self, i: usize, t: u32) -> Resources {
+        match self.own_reservation(t) {
+            Some(r) if r.node == i && self.nodes[i].up => {
+                let reserved = self.node_reserved[i].saturating_sub(&r.amount);
+                self.nodes[i].node.available().saturating_sub(&reserved)
+            }
+            _ => self.unreserved_free(i),
+        }
+    }
+
+    /// Free capacity of node `i` for a task holding no reservation.
+    fn unreserved_free(&self, i: usize) -> Resources {
         if !self.nodes[i].up {
             return Resources::ZERO;
         }
-        let free = self.nodes[i].node.available();
-        let mut reserved = self.node_reserved[i];
-        if let Some(r) = self.reservations.get(&t) {
-            if r.node == i {
-                reserved = reserved.saturating_sub(&r.amount);
-            }
-        }
-        free.saturating_sub(&reserved)
+        self.nodes[i]
+            .node
+            .available()
+            .saturating_sub(&self.node_reserved[i])
     }
 
     fn can_place(&self, i: usize, t: u32, demand: &Resources) -> bool {
         demand.fits_in(&self.free_for(i, t))
     }
 
+    /// The reservation `t` holds, if any (the map is probed only when it
+    /// is non-empty, which it is for most of a run).
+    fn own_reservation(&self, t: u32) -> Option<&Reservation> {
+        if self.reservations.is_empty() {
+            None
+        } else {
+            self.reservations.get(&t)
+        }
+    }
+
+    /// Reference answer of [`ClusterSim::fits_some_node`]: the full node
+    /// scan.
+    fn any_node_fits(&self, t: u32, demand: &Resources) -> bool {
+        (0..self.nodes.len()).any(|i| self.can_place(i, t, demand))
+    }
+
+    /// The pass's free-capacity front, built on first use after it went
+    /// stale.
+    fn free_front(&mut self) -> &FreeFront {
+        if self.free_front.is_none() {
+            let free = (0..self.nodes.len()).map(|i| self.unreserved_free(i));
+            self.free_front = Some(FreeFront::new(free));
+        }
+        self.free_front.as_ref().expect("built above")
+    }
+
+    /// Exact "does `demand` fit on some node from `t`'s point of view".
+    /// The free-capacity front answers for tasks without a reservation; a
+    /// reservation holder sees its own earmark as free, which the front
+    /// does not, so it takes the full node scan.
+    fn fits_some_node(&mut self, t: u32, demand: &Resources) -> bool {
+        if self.own_reservation(t).is_some() {
+            return self.any_node_fits(t, demand);
+        }
+        let fits = self.free_front().fits(demand);
+        debug_assert_eq!(fits, self.any_node_fits(t, demand), "free front is stale");
+        fits
+    }
+
     fn cancel_reservation(&mut self, t: u32) {
         if let Some(r) = self.reservations.remove(&t) {
             self.node_reserved[r.node] = self.node_reserved[r.node].saturating_sub(&r.amount);
+            self.free_front = None;
         }
     }
 
     /// First-fit node for a fresh (non-checkpointed) task, round-robin.
     fn choose_fresh_node(&mut self, t: u32, demand: &Resources) -> Option<usize> {
+        if !self.fits_some_node(t, demand) {
+            return None;
+        }
         let n = self.nodes.len();
         for k in 0..n {
             let i = (self.place_cursor + k) % n;
@@ -609,7 +707,12 @@ impl ClusterSim {
             candidates.push(origin);
         }
         let n = self.nodes.len();
+        // The draw happens whether or not any node fits: it is part of the
+        // run's RNG stream.
         let start = self.rng.index(n);
+        if !origin_fits && !self.fits_some_node(t, &demand) {
+            return None;
+        }
         for k in 0..n {
             if candidates.len() >= 5 {
                 break;
@@ -710,6 +813,8 @@ impl ClusterSim {
             .node
             .allocate(Container::new(cid, demand, t as u64))
             .expect("placement checked can_fit before allocating");
+        self.free_front = None;
+        self.victim_cap = None;
         self.update_meter(node, now);
         self.cancel_reservation(t);
         self.emit(
@@ -1289,11 +1394,23 @@ impl ClusterSim {
         cost
     }
 
+    /// What preempting every victim of node `i` below `priority` would
+    /// free: the sum over its Running tasks of lower priority.
+    fn victim_capacity(&self, i: usize, priority: Priority) -> Resources {
+        self.nodes[i]
+            .node
+            .containers()
+            .map(|c| &self.tasks[c.task() as usize])
+            .filter(|task| task.is_preemptible() && task.priority < priority)
+            .map(|task| task.spec.resources)
+            .sum()
+    }
+
     /// Tries to free enough space for pending task `t` by preempting
     /// lower-priority victims on the best node. Returns `true` if resources
     /// were freed synchronously.
     fn try_preempt_for(&mut self, t: u32, now: SimTime, q: &mut EventQueue<Event>) -> bool {
-        if self.reservations.contains_key(&t) {
+        if self.own_reservation(t).is_some() {
             return false; // a drain is already in flight for this task
         }
         let demand = self.tasks[t as usize].spec.resources;
@@ -1311,8 +1428,16 @@ impl ClusterSim {
             _ => None,
         };
 
+        // Victim capacity per node, shared by every search at this
+        // priority until a placement or preemption changes it.
+        let caps = match self.victim_cap.take() {
+            Some((p, caps)) if p == priority => caps,
+            _ => (0..self.nodes.len())
+                .map(|i| self.victim_capacity(i, priority))
+                .collect(),
+        };
         let mut best: Option<(f64, usize, Vec<u32>)> = None;
-        for i in 0..self.nodes.len() {
+        for (i, cap) in caps.iter().enumerate() {
             if !self.nodes[i].up {
                 continue;
             }
@@ -1325,6 +1450,18 @@ impl ClusterSim {
             let needed = demand.saturating_sub(&avail);
             if needed.is_zero() {
                 continue; // plain placement handles this
+            }
+            debug_assert_eq!(
+                *cap,
+                self.victim_capacity(i, priority),
+                "victim capacity is stale"
+            );
+            // The greedy loop below takes victims until `needed` fits in
+            // what they free, so it succeeds iff all of them together
+            // cover `needed`; costing victims is pure, so a node that
+            // cannot succeed is skipped unseen.
+            if !needed.fits_in(cap) {
+                continue;
             }
             // Collect preemptible lower-priority victims, deterministically
             // ordered.
@@ -1379,8 +1516,11 @@ impl ClusterSim {
         }
 
         let Some((_, node, victims)) = best else {
+            self.victim_cap = Some((priority, caps));
             return false;
         };
+        // The victims are about to change status and release capacity.
+        self.free_front = None;
         let mut drains = 0u32;
         for v in victims {
             let sync = self.preempt_victim(v, node, now, q);
@@ -1866,7 +2006,12 @@ impl ClusterSim {
     /// One scheduling pass: serve the pending queue in priority order.
     fn schedule_pass(&mut self, now: SimTime, q: &mut EventQueue<Event>) {
         let _prof = cbp_prof::scope("schedule_pass");
+        self.free_front = None;
+        self.victim_cap = None;
         let mut preempt_budget = self.cfg.preempt_budget_per_pass;
+        // Gates whether placement is tried at all, and so which RNG draws
+        // happen. It is refreshed only where it always was: after a
+        // placement or a synchronous preemption.
         let mut max_avail = self.max_available();
         // Walk the pending set with a cursor instead of snapshotting it:
         // passes fire on every event, and cloning thousands of keys per
@@ -1875,20 +2020,12 @@ impl ClusterSim {
         let mut cursor: Option<PendingKey> = None;
         let mut scanned = 0usize;
         loop {
-            let key = match cursor {
-                None => self.pending.iter().next().copied(),
-                Some(c) => self
-                    .pending
-                    .range((std::ops::Bound::Excluded(c), std::ops::Bound::Unbounded))
-                    .next()
-                    .copied(),
-            };
-            let Some(key) = key else { break };
-            cursor = Some(key);
-            scanned += 1;
-            if scanned > self.cfg.max_schedule_scan {
+            let searching = self.cfg.policy != PreemptionPolicy::Wait && preempt_budget > 0;
+            let Some(key) = self.next_active_key(cursor, &mut scanned, searching, &max_avail)
+            else {
                 break;
-            }
+            };
+            cursor = Some(key);
             let t = key.3;
             let demand = self.tasks[t as usize].spec.resources;
             let fits_somewhere = demand.fits_in(&max_avail);
@@ -1909,11 +2046,7 @@ impl ClusterSim {
                     // A reservation whose drains all completed but that
                     // still cannot be satisfied has failed its purpose;
                     // release the earmark so the task can try elsewhere.
-                    if self
-                        .reservations
-                        .get(&t)
-                        .is_some_and(|r| r.drains_left == 0)
-                    {
+                    if self.own_reservation(t).is_some_and(|r| r.drains_left == 0) {
                         self.cancel_reservation(t);
                     }
                     if self.cfg.policy != PreemptionPolicy::Wait && preempt_budget > 0 {
@@ -1935,6 +2068,64 @@ impl ClusterSim {
                 }
             }
         }
+    }
+
+    /// Moves the pass past the pending keys after `cursor` that cannot
+    /// act and returns the first one that can, or `None` when the queue
+    /// or the scan limit runs out. Every key passed counts toward
+    /// `max_schedule_scan`, acting or not. While preemption searches are
+    /// left (`searching`) every key acts; after that the walk stays on one
+    /// borrowed iterator and stops only at keys [`ClusterSim::key_is_idle`]
+    /// cannot rule out.
+    fn next_active_key(
+        &mut self,
+        cursor: Option<PendingKey>,
+        scanned: &mut usize,
+        searching: bool,
+        max_avail: &Resources,
+    ) -> Option<PendingKey> {
+        if !searching {
+            self.free_front();
+        }
+        let keys = match cursor {
+            None => self.pending.range::<PendingKey, _>(..),
+            Some(c) => self
+                .pending
+                .range((std::ops::Bound::Excluded(c), std::ops::Bound::Unbounded)),
+        };
+        for &key in keys {
+            *scanned += 1;
+            if *scanned > self.cfg.max_schedule_scan {
+                return None;
+            }
+            if searching || !self.key_is_idle(key.3, max_avail) {
+                return Some(key);
+            }
+        }
+        None
+    }
+
+    /// True if the pass, with no preemption search left, would do nothing
+    /// for pending task `t`: no placement try (its demand fails the
+    /// `max_avail` gate, or it is a fresh task that fits no node), and no
+    /// drained reservation to cancel. Checkpointed tasks that pass the
+    /// gate always act: cost-aware restore placement draws from the RNG.
+    fn key_is_idle(&self, t: u32, max_avail: &Resources) -> bool {
+        let demand = self.tasks[t as usize].spec.resources;
+        let gated = !demand.fits_in(max_avail);
+        if let Some(r) = self.own_reservation(t) {
+            return gated && r.drains_left > 0;
+        }
+        if gated {
+            return true;
+        }
+        if self.has_checkpoint(t) {
+            return false;
+        }
+        let front = self.free_front.as_ref().expect("built before the walk");
+        let fits = front.fits(&demand);
+        debug_assert_eq!(fits, self.any_node_fits(t, &demand), "free front is stale");
+        !fits
     }
 
     /// Read-only access to the metrics-in-progress trace (for tests).
@@ -2048,6 +2239,7 @@ impl ClusterSim {
                 let job_idx = self.tasks[task as usize].job_idx as usize;
                 self.job_remaining[job_idx] -= 1;
                 if self.job_remaining[job_idx] == 0 {
+                    self.jobs_left -= 1;
                     let job = &self.workload.jobs()[job_idx];
                     self.metrics
                         .record_response(job.priority.band(), job.latency, job.submit, now);
@@ -2141,7 +2333,7 @@ impl ClusterSim {
                 }
                 // Stop ticking once the workload drained, else the tick
                 // chain keeps the run alive forever.
-                if !self.job_remaining.iter().all(|&r| r == 0) {
+                if self.jobs_left > 0 {
                     q.push(now + window, Event::ChaosCrashTick);
                 }
                 self.schedule_pass(now, q);
@@ -2170,7 +2362,7 @@ impl ClusterSim {
                     }
                     self.active_partition = next;
                 }
-                if !self.job_remaining.iter().all(|&r| r == 0) {
+                if self.jobs_left > 0 {
                     q.push(now + window, Event::ChaosPartitionTick);
                 } else if let Some(rack) = self.active_partition.take() {
                     // Heal the partition when the schedule winds down so
@@ -2187,7 +2379,7 @@ impl ClusterSim {
                 };
                 // Stop ticking once the workload drained, else the tick
                 // chain keeps the run alive forever.
-                if !self.job_remaining.iter().all(|&r| r == 0) {
+                if self.jobs_left > 0 {
                     q.push(now + window, Event::PressureTick);
                 }
             }
@@ -2324,5 +2516,45 @@ impl NextSeed for SimRng {
     fn next_seed(mut self) -> u64 {
         use rand::RngCore;
         self.next_u64()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cbp_simkit::units::ByteSize;
+    use proptest::prelude::*;
+
+    /// A vector with few distinct coordinates, so ties and duplicates are
+    /// common.
+    fn small_resources(rng: &mut SimRng) -> Resources {
+        Resources::new(
+            rng.index(9) as u64 * 500,
+            ByteSize::from_gb(rng.index(9) as u64),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The front's answer equals the full scan's for every demand,
+        /// on random per-node free vectors (empty, all-zero and
+        /// duplicate-laden sets included). The stub runner does not
+        /// shrink, so a failure names the seed that rebuilds its input.
+        #[test]
+        fn free_front_matches_node_scan(seed in any::<u64>(), nodes in 0usize..24) {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let free: Vec<Resources> = (0..nodes).map(|_| small_resources(&mut rng)).collect();
+            let front = FreeFront::new(free.iter().copied());
+            for _ in 0..32 {
+                let demand = small_resources(&mut rng);
+                let scan = free.iter().any(|f| demand.fits_in(f));
+                prop_assert_eq!(
+                    front.fits(&demand),
+                    scan,
+                    "seed {seed}, nodes {nodes}: demand {demand} against {free:?}"
+                );
+            }
+        }
     }
 }
