@@ -155,6 +155,17 @@ struct Reservation {
     drains_left: u32,
 }
 
+/// What one pending key does in a pass with no preemption search left
+/// (see [`ClusterSim::idle_visit`]).
+enum Visit {
+    /// Nothing.
+    Idle,
+    /// Nothing but restore placement's RNG draw.
+    Draw,
+    /// It may place, or it cancels a drained reservation.
+    Act,
+}
+
 /// The Pareto front of a set of free-capacity vectors: the vectors no
 /// other vector beats in both cpu and memory, sorted by cpu descending
 /// (and therefore memory ascending). "Does `d` fit in any of the vectors"
@@ -679,6 +690,16 @@ impl ClusterSim {
         }
     }
 
+    /// True if a checkpointed task can resume only on its origin node.
+    /// NVRAM mirrors live in the origin node's memory: restore is
+    /// inherently local. Same for local-FS CRIU and the LocalOnly
+    /// ablation.
+    fn restore_is_local(&self) -> bool {
+        self.cfg.nvram.is_some()
+            || self.cfg.restore_placement == RestorePlacement::LocalOnly
+            || !self.ckpt.has_dfs()
+    }
+
     /// Algorithm 2: pick the restore node with the lowest total overhead.
     fn choose_restore_node(&mut self, t: u32, now: SimTime) -> Option<usize> {
         let task = &self.tasks[t as usize];
@@ -688,14 +709,7 @@ impl ClusterSim {
         };
         let demand = task.spec.resources;
         let origin_fits = self.can_place(origin, t, &demand);
-
-        // NVRAM mirrors live in the origin node's memory: restore is
-        // inherently local. Same for local-FS CRIU and the LocalOnly
-        // ablation.
-        if self.cfg.nvram.is_some()
-            || self.cfg.restore_placement == RestorePlacement::LocalOnly
-            || !self.ckpt.has_dfs()
-        {
+        if self.restore_is_local() {
             return origin_fits.then_some(origin);
         }
 
@@ -2075,8 +2089,8 @@ impl ClusterSim {
     /// or the scan limit runs out. Every key passed counts toward
     /// `max_schedule_scan`, acting or not. While preemption searches are
     /// left (`searching`) every key acts; after that the walk stays on one
-    /// borrowed iterator and stops only at keys [`ClusterSim::key_is_idle`]
-    /// cannot rule out.
+    /// borrowed iterator and stops only at keys that
+    /// [`ClusterSim::idle_visit`] cannot rule out.
     fn next_active_key(
         &mut self,
         cursor: Option<PendingKey>,
@@ -2084,48 +2098,74 @@ impl ClusterSim {
         searching: bool,
         max_avail: &Resources,
     ) -> Option<PendingKey> {
-        if !searching {
-            self.free_front();
+        if searching {
+            let key = keys_after(&self.pending, cursor).next().copied()?;
+            *scanned += 1;
+            return (*scanned <= self.cfg.max_schedule_scan).then_some(key);
         }
-        let keys = match cursor {
-            None => self.pending.range::<PendingKey, _>(..),
-            Some(c) => self
-                .pending
-                .range((std::ops::Bound::Excluded(c), std::ops::Bound::Unbounded)),
-        };
-        for &key in keys {
+        self.free_front();
+        let n = self.nodes.len();
+        // The walk changes no reservation, so when none has drained, a key
+        // failing the gate is idle whatever it holds.
+        let any_drained = self.reservations.values().any(|r| r.drains_left == 0);
+        for &key in keys_after(&self.pending, cursor) {
             *scanned += 1;
             if *scanned > self.cfg.max_schedule_scan {
                 return None;
             }
-            if searching || !self.key_is_idle(key.3, max_avail) {
-                return Some(key);
+            match self.idle_visit(key.3, max_avail, any_drained) {
+                Visit::Idle => {}
+                // All that `choose_restore_node` would do for this key.
+                Visit::Draw => {
+                    self.rng.index(n);
+                }
+                Visit::Act => return Some(key),
             }
         }
         None
     }
 
-    /// True if the pass, with no preemption search left, would do nothing
-    /// for pending task `t`: no placement try (its demand fails the
-    /// `max_avail` gate, or it is a fresh task that fits no node), and no
-    /// drained reservation to cancel. Checkpointed tasks that pass the
-    /// gate always act: cost-aware restore placement draws from the RNG.
-    fn key_is_idle(&self, t: u32, max_avail: &Resources) -> bool {
-        let demand = self.tasks[t as usize].spec.resources;
-        let gated = !demand.fits_in(max_avail);
-        if let Some(r) = self.own_reservation(t) {
-            return gated && r.drains_left > 0;
+    /// What visiting pending task `t` does once no preemption search is
+    /// left. A key is idle when its demand fails the `max_avail` gate, or
+    /// passes it but fits no node, and it holds no drained reservation to
+    /// cancel. Cost-aware restore placement of an idle checkpointed task
+    /// still makes its RNG draw.
+    fn idle_visit(&self, t: u32, max_avail: &Resources, any_drained: bool) -> Visit {
+        let task = &self.tasks[t as usize];
+        let demand = task.spec.resources;
+        if !demand.fits_in(max_avail) {
+            let drained =
+                any_drained && self.own_reservation(t).is_some_and(|r| r.drains_left == 0);
+            return if drained { Visit::Act } else { Visit::Idle };
         }
-        if gated {
-            return true;
+        if self.own_reservation(t).is_some() {
+            return Visit::Act;
         }
-        if self.has_checkpoint(t) {
-            return false;
+        let fits_some = |d: &Resources| {
+            let front = self.free_front.as_ref().expect("built before the walk");
+            let fits = front.fits(d);
+            debug_assert_eq!(fits, self.any_node_fits(t, d), "free front is stale");
+            fits
+        };
+        if !self.has_checkpoint(t) {
+            return if fits_some(&demand) {
+                Visit::Act
+            } else {
+                Visit::Idle
+            };
         }
-        let front = self.free_front.as_ref().expect("built before the walk");
-        let fits = front.fits(&demand);
-        debug_assert_eq!(fits, self.any_node_fits(t, &demand), "free front is stale");
-        !fits
+        let TaskStatus::Checkpointed { origin } = task.status else {
+            return Visit::Act;
+        };
+        if self.can_place(origin as usize, t, &demand) {
+            Visit::Act
+        } else if self.restore_is_local() {
+            Visit::Idle
+        } else if fits_some(&demand) {
+            Visit::Act
+        } else {
+            Visit::Draw
+        }
     }
 
     /// Read-only access to the metrics-in-progress trace (for tests).
@@ -2485,6 +2525,17 @@ impl ClusterSim {
                 q.push(finish, Event::TaskFinish { task, epoch });
             }
         }
+    }
+}
+
+/// The pending keys after `cursor` (all of them without one), in order.
+fn keys_after(
+    pending: &BTreeSet<PendingKey>,
+    cursor: Option<PendingKey>,
+) -> std::collections::btree_set::Range<'_, PendingKey> {
+    match cursor {
+        None => pending.range::<PendingKey, _>(..),
+        Some(c) => pending.range((std::ops::Bound::Excluded(c), std::ops::Bound::Unbounded)),
     }
 }
 
