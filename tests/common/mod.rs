@@ -1,0 +1,25 @@
+//! Helpers shared by the golden replay tests.
+
+use std::cell::RefCell;
+use std::rc::Rc;
+
+/// A `Write` sink whose buffer outlives the boxed tracer.
+#[derive(Clone, Default)]
+pub struct SharedBuf(pub Rc<RefCell<Vec<u8>>>);
+
+impl std::io::Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.borrow_mut().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// FNV-1a, 64-bit.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}

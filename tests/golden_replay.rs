@@ -14,8 +14,7 @@
 //! On a mismatch the test names every failing case and prints the
 //! observed digests.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+mod common;
 
 use cbp::checkpoint::NvramSpec;
 use cbp::core::{ClusterSim, PreemptionPolicy, SimConfig};
@@ -26,26 +25,7 @@ use cbp::workload::facebook::FacebookConfig;
 use cbp::workload::google::GoogleTraceConfig;
 use cbp::yarn::{YarnConfig, YarnSim};
 
-/// A `Write` sink whose buffer outlives the boxed tracer.
-#[derive(Clone, Default)]
-struct SharedBuf(Rc<RefCell<Vec<u8>>>);
-
-impl std::io::Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.borrow_mut().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// FNV-1a, 64-bit.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
+use common::{fnv1a, SharedBuf};
 
 /// How the trace-driven simulator stores checkpoints in a case. The
 /// YARN analog always writes through HDFS.

@@ -17,8 +17,7 @@
 //! On a mismatch the test names every failing case and prints the
 //! observed digests.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+mod common;
 
 use cbp::checkpoint::NvramSpec;
 use cbp::core::{
@@ -30,26 +29,7 @@ use cbp::storage::MediaKind;
 use cbp::telemetry::JsonlTracer;
 use cbp::workload::google::GoogleTraceConfig;
 
-/// A `Write` sink whose buffer outlives the boxed tracer.
-#[derive(Clone, Default)]
-struct SharedBuf(Rc<RefCell<Vec<u8>>>);
-
-impl std::io::Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.borrow_mut().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// FNV-1a, 64-bit.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
+use common::{fnv1a, SharedBuf};
 
 /// One golden case: a name, a config builder and its two digests (trace,
 /// registry).
