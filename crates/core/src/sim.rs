@@ -170,7 +170,7 @@ enum Visit {
 /// other vector beats in both cpu and memory, sorted by cpu descending
 /// (and therefore memory ascending). "Does `d` fit in any of the vectors"
 /// is then one binary search instead of a scan.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 struct FreeFront {
     points: Vec<Resources>,
 }
@@ -618,8 +618,8 @@ impl ClusterSim {
         demand.fits_in(&self.free_for(i, t))
     }
 
-    /// The reservation `t` holds, if any (the map is probed only when it
-    /// is non-empty, which it is for most of a run).
+    /// The reservation `t` holds, if any. The map is probed only when it
+    /// is non-empty.
     fn own_reservation(&self, t: u32) -> Option<&Reservation> {
         if self.reservations.is_empty() {
             None
