@@ -1014,8 +1014,9 @@ impl CkptPath {
     /// Hard conservation invariant (checked after every event in debug
     /// builds): every byte reserved on a checkpoint device is owned by a
     /// live catalog image or an injected leak, and every manifest agrees
-    /// with the catalog.
-    #[cfg(debug_assertions)]
+    /// with the catalog. Also compiled into release test builds, where the
+    /// unit tests below call it directly.
+    #[cfg(any(test, debug_assertions))]
     pub fn assert_image_conservation(&self, now: SimTime) {
         self.criu.assert_manifest_consistency();
         for (i, dev) in self.devices.iter().enumerate() {
