@@ -12,25 +12,65 @@
 //!
 //! `null_tracer` is the number to watch: it is the disabled-path cost.
 //!
+//! The `jsonl_read` group times the read side: `JsonlReader` decoding the
+//! `sink_tracer` configuration's trace from memory.
+//!
 //! After the timed groups, the bench prints an engine-throughput line
 //! (events/sec from the run's `TelemetryReport`, which the engine fills
 //! from its `RunStats`) for each configuration, so the Criterion output
 //! can be compared against the `repro bench` BENCH_*.json trajectory —
-//! see EXPERIMENTS.md, "Wall-clock profiling & perf trajectory".
+//! see EXPERIMENTS.md, "Wall-clock profiling & perf trajectory". A last
+//! line gives the reader's records/s and MB/s.
 
 use cbp_core::{ClusterSim, PreemptionPolicy, SimConfig};
 use cbp_simkit::SimDuration;
 use cbp_storage::MediaKind;
-use cbp_telemetry::JsonlTracer;
+use cbp_telemetry::{JsonlReader, JsonlTracer};
 use cbp_workload::google::GoogleTraceConfig;
 use cbp_workload::Workload;
 use criterion::{criterion_group, criterion_main, Criterion};
+use std::cell::RefCell;
 use std::hint::black_box;
+use std::rc::Rc;
+use std::time::Instant;
 
 fn setup() -> (Workload, SimConfig) {
     let workload = GoogleTraceConfig::small(120.0).generate(7);
     let cfg = SimConfig::trace_sim(PreemptionPolicy::Adaptive, MediaKind::Ssd).with_nodes(4);
     (workload, cfg)
+}
+
+/// A `Write` sink whose buffer outlives the boxed tracer.
+#[derive(Clone, Default)]
+struct SharedBuf(Rc<RefCell<Vec<u8>>>);
+
+impl std::io::Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.borrow_mut().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The JSONL trace of the `sink_tracer` configuration, kept in memory.
+fn sink_tracer_trace(cfg: &SimConfig, workload: &Workload) -> Vec<u8> {
+    let buf = SharedBuf::default();
+    let mut sim = ClusterSim::new(cfg.clone(), workload.clone());
+    sim.set_tracer(Box::new(JsonlTracer::new(buf.clone())));
+    sim.run();
+    buf.0.take()
+}
+
+/// Decodes every record of `trace`; returns the record count.
+fn read_all(trace: &[u8]) -> usize {
+    let mut records = 0;
+    for item in JsonlReader::new(trace).expect("schema header") {
+        black_box(item.expect("well-formed record"));
+        records += 1;
+    }
+    records
 }
 
 fn bench_telemetry_overhead(c: &mut Criterion) {
@@ -63,12 +103,20 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     });
 
     group.finish();
-    report_throughput(&cfg, &workload);
+
+    let trace = sink_tracer_trace(&cfg, &workload);
+    let mut group = c.benchmark_group("jsonl_read");
+    group.sample_size(20);
+    group.bench_function("sink_tracer_trace", |b| b.iter(|| read_all(&trace)));
+    group.finish();
+
+    report_throughput(&cfg, &workload, &trace);
 }
 
 /// One untimed run per configuration, reporting engine events/sec so the
-/// Criterion wall times can be read alongside the BENCH_*.json trajectory.
-fn report_throughput(cfg: &SimConfig, workload: &Workload) {
+/// Criterion wall times can be read alongside the BENCH_*.json trajectory,
+/// then one read of `trace`, reporting records/s and MB/s.
+fn report_throughput(cfg: &SimConfig, workload: &Workload, trace: &[u8]) {
     println!("telemetry_overhead: engine throughput (events/sec)");
     type Prepare = fn(&mut ClusterSim);
     let configs: [(&str, Prepare); 3] = [
@@ -90,6 +138,15 @@ fn report_throughput(cfg: &SimConfig, workload: &Workload) {
             telemetry.events_per_sec()
         );
     }
+    let start = Instant::now();
+    let records = read_all(trace);
+    let secs = start.elapsed().as_secs_f64();
+    println!(
+        "  {:<12} {records:>9} records {:>12.0} records/s {:>8.1} MB/s",
+        "jsonl_read",
+        records as f64 / secs,
+        trace.len() as f64 / 1e6 / secs
+    );
 }
 
 criterion_group!(benches, bench_telemetry_overhead);

@@ -3,11 +3,14 @@
 //!
 //! `serde_json` would work, but hand-rolling keeps this crate dependency
 //! free and guarantees byte-stable output: fixed field order, sorted map
-//! keys, and Rust's shortest-roundtrip float formatting. The [`parse`]
-//! side exists so trace consumers ([`crate::reader::JsonlReader`], the
-//! `cbp-obs` report differ) can read our own output back without pulling
-//! in a JSON dependency either.
+//! keys, and Rust's shortest-roundtrip float formatting. The read side
+//! exists so trace consumers can read our own output back without pulling
+//! in a JSON dependency either: `object_members` validates a line and
+//! splits a top-level object into byte spans for
+//! [`crate::reader::JsonlReader`], and [`parse`] builds a [`Value`] tree
+//! for the `cbp-obs` report differ.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Appends `s` to `out` as a JSON string literal (with quotes), escaping
@@ -96,6 +99,112 @@ pub fn is_valid(s: &str) -> bool {
     p.i == b.len()
 }
 
+/// Where one member of a top-level JSON object sits in its source text.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Member {
+    key: (usize, usize),
+    value: (usize, usize),
+}
+
+impl Member {
+    /// The key between its quotes, escapes unresolved (see [`unescape`]).
+    pub(crate) fn raw_key<'s>(&self, src: &'s str) -> &'s str {
+        &src[self.key.0..self.key.1]
+    }
+
+    /// The value's source text, e.g. `42`, `"a\\nb"` or `[1,{}]`.
+    pub(crate) fn raw_value<'s>(&self, src: &'s str) -> &'s str {
+        &src[self.value.0..self.value.1]
+    }
+}
+
+/// Validates `s` exactly as [`is_valid`] does and, if it is an object,
+/// records the spans of its top-level members into `out` (cleared first;
+/// nested values are validated but not split). Returns `false` for
+/// invalid JSON; any other valid value leaves `out` empty.
+pub(crate) fn object_members(s: &str, out: &mut Vec<Member>) -> bool {
+    out.clear();
+    let b = s.as_bytes();
+    let mut p = Parser { b, i: 0 };
+    p.skip_ws();
+    let ok = if p.peek() == Some(b'{') {
+        p.object(Some(out))
+    } else {
+        p.value()
+    };
+    if !ok {
+        return false;
+    }
+    p.skip_ws();
+    p.i == b.len()
+}
+
+/// Reads a validated value's text as a `u64`. Like [`Value::U64`], only
+/// a non-negative integer that fits qualifies: all digits, no sign,
+/// fraction or exponent.
+pub(crate) fn raw_u64(raw: &str) -> Option<u64> {
+    if raw.is_empty() {
+        return None;
+    }
+    raw.bytes().try_fold(0u64, |acc, c| {
+        let digit = c.wrapping_sub(b'0');
+        if digit > 9 {
+            return None;
+        }
+        acc.checked_mul(10)?.checked_add(digit as u64)
+    })
+}
+
+/// Reads a validated value's text as a bool: `true` or `false`.
+pub(crate) fn raw_bool(raw: &str) -> Option<bool> {
+    match raw {
+        "true" => Some(true),
+        "false" => Some(false),
+        _ => None,
+    }
+}
+
+/// Reads a validated value's text as a string, unescaped.
+pub(crate) fn raw_str(raw: &str) -> Option<Cow<'_, str>> {
+    let body = raw.strip_prefix('"')?.strip_suffix('"')?;
+    Some(unescape(body))
+}
+
+/// Resolves the escapes in the body of a string literal (the text between
+/// its quotes, as the validator accepted it). A body without escapes is
+/// borrowed as is.
+pub(crate) fn unescape(body: &str) -> Cow<'_, str> {
+    if !body.contains('\\') {
+        return Cow::Borrowed(body);
+    }
+    let mut out = String::with_capacity(body.len());
+    let mut chars = body.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        match chars.next() {
+            Some('b') => out.push('\u{8}'),
+            Some('f') => out.push('\u{c}'),
+            Some('n') => out.push('\n'),
+            Some('r') => out.push('\r'),
+            Some('t') => out.push('\t'),
+            Some('u') => {
+                let hex: String = chars.by_ref().take(4).collect();
+                // Surrogate pairs are not produced by our own emitter;
+                // map lone surrogates to the replacement character.
+                let code = u32::from_str_radix(&hex, 16).ok();
+                out.push(code.and_then(char::from_u32).unwrap_or('\u{fffd}'));
+            }
+            // `"`, `\\` and `/` stand for themselves.
+            Some(c) => out.push(c),
+            None => {}
+        }
+    }
+    Cow::Owned(out)
+}
+
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
@@ -132,7 +241,7 @@ impl Parser<'_> {
 
     fn value(&mut self) -> bool {
         match self.peek() {
-            Some(b'{') => self.object(),
+            Some(b'{') => self.object(None),
             Some(b'[') => self.array(),
             Some(b'"') => self.string(),
             Some(b't') => self.lit("true"),
@@ -143,7 +252,8 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> bool {
+    /// An object; with `members`, also records each member's spans.
+    fn object(&mut self, mut members: Option<&mut Vec<Member>>) -> bool {
         if !self.eat(b'{') {
             return false;
         }
@@ -153,16 +263,25 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
+            let key_start = self.i;
             if !self.string() {
                 return false;
             }
+            let key = (key_start + 1, self.i - 1);
             self.skip_ws();
             if !self.eat(b':') {
                 return false;
             }
             self.skip_ws();
+            let value_start = self.i;
             if !self.value() {
                 return false;
+            }
+            if let Some(out) = members.as_deref_mut() {
+                out.push(Member {
+                    key,
+                    value: (value_start, self.i),
+                });
             }
             self.skip_ws();
             if self.eat(b',') {
@@ -427,36 +546,7 @@ impl TreeParser<'_> {
         if !self.inner.string() {
             return None;
         }
-        // Re-walk the validated span (minus the surrounding quotes),
-        // resolving escapes.
-        let raw = &self.src[start + 1..self.inner.i - 1];
-        let mut out = String::with_capacity(raw.len());
-        let mut chars = raw.chars();
-        while let Some(c) = chars.next() {
-            if c != '\\' {
-                out.push(c);
-                continue;
-            }
-            match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                '/' => out.push('/'),
-                'b' => out.push('\u{8}'),
-                'f' => out.push('\u{c}'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    // Surrogate pairs are not produced by our own emitter;
-                    // map lone surrogates to the replacement character.
-                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                }
-                _ => return None,
-            }
-        }
-        Some(out)
+        Some(unescape(&self.src[start + 1..self.inner.i - 1]).into_owned())
     }
 
     fn number(&mut self) -> Option<Value> {

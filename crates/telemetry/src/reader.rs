@@ -6,11 +6,32 @@
 //! lines. [`JsonlReader`] checks the header, then yields one
 //! `(t_us, TraceRecord)` per line; the round trip
 //! `write → read → write` is byte-identical (tested).
+//!
+//! Each line is decoded in one pass with no allocation per line. It is
+//! read into a reused buffer and validated by the strict JSON validator,
+//! which accepts exactly what [`json::is_valid`] accepts and splits the
+//! top-level object into member spans as it goes. The record's fields
+//! are decoded straight from those spans. A field is looked up at the
+//! emitter's fixed position first and by a first-match scan otherwise,
+//! so reordered, extra and duplicate keys read as a [`json::Value`] tree
+//! would. Strings without escapes are borrowed from the line, and the
+//! event name is matched in place. A line that is not valid JSON and is
+//! the last line of the stream is a crash-truncated tail: the reader
+//! warns and ends the stream there, without parsing the line again. The
+//! `reference` test module keeps the tree-building reader this one
+//! replaced and checks the two against each other on written, rewritten
+//! and byte-damaged traces.
 
-use std::io::BufRead;
+use std::borrow::Cow;
+use std::collections::HashSet;
+use std::io::{BufRead, ErrorKind};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
-use crate::json::{self, Value};
+use crate::json::{self, Member};
 use crate::trace::{PreemptAction, TraceRecord};
+
+#[cfg(test)]
+mod reference;
 
 /// Schema name carried by the JSONL header line.
 pub const TRACE_SCHEMA: &str = "cbp-trace";
@@ -91,50 +112,338 @@ impl std::error::Error for TraceReadError {}
 /// use, so a parsed [`TraceRecord`] is field-for-field identical to the
 /// one that was written.
 ///
-/// Strings outside the known vocabulary are leaked (they must live for
-/// `'static`); an analyzer reads each distinct reason/device name once, so
-/// the leak is bounded by the emitter's vocabulary size.
+/// A string outside the known vocabulary is leaked the first time it is
+/// seen and reused after that, so the leak is bounded by the number of
+/// distinct strings, not by the length of the trace.
 fn intern(s: &str) -> &'static str {
-    const VOCAB: &[&str] = &[
+    match s {
         // preemption actions / policies / reasons
-        "kill",
-        "checkpoint",
-        "adaptive",
-        "wait",
-        "policy",
-        "progress-at-risk",
-        "overhead-exceeds-risk",
+        "kill" => "kill",
+        "checkpoint" => "checkpoint",
+        "adaptive" => "adaptive",
+        "wait" => "wait",
+        "policy" => "policy",
+        "progress-at-risk" => "progress-at-risk",
+        "overhead-exceeds-risk" => "overhead-exceeds-risk",
         // eviction reasons
-        "dump",
-        "node-fail",
-        "node-crash",
+        "dump" => "dump",
+        "node-fail" => "node-fail",
+        "node-crash" => "node-crash",
         // eviction reason for AM-escalation kills (YarnSim)
-        "am-escalate",
+        "am-escalate" => "am-escalate",
         // fallback reasons
-        "no-capacity",
-        "storage-full",
-        "nvram-full",
-        "grace-expired",
-        "dump-fail",
-        "am-unresponsive",
-        "breaker-open",
-        "no-space",
+        "no-capacity" => "no-capacity",
+        "storage-full" => "storage-full",
+        "nvram-full" => "nvram-full",
+        "grace-expired" => "grace-expired",
+        "dump-fail" => "dump-fail",
+        "am-unresponsive" => "am-unresponsive",
+        "breaker-open" => "breaker-open",
+        "no-space" => "no-space",
         // restore failure classes
-        "transient",
-        "corrupt-image",
-        "blocks-lost",
+        "transient" => "transient",
+        "corrupt-image" => "corrupt-image",
+        "blocks-lost" => "blocks-lost",
         // devices
-        "hdd",
-        "ssd",
-        "nvm",
-        "nvram",
-    ];
-    for v in VOCAB {
-        if *v == s {
-            return v;
+        "hdd" => "hdd",
+        "ssd" => "ssd",
+        "nvm" => "nvm",
+        "nvram" => "nvram",
+        other => leak_once(other),
+    }
+}
+
+/// `s` as a `&'static str`, leaked once per distinct string.
+fn leak_once(s: &str) -> &'static str {
+    static LEAKED: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
+    let mut leaked = LEAKED
+        .get_or_init(Mutex::default)
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    if let Some(&s) = leaked.get(s) {
+        return s;
+    }
+    let s: &'static str = Box::leak(s.into());
+    leaked.insert(s);
+    s
+}
+
+/// Reads the next line into `buf` without its `\n` or `\r\n` ending, as
+/// `BufRead::lines` yields it. `Ok(false)` at the end of the input.
+fn read_line(input: &mut impl BufRead, buf: &mut String) -> std::io::Result<bool> {
+    buf.clear();
+    if input.read_line(buf)? == 0 {
+        return Ok(false);
+    }
+    if buf.ends_with('\n') {
+        buf.pop();
+        if buf.ends_with('\r') {
+            buf.pop();
         }
     }
-    Box::leak(s.to_owned().into_boxed_str())
+    Ok(true)
+}
+
+/// The members of one validated line, looked up by key as
+/// [`json::Value::get`] looks them up: the first member whose unescaped
+/// key matches.
+struct Fields<'a> {
+    line: &'a str,
+    members: &'a [Member],
+    /// Members `..next` carry the keys of earlier lookups, in order. The
+    /// keys looked up are distinct, so if `members[next]` carries the key
+    /// asked for, it is the first member that does. The emitter's fixed
+    /// field order always takes this path.
+    next: usize,
+    line_no: usize,
+    /// The record's event name, for error messages.
+    event: Cow<'a, str>,
+}
+
+impl<'a> Fields<'a> {
+    fn new(line: &'a str, members: &'a [Member], line_no: usize) -> Self {
+        Fields {
+            line,
+            members,
+            next: 0,
+            line_no,
+            event: Cow::Borrowed(""),
+        }
+    }
+
+    /// The value text of the first member named `key`.
+    fn raw(&mut self, key: &str) -> Option<&'a str> {
+        let line = self.line;
+        if let Some(m) = self.members.get(self.next) {
+            if m.raw_key(line) == key {
+                self.next += 1;
+                return Some(m.raw_value(line));
+            }
+        }
+        self.members
+            .iter()
+            .find(|m| json::unescape(m.raw_key(line)) == key)
+            .map(|m| m.raw_value(line))
+    }
+
+    fn err(&self, msg: String) -> TraceReadError {
+        TraceReadError::Parse {
+            line: self.line_no,
+            msg,
+        }
+    }
+
+    fn u(&mut self, key: &str) -> Result<u64, TraceReadError> {
+        self.raw(key)
+            .and_then(json::raw_u64)
+            .ok_or_else(|| self.err(format!("{}: missing u64 field {key:?}", self.event)))
+    }
+
+    fn node32(&mut self, key: &str) -> Result<u32, TraceReadError> {
+        let x = self.u(key)?;
+        u32::try_from(x).map_err(|_| self.err(format!("{}: {key} exceeds u32", self.event)))
+    }
+
+    fn b(&mut self, key: &str) -> Result<bool, TraceReadError> {
+        self.raw(key)
+            .and_then(json::raw_bool)
+            .ok_or_else(|| self.err(format!("{}: missing bool field {key:?}", self.event)))
+    }
+
+    fn text(&mut self, key: &str) -> Result<Cow<'a, str>, TraceReadError> {
+        self.raw(key)
+            .and_then(json::raw_str)
+            .ok_or_else(|| self.err(format!("{}: missing string field {key:?}", self.event)))
+    }
+
+    fn s(&mut self, key: &str) -> Result<&'static str, TraceReadError> {
+        self.text(key).map(|s| intern(&s))
+    }
+}
+
+/// Decodes one validated record line from its top-level `members`.
+fn decode(
+    line: &str,
+    members: &[Member],
+    line_no: usize,
+) -> Result<(u64, TraceRecord), TraceReadError> {
+    let mut f = Fields::new(line, members, line_no);
+    let t_us = f
+        .raw("t_us")
+        .and_then(json::raw_u64)
+        .ok_or_else(|| f.err("missing t_us".into()))?;
+    let event = f
+        .raw("event")
+        .and_then(json::raw_str)
+        .ok_or_else(|| f.err("missing event".into()))?;
+    f.event = event.clone();
+    let rec = match &*event {
+        "task_submit" => TraceRecord::TaskSubmit {
+            task: f.u("task")?,
+            job: f.u("job")?,
+            priority: f.u("priority")?.min(u8::MAX as u64) as u8,
+        },
+        "task_schedule" => TraceRecord::TaskSchedule {
+            task: f.u("task")?,
+            node: f.node32("node")?,
+            restore: f.b("restore")?,
+        },
+        "task_finish" => TraceRecord::TaskFinish {
+            task: f.u("task")?,
+            node: f.node32("node")?,
+        },
+        "task_evict" => TraceRecord::TaskEvict {
+            task: f.u("task")?,
+            node: f.node32("node")?,
+            reason: f.s("reason")?,
+        },
+        "preempt_decision" => TraceRecord::PreemptDecision {
+            victim: f.u("victim")?,
+            node: f.node32("node")?,
+            action: match &*f.text("action")? {
+                "kill" => PreemptAction::Kill,
+                "checkpoint" => PreemptAction::Checkpoint,
+                other => return Err(f.err(format!("unknown preempt action {other:?}"))),
+            },
+            policy: f.s("policy")?,
+            reason: f.s("reason")?,
+        },
+        "dump_start" => TraceRecord::DumpStart {
+            task: f.u("task")?,
+            node: f.node32("node")?,
+            device: f.s("device")?,
+            bytes: f.u("bytes")?,
+            incremental: f.b("incremental")?,
+        },
+        "dump_done" => TraceRecord::DumpDone {
+            task: f.u("task")?,
+            node: f.node32("node")?,
+            start_us: f.u("start_us")?,
+        },
+        "dump_fallback" => TraceRecord::DumpFallback {
+            task: f.u("task")?,
+            node: f.node32("node")?,
+            reason: f.s("reason")?,
+        },
+        "dump_fail" => TraceRecord::DumpFail {
+            task: f.u("task")?,
+            node: f.node32("node")?,
+            attempt: f.u("attempt")?.min(u32::MAX as u64) as u32,
+            will_retry: f.b("will_retry")?,
+        },
+        "restore_fail" => TraceRecord::RestoreFail {
+            task: f.u("task")?,
+            node: f.node32("node")?,
+            attempt: f.u("attempt")?.min(u32::MAX as u64) as u32,
+            reason: f.s("reason")?,
+            will_retry: f.b("will_retry")?,
+        },
+        "am_escalate" => TraceRecord::AmEscalate {
+            task: f.u("task")?,
+            node: f.node32("node")?,
+            waited_us: f.u("waited_us")?,
+        },
+        "replication_repair" => TraceRecord::ReplicationRepair {
+            node: f.node32("node")?,
+            blocks: f.u("blocks")?,
+            bytes: f.u("bytes")?,
+        },
+        "restore_start" => TraceRecord::RestoreStart {
+            task: f.u("task")?,
+            node: f.node32("node")?,
+            origin: f.node32("origin")?,
+            device: f.s("device")?,
+            bytes: f.u("bytes")?,
+            remote: f.b("remote")?,
+        },
+        "restore_done" => TraceRecord::RestoreDone {
+            task: f.u("task")?,
+            node: f.node32("node")?,
+            start_us: f.u("start_us")?,
+        },
+        "node_fail" => TraceRecord::NodeFail {
+            node: f.node32("node")?,
+        },
+        "node_recover" => TraceRecord::NodeRecover {
+            node: f.node32("node")?,
+        },
+        "node_down" => TraceRecord::NodeDown {
+            node: f.node32("node")?,
+        },
+        "node_up" => TraceRecord::NodeUp {
+            node: f.node32("node")?,
+        },
+        "partition_start" => TraceRecord::PartitionStart {
+            rack: f.node32("rack")?,
+        },
+        "partition_end" => TraceRecord::PartitionEnd {
+            rack: f.node32("rack")?,
+        },
+        "breaker_open" => TraceRecord::BreakerOpen {
+            node: f.node32("node")?,
+            global: f.b("global")?,
+        },
+        "breaker_close" => TraceRecord::BreakerClose {
+            node: f.node32("node")?,
+            global: f.b("global")?,
+        },
+        "gc_pass" => TraceRecord::GcPass {
+            node: f.node32("node")?,
+            reclaimed: f.u("reclaimed")?,
+            chains: f.u("chains")?,
+        },
+        "image_evict" => TraceRecord::ImageEvict {
+            task: f.u("task")?,
+            node: f.node32("node")?,
+            bytes: f.u("bytes")?,
+        },
+        "image_spill" => TraceRecord::ImageSpill {
+            task: f.u("task")?,
+            node: f.node32("node")?,
+            origin: f.node32("origin")?,
+            bytes: f.u("bytes")?,
+        },
+        "no_space" => TraceRecord::NoSpace {
+            task: f.u("task")?,
+            node: f.node32("node")?,
+            wanted: f.u("wanted")?,
+        },
+        "chunk_done" => TraceRecord::ChunkDone {
+            task: f.u("task")?,
+            node: f.node32("node")?,
+            chunk: f.u("chunk")?,
+            total: f.u("total")?,
+        },
+        "chunk_corrupt" => TraceRecord::ChunkCorrupt {
+            task: f.u("task")?,
+            node: f.node32("node")?,
+            image: f.u("image")?,
+            chunk: f.u("chunk")?,
+        },
+        "chunk_refetch" => TraceRecord::ChunkRefetch {
+            task: f.u("task")?,
+            node: f.node32("node")?,
+            chunk: f.u("chunk")?,
+            ok: f.b("ok")?,
+        },
+        "resume_dump" => TraceRecord::ResumeDump {
+            task: f.u("task")?,
+            node: f.node32("node")?,
+            resumed_bytes: f.u("resumed_bytes")?,
+            total_bytes: f.u("total_bytes")?,
+        },
+        "chain_truncate" => TraceRecord::ChainTruncate {
+            task: f.u("task")?,
+            node: f.node32("node")?,
+            dropped: f.u("dropped")?,
+            kept: f.u("kept")?,
+        },
+        "queue_depth" => TraceRecord::QueueDepth {
+            pending: f.u("pending")?,
+        },
+        other => return Err(f.err(format!("unknown event {other:?}"))),
+    };
+    Ok((t_us, rec))
 }
 
 /// Streaming reader over a JSONL trace: validates the schema header at
@@ -153,25 +462,31 @@ fn intern(s: &str) -> &'static str {
 /// ```
 #[derive(Debug)]
 pub struct JsonlReader<R: BufRead> {
-    lines: std::io::Lines<R>,
-    /// One-line lookahead, so a malformed *final* line (a crash-truncated
-    /// trace) can be tolerated while malformed interior lines still error.
-    pending: Option<std::io::Result<String>>,
+    input: R,
+    /// The current line, reused from line to line.
+    line: String,
+    /// Member spans of the current line, reused from line to line.
+    members: Vec<Member>,
     line_no: usize,
 }
 
 impl<R: BufRead> JsonlReader<R> {
     /// Wraps `input`, consuming and validating the schema header line.
-    pub fn new(input: R) -> Result<Self, TraceReadError> {
-        let mut lines = input.lines();
-        let header = match lines.next() {
-            None => return Err(TraceReadError::MissingHeader),
-            Some(Err(e)) => return Err(TraceReadError::Io(e.to_string())),
-            Some(Ok(line)) => line,
-        };
-        let v = json::parse(&header).ok_or(TraceReadError::MissingHeader)?;
-        let schema = v.get("schema").and_then(Value::as_str).unwrap_or("?");
-        let version = v.get("version").and_then(Value::as_u64).unwrap_or(0);
+    pub fn new(mut input: R) -> Result<Self, TraceReadError> {
+        let mut line = String::new();
+        match read_line(&mut input, &mut line) {
+            Ok(true) => {}
+            Ok(false) => return Err(TraceReadError::MissingHeader),
+            Err(e) => return Err(TraceReadError::Io(e.to_string())),
+        }
+        let mut members = Vec::new();
+        if !json::object_members(&line, &mut members) {
+            return Err(TraceReadError::MissingHeader);
+        }
+        let mut f = Fields::new(&line, &members, 1);
+        let schema = f.raw("schema").and_then(json::raw_str);
+        let schema = schema.as_deref().unwrap_or("?");
+        let version = f.raw("version").and_then(json::raw_u64).unwrap_or(0);
         if schema != TRACE_SCHEMA
             || !(TRACE_SCHEMA_MIN_VERSION..=TRACE_SCHEMA_VERSION).contains(&version)
         {
@@ -181,214 +496,23 @@ impl<R: BufRead> JsonlReader<R> {
             });
         }
         Ok(JsonlReader {
-            lines,
-            pending: None,
+            input,
+            line,
+            members,
             line_no: 1,
         })
     }
 
-    fn parse_line(&self, line: &str) -> Result<(u64, TraceRecord), TraceReadError> {
-        let err = |msg: String| TraceReadError::Parse {
-            line: self.line_no,
-            msg,
-        };
-        let v = json::parse(line).ok_or_else(|| err(format!("invalid JSON: {line}")))?;
-        let t_us = v
-            .get("t_us")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| err("missing t_us".into()))?;
-        let event = v
-            .get("event")
-            .and_then(Value::as_str)
-            .ok_or_else(|| err("missing event".into()))?;
-        let u = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| err(format!("{event}: missing u64 field {key:?}")))
-        };
-        let node32 = |key: &str| {
-            u(key).and_then(|x| {
-                u32::try_from(x).map_err(|_| err(format!("{event}: {key} exceeds u32")))
-            })
-        };
-        let b = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_bool)
-                .ok_or_else(|| err(format!("{event}: missing bool field {key:?}")))
-        };
-        let s = |key: &str| {
-            v.get(key)
-                .and_then(Value::as_str)
-                .map(intern)
-                .ok_or_else(|| err(format!("{event}: missing string field {key:?}")))
-        };
-        let rec = match event {
-            "task_submit" => TraceRecord::TaskSubmit {
-                task: u("task")?,
-                job: u("job")?,
-                priority: u("priority")?.min(u8::MAX as u64) as u8,
-            },
-            "task_schedule" => TraceRecord::TaskSchedule {
-                task: u("task")?,
-                node: node32("node")?,
-                restore: b("restore")?,
-            },
-            "task_finish" => TraceRecord::TaskFinish {
-                task: u("task")?,
-                node: node32("node")?,
-            },
-            "task_evict" => TraceRecord::TaskEvict {
-                task: u("task")?,
-                node: node32("node")?,
-                reason: s("reason")?,
-            },
-            "preempt_decision" => TraceRecord::PreemptDecision {
-                victim: u("victim")?,
-                node: node32("node")?,
-                action: match s("action")? {
-                    "kill" => PreemptAction::Kill,
-                    "checkpoint" => PreemptAction::Checkpoint,
-                    other => return Err(err(format!("unknown preempt action {other:?}"))),
-                },
-                policy: s("policy")?,
-                reason: s("reason")?,
-            },
-            "dump_start" => TraceRecord::DumpStart {
-                task: u("task")?,
-                node: node32("node")?,
-                device: s("device")?,
-                bytes: u("bytes")?,
-                incremental: b("incremental")?,
-            },
-            "dump_done" => TraceRecord::DumpDone {
-                task: u("task")?,
-                node: node32("node")?,
-                start_us: u("start_us")?,
-            },
-            "dump_fallback" => TraceRecord::DumpFallback {
-                task: u("task")?,
-                node: node32("node")?,
-                reason: s("reason")?,
-            },
-            "dump_fail" => TraceRecord::DumpFail {
-                task: u("task")?,
-                node: node32("node")?,
-                attempt: u("attempt")?.min(u32::MAX as u64) as u32,
-                will_retry: b("will_retry")?,
-            },
-            "restore_fail" => TraceRecord::RestoreFail {
-                task: u("task")?,
-                node: node32("node")?,
-                attempt: u("attempt")?.min(u32::MAX as u64) as u32,
-                reason: s("reason")?,
-                will_retry: b("will_retry")?,
-            },
-            "am_escalate" => TraceRecord::AmEscalate {
-                task: u("task")?,
-                node: node32("node")?,
-                waited_us: u("waited_us")?,
-            },
-            "replication_repair" => TraceRecord::ReplicationRepair {
-                node: node32("node")?,
-                blocks: u("blocks")?,
-                bytes: u("bytes")?,
-            },
-            "restore_start" => TraceRecord::RestoreStart {
-                task: u("task")?,
-                node: node32("node")?,
-                origin: node32("origin")?,
-                device: s("device")?,
-                bytes: u("bytes")?,
-                remote: b("remote")?,
-            },
-            "restore_done" => TraceRecord::RestoreDone {
-                task: u("task")?,
-                node: node32("node")?,
-                start_us: u("start_us")?,
-            },
-            "node_fail" => TraceRecord::NodeFail {
-                node: node32("node")?,
-            },
-            "node_recover" => TraceRecord::NodeRecover {
-                node: node32("node")?,
-            },
-            "node_down" => TraceRecord::NodeDown {
-                node: node32("node")?,
-            },
-            "node_up" => TraceRecord::NodeUp {
-                node: node32("node")?,
-            },
-            "partition_start" => TraceRecord::PartitionStart {
-                rack: node32("rack")?,
-            },
-            "partition_end" => TraceRecord::PartitionEnd {
-                rack: node32("rack")?,
-            },
-            "breaker_open" => TraceRecord::BreakerOpen {
-                node: node32("node")?,
-                global: b("global")?,
-            },
-            "breaker_close" => TraceRecord::BreakerClose {
-                node: node32("node")?,
-                global: b("global")?,
-            },
-            "gc_pass" => TraceRecord::GcPass {
-                node: node32("node")?,
-                reclaimed: u("reclaimed")?,
-                chains: u("chains")?,
-            },
-            "image_evict" => TraceRecord::ImageEvict {
-                task: u("task")?,
-                node: node32("node")?,
-                bytes: u("bytes")?,
-            },
-            "image_spill" => TraceRecord::ImageSpill {
-                task: u("task")?,
-                node: node32("node")?,
-                origin: node32("origin")?,
-                bytes: u("bytes")?,
-            },
-            "no_space" => TraceRecord::NoSpace {
-                task: u("task")?,
-                node: node32("node")?,
-                wanted: u("wanted")?,
-            },
-            "chunk_done" => TraceRecord::ChunkDone {
-                task: u("task")?,
-                node: node32("node")?,
-                chunk: u("chunk")?,
-                total: u("total")?,
-            },
-            "chunk_corrupt" => TraceRecord::ChunkCorrupt {
-                task: u("task")?,
-                node: node32("node")?,
-                image: u("image")?,
-                chunk: u("chunk")?,
-            },
-            "chunk_refetch" => TraceRecord::ChunkRefetch {
-                task: u("task")?,
-                node: node32("node")?,
-                chunk: u("chunk")?,
-                ok: b("ok")?,
-            },
-            "resume_dump" => TraceRecord::ResumeDump {
-                task: u("task")?,
-                node: node32("node")?,
-                resumed_bytes: u("resumed_bytes")?,
-                total_bytes: u("total_bytes")?,
-            },
-            "chain_truncate" => TraceRecord::ChainTruncate {
-                task: u("task")?,
-                node: node32("node")?,
-                dropped: u("dropped")?,
-                kept: u("kept")?,
-            },
-            "queue_depth" => TraceRecord::QueueDepth {
-                pending: u("pending")?,
-            },
-            other => return Err(err(format!("unknown event {other:?}"))),
-        };
-        Ok((t_us, rec))
+    /// True if nothing follows the line just read.
+    fn at_eof(&mut self) -> bool {
+        loop {
+            match self.input.fill_buf() {
+                Ok(rest) => return rest.is_empty(),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                // Not the end: the next read reports the error.
+                Err(_) => return false,
+            }
+        }
     }
 }
 
@@ -397,31 +521,35 @@ impl<R: BufRead> Iterator for JsonlReader<R> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            let line = match self.pending.take().or_else(|| self.lines.next())? {
-                Ok(line) => line,
+            match read_line(&mut self.input, &mut self.line) {
+                Ok(true) => {}
+                Ok(false) => return None,
                 Err(e) => return Some(Err(TraceReadError::Io(e.to_string()))),
-            };
+            }
             self.line_no += 1;
-            if line.trim().is_empty() {
+            if self.line.trim().is_empty() {
                 continue;
+            }
+            if json::object_members(&self.line, &mut self.members) {
+                return Some(decode(&self.line, &self.members, self.line_no));
             }
             // A line that is not even valid JSON *and* has nothing after it
             // is a crash-truncated final record: the writer died mid-line.
             // Tolerate it — warn and end the stream — so an analyzer can
             // still consume everything the crashed run managed to flush.
             // Malformed *interior* lines (more lines follow) still error.
-            if json::parse(&line).is_none() {
-                self.pending = self.lines.next();
-                if self.pending.is_none() {
-                    eprintln!(
-                        "warning: trace line {} is truncated mid-record \
-                         (crash-truncated trace?); stopping here",
-                        self.line_no
-                    );
-                    return None;
-                }
+            if self.at_eof() {
+                eprintln!(
+                    "warning: trace line {} is truncated mid-record \
+                     (crash-truncated trace?); stopping here",
+                    self.line_no
+                );
+                return None;
             }
-            return Some(self.parse_line(&line));
+            return Some(Err(TraceReadError::Parse {
+                line: self.line_no,
+                msg: format!("invalid JSON: {}", self.line),
+            }));
         }
     }
 }
@@ -881,6 +1009,13 @@ mod tests {
             matches!(r.next(), Some(Err(TraceReadError::Parse { line: 2, .. }))),
             "a malformed line with more lines after it is real corruption"
         );
+        // Even a blank line after it makes it an interior line.
+        let trace = format!("{}\n{{\"t_us\":1,\"ev\n\n", schema_header());
+        let mut r = JsonlReader::new(trace.as_bytes()).unwrap();
+        assert!(matches!(
+            r.next(),
+            Some(Err(TraceReadError::Parse { line: 2, .. }))
+        ));
     }
 
     #[test]
@@ -901,5 +1036,24 @@ mod tests {
         assert_eq!(intern("kill"), "kill");
         assert_eq!(intern("grace-expired"), "grace-expired");
         assert_eq!(intern("something-new"), "something-new");
+    }
+
+    #[test]
+    fn unknown_strings_are_leaked_once() {
+        let line = "{\"t_us\":1,\"event\":\"task_evict\",\"task\":2,\"node\":3,\
+                    \"reason\":\"reason-outside-the-vocabulary\"}";
+        let trace = format!("{}\n{line}\n{line}\n", schema_header());
+        let reasons: Vec<&'static str> = JsonlReader::new(trace.as_bytes())
+            .unwrap()
+            .map(|r| match r.unwrap().1 {
+                TraceRecord::TaskEvict { reason, .. } => reason,
+                other => panic!("expected task_evict, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(reasons, ["reason-outside-the-vocabulary"; 2]);
+        assert!(
+            std::ptr::eq(reasons[0], reasons[1]),
+            "the second read must reuse the first leak"
+        );
     }
 }
