@@ -100,7 +100,7 @@ pub fn tiny_matrix() -> Vec<BenchScenario> {
 
 /// The full matrix for tracking the perf trajectory: both simulators,
 /// two sizes, with and without a light fault plan, plus one correlated
-/// crash/partition chaos scenario.
+/// crash/partition chaos scenario and the paper's full 8×24 YARN setup.
 pub fn standard_matrix() -> Vec<BenchScenario> {
     vec![
         BenchScenario {
@@ -135,6 +135,13 @@ pub fn standard_matrix() -> Vec<BenchScenario> {
             name: "fig8_large",
             kind: SimKind::Yarn,
             scale: Scale::SMALL,
+            seed: 42,
+            faults: None,
+        },
+        BenchScenario {
+            name: "fig8_full",
+            kind: SimKind::Yarn,
+            scale: Scale::FULL,
             seed: 42,
             faults: None,
         },

@@ -89,8 +89,20 @@ impl DirtyBitmap {
     /// Panics if `end > len` or `start > end`.
     pub fn set_range(&mut self, start: usize, end: usize) {
         assert!(start <= end && end <= self.len, "bad range {start}..{end}");
-        for i in start..end {
-            self.words[i / 64] |= 1 << (i % 64);
+        if start == end {
+            return;
+        }
+        // Whole words at a time: a head mask from `start`, an end mask up
+        // to `end - 1`, and full words in between.
+        let (first, last) = (start / 64, (end - 1) / 64);
+        let head = u64::MAX << (start % 64);
+        let tail = u64::MAX >> (63 - (end - 1) % 64);
+        if first == last {
+            self.words[first] |= head & tail;
+        } else {
+            self.words[first] |= head;
+            self.words[first + 1..last].fill(u64::MAX);
+            self.words[last] |= tail;
         }
     }
 
@@ -219,11 +231,15 @@ impl TaskMemory {
             return;
         }
         let n = ((pages as f64 * frac).round() as usize).min(pages);
-        for k in 0..n {
-            let i = (self.cursor + k) % pages;
-            self.dirty.set(i);
+        // Pages `(cursor + k) % pages` for `k < n`: at most two ranges.
+        let end = self.cursor + n;
+        if end <= pages {
+            self.dirty.set_range(self.cursor, end);
+        } else {
+            self.dirty.set_range(self.cursor, pages);
+            self.dirty.set_range(0, end - pages);
         }
-        self.cursor = (self.cursor + n) % pages;
+        self.cursor = end % pages;
     }
 
     /// Marks `frac` of the pages written at uniformly random positions

@@ -103,3 +103,130 @@ proptest! {
         prop_assert_eq!(d.size, expected);
     }
 }
+
+/// The bit-by-bit `set_range` the word-at-a-time one replaced.
+fn set_range_bitwise(bm: &mut DirtyBitmap, start: usize, end: usize) {
+    for i in start..end {
+        bm.set(i);
+    }
+}
+
+/// The bit-by-bit `touch_fraction`: one `%` and one `set` per page.
+struct BitwiseMemory {
+    dirty: DirtyBitmap,
+    cursor: usize,
+}
+
+impl BitwiseMemory {
+    fn touch_fraction(&mut self, frac: f64) {
+        let frac = frac.clamp(0.0, 1.0);
+        let pages = self.dirty.len();
+        if pages == 0 {
+            return;
+        }
+        let n = ((pages as f64 * frac).round() as usize).min(pages);
+        for k in 0..n {
+            self.dirty.set((self.cursor + k) % pages);
+        }
+        self.cursor = (self.cursor + n) % pages;
+    }
+}
+
+/// A page count with `len % 64` in {0, 1, 63}, or any count below 300.
+fn bitmap_len(rng: &mut SimRng) -> usize {
+    match rng.index(4) {
+        0 => 64 * rng.index(5),
+        1 => 64 * rng.index(5) + 1,
+        2 => 64 * rng.index(5) + 63,
+        _ => rng.index(300),
+    }
+}
+
+/// A range in `0..=len`: empty, inside one word, across word boundaries,
+/// or the whole bitmap.
+fn bitmap_range(rng: &mut SimRng, len: usize) -> (usize, usize) {
+    let start = rng.index(len + 1);
+    match rng.index(4) {
+        0 => (start, start),
+        1 => {
+            let word_end = ((start / 64 + 1) * 64).min(len);
+            (start, start + rng.index(word_end - start + 1))
+        }
+        2 => (start, start + rng.index(len - start + 1)),
+        _ => (0, len),
+    }
+}
+
+/// A touch fraction: exactly 0 or 1, one page, or anything in between.
+fn touch_frac(rng: &mut SimRng, pages: usize) -> f64 {
+    match rng.index(4) {
+        0 => 0.0,
+        1 => 1.0,
+        2 => 1.0 / pages.max(1) as f64,
+        _ => rng.uniform(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Word-at-a-time `set_range` sets exactly the bits that a `set` per
+    /// page does.
+    #[test]
+    fn set_range_matches_bitwise(seed in any::<u64>()) {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let len = bitmap_len(&mut rng);
+        let mut fast = DirtyBitmap::new_clear(len);
+        let mut slow = DirtyBitmap::new_clear(len);
+        for step in 0..16 {
+            if rng.chance(0.1) {
+                fast.clear_all();
+                slow.clear_all();
+            }
+            let (start, end) = bitmap_range(&mut rng, len);
+            fast.set_range(start, end);
+            set_range_bitwise(&mut slow, start, end);
+            prop_assert_eq!(
+                &fast, &slow,
+                "seed {}, len {}, step {}: set_range({}, {})", seed, len, step, start, end
+            );
+            prop_assert_eq!(fast.count(), slow.count(), "seed {}, len {}", seed, len);
+        }
+    }
+
+    /// `touch_fraction` dirties the same pages as the per-page loop and
+    /// leaves the cursor in the same place, through cursor wrap-around
+    /// and long sequences.
+    #[test]
+    fn touch_fraction_matches_bitwise(seed in any::<u64>()) {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let pages = bitmap_len(&mut rng);
+        let mut fast = TaskMemory::with_page_size(ByteSize::from_mb(pages as u64), ByteSize::from_mb(1));
+        let mut slow = BitwiseMemory { dirty: DirtyBitmap::new_all_set(pages), cursor: 0 };
+        prop_assert_eq!(fast.page_count(), pages);
+        let steps = if rng.chance(0.25) { 200 } else { 12 };
+        for step in 0..steps {
+            if rng.chance(0.2) {
+                fast.clear_dirty();
+                slow.dirty.clear_all();
+            }
+            let frac = touch_frac(&mut rng, pages);
+            fast.touch_fraction(frac);
+            slow.touch_fraction(frac);
+            prop_assert_eq!(
+                fast.bitmap(), &slow.dirty,
+                "seed {}, pages {}, step {}: touch_fraction({})", seed, pages, step, frac
+            );
+            prop_assert_eq!(fast.dirty_pages(), slow.dirty.count(), "seed {}, pages {}", seed, pages);
+        }
+        // The cursor shows through the next touch: one page from a clean
+        // bitmap lands on it.
+        fast.clear_dirty();
+        slow.dirty.clear_all();
+        let probe = 1.0 / pages.max(1) as f64;
+        fast.touch_fraction(probe);
+        slow.touch_fraction(probe);
+        prop_assert_eq!(fast.bitmap(), &slow.dirty, "seed {}, pages {}: cursor", seed, pages);
+        prop_assert_eq!(fast.dirty_pages(), pages.min(1), "seed {}, pages {}", seed, pages);
+    }
+}

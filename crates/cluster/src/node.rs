@@ -1,5 +1,6 @@
 //! Nodes and containers.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -149,17 +150,18 @@ impl Node {
     /// [`AllocError::DuplicateContainer`] if the id is already present; the
     /// node is unchanged on error.
     pub fn allocate(&mut self, container: Container) -> Result<(), AllocError> {
-        if self.containers.contains_key(&container.id()) {
+        let available = self.available();
+        let Entry::Vacant(slot) = self.containers.entry(container.id()) else {
             return Err(AllocError::DuplicateContainer(container.id()));
-        }
-        if !self.can_fit(&container.resources()) {
+        };
+        if !container.resources().fits_in(&available) {
             return Err(AllocError::Insufficient {
                 requested: container.resources(),
-                available: self.available(),
+                available,
             });
         }
+        slot.insert(container);
         self.allocated += container.resources();
-        self.containers.insert(container.id(), container);
         debug_assert!(self.allocated.fits_in(&self.capacity));
         Ok(())
     }

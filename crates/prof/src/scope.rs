@@ -250,16 +250,24 @@ fn build_report(state: State) -> ProfReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+
+    thread_local! {
+        /// Per thread, so tests running in parallel do not reset or
+        /// advance each other's clock.
+        static TICKS: Cell<u64> = const { Cell::new(0) };
+    }
 
     /// Deterministic clock: each read advances 1000 ns.
-    static TICKS: AtomicU64 = AtomicU64::new(0);
     fn tick() -> u64 {
-        TICKS.fetch_add(1, Ordering::Relaxed) * 1000
+        TICKS.with(|t| {
+            let n = t.get();
+            t.set(n + 1);
+            n * 1000
+        })
     }
 
     fn fresh() -> ProfOptions {
-        TICKS.store(0, Ordering::Relaxed);
+        TICKS.with(|t| t.set(0));
         ProfOptions {
             clock: Some(tick),
             capture_spans: true,

@@ -1,7 +1,7 @@
 //! YARN components: the ResourceManager's scheduler state and the
 //! DistributedShell ApplicationMaster.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 
 use cbp_checkpoint::{OverheadEstimate, TaskMemory};
 use cbp_cluster::ContainerId;
@@ -23,12 +23,27 @@ pub enum QueueKind {
 ///
 /// Placement and preemption *execution* live in [`crate::YarnSim`] (they
 /// need node state); this type owns the queue discipline so it can be
-/// tested in isolation.
+/// tested in isolation. Per-queue pending totals and ordered sets of the
+/// apps with outstanding asks make every query O(log apps).
 #[derive(Debug, Default)]
 pub struct ResourceManager {
     queue_of: Vec<QueueKind>,
     asks: Vec<u32>,
-    order: Vec<u32>,
+    /// Outstanding asks per queue, indexed by [`queue_slot`].
+    pending: [u32; 2],
+    /// Apps with outstanding asks per queue, indexed by [`queue_slot`];
+    /// ids are registration order, so the first is the FIFO head.
+    waiting: [BTreeSet<u32>; 2],
+    /// The app [`ResourceManager::peek_grant`] returns, refreshed whenever
+    /// `waiting` changes.
+    head: Option<u32>,
+}
+
+fn queue_slot(queue: QueueKind) -> usize {
+    match queue {
+        QueueKind::Default => 0,
+        QueueKind::Production => 1,
+    }
 }
 
 impl ResourceManager {
@@ -47,7 +62,6 @@ impl ResourceManager {
         );
         self.queue_of.push(queue);
         self.asks.push(0);
-        self.order.push(app);
     }
 
     /// The queue an application belongs to.
@@ -57,7 +71,15 @@ impl ResourceManager {
 
     /// Adds `n` outstanding container requests for `app`.
     pub fn add_asks(&mut self, app: u32, n: u32) {
+        if n == 0 {
+            return;
+        }
+        let slot = queue_slot(self.queue_of[app as usize]);
         self.asks[app as usize] += n;
+        self.pending[slot] += n;
+        if self.waiting[slot].insert(app) {
+            self.refresh_head();
+        }
     }
 
     /// Outstanding requests for `app`.
@@ -67,31 +89,32 @@ impl ResourceManager {
 
     /// Total outstanding requests in a queue.
     pub fn pending(&self, queue: QueueKind) -> u32 {
-        self.order
-            .iter()
-            .filter(|&&a| self.queue_of[a as usize] == queue)
-            .map(|&a| self.asks[a as usize])
-            .sum()
+        self.pending[queue_slot(queue)]
     }
 
     /// The application whose request would be served next (production queue
     /// strictly first, FIFO by registration within a queue), without
     /// consuming the ask.
     pub fn peek_grant(&self) -> Option<u32> {
-        for queue in [QueueKind::Production, QueueKind::Default] {
-            for &app in &self.order {
-                if self.queue_of[app as usize] == queue && self.asks[app as usize] > 0 {
-                    return Some(app);
-                }
-            }
-        }
-        None
+        self.head
+    }
+
+    fn refresh_head(&mut self) {
+        self.head = [QueueKind::Production, QueueKind::Default]
+            .into_iter()
+            .find_map(|queue| self.waiting[queue_slot(queue)].first().copied());
     }
 
     /// Pops the next request to serve (see [`ResourceManager::peek_grant`]).
     pub fn next_grant(&mut self) -> Option<u32> {
         let app = self.peek_grant()?;
+        let slot = queue_slot(self.queue_of[app as usize]);
         self.asks[app as usize] -= 1;
+        self.pending[slot] -= 1;
+        if self.asks[app as usize] == 0 {
+            self.waiting[slot].remove(&app);
+            self.refresh_head();
+        }
         Some(app)
     }
 
@@ -407,6 +430,122 @@ mod tests {
         assert_eq!(rm.next_grant(), Some(2));
         assert_eq!(rm.next_grant(), None);
         assert_eq!(rm.asks_of(0), 0);
+    }
+
+    /// The linear-scan scheduler the indexed one replaced: every query
+    /// walks all registered apps in FIFO order.
+    #[derive(Default)]
+    struct NaiveRm {
+        queue_of: Vec<QueueKind>,
+        asks: Vec<u32>,
+        order: Vec<u32>,
+    }
+
+    impl NaiveRm {
+        fn register_app(&mut self, app: u32, queue: QueueKind) {
+            self.queue_of.push(queue);
+            self.asks.push(0);
+            self.order.push(app);
+        }
+
+        fn add_asks(&mut self, app: u32, n: u32) {
+            self.asks[app as usize] += n;
+        }
+
+        fn pending(&self, queue: QueueKind) -> u32 {
+            self.order
+                .iter()
+                .filter(|&&a| self.queue_of[a as usize] == queue)
+                .map(|&a| self.asks[a as usize])
+                .sum()
+        }
+
+        fn peek_grant(&self) -> Option<u32> {
+            for queue in [QueueKind::Production, QueueKind::Default] {
+                for &app in &self.order {
+                    if self.queue_of[app as usize] == queue && self.asks[app as usize] > 0 {
+                        return Some(app);
+                    }
+                }
+            }
+            None
+        }
+
+        fn next_grant(&mut self) -> Option<u32> {
+            let app = self.peek_grant()?;
+            self.asks[app as usize] -= 1;
+            Some(app)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The indexed scheduler agrees with the linear scan on every
+        /// return value and on both queues' pending totals after every
+        /// step of a random register/ask/peek/grant sequence.
+        #[test]
+        fn indexed_rm_matches_linear_scan(seed in proptest::prelude::any::<u64>()) {
+            let mut rng = cbp_simkit::SimRng::seed_from_u64(seed);
+            let mut rm = ResourceManager::new();
+            let mut naive = NaiveRm::default();
+            let mut apps = 0u32;
+            for step in 0..300 {
+                let op = if apps == 0 { 0 } else { rng.index(5) };
+                match op {
+                    0 if apps < 40 => {
+                        let queue = if rng.chance(0.3) {
+                            QueueKind::Production
+                        } else {
+                            QueueKind::Default
+                        };
+                        rm.register_app(apps, queue);
+                        naive.register_app(apps, queue);
+                        apps += 1;
+                    }
+                    0 | 1 => {
+                        let app = rng.index(apps as usize) as u32;
+                        let n = if rng.chance(0.3) { 0 } else { rng.range_u64(1, 4) as u32 };
+                        rm.add_asks(app, n);
+                        naive.add_asks(app, n);
+                    }
+                    2 => proptest::prop_assert_eq!(
+                        rm.peek_grant(),
+                        naive.peek_grant(),
+                        "seed {}, step {}: peek_grant",
+                        seed,
+                        step
+                    ),
+                    _ => proptest::prop_assert_eq!(
+                        rm.next_grant(),
+                        naive.next_grant(),
+                        "seed {}, step {}: next_grant",
+                        seed,
+                        step
+                    ),
+                }
+                for queue in [QueueKind::Production, QueueKind::Default] {
+                    proptest::prop_assert_eq!(
+                        rm.pending(queue),
+                        naive.pending(queue),
+                        "seed {}, step {}: pending({:?})",
+                        seed,
+                        step,
+                        queue
+                    );
+                }
+                for app in 0..apps {
+                    proptest::prop_assert_eq!(
+                        rm.asks_of(app),
+                        naive.asks[app as usize],
+                        "seed {}, step {}: asks_of({})",
+                        seed,
+                        step,
+                        app
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -163,6 +163,13 @@ fn task_key(app: u32, task: u32) -> u64 {
     ((app as u64) << 32) | task as u64
 }
 
+/// `candidates` in key order, to compare with the task scan's list.
+#[cfg(any(test, debug_assertions))]
+fn by_key(mut candidates: Vec<(f64, u64)>) -> Vec<(f64, u64)> {
+    candidates.sort_unstable_by_key(|&(_, key)| key);
+    candidates
+}
+
 impl YarnSim {
     /// Builds a YARN cluster for `workload`.
     pub fn new(cfg: YarnConfig, workload: Workload) -> Self {
@@ -265,21 +272,7 @@ impl YarnSim {
     /// throughput stats). [`YarnReport`] itself is unchanged, so existing
     /// consumers are unaffected.
     pub fn run_with_telemetry(mut self) -> (YarnReport, TelemetryReport) {
-        let mut queue = EventQueue::new();
-        for (i, job) in self.workload.jobs().iter().enumerate() {
-            queue.push(job.submit, YarnEvent::JobSubmit(i as u32));
-        }
-        if let Some(plan) = &self.faults {
-            if plan.crash().is_some() {
-                queue.push(SimTime::ZERO, YarnEvent::ChaosCrashTick);
-            }
-            if plan.partition().is_some() {
-                queue.push(SimTime::ZERO, YarnEvent::ChaosPartitionTick);
-            }
-            if plan.pressure().is_some_and(|p| p.leak_prob > 0.0) {
-                queue.push(SimTime::ZERO, YarnEvent::PressureTick);
-            }
-        }
+        let mut queue = self.initial_events();
         let stats = run_until_observed(&mut self, &mut queue, SimTime::MAX, &mut |_| {});
         let makespan = stats.now;
         self.trace.finish();
@@ -393,6 +386,27 @@ impl YarnSim {
         reg
     }
 
+    /// The run's first events: every job submission plus the fault
+    /// plan's tick chains.
+    fn initial_events(&self) -> EventQueue<YarnEvent> {
+        let mut queue = EventQueue::new();
+        for (i, job) in self.workload.jobs().iter().enumerate() {
+            queue.push(job.submit, YarnEvent::JobSubmit(i as u32));
+        }
+        if let Some(plan) = &self.faults {
+            if plan.crash().is_some() {
+                queue.push(SimTime::ZERO, YarnEvent::ChaosCrashTick);
+            }
+            if plan.partition().is_some() {
+                queue.push(SimTime::ZERO, YarnEvent::ChaosPartitionTick);
+            }
+            if plan.pressure().is_some_and(|p| p.leak_prob > 0.0) {
+                queue.push(SimTime::ZERO, YarnEvent::PressureTick);
+            }
+        }
+        queue
+    }
+
     fn update_meter(&mut self, node: usize, now: SimTime) {
         let util = self.nms[node].node.cpu_utilization();
         self.nms[node].meter.set_utilization(now, util);
@@ -442,7 +456,13 @@ impl YarnSim {
         if pending_prod == 0 {
             return;
         }
-        let prod_running = self.count_running(QueueKind::Production);
+        let (prod_running, idle_default) = self.live_containers();
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            prod_running,
+            self.count_running_scan(QueueKind::Production),
+            "container-derived running count drifted from the task scan"
+        );
         let allowed = (self.cfg.prod_queue_guarantee * self.total_slots as f64).floor() as u32;
         let claimable = allowed.saturating_sub(prod_running);
         let needed = pending_prod.min(claimable);
@@ -450,24 +470,13 @@ impl YarnSim {
             return;
         }
 
-        // Candidates: running default-queue containers without an
-        // outstanding preempt request; cost-aware ranking (§5.2.2).
-        let mut candidates: Vec<(f64, u64)> = Vec::new();
-        for (ai, am) in self.apps.iter().enumerate() {
-            if am.queue != QueueKind::Default {
-                continue;
-            }
-            for (ti, t) in am.tasks.iter().enumerate() {
-                if t.preempt_requested {
-                    continue;
-                }
-                if let AmTaskStatus::Running { node, .. } = t.status {
-                    let key = task_key(ai as u32, ti as u32);
-                    let cost = self.checkpoint_cost_secs(key, t, node as usize, now);
-                    candidates.push((cost, key));
-                }
-            }
-        }
+        let candidates = self.victim_costs(idle_default, now);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            by_key(candidates.clone()),
+            self.victim_candidates_scan(now),
+            "container-derived victim candidates drifted from the task scan"
+        );
         let victims = ResourceManager::select_victims(candidates, needed as usize);
         for key in victims {
             let (app, task) = ((key >> 32) as u32, key as u32);
@@ -499,7 +508,7 @@ impl YarnSim {
         // Victim ranking sees the same partition penalty the actual
         // dump/restore transfers would pay, steering preemption away
         // from the isolated rack.
-        cost * self.net_factor(node, now).max(1.0)
+        cost * self.net_factor(node).max(1.0)
     }
 
     /// Partition degradation multiplier for checkpoint I/O touching
@@ -507,7 +516,7 @@ impl YarnSim {
     /// DFS write pipeline and remote restore reads cross the partition
     /// boundary, so dumps, restores and the cost estimator all share
     /// this helper.
-    fn net_factor(&self, node: usize, _now: SimTime) -> f64 {
+    fn net_factor(&self, node: usize) -> f64 {
         let Some(plan) = self.faults.as_ref() else {
             return 1.0;
         };
@@ -517,7 +526,51 @@ impl YarnSim {
         }
     }
 
-    fn count_running(&self, queue: QueueKind) -> u32 {
+    /// One walk over the live containers, which are at most the cluster's
+    /// slots rather than the whole workload. A task holds a container iff
+    /// it is `Running`, `Dumping` or `Restoring` (a crash evicts a node's
+    /// containers before marking it down), so this sees the tasks a scan
+    /// of every app would. Returns the number of production containers
+    /// and the victim candidates: running default-queue containers
+    /// without an outstanding preempt request, as `(key, node)` in the
+    /// containers' hash order.
+    fn live_containers(&self) -> (u32, Vec<(u64, usize)>) {
+        let mut prod_running = 0;
+        let mut idle_default = Vec::new();
+        for c in self.nms.iter().flat_map(|nm| nm.node.containers()) {
+            let key = c.task();
+            let am = &self.apps[(key >> 32) as usize];
+            let t = &am.tasks[key as u32 as usize];
+            match (am.queue, t.status) {
+                (QueueKind::Production, _) => prod_running += 1,
+                (QueueKind::Default, AmTaskStatus::Running { node, .. })
+                    if !t.preempt_requested =>
+                {
+                    idle_default.push((key, node as usize))
+                }
+                (QueueKind::Default, _) => {}
+            }
+        }
+        (prod_running, idle_default)
+    }
+
+    /// Each candidate's checkpoint-cost estimate for the cost-aware
+    /// ranking (§5.2.2); [`ResourceManager::select_victims`] sorts on a
+    /// total order, so the candidates' order does not matter.
+    fn victim_costs(&self, idle_default: Vec<(u64, usize)>, now: SimTime) -> Vec<(f64, u64)> {
+        idle_default
+            .into_iter()
+            .map(|(key, node)| {
+                let t = &self.apps[(key >> 32) as usize].tasks[key as u32 as usize];
+                (self.checkpoint_cost_secs(key, t, node, now), key)
+            })
+            .collect()
+    }
+
+    /// Reference answer of [`Self::live_containers`]' count: scans every
+    /// task.
+    #[cfg(any(test, debug_assertions))]
+    fn count_running_scan(&self, queue: QueueKind) -> u32 {
         self.apps
             .iter()
             .filter(|a| a.queue == queue)
@@ -531,6 +584,30 @@ impl YarnSim {
                 )
             })
             .count() as u32
+    }
+
+    /// Reference answer of [`Self::victim_costs`] over
+    /// [`Self::live_containers`]' candidates: scans every task, so the
+    /// list comes out in key order.
+    #[cfg(any(test, debug_assertions))]
+    fn victim_candidates_scan(&self, now: SimTime) -> Vec<(f64, u64)> {
+        let mut candidates = Vec::new();
+        for (ai, am) in self.apps.iter().enumerate() {
+            if am.queue != QueueKind::Default {
+                continue;
+            }
+            for (ti, t) in am.tasks.iter().enumerate() {
+                if t.preempt_requested {
+                    continue;
+                }
+                if let AmTaskStatus::Running { node, .. } = t.status {
+                    let key = task_key(ai as u32, ti as u32);
+                    let cost = self.checkpoint_cost_secs(key, t, node as usize, now);
+                    candidates.push((cost, key));
+                }
+            }
+        }
+        candidates
     }
 
     /// Launches `app`'s next queued task on `node` (fresh start or restore).
@@ -548,24 +625,28 @@ impl YarnSim {
         self.update_meter(node, now);
 
         let key = task_key(app, task);
-        let has_image = self.ckpt.criu().has_image(key);
+        // Only a suspended task holds an image, so a fresh or killed task
+        // skips the catalog lookup.
+        let restore_from = match self.apps[app as usize].tasks[task as usize].status {
+            AmTaskStatus::Suspended { origin } if self.ckpt.criu().has_image(key) => Some(origin),
+            _ => {
+                debug_assert!(!self.ckpt.criu().has_image(key), "image implies suspended");
+                None
+            }
+        };
         self.trace.record(
             now.as_micros(),
             TraceRecord::TaskSchedule {
                 task: key,
                 node: node as u32,
-                restore: has_image,
+                restore: restore_from.is_some(),
             },
         );
-        if has_image {
-            let origin = match self.apps[app as usize].tasks[task as usize].status {
-                AmTaskStatus::Suspended { origin } => origin,
-                _ => unreachable!("image implies suspended"),
-            };
+        if let Some(origin) = restore_from {
             // Restore: read every image in the chain from HDFS. Blocks
             // hosted outside an isolated rack pay the partition penalty.
             let service = self.ckpt.dfs_read_time(key, node);
-            let factor = self.net_factor(node, now);
+            let factor = self.net_factor(node);
             let service = if factor > 1.0 {
                 service.mul_f64(factor)
             } else {
@@ -752,7 +833,7 @@ impl YarnSim {
         // A rack partition degrades the DFS write pipeline out of the
         // isolated rack; the slowdown is also a health signal even when
         // the dump eventually completes.
-        let factor = self.net_factor(node, now);
+        let factor = self.net_factor(node);
         if factor > 1.0 {
             self.ckpt.observe_health(node, now, false, &mut self.trace);
         }
@@ -864,7 +945,7 @@ impl YarnSim {
         // The rewrite pays the origin device's sequential write speed (plus
         // any partition penalty); the preempted container keeps holding its
         // resources through the window, so the service time is overhead.
-        let factor = self.net_factor(node as usize, now).max(1.0);
+        let factor = self.net_factor(node as usize).max(1.0);
         let service = self
             .ckpt
             .device(retry.origin)
@@ -1052,7 +1133,7 @@ impl YarnSim {
                 // episode). The strictly shrinking chain bounds the
                 // truncation loop.
                 let service = self.ckpt.dfs_read_time(key, node as usize);
-                let factor = self.net_factor(node as usize, now);
+                let factor = self.net_factor(node as usize);
                 let service = if factor > 1.0 {
                     service.mul_f64(factor)
                 } else {
@@ -1545,6 +1626,59 @@ impl Simulation for YarnSim {
             YarnEvent::ChaosPartitionTick => "chaos_partition_tick",
             YarnEvent::ChaosRecover(_) => "chaos_recover",
             YarnEvent::PressureTick => "pressure_tick",
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cbp_faults::FaultSpec;
+    use cbp_storage::MediaKind;
+    use cbp_workload::facebook::FacebookConfig;
+
+    /// Steps contended runs event by event and checks after every event
+    /// that the container-derived running count and victim candidates
+    /// equal the all-task scans. Release test builds run this too, while
+    /// the pass's own cross-check is debug-only.
+    #[test]
+    fn live_container_scans_match_task_scans() {
+        let workload = FacebookConfig {
+            jobs: 16,
+            total_tasks: 340,
+            giant_job_tasks: 60,
+            mean_interarrival: SimDuration::from_secs(90),
+            ..Default::default()
+        }
+        .generate(3);
+        for plan in ["off", "heavy,seed=5", "chaos,seed=7"] {
+            let mut cfg = YarnConfig::paper_cluster(PreemptionPolicy::Adaptive, MediaKind::Hdd);
+            cfg.nodes = 2;
+            let cfg = cfg.with_faults(FaultSpec::parse(plan).expect("valid plan"));
+            let mut sim = YarnSim::new(cfg, workload.clone());
+            let mut queue = sim.initial_events();
+            let mut contended = 0;
+            while let Some((now, event)) = queue.pop() {
+                sim.handle(now, event, &mut queue);
+                let (prod_running, idle_default) = sim.live_containers();
+                let scan = sim.count_running_scan(QueueKind::Production);
+                assert_eq!(prod_running, scan, "{plan} at {now}");
+                contended += usize::from(prod_running > 0 && !idle_default.is_empty());
+                let candidates = by_key(sim.victim_costs(idle_default, now));
+                assert_eq!(
+                    candidates,
+                    sim.victim_candidates_scan(now),
+                    "{plan} at {now}"
+                );
+            }
+            assert_eq!(
+                sim.tasks_finished, sim.total_tasks,
+                "{plan}: every task finishes"
+            );
+            assert!(
+                contended > 0,
+                "{plan}: both queues never shared the cluster"
+            );
         }
     }
 }
