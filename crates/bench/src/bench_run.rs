@@ -13,12 +13,13 @@
 //! The emitted JSON separates `config` (what was run — compared exactly)
 //! from `measured` (what it cost — compared direction-aware within
 //! `--tol-pct`): wall time and allocator peak may not rise beyond
-//! tolerance, throughput may not fall, and the event count must match
-//! exactly. Getting *faster* never fails the gate.
+//! tolerance, throughput may not fall, and the event count and (for trace
+//! scenarios) the scheduling-pass work counters must match exactly.
+//! Getting *faster* never fails the gate.
 
 use std::time::Instant;
 
-use cbp_core::{ClusterSim, PreemptionPolicy, TelemetryReport};
+use cbp_core::{ClusterSim, PassWork, PreemptionPolicy, TelemetryReport};
 use cbp_faults::FaultSpec;
 use cbp_storage::MediaKind;
 use cbp_telemetry::json;
@@ -207,6 +208,9 @@ pub struct BenchResult {
     pub opts: BenchOptions,
     /// Events the engine processed (identical every repetition).
     pub events: u64,
+    /// Work of the scheduling passes (trace scenarios only; identical
+    /// every repetition).
+    pub work: Option<PassWork>,
     /// Median wall time of the timed repetitions, milliseconds.
     pub median_wall_ms: f64,
     /// Median absolute deviation of the wall times, milliseconds.
@@ -296,16 +300,22 @@ pub fn run_scenario(s: &BenchScenario, opts: BenchOptions) -> BenchResult {
 
     let mut walls_ms = Vec::with_capacity(opts.reps);
     let mut events = 0u64;
+    let mut work = None;
     for rep in 0..opts.reps {
         let start = Instant::now();
         let t = run_once(s);
         walls_ms.push(start.elapsed().as_secs_f64() * 1e3);
         if rep == 0 {
             events = t.engine_events;
+            work = t.pass_work;
         } else {
             assert_eq!(
                 events, t.engine_events,
                 "simulation must be deterministic: event count changed between reps"
+            );
+            assert_eq!(
+                work, t.pass_work,
+                "simulation must be deterministic: pass work changed between reps"
             );
         }
     }
@@ -325,6 +335,7 @@ pub fn run_scenario(s: &BenchScenario, opts: BenchOptions) -> BenchResult {
         scenario: s.clone(),
         opts,
         events,
+        work,
         median_wall_ms,
         mad_wall_ms,
         events_per_sec,
@@ -379,6 +390,18 @@ impl BenchResult {
         json::push_key(&mut out, "events");
         json::push_u64(&mut out, self.events);
         out.push(',');
+        if let Some(work) = &self.work {
+            json::push_key(&mut out, "work");
+            out.push('{');
+            for (i, (key, value)) in work.fields().into_iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                json::push_key(&mut out, key);
+                json::push_u64(&mut out, value);
+            }
+            out.push_str("},");
+        }
         json::push_key(&mut out, "median_wall_ms");
         json::push_f64(&mut out, self.median_wall_ms);
         out.push(',');
@@ -542,12 +565,14 @@ fn get_str(v: &Value, section: &str, key: &str) -> Result<String, String> {
 /// `measured`, wall time and allocator peak may rise at most `tol_pct`
 /// percent, throughput may fall at most `tol_pct` percent, and the event
 /// count must be identical (the simulators are deterministic; a change
-/// means the engine did different work, which no tolerance excuses).
+/// means the engine did different work, which no tolerance excuses). So
+/// must every counter of the `work` object, which trace scenarios carry.
 ///
 /// # Errors
 ///
 /// Returns an error for malformed/mismatched documents (wrong schema or
-/// version, different configs, missing fields).
+/// version, different configs, missing fields, a `work` object on one
+/// side only).
 pub fn check_bench_files(
     baseline: &str,
     candidate: &str,
@@ -619,10 +644,51 @@ pub fn check_bench_files(
             verdict,
         });
     }
+    let work = |v: &Value| v.get("measured").and_then(|m| m.get("work")).cloned();
+    match (work(&base), work(&cand)) {
+        (None, None) => {}
+        (Some(b), Some(c)) => {
+            for (key, metric) in WORK_ROWS {
+                let b = work_counter(&b, key)?;
+                let c = work_counter(&c, key)?;
+                let delta_pct = if b != 0.0 { (c - b) * 100.0 / b } else { 0.0 };
+                rows.push(BenchDiffRow {
+                    metric,
+                    baseline: b,
+                    candidate: c,
+                    delta_pct,
+                    verdict: if c == b {
+                        BenchVerdict::Pass
+                    } else {
+                        BenchVerdict::Regressed
+                    },
+                });
+            }
+        }
+        (Some(_), None) => return Err("measured.work is in the baseline only".into()),
+        (None, Some(_)) => return Err("measured.work is in the candidate only".into()),
+    }
     Ok(BenchDiff {
         scenario: get_str(&base, "config", "scenario")?,
         rows,
     })
+}
+
+/// The `work` counters [`check_bench_files`] compares, with their row
+/// names (the keys of [`PassWork::fields`]).
+const WORK_ROWS: [(&str, &str); 6] = [
+    ("passes", "work.passes"),
+    ("keys_scanned", "work.keys_scanned"),
+    ("keys_visited", "work.keys_visited"),
+    ("keys_jumped", "work.keys_jumped"),
+    ("walk_draws", "work.walk_draws"),
+    ("searches", "work.searches"),
+];
+
+fn work_counter(work: &Value, key: &str) -> Result<f64, String> {
+    work.get(key)
+        .and_then(Value::as_f64)
+        .ok_or_else(|| format!("measured.work.{key} is missing or not a number"))
 }
 
 #[cfg(test)]
@@ -687,6 +753,39 @@ mod tests {
         let starved = perturb(&j, "events_per_sec", 0.5);
         let diff = check_bench_files(&j, &starved, 10.0).unwrap();
         assert!(diff.regressed());
+    }
+
+    #[test]
+    fn pass_work_is_written_and_compared_exactly() {
+        let r = smoke_result();
+        let work = r.work.expect("trace scenarios count their pass work");
+        assert!(work.passes > 0 && work.keys_scanned > 0);
+        assert_eq!(work.keys_scanned, work.keys_visited + work.keys_jumped);
+        let j = r.to_json();
+        let field = format!("\"passes\":{},", work.passes);
+        assert!(j.contains(&field), "{j}");
+        // One pass more is a behaviour change, whatever the tolerance.
+        let more = j.replace(&field, &format!("\"passes\":{},", work.passes + 1));
+        let diff = check_bench_files(&j, &more, 300.0).unwrap();
+        assert!(diff.regressed(), "{}", diff.render());
+        // A work object on one side only is a config error.
+        let start = j.find("\"work\":{").unwrap();
+        let end = start + j[start..].find("},").unwrap() + 2;
+        let without = format!("{}{}", &j[..start], &j[end..]);
+        assert!(check_bench_files(&without, &without, 0.0).is_ok());
+        let err = check_bench_files(&j, &without, 0.0).unwrap_err();
+        assert!(err.contains("baseline only"), "{err}");
+        let err = check_bench_files(&without, &j, 0.0).unwrap_err();
+        assert!(err.contains("candidate only"), "{err}");
+    }
+
+    #[test]
+    fn work_rows_name_every_counter() {
+        let keys = PassWork::default().fields().map(|(k, _)| k);
+        assert_eq!(keys, WORK_ROWS.map(|(k, _)| k));
+        for (key, metric) in WORK_ROWS {
+            assert_eq!(metric, format!("work.{key}"));
+        }
     }
 
     #[test]

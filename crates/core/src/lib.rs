@@ -48,6 +48,6 @@ mod sim;
 mod task;
 
 pub use config::{PreemptionPolicy, QueueDiscipline, RestorePlacement, SimConfig, VictimSelection};
-pub use metrics::{BandMetrics, ResponseSummary, RunMetrics, RunReport, TelemetryReport};
+pub use metrics::{BandMetrics, PassWork, ResponseSummary, RunMetrics, RunReport, TelemetryReport};
 pub use sim::ClusterSim;
 pub use task::TaskStatus;

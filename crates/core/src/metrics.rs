@@ -238,6 +238,46 @@ pub struct TelemetryReport {
     pub engine_events: u64,
     /// Host wall-clock seconds the engine loop took.
     pub engine_wall_secs: f64,
+    /// Work of [`crate::ClusterSim`]'s scheduling passes (`None` for other
+    /// simulators).
+    pub pass_work: Option<PassWork>,
+}
+
+/// Exact work counters of [`crate::ClusterSim`]'s scheduling passes. They
+/// are a pure function of the run, like the event count, but are kept out
+/// of the metrics registry: they describe how the scheduler walks its
+/// queue, not what it decides, so a faster walk changes them while every
+/// registry digest stays put.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct PassWork {
+    /// Scheduling passes run.
+    pub passes: u64,
+    /// Pending keys the passes moved past, the count `max_schedule_scan`
+    /// limits: `keys_visited + keys_jumped`.
+    pub keys_scanned: u64,
+    /// Keys looked at one at a time, by the idle walk or the search path.
+    pub keys_visited: u64,
+    /// Keys passed inside a chunk of the pending queue known to be dead.
+    pub keys_jumped: u64,
+    /// Restore-placement RNG draws the walk made for keys it did not act
+    /// on.
+    pub walk_draws: u64,
+    /// Preemption searches (calls of the victim search).
+    pub searches: u64,
+}
+
+impl PassWork {
+    /// The counters as `(name, value)` pairs, in a fixed order.
+    pub fn fields(&self) -> [(&'static str, u64); 6] {
+        [
+            ("passes", self.passes),
+            ("keys_scanned", self.keys_scanned),
+            ("keys_visited", self.keys_visited),
+            ("keys_jumped", self.keys_jumped),
+            ("walk_draws", self.walk_draws),
+            ("searches", self.searches),
+        ]
+    }
 }
 
 impl TelemetryReport {

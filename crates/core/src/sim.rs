@@ -24,7 +24,7 @@ use cbp_workload::{Priority, PriorityBand, TaskSpec, Workload};
 
 use crate::ckpt_path::{media_name, ChainValidation, CkptPath};
 use crate::config::{PreemptionPolicy, RestorePlacement, SimConfig, VictimSelection};
-use crate::metrics::{MetricsCollector, RunReport, TelemetryReport};
+use crate::metrics::{MetricsCollector, PassWork, RunReport, TelemetryReport};
 use crate::task::{TaskState, TaskStatus};
 
 /// Periodic sim-time probe state (see [`ClusterSim::enable_sampling`]).
@@ -146,6 +146,8 @@ pub struct ClusterSim {
     restore_attempts: HashMap<u32, u32>,
     /// Rack currently isolated by a chaos-plan network partition.
     active_partition: Option<u32>,
+    /// What the scheduling passes did, counted exactly.
+    work: PassWork,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -286,6 +288,7 @@ impl ClusterSim {
             last_queue_depth: 0,
             restore_attempts: HashMap::new(),
             active_partition: None,
+            work: PassWork::default(),
         }
     }
 
@@ -373,6 +376,7 @@ impl ClusterSim {
             timeseries: self.sampler.take().map(|s| s.series),
             engine_events: stats.events,
             engine_wall_secs: stats.wall.as_secs_f64(),
+            pass_work: Some(self.work),
         };
         let metrics = self.metrics.into_metrics(
             makespan,
@@ -2026,6 +2030,7 @@ impl ClusterSim {
     /// One scheduling pass: serve the pending queue in priority order.
     fn schedule_pass(&mut self, now: SimTime, q: &mut EventQueue<Event>) {
         let _prof = cbp_prof::scope("schedule_pass");
+        self.work.passes += 1;
         self.free_front = None;
         self.victim_cap = None;
         let mut preempt_budget = self.cfg.preempt_budget_per_pass;
@@ -2072,6 +2077,7 @@ impl ClusterSim {
                     }
                     if self.cfg.policy != PreemptionPolicy::Wait && preempt_budget > 0 {
                         preempt_budget -= 1;
+                        self.work.searches += 1;
                         if self.try_preempt_for(t, now, q) {
                             // Kills freed space synchronously: place now.
                             let node = if self.has_checkpoint(t) {
@@ -2108,7 +2114,12 @@ impl ClusterSim {
         if searching {
             let key = keys_after(&self.pending, cursor).next().copied()?;
             *scanned += 1;
-            return (*scanned <= self.cfg.max_schedule_scan).then_some(key);
+            if *scanned > self.cfg.max_schedule_scan {
+                return None;
+            }
+            self.work.keys_scanned += 1;
+            self.work.keys_visited += 1;
+            return Some(key);
         }
         self.build_free_front();
         let n = self.nodes.len();
@@ -2120,11 +2131,14 @@ impl ClusterSim {
             if *scanned > self.cfg.max_schedule_scan {
                 return None;
             }
+            self.work.keys_scanned += 1;
+            self.work.keys_visited += 1;
             match self.idle_visit(key.3, max_avail, any_drained) {
                 Visit::Idle => {}
                 // All that `choose_restore_node` would do for this key.
                 Visit::Draw => {
                     self.rng.index(n);
+                    self.work.walk_draws += 1;
                 }
                 Visit::Act => return Some(key),
             }

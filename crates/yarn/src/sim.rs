@@ -286,6 +286,7 @@ impl YarnSim {
             timeseries: None,
             engine_events: stats.events,
             engine_wall_secs: stats.wall.as_secs_f64(),
+            pass_work: None,
         };
         let report = YarnReport {
             label: format!("{}-{}", self.cfg.policy, self.cfg.media.kind()),
