@@ -1,5 +1,5 @@
-//! Full paper-scale validations (minutes of CPU). Ignored by default; run
-//! with `cargo test -p cbp-yarn --test paper_scale --release -- --ignored`.
+//! Full paper-scale validations: the Facebook workload on the paper's
+//! 8 x 24 cluster. Each test takes well under a second in debug builds.
 
 use cbp_core::PreemptionPolicy;
 use cbp_storage::MediaKind;
@@ -9,7 +9,6 @@ use cbp_yarn::YarnConfig;
 /// Fig. 8a at full scale: checkpointing beats kill on every medium, with
 /// the paper's roughly-monotone media ordering.
 #[test]
-#[ignore = "full paper scale; takes minutes"]
 fn fig8_full_scale_waste_reductions() {
     let w = FacebookConfig::default().generate(42);
     let kill = YarnConfig::paper_cluster(PreemptionPolicy::Kill, MediaKind::Ssd).run(&w);
@@ -43,7 +42,6 @@ fn fig8_full_scale_waste_reductions() {
 /// Fig. 8c at full scale: NVM checkpointing keeps high-priority response
 /// within a few percent of kill while improving low-priority response.
 #[test]
-#[ignore = "full paper scale; takes minutes"]
 fn fig8_full_scale_nvm_responses() {
     let w = FacebookConfig::default().generate(42);
     let kill = YarnConfig::paper_cluster(PreemptionPolicy::Kill, MediaKind::Nvm).run(&w);
