@@ -43,6 +43,7 @@
 pub mod ckpt_path;
 mod config;
 mod metrics;
+mod pending;
 pub mod scenario;
 mod sim;
 mod task;

@@ -25,6 +25,7 @@ use cbp_workload::{Priority, PriorityBand, TaskSpec, Workload};
 use crate::ckpt_path::{media_name, ChainValidation, CkptPath};
 use crate::config::{PreemptionPolicy, RestorePlacement, SimConfig, VictimSelection};
 use crate::metrics::{MetricsCollector, PassWork, RunReport, TelemetryReport};
+use crate::pending::{PendingKey, PendingQueue, Pos, Queued};
 use crate::task::{TaskState, TaskStatus};
 
 /// Periodic sim-time probe state (see [`ClusterSim::enable_sampling`]).
@@ -77,11 +78,6 @@ pub enum Event {
     PressureTick,
 }
 
-/// Pending-queue key: highest priority first, then the discipline key
-/// (0 under FIFO; the task's index within its job under Fair, which
-/// interleaves jobs round-robin), then arrival order.
-type PendingKey = (Reverse<u8>, u64, u64, u32);
-
 struct NodeSlot {
     node: Node,
     meter: EnergyMeter,
@@ -99,14 +95,14 @@ pub struct ClusterSim {
     workload: Workload,
     nodes: Vec<NodeSlot>,
     tasks: Vec<TaskState>,
-    pending: BTreeSet<PendingKey>,
+    pending: PendingQueue,
     /// Checkpoint images, devices, DFS files, retry state and breakers.
     ckpt: CkptPath,
     trace_log: TraceLog,
     metrics: MetricsCollector,
     rng: SimRng,
     next_container: u64,
-    next_seq: u64,
+    next_seq: u32,
     /// Capacity earmarked for a blocked task while its victims drain:
     /// owner task → reservation. Prevents both duplicate preemption rounds
     /// and backfill stealing the capacity a dump is freeing.
@@ -115,6 +111,8 @@ pub struct ClusterSim {
     drain_owner: HashMap<u32, u32>,
     /// Task → node holding its valid NVRAM mirror (NVRAM backend only).
     nvram_origin: HashMap<u32, u32>,
+    /// Pending keys of the tasks holding a reservation.
+    holders: BTreeSet<PendingKey>,
     /// Per-node sum of reservation amounts.
     node_reserved: Vec<Resources>,
     job_remaining: Vec<u32>,
@@ -132,6 +130,10 @@ pub struct ClusterSim {
     /// [`ClusterSim::victim_capacity`]); `None` once a placement or
     /// preemption made it stale.
     victim_cap: Option<(Priority, Vec<Resources>)>,
+    /// Pass-scoped Pareto front of what a search at one priority could
+    /// reach per up node, free plus victim capacity (see
+    /// [`ClusterSim::reach_front`]); dropped with `free_front`.
+    reach: Option<(Priority, FreeFront)>,
     /// Structured-event sink (disabled by default).
     trace: TraceSink,
     /// Periodic time-series probe (absent unless enabled).
@@ -148,6 +150,10 @@ pub struct ClusterSim {
     active_partition: Option<u32>,
     /// What the scheduling passes did, counted exactly.
     work: PassWork,
+    /// Walk the pending queue one key at a time, never jumping a chunk
+    /// (the reference the chunked walk is checked against).
+    #[cfg(any(test, debug_assertions))]
+    reference_walk: bool,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -166,6 +172,16 @@ enum Visit {
     Draw,
     /// It may place, or it cancels a drained reservation.
     Act,
+}
+
+/// Where [`ClusterSim::jump`] left the walk.
+enum Jumped {
+    /// The scan limit cut the run: the pass is over.
+    Limit,
+    /// At the end of the chunk.
+    Whole,
+    /// At this position of the chunk, on a key whose visit must decide.
+    To(usize),
 }
 
 /// The Pareto front of a set of free-capacity vectors: the vectors no
@@ -267,7 +283,7 @@ impl ClusterSim {
             workload,
             nodes,
             tasks,
-            pending: BTreeSet::new(),
+            pending: PendingQueue::default(),
             trace_log: TraceLog::new(),
             metrics: MetricsCollector::default(),
             rng,
@@ -276,6 +292,7 @@ impl ClusterSim {
             reservations: HashMap::new(),
             drain_owner: HashMap::new(),
             nvram_origin: HashMap::new(),
+            holders: BTreeSet::new(),
             node_reserved: vec![Resources::ZERO; n_nodes],
             job_remaining,
             jobs_left,
@@ -283,12 +300,15 @@ impl ClusterSim {
             place_cursor: 0,
             free_front: None,
             victim_cap: None,
+            reach: None,
             trace: TraceSink::default(),
             sampler: None,
             last_queue_depth: 0,
             restore_attempts: HashMap::new(),
             active_partition: None,
             work: PassWork::default(),
+            #[cfg(any(test, debug_assertions))]
+            reference_walk: false,
         }
     }
 
@@ -513,8 +533,8 @@ impl ClusterSim {
             busy.iter().sum::<f64>() / n as f64
         };
         let (mut free, mut middle, mut production) = (0u64, 0u64, 0u64);
-        for key in &self.pending {
-            match Priority(key.0 .0).band() {
+        for q in self.pending.iter() {
+            match Priority(q.key.0 .0).band() {
                 PriorityBand::Free => free += 1,
                 PriorityBand::Middle => middle += 1,
                 PriorityBand::Production => production += 1,
@@ -546,22 +566,27 @@ impl ClusterSim {
         // Re-queued (preempted) tasks keep their first sequence number, so
         // they stay ahead of later same-priority arrivals and their images
         // are restored — and discarded — promptly.
-        let seq = match self.tasks[t as usize].queue_seq {
-            Some(seq) => seq,
-            None => {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.tasks[t as usize].queue_seq = Some(seq);
-                seq
-            }
-        };
-        let prio = self.tasks[t as usize].priority.0;
+        if self.tasks[t as usize].queue_seq.is_none() {
+            self.tasks[t as usize].queue_seq = Some(self.next_seq);
+            self.next_seq += 1;
+        }
+        self.tasks[t as usize].status = TaskStatus::Pending;
+        self.pending.insert(Queued {
+            key: self.pending_key(t),
+            demand: self.tasks[t as usize].spec.resources,
+            ckpt: self.has_checkpoint(t),
+        });
+    }
+
+    /// The key task `t` is (or would be) queued under.
+    fn pending_key(&self, t: u32) -> PendingKey {
+        let task = &self.tasks[t as usize];
         let fair = match self.cfg.queue_discipline {
             crate::config::QueueDiscipline::Fifo => 0,
-            crate::config::QueueDiscipline::Fair => self.tasks[t as usize].spec.id.index as u64,
+            crate::config::QueueDiscipline::Fair => task.spec.id.index,
         };
-        self.tasks[t as usize].status = TaskStatus::Pending;
-        self.pending.insert((Reverse(prio), fair, seq, t));
+        let seq = task.queue_seq.expect("queued tasks have a sequence number");
+        (Reverse(task.priority.0), fair, seq, t)
     }
 
     fn emit(&mut self, now: SimTime, t: u32, kind: TraceEventKind) {
@@ -638,6 +663,13 @@ impl ClusterSim {
         (0..self.nodes.len()).any(|i| self.can_place(i, t, demand))
     }
 
+    /// Drops the pass's capacity fronts after free capacity, a
+    /// reservation or the set of victims changed.
+    fn drop_fronts(&mut self) {
+        self.free_front = None;
+        self.reach = None;
+    }
+
     /// Builds the pass's free-capacity front if it went stale.
     fn build_free_front(&mut self) {
         if self.free_front.is_none() {
@@ -670,8 +702,16 @@ impl ClusterSim {
     fn cancel_reservation(&mut self, t: u32) {
         if let Some(r) = self.reservations.remove(&t) {
             self.node_reserved[r.node] = self.node_reserved[r.node].saturating_sub(&r.amount);
-            self.free_front = None;
+            self.holders.remove(&self.pending_key(t));
+            self.drop_fronts();
         }
+    }
+
+    /// Earmarks `r` for pending task `t`.
+    fn reserve(&mut self, t: u32, r: Reservation) {
+        self.node_reserved[r.node] += r.amount;
+        self.holders.insert(self.pending_key(t));
+        self.reservations.insert(t, r);
     }
 
     /// First-fit node for a fresh (non-checkpointed) task, round-robin.
@@ -837,7 +877,7 @@ impl ClusterSim {
             .node
             .allocate(Container::new(cid, demand, t as u64))
             .expect("placement checked can_fit before allocating");
-        self.free_front = None;
+        self.drop_fronts();
         self.victim_cap = None;
         self.update_meter(node, now);
         self.cancel_reservation(t);
@@ -1544,7 +1584,7 @@ impl ClusterSim {
             return false;
         };
         // The victims are about to change status and release capacity.
-        self.free_front = None;
+        self.drop_fronts();
         let mut drains = 0u32;
         for v in victims {
             let sync = self.preempt_victim(v, node, now, q);
@@ -1556,7 +1596,7 @@ impl ClusterSim {
         if drains > 0 {
             // Earmark the whole demand on this node so backfill cannot
             // steal the capacity the drains are freeing.
-            self.reservations.insert(
+            self.reserve(
                 t,
                 Reservation {
                     node,
@@ -1564,7 +1604,6 @@ impl ClusterSim {
                     drains_left: drains,
                 },
             );
-            self.node_reserved[node] += demand;
             false
         } else {
             true
@@ -2031,7 +2070,7 @@ impl ClusterSim {
     fn schedule_pass(&mut self, now: SimTime, q: &mut EventQueue<Event>) {
         let _prof = cbp_prof::scope("schedule_pass");
         self.work.passes += 1;
-        self.free_front = None;
+        self.drop_fronts();
         self.victim_cap = None;
         let mut preempt_budget = self.cfg.preempt_budget_per_pass;
         // Gates whether placement is tried at all, and so which RNG draws
@@ -2045,12 +2084,9 @@ impl ClusterSim {
         // (requeued preempted tasks) are picked up by the next pass.
         let mut cursor: Option<PendingKey> = None;
         let mut scanned = 0usize;
-        loop {
-            let searching = self.cfg.policy != PreemptionPolicy::Wait && preempt_budget > 0;
-            let Some(key) = self.next_active_key(cursor, &mut scanned, searching, &max_avail)
-            else {
-                break;
-            };
+        while let Some(key) =
+            self.next_active_key(cursor, &mut scanned, &mut preempt_budget, &max_avail)
+        {
             cursor = Some(key);
             let t = key.3;
             let demand = self.tasks[t as usize].spec.resources;
@@ -2101,59 +2137,282 @@ impl ClusterSim {
     /// act and returns the first one that can, or `None` when the queue
     /// or the scan limit runs out. Every key passed counts toward
     /// `max_schedule_scan`, acting or not. While preemption searches are
-    /// left (`searching`) every key acts; after that the walk stays on one
-    /// borrowed iterator and stops only at keys that
-    /// [`ClusterSim::idle_visit`] cannot rule out.
+    /// left (`budget`) every visited key acts; after that the walk stops
+    /// only at keys that [`ClusterSim::idle_visit`] cannot rule out.
+    ///
+    /// A key is dead when it holds no reservation, fits no node and, while
+    /// searches are left, its search would be futile: its visit does
+    /// nothing but restore placement's RNG draw (see
+    /// [`ClusterSim::dead_visit`]). Where the rest of a chunk is dead (see
+    /// [`ClusterSim::dead_from`]) the walk jumps it: it counts the keys,
+    /// spends a search of budget on each while budget lasts, and makes
+    /// their draws. Other keys are visited one at a time.
     fn next_active_key(
         &mut self,
         cursor: Option<PendingKey>,
         scanned: &mut usize,
-        searching: bool,
+        budget: &mut usize,
         max_avail: &Resources,
     ) -> Option<PendingKey> {
-        if searching {
-            let key = keys_after(&self.pending, cursor).next().copied()?;
-            *scanned += 1;
-            if *scanned > self.cfg.max_schedule_scan {
-                return None;
-            }
-            self.work.keys_scanned += 1;
-            self.work.keys_visited += 1;
-            return Some(key);
+        let may_search = self.cfg.policy != PreemptionPolicy::Wait;
+        #[cfg(any(test, debug_assertions))]
+        if self.reference_walk {
+            let searching = may_search && *budget > 0;
+            return self.next_key_per_key(cursor, scanned, searching, max_avail);
         }
         self.build_free_front();
         let n = self.nodes.len();
         // The walk changes no reservation, so when none has drained, a key
         // failing the gate is idle whatever it holds.
         let any_drained = self.reservations.values().any(|r| r.drains_left == 0);
-        for &key in keys_after(&self.pending, cursor) {
+        let mut pos = self.pending.seek(cursor.as_ref());
+        // A chunk whose minimum fits the free front is live to its end.
+        let mut live_chunk = None;
+        // Set when a jump stopped short at a key its visit must decide.
+        let mut visit_next = false;
+        while pos.chunk < self.pending.chunks().len() {
+            let searching = may_search && *budget > 0;
+            if !visit_next && live_chunk != Some(pos.chunk) {
+                if self.min_fits_free(pos.chunk) {
+                    live_chunk = Some(pos.chunk);
+                } else if self.dead_from(pos, searching) {
+                    match self.jump(pos, scanned, budget, searching, max_avail) {
+                        Jumped::Limit => return None,
+                        Jumped::Whole => {
+                            pos = Pos {
+                                chunk: pos.chunk + 1,
+                                at: 0,
+                            };
+                        }
+                        Jumped::To(at) => {
+                            pos.at = at;
+                            visit_next = true;
+                        }
+                    }
+                    continue;
+                }
+            }
+            visit_next = false;
+            let q = self.pending.chunks()[pos.chunk].get(pos.at);
             *scanned += 1;
             if *scanned > self.cfg.max_schedule_scan {
                 return None;
             }
             self.work.keys_scanned += 1;
             self.work.keys_visited += 1;
-            match self.idle_visit(key.3, max_avail, any_drained) {
+            if searching {
+                return Some(q.key);
+            }
+            match self.idle_visit(&q, max_avail, any_drained) {
                 Visit::Idle => {}
                 // All that `choose_restore_node` would do for this key.
                 Visit::Draw => {
                     self.rng.index(n);
                     self.work.walk_draws += 1;
                 }
-                Visit::Act => return Some(key),
+                Visit::Act => return Some(q.key),
             }
+            pos = self.pending.next(pos);
         }
         None
     }
 
-    /// What visiting pending task `t` does once no preemption search is
+    /// True if chunk `ci`'s minimum demand fits a point of the free front.
+    fn min_fits_free(&self, ci: usize) -> bool {
+        let min = self.pending.chunks()[ci].min();
+        self.free_front
+            .as_ref()
+            .expect("front built first")
+            .fits(&min)
+    }
+
+    /// True if every key from `pos` to the end of its chunk is dead, given
+    /// that the chunk's minimum demand fits no point of the free front
+    /// (so no key fits any node): none holds a reservation and, while
+    /// `searching`, the minimum fits no point of the reach front at the
+    /// priority of the key at `pos`, the highest left in the chunk.
+    fn dead_from(&mut self, pos: Pos, searching: bool) -> bool {
+        let chunk = &self.pending.chunks()[pos.chunk];
+        let min = chunk.min();
+        let first = chunk.key(pos.at);
+        let last = chunk.key(chunk.len() - 1);
+        if !self.holders.is_empty() && self.holders.range(first..=last).next().is_some() {
+            return false;
+        }
+        !searching || !self.reach_front(Priority(first.0 .0)).fits(&min)
+    }
+
+    /// What visiting dead key `q` does. Its placement fails and so does
+    /// its search, so all that is left is restore placement's RNG draw,
+    /// made when it passes the gate with a checkpoint under cost-aware
+    /// placement. A checkpointed task not in the `Checkpointed` state is
+    /// left to the full visit.
+    fn dead_visit(&self, q: &Queued, max_avail: &Resources) -> Visit {
+        let t = q.key.3;
+        if !q.ckpt
+            || !q.demand.fits_in(max_avail)
+            || self.restore_is_local()
+            || !self.has_checkpoint(t)
+        {
+            Visit::Idle
+        } else if matches!(
+            self.tasks[t as usize].status,
+            TaskStatus::Checkpointed { .. }
+        ) {
+            Visit::Draw
+        } else {
+            Visit::Act
+        }
+    }
+
+    /// Passes the dead keys from `pos` to the end of its chunk, stopping
+    /// early at the scan limit or at a key whose visit would act.
+    fn jump(
+        &mut self,
+        pos: Pos,
+        scanned: &mut usize,
+        budget: &mut usize,
+        searching: bool,
+        max_avail: &Resources,
+    ) -> Jumped {
+        let chunk = &self.pending.chunks()[pos.chunk];
+        let len = chunk.len();
+        let room = self.cfg.max_schedule_scan.saturating_sub(*scanned);
+        let mut end = len.min(pos.at + room);
+        let mut acting = false;
+        // Only keys enqueued with a checkpoint can draw.
+        if chunk.ckpts() > 0 && chunk.min().fits_in(max_avail) {
+            let n = self.nodes.len();
+            for at in chunk.ckpt_positions(pos.at..end) {
+                match self.dead_visit(&chunk.get(at), max_avail) {
+                    Visit::Idle => {}
+                    Visit::Draw => {
+                        self.rng.index(n);
+                        self.work.walk_draws += 1;
+                    }
+                    Visit::Act => {
+                        end = at;
+                        acting = true;
+                        break;
+                    }
+                }
+            }
+        }
+        #[cfg(debug_assertions)]
+        self.assert_dead(pos, end, searching.then_some(*budget));
+        let k = end - pos.at;
+        *scanned += k;
+        self.work.keys_scanned += k as u64;
+        self.work.keys_jumped += k as u64;
+        if searching {
+            *budget -= k.min(*budget);
+        }
+        if acting {
+            Jumped::To(end)
+        } else if end < len {
+            Jumped::Limit
+        } else {
+            Jumped::Whole
+        }
+    }
+
+    /// Checks every key the walk jumps, `pos.at..end` of `pos`'s chunk,
+    /// against the full node scan: none fits a node, the first `budget`
+    /// (those the walk would search for) have no node where free plus
+    /// victim capacity covers their demand, and none gained a checkpoint
+    /// since it was queued.
+    #[cfg(debug_assertions)]
+    fn assert_dead(&self, pos: Pos, end: usize, budget: Option<usize>) {
+        let chunk = &self.pending.chunks()[pos.chunk];
+        for (i, q) in (pos.at..end).map(|at| chunk.get(at)).enumerate() {
+            let t = q.key.3;
+            let task = &self.tasks[t as usize];
+            assert_eq!(q.demand, task.spec.resources, "queued demand of {t}");
+            assert!(!self.any_node_fits(t, &q.demand), "jumped {t}, which fits");
+            assert!(q.ckpt || !self.has_checkpoint(t), "{t} gained a checkpoint");
+            if budget.is_some_and(|b| i < b) {
+                let futile = (0..self.nodes.len())
+                    .filter(|&i| self.nodes[i].up)
+                    .all(|i| {
+                        let reach =
+                            self.unreserved_free(i) + self.victim_capacity(i, task.priority);
+                        !q.demand.fits_in(&reach)
+                    });
+                assert!(futile, "jumped {t}, whose search could succeed");
+            }
+        }
+    }
+
+    /// The Pareto front of `unreserved_free(i) + victim_capacity(i, p)`
+    /// over the up nodes. A search for a task of priority at most `p`
+    /// holding no reservation succeeds only on a node whose point covers
+    /// its demand, so a demand fitting no point makes the search futile.
+    /// The per-node capacities are shared with the searches through
+    /// `victim_cap`.
+    fn reach_front(&mut self, p: Priority) -> &FreeFront {
+        if self.reach.as_ref().is_none_or(|(q, _)| *q != p) {
+            let caps = match self.victim_cap.take() {
+                Some((q, caps)) if q == p => caps,
+                _ => (0..self.nodes.len())
+                    .map(|i| self.victim_capacity(i, p))
+                    .collect(),
+            };
+            let points = (0..self.nodes.len())
+                .filter(|&i| self.nodes[i].up)
+                .map(|i| self.unreserved_free(i) + caps[i]);
+            self.reach = Some((p, FreeFront::new(points)));
+            self.victim_cap = Some((p, caps));
+        }
+        &self.reach.as_ref().expect("built above").1
+    }
+
+    /// The per-key walk the chunked one replaced, kept as its reference:
+    /// every key is visited, none is jumped.
+    #[cfg(any(test, debug_assertions))]
+    fn next_key_per_key(
+        &mut self,
+        cursor: Option<PendingKey>,
+        scanned: &mut usize,
+        searching: bool,
+        max_avail: &Resources,
+    ) -> Option<PendingKey> {
+        self.build_free_front();
+        let n = self.nodes.len();
+        let any_drained = self.reservations.values().any(|r| r.drains_left == 0);
+        let mut pos = self.pending.seek(cursor.as_ref());
+        while pos.chunk < self.pending.chunks().len() {
+            let q = self.pending.chunks()[pos.chunk].get(pos.at);
+            let key = q.key;
+            *scanned += 1;
+            if *scanned > self.cfg.max_schedule_scan {
+                return None;
+            }
+            self.work.keys_scanned += 1;
+            self.work.keys_visited += 1;
+            if searching {
+                return Some(key);
+            }
+            match self.idle_visit(&q, max_avail, any_drained) {
+                Visit::Idle => {}
+                Visit::Draw => {
+                    self.rng.index(n);
+                    self.work.walk_draws += 1;
+                }
+                Visit::Act => return Some(key),
+            }
+            pos = self.pending.next(pos);
+        }
+        None
+    }
+
+    /// What visiting queued task `q` does once no preemption search is
     /// left. A key is idle when its demand fails the `max_avail` gate, or
     /// passes it but fits no node, and it holds no drained reservation to
     /// cancel. Cost-aware restore placement of an idle checkpointed task
     /// still makes its RNG draw.
-    fn idle_visit(&self, t: u32, max_avail: &Resources, any_drained: bool) -> Visit {
-        let task = &self.tasks[t as usize];
-        let demand = task.spec.resources;
+    fn idle_visit(&self, q: &Queued, max_avail: &Resources, any_drained: bool) -> Visit {
+        let t = q.key.3;
+        let demand = q.demand;
         if !demand.fits_in(max_avail) {
             let drained =
                 any_drained && self.own_reservation(t).is_some_and(|r| r.drains_left == 0);
@@ -2162,14 +2421,16 @@ impl ClusterSim {
         if self.own_reservation(t).is_some() {
             return Visit::Act;
         }
-        if !self.has_checkpoint(t) {
+        // The flag bounds the checkpoint state from above.
+        debug_assert!(q.ckpt || !self.has_checkpoint(t), "{t} gained a checkpoint");
+        if !q.ckpt || !self.has_checkpoint(t) {
             return if self.front_fits(t, &demand) {
                 Visit::Act
             } else {
                 Visit::Idle
             };
         }
-        let TaskStatus::Checkpointed { origin } = task.status else {
+        let TaskStatus::Checkpointed { origin } = self.tasks[t as usize].status else {
             return Visit::Act;
         };
         if self.can_place(origin as usize, t, &demand) {
@@ -2543,17 +2804,6 @@ impl ClusterSim {
     }
 }
 
-/// The pending keys after `cursor` (all of them without one), in order.
-fn keys_after(
-    pending: &BTreeSet<PendingKey>,
-    cursor: Option<PendingKey>,
-) -> std::collections::btree_set::Range<'_, PendingKey> {
-    match cursor {
-        None => pending.range::<PendingKey, _>(..),
-        Some(c) => pending.range((std::ops::Bound::Excluded(c), std::ops::Bound::Unbounded)),
-    }
-}
-
 /// Core-seconds `task` would lose with its checkpoint chain, or `None`
 /// while a dump or restore owns the chain.
 fn chain_loss(task: &TaskState) -> Option<f64> {
@@ -2600,38 +2850,198 @@ mod tests {
         )
     }
 
+    fn small_sim(nodes: usize) -> ClusterSim {
+        use cbp_storage::MediaKind;
+        use cbp_workload::google::GoogleTraceConfig;
+        let cfg = SimConfig::trace_sim(PreemptionPolicy::Kill, MediaKind::Hdd).with_nodes(nodes);
+        ClusterSim::new(cfg, GoogleTraceConfig::small(20.0).generate(1))
+    }
+
     /// A key failing the gate is walked over unless it holds a drained
     /// reservation (which the pass would cancel). The golden runs never
     /// reach that state, because drains free the reserved demand before
-    /// the next pass computes its gate, so it is checked here directly.
+    /// the next pass computes its gate, so it is checked here directly:
+    /// with the nodes up (the key's chunk is live) and with every node
+    /// down (its chunk is dead but for the holder, which the walk must
+    /// still visit).
     #[test]
     fn gated_key_acts_only_with_a_drained_reservation() {
-        use cbp_storage::MediaKind;
-        use cbp_workload::google::GoogleTraceConfig;
-        let cfg = SimConfig::trace_sim(PreemptionPolicy::Kill, MediaKind::Hdd).with_nodes(2);
-        let mut sim = ClusterSim::new(cfg, GoogleTraceConfig::small(20.0).generate(1));
+        let mut sim = small_sim(2);
         let t = 0;
         sim.enqueue_pending(t);
+        // The acting task and whether the key was jumped.
         let walk = |sim: &mut ClusterSim| {
+            sim.drop_fronts();
+            let jumped = sim.work.keys_jumped;
             let mut scanned = 0;
-            let key = sim.next_active_key(None, &mut scanned, false, &Resources::ZERO);
+            let key = sim.next_active_key(None, &mut scanned, &mut 0, &Resources::ZERO);
             assert_eq!(scanned, 1);
-            key.map(|k| k.3)
+            (key.map(|k| k.3), sim.work.keys_jumped > jumped)
         };
         let reserve = |sim: &mut ClusterSim, drains_left| {
+            sim.cancel_reservation(t);
             let amount = sim.tasks[t as usize].spec.resources;
             let r = Reservation {
                 node: 0,
                 amount,
                 drains_left,
             };
-            sim.reservations.insert(t, r);
+            sim.reserve(t, r);
         };
-        assert_eq!(walk(&mut sim), None);
-        reserve(&mut sim, 1);
-        assert_eq!(walk(&mut sim), None);
-        reserve(&mut sim, 0);
-        assert_eq!(walk(&mut sim), Some(t));
+        for up in [true, false] {
+            for slot in &mut sim.nodes {
+                slot.up = up;
+            }
+            sim.cancel_reservation(t);
+            assert_eq!(walk(&mut sim), (None, !up), "nodes up: {up}");
+            reserve(&mut sim, 1);
+            assert_eq!(walk(&mut sim), (None, false), "nodes up: {up}");
+            reserve(&mut sim, 0);
+            assert_eq!(walk(&mut sim), (Some(t), false), "nodes up: {up}");
+        }
+    }
+
+    /// With every node down the whole queue is dead, so one call jumps it
+    /// to the scan limit. The budget runs out inside the first chunk and
+    /// the scan limit inside the second: both stop exactly.
+    #[test]
+    fn scan_limit_and_budget_run_out_mid_chunk() {
+        let mut sim = small_sim(3);
+        for t in 0..sim.tasks.len().min(150) {
+            sim.enqueue_pending(t as u32);
+        }
+        for slot in &mut sim.nodes {
+            slot.up = false;
+        }
+        let sizes: Vec<usize> = sim.pending.chunks().iter().map(|c| c.len()).collect();
+        assert!(sizes.len() >= 2 && sizes[1] >= 2, "chunks {sizes:?}");
+        let mut budget = sizes[0] / 2;
+        sim.cfg.max_schedule_scan = sizes[0] + sizes[1] / 2;
+        let max_avail = sim.max_available();
+        let mut scanned = 0;
+        let key = sim.next_active_key(None, &mut scanned, &mut budget, &max_avail);
+        assert_eq!(key, None);
+        assert_eq!(scanned, sim.cfg.max_schedule_scan);
+        assert_eq!(budget, 0);
+        assert_eq!(sim.work.keys_scanned, scanned as u64);
+        assert_eq!(sim.work.keys_jumped, scanned as u64);
+        assert_eq!(sim.work.keys_visited, 0);
+    }
+
+    /// A `Write` sink whose buffer outlives the boxed tracer.
+    #[derive(Clone, Default)]
+    struct SharedBuf(std::rc::Rc<std::cell::RefCell<Vec<u8>>>);
+
+    impl std::io::Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.borrow_mut().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The chunked walk against the per-key reference over every knob the
+    /// pass branches on: the JSONL trace and the registry must match byte
+    /// for byte (so every placement, preemption and RNG draw does), both
+    /// walks must scan the same keys, and the chunked one must visit no
+    /// more than the reference.
+    #[test]
+    fn chunked_walk_matches_reference_walk() {
+        use crate::config::QueueDiscipline;
+        use cbp_checkpoint::NvramSpec;
+        use cbp_faults::FaultSpec;
+        use cbp_storage::MediaKind;
+        use cbp_telemetry::JsonlTracer;
+        use cbp_workload::google::GoogleTraceConfig;
+
+        let base = |policy, media| SimConfig::trace_sim(policy, media).with_nodes(5);
+        let tight = |mut cfg: SimConfig| {
+            cfg.max_schedule_scan = 40;
+            cfg.preempt_budget_per_pass = 3;
+            cfg
+        };
+        let chaos = || FaultSpec::parse("chaos,seed=11").expect("plan parses");
+        let cases: Vec<(&str, SimConfig)> = vec![
+            ("kill", base(PreemptionPolicy::Kill, MediaKind::Hdd)),
+            ("adaptive", base(PreemptionPolicy::Adaptive, MediaKind::Hdd)),
+            ("wait", base(PreemptionPolicy::Wait, MediaKind::Ssd)),
+            (
+                "fair",
+                base(PreemptionPolicy::Checkpoint, MediaKind::Ssd)
+                    .with_queue_discipline(QueueDiscipline::Fair),
+            ),
+            (
+                "local-only",
+                base(PreemptionPolicy::Checkpoint, MediaKind::Hdd)
+                    .with_restore_placement(RestorePlacement::LocalOnly),
+            ),
+            (
+                "tight-adaptive",
+                tight(base(PreemptionPolicy::Adaptive, MediaKind::Hdd)),
+            ),
+            (
+                "tight-checkpoint-fair",
+                tight(
+                    base(PreemptionPolicy::Checkpoint, MediaKind::Ssd)
+                        .with_queue_discipline(QueueDiscipline::Fair),
+                ),
+            ),
+            (
+                "failures",
+                base(PreemptionPolicy::Checkpoint, MediaKind::Ssd)
+                    .with_failures(SimDuration::from_secs(1_800), SimDuration::from_secs(300)),
+            ),
+            (
+                "chaos-adaptive",
+                base(PreemptionPolicy::Adaptive, MediaKind::Hdd).with_faults(chaos()),
+            ),
+            (
+                "nvram",
+                base(PreemptionPolicy::Adaptive, MediaKind::Nvm).with_nvram(NvramSpec::default()),
+            ),
+        ];
+        let workload = GoogleTraceConfig::small(80.0).generate(9);
+        let mut searched_draws = false;
+        for (name, cfg) in cases {
+            let run = |reference: bool| {
+                let buf = SharedBuf::default();
+                let mut sim = ClusterSim::new(cfg.clone(), workload.clone());
+                sim.reference_walk = reference;
+                sim.set_tracer(Box::new(JsonlTracer::new(buf.clone())));
+                let report = sim.run();
+                let trace = buf.0.borrow().clone();
+                let work = report
+                    .telemetry
+                    .pass_work
+                    .expect("ClusterSim counts its work");
+                (trace, report.telemetry.registry.to_json(), work)
+            };
+            let (ref_trace, ref_registry, ref_work) = run(true);
+            let (trace, registry, work) = run(false);
+            assert!(trace == ref_trace, "{name}: traces differ");
+            assert_eq!(registry, ref_registry, "{name}: registries differ");
+            assert_eq!(ref_work.keys_jumped, 0, "{name}");
+            assert_eq!(work.passes, ref_work.passes, "{name}");
+            assert_eq!(work.keys_scanned, ref_work.keys_scanned, "{name}");
+            assert_eq!(
+                work.keys_scanned,
+                work.keys_visited + work.keys_jumped,
+                "{name}"
+            );
+            assert!(
+                work.keys_visited <= ref_work.keys_visited,
+                "{name}: {work:?}"
+            );
+            // Draws of keys jumped while searching, which the reference
+            // makes in restore placement instead of in the walk.
+            searched_draws |= work.walk_draws > ref_work.walk_draws;
+        }
+        assert!(
+            searched_draws,
+            "no case jumped a drawing key while searching"
+        );
     }
 
     proptest! {

@@ -73,7 +73,7 @@ pub struct TaskState {
     /// (preempted) tasks keep it, so they resume ahead of later arrivals of
     /// the same priority instead of parking their checkpoint images behind
     /// a long fresh-task backlog.
-    pub queue_seq: Option<u64>,
+    pub queue_seq: Option<u32>,
     /// Lazily created memory image (only checkpointing policies need it).
     pub memory: Option<TaskMemory>,
     /// When the task finished.
