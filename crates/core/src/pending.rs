@@ -146,6 +146,10 @@ pub(crate) struct Pos {
 pub(crate) struct PendingQueue {
     chunks: Vec<Chunk>,
     len: usize,
+    /// Emptied chunk buffers, reused before a new one is allocated. Chunks
+    /// split and drain all run long; handing their 2 KiB buffers back to
+    /// the allocator each time raised the process's peak RSS.
+    spare: Vec<Vec<Entry>>,
 }
 
 impl PendingQueue {
@@ -204,7 +208,8 @@ impl PendingQueue {
         };
         let flag = u64::from(q.ckpt);
         if self.chunks.is_empty() {
-            self.chunks.push(Chunk::new(buffer_with(entry), flag));
+            let entries = self.buffer_with(entry);
+            self.chunks.push(Chunk::new(entries, flag));
             return;
         }
         // The first chunk whose last key is not smaller, else the last.
@@ -230,12 +235,13 @@ impl PendingQueue {
             if at == CHUNK {
                 // Appending past a full last chunk: start a new one rather
                 // than leave two half-full chunks behind.
-                self.chunks.push(Chunk::new(buffer_with(entry), flag));
+                let entries = self.buffer_with(entry);
+                self.chunks.push(Chunk::new(entries, flag));
                 return;
             }
             let half = CHUNK / 2;
+            let mut tail = self.buffer();
             let chunk = &mut self.chunks[ci];
-            let mut tail = Vec::with_capacity(CHUNK);
             tail.extend(chunk.entries.drain(half..));
             let tail_mask = chunk.ckpt_mask >> half;
             chunk.ckpt_mask = below(chunk.ckpt_mask, half);
@@ -265,7 +271,8 @@ impl PendingQueue {
         chunk.entries.remove(at);
         self.len -= 1;
         if chunk.entries.is_empty() {
-            self.chunks.remove(ci);
+            let emptied = self.chunks.remove(ci);
+            self.spare.push(emptied.entries);
             return true;
         }
         let mask = chunk.ckpt_mask;
@@ -284,19 +291,28 @@ impl PendingQueue {
 
     /// Moves chunk `ci + 1`'s keys to the end of chunk `ci`.
     fn merge_next(&mut self, ci: usize) {
-        let next = self.chunks.remove(ci + 1);
+        let mut next = self.chunks.remove(ci + 1);
         let chunk = &mut self.chunks[ci];
         chunk.ckpt_mask |= next.ckpt_mask << chunk.len();
         chunk.entries.extend_from_slice(&next.entries);
         chunk.min = meet(&chunk.min, &next.min);
+        next.entries.clear();
+        self.spare.push(next.entries);
     }
-}
 
-/// A chunk buffer at its final capacity, holding `entry`.
-fn buffer_with(entry: Entry) -> Vec<Entry> {
-    let mut entries = Vec::with_capacity(CHUNK);
-    entries.push(entry);
-    entries
+    /// An empty chunk buffer at its final capacity.
+    fn buffer(&mut self) -> Vec<Entry> {
+        self.spare
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(CHUNK))
+    }
+
+    /// A chunk buffer holding `entry`.
+    fn buffer_with(&mut self, entry: Entry) -> Vec<Entry> {
+        let mut entries = self.buffer();
+        entries.push(entry);
+        entries
+    }
 }
 
 #[cfg(test)]
@@ -317,6 +333,12 @@ mod tests {
         }
         if q.len() != model.len() {
             return Err(format!("len {} vs model {}", q.len(), model.len()));
+        }
+        if q.spare
+            .iter()
+            .any(|b| !b.is_empty() || b.capacity() != CHUNK)
+        {
+            return Err("a spare buffer is in use or resized".into());
         }
         for (i, c) in q.chunks().iter().enumerate() {
             if c.len() == 0 || c.len() > CHUNK {
