@@ -96,11 +96,6 @@ impl Chunk {
         self.min
     }
 
-    /// How many keys were enqueued with a checkpoint.
-    pub fn ckpts(&self) -> usize {
-        self.ckpt_mask.count_ones() as usize
-    }
-
     /// The positions in `range` of the keys enqueued with a checkpoint,
     /// in order.
     pub fn ckpt_positions(&self, range: std::ops::Range<usize>) -> impl Iterator<Item = usize> {
@@ -355,10 +350,6 @@ mod tests {
             let mem = keys.iter().map(|k| k.demand.mem()).min().unwrap();
             if c.min() != Resources::new(cpu, mem) {
                 return Err(format!("chunk {i} min {} vs {cpu}/{mem}", c.min()));
-            }
-            let ckpts = keys.iter().filter(|k| k.ckpt).count();
-            if c.ckpts() != ckpts {
-                return Err(format!("chunk {i} ckpts {} vs {ckpts}", c.ckpts()));
             }
             let start = c.len() / 3;
             let flagged: Vec<usize> = (start..c.len()).filter(|&j| keys[j].ckpt).collect();

@@ -2166,31 +2166,25 @@ impl ClusterSim {
         // failing the gate is idle whatever it holds.
         let any_drained = self.reservations.values().any(|r| r.drains_left == 0);
         let mut pos = self.pending.seek(cursor.as_ref());
-        // A chunk whose minimum fits the free front is live to its end.
-        let mut live_chunk = None;
         // Set when a jump stopped short at a key its visit must decide.
         let mut visit_next = false;
         while pos.chunk < self.pending.chunks().len() {
             let searching = may_search && *budget > 0;
-            if !visit_next && live_chunk != Some(pos.chunk) {
-                if self.min_fits_free(pos.chunk) {
-                    live_chunk = Some(pos.chunk);
-                } else if self.dead_from(pos, searching) {
-                    match self.jump(pos, scanned, budget, searching, max_avail) {
-                        Jumped::Limit => return None,
-                        Jumped::Whole => {
-                            pos = Pos {
-                                chunk: pos.chunk + 1,
-                                at: 0,
-                            };
-                        }
-                        Jumped::To(at) => {
-                            pos.at = at;
-                            visit_next = true;
-                        }
+            if !visit_next && self.dead_from(pos, searching) {
+                match self.jump(pos, scanned, budget, searching, max_avail) {
+                    Jumped::Limit => return None,
+                    Jumped::Whole => {
+                        pos = Pos {
+                            chunk: pos.chunk + 1,
+                            at: 0,
+                        };
                     }
-                    continue;
+                    Jumped::To(at) => {
+                        pos.at = at;
+                        visit_next = true;
+                    }
                 }
+                continue;
             }
             visit_next = false;
             let q = self.pending.chunks()[pos.chunk].get(pos.at);
@@ -2217,23 +2211,22 @@ impl ClusterSim {
         None
     }
 
-    /// True if chunk `ci`'s minimum demand fits a point of the free front.
-    fn min_fits_free(&self, ci: usize) -> bool {
-        let min = self.pending.chunks()[ci].min();
-        self.free_front
-            .as_ref()
-            .expect("front built first")
-            .fits(&min)
-    }
-
-    /// True if every key from `pos` to the end of its chunk is dead, given
-    /// that the chunk's minimum demand fits no point of the free front
-    /// (so no key fits any node): none holds a reservation and, while
-    /// `searching`, the minimum fits no point of the reach front at the
-    /// priority of the key at `pos`, the highest left in the chunk.
+    /// True if every key from `pos` to the end of its chunk is dead: the
+    /// chunk's minimum demand fits no point of the free front (so no key
+    /// fits any node), none holds a reservation and, while `searching`,
+    /// the minimum fits no point of the reach front at the priority of the
+    /// key at `pos`, the highest left in the chunk.
     fn dead_from(&mut self, pos: Pos, searching: bool) -> bool {
         let chunk = &self.pending.chunks()[pos.chunk];
         let min = chunk.min();
+        if self
+            .free_front
+            .as_ref()
+            .expect("front built first")
+            .fits(&min)
+        {
+            return false;
+        }
         let first = chunk.key(pos.at);
         let last = chunk.key(chunk.len() - 1);
         if !self.holders.is_empty() && self.holders.range(first..=last).next().is_some() {
@@ -2281,7 +2274,7 @@ impl ClusterSim {
         let mut end = len.min(pos.at + room);
         let mut acting = false;
         // Only keys enqueued with a checkpoint can draw.
-        if chunk.ckpts() > 0 && chunk.min().fits_in(max_avail) {
+        if chunk.min().fits_in(max_avail) {
             let n = self.nodes.len();
             for at in chunk.ckpt_positions(pos.at..end) {
                 match self.dead_visit(&chunk.get(at), max_avail) {
