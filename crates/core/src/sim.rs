@@ -2325,10 +2325,10 @@ impl ClusterSim {
             assert!(q.ckpt || !self.has_checkpoint(t), "{t} gained a checkpoint");
             if budget.is_some_and(|b| i < b) {
                 let futile = (0..self.nodes.len())
-                    .filter(|&i| self.nodes[i].up)
-                    .all(|i| {
+                    .filter(|&node| self.nodes[node].up)
+                    .all(|node| {
                         let reach =
-                            self.unreserved_free(i) + self.victim_capacity(i, task.priority);
+                            self.unreserved_free(node) + self.victim_capacity(node, task.priority);
                         !q.demand.fits_in(&reach)
                     });
                 assert!(futile, "jumped {t}, whose search could succeed");
