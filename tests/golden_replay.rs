@@ -123,6 +123,23 @@ const CASES: &[Case] = &[
         ],
     },
     Case {
+        // The other chaos cases never partition the trace simulator's
+        // cluster: this one starts and heals rack partitions on both
+        // simulators, the trace simulator's last heal coming when the
+        // workload drains.
+        name: "chaos-partition",
+        plan: "chaos,partition=1,seed=11",
+        lifecycle: true,
+        nodes: [5, 4],
+        store: Store::Dfs,
+        golden: [
+            0x4fc9e9615effcd13,
+            0xd08f5eb0ab053b99,
+            0x0bf8a2ea89817e18,
+            0xf584d49f232b0dd0,
+        ],
+    },
+    Case {
         name: "pressure",
         plan: PRESSURE,
         lifecycle: true,
