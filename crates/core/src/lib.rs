@@ -42,6 +42,7 @@
 
 pub mod ckpt_path;
 mod config;
+pub mod fault_clock;
 mod metrics;
 mod pending;
 pub mod scenario;
@@ -49,6 +50,8 @@ mod sim;
 mod task;
 
 pub use config::{PreemptionPolicy, QueueDiscipline, RestorePlacement, SimConfig, VictimSelection};
-pub use metrics::{BandMetrics, PassWork, ResponseSummary, RunMetrics, RunReport, TelemetryReport};
+pub use metrics::{
+    BandMetrics, PassWork, ResponseSummary, RunLedger, RunMetrics, RunReport, TelemetryReport,
+};
 pub use sim::ClusterSim;
 pub use task::TaskStatus;

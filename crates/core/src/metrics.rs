@@ -3,8 +3,8 @@
 use std::collections::BTreeMap;
 
 use cbp_simkit::stats::Samples;
-use cbp_simkit::{SimDuration, SimTime};
-use cbp_telemetry::{MetricsRegistry, TimeSeries};
+use cbp_simkit::{RunStats, SimDuration, SimTime};
+use cbp_telemetry::{MetricsRegistry, StreamingQuantiles, TimeSeries};
 use cbp_workload::analysis::TraceLog;
 use cbp_workload::{LatencyClass, PriorityBand};
 
@@ -306,16 +306,81 @@ pub struct RunReport {
     pub telemetry: TelemetryReport,
 }
 
+/// The counters and CPU-second sums both simulators keep, incremented in
+/// place, and the registry keys they share.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct RunLedger {
+    /// Victims killed.
+    pub kills: u64,
+    /// Checkpoint dumps started.
+    pub checkpoints: u64,
+    /// Restores completed.
+    pub restores: u64,
+    /// Restores on a node other than the checkpoint origin.
+    pub remote_restores: u64,
+    /// Containers evicted by fault-plan node or rack crashes.
+    pub crash_evictions: u64,
+    /// Tasks that completed.
+    pub tasks_finished: u64,
+    /// Core-seconds of completed work.
+    pub useful_cpu_secs: f64,
+    /// Core-seconds of progress lost to kills, crashes and scratch
+    /// restarts (re-execution waste).
+    pub kill_lost_cpu_secs: f64,
+    /// Core-seconds spent holding resources during dumps.
+    pub dump_overhead_cpu_secs: f64,
+    /// Core-seconds spent holding resources during restores.
+    pub restore_overhead_cpu_secs: f64,
+}
+
+impl RunLedger {
+    /// Sets the registry keys both simulators share for a run the engine
+    /// ended with `stats`: the engine's event count, the `scheduler.*`
+    /// counters, makespan and response quantiles, crash evictions, the
+    /// `cpu.*_hours` sums and the energy. `responses` are fed to the P²
+    /// estimators in the order given, which the estimate depends on.
+    pub fn export(
+        &self,
+        reg: &mut MetricsRegistry,
+        stats: &RunStats,
+        jobs_finished: u64,
+        energy_kwh: f64,
+        responses: impl IntoIterator<Item = f64>,
+    ) {
+        reg.set_counter("engine.events", "events", stats.events);
+        reg.set_counter("scheduler.kills", "ops", self.kills);
+        reg.set_counter("scheduler.checkpoints", "ops", self.checkpoints);
+        reg.set_counter("scheduler.restores", "ops", self.restores);
+        reg.set_counter("scheduler.remote_restores", "ops", self.remote_restores);
+        reg.set_counter("scheduler.tasks_finished", "ops", self.tasks_finished);
+        reg.set_counter("scheduler.jobs_finished", "ops", jobs_finished);
+        reg.set_counter("faults.crash_evictions", "ops", self.crash_evictions);
+        reg.set_gauge("scheduler.makespan_secs", "s", stats.now.as_secs_f64());
+        for (name, secs) in [
+            ("cpu.useful_hours", self.useful_cpu_secs),
+            ("cpu.kill_lost_hours", self.kill_lost_cpu_secs),
+            ("cpu.dump_overhead_hours", self.dump_overhead_cpu_secs),
+            ("cpu.restore_overhead_hours", self.restore_overhead_cpu_secs),
+        ] {
+            reg.set_gauge(name, "cpu-hours", secs / 3600.0);
+        }
+        reg.set_gauge("energy.total_kwh", "kWh", energy_kwh);
+        let mut quantiles = StreamingQuantiles::new();
+        for v in responses {
+            quantiles.observe(v);
+        }
+        if quantiles.count() > 0 {
+            reg.set_quantiles("scheduler.response_secs", "s", quantiles.snapshot());
+        }
+    }
+}
+
 /// Internal accumulator the simulator writes into.
 #[derive(Debug, Default)]
 pub(crate) struct MetricsCollector {
+    pub ledger: RunLedger,
     pub preemptions: u64,
-    pub kills: u64,
-    pub checkpoints: u64,
-    pub restores: u64,
-    pub remote_restores: u64,
     pub failure_evictions: u64,
-    pub crash_evictions: u64,
     pub breaker_open_secs: f64,
     pub images_lost_to_failures: u64,
     pub dump_fail_retries: u64,
@@ -325,11 +390,6 @@ pub(crate) struct MetricsCollector {
     pub dfs_blocks_repaired: u64,
     pub dfs_repair_bytes: u64,
     pub dfs_blocks_lost: u64,
-    pub kill_lost_cpu_secs: f64,
-    pub dump_overhead_cpu_secs: f64,
-    pub restore_overhead_cpu_secs: f64,
-    pub useful_cpu_secs: f64,
-    pub tasks_finished: u64,
     pub responses: BTreeMap<PriorityBand, Samples>,
     pub responses_latency: BTreeMap<u8, Samples>,
     pub jobs_finished: u64,
@@ -353,9 +413,9 @@ impl MetricsCollector {
     }
 
     pub fn charge_kill(&mut self, lost: SimDuration, cores: f64) {
-        self.kills += 1;
+        self.ledger.kills += 1;
         self.preemptions += 1;
-        self.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
+        self.ledger.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
     }
 
     pub fn charge_dump(
@@ -365,19 +425,19 @@ impl MetricsCollector {
         incremental_count: &mut u64,
         incremental: bool,
     ) {
-        self.checkpoints += 1;
+        self.ledger.checkpoints += 1;
         self.preemptions += 1;
-        self.dump_overhead_cpu_secs += duration.as_secs_f64() * cores;
+        self.ledger.dump_overhead_cpu_secs += duration.as_secs_f64() * cores;
         if incremental {
             *incremental_count += 1;
         }
     }
 
     pub fn charge_restore(&mut self, duration: SimDuration, cores: f64, remote: bool) {
-        self.restores += 1;
-        self.restore_overhead_cpu_secs += duration.as_secs_f64() * cores;
+        self.ledger.restores += 1;
+        self.ledger.restore_overhead_cpu_secs += duration.as_secs_f64() * cores;
         if remote {
-            self.remote_restores += 1;
+            self.ledger.remote_restores += 1;
         }
     }
 
@@ -407,23 +467,24 @@ impl MetricsCollector {
             .into_iter()
             .map(|(class, samples)| (class, to_band_metrics(samples)))
             .collect();
+        let l = self.ledger;
         RunMetrics {
             makespan_secs: makespan.as_secs_f64(),
             jobs_finished: self.jobs_finished,
-            tasks_finished: self.tasks_finished,
+            tasks_finished: l.tasks_finished,
             preemptions: self.preemptions,
-            kills: self.kills,
-            checkpoints: self.checkpoints,
+            kills: l.kills,
+            checkpoints: l.checkpoints,
             incremental_checkpoints,
-            restores: self.restores,
-            remote_restores: self.remote_restores,
+            restores: l.restores,
+            remote_restores: l.remote_restores,
             capacity_fallbacks: ckpt.capacity_fallbacks,
             gc_reclaimed_bytes: ckpt.gc_reclaimed_bytes,
             evicted_chains: ckpt.evicted_chains,
             spill_dumps: ckpt.spill_dumps,
             no_space_kills: ckpt.no_space_kills,
             failure_evictions: self.failure_evictions,
-            crash_evictions: self.crash_evictions,
+            crash_evictions: l.crash_evictions,
             breaker_open_kills: ckpt.breaker_open_kills,
             breaker_open_secs: self.breaker_open_secs,
             images_lost_to_failures: self.images_lost_to_failures,
@@ -440,10 +501,10 @@ impl MetricsCollector {
             dfs_blocks_repaired: self.dfs_blocks_repaired,
             dfs_repair_bytes: self.dfs_repair_bytes,
             dfs_blocks_lost: self.dfs_blocks_lost,
-            kill_lost_cpu_hours: self.kill_lost_cpu_secs / 3600.0,
-            dump_overhead_cpu_hours: self.dump_overhead_cpu_secs / 3600.0,
-            restore_overhead_cpu_hours: self.restore_overhead_cpu_secs / 3600.0,
-            useful_cpu_hours: self.useful_cpu_secs / 3600.0,
+            kill_lost_cpu_hours: l.kill_lost_cpu_secs / 3600.0,
+            dump_overhead_cpu_hours: l.dump_overhead_cpu_secs / 3600.0,
+            restore_overhead_cpu_hours: l.restore_overhead_cpu_secs / 3600.0,
+            useful_cpu_hours: l.useful_cpu_secs / 3600.0,
             energy_kwh,
             io_overhead_fraction,
             storage_peak_fraction,
@@ -464,8 +525,8 @@ mod tests {
         let mut inc = 0;
         c.charge_dump(SimDuration::from_secs(1800), 1.0, &mut inc, true);
         c.charge_restore(SimDuration::from_secs(1800), 1.0, true);
-        c.useful_cpu_secs = 3600.0 * 6.0;
-        c.crash_evictions = 2;
+        c.ledger.useful_cpu_secs = 3600.0 * 6.0;
+        c.ledger.crash_evictions = 2;
         c.breaker_open_secs = 42.0;
         let k = CkptCounters {
             breaker_open_kills: 1,

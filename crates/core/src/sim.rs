@@ -17,13 +17,14 @@ use cbp_simkit::{
     run_until_observed, EventQueue, RunStats, SimDuration, SimRng, SimTime, Simulation,
 };
 use cbp_telemetry::{
-    MetricsRegistry, PreemptAction, StreamingQuantiles, TimeSeries, TraceRecord, TraceSink, Tracer,
+    MetricsRegistry, PreemptAction, TimeSeries, TraceRecord, TraceSink, Tracer,
 };
 use cbp_workload::analysis::{TraceEvent, TraceEventKind, TraceLog};
 use cbp_workload::{Priority, PriorityBand, TaskSpec, Workload};
 
 use crate::ckpt_path::{media_name, ChainValidation, CkptPath};
 use crate::config::{PreemptionPolicy, RestorePlacement, SimConfig, VictimSelection};
+use crate::fault_clock::{FaultClock, FaultHost, FaultTick};
 use crate::metrics::{MetricsCollector, PassWork, RunReport, TelemetryReport};
 use crate::pending::{PendingKey, PendingQueue, Pos, Queued};
 use crate::task::{TaskState, TaskStatus};
@@ -62,20 +63,8 @@ pub enum Event {
     NodeFail(u32),
     /// A failed node comes back into service.
     NodeRecover(u32),
-    /// Window boundary of the chaos plan's crash schedule: evaluate the
-    /// stateless crash oracle for every node (and rack) once per window.
-    ChaosCrashTick,
-    /// Window boundary of the chaos plan's partition schedule: start or
-    /// heal the rack partition the stateless oracle dictates.
-    ChaosPartitionTick,
-    /// A chaos-crashed node comes back into service (separate from
-    /// [`Event::NodeRecover`] so the MTBF chain stays untouched).
-    ChaosRecover(u32),
-    /// Window boundary of the pressure plan's leak schedule: evaluate the
-    /// stateless leak oracle for every node once per window, reserving
-    /// checkpoint-device bytes that no live image owns (simulating
-    /// orphaned dump directories a real NM forgets to clean up).
-    PressureTick,
+    /// A tick of the fault plan's schedules (see [`FaultTick`]).
+    Fault(FaultTick),
 }
 
 struct NodeSlot {
@@ -140,14 +129,10 @@ pub struct ClusterSim {
     sampler: Option<Sampler>,
     /// Pending-queue depth after the previous event (for change records).
     last_queue_depth: usize,
-    /// Deterministic fault oracle (absent when injection is off). Every
-    /// decision is a pure hash of (plan seed, identity), so enabling an
-    /// inert plan perturbs nothing and the same plan replays identically.
-    faults: Option<FaultPlan>,
+    /// The fault plan and its crash, partition and leak schedules.
+    clock: FaultClock,
     /// Task → 0-based attempt index of its in-flight restore episode.
     restore_attempts: HashMap<u32, u32>,
-    /// Rack currently isolated by a chaos-plan network partition.
-    active_partition: Option<u32>,
     /// What the scheduling passes did, counted exactly.
     work: PassWork,
     /// Walk the pending queue one key at a time, never jumping a chunk
@@ -267,7 +252,7 @@ impl ClusterSim {
         }
         // A pressure plan shrinks every node's checkpoint device before the
         // run starts (the fleet was provisioned smaller than the workload
-        // needs); leak injection on top happens via `PressureTick`.
+        // needs); leak injection on top happens via `FaultTick::Pressure`.
         let ckpt = CkptPath::new(
             n_nodes,
             cfg.media,
@@ -278,7 +263,7 @@ impl ClusterSim {
         );
         ClusterSim {
             ckpt,
-            faults,
+            clock: FaultClock::new(faults, n_nodes),
             cfg,
             workload,
             nodes,
@@ -305,7 +290,6 @@ impl ClusterSim {
             sampler: None,
             last_queue_depth: 0,
             restore_attempts: HashMap::new(),
-            active_partition: None,
             work: PassWork::default(),
             #[cfg(any(test, debug_assertions))]
             reference_walk: false,
@@ -368,17 +352,7 @@ impl ClusterSim {
                 self.schedule_next_failure(node, SimTime::ZERO, &mut queue);
             }
         }
-        if let Some(plan) = &self.faults {
-            if plan.crash().is_some() {
-                queue.push(SimTime::ZERO, Event::ChaosCrashTick);
-            }
-            if plan.partition().is_some() {
-                queue.push(SimTime::ZERO, Event::ChaosPartitionTick);
-            }
-            if plan.pressure().is_some_and(|p| p.leak_prob > 0.0) {
-                queue.push(SimTime::ZERO, Event::PressureTick);
-            }
-        }
+        self.start_fault_clock(&mut queue);
         let stats = run_until_observed(&mut self, &mut queue, SimTime::MAX, &mut |_| {});
         let makespan = stats.now;
         self.metrics.breaker_open_secs = self.ckpt.breaker_open_secs(makespan);
@@ -390,7 +364,7 @@ impl ClusterSim {
         let io_overhead = self.ckpt.io_busy_fraction(horizon);
         let storage_peak = self.ckpt.peak_used_fraction();
         let incremental = self.ckpt.criu().incremental_dumps();
-        let registry = self.build_registry(makespan, energy_kwh, &stats);
+        let registry = self.build_registry(energy_kwh, &stats);
         let telemetry = TelemetryReport {
             registry,
             timeseries: self.sampler.take().map(|s| s.series),
@@ -421,63 +395,26 @@ impl ClusterSim {
     /// state, so the registry JSON is byte-stable across runs with the
     /// same seed (wall-clock engine throughput lives on
     /// [`TelemetryReport`] instead).
-    fn build_registry(
-        &self,
-        makespan: SimTime,
-        energy_kwh: f64,
-        stats: &RunStats,
-    ) -> MetricsRegistry {
+    fn build_registry(&self, energy_kwh: f64, stats: &RunStats) -> MetricsRegistry {
         let m = &self.metrics;
         let mut reg = MetricsRegistry::new();
-        self.ckpt.export(&mut reg, makespan);
-        reg.set_counter("engine.events", "events", stats.events);
+        self.ckpt.export(&mut reg, stats.now);
+        let responses = m.responses.values().flat_map(|s| s.values().iter().copied());
+        m.ledger
+            .export(&mut reg, stats, m.jobs_finished, energy_kwh, responses);
         reg.set_counter("scheduler.preemptions", "ops", m.preemptions);
-        reg.set_counter("scheduler.kills", "ops", m.kills);
-        reg.set_counter("scheduler.checkpoints", "ops", m.checkpoints);
-        reg.set_counter("scheduler.restores", "ops", m.restores);
-        reg.set_counter("scheduler.remote_restores", "ops", m.remote_restores);
         reg.set_counter("scheduler.failure_evictions", "ops", m.failure_evictions);
         reg.set_counter(
             "scheduler.images_lost_to_failures",
             "ops",
             m.images_lost_to_failures,
         );
-        reg.set_counter("scheduler.tasks_finished", "ops", m.tasks_finished);
-        reg.set_counter("scheduler.jobs_finished", "ops", m.jobs_finished);
-        reg.set_counter("faults.crash_evictions", "ops", m.crash_evictions);
         reg.set_counter("faults.dump_fail_retries", "ops", m.dump_fail_retries);
         reg.set_counter("faults.restore_fail_retries", "ops", m.restore_fail_retries);
         reg.set_counter("faults.scratch_restarts", "ops", m.scratch_restarts);
         reg.set_counter("dfs.blocks_repaired", "blocks", m.dfs_blocks_repaired);
         reg.set_counter("dfs.repair_bytes", "bytes", m.dfs_repair_bytes);
         reg.set_counter("dfs.blocks_lost", "blocks", m.dfs_blocks_lost);
-        reg.set_gauge("scheduler.makespan_secs", "s", makespan.as_secs_f64());
-        reg.set_gauge("cpu.useful_hours", "cpu-hours", m.useful_cpu_secs / 3600.0);
-        reg.set_gauge(
-            "cpu.kill_lost_hours",
-            "cpu-hours",
-            m.kill_lost_cpu_secs / 3600.0,
-        );
-        reg.set_gauge(
-            "cpu.dump_overhead_hours",
-            "cpu-hours",
-            m.dump_overhead_cpu_secs / 3600.0,
-        );
-        reg.set_gauge(
-            "cpu.restore_overhead_hours",
-            "cpu-hours",
-            m.restore_overhead_cpu_secs / 3600.0,
-        );
-        reg.set_gauge("energy.total_kwh", "kWh", energy_kwh);
-        let mut responses = StreamingQuantiles::new();
-        for samples in m.responses.values() {
-            for &v in samples.values() {
-                responses.observe(v);
-            }
-        }
-        if responses.count() > 0 {
-            reg.set_quantiles("scheduler.response_secs", "s", responses.snapshot());
-        }
         reg
     }
 
@@ -797,23 +734,15 @@ impl ClusterSim {
     }
 
     /// Stall-window degradation multiplier for node `i` at `now` (1.0
-    /// whenever fault injection is off or the node is healthy). While a
-    /// rack partition isolates `i`'s rack, checkpoint I/O touching the
-    /// node pays the partition penalty on top: the DFS write pipeline and
-    /// remote reads cross the partition boundary. Cost estimators share
-    /// this helper, so placement and victim ranking see the same penalty
-    /// the actual transfers pay.
+    /// whenever fault injection is off or the node is healthy), times the
+    /// partition penalty while a partition isolates `i`'s rack. Cost
+    /// estimators share this helper, so placement and victim ranking see
+    /// the same penalty the actual transfers pay.
     fn device_factor(&self, i: usize, now: SimTime) -> f64 {
-        let Some(plan) = self.faults.as_ref() else {
+        let Some(plan) = self.clock.plan() else {
             return 1.0;
         };
-        let mut factor = plan.device_factor(i as u32, now);
-        if let (Some(rack), Some(p)) = (self.active_partition, plan.partition()) {
-            if plan.rack_of(i as u32) == rack {
-                factor *= p.penalty;
-            }
-        }
-        factor
+        plan.device_factor(i as u32, now) * self.clock.partition_factor(i)
     }
 
     /// Breaker gate for a checkpoint decision: when the checkpoint path
@@ -911,7 +840,7 @@ impl ClusterSim {
             if factor > 1.0 && self.cfg.nvram.is_none() {
                 service = service.mul_f64(factor);
             }
-            if self.faults.is_some() {
+            if self.clock.plan().is_some() {
                 // New restore episode: attempt numbering restarts.
                 self.restore_attempts.insert(t, 0);
             }
@@ -960,7 +889,7 @@ impl ClusterSim {
             let remote = origin != node as u32;
             if remote {
                 // Count it now; duration is charged at completion.
-                self.metrics.remote_restores += 1;
+                self.metrics.ledger.remote_restores += 1;
             }
             // `started` is the service start: queue wait burns no CPU.
             q.push(
@@ -1283,7 +1212,7 @@ impl ClusterSim {
         task.epoch += 1;
         task.preemptions += 1;
         let epoch = task.epoch;
-        if self.faults.is_some() {
+        if self.clock.plan().is_some() {
             self.ckpt.begin_dump(key);
         }
         q.push(
@@ -1446,7 +1375,7 @@ impl ClusterSim {
         // With chunked resume a retry rewrites only the suffix past the
         // durable frontier — on average half the image — so resumable
         // victims rank cheaper than they would under full rewrites.
-        if let Some(plan) = &self.faults {
+        if let Some(plan) = self.clock.plan() {
             let p = plan.spec().dump_fail_prob;
             if p > 0.0 {
                 let expected_retries =
@@ -1627,7 +1556,7 @@ impl ClusterSim {
         now: SimTime,
         q: &mut EventQueue<Event>,
     ) {
-        let plan = self.faults.as_ref().expect("caller checked plan presence");
+        let plan = self.clock.plan().expect("caller checked plan presence");
         let full = self.tasks[t as usize].spec.resources.mem();
         let retry = self.ckpt.fail_dump(
             plan,
@@ -1743,7 +1672,7 @@ impl ClusterSim {
         now: SimTime,
         q: &mut EventQueue<Event>,
     ) {
-        let plan = self.faults.as_ref().expect("caller checked plan presence");
+        let plan = self.clock.plan().expect("caller checked plan presence");
         let will_retry = !corrupt && attempt < plan.max_restore_retries();
         let reason = if corrupt {
             "corrupt-image"
@@ -1803,7 +1732,7 @@ impl ClusterSim {
         now: SimTime,
         q: &mut EventQueue<Event>,
     ) -> ChainValidation {
-        let plan = self.faults.as_ref().expect("resume mode implies a plan");
+        let plan = self.clock.plan().expect("resume mode implies a plan");
         let cores = self.tasks[t as usize].spec.resources.cores_f64();
         let attempt = self.restore_attempts.get(&t).copied().unwrap_or(0);
         let verdict = self.ckpt.validate_chain(
@@ -1855,7 +1784,7 @@ impl ClusterSim {
     fn restart_from_scratch(&mut self, t: u32, now: SimTime) {
         let cores = self.tasks[t as usize].spec.resources.cores_f64();
         let lost = self.tasks[t as usize].checkpointed_progress;
-        self.metrics.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
+        self.metrics.ledger.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
         self.release_container(t, now);
         self.ckpt.discard_chain(handle_u64(t));
         self.restore_attempts.remove(&t);
@@ -1924,11 +1853,11 @@ impl ClusterSim {
         let lost = self.tasks[t as usize].progress_at_risk();
         let cores = self.tasks[t as usize].spec.resources.cores_f64();
         if chaos {
-            self.metrics.crash_evictions += 1;
+            self.metrics.ledger.crash_evictions += 1;
         } else {
             self.metrics.failure_evictions += 1;
         }
-        self.metrics.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
+        self.metrics.ledger.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
         self.emit(
             now,
             t,
@@ -1976,7 +1905,7 @@ impl ClusterSim {
             self.tasks[t as usize].checkpointed_progress = SimDuration::ZERO;
         }
         // The node failure ends any in-flight dump/restore episode.
-        if self.faults.is_some() {
+        if self.clock.plan().is_some() {
             self.ckpt.end_dump(handle_u64(t));
             self.restore_attempts.remove(&t);
         }
@@ -2012,7 +1941,7 @@ impl ClusterSim {
     /// Takes a node down, evicting everything on it. `chaos` marks a
     /// chaos-plan crash: the trace event is `NodeDown` (vs `NodeFail`),
     /// evictions count as crash evictions, and recovery is the caller's
-    /// `ChaosRecover` (the MTBF chain stays untouched).
+    /// `FaultTick::Recover` (the MTBF chain stays untouched).
     fn fail_node(&mut self, node: usize, now: SimTime, q: &mut EventQueue<Event>, chaos: bool) {
         if !self.nodes[node].up {
             return; // already down (stale event)
@@ -2475,11 +2404,36 @@ impl Simulation for ClusterSim {
             Event::RestoreDone { .. } => "restore_done",
             Event::NodeFail(_) => "node_fail",
             Event::NodeRecover(_) => "node_recover",
-            Event::ChaosCrashTick => "chaos_crash_tick",
-            Event::ChaosPartitionTick => "chaos_partition_tick",
-            Event::ChaosRecover(_) => "chaos_recover",
-            Event::PressureTick => "pressure_tick",
+            Event::Fault(tick) => tick.kind(),
         }
+    }
+}
+
+impl FaultHost for ClusterSim {
+    type Event = Event;
+
+    fn fault_event(tick: FaultTick) -> Event {
+        Event::Fault(tick)
+    }
+
+    fn fault_parts(&mut self) -> (&mut FaultClock, &mut CkptPath, &mut TraceSink) {
+        (&mut self.clock, &mut self.ckpt, &mut self.trace)
+    }
+
+    fn node_up(&mut self, node: usize) -> &mut bool {
+        &mut self.nodes[node].up
+    }
+
+    fn crash(&mut self, node: usize, now: SimTime, q: &mut EventQueue<Event>) {
+        self.fail_node(node, now, q, true);
+    }
+
+    fn work_remains(&self) -> bool {
+        self.jobs_left > 0
+    }
+
+    fn follow_up(&mut self, _after: FaultTick, now: SimTime, q: &mut EventQueue<Event>) {
+        self.schedule_pass(now, q);
     }
 }
 
@@ -2531,8 +2485,8 @@ impl ClusterSim {
                 self.release_container(task, now);
                 let cores = self.tasks[task as usize].spec.resources.cores_f64();
                 let work = self.tasks[task as usize].spec.duration.as_secs_f64();
-                self.metrics.useful_cpu_secs += cores * work;
-                self.metrics.tasks_finished += 1;
+                self.metrics.ledger.useful_cpu_secs += cores * work;
+                self.metrics.ledger.tasks_finished += 1;
                 self.tasks[task as usize].status = TaskStatus::Finished;
                 self.tasks[task as usize].finished_at = Some(now);
 
@@ -2571,7 +2525,7 @@ impl ClusterSim {
                 // (NVRAM suspends are memory copies; they do not take the
                 // storage fault path.)
                 if self.cfg.nvram.is_none() {
-                    if let Some(plan) = &self.faults {
+                    if let Some(plan) = self.clock.plan() {
                         let attempt = self.ckpt.dump_attempt(handle_u64(task));
                         if plan.dump_fails(task as u64, epoch, attempt) {
                             self.on_dump_failed(task, node as usize, epoch, attempt, now, q);
@@ -2600,7 +2554,7 @@ impl ClusterSim {
                 // truncation rolls back to exactly that), end the episode
                 // and land the plan's corruption draws on the new image.
                 self.ckpt.commit_dump(
-                    self.faults.as_ref(),
+                    self.clock.plan(),
                     handle_u64(task),
                     node,
                     epoch,
@@ -2622,88 +2576,7 @@ impl ClusterSim {
                 self.fail_node(node as usize, now, q, false);
                 self.schedule_pass(now, q);
             }
-            Event::ChaosCrashTick => {
-                // One stateless oracle evaluation per window: which nodes
-                // crash in the window starting now?
-                let (window, downtime, crashed) = {
-                    let Some(plan) = &self.faults else { return };
-                    let Some(c) = plan.crash() else { return };
-                    let widx = now.as_micros() / c.window.as_micros().max(1);
-                    let crashed: Vec<usize> = (0..self.nodes.len())
-                        .filter(|&i| self.nodes[i].up && plan.node_crashes(i as u32, widx))
-                        .collect();
-                    (c.window, c.downtime, crashed)
-                };
-                for node in crashed {
-                    self.fail_node(node, now, q, true);
-                    // Parse-time validation guarantees downtime < window,
-                    // so the node is back before its next crash draw.
-                    q.push(now + downtime, Event::ChaosRecover(node as u32));
-                }
-                // Stop ticking once the workload drained, else the tick
-                // chain keeps the run alive forever.
-                if self.jobs_left > 0 {
-                    q.push(now + window, Event::ChaosCrashTick);
-                }
-                self.schedule_pass(now, q);
-            }
-            Event::ChaosPartitionTick => {
-                let (window, next) = {
-                    let Some(plan) = &self.faults else { return };
-                    let Some(p) = plan.partition() else { return };
-                    let widx = now.as_micros() / p.window.as_micros().max(1);
-                    let racks = match self.nodes.len() {
-                        0 => 0,
-                        n => plan.rack_of(n as u32 - 1) + 1,
-                    };
-                    (p.window, plan.partition_isolates(widx, racks))
-                };
-                if next != self.active_partition {
-                    if self.trace.on() {
-                        if let Some(rack) = self.active_partition {
-                            self.trace
-                                .record(now.as_micros(), TraceRecord::PartitionEnd { rack });
-                        }
-                        if let Some(rack) = next {
-                            self.trace
-                                .record(now.as_micros(), TraceRecord::PartitionStart { rack });
-                        }
-                    }
-                    self.active_partition = next;
-                }
-                if self.jobs_left > 0 {
-                    q.push(now + window, Event::ChaosPartitionTick);
-                } else if let Some(rack) = self.active_partition.take() {
-                    // Heal the partition when the schedule winds down so
-                    // the trace's start/end events tile.
-                    self.trace
-                        .record(now.as_micros(), TraceRecord::PartitionEnd { rack });
-                }
-            }
-            Event::PressureTick => {
-                let Some(plan) = &self.faults else { return };
-                let nodes = &self.nodes;
-                let Some(window) = self.ckpt.pressure_tick(plan, now, &|i| nodes[i].up) else {
-                    return;
-                };
-                // Stop ticking once the workload drained, else the tick
-                // chain keeps the run alive forever.
-                if self.jobs_left > 0 {
-                    q.push(now + window, Event::PressureTick);
-                }
-            }
-            Event::ChaosRecover(node) => {
-                if self.nodes[node as usize].up {
-                    return; // stale (never expected, but harmless)
-                }
-                self.nodes[node as usize].up = true;
-                // Re-registration: the datanode rejoins empty (its blocks
-                // were re-replicated or lost at crash time).
-                self.ckpt.recover_datanode(node as usize);
-                self.trace
-                    .record(now.as_micros(), TraceRecord::NodeUp { node });
-                self.schedule_pass(now, q);
-            }
+            Event::Fault(tick) => self.on_fault_tick(tick, now, q),
             Event::NodeRecover(node) => {
                 self.nodes[node as usize].up = true;
                 // The datanode rejoins empty (its blocks were already
@@ -2732,7 +2605,7 @@ impl ClusterSim {
                 // images truncate the chain to its longest valid prefix,
                 // and an empty prefix scratch-restarts.
                 if self.cfg.nvram.is_none()
-                    && self.faults.as_ref().is_some_and(|p| p.resume_enabled())
+                    && self.clock.plan().is_some_and(|p| p.resume_enabled())
                 {
                     match self.validate_restored_chain(task, node as usize, epoch, started, now, q)
                     {
@@ -2747,7 +2620,7 @@ impl ClusterSim {
                 // Deterministic fault check: did this restore attempt
                 // fail (transiently, or because the image is corrupt)?
                 if self.cfg.nvram.is_none() {
-                    if let Some(plan) = &self.faults {
+                    if let Some(plan) = self.clock.plan() {
                         let attempt = self.restore_attempts.get(&task).copied().unwrap_or(0);
                         let corrupt = self.ckpt.is_corrupt(handle_u64(task));
                         if corrupt || plan.restore_fails(task as u64, epoch, attempt) {
@@ -2765,7 +2638,7 @@ impl ClusterSim {
                         }
                     }
                 }
-                if self.faults.is_some() {
+                if self.clock.plan().is_some() {
                     self.restore_attempts.remove(&task);
                 }
                 self.ckpt

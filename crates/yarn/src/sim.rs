@@ -3,17 +3,15 @@
 use cbp_checkpoint::Criu;
 use cbp_cluster::{Container, ContainerId, EnergyMeter, Node, NodeId};
 use cbp_core::ckpt_path::{media_name, ChainValidation, CkptPath};
-use cbp_core::PreemptionPolicy;
-use cbp_core::TelemetryReport;
+use cbp_core::fault_clock::{FaultClock, FaultHost, FaultTick};
+use cbp_core::{PreemptionPolicy, RunLedger, TelemetryReport};
 use cbp_dfs::DfsCluster;
 use cbp_faults::FaultPlan;
 use cbp_simkit::stats::Samples;
 use cbp_simkit::{
     run_until_observed, EventQueue, RunStats, SimDuration, SimRng, SimTime, Simulation,
 };
-use cbp_telemetry::{
-    MetricsRegistry, PreemptAction, StreamingQuantiles, TraceRecord, TraceSink, Tracer,
-};
+use cbp_telemetry::{MetricsRegistry, PreemptAction, TraceRecord, TraceSink, Tracer};
 use cbp_workload::{PriorityBand, Workload};
 
 use std::collections::HashMap;
@@ -95,18 +93,8 @@ pub enum YarnEvent {
         /// Staleness guard (the epoch when the request was ignored).
         epoch: u32,
     },
-    /// Chaos-plan window boundary: evaluate the stateless crash oracle
-    /// for every node (and rack) in the window starting now.
-    ChaosCrashTick,
-    /// Chaos-plan window boundary: evaluate which rack (if any) the
-    /// partition oracle isolates for the window starting now.
-    ChaosPartitionTick,
-    /// A chaos-crashed node comes back and its datanode re-registers.
-    ChaosRecover(u32),
-    /// Pressure-plan window boundary: inject leaked checkpoint-store
-    /// reservations (orphaned dump directories the NM forgot to clean)
-    /// on the nodes the leak oracle selects for the window starting now.
-    PressureTick,
+    /// A tick of the fault plan's schedules (see [`FaultTick`]).
+    Fault(FaultTick),
 }
 
 struct NodeManager {
@@ -131,29 +119,16 @@ pub struct YarnSim {
     next_container: u64,
     total_slots: u32,
     // metrics
-    kills: u64,
-    checkpoints: u64,
-    restores: u64,
-    remote_restores: u64,
+    ledger: RunLedger,
     force_kills: u64,
     am_escalations: u64,
-    crash_evictions: u64,
-    kill_lost_cpu_secs: f64,
-    dump_overhead_cpu_secs: f64,
-    restore_overhead_cpu_secs: f64,
-    useful_cpu_secs: f64,
-    tasks_finished: u64,
     low_responses: Samples,
     high_responses: Samples,
     /// Structured-event sink (disabled by default).
     trace: TraceSink,
-    /// Deterministic fault oracle (absent when injection is off). Every
-    /// decision is a pure hash of (plan seed, identity), so an inert
-    /// plan perturbs nothing and the same plan replays identically.
-    faults: Option<FaultPlan>,
-    /// The rack currently isolated by the chaos partition oracle.
-    active_partition: Option<u32>,
-    /// Total container count of the workload — the chaos tick chains
+    /// The fault plan and its crash, partition and leak schedules.
+    clock: FaultClock,
+    /// Total container count of the workload — the fault tick chains
     /// stop once `tasks_finished` reaches it so they cannot keep an
     /// otherwise-drained run alive.
     total_tasks: u64,
@@ -217,8 +192,7 @@ impl YarnSim {
         );
 
         YarnSim {
-            faults,
-            active_partition: None,
+            clock: FaultClock::new(faults, cfg.nodes),
             total_tasks,
             rm: ResourceManager::new(),
             apps: Vec::with_capacity(workload.job_count()),
@@ -229,18 +203,9 @@ impl YarnSim {
             workload,
             next_container: 1,
             total_slots,
-            kills: 0,
-            checkpoints: 0,
-            restores: 0,
-            remote_restores: 0,
+            ledger: RunLedger::default(),
             force_kills: 0,
             am_escalations: 0,
-            crash_evictions: 0,
-            kill_lost_cpu_secs: 0.0,
-            dump_overhead_cpu_secs: 0.0,
-            restore_overhead_cpu_secs: 0.0,
-            useful_cpu_secs: 0.0,
-            tasks_finished: 0,
             low_responses: Samples::new(),
             high_responses: Samples::new(),
             trace: TraceSink::default(),
@@ -279,8 +244,9 @@ impl YarnSim {
 
         let horizon = makespan.since(SimTime::ZERO);
         let energy_kwh = self.nms.iter().map(|n| n.meter.kwh(makespan)).sum();
-        let registry = self.build_registry(makespan, energy_kwh, &stats);
+        let registry = self.build_registry(energy_kwh, &stats);
         let c = self.ckpt.counters;
+        let l = self.ledger;
         let telemetry = TelemetryReport {
             registry,
             timeseries: None,
@@ -292,12 +258,12 @@ impl YarnSim {
             label: format!("{}-{}", self.cfg.policy, self.cfg.media.kind()),
             makespan_secs: makespan.as_secs_f64(),
             jobs_finished: self.apps.iter().filter(|a| a.finished_at.is_some()).count() as u64,
-            tasks_finished: self.tasks_finished,
-            kills: self.kills,
-            checkpoints: self.checkpoints,
+            tasks_finished: l.tasks_finished,
+            kills: l.kills,
+            checkpoints: l.checkpoints,
             incremental_checkpoints: self.ckpt.criu().incremental_dumps(),
-            restores: self.restores,
-            remote_restores: self.remote_restores,
+            restores: l.restores,
+            remote_restores: l.remote_restores,
             capacity_fallbacks: c.capacity_fallbacks,
             gc_reclaimed_bytes: c.gc_reclaimed_bytes,
             evicted_chains: c.evicted_chains,
@@ -306,7 +272,7 @@ impl YarnSim {
             force_kills: self.force_kills,
             dump_fail_kills: c.dump_fail_kills,
             am_escalations: self.am_escalations,
-            crash_evictions: self.crash_evictions,
+            crash_evictions: l.crash_evictions,
             breaker_open_kills: c.breaker_open_kills,
             breaker_open_secs: self.ckpt.breaker_open_secs(makespan),
             resumed_dumps: c.resumed_dumps,
@@ -314,10 +280,10 @@ impl YarnSim {
             chunk_refetches: c.chunk_refetches,
             chain_truncations: c.chain_truncations,
             integrity_scratch_restarts: c.integrity_scratch_restarts,
-            kill_lost_cpu_hours: self.kill_lost_cpu_secs / 3600.0,
-            dump_overhead_cpu_hours: self.dump_overhead_cpu_secs / 3600.0,
-            restore_overhead_cpu_hours: self.restore_overhead_cpu_secs / 3600.0,
-            useful_cpu_hours: self.useful_cpu_secs / 3600.0,
+            kill_lost_cpu_hours: l.kill_lost_cpu_secs / 3600.0,
+            dump_overhead_cpu_hours: l.dump_overhead_cpu_secs / 3600.0,
+            restore_overhead_cpu_hours: l.restore_overhead_cpu_secs / 3600.0,
+            useful_cpu_hours: l.useful_cpu_secs / 3600.0,
             energy_kwh,
             io_overhead_fraction: self.ckpt.io_busy_fraction(horizon),
             storage_peak_fraction: self.ckpt.peak_used_fraction(),
@@ -330,81 +296,27 @@ impl YarnSim {
     /// Snapshots the run's `subsystem.metric` values. Everything here is a
     /// pure function of simulation state, so the registry JSON is
     /// byte-stable per seed.
-    fn build_registry(
-        &self,
-        makespan: SimTime,
-        energy_kwh: f64,
-        stats: &RunStats,
-    ) -> MetricsRegistry {
+    fn build_registry(&self, energy_kwh: f64, stats: &RunStats) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
-        self.ckpt.export(&mut reg, makespan);
-        reg.set_counter("engine.events", "events", stats.events);
-        reg.set_counter("scheduler.kills", "ops", self.kills);
-        reg.set_counter("scheduler.checkpoints", "ops", self.checkpoints);
-        reg.set_counter("scheduler.restores", "ops", self.restores);
-        reg.set_counter("scheduler.remote_restores", "ops", self.remote_restores);
+        self.ckpt.export(&mut reg, stats.now);
+        let jobs_finished = self.apps.iter().filter(|a| a.finished_at.is_some()).count() as u64;
+        let responses = self.low_responses.values().iter();
+        let responses = responses.chain(self.high_responses.values()).copied();
+        self.ledger
+            .export(&mut reg, stats, jobs_finished, energy_kwh, responses);
         reg.set_counter("scheduler.force_kills", "ops", self.force_kills);
         reg.set_counter("faults.am_escalations", "ops", self.am_escalations);
-        reg.set_counter("faults.crash_evictions", "ops", self.crash_evictions);
-        reg.set_counter("scheduler.tasks_finished", "ops", self.tasks_finished);
-        reg.set_counter(
-            "scheduler.jobs_finished",
-            "ops",
-            self.apps.iter().filter(|a| a.finished_at.is_some()).count() as u64,
-        );
-        reg.set_gauge("scheduler.makespan_secs", "s", makespan.as_secs_f64());
-        reg.set_gauge(
-            "cpu.useful_hours",
-            "cpu-hours",
-            self.useful_cpu_secs / 3600.0,
-        );
-        reg.set_gauge(
-            "cpu.kill_lost_hours",
-            "cpu-hours",
-            self.kill_lost_cpu_secs / 3600.0,
-        );
-        reg.set_gauge(
-            "cpu.dump_overhead_hours",
-            "cpu-hours",
-            self.dump_overhead_cpu_secs / 3600.0,
-        );
-        reg.set_gauge(
-            "cpu.restore_overhead_hours",
-            "cpu-hours",
-            self.restore_overhead_cpu_secs / 3600.0,
-        );
-        reg.set_gauge("energy.total_kwh", "kWh", energy_kwh);
-        let mut responses = StreamingQuantiles::new();
-        for &v in self.low_responses.values() {
-            responses.observe(v);
-        }
-        for &v in self.high_responses.values() {
-            responses.observe(v);
-        }
-        if responses.count() > 0 {
-            reg.set_quantiles("scheduler.response_secs", "s", responses.snapshot());
-        }
         reg
     }
 
     /// The run's first events: every job submission plus the fault
     /// plan's tick chains.
-    fn initial_events(&self) -> EventQueue<YarnEvent> {
+    fn initial_events(&mut self) -> EventQueue<YarnEvent> {
         let mut queue = EventQueue::new();
         for (i, job) in self.workload.jobs().iter().enumerate() {
             queue.push(job.submit, YarnEvent::JobSubmit(i as u32));
         }
-        if let Some(plan) = &self.faults {
-            if plan.crash().is_some() {
-                queue.push(SimTime::ZERO, YarnEvent::ChaosCrashTick);
-            }
-            if plan.partition().is_some() {
-                queue.push(SimTime::ZERO, YarnEvent::ChaosPartitionTick);
-            }
-            if plan.pressure().is_some_and(|p| p.leak_prob > 0.0) {
-                queue.push(SimTime::ZERO, YarnEvent::PressureTick);
-            }
-        }
+        self.start_fault_clock(&mut queue);
         queue
     }
 
@@ -509,22 +421,7 @@ impl YarnSim {
         // Victim ranking sees the same partition penalty the actual
         // dump/restore transfers would pay, steering preemption away
         // from the isolated rack.
-        cost * self.net_factor(node).max(1.0)
-    }
-
-    /// Partition degradation multiplier for checkpoint I/O touching
-    /// `node` (1.0 whenever no chaos partition isolates its rack). The
-    /// DFS write pipeline and remote restore reads cross the partition
-    /// boundary, so dumps, restores and the cost estimator all share
-    /// this helper.
-    fn net_factor(&self, node: usize) -> f64 {
-        let Some(plan) = self.faults.as_ref() else {
-            return 1.0;
-        };
-        match (self.active_partition, plan.partition()) {
-            (Some(rack), Some(p)) if plan.rack_of(node as u32) == rack => p.penalty,
-            _ => 1.0,
-        }
+        cost * self.clock.partition_factor(node).max(1.0)
     }
 
     /// One walk over the live containers, which are at most the cluster's
@@ -647,7 +544,7 @@ impl YarnSim {
             // Restore: read every image in the chain from HDFS. Blocks
             // hosted outside an isolated rack pay the partition penalty.
             let service = self.ckpt.dfs_read_time(key, node);
-            let factor = self.net_factor(node);
+            let factor = self.clock.partition_factor(node);
             let service = if factor > 1.0 {
                 service.mul_f64(factor)
             } else {
@@ -656,7 +553,7 @@ impl YarnSim {
             let size = self.ckpt.criu().image_size(key);
             let op = self.ckpt.read(node, now, size, service);
             if origin != node as u32 {
-                self.remote_restores += 1;
+                self.ledger.remote_restores += 1;
             }
             self.trace.record(
                 now.as_micros(),
@@ -720,7 +617,7 @@ impl YarnSim {
         q: &mut EventQueue<YarnEvent>,
         reason: &'static str,
     ) {
-        self.kills += 1;
+        self.ledger.kills += 1;
         self.evict_container(app, task, now, q, reason);
     }
 
@@ -742,7 +639,7 @@ impl YarnSim {
         am_task.sync_progress(now);
         let lost = am_task.progress_at_risk();
         let cores = am_task.spec.resources.cores_f64();
-        self.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
+        self.ledger.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
         if self.trace.on() {
             let node = match self.apps[app as usize].tasks[task as usize].status {
                 AmTaskStatus::Running { node, .. }
@@ -834,7 +731,7 @@ impl YarnSim {
         // A rack partition degrades the DFS write pipeline out of the
         // isolated rack; the slowdown is also a health signal even when
         // the dump eventually completes.
-        let factor = self.net_factor(node);
+        let factor = self.clock.partition_factor(node);
         if factor > 1.0 {
             self.ckpt.observe_health(node, now, false, &mut self.trace);
         }
@@ -850,7 +747,7 @@ impl YarnSim {
             self.kill(app, task, now, q);
             return;
         };
-        self.checkpoints += 1;
+        self.ledger.checkpoints += 1;
         let incremental = matches!(
             result.kind,
             cbp_checkpoint::CheckpointKind::Incremental { .. }
@@ -878,7 +775,7 @@ impl YarnSim {
         // CPU wastage counts the dump's service time only: a queued victim
         // is stopped and burns no CPU (queueing still delays resource
         // release through the DumpDone event time).
-        self.dump_overhead_cpu_secs += result.op.end.since(result.op.start).as_secs_f64() * cores;
+        self.ledger.dump_overhead_cpu_secs += result.op.end.since(result.op.start).as_secs_f64() * cores;
         am_task.status = AmTaskStatus::Dumping {
             node: node as u32,
             container: cid,
@@ -925,7 +822,7 @@ impl YarnSim {
         };
         let full = am_task.spec.resources.mem();
         let cores = am_task.spec.resources.cores_f64();
-        let plan = self.faults.as_ref().expect("caller checked plan presence");
+        let plan = self.clock.plan().expect("caller checked plan presence");
         let retry = self.ckpt.fail_dump(
             plan,
             task_key(app, task),
@@ -946,14 +843,14 @@ impl YarnSim {
         // The rewrite pays the origin device's sequential write speed (plus
         // any partition penalty); the preempted container keeps holding its
         // resources through the window, so the service time is overhead.
-        let factor = self.net_factor(node as usize).max(1.0);
+        let factor = self.clock.partition_factor(node as usize).max(1.0);
         let service = self
             .ckpt
             .device(retry.origin)
             .spec()
             .write_time(retry.rewrite)
             .mul_f64(factor);
-        self.dump_overhead_cpu_secs += service.as_secs_f64() * cores;
+        self.ledger.dump_overhead_cpu_secs += service.as_secs_f64() * cores;
         let start = now + retry.backoff;
         q.push(
             start + service,
@@ -1010,7 +907,7 @@ impl YarnSim {
             self.apps[app as usize].tasks[task as usize].status =
                 AmTaskStatus::Running { node, container };
         }
-        self.crash_evictions += 1;
+        self.ledger.crash_evictions += 1;
         self.evict_container(app, task, now, q, "node-crash");
     }
 
@@ -1039,13 +936,13 @@ impl YarnSim {
                 // The tip being written sat below lost ancestor blocks.
                 self.apps[app as usize].tasks[task as usize].status =
                     AmTaskStatus::Running { node, container };
-                self.crash_evictions += 1;
+                self.ledger.crash_evictions += 1;
                 self.evict_container(app, task, now, q, "node-crash");
             }
             AmTaskStatus::Restoring { .. } => {
                 // The in-flight read can no longer complete; the epoch
                 // bump in the eviction stales the queued RestoreDone.
-                self.crash_evictions += 1;
+                self.ledger.crash_evictions += 1;
                 self.evict_container(app, task, now, q, "node-crash");
             }
             // A live task keeps its in-memory progress (only the safety
@@ -1091,7 +988,7 @@ impl YarnSim {
             return ChainValidation::Intact;
         };
         let cores = am_task.spec.resources.cores_f64();
-        let plan = self.faults.as_ref().expect("resume mode implies a plan");
+        let plan = self.clock.plan().expect("resume mode implies a plan");
         let verdict = self.ckpt.validate_chain(
             plan,
             key,
@@ -1101,7 +998,7 @@ impl YarnSim {
             started,
             now,
             cores,
-            &mut self.restore_overhead_cpu_secs,
+            &mut self.ledger.restore_overhead_cpu_secs,
             &mut self.trace,
         );
         match verdict {
@@ -1110,7 +1007,7 @@ impl YarnSim {
                 // The checkpointed progress is re-execution waste and the
                 // task restarts from scratch on its container.
                 let lost = self.apps[app as usize].tasks[task as usize].checkpointed_progress;
-                self.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
+                self.ledger.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
                 self.ckpt.discard_chain(key);
                 self.chain_lost(key);
                 let startup = self.cfg.container_startup;
@@ -1134,7 +1031,7 @@ impl YarnSim {
                 // episode). The strictly shrinking chain bounds the
                 // truncation loop.
                 let service = self.ckpt.dfs_read_time(key, node as usize);
-                let factor = self.net_factor(node as usize);
+                let factor = self.clock.partition_factor(node as usize);
                 let service = if factor > 1.0 {
                     service.mul_f64(factor)
                 } else {
@@ -1233,7 +1130,7 @@ impl YarnSim {
                 // escalation backstop when none is configured) and
                 // escalates to a forced kill so the production ask is
                 // never starved forever.
-                if let Some(plan) = &self.faults {
+                if let Some(plan) = self.clock.plan() {
                     if plan.am_unresponsive(task_key(app, task), epoch) {
                         let wait = self
                             .cfg
@@ -1348,7 +1245,7 @@ impl YarnSim {
                 };
                 self.am_escalations += 1;
                 if self.trace.on() {
-                    let plan = self.faults.as_ref().expect("escalation requires a plan");
+                    let plan = self.clock.plan().expect("escalation requires a plan");
                     let waited = self
                         .cfg
                         .graceful_timeout
@@ -1384,7 +1281,7 @@ impl YarnSim {
                 // resume is on); once exhausted the Preemption Manager's
                 // fallback is the stock-YARN one — abort the half-written
                 // image and kill the container.
-                if let Some(plan) = &self.faults {
+                if let Some(plan) = self.clock.plan() {
                     let key = task_key(app, task);
                     let attempt = self.ckpt.dump_attempt(key);
                     if plan.dump_fails(key, epoch, attempt) {
@@ -1412,7 +1309,7 @@ impl YarnSim {
                 // truncation rolls back to exactly that), end the episode
                 // and land the plan's per-chunk corruption draws.
                 self.ckpt.commit_dump(
-                    self.faults.as_ref(),
+                    self.clock.plan(),
                     task_key(app, task),
                     node,
                     epoch,
@@ -1441,13 +1338,13 @@ impl YarnSim {
                 // Chunked-resume integrity: validate the chain before the
                 // restored state is trusted. A truncation already re-read
                 // the shorter chain; a dead chain restarted from scratch.
-                if self.faults.as_ref().is_some_and(|p| p.resume_enabled()) {
+                if self.clock.plan().is_some_and(|p| p.resume_enabled()) {
                     match self.validate_restored_chain(app, task, epoch, started, now, q) {
                         ChainValidation::Intact => {}
                         ChainValidation::Truncated { .. } | ChainValidation::Dead => return,
                     }
                 }
-                self.restores += 1;
+                self.ledger.restores += 1;
                 self.ckpt
                     .observe_health(node as usize, now, true, &mut self.trace);
                 self.trace.record(
@@ -1460,7 +1357,7 @@ impl YarnSim {
                 );
                 let am_task = &mut self.apps[app as usize].tasks[task as usize];
                 let cores = am_task.spec.resources.cores_f64();
-                self.restore_overhead_cpu_secs += now.since(started).as_secs_f64() * cores;
+                self.ledger.restore_overhead_cpu_secs += now.since(started).as_secs_f64() * cores;
                 am_task.status = AmTaskStatus::Running { node, container };
                 am_task.run_started = now;
                 am_task.mem_synced = now;
@@ -1498,8 +1395,8 @@ impl YarnSim {
                 am_task.status = AmTaskStatus::Done;
                 let cores = am_task.spec.resources.cores_f64();
                 let work = am_task.spec.duration.as_secs_f64();
-                self.useful_cpu_secs += cores * work;
-                self.tasks_finished += 1;
+                self.ledger.useful_cpu_secs += cores * work;
+                self.ledger.tasks_finished += 1;
 
                 self.ckpt.discard_chain(task_key(app, task));
 
@@ -1519,87 +1416,39 @@ impl YarnSim {
                 }
                 q.push(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
             }
-            YarnEvent::ChaosCrashTick => {
-                // One stateless oracle evaluation per window: which nodes
-                // crash in the window starting now?
-                let (window, downtime, crashed) = {
-                    let Some(plan) = &self.faults else { return };
-                    let Some(c) = plan.crash() else { return };
-                    let widx = now.as_micros() / c.window.as_micros().max(1);
-                    let crashed: Vec<usize> = (0..self.nms.len())
-                        .filter(|&i| self.nms[i].up && plan.node_crashes(i as u32, widx))
-                        .collect();
-                    (c.window, c.downtime, crashed)
-                };
-                for node in crashed {
-                    self.crash_node(node, now, q);
-                    // Parse-time validation guarantees downtime < window,
-                    // so the node is back before its next crash draw.
-                    q.push(now + downtime, YarnEvent::ChaosRecover(node as u32));
-                }
-                // Stop ticking once the workload drained, else the tick
-                // chain keeps the run alive forever.
-                if self.tasks_finished < self.total_tasks {
-                    q.push(now + window, YarnEvent::ChaosCrashTick);
-                }
-            }
-            YarnEvent::ChaosPartitionTick => {
-                let (window, next) = {
-                    let Some(plan) = &self.faults else { return };
-                    let Some(p) = plan.partition() else { return };
-                    let widx = now.as_micros() / p.window.as_micros().max(1);
-                    let racks = match self.nms.len() {
-                        0 => 0,
-                        n => plan.rack_of(n as u32 - 1) + 1,
-                    };
-                    (p.window, plan.partition_isolates(widx, racks))
-                };
-                if next != self.active_partition {
-                    if self.trace.on() {
-                        if let Some(rack) = self.active_partition {
-                            self.trace
-                                .record(now.as_micros(), TraceRecord::PartitionEnd { rack });
-                        }
-                        if let Some(rack) = next {
-                            self.trace
-                                .record(now.as_micros(), TraceRecord::PartitionStart { rack });
-                        }
-                    }
-                    self.active_partition = next;
-                }
-                if self.tasks_finished < self.total_tasks {
-                    q.push(now + window, YarnEvent::ChaosPartitionTick);
-                } else if let Some(rack) = self.active_partition.take() {
-                    // Heal the partition when the schedule winds down so
-                    // the trace's start/end events tile.
-                    self.trace
-                        .record(now.as_micros(), TraceRecord::PartitionEnd { rack });
-                }
-            }
-            YarnEvent::ChaosRecover(node) => {
-                if self.nms[node as usize].up {
-                    return; // stale (never expected, but harmless)
-                }
-                self.nms[node as usize].up = true;
-                // Re-registration: the datanode rejoins empty (its blocks
-                // were re-replicated or lost at crash time).
-                self.ckpt.recover_datanode(node as usize);
-                self.trace
-                    .record(now.as_micros(), TraceRecord::NodeUp { node });
-                q.push(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
-            }
-            YarnEvent::PressureTick => {
-                let Some(plan) = &self.faults else { return };
-                let nodes = &self.nms;
-                let Some(window) = self.ckpt.pressure_tick(plan, now, &|i| nodes[i].up) else {
-                    return;
-                };
-                // Stop ticking once the workload drained, else the tick
-                // chain keeps the run alive forever.
-                if self.tasks_finished < self.total_tasks {
-                    q.push(now + window, YarnEvent::PressureTick);
-                }
-            }
+            YarnEvent::Fault(tick) => self.on_fault_tick(tick, now, q),
+        }
+    }
+}
+
+impl FaultHost for YarnSim {
+    type Event = YarnEvent;
+
+    fn fault_event(tick: FaultTick) -> YarnEvent {
+        YarnEvent::Fault(tick)
+    }
+
+    fn fault_parts(&mut self) -> (&mut FaultClock, &mut CkptPath, &mut TraceSink) {
+        (&mut self.clock, &mut self.ckpt, &mut self.trace)
+    }
+
+    fn node_up(&mut self, node: usize) -> &mut bool {
+        &mut self.nms[node].up
+    }
+
+    fn crash(&mut self, node: usize, now: SimTime, q: &mut EventQueue<YarnEvent>) {
+        self.crash_node(node, now, q);
+    }
+
+    fn work_remains(&self) -> bool {
+        self.ledger.tasks_finished < self.total_tasks
+    }
+
+    /// A crash already asked the RM for a pass per crashed node; a node's
+    /// return asks for one after the heartbeat delay.
+    fn follow_up(&mut self, after: FaultTick, now: SimTime, q: &mut EventQueue<YarnEvent>) {
+        if let FaultTick::Recover(_) = after {
+            q.push(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
         }
     }
 }
@@ -1623,10 +1472,7 @@ impl Simulation for YarnSim {
             YarnEvent::TaskFinish { .. } => "task_finish",
             YarnEvent::ForceKill { .. } => "force_kill",
             YarnEvent::AmEscalate { .. } => "am_escalate",
-            YarnEvent::ChaosCrashTick => "chaos_crash_tick",
-            YarnEvent::ChaosPartitionTick => "chaos_partition_tick",
-            YarnEvent::ChaosRecover(_) => "chaos_recover",
-            YarnEvent::PressureTick => "pressure_tick",
+            YarnEvent::Fault(tick) => tick.kind(),
         }
     }
 }
@@ -1673,7 +1519,7 @@ mod tests {
                 );
             }
             assert_eq!(
-                sim.tasks_finished, sim.total_tasks,
+                sim.ledger.tasks_finished, sim.total_tasks,
                 "{plan}: every task finishes"
             );
             assert!(
