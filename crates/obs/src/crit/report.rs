@@ -50,7 +50,7 @@ pub struct CritReport {
 }
 
 /// Exact order statistic at rank `ceil(p·n)` (1-clamped) — the same
-/// convention as [`cbp_simkit::stats::P2Quantile`]'s small-sample
+/// convention as [`cbp_telemetry::P2Quantile`]'s small-sample
 /// fallback, but over the full sample. Job counts are bounded (one
 /// value per job), so storing them is cheap, and exactness buys a
 /// dominance guarantee: when a counterfactual shortens every job, its

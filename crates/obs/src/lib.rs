@@ -15,7 +15,7 @@
 //!   on every task and property-tested against randomized scenarios on
 //!   both simulators.
 //! * **Aggregation** ([`report`]) — per-priority-band penalty summaries
-//!   (P² streaming quantiles via `cbp_simkit::stats`, exponential
+//!   (P² streaming quantiles via `cbp_telemetry::P2Quantile`, exponential
 //!   penalty histograms via `cbp_telemetry::Histogram`), per-node
 //!   dump/restore/eviction tallies, the top-K worst-penalized jobs, and
 //!   a robust-statistics anomaly pass flagging tasks whose eviction

@@ -9,8 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use cbp_simkit::stats::P2Quantile;
-use cbp_telemetry::{json, Histogram};
+use cbp_telemetry::{json, Histogram, P2Quantile};
 
 use crate::span::{Band, Blame, SpanCollector};
 

@@ -10,8 +10,7 @@
 //! * [`Simulation`] and [`run`] / [`run_until`]: a minimal engine loop,
 //! * [`SimRng`]: a seeded random-number source plus heavy-tailed
 //!   distributions used by the workload generators,
-//! * [`stats`]: online mean/variance, percentile sketches and CDFs used by
-//!   the experiment harness.
+//! * [`stats`]: exact percentiles and CDFs used by the experiment harness.
 //!
 //! # Example
 //!
@@ -61,7 +60,6 @@ mod time;
 
 pub mod dist;
 pub mod stats;
-mod stats_p2;
 pub mod units;
 
 pub use engine::{run, run_until, run_until_observed, RunStats, Simulation, OBSERVE_EVERY};

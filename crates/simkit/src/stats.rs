@@ -1,114 +1,4 @@
-//! Online statistics, percentiles and CDFs for the experiment harness.
-
-use serde::Serialize;
-
-pub use crate::stats_p2::P2Quantile;
-
-/// Streaming mean / variance / min / max (Welford's algorithm).
-///
-/// ```
-/// use cbp_simkit::stats::OnlineStats;
-/// let mut s = OnlineStats::new();
-/// for x in [1.0, 2.0, 3.0, 4.0] {
-///     s.push(x);
-/// }
-/// assert_eq!(s.mean(), 2.5);
-/// assert_eq!(s.count(), 4);
-/// ```
-#[derive(Debug, Clone, Default, Serialize)]
-pub struct OnlineStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`None` if empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation (`None` if empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        self.mean() * self.count as f64
-    }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
+//! Exact percentiles and CDFs for the experiment harness.
 
 /// An exact sample set supporting percentiles and CDF extraction.
 ///
@@ -242,122 +132,9 @@ impl Extend<f64> for Samples {
     }
 }
 
-/// A fixed-bin histogram over `[lo, hi)` with overflow/underflow buckets.
-///
-/// Used for the preemption-count distribution (Fig. 1c).
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    width: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal bins covering `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(hi > lo, "histogram range must be non-empty");
-        Histogram {
-            lo,
-            width: (hi - lo) / bins as f64,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-            return;
-        }
-        let idx = ((x - self.lo) / self.width) as usize;
-        if idx >= self.bins.len() {
-            self.overflow += 1;
-        } else {
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Count in bin `i`.
-    pub fn bin(&self, i: usize) -> u64 {
-        self.bins[i]
-    }
-
-    /// Counts per bin.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the top of the range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total number of recorded observations.
-    pub fn total(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_stats_mean_var() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
-        }
-        assert_eq!(s.mean(), 5.0);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-        assert_eq!(s.sum(), 40.0);
-    }
-
-    #[test]
-    fn online_stats_empty() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn online_stats_merge_matches_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64) * 0.37).collect();
-        let mut all = OnlineStats::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..40] {
-            a.push(x);
-        }
-        for &x in &xs[40..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(a.count(), all.count());
-    }
 
     #[test]
     fn percentiles() {
@@ -393,21 +170,6 @@ mod tests {
         assert_eq!(s.fraction_at_most(2.0), 0.5);
         assert_eq!(s.fraction_at_most(0.0), 0.0);
         assert_eq!(s.fraction_at_most(10.0), 1.0);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [0.5, 1.5, 1.9, 9.9, -1.0, 10.0, 25.0] {
-            h.record(x);
-        }
-        assert_eq!(h.bin(0), 1);
-        assert_eq!(h.bin(1), 2);
-        assert_eq!(h.bin(9), 1);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.total(), 7);
-        assert_eq!(h.bins().len(), 10);
     }
 
     #[test]

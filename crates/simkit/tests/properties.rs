@@ -1,7 +1,7 @@
 //! Property-based tests for the simulation kernel.
 
 use cbp_simkit::dist::{Categorical, Dist, EmpiricalDist};
-use cbp_simkit::stats::{OnlineStats, Samples};
+use cbp_simkit::stats::Samples;
 use cbp_simkit::units::{Bandwidth, ByteSize};
 use cbp_simkit::{EventQueue, SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
@@ -57,25 +57,6 @@ proptest! {
         prop_assert!(!t_lo.is_zero());
         let faster = bw.scaled(2.0);
         prop_assert!(faster.transfer_time(ByteSize::from_bytes(hi)) <= t_hi);
-    }
-
-    /// OnlineStats::merge is equivalent to sequential pushes.
-    #[test]
-    fn online_stats_merge_law(
-        xs in proptest::collection::vec(-1e6f64..1e6, 1..100),
-        split in any::<prop::sample::Index>(),
-    ) {
-        let k = split.index(xs.len());
-        let mut whole = OnlineStats::new();
-        for &x in &xs { whole.push(x); }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..k] { a.push(x); }
-        for &x in &xs[k..] { b.push(x); }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert!((a.mean() - whole.mean()).abs() <= 1e-6 * (1.0 + whole.mean().abs()));
-        prop_assert!((a.variance() - whole.variance()).abs() <= 1e-3 * (1.0 + whole.variance()));
     }
 
     /// Percentiles are monotone and bounded by min/max.

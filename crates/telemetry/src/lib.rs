@@ -17,7 +17,8 @@
 //!   `chrome://tracing` / Perfetto-compatible `trace.json` where nodes are
 //!   "threads" and dump/restore are duration events.
 //! * [`metrics`] — [`Counter`]/[`Gauge`] cells, a fixed-bucket
-//!   [`Histogram`], a P² [`StreamingQuantiles`] estimator, and a
+//!   [`Histogram`], the P² quantile estimator [`P2Quantile`] and the
+//!   p50/p95/p99 [`StreamingQuantiles`] built on it, and a
 //!   [`MetricsRegistry`] snapshot keyed `subsystem.metric` with unit
 //!   metadata, serializable to deterministic JSON and renderable as a table.
 //! * [`timeseries`] — a columnar [`TimeSeries`] the sims fill from a
@@ -49,7 +50,7 @@ pub mod trace;
 
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricEntry, MetricValue, MetricsRegistry,
-    QuantileSnapshot, StreamingQuantiles,
+    P2Quantile, QuantileSnapshot, StreamingQuantiles,
 };
 pub use reader::{
     schema_header, JsonlReader, TraceReadError, TRACE_SCHEMA, TRACE_SCHEMA_MIN_VERSION,

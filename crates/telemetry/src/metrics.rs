@@ -232,24 +232,42 @@ pub struct HistogramSnapshot {
     pub max: f64,
 }
 
-/// One P² (piecewise-parabolic) streaming quantile marker set — the Jain &
-/// Chlamtac (1985) estimator, the same algorithm as
-/// `cbp_simkit::stats_p2::P2Quantile`, re-implemented here so this crate
-/// stays dependency free.
+/// The P² (piecewise-parabolic) streaming estimator of one quantile, after
+/// Jain & Chlamtac (1985): it tracks the quantile in O(1) memory without
+/// storing observations.
+///
+/// ```
+/// use cbp_telemetry::P2Quantile;
+/// let mut q = P2Quantile::new(0.5);
+/// for i in 1..=1001 {
+///     q.observe(i as f64);
+/// }
+/// let median = q.estimate().unwrap();
+/// assert!((median - 501.0).abs() < 5.0);
+/// ```
 #[derive(Debug, Clone)]
-struct P2 {
+pub struct P2Quantile {
     p: f64,
+    /// Marker heights (the running order statistics).
     heights: [f64; 5],
+    /// Marker positions (1-based observation ranks).
     positions: [f64; 5],
+    /// Desired marker positions.
     desired: [f64; 5],
+    /// Desired-position increments per observation.
     increments: [f64; 5],
     count: usize,
 }
 
-impl P2 {
-    fn new(p: f64) -> Self {
+impl P2Quantile {
+    /// Creates an estimator for quantile `p` in `(0, 1)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < p < 1`.
+    pub fn new(p: f64) -> Self {
         assert!(p > 0.0 && p < 1.0, "quantile must be in (0, 1)");
-        P2 {
+        P2Quantile {
             p,
             heights: [0.0; 5],
             positions: [1.0, 2.0, 3.0, 4.0, 5.0],
@@ -259,7 +277,18 @@ impl P2 {
         }
     }
 
-    fn observe(&mut self, x: f64) {
+    /// Number of observations so far.
+    pub fn count(&self) -> usize {
+        self.count
+    }
+
+    /// Feeds one observation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is NaN.
+    pub fn observe(&mut self, x: f64) {
+        assert!(!x.is_nan(), "observations must not be NaN");
         if self.count < 5 {
             self.heights[self.count] = x;
             self.count += 1;
@@ -271,6 +300,8 @@ impl P2 {
         }
         self.count += 1;
 
+        // Find the cell k such that heights[k] <= x < heights[k+1],
+        // adjusting the extremes.
         let k = if x < self.heights[0] {
             self.heights[0] = x;
             0
@@ -288,6 +319,7 @@ impl P2 {
             k
         };
 
+        // Shift positions of markers above the cell.
         for i in (k + 1)..5 {
             self.positions[i] += 1.0;
         }
@@ -295,6 +327,7 @@ impl P2 {
             self.desired[i] += self.increments[i];
         }
 
+        // Adjust the three middle markers if they drifted.
         for i in 1..4 {
             let d = self.desired[i] - self.positions[i];
             let right_gap = self.positions[i + 1] - self.positions[i];
@@ -328,7 +361,9 @@ impl P2 {
             + d * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
     }
 
-    fn estimate(&self) -> Option<f64> {
+    /// The current quantile estimate (`None` until any observation; exact
+    /// for fewer than five).
+    pub fn estimate(&self) -> Option<f64> {
         match self.count {
             0 => None,
             n if n < 5 => {
@@ -359,9 +394,9 @@ impl P2 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct StreamingQuantiles {
-    p50: P2,
-    p95: P2,
-    p99: P2,
+    p50: P2Quantile,
+    p95: P2Quantile,
+    p99: P2Quantile,
     max: f64,
     count: u64,
 }
@@ -376,9 +411,9 @@ impl StreamingQuantiles {
     /// Creates an empty estimator tracking p50/p95/p99.
     pub fn new() -> Self {
         StreamingQuantiles {
-            p50: P2::new(0.50),
-            p95: P2::new(0.95),
-            p99: P2::new(0.99),
+            p50: P2Quantile::new(0.50),
+            p95: P2Quantile::new(0.95),
+            p99: P2Quantile::new(0.99),
             max: f64::NEG_INFINITY,
             count: 0,
         }
@@ -821,6 +856,86 @@ mod tests {
         q.observe(5.0);
         assert_eq!(q.snapshot().p50, 5.0);
         assert_eq!(q.snapshot().max, 7.0);
+    }
+
+    /// Below five observations the estimate is the exact order statistic
+    /// at rank `ceil(p·n)` (1-clamped), for every quantile, unsorted input
+    /// and every count.
+    #[test]
+    fn p2_small_sample_fallback_is_exact_order_statistic() {
+        // Deliberately unsorted; duplicates included.
+        let xs = [40.0, 10.0, 40.0, 20.0];
+        for (p, expected_by_n) in [
+            // p95: ceil(0.95 n) = n -> always the running max.
+            (0.95, [40.0, 40.0, 40.0, 40.0]),
+            // p50: ranks 1, 1, 2, 2 of the sorted prefixes
+            // [40], [10,40], [10,40,40], [10,20,40,40].
+            (0.50, [40.0, 10.0, 40.0, 20.0]),
+            // p05: ceil is 1 for n<=4 -> always the running min.
+            (0.05, [40.0, 10.0, 10.0, 10.0]),
+        ] {
+            let mut q = P2Quantile::new(p);
+            assert_eq!(q.estimate(), None, "empty estimator has no estimate");
+            for (i, x) in xs.iter().enumerate() {
+                q.observe(*x);
+                assert_eq!(
+                    q.estimate(),
+                    Some(expected_by_n[i]),
+                    "p{p} after {} observations",
+                    i + 1
+                );
+            }
+        }
+    }
+
+    /// `estimate()` sorts a copy below five observations, so interleaving
+    /// it with `observe()` ends at the same estimate as observing alone.
+    #[test]
+    fn p2_estimate_is_side_effect_free() {
+        let xs = [5.0, 1.0, 9.0, 3.0, 7.0, 2.0, 8.0];
+        let mut interleaved = P2Quantile::new(0.5);
+        let mut pure = P2Quantile::new(0.5);
+        for x in xs {
+            interleaved.observe(x);
+            let _ = interleaved.estimate();
+            pure.observe(x);
+        }
+        assert_eq!(interleaved.estimate(), pure.estimate());
+        assert_eq!(interleaved.count(), xs.len());
+    }
+
+    /// At exactly five observations the middle marker is the exact
+    /// median: the hand-over from the exact path has no glitch.
+    #[test]
+    fn p2_transition_to_markers_at_five() {
+        let mut q = P2Quantile::new(0.5);
+        for x in [50.0, 10.0, 40.0, 20.0, 30.0] {
+            q.observe(x);
+        }
+        assert_eq!(q.count(), 5);
+        assert_eq!(q.estimate(), Some(30.0), "exact median of 10..50 at n=5");
+    }
+
+    #[test]
+    fn p2_monotone_inputs() {
+        let mut q = P2Quantile::new(0.25);
+        for i in 0..10_000 {
+            q.observe(i as f64);
+        }
+        let est = q.estimate().unwrap();
+        assert!((est - 2_500.0).abs() < 150.0, "p25 of 0..10000 was {est}");
+    }
+
+    #[test]
+    #[should_panic(expected = "quantile must be in")]
+    fn p2_rejects_bad_quantile() {
+        P2Quantile::new(1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN")]
+    fn p2_rejects_nan() {
+        P2Quantile::new(0.5).observe(f64::NAN);
     }
 
     #[test]
