@@ -11,27 +11,25 @@ const BWS: [f64; 5] = [1.0, 2.0, 3.0, 4.0, 5.0];
 fn sweep_tables(id_prefix: &str, policies: &[PreemptionPolicy]) -> Vec<Table> {
     let scenario = SensitivityScenario::default();
     let undisturbed = scenario.undisturbed_secs();
+    let names: Vec<String> = policies.iter().map(|p| p.to_string()).collect();
+    let columns: Vec<&str> = std::iter::once("bw [GB/s]")
+        .chain(names.iter().map(String::as_str))
+        .collect();
 
     let mut high = Table::new(
         format!("{id_prefix}a"),
         "High-priority response normalized to undisturbed runtime",
-        &std::iter::once("bw [GB/s]")
-            .chain(policies.iter().map(|p| policy_name(*p)))
-            .collect::<Vec<_>>(),
+        &columns,
     );
     let mut low = Table::new(
         format!("{id_prefix}b"),
         "Low-priority response normalized to undisturbed runtime",
-        &std::iter::once("bw [GB/s]")
-            .chain(policies.iter().map(|p| policy_name(*p)))
-            .collect::<Vec<_>>(),
+        &columns,
     );
     let mut energy = Table::new(
         format!("{id_prefix}c"),
         "Energy normalized to the Wait policy",
-        &std::iter::once("bw [GB/s]")
-            .chain(policies.iter().map(|p| policy_name(*p)))
-            .collect::<Vec<_>>(),
+        &columns,
     );
 
     for bw in BWS {
@@ -62,15 +60,6 @@ fn sweep_tables(id_prefix: &str, policies: &[PreemptionPolicy]) -> Vec<Table> {
         );
     }
     vec![high, low, energy]
-}
-
-fn policy_name(p: PreemptionPolicy) -> &'static str {
-    match p {
-        PreemptionPolicy::Wait => "Wait",
-        PreemptionPolicy::Kill => "Kill",
-        PreemptionPolicy::Checkpoint => "Checkpoint",
-        PreemptionPolicy::Adaptive => "Adaptive",
-    }
 }
 
 /// Fig. 4: wait / kill / always-checkpoint over 1–5 GB/s.
