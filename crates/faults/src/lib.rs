@@ -375,7 +375,7 @@ impl FaultSpec {
     /// | `leak` | per-(node, window) leaked-reservation probability |
     /// | `leak-gb` | leaked reservation size, GB |
     /// | `leak-window` | leak window length, seconds |
-    /// | `chunk-mb` | checkpoint transfer chunk size, MB (> 0) |
+    /// | `chunk-mb` | checkpoint transfer chunk size, MB (at least one byte) |
     /// | `resume` | resumable transfers + targeted repair (`true`/`false`) |
     pub fn parse(text: &str) -> Result<FaultSpec, String> {
         let mut spec = FaultSpec::default();
@@ -589,12 +589,18 @@ impl FaultSpec {
                         .window = w;
                 }
                 "chunk-mb" => {
-                    let mb = value
+                    // A size that truncates to zero bytes would silently
+                    // fall back to one-byte chunks.
+                    let bytes = value
                         .parse::<f64>()
                         .ok()
-                        .filter(|m| *m > 0.0)
-                        .ok_or_else(|| format!("fault spec chunk-mb={value}: expected MB > 0"))?;
-                    spec.chunk_bytes = ByteSize::from_bytes((mb * 1e6) as u64);
+                        .filter(|m| m.is_finite())
+                        .map(|mb| (mb * 1e6) as u64)
+                        .filter(|b| *b > 0)
+                        .ok_or_else(|| {
+                            format!("fault spec chunk-mb={value}: expected MB of at least one byte")
+                        })?;
+                    spec.chunk_bytes = ByteSize::from_bytes(bytes);
                 }
                 "resume" => {
                     spec.resume = value.parse::<bool>().map_err(|_| {
@@ -1389,6 +1395,12 @@ mod tests {
     fn parse_rejects_bad_integrity_input() {
         assert!(FaultSpec::parse("chunk-mb=0").is_err());
         assert!(FaultSpec::parse("chunk-mb=-4").is_err());
+        // Sizes that truncate to zero bytes, and non-finite ones.
+        assert!(FaultSpec::parse("chunk-mb=1e-7").is_err());
+        assert!(FaultSpec::parse("chunk-mb=inf").is_err());
+        assert!(FaultSpec::parse("chunk-mb=NaN").is_err());
+        let s = FaultSpec::parse("chunk-mb=0.000001").unwrap();
+        assert_eq!(s.chunk_bytes.as_u64(), 1, "one byte is the smallest chunk");
         assert!(FaultSpec::parse("resume=maybe").is_err());
         assert!(FaultSpec::parse("resume=1").is_err(), "strict bool only");
     }
