@@ -16,9 +16,7 @@ use cbp_faults::FaultPlan;
 use cbp_simkit::{
     run_until_observed, EventQueue, RunStats, SimDuration, SimRng, SimTime, Simulation,
 };
-use cbp_telemetry::{
-    MetricsRegistry, PreemptAction, TimeSeries, TraceRecord, TraceSink, Tracer,
-};
+use cbp_telemetry::{MetricsRegistry, PreemptAction, TimeSeries, TraceRecord, TraceSink, Tracer};
 use cbp_workload::analysis::{TraceEvent, TraceEventKind, TraceLog};
 use cbp_workload::{Priority, PriorityBand, TaskSpec, Workload};
 
@@ -399,7 +397,10 @@ impl ClusterSim {
         let m = &self.metrics;
         let mut reg = MetricsRegistry::new();
         self.ckpt.export(&mut reg, stats.now);
-        let responses = m.responses.values().flat_map(|s| s.values().iter().copied());
+        let responses = m
+            .responses
+            .values()
+            .flat_map(|s| s.values().iter().copied());
         m.ledger
             .export(&mut reg, stats, m.jobs_finished, energy_kwh, responses);
         reg.set_counter("scheduler.preemptions", "ops", m.preemptions);
@@ -2604,8 +2605,7 @@ impl ClusterSim {
                 // corrupt chunks re-fetch from replicas, unrepairable
                 // images truncate the chain to its longest valid prefix,
                 // and an empty prefix scratch-restarts.
-                if self.cfg.nvram.is_none()
-                    && self.clock.plan().is_some_and(|p| p.resume_enabled())
+                if self.cfg.nvram.is_none() && self.clock.plan().is_some_and(|p| p.resume_enabled())
                 {
                     match self.validate_restored_chain(task, node as usize, epoch, started, now, q)
                     {

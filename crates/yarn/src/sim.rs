@@ -775,7 +775,8 @@ impl YarnSim {
         // CPU wastage counts the dump's service time only: a queued victim
         // is stopped and burns no CPU (queueing still delays resource
         // release through the DumpDone event time).
-        self.ledger.dump_overhead_cpu_secs += result.op.end.since(result.op.start).as_secs_f64() * cores;
+        self.ledger.dump_overhead_cpu_secs +=
+            result.op.end.since(result.op.start).as_secs_f64() * cores;
         am_task.status = AmTaskStatus::Dumping {
             node: node as u32,
             container: cid,
