@@ -2,10 +2,9 @@
 //!
 //! The paper analyzed the raw Google trace; we run the synthetic trace
 //! through the kill-based scheduler and apply the same 5-second preemption
-//! criterion to the emitted event log.
+//! criterion to its task records as they are emitted.
 
 use cbp_simkit::SimDuration;
-use cbp_workload::analysis::PreemptionAnalysis;
 use cbp_workload::{LatencyClass, PriorityBand};
 
 use crate::table::{pct, Experiment, Table};
@@ -16,14 +15,9 @@ use super::google_setup;
 /// Runs the characterization and builds Fig. 1 + Tables 1–2.
 pub fn fig1_tables12(scale: Scale, seed: u64) -> Experiment {
     let (workload, config) = google_setup(scale, seed);
-    let report = config.run(&workload);
     // Hourly buckets over the one-day trace (the paper's Fig. 1a buckets
     // its 29 days daily; one day at daily buckets has a single point).
-    let analysis = PreemptionAnalysis::analyze_with(
-        &report.trace,
-        SimDuration::from_secs(5),
-        SimDuration::from_secs(3_600),
-    );
+    let (_, analysis) = config.run_analyzed(&workload, SimDuration::from_secs(3_600));
 
     let mut exp = Experiment::new(
         "fig1",

@@ -20,10 +20,11 @@
 //!   one checkpoint/restore at a time; Algorithm 1's `queue_time` term comes
 //!   from that queue.
 //!
-//! The simulator runs any [`cbp_workload::Workload`], emits a §2-style
-//! [`cbp_workload::analysis::TraceLog`], and reports the paper's metrics
-//! (wasted CPU-hours, energy, per-band response times, CDFs, checkpoint
-//! CPU/I-O overheads) in a [`RunReport`].
+//! The simulator runs any [`cbp_workload::Workload`] and reports the
+//! paper's metrics (wasted CPU-hours, energy, per-band response times,
+//! CDFs, checkpoint CPU/I-O overheads) in a [`RunReport`]. Its typed
+//! trace records feed the §2 preemption analysis
+//! ([`analysis::PreemptionTracer`], Fig. 1 and Tables 1–2).
 //!
 //! ```
 //! use cbp_core::{PreemptionPolicy, SimConfig};
@@ -40,6 +41,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod analysis;
 pub mod ckpt_path;
 mod config;
 pub mod fault_clock;

@@ -5,7 +5,6 @@ use std::collections::BTreeMap;
 use cbp_simkit::stats::Samples;
 use cbp_simkit::{RunStats, SimDuration, SimTime};
 use cbp_telemetry::{MetricsRegistry, StreamingQuantiles, TimeSeries};
-use cbp_workload::analysis::TraceLog;
 use cbp_workload::{LatencyClass, PriorityBand};
 
 use crate::ckpt_path::CkptCounters;
@@ -291,16 +290,15 @@ impl TelemetryReport {
     }
 }
 
-/// A finished run: metrics plus the raw event trace (for §2-style analysis)
-/// and the response-time samples.
+/// A finished run: metrics and observability artifacts. The §2 analysis
+/// is a tracer ([`crate::analysis::PreemptionTracer`]), not part of the
+/// report.
 #[derive(Debug)]
 pub struct RunReport {
     /// Human-readable run label (policy + medium).
     pub label: String,
     /// Aggregate metrics.
     pub metrics: RunMetrics,
-    /// The scheduler event log.
-    pub trace: TraceLog,
     /// Observability artifacts (registry snapshot, time series, engine
     /// throughput).
     pub telemetry: TelemetryReport,

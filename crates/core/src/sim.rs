@@ -17,7 +17,6 @@ use cbp_simkit::{
     run_until_observed, EventQueue, RunStats, SimDuration, SimRng, SimTime, Simulation,
 };
 use cbp_telemetry::{MetricsRegistry, PreemptAction, TimeSeries, TraceRecord, TraceSink, Tracer};
-use cbp_workload::analysis::{TraceEvent, TraceEventKind, TraceLog};
 use cbp_workload::{Priority, PriorityBand, TaskSpec, Workload};
 
 use crate::ckpt_path::{media_name, ChainValidation, CkptPath};
@@ -85,7 +84,6 @@ pub struct ClusterSim {
     pending: PendingQueue,
     /// Checkpoint images, devices, DFS files, retry state and breakers.
     ckpt: CkptPath,
-    trace_log: TraceLog,
     metrics: MetricsCollector,
     rng: SimRng,
     next_container: u64,
@@ -235,7 +233,6 @@ impl ClusterSim {
                 tasks.push(TaskState::new(
                     spec,
                     job.priority,
-                    job.latency,
                     job_idx as u32,
                     job.submit,
                 ));
@@ -267,7 +264,6 @@ impl ClusterSim {
             nodes,
             tasks,
             pending: PendingQueue::default(),
-            trace_log: TraceLog::new(),
             metrics: MetricsCollector::default(),
             rng,
             next_container: 1,
@@ -381,7 +377,6 @@ impl ClusterSim {
         RunReport {
             label,
             metrics,
-            trace: self.trace_log,
             telemetry,
         }
     }
@@ -525,18 +520,6 @@ impl ClusterSim {
         };
         let seq = task.queue_seq.expect("queued tasks have a sequence number");
         (Reverse(task.priority.0), fair, seq, t)
-    }
-
-    fn emit(&mut self, now: SimTime, t: u32, kind: TraceEventKind) {
-        let task = &self.tasks[t as usize];
-        self.trace_log.push(TraceEvent {
-            time: now,
-            task: task.spec.id,
-            priority: task.priority,
-            latency: task.latency,
-            cpu_cores: task.spec.resources.cores_f64(),
-            kind,
-        });
     }
 
     fn update_meter(&mut self, node: usize, now: SimTime) {
@@ -811,13 +794,6 @@ impl ClusterSim {
         self.victim_cap = None;
         self.update_meter(node, now);
         self.cancel_reservation(t);
-        self.emit(
-            now,
-            t,
-            TraceEventKind::Schedule {
-                machine: node as u32,
-            },
-        );
 
         let has_image = self.has_checkpoint(t);
         self.trace.record(
@@ -936,13 +912,6 @@ impl ClusterSim {
         let lost = self.tasks[t as usize].progress_at_risk();
         let cores = self.tasks[t as usize].spec.resources.cores_f64();
         self.metrics.charge_kill(lost, cores);
-        self.emit(
-            now,
-            t,
-            TraceEventKind::Evict {
-                machine: node as u32,
-            },
-        );
         self.trace.record(
             now.as_micros(),
             TraceRecord::TaskEvict {
@@ -981,7 +950,6 @@ impl ClusterSim {
             _ => TaskStatus::Pending,
         };
         self.enqueue_pending_preserving_status(t);
-        self.emit(now, t, TraceEventKind::Submit);
     }
 
     /// `enqueue_pending` resets status to Pending; checkpointed tasks keep
@@ -1020,13 +988,6 @@ impl ClusterSim {
                 self.metrics
                     .charge_dump(suspend.duration, cores, &mut unused, incremental);
                 self.nvram_origin.insert(t, node as u32);
-                self.emit(
-                    now,
-                    t,
-                    TraceEventKind::Evict {
-                        machine: node as u32,
-                    },
-                );
                 self.trace.record(
                     now.as_micros(),
                     TraceRecord::DumpStart {
@@ -1175,13 +1136,6 @@ impl ClusterSim {
             cores,
             &mut unused,
             was_incremental,
-        );
-        self.emit(
-            now,
-            t,
-            TraceEventKind::Evict {
-                machine: node as u32,
-            },
         );
         self.trace.record(
             now.as_micros(),
@@ -1609,13 +1563,6 @@ impl ClusterSim {
         let lost = self.tasks[t as usize].progress_at_risk();
         let cores = self.tasks[t as usize].spec.resources.cores_f64();
         self.metrics.charge_kill(lost, cores);
-        self.emit(
-            now,
-            t,
-            TraceEventKind::Evict {
-                machine: node as u32,
-            },
-        );
         self.trace.record(
             now.as_micros(),
             TraceRecord::TaskEvict {
@@ -1654,7 +1601,6 @@ impl ClusterSim {
             _ => TaskStatus::Pending,
         };
         self.enqueue_pending_preserving_status(t);
-        self.emit(now, t, TraceEventKind::Submit);
     }
 
     /// Handles a restore attempt that failed (detected when its read
@@ -1798,7 +1744,6 @@ impl ClusterSim {
         }
         task.status = TaskStatus::Pending;
         self.enqueue_pending(t);
-        self.emit(now, t, TraceEventKind::Submit);
     }
 
     /// Handles the loss of task `t`'s image chain to an HDFS block loss
@@ -1859,13 +1804,6 @@ impl ClusterSim {
             self.metrics.failure_evictions += 1;
         }
         self.metrics.ledger.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
-        self.emit(
-            now,
-            t,
-            TraceEventKind::Evict {
-                machine: node as u32,
-            },
-        );
         self.trace.record(
             now.as_micros(),
             TraceRecord::TaskEvict {
@@ -1936,7 +1874,6 @@ impl ClusterSim {
             _ => TaskStatus::Pending,
         };
         self.enqueue_pending_preserving_status(t);
-        self.emit(now, t, TraceEventKind::Submit);
     }
 
     /// Takes a node down, evicting everything on it. `chaos` marks a
@@ -2366,11 +2303,6 @@ impl ClusterSim {
             Visit::Draw
         }
     }
-
-    /// Read-only access to the metrics-in-progress trace (for tests).
-    pub fn trace(&self) -> &TraceLog {
-        &self.trace_log
-    }
 }
 
 impl Simulation for ClusterSim {
@@ -2446,7 +2378,6 @@ impl ClusterSim {
             Event::JobSubmit(job_idx) => {
                 let range = self.task_handle_range(job_idx);
                 for t in range {
-                    self.emit(now, t as u32, TraceEventKind::Submit);
                     if self.trace.on() {
                         let priority = self.tasks[t].priority.0;
                         self.trace.record(
@@ -2471,7 +2402,6 @@ impl ClusterSim {
                 self.tasks[task as usize].sync_progress(now);
                 debug_assert!(self.tasks[task as usize].remaining().is_zero());
                 debug_assert!(now >= self.tasks[task as usize].submit);
-                self.emit(now, task, TraceEventKind::Finish);
                 if self.trace.on() {
                     if let TaskStatus::Running { node, .. } = self.tasks[task as usize].status {
                         self.trace.record(
@@ -2570,7 +2500,6 @@ impl ClusterSim {
                     }
                 }
                 self.enqueue_pending_preserving_status(task);
-                self.emit(now, task, TraceEventKind::Submit);
                 self.schedule_pass(now, q);
             }
             Event::NodeFail(node) => {
@@ -2679,7 +2608,7 @@ fn chain_loss(task: &TaskState) -> Option<f64> {
     }
 }
 
-fn clamp_to_node(mut spec: TaskSpec, node: Resources) -> TaskSpec {
+pub(crate) fn clamp_to_node(mut spec: TaskSpec, node: Resources) -> TaskSpec {
     let cpu = spec.resources.cpu_milli().min(node.cpu_milli());
     let mem = spec.resources.mem().min(node.mem());
     spec.resources = Resources::new(cpu, mem);

@@ -3,7 +3,7 @@
 use cbp_checkpoint::TaskMemory;
 use cbp_cluster::ContainerId;
 use cbp_simkit::{SimDuration, SimTime};
-use cbp_workload::{LatencyClass, Priority, TaskSpec};
+use cbp_workload::{Priority, TaskSpec};
 
 /// Where a task is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,8 +48,6 @@ pub struct TaskState {
     pub spec: TaskSpec,
     /// Inherited job priority.
     pub priority: Priority,
-    /// Inherited latency class.
-    pub latency: LatencyClass,
     /// Index of the owning job in the workload.
     pub job_idx: u32,
     /// Original submission time.
@@ -82,17 +80,10 @@ pub struct TaskState {
 
 impl TaskState {
     /// Creates the initial (pending) state.
-    pub fn new(
-        spec: TaskSpec,
-        priority: Priority,
-        latency: LatencyClass,
-        job_idx: u32,
-        submit: SimTime,
-    ) -> Self {
+    pub fn new(spec: TaskSpec, priority: Priority, job_idx: u32, submit: SimTime) -> Self {
         TaskState {
             spec,
             priority,
-            latency,
             job_idx,
             submit,
             status: TaskStatus::Pending,
@@ -167,13 +158,7 @@ mod tests {
             duration: SimDuration::from_secs(100),
             dirty_rate_per_sec: 0.01,
         };
-        TaskState::new(
-            spec,
-            Priority::new(0),
-            LatencyClass::new(0),
-            0,
-            SimTime::ZERO,
-        )
+        TaskState::new(spec, Priority::new(0), 0, SimTime::ZERO)
     }
 
     #[test]

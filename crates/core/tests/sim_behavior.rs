@@ -1,9 +1,15 @@
 //! End-to-end behaviour of the trace-driven simulator on Google-like
 //! workloads.
 
-use cbp_core::{PreemptionPolicy, RestorePlacement, RunReport, SimConfig, VictimSelection};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use cbp_core::{
+    ClusterSim, PreemptionPolicy, RestorePlacement, RunReport, SimConfig, VictimSelection,
+};
+use cbp_simkit::SimDuration;
 use cbp_storage::MediaKind;
-use cbp_workload::analysis::PreemptionAnalysis;
+use cbp_telemetry::JsonlTracer;
 use cbp_workload::google::GoogleTraceConfig;
 use cbp_workload::{PriorityBand, Workload};
 
@@ -39,16 +45,47 @@ fn all_jobs_finish_under_every_policy() {
     }
 }
 
+/// A `Write` sink whose buffer outlives the boxed tracer.
+#[derive(Clone, Default)]
+struct SharedBuf(Rc<RefCell<Vec<u8>>>);
+
+impl std::io::Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.borrow_mut().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Runs like [`run`] and also returns the run's JSONL trace.
+fn run_traced(policy: PreemptionPolicy, media: MediaKind, seed: u64) -> (RunReport, Vec<u8>) {
+    let buf = SharedBuf::default();
+    let mut sim = ClusterSim::new(small_cluster(policy, media), contended_workload(seed));
+    sim.set_tracer(Box::new(JsonlTracer::new(buf.clone())));
+    let report = sim.run();
+    let trace = buf.0.take();
+    (report, trace)
+}
+
 #[test]
 fn deterministic_across_runs() {
-    let a = run(PreemptionPolicy::Adaptive, MediaKind::Hdd, 2);
-    let b = run(PreemptionPolicy::Adaptive, MediaKind::Hdd, 2);
+    let (a, trace_a) = run_traced(PreemptionPolicy::Adaptive, MediaKind::Hdd, 2);
+    let (b, trace_b) = run_traced(PreemptionPolicy::Adaptive, MediaKind::Hdd, 2);
     assert_eq!(a.metrics.preemptions, b.metrics.preemptions);
     assert_eq!(a.metrics.checkpoints, b.metrics.checkpoints);
     assert_eq!(a.metrics.kills, b.metrics.kills);
     assert!((a.metrics.energy_kwh - b.metrics.energy_kwh).abs() < 1e-12);
     assert!((a.metrics.makespan_secs - b.metrics.makespan_secs).abs() < 1e-9);
-    assert_eq!(a.trace.len(), b.trace.len());
+    assert!(
+        a.metrics.preemptions > 0,
+        "the run must exercise preemption"
+    );
+    assert!(
+        trace_a == trace_b,
+        "same seed must give the same trace bytes"
+    );
 }
 
 #[test]
@@ -162,8 +199,8 @@ fn incremental_reduces_dump_overhead() {
 /// band hardest.
 #[test]
 fn trace_analysis_shows_low_priority_preemption() {
-    let report = run(PreemptionPolicy::Kill, MediaKind::Ssd, 8);
-    let analysis = PreemptionAnalysis::analyze(&report.trace);
+    let (_, analysis) = small_cluster(PreemptionPolicy::Kill, MediaKind::Ssd)
+        .run_analyzed(&contended_workload(8), SimDuration::from_secs(86_400));
     assert!(analysis.overall.preemptions > 0);
     let free = analysis.per_band[0].1;
     let prod = analysis.per_band[2].1;

@@ -13,16 +13,10 @@
 //! * [`kmeans`] — the iterative k-means job model (5 GB / 1.8 GB footprints)
 //!   used by the sensitivity analyses and as the per-container program in
 //!   the YARN experiments.
-//!
-//! [`analysis`] implements the paper's §2 methodology: given a scheduler
-//! event trace, detect preemptions with the 5-second criterion of Cavdar et
-//! al. and aggregate rates per priority, per latency class, over time, and
-//! per task (Figs. 1a–1c, Tables 1–2) plus wasted CPU-hours.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod facebook;
 pub mod google;
 pub mod kmeans;

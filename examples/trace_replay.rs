@@ -2,16 +2,17 @@
 //!
 //! Generates a Google-like trace, replays it through the kill-based
 //! scheduler (the status quo the paper argues against), then applies the
-//! paper's 5-second preemption-detection criterion to the emitted scheduler
-//! event log — reproducing the shape of Fig. 1 and Tables 1–2.
+//! paper's 5-second preemption-detection criterion to the scheduler's task
+//! records as they are emitted — reproducing the shape of Fig. 1 and
+//! Tables 1–2.
 //!
 //! ```text
 //! cargo run --release --example trace_replay [seed]
 //! ```
 
 use cbp::core::{PreemptionPolicy, SimConfig};
+use cbp::simkit::SimDuration;
 use cbp::storage::MediaKind;
-use cbp::workload::analysis::PreemptionAnalysis;
 use cbp::workload::google::GoogleTraceConfig;
 
 fn main() {
@@ -31,8 +32,7 @@ fn main() {
     );
 
     let config = SimConfig::trace_sim(PreemptionPolicy::Kill, MediaKind::Hdd).with_nodes(10);
-    let report = config.run(&workload);
-    let analysis = PreemptionAnalysis::analyze(&report.trace);
+    let (_, analysis) = config.run_analyzed(&workload, SimDuration::from_secs(86_400));
 
     println!("\n-- Table 1: preemption per priority band (paper: 20.26 / 0.55 / 1.02 %)");
     for (band, counts) in &analysis.per_band {

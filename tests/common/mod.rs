@@ -1,5 +1,8 @@
 //! Helpers shared by the golden replay tests.
 
+// Each test binary uses a subset of these.
+#![allow(dead_code)]
+
 use std::cell::RefCell;
 use std::rc::Rc;
 

@@ -2,8 +2,8 @@
 //! and the analyzer working together.
 
 use cbp::core::{PreemptionPolicy, SimConfig};
+use cbp::simkit::SimDuration;
 use cbp::storage::MediaKind;
-use cbp::workload::analysis::PreemptionAnalysis;
 use cbp::workload::facebook::FacebookConfig;
 use cbp::workload::google::GoogleTraceConfig;
 use cbp::yarn::YarnConfig;
@@ -80,10 +80,9 @@ fn stacks_agree_on_headline_claim() {
 #[test]
 fn trace_and_metrics_are_consistent() {
     let w = GoogleTraceConfig::small(300.0).generate(6);
-    let report = SimConfig::trace_sim(PreemptionPolicy::Kill, MediaKind::Ssd)
+    let (report, analysis) = SimConfig::trace_sim(PreemptionPolicy::Kill, MediaKind::Ssd)
         .with_nodes(6)
-        .run(&w);
-    let analysis = PreemptionAnalysis::analyze(&report.trace);
+        .run_analyzed(&w, SimDuration::from_secs(86_400));
     // Every simulator-counted eviction appears in the trace; the analyzer's
     // 5-second criterion may classify a subset as priority preemptions.
     assert!(analysis.overall.preemptions <= report.metrics.preemptions);

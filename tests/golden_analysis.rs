@@ -16,7 +16,6 @@ use cbp::core::{PreemptionPolicy, SimConfig};
 use cbp::faults::FaultSpec;
 use cbp::simkit::SimDuration;
 use cbp::storage::MediaKind;
-use cbp::workload::analysis::PreemptionAnalysis;
 use cbp::workload::google::GoogleTraceConfig;
 
 use common::fnv1a;
@@ -65,12 +64,7 @@ fn digest(case: &Case) -> u64 {
     let w = GoogleTraceConfig::small(300.0)
         .with_load_factor(1.35)
         .generate(6);
-    let report = (case.config)().run(&w);
-    let a = PreemptionAnalysis::analyze_with(
-        &report.trace,
-        SimDuration::from_secs(5),
-        SimDuration::from_secs(600),
-    );
+    let (_, a) = (case.config)().run_analyzed(&w, SimDuration::from_secs(600));
 
     let mut words = vec![a.window.as_micros()];
     let groups = a
