@@ -373,7 +373,7 @@ impl FaultSpec {
     /// | `breaker-decay` | breaker window decay, in (0, 1] |
     /// | `cap` | checkpoint-capacity multiplier, in (0, 1] |
     /// | `leak` | per-(node, window) leaked-reservation probability |
-    /// | `leak-gb` | leaked reservation size, GB |
+    /// | `leak-gb` | leaked reservation size, GB (at least one byte) |
     /// | `leak-window` | leak window length, seconds |
     /// | `chunk-mb` | checkpoint transfer chunk size, MB (at least one byte) |
     /// | `resume` | resumable transfers + targeted repair (`true`/`false`) |
@@ -570,14 +570,21 @@ impl FaultSpec {
                         .leak_prob = prob(value)?;
                 }
                 "leak-gb" => {
-                    let g = value
+                    // A non-finite size, or one that rounds to zero bytes,
+                    // would leave the leak chain running with nothing to
+                    // leak.
+                    let bytes = value
                         .parse::<f64>()
                         .ok()
-                        .filter(|g| *g > 0.0)
-                        .ok_or_else(|| format!("fault spec leak-gb={value}: expected GB > 0"))?;
+                        .filter(|g| g.is_finite())
+                        .map(ByteSize::from_gb_f64)
+                        .filter(|b| b.as_u64() > 0)
+                        .ok_or_else(|| {
+                            format!("fault spec leak-gb={value}: expected GB of at least one byte")
+                        })?;
                     spec.pressure
                         .get_or_insert_with(PressureSpec::default)
-                        .leak_bytes = ByteSize::from_gb_f64(g);
+                        .leak_bytes = bytes;
                 }
                 "leak-window" => {
                     let w = secs(value)?;
@@ -1323,6 +1330,14 @@ mod tests {
         assert!(FaultSpec::parse("cap=1.5").is_err());
         assert!(FaultSpec::parse("leak=2").is_err());
         assert!(FaultSpec::parse("leak-gb=0").is_err());
+        assert!(FaultSpec::parse("leak-gb=-2").is_err());
+        // Sizes that round to zero bytes, and non-finite ones.
+        assert!(FaultSpec::parse("leak-gb=1e-12").is_err());
+        assert!(FaultSpec::parse("leak-gb=inf").is_err());
+        assert!(FaultSpec::parse("leak-gb=NaN").is_err());
+        let s = FaultSpec::parse("leak-gb=1e-9").unwrap();
+        let leak = s.pressure.expect("leak-gb configures pressure").leak_bytes;
+        assert_eq!(leak.as_u64(), 1, "one byte is the smallest leak");
         assert!(FaultSpec::parse("leak-window=0").is_err());
     }
 
