@@ -1,11 +1,19 @@
-//! Input robustness of `check_bench_files`: a committed baseline that is
-//! truncated, bit-flipped or missing a byte, on either side of the check,
-//! must come back as `Ok` or `Err`, never as a panic. The unmutated
-//! baselines must pass their own check at 0% tolerance.
+//! Input robustness of `check_bench_files` (`repro bench --check`) and
+//! `diff_reports` (`repro analyze --baseline`): a committed baseline, or
+//! an analysis report generated in-process, that is truncated,
+//! bit-flipped or missing a byte, on either side of the comparison, must
+//! come back as `Ok` or `Err`, never as a panic. The unmutated documents
+//! must compare clean with themselves.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
 
 use cbp_bench::check_bench_files;
+use cbp_core::{ClusterSim, PreemptionPolicy, SimConfig};
+use cbp_faults::FaultSpec;
+use cbp_obs::{diff_reports, ObsReport, SharedCollector, Tolerances, Verdict};
+use cbp_storage::MediaKind;
+use cbp_workload::google::GoogleTraceConfig;
 use proptest::prelude::*;
 
 /// Every committed baseline, named for the failure messages.
@@ -67,6 +75,28 @@ enum Mutation {
     DeleteByte(usize),
 }
 
+/// SplitMix64 from `seed`: every draw of one case.
+fn draws(seed: u64) -> impl FnMut() -> u64 {
+    let mut z = seed;
+    move || {
+        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut x = z;
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+}
+
+/// Draws one mutation of `text`.
+fn draw_mutation(next: &mut impl FnMut() -> u64, text: &str) -> Mutation {
+    let at = next() as usize % text.len();
+    match next() % 3 {
+        0 => Mutation::Truncate(at),
+        1 => Mutation::FlipBit(at, (next() % 8) as u8),
+        _ => Mutation::DeleteByte(at),
+    }
+}
+
 fn mutate(text: &str, m: Mutation) -> String {
     let mut bytes = text.as_bytes().to_vec();
     match m {
@@ -86,23 +116,11 @@ proptest! {
     /// rebuilds the mutation.
     #[test]
     fn mutated_baselines_never_panic_the_check(seed in any::<u64>()) {
-        let mut z = seed;
-        let mut next = move || {
-            z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut x = z;
-            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            x ^ (x >> 31)
-        };
+        let mut next = draws(seed);
         let (name, text) = BASELINES[next() as usize % BASELINES.len()];
-        let at = next() as usize % text.len();
-        let m = match next() % 3 {
-            0 => Mutation::Truncate(at),
-            1 => Mutation::FlipBit(at, (next() % 8) as u8),
-            _ => Mutation::DeleteByte(at),
-        };
+        let m = draw_mutation(&mut next, text);
         let mutated = mutate(text, m);
-        let on_candidate = next() % 2 == 0;
+        let on_candidate = next().is_multiple_of(2);
         let (base, cand) = if on_candidate {
             (text, mutated.as_str())
         } else {
@@ -115,4 +133,55 @@ proptest! {
             if on_candidate { "candidate" } else { "baseline" }
         );
     }
+
+    /// The `analyze --baseline` counterpart: damage one side of a report
+    /// diff.
+    #[test]
+    fn mutated_reports_never_panic_the_diff(seed in any::<u64>()) {
+        let text = report_json();
+        let mut next = draws(seed);
+        let m = draw_mutation(&mut next, text);
+        let mutated = mutate(text, m);
+        let on_candidate = next().is_multiple_of(2);
+        let (base, cand) = if on_candidate {
+            (text, mutated.as_str())
+        } else {
+            (mutated.as_str(), text)
+        };
+        let outcome =
+            catch_unwind(AssertUnwindSafe(|| diff_reports(base, cand, Tolerances::default())));
+        prop_assert!(
+            outcome.is_ok(),
+            "seed {seed}: {m:?} on the {} side panicked the diff",
+            if on_candidate { "candidate" } else { "baseline" }
+        );
+    }
+}
+
+/// The JSON `ObsReport`, critical paths included, of a small ClusterSim
+/// run under the heavy fault plan; built once per test binary.
+fn report_json() -> &'static str {
+    static REPORT: OnceLock<String> = OnceLock::new();
+    REPORT.get_or_init(|| {
+        let cfg = SimConfig::trace_sim(PreemptionPolicy::Adaptive, MediaKind::Hdd)
+            .with_nodes(4)
+            .with_faults(FaultSpec::heavy());
+        let shared = SharedCollector::with_segments();
+        let mut sim = ClusterSim::new(cfg, GoogleTraceConfig::small(40.0).generate(5));
+        sim.set_tracer(Box::new(shared.clone()));
+        sim.run();
+        let collector = shared.take();
+        ObsReport::build(&collector, 5)
+            .with_crit(&collector)
+            .expect("critical paths tile every job")
+            .to_json()
+    })
+}
+
+#[test]
+fn generated_report_diffs_clean_against_itself() {
+    let text = report_json();
+    let diff = diff_reports(text, text, Tolerances::default()).expect("the report parses");
+    assert!(!diff.rows.is_empty());
+    assert_eq!(diff.verdict(), Verdict::Same, "{}", diff.render());
 }
