@@ -9,7 +9,9 @@
 //! lifecycle (GC → evict → spill → kill) and integrity (refetch →
 //! truncate → scratch) ladders and the `lifecycle = false` /
 //! `resume = false` ablations. Debug builds additionally hard-assert the
-//! image-ledger conservation invariant after every event.
+//! image-ledger conservation invariant after every event. Every run also
+//! checks that its finished-task, checkpoint and restore counters equal
+//! the counts of the matching records in its trace.
 //!
 //! On a mismatch the test names every failing case and prints the
 //! observed digests.
@@ -20,7 +22,7 @@ use cbp::checkpoint::NvramSpec;
 use cbp::core::{ClusterSim, PreemptionPolicy, SimConfig};
 use cbp::faults::FaultSpec;
 use cbp::storage::MediaKind;
-use cbp::telemetry::JsonlTracer;
+use cbp::telemetry::{JsonlReader, JsonlTracer, MetricsRegistry};
 use cbp::workload::facebook::FacebookConfig;
 use cbp::workload::google::GoogleTraceConfig;
 use cbp::yarn::{YarnConfig, YarnSim};
@@ -258,6 +260,12 @@ fn digests(case: &Case) -> [u64; 4] {
     );
     let cluster_trace = fnv1a(&buf.0.borrow());
     let cluster_reg = fnv1a(report.telemetry.registry.to_json().as_bytes());
+    check_fold(
+        case.name,
+        "cluster",
+        &buf.0.borrow(),
+        &report.telemetry.registry,
+    );
 
     // The giant production job is 1.3x the cluster's container count, as
     // in the §5.3.3 setup, so it preempts default-queue work.
@@ -281,8 +289,35 @@ fn digests(case: &Case) -> [u64; 4] {
     );
     let yarn_trace = fnv1a(&buf.0.borrow());
     let yarn_reg = fnv1a(telemetry.registry.to_json().as_bytes());
+    check_fold(case.name, "yarn", &buf.0.borrow(), &telemetry.registry);
 
     [cluster_trace, cluster_reg, yarn_trace, yarn_reg]
+}
+
+/// Registry counters that each equal the count of one record kind in
+/// the run's trace.
+const FOLDED: [(&str, &str); 3] = [
+    ("scheduler.tasks_finished", "task_finish"),
+    ("scheduler.checkpoints", "dump_start"),
+    ("scheduler.restores", "restore_done"),
+];
+
+/// Asserts registry == fold(trace) for every [`FOLDED`] pair.
+fn check_fold(case: &str, sim: &str, trace: &[u8], registry: &MetricsRegistry) {
+    let mut folded = [0u64; FOLDED.len()];
+    for item in JsonlReader::new(trace).expect("golden traces have a header") {
+        let (_, rec) = item.expect("golden traces are well-formed");
+        if let Some(i) = FOLDED.iter().position(|(_, kind)| *kind == rec.name()) {
+            folded[i] += 1;
+        }
+    }
+    for ((key, kind), n) in FOLDED.iter().zip(folded) {
+        assert_eq!(
+            registry.counter(key),
+            Some(n),
+            "{case}, {sim}: {key} vs {n} {kind} records"
+        );
+    }
 }
 
 #[test]
