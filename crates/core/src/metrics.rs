@@ -290,9 +290,9 @@ impl TelemetryReport {
     }
 }
 
-/// A finished run: metrics and observability artifacts. The §2 analysis
-/// is a tracer ([`crate::analysis::PreemptionTracer`]), not part of the
-/// report.
+/// A finished run: metrics and observability artifacts. For the §2
+/// analysis, attach a [`crate::analysis::PreemptionTracer`] (see
+/// [`crate::SimConfig::run_analyzed`]).
 #[derive(Debug)]
 pub struct RunReport {
     /// Human-readable run label (policy + medium).
