@@ -107,18 +107,22 @@ pub struct ClusterSim {
     /// job `j` owns handles `job_first_task[j]..job_first_task[j + 1]`.
     job_first_task: Vec<usize>,
     place_cursor: usize,
+    /// Count of the reservations whose drains have all completed.
+    drained: usize,
+    /// Per-node, per-priority demand of the Running tasks: the victims a
+    /// search can take.
+    victims: VictimSums,
     /// Pass-scoped Pareto front of per-node free capacity (see
-    /// [`FreeFront`]); `None` once a placement, cancel or preemption made
-    /// it stale.
-    free_front: Option<FreeFront>,
-    /// Pass-scoped per-node victim capacity for one priority (see
-    /// [`ClusterSim::victim_capacity`]); `None` once a placement or
-    /// preemption made it stale.
-    victim_cap: Option<(Priority, Vec<Resources>)>,
+    /// [`FreeFront`]), rebuilt in place once a placement, cancel or
+    /// preemption made it stale (`free_front_ok` false).
+    free_front: FreeFront,
+    free_front_ok: bool,
     /// Pass-scoped Pareto front of what a search at one priority could
     /// reach per up node, free plus victim capacity (see
-    /// [`ClusterSim::reach_front`]); dropped with `free_front`.
-    reach: Option<(Priority, FreeFront)>,
+    /// [`ClusterSim::reach_front`]), and the priority it was built for;
+    /// `None` once stale, which it goes with `free_front`.
+    reach: FreeFront,
+    reach_at: Option<Priority>,
     /// Structured-event sink (disabled by default).
     trace: TraceSink,
     /// Periodic time-series probe (absent unless enabled).
@@ -169,24 +173,29 @@ enum Jumped {
 /// other vector beats in both cpu and memory, sorted by cpu descending
 /// (and therefore memory ascending). "Does `d` fit in any of the vectors"
 /// is then one binary search instead of a scan.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct FreeFront {
     points: Vec<Resources>,
 }
 
 impl FreeFront {
-    fn new(free: impl IntoIterator<Item = Resources>) -> Self {
-        let mut all: Vec<Resources> = free.into_iter().collect();
-        all.sort_unstable_by_key(|r| Reverse((r.cpu_milli(), r.mem())));
+    /// Makes this the front of `free`, reusing the buffer.
+    fn rebuild(&mut self, free: impl IntoIterator<Item = Resources>) {
+        let points = &mut self.points;
+        points.clear();
+        points.extend(free);
+        points.sort_unstable_by_key(|r| Reverse((r.cpu_milli(), r.mem())));
         // Sweeping by cpu descending, a vector is on the front iff it has
         // more memory than every vector before it.
-        let mut points: Vec<Resources> = Vec::new();
-        for r in all {
-            if points.last().is_none_or(|last| r.mem() > last.mem()) {
-                points.push(r);
+        let mut kept = 0;
+        for at in 0..points.len() {
+            let r = points[at];
+            if kept == 0 || r.mem() > points[kept - 1].mem() {
+                points[kept] = r;
+                kept += 1;
             }
         }
-        FreeFront { points }
+        points.truncate(kept);
     }
 
     /// True if `demand` fits in at least one of the vectors.
@@ -197,6 +206,40 @@ impl FreeFront {
             .points
             .partition_point(|p| p.cpu_milli() >= demand.cpu_milli());
         k > 0 && demand.mem() <= self.points[k - 1].mem()
+    }
+}
+
+/// The demand of each node's Running tasks, summed per priority, so what
+/// a search below a priority can take from a node is a short prefix sum.
+#[derive(Debug)]
+struct VictimSums {
+    /// Priorities kept per node: one past the workload's highest.
+    levels: usize,
+    /// `sums[node * levels + p]`: the demand of node's Running tasks of
+    /// priority `p`.
+    sums: Vec<Resources>,
+}
+
+impl VictimSums {
+    fn new(nodes: usize, levels: usize) -> Self {
+        VictimSums {
+            levels,
+            sums: vec![Resources::ZERO; nodes * levels],
+        }
+    }
+
+    fn add(&mut self, node: usize, p: Priority, demand: Resources) {
+        self.sums[node * self.levels + p.0 as usize] += demand;
+    }
+
+    fn remove(&mut self, node: usize, p: Priority, demand: Resources) {
+        self.sums[node * self.levels + p.0 as usize] -= demand;
+    }
+
+    /// The demand of node's Running tasks below priority `p`.
+    fn below(&self, node: usize, p: Priority) -> Resources {
+        let row = &self.sums[node * self.levels..][..self.levels];
+        row[..(p.0 as usize).min(self.levels)].iter().copied().sum()
     }
 }
 
@@ -240,6 +283,12 @@ impl ClusterSim {
         }
         job_first_task.push(tasks.len());
         let jobs_left = job_remaining.iter().filter(|&&r| r > 0).count();
+        let levels = workload
+            .jobs()
+            .iter()
+            .map(|job| job.priority.0 as usize + 1)
+            .max()
+            .unwrap_or(0);
 
         let mut criu = Criu::new(cfg.incremental);
         if let Some(compression) = cfg.compression {
@@ -277,9 +326,12 @@ impl ClusterSim {
             jobs_left,
             job_first_task,
             place_cursor: 0,
-            free_front: None,
-            victim_cap: None,
-            reach: None,
+            drained: 0,
+            victims: VictimSums::new(n_nodes, levels),
+            free_front: FreeFront::default(),
+            free_front_ok: false,
+            reach: FreeFront::default(),
+            reach_at: None,
             trace: TraceSink::default(),
             sampler: None,
             last_queue_depth: 0,
@@ -291,7 +343,7 @@ impl ClusterSim {
     }
 
     /// Replaces the structured-event tracer. The default is a
-    /// [`NullTracer`]; pass a `JsonlTracer` / `ChromeTraceTracer` /
+    /// [`NullTracer`](cbp_telemetry::NullTracer); pass a `JsonlTracer` / `ChromeTraceTracer` /
     /// `MultiTracer` to capture the run. The tracer's `finish()` is called
     /// at the end of [`ClusterSim::run`].
     pub fn set_tracer(&mut self, tracer: Box<dyn Tracer>) {
@@ -335,8 +387,9 @@ impl ClusterSim {
         }
     }
 
-    /// Runs the workload to completion and returns the report.
-    pub fn run(mut self) -> RunReport {
+    /// The events a run starts from: job submissions, the first node
+    /// failures and the fault plan's first ticks.
+    fn initial_events(&mut self) -> EventQueue<Event> {
         let mut queue = EventQueue::with_capacity(self.tasks.len() * 2);
         for (job_idx, job) in self.workload.jobs().iter().enumerate() {
             queue.push(job.submit, Event::JobSubmit(job_idx as u32));
@@ -347,6 +400,12 @@ impl ClusterSim {
             }
         }
         self.start_fault_clock(&mut queue);
+        queue
+    }
+
+    /// Runs the workload to completion and returns the report.
+    pub fn run(mut self) -> RunReport {
+        let mut queue = self.initial_events();
         let stats = run_until_observed(&mut self, &mut queue, SimTime::MAX, &mut |_| {});
         let makespan = stats.now;
         self.metrics.breaker_open_secs = self.ckpt.breaker_open_secs(makespan);
@@ -503,7 +562,7 @@ impl ClusterSim {
             self.tasks[t as usize].queue_seq = Some(self.next_seq);
             self.next_seq += 1;
         }
-        self.tasks[t as usize].status = TaskStatus::Pending;
+        self.set_status(t, TaskStatus::Pending);
         self.pending.insert(Queued {
             key: self.pending_key(t),
             demand: self.tasks[t as usize].spec.resources,
@@ -587,35 +646,36 @@ impl ClusterSim {
     /// Drops the pass's capacity fronts after free capacity, a
     /// reservation or the set of victims changed.
     fn drop_fronts(&mut self) {
-        self.free_front = None;
-        self.reach = None;
+        self.free_front_ok = false;
+        self.reach_at = None;
     }
 
-    /// Builds the pass's free-capacity front if it went stale.
+    /// Rebuilds the pass's free-capacity front if it went stale.
     fn build_free_front(&mut self) {
-        if self.free_front.is_none() {
-            let free = (0..self.nodes.len()).map(|i| self.unreserved_free(i));
-            self.free_front = Some(FreeFront::new(free));
+        if !self.free_front_ok {
+            let mut front = std::mem::take(&mut self.free_front);
+            front.rebuild((0..self.nodes.len()).map(|i| self.unreserved_free(i)));
+            self.free_front = front;
+            self.free_front_ok = true;
         }
     }
 
-    /// [`ClusterSim::fits_some_node`] for a task holding no reservation,
-    /// once the front is built.
+    /// [`ClusterSim::fits_some_node`] once the front is built. A
+    /// reservation holder sees its own earmark as free, which the front
+    /// does not, so its own node is asked too: elsewhere it sees what the
+    /// front holds.
     fn front_fits(&self, t: u32, demand: &Resources) -> bool {
-        let front = self.free_front.as_ref().expect("front built first");
-        let fits = front.fits(demand);
+        debug_assert!(self.free_front_ok, "front built first");
+        let fits = self.free_front.fits(demand)
+            || self
+                .own_reservation(t)
+                .is_some_and(|r| self.can_place(r.node, t, demand));
         debug_assert_eq!(fits, self.any_node_fits(t, demand), "free front is stale");
         fits
     }
 
     /// Exact "does `demand` fit on some node from `t`'s point of view".
-    /// The free-capacity front answers for tasks without a reservation; a
-    /// reservation holder sees its own earmark as free, which the front
-    /// does not, so it takes the full node scan.
     fn fits_some_node(&mut self, t: u32, demand: &Resources) -> bool {
-        if self.own_reservation(t).is_some() {
-            return self.any_node_fits(t, demand);
-        }
         self.build_free_front();
         self.front_fits(t, demand)
     }
@@ -623,6 +683,7 @@ impl ClusterSim {
     fn cancel_reservation(&mut self, t: u32) {
         if let Some(r) = self.reservations.remove(&t) {
             self.node_reserved[r.node] = self.node_reserved[r.node].saturating_sub(&r.amount);
+            self.drained -= usize::from(r.drains_left == 0);
             self.holders.remove(&self.pending_key(t));
             self.drop_fronts();
         }
@@ -631,8 +692,39 @@ impl ClusterSim {
     /// Earmarks `r` for pending task `t`.
     fn reserve(&mut self, t: u32, r: Reservation) {
         self.node_reserved[r.node] += r.amount;
+        self.drained += usize::from(r.drains_left == 0);
         self.holders.insert(self.pending_key(t));
-        self.reservations.insert(t, r);
+        let old = self.reservations.insert(t, r);
+        debug_assert!(old.is_none(), "{t} already holds a reservation");
+    }
+
+    /// Credits the completed (or abandoned) drain of victim `v` to the
+    /// blocked task it was serving.
+    fn credit_drain(&mut self, v: u32) {
+        let Some(owner) = self.drain_owner.remove(&v) else {
+            return;
+        };
+        if let Some(r) = self.reservations.get_mut(&owner) {
+            if r.drains_left > 0 {
+                r.drains_left -= 1;
+                self.drained += usize::from(r.drains_left == 0);
+            }
+        }
+    }
+
+    /// Moves task `t` to `status`, keeping the victim sums in step when it
+    /// enters or leaves `Running`. Every status change goes through here.
+    fn set_status(&mut self, t: u32, status: TaskStatus) {
+        let task = &mut self.tasks[t as usize];
+        let old = std::mem::replace(&mut task.status, status);
+        if let TaskStatus::Running { node, .. } = old {
+            self.victims
+                .remove(node as usize, task.priority, task.spec.resources);
+        }
+        if let TaskStatus::Running { node, .. } = status {
+            self.victims
+                .add(node as usize, task.priority, task.spec.resources);
+        }
     }
 
     /// First-fit node for a fresh (non-checkpointed) task, round-robin.
@@ -791,7 +883,6 @@ impl ClusterSim {
             .allocate(Container::new(cid, demand, t as u64))
             .expect("placement checked can_fit before allocating");
         self.drop_fronts();
-        self.victim_cap = None;
         self.update_meter(node, now);
         self.cancel_reservation(t);
 
@@ -857,12 +948,14 @@ impl ClusterSim {
                     },
                 );
             }
-            let task = &mut self.tasks[t as usize];
-            task.status = TaskStatus::Restoring {
-                node: node as u32,
-                container: cid,
-            };
-            let epoch = task.epoch;
+            self.set_status(
+                t,
+                TaskStatus::Restoring {
+                    node: node as u32,
+                    container: cid,
+                },
+            );
+            let epoch = self.tasks[t as usize].epoch;
             let remote = origin != node as u32;
             if remote {
                 // Count it now; duration is charged at completion.
@@ -878,11 +971,14 @@ impl ClusterSim {
                 },
             );
         } else {
+            self.set_status(
+                t,
+                TaskStatus::Running {
+                    node: node as u32,
+                    container: cid,
+                },
+            );
             let task = &mut self.tasks[t as usize];
-            task.status = TaskStatus::Running {
-                node: node as u32,
-                container: cid,
-            };
             task.run_started = now;
             task.mem_synced = now;
             let epoch = task.epoch;
@@ -945,10 +1041,11 @@ impl ClusterSim {
                 mem.mark_all_dirty();
             }
         }
-        task.status = match origin {
+        let status = match origin {
             Some(origin) if has_image => TaskStatus::Checkpointed { origin },
             _ => TaskStatus::Pending,
         };
+        self.set_status(t, status);
         self.enqueue_pending_preserving_status(t);
     }
 
@@ -958,7 +1055,7 @@ impl ClusterSim {
         let status = self.tasks[t as usize].status;
         self.enqueue_pending(t);
         if let TaskStatus::Checkpointed { .. } = status {
-            self.tasks[t as usize].status = status;
+            self.set_status(t, status);
         }
     }
 
@@ -1006,15 +1103,18 @@ impl ClusterSim {
                         reason: "dump",
                     },
                 );
-                let task = &mut self.tasks[t as usize];
-                let container = match task.status {
+                let container = match self.tasks[t as usize].status {
                     TaskStatus::Running { container, .. } => container,
                     _ => unreachable!("dump victim must be running"),
                 };
-                task.status = TaskStatus::Dumping {
-                    node: node as u32,
-                    container,
-                };
+                self.set_status(
+                    t,
+                    TaskStatus::Dumping {
+                        node: node as u32,
+                        container,
+                    },
+                );
+                let task = &mut self.tasks[t as usize];
                 task.epoch += 1;
                 task.preemptions += 1;
                 let epoch = task.epoch;
@@ -1155,15 +1255,18 @@ impl ClusterSim {
                 reason: "dump",
             },
         );
-        let task = &mut self.tasks[t as usize];
-        let container = match task.status {
+        let container = match self.tasks[t as usize].status {
             TaskStatus::Running { container, .. } => container,
             _ => unreachable!("dump victim must be running"),
         };
-        task.status = TaskStatus::Dumping {
-            node: node as u32,
-            container,
-        };
+        self.set_status(
+            t,
+            TaskStatus::Dumping {
+                node: node as u32,
+                container,
+            },
+        );
+        let task = &mut self.tasks[t as usize];
         task.epoch += 1;
         task.preemptions += 1;
         let epoch = task.epoch;
@@ -1197,7 +1300,7 @@ impl ClusterSim {
         if matches!(task.status, TaskStatus::Checkpointed { .. }) {
             // Still queued under its existing key; only the resume mode
             // changes.
-            task.status = TaskStatus::Pending;
+            self.set_status(t, TaskStatus::Pending);
         }
     }
 
@@ -1345,6 +1448,18 @@ impl ClusterSim {
     /// What preempting every victim of node `i` below `priority` would
     /// free: the sum over its Running tasks of lower priority.
     fn victim_capacity(&self, i: usize, priority: Priority) -> Resources {
+        let cap = self.victims.below(i, priority);
+        debug_assert_eq!(
+            cap,
+            self.victim_capacity_scan(i, priority),
+            "victim sums are stale"
+        );
+        cap
+    }
+
+    /// Reference answer of [`ClusterSim::victim_capacity`]: the scan of
+    /// node `i`'s containers.
+    fn victim_capacity_scan(&self, i: usize, priority: Priority) -> Resources {
         self.nodes[i]
             .node
             .containers()
@@ -1376,16 +1491,8 @@ impl ClusterSim {
             _ => None,
         };
 
-        // Victim capacity per node, shared by every search at this
-        // priority until a placement or preemption changes it.
-        let caps = match self.victim_cap.take() {
-            Some((p, caps)) if p == priority => caps,
-            _ => (0..self.nodes.len())
-                .map(|i| self.victim_capacity(i, priority))
-                .collect(),
-        };
         let mut best: Option<(f64, usize, Vec<u32>)> = None;
-        for (i, cap) in caps.iter().enumerate() {
+        for i in 0..self.nodes.len() {
             if !self.nodes[i].up {
                 continue;
             }
@@ -1399,16 +1506,11 @@ impl ClusterSim {
             if needed.is_zero() {
                 continue; // plain placement handles this
             }
-            debug_assert_eq!(
-                *cap,
-                self.victim_capacity(i, priority),
-                "victim capacity is stale"
-            );
             // The greedy loop below takes victims until `needed` fits in
             // what they free, so it succeeds iff all of them together
             // cover `needed`; costing victims is pure, so a node that
             // cannot succeed is skipped unseen.
-            if !needed.fits_in(cap) {
+            if !needed.fits_in(&self.victim_capacity(i, priority)) {
                 continue;
             }
             // Collect preemptible lower-priority victims, deterministically
@@ -1464,7 +1566,6 @@ impl ClusterSim {
         }
 
         let Some((_, node, victims)) = best else {
-            self.victim_cap = Some((priority, caps));
             return false;
         };
         // The victims are about to change status and release capacity.
@@ -1574,11 +1675,7 @@ impl ClusterSim {
         self.release_container(t, now);
         // Credit the drain to the blocked task it was serving: the kill
         // freed the resources the reservation was waiting for.
-        if let Some(owner) = self.drain_owner.remove(&t) {
-            if let Some(r) = self.reservations.get_mut(&owner) {
-                r.drains_left = r.drains_left.saturating_sub(1);
-            }
-        }
+        self.credit_drain(t);
         let has_image = self.has_checkpoint(t);
         let origin = self
             .ckpt
@@ -1596,10 +1693,11 @@ impl ClusterSim {
                 mem.mark_all_dirty();
             }
         }
-        task.status = match origin {
+        let status = match origin {
             Some(origin) if has_image => TaskStatus::Checkpointed { origin },
             _ => TaskStatus::Pending,
         };
+        self.set_status(t, status);
         self.enqueue_pending_preserving_status(t);
     }
 
@@ -1742,7 +1840,7 @@ impl ClusterSim {
         if let Some(mem) = task.memory.as_mut() {
             mem.mark_all_dirty();
         }
-        task.status = TaskStatus::Pending;
+        self.set_status(t, TaskStatus::Pending);
         self.enqueue_pending(t);
     }
 
@@ -1821,11 +1919,7 @@ impl ClusterSim {
             // the next dump of this task would collide with it.
             self.ckpt
                 .abort_dump(handle_u64(t), node, reason, true, now, &mut self.trace);
-            if let Some(owner) = self.drain_owner.remove(&t) {
-                if let Some(r) = self.reservations.get_mut(&owner) {
-                    r.drains_left = r.drains_left.saturating_sub(1);
-                }
-            }
+            self.credit_drain(t);
         }
 
         // Local-FS images stored on the failed node are gone; HDFS
@@ -1869,10 +1963,11 @@ impl ClusterSim {
                 mem.mark_all_dirty();
             }
         }
-        task.status = match origin {
+        let status = match origin {
             Some(origin) if has_image => TaskStatus::Checkpointed { origin },
             _ => TaskStatus::Pending,
         };
+        self.set_status(t, status);
         self.enqueue_pending_preserving_status(t);
     }
 
@@ -1938,7 +2033,6 @@ impl ClusterSim {
         let _prof = cbp_prof::scope("schedule_pass");
         self.work.passes += 1;
         self.drop_fronts();
-        self.victim_cap = None;
         let mut preempt_budget = self.cfg.preempt_budget_per_pass;
         // Gates whether placement is tried at all, and so which RNG draws
         // happen. It is refreshed only after a placement or a synchronous
@@ -2031,7 +2125,8 @@ impl ClusterSim {
         let n = self.nodes.len();
         // The walk changes no reservation, so when none has drained, a key
         // failing the gate is idle whatever it holds.
-        let any_drained = self.reservations.values().any(|r| r.drains_left == 0);
+        debug_assert_eq!(self.drained, self.drained_scan(), "drained count is stale");
+        let any_drained = self.drained > 0;
         let mut pos = self.pending.seek(cursor.as_ref());
         // Set when a jump stopped short at a key its visit must decide.
         let mut visit_next = false;
@@ -2061,6 +2156,10 @@ impl ClusterSim {
             }
             self.work.keys_scanned += 1;
             self.work.keys_visited += 1;
+            if self.settle_parked(&q, budget, max_avail) {
+                pos = self.pending.next(pos);
+                continue;
+            }
             if searching {
                 return Some(q.key);
             }
@@ -2086,12 +2185,8 @@ impl ClusterSim {
     fn dead_from(&mut self, pos: Pos, searching: bool) -> bool {
         let chunk = &self.pending.chunks()[pos.chunk];
         let min = chunk.min();
-        if self
-            .free_front
-            .as_ref()
-            .expect("front built first")
-            .fits(&min)
-        {
+        debug_assert!(self.free_front_ok, "front built first");
+        if self.free_front.fits(&min) {
             return false;
         }
         let first = chunk.key(pos.at);
@@ -2100,6 +2195,54 @@ impl ClusterSim {
             return false;
         }
         !searching || !self.reach_front(Priority(first.0 .0)).fits(&min)
+    }
+
+    /// Reference answer of `drained`: the count of reservations whose
+    /// drains have all completed.
+    fn drained_scan(&self) -> usize {
+        self.reservations
+            .values()
+            .filter(|r| r.drains_left == 0)
+            .count()
+    }
+
+    /// Settles the visit of `q` in the walk if `q` is a parked holder: it
+    /// holds a reservation whose drains are still in flight and fails the
+    /// `max_avail` gate or fits no node. Its visit in
+    /// [`ClusterSim::schedule_pass`] would place nothing and cancel
+    /// nothing, and its search would return at once, so what is left is
+    /// restore placement's RNG draw (made when it passes the gate with a
+    /// checkpoint under cost-aware placement) and, while searches are
+    /// left, one search of `budget`. Returns false, doing nothing, for
+    /// any other key.
+    fn settle_parked(&mut self, q: &Queued, budget: &mut usize, max_avail: &Resources) -> bool {
+        let t = q.key.3;
+        if self.own_reservation(t).is_none_or(|r| r.drains_left == 0) {
+            return false;
+        }
+        if q.demand.fits_in(max_avail) {
+            if self.front_fits(t, &q.demand) {
+                return false;
+            }
+            if self.has_checkpoint(t) {
+                // A checkpointed task not in the `Checkpointed` state is
+                // left to the full visit.
+                if !matches!(
+                    self.tasks[t as usize].status,
+                    TaskStatus::Checkpointed { .. }
+                ) {
+                    return false;
+                }
+                if !self.restore_is_local() {
+                    self.rng.index(self.nodes.len());
+                }
+            }
+        }
+        if self.cfg.policy != PreemptionPolicy::Wait && *budget > 0 {
+            *budget -= 1;
+            self.work.searches += 1;
+        }
+        true
     }
 
     /// What visiting dead key `q` does. Its placement fails and so does
@@ -2207,23 +2350,18 @@ impl ClusterSim {
     /// over the up nodes. A search for a task of priority at most `p`
     /// holding no reservation succeeds only on a node whose point covers
     /// its demand, so a demand fitting no point makes the search futile.
-    /// The per-node capacities are shared with the searches through
-    /// `victim_cap`.
     fn reach_front(&mut self, p: Priority) -> &FreeFront {
-        if self.reach.as_ref().is_none_or(|(q, _)| *q != p) {
-            let caps = match self.victim_cap.take() {
-                Some((q, caps)) if q == p => caps,
-                _ => (0..self.nodes.len())
-                    .map(|i| self.victim_capacity(i, p))
-                    .collect(),
-            };
-            let points = (0..self.nodes.len())
-                .filter(|&i| self.nodes[i].up)
-                .map(|i| self.unreserved_free(i) + caps[i]);
-            self.reach = Some((p, FreeFront::new(points)));
-            self.victim_cap = Some((p, caps));
+        if self.reach_at != Some(p) {
+            let mut front = std::mem::take(&mut self.reach);
+            front.rebuild(
+                (0..self.nodes.len())
+                    .filter(|&i| self.nodes[i].up)
+                    .map(|i| self.unreserved_free(i) + self.victim_capacity(i, p)),
+            );
+            self.reach = front;
+            self.reach_at = Some(p);
         }
-        &self.reach.as_ref().expect("built above").1
+        &self.reach
     }
 
     /// The per-key walk the chunked one replaced, kept as its reference:
@@ -2238,7 +2376,7 @@ impl ClusterSim {
     ) -> Option<PendingKey> {
         self.build_free_front();
         let n = self.nodes.len();
-        let any_drained = self.reservations.values().any(|r| r.drains_left == 0);
+        let any_drained = self.drained_scan() > 0;
         let mut pos = self.pending.seek(cursor.as_ref());
         while pos.chunk < self.pending.chunks().len() {
             let q = self.pending.chunks()[pos.chunk].get(pos.at);
@@ -2418,7 +2556,7 @@ impl ClusterSim {
                 let work = self.tasks[task as usize].spec.duration.as_secs_f64();
                 self.metrics.ledger.useful_cpu_secs += cores * work;
                 self.metrics.ledger.tasks_finished += 1;
-                self.tasks[task as usize].status = TaskStatus::Finished;
+                self.set_status(task, TaskStatus::Finished);
                 self.tasks[task as usize].finished_at = Some(now);
 
                 // Drop checkpoint images / NVRAM mirrors.
@@ -2477,9 +2615,9 @@ impl ClusterSim {
                         start_us: started.as_micros(),
                     },
                 );
+                self.set_status(task, TaskStatus::Checkpointed { origin: node });
                 let task_state = &mut self.tasks[task as usize];
                 task_state.checkpointed_progress = task_state.progress;
-                task_state.status = TaskStatus::Checkpointed { origin: node };
                 let stamp = task_state.checkpointed_progress.as_micros();
                 // Stamp the tip with the progress it certifies (a later
                 // truncation rolls back to exactly that), end the episode
@@ -2494,11 +2632,7 @@ impl ClusterSim {
                     &mut self.trace,
                 );
                 // Credit the drain to the blocked task it was serving.
-                if let Some(owner) = self.drain_owner.remove(&task) {
-                    if let Some(r) = self.reservations.get_mut(&owner) {
-                        r.drains_left = r.drains_left.saturating_sub(1);
-                    }
-                }
+                self.credit_drain(task);
                 self.enqueue_pending_preserving_status(task);
                 self.schedule_pass(now, q);
             }
@@ -2584,8 +2718,8 @@ impl ClusterSim {
                 // The remote flag was already recorded at placement time.
                 self.metrics
                     .charge_restore(now.since(started), cores, false);
+                self.set_status(task, TaskStatus::Running { node, container });
                 let task_state = &mut self.tasks[task as usize];
-                task_state.status = TaskStatus::Running { node, container };
                 task_state.run_started = now;
                 task_state.mem_synced = now;
                 if let Some(mem) = task_state.memory.as_mut() {
@@ -2723,6 +2857,102 @@ mod tests {
         assert_eq!(sim.work.keys_visited, 0);
     }
 
+    /// Fills node `i` with one container of task handle `filler` (a task
+    /// that is never queued), leaving `room` free.
+    fn fill(sim: &mut ClusterSim, i: usize, room: Resources, filler: u32) {
+        let used = sim.nodes[i].node.capacity().saturating_sub(&room);
+        let container = Container::new(ContainerId(1_000 + i as u64), used, filler as u64);
+        sim.nodes[i]
+            .node
+            .allocate(container)
+            .expect("the node starts empty");
+    }
+
+    /// Queues task 0 on two nodes, leaves `room` free on each and gives
+    /// the task a reservation on node 0 with one drain in flight.
+    fn in_flight_holder(room: [Resources; 2]) -> (ClusterSim, u32, Resources) {
+        let mut sim = small_sim(2);
+        let t = 0;
+        let demand = sim.tasks[t as usize].spec.resources;
+        assert!(!demand.is_zero());
+        sim.enqueue_pending(t);
+        for (i, room) in room.into_iter().enumerate() {
+            fill(&mut sim, i, room, 1);
+        }
+        let r = Reservation {
+            node: 0,
+            amount: demand,
+            drains_left: 1,
+        };
+        sim.reserve(t, r);
+        (sim, t, demand)
+    }
+
+    /// A holder whose drains are still in flight is placed, not parked,
+    /// when it fits its own node (through its earmark, which no other
+    /// task sees as free) or another node.
+    #[test]
+    fn in_flight_holder_is_placed_where_it_fits() {
+        let zero = Resources::ZERO;
+        for own in [true, false] {
+            let (mut sim, t, demand) = if own {
+                in_flight_holder([demand_of(0), zero])
+            } else {
+                in_flight_holder([zero, demand_of(0)])
+            };
+            let mut q = EventQueue::with_capacity(4);
+            sim.schedule_pass(SimTime::ZERO, &mut q);
+            let node = u32::from(!own);
+            assert!(
+                matches!(sim.tasks[t as usize].status, TaskStatus::Running { node: n, .. } if n == node),
+                "own node: {own}, demand {demand}: {:?}",
+                sim.tasks[t as usize].status
+            );
+            assert!(sim.reservations.is_empty() && sim.holders.is_empty());
+            assert_eq!(sim.work.searches, 0, "own node: {own}");
+            assert_eq!(sim.victims.below(node as usize, Priority(u8::MAX)), demand);
+        }
+    }
+
+    /// The demand of task 0 in [`small_sim`]'s workload.
+    fn demand_of(t: u32) -> Resources {
+        small_sim(1).tasks[t as usize].spec.resources
+    }
+
+    /// A holder whose drains are still in flight and that fits no node is
+    /// settled in the walk: visited, one search spent while budget lasts,
+    /// and never returned to the pass.
+    #[test]
+    fn in_flight_holder_fitting_nowhere_is_parked() {
+        let zero = Resources::ZERO;
+        let (mut sim, t, demand) = in_flight_holder([zero, zero]);
+        // The gate passes (some node reports the demand free) and fails.
+        for gate in [demand, zero] {
+            for start in [2usize, 0] {
+                let mut budget = start;
+                let mut scanned = 0;
+                let searches = sim.work.searches;
+                sim.drop_fronts();
+                let key = sim.next_active_key(None, &mut scanned, &mut budget, &gate);
+                assert_eq!(key, None, "gate {gate}, budget {start}");
+                assert_eq!(scanned, 1);
+                assert_eq!(budget, start.saturating_sub(1));
+                assert_eq!(sim.work.searches - searches, u64::from(start > 0));
+            }
+        }
+        assert_eq!(sim.work.keys_visited, 4);
+        assert_eq!(sim.work.walk_draws, 0);
+        assert!(sim.own_reservation(t).is_some());
+        // Once its drain completes it is no longer parked: the drained
+        // reservation is the pass's to cancel.
+        sim.drain_owner.insert(7, t);
+        sim.credit_drain(7);
+        assert_eq!(sim.drained, 1);
+        let mut scanned = 0;
+        let key = sim.next_active_key(None, &mut scanned, &mut 1, &demand);
+        assert_eq!(key.map(|k| k.3), Some(t));
+    }
+
     /// A `Write` sink whose buffer outlives the boxed tracer.
     #[derive(Clone, Default)]
     struct SharedBuf(std::rc::Rc<std::cell::RefCell<Vec<u8>>>);
@@ -2839,6 +3069,103 @@ mod tests {
         );
     }
 
+    /// Checks the state the passes keep between events against the scans
+    /// it replaces: every node's victim sums at every priority (one past
+    /// the highest kept level included) and the drained count.
+    fn assert_kept_state(sim: &ClusterSim, at: &str) {
+        let levels = sim.victims.levels as u8;
+        for i in 0..sim.nodes.len() {
+            for p in 0..=levels + 1 {
+                assert_eq!(
+                    sim.victims.below(i, Priority(p)),
+                    sim.victim_capacity_scan(i, Priority(p)),
+                    "{at}: node {i}, priority {p}"
+                );
+            }
+        }
+        assert_eq!(sim.drained, sim.drained_scan(), "{at}: drained count");
+        assert_eq!(sim.holders.len(), sim.reservations.len(), "{at}: holders");
+    }
+
+    /// Steps contended runs event by event and checks the kept pass state
+    /// after every event, then checks the walk that settles parked holders
+    /// against the per-key reference walk, which returns every holder to
+    /// the pass: same trace and registry bytes, same passes and scanned
+    /// keys. Release test builds run this too, while the pass's own
+    /// cross-checks are debug-only.
+    #[test]
+    fn kept_pass_state_matches_scans() {
+        use cbp_checkpoint::NvramSpec;
+        use cbp_faults::FaultSpec;
+        use cbp_storage::MediaKind;
+        use cbp_telemetry::JsonlTracer;
+        use cbp_workload::google::GoogleTraceConfig;
+
+        let base = |policy, media| SimConfig::trace_sim(policy, media).with_nodes(5);
+        let mut cases: Vec<(String, SimConfig)> = Vec::new();
+        for policy in [
+            PreemptionPolicy::Kill,
+            PreemptionPolicy::Checkpoint,
+            PreemptionPolicy::Adaptive,
+        ] {
+            for plan in ["off", "heavy,seed=5", "chaos,seed=11"] {
+                let spec = FaultSpec::parse(plan).expect("plan parses");
+                let cfg = base(policy, MediaKind::Hdd).with_faults(spec);
+                cases.push((format!("{policy}/{plan}"), cfg));
+            }
+        }
+        cases.push((
+            "nvram".into(),
+            base(PreemptionPolicy::Checkpoint, MediaKind::Nvm).with_nvram(NvramSpec::default()),
+        ));
+        cases.push((
+            "local-only".into(),
+            base(PreemptionPolicy::Checkpoint, MediaKind::Ssd)
+                .with_restore_placement(RestorePlacement::LocalOnly),
+        ));
+        // A scan limit and budget far short of the queue cut every busy
+        // pass mid-queue.
+        let mut tight = base(PreemptionPolicy::Checkpoint, MediaKind::Hdd);
+        tight.max_schedule_scan = 3;
+        tight.preempt_budget_per_pass = 2;
+        cases.push(("tight".into(), tight));
+        let workload = GoogleTraceConfig::small(80.0).generate(9);
+        let mut held = 0usize;
+        for (name, cfg) in &cases {
+            let mut sim = ClusterSim::new(cfg.clone(), workload.clone());
+            let mut queue = sim.initial_events();
+            while let Some((now, event)) = queue.pop() {
+                sim.handle(now, event, &mut queue);
+                assert_kept_state(&sim, &format!("{name} at {now}"));
+                held += usize::from(!sim.reservations.is_empty());
+            }
+            assert_eq!(sim.jobs_left, 0, "{name}: every job finishes");
+
+            let run = |reference: bool| {
+                let buf = SharedBuf::default();
+                let mut sim = ClusterSim::new(cfg.clone(), workload.clone());
+                sim.reference_walk = reference;
+                sim.set_tracer(Box::new(JsonlTracer::new(buf.clone())));
+                let report = sim.run();
+                let trace = buf.0.borrow().clone();
+                let work = report.telemetry.pass_work.expect("ClusterSim counts");
+                (trace, report.telemetry.registry.to_json(), work)
+            };
+            let (ref_trace, ref_registry, ref_work) = run(true);
+            let (trace, registry, work) = run(false);
+            assert!(trace == ref_trace, "{name}: traces differ");
+            assert_eq!(registry, ref_registry, "{name}: registries differ");
+            assert_eq!(work.passes, ref_work.passes, "{name}");
+            assert_eq!(work.keys_scanned, ref_work.keys_scanned, "{name}");
+            // Jumped keys spend budget without a search.
+            assert!(
+                work.keys_visited <= ref_work.keys_visited && work.searches <= ref_work.searches,
+                "{name}: {work:?}"
+            );
+        }
+        assert!(held > 0, "no run held a reservation between events");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -2850,7 +3177,10 @@ mod tests {
         fn free_front_matches_node_scan(seed in any::<u64>(), nodes in 0usize..24) {
             let mut rng = SimRng::seed_from_u64(seed);
             let free: Vec<Resources> = (0..nodes).map(|_| small_resources(&mut rng)).collect();
-            let front = FreeFront::new(free.iter().copied());
+            let mut front = FreeFront::default();
+            // A stale, longer front first: the rebuild must not keep any of it.
+            front.rebuild((0..32).map(|_| small_resources(&mut rng)));
+            front.rebuild(free.iter().copied());
             for _ in 0..32 {
                 let demand = small_resources(&mut rng);
                 let scan = free.iter().any(|f| demand.fits_in(f));
