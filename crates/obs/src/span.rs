@@ -3,7 +3,7 @@
 //! [`SpanCollector`] is a [`Tracer`]: it can be attached to a running
 //! simulator (online) or fed from a JSONL trace via [`collect_jsonl`]
 //! (offline). Either way it makes a single streaming pass over the
-//! records, keeping O(1) state per task — a [`Phase`] and the running
+//! records, keeping O(1) state per task — a phase and the running
 //! [`Blame`] totals — and never buffering the record stream itself.
 //!
 //! # Blame accounting

@@ -2,9 +2,10 @@
 //!
 //! Wraps the system allocator with three relaxed atomic counters:
 //! cumulative allocation count, live bytes, and the high-water mark of
-//! live bytes. The scope profiler reads [`allocations`] on scope
+//! live bytes. The scope profiler reads `allocations()` on scope
 //! entry/exit to attribute allocation counts to paths; the benchmark
-//! harness reads [`peak_bytes`] as an RSS proxy.
+//! harness reads `peak_bytes()` as an RSS proxy (both exist only with
+//! the feature on).
 //!
 //! The allocator must be installed by the *binary* crate:
 //!

@@ -213,7 +213,7 @@ impl YarnSim {
     }
 
     /// Replaces the structured-event tracer. The default is a
-    /// [`NullTracer`]; pass a `JsonlTracer` / `ChromeTraceTracer` /
+    /// [`NullTracer`](cbp_telemetry::NullTracer); pass a `JsonlTracer` / `ChromeTraceTracer` /
     /// `MultiTracer` to capture the run. The tracer's `finish()` is called
     /// at the end of the run.
     pub fn set_tracer(&mut self, tracer: Box<dyn Tracer>) {
