@@ -308,7 +308,12 @@ pub struct RunReport {
 /// place, and the registry keys they share.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RunLedger {
-    /// Victims killed.
+    /// Hard kills (`scheduler.kills`): the `task_evict` records whose
+    /// reason is not `dump`, except evictions by a node that went down.
+    /// `node-crash` evictions count as [`RunLedger::crash_evictions`]
+    /// and ClusterSim's `node-fail` evictions as
+    /// `scheduler.failure_evictions`, so the three counters sum to the
+    /// trace's hard-kill count.
     pub kills: u64,
     /// Checkpoint dumps started.
     pub checkpoints: u64,

@@ -22,7 +22,7 @@ use cbp::checkpoint::NvramSpec;
 use cbp::core::{ClusterSim, PreemptionPolicy, SimConfig};
 use cbp::faults::FaultSpec;
 use cbp::storage::MediaKind;
-use cbp::telemetry::{JsonlReader, JsonlTracer, MetricsRegistry};
+use cbp::telemetry::{JsonlReader, JsonlTracer, MetricsRegistry, TraceRecord};
 use cbp::workload::facebook::FacebookConfig;
 use cbp::workload::google::GoogleTraceConfig;
 use cbp::yarn::{YarnConfig, YarnSim};
@@ -302,13 +302,21 @@ const FOLDED: [(&str, &str); 3] = [
     ("scheduler.restores", "restore_done"),
 ];
 
-/// Asserts registry == fold(trace) for every [`FOLDED`] pair.
+/// Asserts registry == fold(trace) for every [`FOLDED`] pair, and that
+/// the hard kills (`task_evict` records of any reason but `dump`) are
+/// `scheduler.kills` plus the evictions by downed nodes, which the
+/// ledger counts apart (`scheduler.failure_evictions` is ClusterSim's
+/// alone).
 fn check_fold(case: &str, sim: &str, trace: &[u8], registry: &MetricsRegistry) {
     let mut folded = [0u64; FOLDED.len()];
+    let mut hard_kills = 0u64;
     for item in JsonlReader::new(trace).expect("golden traces have a header") {
         let (_, rec) = item.expect("golden traces are well-formed");
         if let Some(i) = FOLDED.iter().position(|(_, kind)| *kind == rec.name()) {
             folded[i] += 1;
+        }
+        if matches!(rec, TraceRecord::TaskEvict { reason, .. } if reason != "dump") {
+            hard_kills += 1;
         }
     }
     for ((key, kind), n) in FOLDED.iter().zip(folded) {
@@ -318,6 +326,16 @@ fn check_fold(case: &str, sim: &str, trace: &[u8], registry: &MetricsRegistry) {
             "{case}, {sim}: {key} vs {n} {kind} records"
         );
     }
+    let counter = |key: &str| registry.counter(key);
+    let kills = counter("scheduler.kills").expect("both simulators count kills");
+    let crashes = counter("faults.crash_evictions").expect("both simulators count crashes");
+    let failures = counter("scheduler.failure_evictions").unwrap_or(0);
+    assert_eq!(
+        kills + crashes + failures,
+        hard_kills,
+        "{case}, {sim}: scheduler.kills {kills} + faults.crash_evictions {crashes} \
+         + scheduler.failure_evictions {failures} vs {hard_kills} hard-kill task_evict records"
+    );
 }
 
 #[test]
