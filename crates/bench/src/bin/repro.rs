@@ -33,13 +33,19 @@
 //! `--analyze` produces online — the two reports are byte-identical for
 //! the same run. With `--baseline` it diffs against an archived report
 //! and exits 1 on a regression verdict.
+//!
+//! Exit codes: 0 on success; 1 on a regression verdict (`analyze
+//! --baseline`, `bench --check`); 2 on a usage or input error, including
+//! a `--scale` that leaves a Google-trace experiment an empty workload
+//! (`repro fig3 --scale 1e-9`), which would otherwise print all-zero
+//! tables.
 
 use std::fmt::Write as _;
 
 use cbp_bench::{
-    analyze_trace_collector, check_bench_files, emit_crit_extras, find_scenario, run_all,
-    run_instrumented, run_one, run_scenario, standard_matrix, tiny_matrix, BenchOptions, Scale,
-    TelemetryOptions, ANALYZE_TOP_K, EXPERIMENT_IDS,
+    analyze_trace_collector, check_bench_files, check_scale, emit_crit_extras, find_scenario,
+    run_all, run_instrumented, run_one, run_scenario, standard_matrix, tiny_matrix, BenchOptions,
+    Scale, TelemetryOptions, ANALYZE_TOP_K, EXPERIMENT_IDS,
 };
 use cbp_obs::{diff_reports, ObsReport, Tolerances, Verdict, WhatIf};
 
@@ -203,6 +209,9 @@ fn main() {
         die("--no-resume is an ablation of the fault plan's chunked resume; add --faults SPEC");
     }
 
+    if let Err(e) = check_scale(&id, scale, seed) {
+        die(&e.to_string());
+    }
     let experiments = if id == "all" {
         run_all(scale, seed)
     } else {

@@ -93,6 +93,58 @@ pub fn run_one(id: &str, scale: Scale, seed: u64) -> Option<Experiment> {
     Some(exp)
 }
 
+/// The experiment ids that simulate the Google trace (see
+/// [`experiments::google_setup`]).
+const GOOGLE_TRACE_IDS: [&str; 8] = [
+    "fig1", "table1", "table2", "fig3", "fig5", "ablate", "qos", "faults",
+];
+
+/// A `--scale` so small that the Google trace it scales has no job: every
+/// table of the experiments that simulate it would be zeros.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EmptyWorkload {
+    /// The scale factor asked for.
+    pub scale: f64,
+    /// The seed the trace was generated with.
+    pub seed: u64,
+}
+
+impl std::fmt::Display for EmptyWorkload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "--scale {} gives an empty Google trace (no jobs at seed {}); \
+             use a larger scale",
+            self.scale, self.seed
+        )
+    }
+}
+
+impl std::error::Error for EmptyWorkload {}
+
+/// Checks that experiment `id` (every experiment, for `all`) has work to
+/// simulate at `scale`: the Google trace of the experiments that run it
+/// must have at least one job. Other experiments keep a floor on their
+/// workload size and always pass.
+///
+/// # Errors
+///
+/// [`EmptyWorkload`] if the scaled trace is empty.
+pub fn check_scale(id: &str, scale: Scale, seed: u64) -> Result<(), EmptyWorkload> {
+    if id != "all" && !GOOGLE_TRACE_IDS.contains(&id) {
+        return Ok(());
+    }
+    let (workload, _) = experiments::google_setup(scale, seed);
+    if workload.job_count() == 0 {
+        Err(EmptyWorkload {
+            scale: scale.factor,
+            seed,
+        })
+    } else {
+        Ok(())
+    }
+}
+
 /// All experiment ids accepted by [`run_one`].
 pub const EXPERIMENT_IDS: [&str; 18] = [
     "fig1",

@@ -90,3 +90,39 @@ fn markdown_renders_for_cheap_experiments() {
         assert!(md.contains("|---"), "{id} missing table");
     }
 }
+
+/// A scale that leaves the Google trace without a job is rejected with a
+/// typed error, and `repro` exits 2 with nothing on stdout instead of
+/// printing all-zero tables. Experiments with a floor on their workload
+/// size, and usable scales, pass the check.
+#[test]
+fn empty_workload_scale_is_rejected() {
+    use cbp_bench::{check_scale, EmptyWorkload};
+    let tiny = Scale::parse("1e-9").expect("a positive factor parses");
+    for id in ["fig3", "fig1", "table2", "qos", "all"] {
+        assert_eq!(
+            check_scale(id, tiny, 42),
+            Err(EmptyWorkload {
+                scale: 1e-9,
+                seed: 42
+            }),
+            "{id}"
+        );
+    }
+    for id in ["fig8", "table3", "mapreduce"] {
+        assert_eq!(check_scale(id, tiny, 42), Ok(()), "{id}");
+    }
+    assert_eq!(check_scale("fig3", Scale::SMOKE, 42), Ok(()));
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["fig3", "--scale", "1e-9", "--seed", "42"])
+        .output()
+        .expect("repro runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        out.stdout.is_empty(),
+        "printed tables for an empty workload"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("empty Google trace"), "{stderr}");
+}
