@@ -135,6 +135,9 @@ pub struct ClusterSim {
     restore_attempts: HashMap<u32, u32>,
     /// What the scheduling passes did, counted exactly.
     work: PassWork,
+    /// A search's ranked victims on one node, `(cost, task)`: a buffer
+    /// reused across searches.
+    ranked: Vec<(f64, u32)>,
     /// Walk the pending queue one key at a time, never jumping a chunk
     /// (the reference the chunked walk is checked against).
     #[cfg(any(test, debug_assertions))]
@@ -207,6 +210,19 @@ impl FreeFront {
             .partition_point(|p| p.cpu_milli() >= demand.cpu_milli());
         k > 0 && demand.mem() <= self.points[k - 1].mem()
     }
+}
+
+/// The terms of a victim's checkpoint-cost estimate shared by every victim
+/// on one node at one time (see [`ClusterSim::node_cost`]).
+struct NodeCost {
+    node: usize,
+    now: SimTime,
+    /// The node's checkpoint-device queue wait.
+    queue: SimDuration,
+    /// Stall and partition slowdown of the node's checkpoint path.
+    factor: f64,
+    /// Expected rewrite multiplier under a fault plan with dump failures.
+    retry: Option<f64>,
 }
 
 /// The demand of each node's Running tasks, summed per priority, so what
@@ -337,6 +353,7 @@ impl ClusterSim {
             last_queue_depth: 0,
             restore_attempts: HashMap::new(),
             work: PassWork::default(),
+            ranked: Vec::new(),
             #[cfg(any(test, debug_assertions))]
             reference_walk: false,
         }
@@ -1404,9 +1421,35 @@ impl ClusterSim {
         );
     }
 
+    /// The terms of [`ClusterSim::victim_cost_secs`] that are the same
+    /// for every victim on `node` at `now`.
+    fn node_cost(&self, node: usize, now: SimTime) -> NodeCost {
+        // Fault-aware: expected dump rewrites inflate the victim's cost.
+        // With chunked resume a retry rewrites only the suffix past the
+        // durable frontier — on average half the image — so resumable
+        // victims rank cheaper than they would under full rewrites.
+        let retry = self.clock.plan().and_then(|plan| {
+            let p = plan.spec().dump_fail_prob;
+            (p > 0.0).then(|| {
+                let expected_retries =
+                    (p / (1.0 - p).max(1e-9)).min(plan.max_dump_retries() as f64);
+                let rewrite_frac = if plan.resume_enabled() { 0.5 } else { 1.0 };
+                1.0 + expected_retries * rewrite_frac
+            })
+        });
+        NodeCost {
+            node,
+            now,
+            queue: self.ckpt.device(node).queue_wait(now),
+            factor: self.device_factor(node, now),
+            retry,
+        }
+    }
+
     /// Cheap (arithmetic-only) estimate of a victim's next dump size, used
     /// for cost-aware victim ranking without touching page bitmaps.
-    fn victim_cost_secs(&self, v: u32, node: usize, now: SimTime) -> f64 {
+    fn victim_cost_secs(&self, v: u32, at: &NodeCost) -> f64 {
+        let now = at.now;
         let task = &self.tasks[v as usize];
         let mem = task.spec.resources.mem();
         let size = if self.cfg.incremental && self.has_checkpoint(v) {
@@ -1421,26 +1464,14 @@ impl ClusterSim {
         } else {
             mem
         };
-        let spec = self.ckpt.device(node).spec();
+        let spec = self.ckpt.device(at.node).spec();
         let dump = spec.write_time(size) + spec.read_time(size);
-        let queue = self.ckpt.device(node).queue_wait(now);
-        let factor = self.device_factor(node, now);
-        let mut cost = (dump + queue).as_secs_f64();
-        if factor > 1.0 {
-            cost *= factor;
+        let mut cost = (dump + at.queue).as_secs_f64();
+        if at.factor > 1.0 {
+            cost *= at.factor;
         }
-        // Fault-aware: expected dump rewrites inflate the victim's cost.
-        // With chunked resume a retry rewrites only the suffix past the
-        // durable frontier — on average half the image — so resumable
-        // victims rank cheaper than they would under full rewrites.
-        if let Some(plan) = self.clock.plan() {
-            let p = plan.spec().dump_fail_prob;
-            if p > 0.0 {
-                let expected_retries =
-                    (p / (1.0 - p).max(1e-9)).min(plan.max_dump_retries() as f64);
-                let rewrite_frac = if plan.resume_enabled() { 0.5 } else { 1.0 };
-                cost *= 1.0 + expected_retries * rewrite_frac;
-            }
+        if let Some(retry) = at.retry {
+            cost *= retry;
         }
         cost
     }
@@ -1513,47 +1544,50 @@ impl ClusterSim {
             if !needed.fits_in(&self.victim_capacity(i, priority)) {
                 continue;
             }
-            // Collect preemptible lower-priority victims, deterministically
-            // ordered.
-            let mut victims: Vec<u32> = self.nodes[i]
+            // The preemptible lower-priority victims, each with its cost,
+            // in the order they are taken.
+            let at = self.node_cost(i, now);
+            let victims = self.nodes[i]
                 .node
                 .containers()
                 .map(|c| c.task() as u32)
                 .filter(|&v| {
                     let task = &self.tasks[v as usize];
                     task.is_preemptible() && task.priority < priority
-                })
-                .collect();
-            victims.sort_unstable();
+                });
+            let mut ranked = std::mem::take(&mut self.ranked);
+            ranked.clear();
             match self.cfg.victim_selection {
                 VictimSelection::CostAware => {
                     // §5.2.2: lowest checkpoint cost first.
-                    let mut keyed: Vec<(f64, u32)> = victims
-                        .into_iter()
-                        .map(|v| (self.victim_cost_secs(v, i, now), v))
-                        .collect();
-                    keyed.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                    victims = keyed.into_iter().map(|(_, v)| v).collect();
+                    ranked.extend(victims.map(|v| (self.victim_cost_secs(v, &at), v)));
+                    ranked.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
                 }
                 VictimSelection::Naive => {
-                    // Lowest priority, most recently started first.
-                    victims.sort_by_key(|&v| {
+                    // Lowest priority, most recently started first, ties
+                    // by handle; costed only when taken.
+                    ranked.extend(victims.map(|v| (0.0, v)));
+                    ranked.sort_unstable_by_key(|&(_, v)| {
                         let task = &self.tasks[v as usize];
-                        (task.priority, Reverse(task.run_started))
+                        (task.priority, Reverse(task.run_started), v)
                     });
                 }
             }
             let mut freed = Resources::ZERO;
             let mut chosen = Vec::new();
             let mut cost = 0.0;
-            for v in victims {
+            for &(c, v) in &ranked {
                 if needed.fits_in(&freed) {
                     break;
                 }
-                cost += self.victim_cost_secs(v, i, now);
+                cost += match self.cfg.victim_selection {
+                    VictimSelection::CostAware => c,
+                    VictimSelection::Naive => self.victim_cost_secs(v, &at),
+                };
                 freed += self.tasks[v as usize].spec.resources;
                 chosen.push(v);
             }
+            self.ranked = ranked;
             if needed.fits_in(&freed) {
                 let better = match &best {
                     Some((c, n, _)) => (cost, i) < (*c, *n),
