@@ -2,10 +2,11 @@
 //! order, cut into chunks that summarise their keys' demands.
 //!
 //! The scheduling pass walks the queue from the front. Each chunk keeps the
-//! component-wise minimum demand of its keys and a bit mask of the keys
-//! enqueued with a checkpoint, so the pass can tell from the summary alone
-//! that no key in the rest of a chunk can act, and pass the whole run with
-//! arithmetic (see `ClusterSim::next_active_key`).
+//! component-wise minimum demand of its keys and two bit masks, of the
+//! keys enqueued with a checkpoint and of the keys holding a reservation,
+//! so the pass can tell from the summary alone that no key in the rest of
+//! a chunk can act, and pass the whole run with arithmetic (see
+//! `ClusterSim::next_active_key`).
 
 use std::cmp::Reverse;
 
@@ -16,7 +17,7 @@ use cbp_cluster::Resources;
 /// interleaves jobs round-robin), then arrival order, then the task.
 pub(crate) type PendingKey = (Reverse<u8>, u32, u32, u32);
 
-/// Most keys one chunk holds (one bit each in its checkpoint mask). A full
+/// Most keys one chunk holds (one bit each in its masks). A full
 /// chunk splits before it grows, so each chunk's buffer is allocated once
 /// at this capacity and never moves.
 pub(crate) const CHUNK: usize = 64;
@@ -33,8 +34,8 @@ pub(crate) struct Queued {
     pub ckpt: bool,
 }
 
-/// What a chunk stores per key; the checkpoint flag lives in the chunk's
-/// mask.
+/// What a chunk stores per key; the checkpoint and holder flags live in
+/// the chunk's masks.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     key: PendingKey,
@@ -49,14 +50,17 @@ pub(crate) struct Chunk {
     min: Resources,
     /// Bit `i` is set iff entry `i` was enqueued with a checkpoint.
     ckpt_mask: u64,
+    /// Bit `i` is set iff entry `i`'s task holds a reservation.
+    hold_mask: u64,
 }
 
 impl Chunk {
-    fn new(entries: Vec<Entry>, ckpt_mask: u64) -> Chunk {
+    fn new(entries: Vec<Entry>, ckpt_mask: u64, hold_mask: u64) -> Chunk {
         let mut chunk = Chunk {
             entries,
             min: Resources::ZERO,
             ckpt_mask,
+            hold_mask,
         };
         chunk.summarise();
         chunk
@@ -96,6 +100,11 @@ impl Chunk {
         self.min
     }
 
+    /// True if a key at `at` or after it holds a reservation.
+    pub fn holds_from(&self, at: usize) -> bool {
+        self.hold_mask >> at != 0
+    }
+
     /// The positions in `range` of the keys enqueued with a checkpoint,
     /// in order.
     pub fn ckpt_positions(&self, range: std::ops::Range<usize>) -> impl Iterator<Item = usize> {
@@ -128,6 +137,17 @@ fn below(mask: u64, at: usize) -> u64 {
     mask & ((1u64 << at) - 1)
 }
 
+/// `mask` with bit `flag` inserted at `at`, the bits from `at` up moved
+/// one place higher.
+fn insert_bit(mask: u64, at: usize, flag: bool) -> u64 {
+    below(mask, at) | u64::from(flag) << at | (mask ^ below(mask, at)) << 1
+}
+
+/// `mask` with bit `at` removed, the bits above it moved one place lower.
+fn remove_bit(mask: u64, at: usize) -> u64 {
+    below(mask, at) | (mask >> 1 & !below(u64::MAX, at))
+}
+
 /// A place in the queue: key `at` of chunk `chunk`. The end of the queue
 /// is `chunk == chunks().len()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,6 +178,16 @@ impl PendingQueue {
         self.chunks
             .iter()
             .flat_map(|c| (0..c.len()).map(move |at| c.get(at)))
+    }
+
+    /// The keys marked as holding a reservation, in order.
+    #[cfg(test)]
+    pub fn holders(&self) -> impl Iterator<Item = PendingKey> + '_ {
+        self.chunks.iter().flat_map(|c| {
+            (0..c.len())
+                .filter(move |&at| c.hold_mask >> at & 1 == 1)
+                .map(move |at| c.key(at))
+        })
     }
 
     /// The chunks, in order.
@@ -204,7 +234,7 @@ impl PendingQueue {
         let flag = u64::from(q.ckpt);
         if self.chunks.is_empty() {
             let entries = self.buffer_with(entry);
-            self.chunks.push(Chunk::new(entries, flag));
+            self.chunks.push(Chunk::new(entries, flag, 0));
             return;
         }
         // The first chunk whose last key is not smaller, else the last.
@@ -231,17 +261,18 @@ impl PendingQueue {
                 // Appending past a full last chunk: start a new one rather
                 // than leave two half-full chunks behind.
                 let entries = self.buffer_with(entry);
-                self.chunks.push(Chunk::new(entries, flag));
+                self.chunks.push(Chunk::new(entries, flag, 0));
                 return;
             }
             let half = CHUNK / 2;
             let mut tail = self.buffer();
             let chunk = &mut self.chunks[ci];
             tail.extend(chunk.entries.drain(half..));
-            let tail_mask = chunk.ckpt_mask >> half;
+            let (ckpt, hold) = (chunk.ckpt_mask >> half, chunk.hold_mask >> half);
             chunk.ckpt_mask = below(chunk.ckpt_mask, half);
+            chunk.hold_mask = below(chunk.hold_mask, half);
             chunk.summarise();
-            self.chunks.insert(ci + 1, Chunk::new(tail, tail_mask));
+            self.chunks.insert(ci + 1, Chunk::new(tail, ckpt, hold));
             if at > half {
                 ci += 1;
                 at -= half;
@@ -250,19 +281,39 @@ impl PendingQueue {
         let chunk = &mut self.chunks[ci];
         chunk.entries.insert(at, entry);
         chunk.min = meet(&chunk.min, &q.demand);
-        let mask = chunk.ckpt_mask;
-        chunk.ckpt_mask = below(mask, at) | flag << at | (mask ^ below(mask, at)) << 1;
+        chunk.ckpt_mask = insert_bit(chunk.ckpt_mask, at, q.ckpt);
+        chunk.hold_mask = insert_bit(chunk.hold_mask, at, false);
+    }
+
+    /// Marks whether queued `key`'s task holds a reservation; returns
+    /// whether `key` was queued (a key that is not is left alone).
+    pub fn set_holder(&mut self, key: &PendingKey, holds: bool) -> bool {
+        let Some(Pos { chunk: ci, at }) = self.find(key) else {
+            return false;
+        };
+        let chunk = &mut self.chunks[ci];
+        chunk.hold_mask = chunk.hold_mask & !(1 << at) | u64::from(holds) << at;
+        true
+    }
+
+    /// Where `key` is queued, if it is.
+    fn find(&self, key: &PendingKey) -> Option<Pos> {
+        let chunk = self.chunks.partition_point(|ch| ch.last() < key);
+        let at = self
+            .chunks
+            .get(chunk)?
+            .entries
+            .binary_search_by(|e| e.key.cmp(key))
+            .ok()?;
+        Some(Pos { chunk, at })
     }
 
     /// Removes `key`; returns whether it was queued.
     pub fn remove(&mut self, key: &PendingKey) -> bool {
-        let ci = self.chunks.partition_point(|ch| ch.last() < key);
-        let Some(chunk) = self.chunks.get_mut(ci) else {
+        let Some(Pos { chunk: ci, at }) = self.find(key) else {
             return false;
         };
-        let Ok(at) = chunk.entries.binary_search_by(|e| e.key.cmp(key)) else {
-            return false;
-        };
+        let chunk = &mut self.chunks[ci];
         chunk.entries.remove(at);
         self.len -= 1;
         if chunk.entries.is_empty() {
@@ -270,8 +321,8 @@ impl PendingQueue {
             self.spare.push(emptied.entries);
             return true;
         }
-        let mask = chunk.ckpt_mask;
-        chunk.ckpt_mask = below(mask, at) | (mask >> 1 & !below(u64::MAX, at));
+        chunk.ckpt_mask = remove_bit(chunk.ckpt_mask, at);
+        chunk.hold_mask = remove_bit(chunk.hold_mask, at);
         chunk.summarise();
         // Fold a small chunk into a neighbour, so the chunk count stays
         // proportional to the key count as keys drain.
@@ -289,6 +340,7 @@ impl PendingQueue {
         let mut next = self.chunks.remove(ci + 1);
         let chunk = &mut self.chunks[ci];
         chunk.ckpt_mask |= next.ckpt_mask << chunk.len();
+        chunk.hold_mask |= next.hold_mask << chunk.len();
         chunk.entries.extend_from_slice(&next.entries);
         chunk.min = meet(&chunk.min, &next.min);
         next.entries.clear();
@@ -319,8 +371,13 @@ mod tests {
     use std::collections::{BTreeMap, BTreeSet};
 
     /// Checks every structural invariant and summary of `q` against the
-    /// model, re-deriving the summaries from scratch.
-    fn check(q: &PendingQueue, model: &BTreeMap<PendingKey, Queued>) -> Result<(), String> {
+    /// models (the queued keys and those marked as holders), re-deriving
+    /// the summaries from scratch.
+    fn check(
+        q: &PendingQueue,
+        model: &BTreeMap<PendingKey, Queued>,
+        held: &BTreeSet<PendingKey>,
+    ) -> Result<(), String> {
         let keys: Vec<Queued> = q.iter().collect();
         let want: Vec<Queued> = model.values().copied().collect();
         if keys != want {
@@ -342,8 +399,16 @@ mod tests {
             if c.entries.capacity() != CHUNK {
                 return Err(format!("chunk {i} has capacity {}", c.entries.capacity()));
             }
-            if c.ckpt_mask.checked_shr(c.len() as u32).unwrap_or(0) != 0 {
-                return Err(format!("chunk {i} mask {:#x} past its keys", c.ckpt_mask));
+            for mask in [c.ckpt_mask, c.hold_mask] {
+                if mask.checked_shr(c.len() as u32).unwrap_or(0) != 0 {
+                    return Err(format!("chunk {i} mask {mask:#x} past its keys"));
+                }
+            }
+            for at in [0, c.len() / 2, c.len() - 1] {
+                let want = (at..c.len()).any(|j| held.contains(&c.key(j)));
+                if c.holds_from(at) != want {
+                    return Err(format!("chunk {i} holds from {at}: {want} expected"));
+                }
             }
             let keys: Vec<Queued> = (0..c.len()).map(|at| c.get(at)).collect();
             let cpu = keys.iter().map(|k| k.demand.cpu_milli()).min().unwrap();
@@ -359,6 +424,11 @@ mod tests {
                     "chunk {i} ckpt positions {listed:?} vs {flagged:?}"
                 ));
             }
+        }
+        let flagged: Vec<PendingKey> = q.holders().collect();
+        let want: Vec<PendingKey> = held.iter().copied().collect();
+        if flagged != want {
+            return Err(format!("holders {flagged:?} vs model {want:?}"));
         }
         Ok(())
     }
@@ -380,16 +450,17 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Random insert/remove/seek sequences against a `BTreeSet`
-        /// model. Few distinct priorities and discipline keys make keys
-        /// cluster, so splits, appends, merges and chunk removals all
-        /// happen. The stub runner does not shrink, so a failure names the
-        /// seed that replays it.
+        /// Random insert/remove/seek/holder-marking sequences against a
+        /// `BTreeSet` model. Few distinct priorities and discipline keys
+        /// make keys cluster, so splits, appends, merges and chunk
+        /// removals all happen. The stub runner does not shrink, so a
+        /// failure names the seed that replays it.
         #[test]
         fn chunked_queue_matches_btreeset(seed in any::<u64>()) {
             let mut rng = SimRng::seed_from_u64(seed);
             let mut q = PendingQueue::default();
             let mut model: BTreeMap<PendingKey, Queued> = BTreeMap::new();
+            let mut held: BTreeSet<PendingKey> = BTreeSet::new();
             // Grow to a few hundred keys, then drain, twice.
             let phases = [(600, 80), (200, 10), (600, 70), (400, 5)];
             for (step, insert_pct) in phases
@@ -420,8 +491,29 @@ mod tests {
                         model.remove(&key).is_some(),
                         "seed {seed} step {step}: remove {key:?}"
                     );
+                    held.remove(&key);
                 }
-                if let Err(e) = check(&q, &model) {
+                // Mark or unmark a key, queued or not.
+                if !model.is_empty() && rng.index(3) == 0 {
+                    let key = if rng.index(8) == 0 {
+                        random_key(&mut rng)
+                    } else {
+                        *model.keys().nth(rng.index(model.len())).unwrap()
+                    };
+                    let holds = rng.index(2) == 0;
+                    let queued = model.contains_key(&key);
+                    prop_assert_eq!(
+                        q.set_holder(&key, holds),
+                        queued,
+                        "seed {seed} step {step}: mark {key:?}"
+                    );
+                    if queued && holds {
+                        held.insert(key);
+                    } else {
+                        held.remove(&key);
+                    }
+                }
+                if let Err(e) = check(&q, &model, &held) {
                     prop_assert!(false, "seed {seed} step {step}: {e}");
                 }
                 let set: BTreeSet<PendingKey> = model.keys().copied().collect();

@@ -7,7 +7,7 @@
 //! according to the configured [`PreemptionPolicy`].
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use cbp_checkpoint::{Criu, NvramCheckpointer};
 use cbp_cluster::{Container, ContainerId, EnergyMeter, Node, NodeId, Resources};
@@ -96,8 +96,6 @@ pub struct ClusterSim {
     drain_owner: HashMap<u32, u32>,
     /// Task → node holding its valid NVRAM mirror (NVRAM backend only).
     nvram_origin: HashMap<u32, u32>,
-    /// Pending keys of the tasks holding a reservation.
-    holders: BTreeSet<PendingKey>,
     /// Per-node sum of reservation amounts.
     node_reserved: Vec<Resources>,
     job_remaining: Vec<u32>,
@@ -336,7 +334,6 @@ impl ClusterSim {
             reservations: HashMap::new(),
             drain_owner: HashMap::new(),
             nvram_origin: HashMap::new(),
-            holders: BTreeSet::new(),
             node_reserved: vec![Resources::ZERO; n_nodes],
             job_remaining,
             jobs_left,
@@ -701,7 +698,8 @@ impl ClusterSim {
         if let Some(r) = self.reservations.remove(&t) {
             self.node_reserved[r.node] = self.node_reserved[r.node].saturating_sub(&r.amount);
             self.drained -= usize::from(r.drains_left == 0);
-            self.holders.remove(&self.pending_key(t));
+            // A holder placed has left the queue already.
+            self.pending.set_holder(&self.pending_key(t), false);
             self.drop_fronts();
         }
     }
@@ -710,7 +708,8 @@ impl ClusterSim {
     fn reserve(&mut self, t: u32, r: Reservation) {
         self.node_reserved[r.node] += r.amount;
         self.drained += usize::from(r.drains_left == 0);
-        self.holders.insert(self.pending_key(t));
+        let queued = self.pending.set_holder(&self.pending_key(t), true);
+        debug_assert!(queued, "{t} reserves while not queued");
         let old = self.reservations.insert(t, r);
         debug_assert!(old.is_none(), "{t} already holds a reservation");
     }
@@ -2223,12 +2222,11 @@ impl ClusterSim {
         if self.free_front.fits(&min) {
             return false;
         }
-        let first = chunk.key(pos.at);
-        let last = chunk.key(chunk.len() - 1);
-        if !self.holders.is_empty() && self.holders.range(first..=last).next().is_some() {
+        if chunk.holds_from(pos.at) {
             return false;
         }
-        !searching || !self.reach_front(Priority(first.0 .0)).fits(&min)
+        let priority = Priority(chunk.key(pos.at).0 .0);
+        !searching || !self.reach_front(priority).fits(&min)
     }
 
     /// Reference answer of `drained`: the count of reservations whose
@@ -2942,7 +2940,8 @@ mod tests {
                 "own node: {own}, demand {demand}: {:?}",
                 sim.tasks[t as usize].status
             );
-            assert!(sim.reservations.is_empty() && sim.holders.is_empty());
+            assert!(sim.reservations.is_empty());
+            assert_eq!(sim.pending.holders().count(), 0);
             assert_eq!(sim.work.searches, 0, "own node: {own}");
             assert_eq!(sim.victims.below(node as usize, Priority(u8::MAX)), demand);
         }
@@ -3118,7 +3117,11 @@ mod tests {
             }
         }
         assert_eq!(sim.drained, sim.drained_scan(), "{at}: drained count");
-        assert_eq!(sim.holders.len(), sim.reservations.len(), "{at}: holders");
+        let mut flagged: Vec<u32> = sim.pending.holders().map(|k| k.3).collect();
+        let mut owners: Vec<u32> = sim.reservations.keys().copied().collect();
+        flagged.sort_unstable();
+        owners.sort_unstable();
+        assert_eq!(flagged, owners, "{at}: holder marks");
     }
 
     /// Steps contended runs event by event and checks the kept pass state
