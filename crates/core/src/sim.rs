@@ -7,7 +7,6 @@
 //! according to the configured [`PreemptionPolicy`].
 
 use std::cmp::Reverse;
-use std::collections::HashMap;
 
 use cbp_checkpoint::{Criu, NvramCheckpointer};
 use cbp_cluster::{Container, ContainerId, EnergyMeter, Node, NodeId, Resources};
@@ -24,7 +23,7 @@ use crate::config::{PreemptionPolicy, RestorePlacement, SimConfig, VictimSelecti
 use crate::fault_clock::{FaultClock, FaultHost, FaultTick};
 use crate::metrics::{MetricsCollector, PassWork, RunReport, TelemetryReport};
 use crate::pending::{PendingKey, PendingQueue, Pos, Queued};
-use crate::task::{TaskState, TaskStatus};
+use crate::task::{TaskMap, TaskState, TaskStatus};
 
 /// Periodic sim-time probe state (see [`ClusterSim::enable_sampling`]).
 struct Sampler {
@@ -91,11 +90,11 @@ pub struct ClusterSim {
     /// Capacity earmarked for a blocked task while its victims drain:
     /// owner task → reservation. Prevents both duplicate preemption rounds
     /// and backfill stealing the capacity a dump is freeing.
-    reservations: HashMap<u32, Reservation>,
+    reservations: TaskMap<Reservation>,
     /// Dumping victim → the blocked task its drain serves.
-    drain_owner: HashMap<u32, u32>,
+    drain_owner: TaskMap<u32>,
     /// Task → node holding its valid NVRAM mirror (NVRAM backend only).
-    nvram_origin: HashMap<u32, u32>,
+    nvram_origin: TaskMap<u32>,
     /// Per-node sum of reservation amounts.
     node_reserved: Vec<Resources>,
     job_remaining: Vec<u32>,
@@ -130,7 +129,7 @@ pub struct ClusterSim {
     /// The fault plan and its crash, partition and leak schedules.
     clock: FaultClock,
     /// Task → 0-based attempt index of its in-flight restore episode.
-    restore_attempts: HashMap<u32, u32>,
+    restore_attempts: TaskMap<u32>,
     /// What the scheduling passes did, counted exactly.
     work: PassWork,
     /// A search's ranked victims on one node, `(cost, task)`: a buffer
@@ -331,9 +330,9 @@ impl ClusterSim {
             rng,
             next_container: 1,
             next_seq: 0,
-            reservations: HashMap::new(),
-            drain_owner: HashMap::new(),
-            nvram_origin: HashMap::new(),
+            reservations: TaskMap::default(),
+            drain_owner: TaskMap::default(),
+            nvram_origin: TaskMap::default(),
             node_reserved: vec![Resources::ZERO; n_nodes],
             job_remaining,
             jobs_left,
@@ -348,7 +347,7 @@ impl ClusterSim {
             trace: TraceSink::default(),
             sampler: None,
             last_queue_depth: 0,
-            restore_attempts: HashMap::new(),
+            restore_attempts: TaskMap::default(),
             work: PassWork::default(),
             ranked: Vec::new(),
             #[cfg(any(test, debug_assertions))]
