@@ -222,6 +222,22 @@ struct NodeCost {
     retry: Option<f64>,
 }
 
+impl NodeCost {
+    /// The cost [`ClusterSim::victim_cost_secs`] gives a victim with
+    /// nothing to dump: a lower bound on every victim's cost, since the
+    /// rounding of each step is monotone.
+    fn floor(&self) -> f64 {
+        let mut cost = self.queue.as_secs_f64();
+        if self.factor > 1.0 {
+            cost *= self.factor;
+        }
+        if let Some(retry) = self.retry {
+            cost *= retry;
+        }
+        cost
+    }
+}
+
 /// The demand of each node's Running tasks, summed per priority, so what
 /// a search below a priority can take from a node is a short prefix sum.
 #[derive(Debug)]
@@ -1542,9 +1558,15 @@ impl ClusterSim {
             if !needed.fits_in(&self.victim_capacity(i, priority)) {
                 continue;
             }
+            // Every victim costs at least the node's floor, so a node whose
+            // floor reaches the best cost so far cannot win (nodes go in
+            // index order, so a tie keeps the earlier node).
+            let at = self.node_cost(i, now);
+            if best.as_ref().is_some_and(|(c, _, _)| at.floor() >= *c) {
+                continue;
+            }
             // The preemptible lower-priority victims, each with its cost,
             // in the order they are taken.
-            let at = self.node_cost(i, now);
             let victims = self.nodes[i]
                 .node
                 .containers()
