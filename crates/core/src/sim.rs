@@ -2210,7 +2210,7 @@ impl ClusterSim {
             }
             self.work.keys_scanned += 1;
             self.work.keys_visited += 1;
-            if self.settle_parked(&q, budget, max_avail) {
+            if self.settle(&q, budget, max_avail) {
                 pos = self.pending.next(pos);
                 continue;
             }
@@ -2259,19 +2259,34 @@ impl ClusterSim {
             .count()
     }
 
-    /// Settles the visit of `q` in the walk if `q` is a parked holder: it
-    /// holds a reservation whose drains are still in flight and fails the
-    /// `max_avail` gate or fits no node. Its visit in
-    /// [`ClusterSim::schedule_pass`] would place nothing and cancel
-    /// nothing, and its search would return at once, so what is left is
-    /// restore placement's RNG draw (made when it passes the gate with a
-    /// checkpoint under cost-aware placement) and, while searches are
-    /// left, one search of `budget`. Returns false, doing nothing, for
-    /// any other key.
-    fn settle_parked(&mut self, q: &Queued, budget: &mut usize, max_avail: &Resources) -> bool {
+    /// Settles the visit of `q` in the walk when it can only fail: `q`
+    /// fails the `max_avail` gate or fits no node, and either it is a
+    /// parked holder (its reservation's drains are still in flight, so
+    /// its search returns at once) or, while searches are left, it holds
+    /// no reservation and its search is futile (its demand fits no point
+    /// of the reach front at its priority). Its visit in
+    /// [`ClusterSim::schedule_pass`] would place, cancel and preempt
+    /// nothing, so what is left is restore placement's RNG draw (made when
+    /// it passes the gate with a checkpoint under cost-aware placement)
+    /// and, while searches are left, one search of `budget`. Returns
+    /// false, doing nothing, for any other key.
+    fn settle(&mut self, q: &Queued, budget: &mut usize, max_avail: &Resources) -> bool {
         let t = q.key.3;
-        if self.own_reservation(t).is_none_or(|r| r.drains_left == 0) {
-            return false;
+        let searching = self.cfg.policy != PreemptionPolicy::Wait && *budget > 0;
+        match self.own_reservation(t) {
+            // The pass may cancel a drained reservation.
+            Some(r) if r.drains_left == 0 => return false,
+            Some(_) => {}
+            None => {
+                let priority = Priority(q.key.0 .0);
+                if !searching || self.reach_front(priority).fits(&q.demand) {
+                    return false;
+                }
+                debug_assert!(
+                    self.search_is_futile(t, &q.demand),
+                    "settled {t}, whose search could succeed"
+                );
+            }
         }
         if q.demand.fits_in(max_avail) {
             if self.front_fits(t, &q.demand) {
@@ -2291,7 +2306,7 @@ impl ClusterSim {
                 }
             }
         }
-        if self.cfg.policy != PreemptionPolicy::Wait && *budget > 0 {
+        if searching {
             *budget -= 1;
             self.work.searches += 1;
         }
@@ -2387,16 +2402,25 @@ impl ClusterSim {
             assert!(!self.any_node_fits(t, &q.demand), "jumped {t}, which fits");
             assert!(q.ckpt || !self.has_checkpoint(t), "{t} gained a checkpoint");
             if budget.is_some_and(|b| i < b) {
-                let futile = (0..self.nodes.len())
-                    .filter(|&node| self.nodes[node].up)
-                    .all(|node| {
-                        let reach =
-                            self.unreserved_free(node) + self.victim_capacity(node, task.priority);
-                        !q.demand.fits_in(&reach)
-                    });
-                assert!(futile, "jumped {t}, whose search could succeed");
+                assert!(
+                    self.search_is_futile(t, &q.demand),
+                    "jumped {t}, whose search could succeed"
+                );
             }
         }
+    }
+
+    /// Reference answer of "the search for `t`, which holds no
+    /// reservation, would fail": no up node where free plus victim
+    /// capacity covers `demand`.
+    fn search_is_futile(&self, t: u32, demand: &Resources) -> bool {
+        let priority = self.tasks[t as usize].priority;
+        (0..self.nodes.len())
+            .filter(|&node| self.nodes[node].up)
+            .all(|node| {
+                let reach = self.unreserved_free(node) + self.victim_capacity(node, priority);
+                !demand.fits_in(&reach)
+            })
     }
 
     /// The Pareto front of `unreserved_free(i) + victim_capacity(i, p)`
