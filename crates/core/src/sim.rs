@@ -3031,6 +3031,29 @@ mod tests {
         assert_eq!(key.map(|k| k.3), Some(t));
     }
 
+    /// While budget lasts, a visited key without a reservation whose
+    /// search is futile is settled in the walk (one search spent) and the
+    /// walk goes on to the next key, which fits a node and goes back to
+    /// the pass.
+    #[test]
+    fn futile_search_is_settled_in_the_walk() {
+        let mut sim = small_sim(2);
+        let (t, u) = (0, 1);
+        let room = Resources::new(1, ByteSize::from_mb(1));
+        sim.tasks[u as usize].spec.resources = room;
+        assert!(!sim.tasks[t as usize].spec.resources.fits_in(&room));
+        sim.enqueue_pending(t);
+        sim.enqueue_pending(u);
+        // The filler task is not Running, so no node has a victim.
+        fill(&mut sim, 0, Resources::ZERO, 2);
+        fill(&mut sim, 1, room, 2);
+        let (mut budget, mut scanned) = (2, 0);
+        let key = sim.next_active_key(None, &mut scanned, &mut budget, &Resources::ZERO);
+        assert_eq!(key.map(|k| k.3), Some(u));
+        assert_eq!((scanned, budget), (2, 1));
+        assert_eq!((sim.work.keys_visited, sim.work.searches), (2, 1));
+    }
+
     /// A `Write` sink whose buffer outlives the boxed tracer.
     #[derive(Clone, Default)]
     struct SharedBuf(std::rc::Rc<std::cell::RefCell<Vec<u8>>>);
