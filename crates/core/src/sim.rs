@@ -372,8 +372,8 @@ impl ClusterSim {
     }
 
     /// Replaces the structured-event tracer. The default is a
-    /// [`NullTracer`](cbp_telemetry::NullTracer); pass a `JsonlTracer` / `ChromeTraceTracer` /
-    /// `MultiTracer` to capture the run. The tracer's `finish()` is called
+    /// [`NullTracer`](cbp_telemetry::NullTracer); pass a `JsonlTracer` /
+    /// `ChromeTraceTracer` / `MultiTracer` to capture the run. The tracer's `finish()` is called
     /// at the end of [`ClusterSim::run`].
     pub fn set_tracer(&mut self, tracer: Box<dyn Tracer>) {
         self.trace = TraceSink::new(tracer);
@@ -1577,21 +1577,18 @@ impl ClusterSim {
                 });
             let mut ranked = std::mem::take(&mut self.ranked);
             ranked.clear();
+            ranked.extend(victims.map(|v| (self.victim_cost_secs(v, &at), v)));
             match self.cfg.victim_selection {
+                // §5.2.2: lowest checkpoint cost first.
                 VictimSelection::CostAware => {
-                    // §5.2.2: lowest checkpoint cost first.
-                    ranked.extend(victims.map(|v| (self.victim_cost_secs(v, &at), v)));
                     ranked.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
                 }
-                VictimSelection::Naive => {
-                    // Lowest priority, most recently started first, ties
-                    // by handle; costed only when taken.
-                    ranked.extend(victims.map(|v| (0.0, v)));
-                    ranked.sort_unstable_by_key(|&(_, v)| {
-                        let task = &self.tasks[v as usize];
-                        (task.priority, Reverse(task.run_started), v)
-                    });
-                }
+                // Lowest priority, most recently started first, ties by
+                // handle.
+                VictimSelection::Naive => ranked.sort_unstable_by_key(|&(_, v)| {
+                    let task = &self.tasks[v as usize];
+                    (task.priority, Reverse(task.run_started), v)
+                }),
             }
             let mut freed = Resources::ZERO;
             let mut chosen = Vec::new();
@@ -1600,10 +1597,7 @@ impl ClusterSim {
                 if needed.fits_in(&freed) {
                     break;
                 }
-                cost += match self.cfg.victim_selection {
-                    VictimSelection::CostAware => c,
-                    VictimSelection::Naive => self.victim_cost_secs(v, &at),
-                };
+                cost += c;
                 freed += self.tasks[v as usize].spec.resources;
                 chosen.push(v);
             }
@@ -2151,9 +2145,11 @@ impl ClusterSim {
     /// Moves the pass past the pending keys after `cursor` that cannot
     /// act and returns the first one that can, or `None` when the queue
     /// or the scan limit runs out. Every key passed counts toward
-    /// `max_schedule_scan`, acting or not. While preemption searches are
-    /// left (`budget`) every visited key acts; after that the walk stops
-    /// only at keys that [`ClusterSim::idle_visit`] cannot rule out.
+    /// `max_schedule_scan`, acting or not. A visited key whose visit can
+    /// only fail is settled in place (see [`ClusterSim::settle`]). Of the
+    /// other visited keys, every one acts while preemption searches are
+    /// left (`budget`); after that the walk stops only at keys that
+    /// [`ClusterSim::idle_visit`] cannot rule out.
     ///
     /// A key is dead when it holds no reservation, fits no node and, while
     /// searches are left, its search would be futile: its visit does

@@ -213,8 +213,8 @@ impl YarnSim {
     }
 
     /// Replaces the structured-event tracer. The default is a
-    /// [`NullTracer`](cbp_telemetry::NullTracer); pass a `JsonlTracer` / `ChromeTraceTracer` /
-    /// `MultiTracer` to capture the run. The tracer's `finish()` is called
+    /// [`NullTracer`](cbp_telemetry::NullTracer); pass a `JsonlTracer` /
+    /// `ChromeTraceTracer` / `MultiTracer` to capture the run. The tracer's `finish()` is called
     /// at the end of the run.
     pub fn set_tracer(&mut self, tracer: Box<dyn Tracer>) {
         self.trace = TraceSink::new(tracer);
