@@ -19,10 +19,12 @@
 //! (events/sec from the run's `TelemetryReport`, which the engine fills
 //! from its `RunStats`) for each configuration, so the Criterion output
 //! can be compared against the `repro bench` BENCH_*.json trajectory —
-//! see EXPERIMENTS.md, "Wall-clock profiling & perf trajectory". A last
-//! line gives the reader's records/s and MB/s.
+//! see EXPERIMENTS.md, "Wall-clock profiling & perf trajectory". Two last
+//! lines give the JSONL emission cost in ns/record (`sink_tracer` minus
+//! `null_tracer`, divided by the records written) and the reader's
+//! records/s and MB/s.
 
-use cbp_core::{ClusterSim, PreemptionPolicy, SimConfig};
+use cbp_core::{ClusterSim, PreemptionPolicy, SimConfig, TelemetryReport};
 use cbp_simkit::SimDuration;
 use cbp_storage::MediaKind;
 use cbp_telemetry::{JsonlReader, JsonlTracer};
@@ -113,9 +115,12 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     report_throughput(&cfg, &workload, &trace);
 }
 
-/// One untimed run per configuration, reporting engine events/sec so the
-/// Criterion wall times can be read alongside the BENCH_*.json trajectory,
-/// then one read of `trace`, reporting records/s and MB/s.
+/// Untimed runs of each configuration, [`REPS`] rounds of one run each:
+/// engine events/sec of the fastest run of each, so the Criterion wall
+/// times can be read alongside the BENCH_*.json trajectory; the JSONL
+/// emission cost per record, the median over rounds of `sink_tracer`
+/// minus `null_tracer` divided by the records of `trace`; and the fastest
+/// of [`REPS`] reads of `trace`, as records/s and MB/s.
 fn report_throughput(cfg: &SimConfig, workload: &Workload, trace: &[u8]) {
     println!("telemetry_overhead: engine throughput (events/sec)");
     type Prepare = fn(&mut ClusterSim);
@@ -128,26 +133,59 @@ fn report_throughput(cfg: &SimConfig, workload: &Workload, trace: &[u8]) {
             sim.enable_sampling(SimDuration::from_secs(60));
         }),
     ];
-    for (name, prepare) in configs {
-        let mut sim = ClusterSim::new(cfg.clone(), workload.clone());
-        prepare(&mut sim);
-        let telemetry = sim.run().telemetry;
+    // A round runs every configuration once, so a slow phase of the
+    // machine weighs on all of them alike.
+    let rounds: Vec<Vec<TelemetryReport>> = (0..REPS)
+        .map(|_| {
+            configs
+                .iter()
+                .map(|(_, prepare)| {
+                    let mut sim = ClusterSim::new(cfg.clone(), workload.clone());
+                    prepare(&mut sim);
+                    sim.run().telemetry
+                })
+                .collect()
+        })
+        .collect();
+    for (i, (name, _)) in configs.iter().enumerate() {
+        let fastest = rounds
+            .iter()
+            .map(|round| &round[i])
+            .min_by(|a, b| a.engine_wall_secs.total_cmp(&b.engine_wall_secs))
+            .expect("REPS > 0");
         println!(
             "  {name:<12} {:>9} events  {:>12.0} events/s",
-            telemetry.engine_events,
-            telemetry.events_per_sec()
+            fastest.engine_events,
+            fastest.events_per_sec()
         );
     }
-    let start = Instant::now();
-    let records = read_all(trace);
-    let secs = start.elapsed().as_secs_f64();
+    let mut emit_secs: Vec<f64> = rounds
+        .iter()
+        .map(|round| round[1].engine_wall_secs - round[0].engine_wall_secs)
+        .collect();
+    emit_secs.sort_by(f64::total_cmp);
+    let mut records = 0;
+    let mut read_secs = f64::INFINITY;
+    for _ in 0..REPS {
+        let start = Instant::now();
+        records = read_all(trace);
+        read_secs = read_secs.min(start.elapsed().as_secs_f64());
+    }
+    println!(
+        "  {:<12} {records:>9} records {:>12.1} ns/record (sink_tracer - null_tracer)",
+        "jsonl_emit",
+        emit_secs[REPS / 2] / records as f64 * 1e9
+    );
     println!(
         "  {:<12} {records:>9} records {:>12.0} records/s {:>8.1} MB/s",
         "jsonl_read",
-        records as f64 / secs,
-        trace.len() as f64 / 1e6 / secs
+        records as f64 / read_secs,
+        trace.len() as f64 / 1e6 / read_secs
     );
 }
+
+/// Rounds of runs, and reads, in [`report_throughput`].
+const REPS: usize = 20;
 
 criterion_group!(benches, bench_telemetry_overhead);
 criterion_main!(benches);

@@ -38,7 +38,9 @@
 //! --baseline`, `bench --check`); 2 on a usage or input error, including
 //! a `--scale` that leaves a Google-trace experiment an empty workload
 //! (`repro fig3 --scale 1e-9`), which would otherwise print all-zero
-//! tables.
+//! tables; 3 when writing a `--trace-out` or `--chrome-trace` file fails
+//! mid-run (`--trace-out /dev/full`): the run completes, and the file
+//! ends at the failed write.
 
 use std::fmt::Write as _;
 
@@ -238,7 +240,10 @@ fn main() {
             Ok(false) => {
                 eprintln!("warning: '{id}' is analytic (no simulation); telemetry flags ignored")
             }
-            Err(e) => die(&e),
+            Err(e) => {
+                eprintln!("error: {e}");
+                std::process::exit(e.exit_code());
+            }
         }
     }
 

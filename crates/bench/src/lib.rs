@@ -22,7 +22,7 @@ pub use bench_run::{
 pub use table::{Experiment, Table};
 pub use telemetry_run::{
     analyze_trace_collector, analyze_trace_file, emit_crit_extras, run_instrumented,
-    TelemetryOptions, ANALYZE_TOP_K,
+    InstrumentError, TelemetryOptions, ANALYZE_TOP_K,
 };
 
 /// Scale of an experiment run.

@@ -22,7 +22,7 @@ use cbp_faults::FaultSpec;
 use cbp_obs::{paths_to_folded, ObsReport, SharedCollector, SpanCollector, WhatIf};
 use cbp_simkit::SimDuration;
 use cbp_storage::MediaKind;
-use cbp_telemetry::{ChromeTraceTracer, JsonlTracer, MultiTracer, Tracer};
+use cbp_telemetry::{ChromeTraceTracer, JsonlTracer, MultiTracer, SinkStatus, Tracer};
 use cbp_workload::facebook::FacebookConfig;
 use cbp_yarn::{YarnConfig, YarnSim};
 
@@ -100,6 +100,51 @@ const ANALYTIC_IDS: [&str; 4] = ["fig2", "table3", "fig4", "fig6"];
 /// Sim-time gap between time-series samples.
 const SAMPLE_INTERVAL_SECS: u64 = 60;
 
+/// Why an instrumented run failed.
+#[derive(Debug)]
+pub enum InstrumentError {
+    /// Any other failure: an output file that could not be created or
+    /// written, or a critical-path error (`repro` exits 2).
+    Other(String),
+    /// Writing the trace file at `path` failed during the run, so the
+    /// file ends early (`repro` exits 3). The run itself completed.
+    TraceWrite {
+        /// The `--trace-out` or `--chrome-trace` path.
+        path: String,
+        /// The first error the trace sink met.
+        error: String,
+    },
+}
+
+impl InstrumentError {
+    /// The exit code `repro` reports this error with.
+    pub fn exit_code(&self) -> i32 {
+        match self {
+            InstrumentError::Other(_) => 2,
+            InstrumentError::TraceWrite { .. } => 3,
+        }
+    }
+}
+
+impl std::fmt::Display for InstrumentError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            InstrumentError::Other(msg) => f.write_str(msg),
+            InstrumentError::TraceWrite { path, error } => {
+                write!(f, "write {path}: {error} (the trace is incomplete)")
+            }
+        }
+    }
+}
+
+impl std::error::Error for InstrumentError {}
+
+impl From<String> for InstrumentError {
+    fn from(msg: String) -> Self {
+        InstrumentError::Other(msg)
+    }
+}
+
 /// Runs one instrumented simulation representative of `id` and emits the
 /// artifacts selected in `opts`. Returns `Ok(false)` if the experiment has
 /// no backing simulation (nothing was written).
@@ -108,7 +153,7 @@ pub fn run_instrumented(
     scale: Scale,
     seed: u64,
     opts: &TelemetryOptions,
-) -> Result<bool, String> {
+) -> Result<bool, InstrumentError> {
     if ANALYTIC_IDS.contains(&id) {
         return Ok(false);
     }
@@ -121,40 +166,64 @@ pub fn run_instrumented(
     Ok(true)
 }
 
-/// Builds the fan-out tracer for the requested sinks, plus (when
-/// `--analyze` was given) a [`SharedCollector`] handle kept outside the
-/// tracer so the report can be extracted after the run. Returns
-/// `(None, None)` if nothing was requested, so the simulator keeps its
-/// `NullTracer`.
-#[allow(clippy::type_complexity)]
-fn build_tracer(
-    opts: &TelemetryOptions,
-) -> Result<(Option<Box<dyn Tracer>>, Option<SharedCollector>), String> {
+/// The sinks of one instrumented run.
+#[derive(Default)]
+struct Sinks {
+    /// The fan-out tracer; `None` if nothing was requested, so the
+    /// simulator keeps its `NullTracer`.
+    tracer: Option<Box<dyn Tracer>>,
+    /// With `--analyze`, a [`SharedCollector`] handle kept outside the
+    /// tracer so the report can be extracted after the run.
+    collector: Option<SharedCollector>,
+    /// Each trace file with its sink's write status.
+    files: Vec<(String, SinkStatus)>,
+}
+
+impl Sinks {
+    /// The first trace file whose writes failed during the run.
+    fn check_files(&self) -> Result<(), InstrumentError> {
+        for (path, status) in &self.files {
+            if let Some(error) = status.error() {
+                return Err(InstrumentError::TraceWrite {
+                    path: path.clone(),
+                    error: error.to_string(),
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Builds the fan-out tracer for the requested sinks.
+fn build_tracer(opts: &TelemetryOptions) -> Result<Sinks, String> {
+    let mut sinks = Sinks::default();
     let mut multi = MultiTracer::new();
     if let Some(path) = &opts.trace_out {
         let f = File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-        multi.push(Box::new(JsonlTracer::new(BufWriter::new(f))));
+        let tracer = JsonlTracer::new(BufWriter::new(f));
+        sinks.files.push((path.clone(), tracer.status()));
+        multi.push(Box::new(tracer));
     }
     if let Some(path) = &opts.chrome_trace {
         let f = File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-        multi.push(Box::new(ChromeTraceTracer::new(BufWriter::new(f))));
+        let tracer = ChromeTraceTracer::new(BufWriter::new(f));
+        sinks.files.push((path.clone(), tracer.status()));
+        multi.push(Box::new(tracer));
     }
-    let collector = if opts.wants_crit() {
+    sinks.collector = if opts.wants_crit() {
         Some(SharedCollector::with_segments())
     } else if opts.analyze.is_some() {
         Some(SharedCollector::new())
     } else {
         None
     };
-    if let Some(c) = &collector {
+    if let Some(c) = &sinks.collector {
         multi.push(Box::new(c.clone()));
     }
-    let tracer: Option<Box<dyn Tracer>> = if multi.is_empty() {
-        None
-    } else {
-        Some(Box::new(multi))
-    };
-    Ok((tracer, collector))
+    if !multi.is_empty() {
+        sinks.tracer = Some(Box::new(multi));
+    }
+    Ok(sinks)
 }
 
 /// Instrumented Google-trace run (adaptive policy, default media).
@@ -162,7 +231,7 @@ fn run_trace_sim(
     scale: Scale,
     seed: u64,
     opts: &TelemetryOptions,
-) -> Result<(TelemetryReport, Option<SharedCollector>), String> {
+) -> Result<(TelemetryReport, Option<SharedCollector>), InstrumentError> {
     let (workload, base) = google_setup(scale, seed);
     let mut cfg = base
         .with_policy(PreemptionPolicy::Adaptive)
@@ -175,14 +244,16 @@ fn run_trace_sim(
         cfg = cfg.with_faults(spec);
     }
     let mut sim = ClusterSim::new(cfg, workload);
-    let (tracer, collector) = build_tracer(opts)?;
-    if let Some(tracer) = tracer {
+    let mut sinks = build_tracer(opts)?;
+    if let Some(tracer) = sinks.tracer.take() {
         sim.set_tracer(tracer);
     }
     if opts.timeseries.is_some() {
         sim.enable_sampling(SimDuration::from_secs(SAMPLE_INTERVAL_SECS));
     }
-    Ok((sim.run().telemetry, collector))
+    let telemetry = sim.run().telemetry;
+    sinks.check_files()?;
+    Ok((telemetry, sinks.collector))
 }
 
 /// Instrumented YARN run (adaptive policy on the Facebook workload).
@@ -190,7 +261,7 @@ fn run_yarn(
     scale: Scale,
     seed: u64,
     opts: &TelemetryOptions,
-) -> Result<(TelemetryReport, Option<SharedCollector>), String> {
+) -> Result<(TelemetryReport, Option<SharedCollector>), InstrumentError> {
     let nodes = scale.apply(8, 2);
     let slots = nodes * 24;
     let workload = FacebookConfig {
@@ -211,12 +282,13 @@ fn run_yarn(
         cfg = cfg.with_faults(spec);
     }
     let mut sim = YarnSim::new(cfg, workload);
-    let (tracer, collector) = build_tracer(opts)?;
-    if let Some(tracer) = tracer {
+    let mut sinks = build_tracer(opts)?;
+    if let Some(tracer) = sinks.tracer.take() {
         sim.set_tracer(tracer);
     }
     let (_, telemetry) = sim.run_with_telemetry();
-    Ok((telemetry, collector))
+    sinks.check_files()?;
+    Ok((telemetry, sinks.collector))
 }
 
 /// Replays a `--trace-out` JSONL file offline and builds the same
@@ -408,6 +480,26 @@ mod tests {
             t.timeseries.is_none(),
             "YARN runs do not sample time series"
         );
+    }
+
+    /// A trace file whose writes fail is reported after the run as a
+    /// typed error with its own exit code, not a panic.
+    #[test]
+    fn trace_write_failure_is_a_typed_error() {
+        if !std::path::Path::new("/dev/full").exists() {
+            return;
+        }
+        let opts = TelemetryOptions {
+            trace_out: Some("/dev/full".into()),
+            ..Default::default()
+        };
+        match run_yarn(Scale::SMOKE, 5, &opts) {
+            Err(e @ InstrumentError::TraceWrite { .. }) => {
+                assert_eq!(e.exit_code(), 3);
+                assert!(e.to_string().starts_with("write /dev/full: "), "{e}");
+            }
+            other => panic!("expected a trace write error, got {other:?}"),
+        }
     }
 
     /// The online `--analyze` collector and an offline replay of the same

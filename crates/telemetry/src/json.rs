@@ -13,21 +13,34 @@
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
+#[cfg(test)]
+mod reference;
+
+/// True if `s` can be written between quotes as is: no quote, backslash
+/// or control character.
+fn needs_no_escape(s: &str) -> bool {
+    s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\')
+}
+
 /// Appends `s` to `out` as a JSON string literal (with quotes), escaping
 /// control characters, quotes and backslashes.
 pub fn push_str_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    if needs_no_escape(s) {
+        out.push_str(s);
+    } else {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
             }
-            c => out.push(c),
         }
     }
     out.push('"');
@@ -47,9 +60,39 @@ pub fn push_f64(out: &mut String, x: f64) {
     }
 }
 
+/// `"00"`, `"01"`, …, `"99"`, back to back: two decimal digits per lookup.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    pairs
+};
+
 /// Appends `x` as a JSON number.
 pub fn push_u64(out: &mut String, x: u64) {
-    let _ = write!(out, "{x}");
+    // u64::MAX has 20 digits. They are written from the back, two at a time.
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut x = x;
+    while x >= 100 {
+        let pair = (x % 100) as usize * 2;
+        x /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if x >= 10 {
+        let pair = x as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + x as u8;
+    }
+    out.extend(buf[at..].iter().map(|&d| char::from(d)));
 }
 
 /// Appends a `"key":` prefix (escaped) to an object under construction.

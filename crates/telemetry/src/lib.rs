@@ -45,6 +45,8 @@
 pub mod json;
 pub mod metrics;
 pub mod reader;
+#[cfg(test)]
+mod test_rng;
 pub mod timeseries;
 pub mod trace;
 
@@ -53,11 +55,11 @@ pub use metrics::{
     P2Quantile, QuantileSnapshot, StreamingQuantiles,
 };
 pub use reader::{
-    schema_header, JsonlReader, TraceReadError, TRACE_SCHEMA, TRACE_SCHEMA_MIN_VERSION,
+    schema_header, JsonlReader, LineCounts, TraceReadError, TRACE_SCHEMA, TRACE_SCHEMA_MIN_VERSION,
     TRACE_SCHEMA_VERSION,
 };
 pub use timeseries::TimeSeries;
 pub use trace::{
-    ChromeTraceTracer, JsonlTracer, MultiTracer, NullTracer, PreemptAction, TraceRecord, TraceSink,
-    Tracer,
+    ChromeTraceTracer, JsonlTracer, MultiTracer, NullTracer, PreemptAction, SinkStatus,
+    TraceRecord, TraceSink, Tracer,
 };

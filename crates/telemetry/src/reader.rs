@@ -7,8 +7,18 @@
 //! `(t_us, TraceRecord)` per line; the round trip
 //! `write → read → write` is byte-identical (tested).
 //!
-//! Each line is decoded in one pass with no allocation per line. It is
-//! read into a reused buffer and validated by the strict JSON validator,
+//! Each line is decoded in one pass with no allocation per line, by one
+//! of two paths. The line is read into a reused buffer and first offered
+//! to the canonical-line decoder, which matches exactly the bytes
+//! [`crate::JsonlTracer`] writes: the fields of each kind in the order of
+//! the layout table both sides expand (`record_layouts!` in
+//! `trace.rs`), canonical integers, `true`/`false` and vocabulary words
+//! without escapes, and nothing after the closing `}`. A line that
+//! matches is valid JSON that decodes only one way. Any other line goes
+//! to the general path, so records and errors do not depend on which
+//! path a line took; [`JsonlReader::line_counts`] counts both.
+//!
+//! The general path validates the line with the strict JSON validator,
 //! which accepts exactly what [`json::is_valid`] accepts and splits the
 //! top-level object into member spans as it goes. The record's fields
 //! are decoded straight from those spans. A field is looked up at the
@@ -19,8 +29,8 @@
 //! the last line of the stream is a crash-truncated tail: the reader
 //! warns and ends the stream there, without parsing the line again. The
 //! `reference` test module keeps the tree-building reader this one
-//! replaced and checks the two against each other on written, rewritten
-//! and byte-damaged traces.
+//! replaced and checks the two against each other on written, rewritten,
+//! near-canonical and byte-damaged traces.
 
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -116,7 +126,12 @@ impl std::error::Error for TraceReadError {}
 /// seen and reused after that, so the leak is bounded by the number of
 /// distinct strings, not by the length of the trace.
 fn intern(s: &str) -> &'static str {
-    match s {
+    vocabulary(s).unwrap_or_else(|| leak_once(s))
+}
+
+/// `s` as the emitters' own `&'static str`, if it is one of their words.
+fn vocabulary(s: &str) -> Option<&'static str> {
+    Some(match s {
         // preemption actions / policies / reasons
         "kill" => "kill",
         "checkpoint" => "checkpoint",
@@ -149,8 +164,8 @@ fn intern(s: &str) -> &'static str {
         "ssd" => "ssd",
         "nvm" => "nvm",
         "nvram" => "nvram",
-        other => leak_once(other),
-    }
+        _ => return None,
+    })
 }
 
 /// `s` as a `&'static str`, leaked once per distinct string.
@@ -182,6 +197,162 @@ fn read_line(input: &mut impl BufRead, buf: &mut String) -> std::io::Result<bool
         }
     }
     Ok(true)
+}
+
+/// A payload field as [`crate::trace::record_layouts`] names it: its JSON
+/// key, and the `,"key":` text the emitter writes before its value.
+#[derive(Clone, Copy)]
+struct Key {
+    name: &'static str,
+    member: &'static str,
+}
+
+/// Where a record's payload fields are read from, one decode rule per
+/// method (see [`crate::trace::record_layouts`]). Fields are asked for in
+/// the order the emitter writes them.
+trait Payload {
+    type Error;
+    fn u64(&mut self, key: Key) -> Result<u64, Self::Error>;
+    fn id32(&mut self, key: Key) -> Result<u32, Self::Error>;
+    fn bool(&mut self, key: Key) -> Result<bool, Self::Error>;
+    fn str(&mut self, key: Key) -> Result<&'static str, Self::Error>;
+    fn action(&mut self, key: Key) -> Result<PreemptAction, Self::Error>;
+    fn unknown_event(&self, event: &str) -> Self::Error;
+
+    fn sat32(&mut self, key: Key) -> Result<u32, Self::Error> {
+        self.u64(key).map(|x| x.min(u32::MAX.into()) as u32)
+    }
+
+    fn sat8(&mut self, key: Key) -> Result<u8, Self::Error> {
+        self.u64(key).map(|x| x.min(u8::MAX.into()) as u8)
+    }
+}
+
+macro_rules! impl_decode_payload {
+    ($($variant:ident $name:literal { $($field:ident: $rule:ident),* $(,)? }),* $(,)?) => {
+        /// Decodes the payload of the record kind named `event`, field by
+        /// field in emitted order.
+        fn decode_payload<P: Payload>(event: &str, p: &mut P) -> Result<TraceRecord, P::Error> {
+            Ok(match event {
+                $($name => TraceRecord::$variant {
+                    $($field: p.$rule(Key {
+                        name: stringify!($field),
+                        member: concat!(",\"", stringify!($field), "\":"),
+                    })?,)*
+                },)*
+                other => return Err(p.unknown_event(other)),
+            })
+        }
+    };
+}
+crate::trace::record_layouts!(impl_decode_payload);
+
+/// A line read as exactly the bytes [`crate::JsonlTracer`] writes:
+/// `{"t_us":N,"event":"name"`, the kind's fields in emitted order with
+/// canonical integers (no sign, no leading zero, the value fits its
+/// field), `true`/`false` and vocabulary words without escapes, then `}`
+/// at the end of the line. Any other text is a miss, and the line goes
+/// to the general path. A line that matches is valid JSON that decodes
+/// only one way, so both paths give it the same record.
+struct Canonical<'a> {
+    line: &'a str,
+    at: usize,
+}
+
+/// A line that is not in canonical form.
+struct Miss;
+
+impl<'a> Canonical<'a> {
+    /// Decodes `line`, or `None` if it is not in canonical form.
+    fn decode(line: &'a str) -> Option<(u64, TraceRecord)> {
+        let mut c = Canonical { line, at: 0 };
+        c.lit("{\"t_us\":")?;
+        let t_us = c.uint()?;
+        c.lit(",\"event\":\"")?;
+        let event = c.str_body()?;
+        let rec = decode_payload(event, &mut c).ok()?;
+        c.lit("}")?;
+        (c.at == line.len()).then_some((t_us, rec))
+    }
+
+    fn lit(&mut self, lit: &str) -> Option<()> {
+        let rest = &self.line.as_bytes()[self.at..];
+        rest.starts_with(lit.as_bytes())
+            .then(|| self.at += lit.len())
+    }
+
+    /// A canonical unsigned integer that fits `u64`.
+    fn uint(&mut self) -> Option<u64> {
+        let rest = &self.line[self.at..];
+        let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+        // JSON has no leading zeros.
+        if digits > 1 && rest.starts_with('0') {
+            return None;
+        }
+        let x = json::raw_u64(&rest[..digits])?;
+        self.at += digits;
+        Some(x)
+    }
+
+    /// The text up to the next quote, which it consumes: the body of a
+    /// string whose opening quote was consumed. Only event names and
+    /// vocabulary words are accepted, so a body with escapes never
+    /// matches.
+    fn str_body(&mut self) -> Option<&'a str> {
+        let start = self.at;
+        let len = self.line.as_bytes()[start..]
+            .iter()
+            .position(|&c| c == b'"')?;
+        self.at += len + 1;
+        Some(&self.line[start..start + len])
+    }
+
+    /// The `,"key":` text before a field's value.
+    fn member(&mut self, key: Key) -> Result<(), Miss> {
+        self.lit(key.member).ok_or(Miss)
+    }
+}
+
+impl Payload for Canonical<'_> {
+    type Error = Miss;
+
+    fn u64(&mut self, key: Key) -> Result<u64, Miss> {
+        self.member(key)?;
+        self.uint().ok_or(Miss)
+    }
+
+    fn id32(&mut self, key: Key) -> Result<u32, Miss> {
+        self.u64(key)?.try_into().map_err(|_| Miss)
+    }
+
+    fn bool(&mut self, key: Key) -> Result<bool, Miss> {
+        self.member(key)?;
+        if self.lit("true").is_some() {
+            Ok(true)
+        } else {
+            self.lit("false").map(|()| false).ok_or(Miss)
+        }
+    }
+
+    fn str(&mut self, key: Key) -> Result<&'static str, Miss> {
+        self.member(key)?;
+        self.lit("\"").ok_or(Miss)?;
+        // A word outside the vocabulary is left to the general path,
+        // which interns it, so this path never leaks.
+        self.str_body().and_then(vocabulary).ok_or(Miss)
+    }
+
+    fn action(&mut self, key: Key) -> Result<PreemptAction, Miss> {
+        match self.str(key)? {
+            "kill" => Ok(PreemptAction::Kill),
+            "checkpoint" => Ok(PreemptAction::Checkpoint),
+            _ => Err(Miss),
+        }
+    }
+
+    fn unknown_event(&self, _event: &str) -> Miss {
+        Miss
+    }
 }
 
 /// The members of one validated line, looked up by key as
@@ -233,31 +404,49 @@ impl<'a> Fields<'a> {
         }
     }
 
-    fn u(&mut self, key: &str) -> Result<u64, TraceReadError> {
-        self.raw(key)
-            .and_then(json::raw_u64)
-            .ok_or_else(|| self.err(format!("{}: missing u64 field {key:?}", self.event)))
-    }
-
-    fn node32(&mut self, key: &str) -> Result<u32, TraceReadError> {
-        let x = self.u(key)?;
-        u32::try_from(x).map_err(|_| self.err(format!("{}: {key} exceeds u32", self.event)))
-    }
-
-    fn b(&mut self, key: &str) -> Result<bool, TraceReadError> {
-        self.raw(key)
-            .and_then(json::raw_bool)
-            .ok_or_else(|| self.err(format!("{}: missing bool field {key:?}", self.event)))
-    }
-
     fn text(&mut self, key: &str) -> Result<Cow<'a, str>, TraceReadError> {
         self.raw(key)
             .and_then(json::raw_str)
             .ok_or_else(|| self.err(format!("{}: missing string field {key:?}", self.event)))
     }
+}
 
-    fn s(&mut self, key: &str) -> Result<&'static str, TraceReadError> {
-        self.text(key).map(|s| intern(&s))
+impl Payload for Fields<'_> {
+    type Error = TraceReadError;
+
+    fn u64(&mut self, key: Key) -> Result<u64, TraceReadError> {
+        let key = key.name;
+        self.raw(key)
+            .and_then(json::raw_u64)
+            .ok_or_else(|| self.err(format!("{}: missing u64 field {key:?}", self.event)))
+    }
+
+    fn id32(&mut self, key: Key) -> Result<u32, TraceReadError> {
+        let x = self.u64(key)?;
+        u32::try_from(x).map_err(|_| self.err(format!("{}: {} exceeds u32", self.event, key.name)))
+    }
+
+    fn bool(&mut self, key: Key) -> Result<bool, TraceReadError> {
+        let key = key.name;
+        self.raw(key)
+            .and_then(json::raw_bool)
+            .ok_or_else(|| self.err(format!("{}: missing bool field {key:?}", self.event)))
+    }
+
+    fn str(&mut self, key: Key) -> Result<&'static str, TraceReadError> {
+        self.text(key.name).map(|s| intern(&s))
+    }
+
+    fn action(&mut self, key: Key) -> Result<PreemptAction, TraceReadError> {
+        match &*self.text(key.name)? {
+            "kill" => Ok(PreemptAction::Kill),
+            "checkpoint" => Ok(PreemptAction::Checkpoint),
+            other => Err(self.err(format!("unknown preempt action {other:?}"))),
+        }
+    }
+
+    fn unknown_event(&self, event: &str) -> TraceReadError {
+        self.err(format!("unknown event {event:?}"))
     }
 }
 
@@ -277,173 +466,18 @@ fn decode(
         .and_then(json::raw_str)
         .ok_or_else(|| f.err("missing event".into()))?;
     f.event = event.clone();
-    let rec = match &*event {
-        "task_submit" => TraceRecord::TaskSubmit {
-            task: f.u("task")?,
-            job: f.u("job")?,
-            priority: f.u("priority")?.min(u8::MAX as u64) as u8,
-        },
-        "task_schedule" => TraceRecord::TaskSchedule {
-            task: f.u("task")?,
-            node: f.node32("node")?,
-            restore: f.b("restore")?,
-        },
-        "task_finish" => TraceRecord::TaskFinish {
-            task: f.u("task")?,
-            node: f.node32("node")?,
-        },
-        "task_evict" => TraceRecord::TaskEvict {
-            task: f.u("task")?,
-            node: f.node32("node")?,
-            reason: f.s("reason")?,
-        },
-        "preempt_decision" => TraceRecord::PreemptDecision {
-            victim: f.u("victim")?,
-            node: f.node32("node")?,
-            action: match &*f.text("action")? {
-                "kill" => PreemptAction::Kill,
-                "checkpoint" => PreemptAction::Checkpoint,
-                other => return Err(f.err(format!("unknown preempt action {other:?}"))),
-            },
-            policy: f.s("policy")?,
-            reason: f.s("reason")?,
-        },
-        "dump_start" => TraceRecord::DumpStart {
-            task: f.u("task")?,
-            node: f.node32("node")?,
-            device: f.s("device")?,
-            bytes: f.u("bytes")?,
-            incremental: f.b("incremental")?,
-        },
-        "dump_done" => TraceRecord::DumpDone {
-            task: f.u("task")?,
-            node: f.node32("node")?,
-            start_us: f.u("start_us")?,
-        },
-        "dump_fallback" => TraceRecord::DumpFallback {
-            task: f.u("task")?,
-            node: f.node32("node")?,
-            reason: f.s("reason")?,
-        },
-        "dump_fail" => TraceRecord::DumpFail {
-            task: f.u("task")?,
-            node: f.node32("node")?,
-            attempt: f.u("attempt")?.min(u32::MAX as u64) as u32,
-            will_retry: f.b("will_retry")?,
-        },
-        "restore_fail" => TraceRecord::RestoreFail {
-            task: f.u("task")?,
-            node: f.node32("node")?,
-            attempt: f.u("attempt")?.min(u32::MAX as u64) as u32,
-            reason: f.s("reason")?,
-            will_retry: f.b("will_retry")?,
-        },
-        "am_escalate" => TraceRecord::AmEscalate {
-            task: f.u("task")?,
-            node: f.node32("node")?,
-            waited_us: f.u("waited_us")?,
-        },
-        "replication_repair" => TraceRecord::ReplicationRepair {
-            node: f.node32("node")?,
-            blocks: f.u("blocks")?,
-            bytes: f.u("bytes")?,
-        },
-        "restore_start" => TraceRecord::RestoreStart {
-            task: f.u("task")?,
-            node: f.node32("node")?,
-            origin: f.node32("origin")?,
-            device: f.s("device")?,
-            bytes: f.u("bytes")?,
-            remote: f.b("remote")?,
-        },
-        "restore_done" => TraceRecord::RestoreDone {
-            task: f.u("task")?,
-            node: f.node32("node")?,
-            start_us: f.u("start_us")?,
-        },
-        "node_fail" => TraceRecord::NodeFail {
-            node: f.node32("node")?,
-        },
-        "node_recover" => TraceRecord::NodeRecover {
-            node: f.node32("node")?,
-        },
-        "node_down" => TraceRecord::NodeDown {
-            node: f.node32("node")?,
-        },
-        "node_up" => TraceRecord::NodeUp {
-            node: f.node32("node")?,
-        },
-        "partition_start" => TraceRecord::PartitionStart {
-            rack: f.node32("rack")?,
-        },
-        "partition_end" => TraceRecord::PartitionEnd {
-            rack: f.node32("rack")?,
-        },
-        "breaker_open" => TraceRecord::BreakerOpen {
-            node: f.node32("node")?,
-            global: f.b("global")?,
-        },
-        "breaker_close" => TraceRecord::BreakerClose {
-            node: f.node32("node")?,
-            global: f.b("global")?,
-        },
-        "gc_pass" => TraceRecord::GcPass {
-            node: f.node32("node")?,
-            reclaimed: f.u("reclaimed")?,
-            chains: f.u("chains")?,
-        },
-        "image_evict" => TraceRecord::ImageEvict {
-            task: f.u("task")?,
-            node: f.node32("node")?,
-            bytes: f.u("bytes")?,
-        },
-        "image_spill" => TraceRecord::ImageSpill {
-            task: f.u("task")?,
-            node: f.node32("node")?,
-            origin: f.node32("origin")?,
-            bytes: f.u("bytes")?,
-        },
-        "no_space" => TraceRecord::NoSpace {
-            task: f.u("task")?,
-            node: f.node32("node")?,
-            wanted: f.u("wanted")?,
-        },
-        "chunk_done" => TraceRecord::ChunkDone {
-            task: f.u("task")?,
-            node: f.node32("node")?,
-            chunk: f.u("chunk")?,
-            total: f.u("total")?,
-        },
-        "chunk_corrupt" => TraceRecord::ChunkCorrupt {
-            task: f.u("task")?,
-            node: f.node32("node")?,
-            image: f.u("image")?,
-            chunk: f.u("chunk")?,
-        },
-        "chunk_refetch" => TraceRecord::ChunkRefetch {
-            task: f.u("task")?,
-            node: f.node32("node")?,
-            chunk: f.u("chunk")?,
-            ok: f.b("ok")?,
-        },
-        "resume_dump" => TraceRecord::ResumeDump {
-            task: f.u("task")?,
-            node: f.node32("node")?,
-            resumed_bytes: f.u("resumed_bytes")?,
-            total_bytes: f.u("total_bytes")?,
-        },
-        "chain_truncate" => TraceRecord::ChainTruncate {
-            task: f.u("task")?,
-            node: f.node32("node")?,
-            dropped: f.u("dropped")?,
-            kept: f.u("kept")?,
-        },
-        "queue_depth" => TraceRecord::QueueDepth {
-            pending: f.u("pending")?,
-        },
-        other => return Err(f.err(format!("unknown event {other:?}"))),
-    };
-    Ok((t_us, rec))
+    Ok((t_us, decode_payload(&event, &mut f)?))
+}
+
+/// How many record lines a [`JsonlReader`] handed to each decoder.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LineCounts {
+    /// Lines in exactly the form [`crate::JsonlTracer`] writes, decoded
+    /// by the canonical-line fast path.
+    pub canonical: u64,
+    /// Other non-blank lines, handed to the validator and the general
+    /// decoder, whether they then decoded or not.
+    pub general: u64,
 }
 
 /// Streaming reader over a JSONL trace: validates the schema header at
@@ -468,6 +502,7 @@ pub struct JsonlReader<R: BufRead> {
     /// Member spans of the current line, reused from line to line.
     members: Vec<Member>,
     line_no: usize,
+    counts: LineCounts,
 }
 
 impl<R: BufRead> JsonlReader<R> {
@@ -500,7 +535,14 @@ impl<R: BufRead> JsonlReader<R> {
             line,
             members,
             line_no: 1,
+            counts: LineCounts::default(),
         })
+    }
+
+    /// How many record lines so far took the canonical path and how many
+    /// the general one. Deterministic for a given trace.
+    pub fn line_counts(&self) -> LineCounts {
+        self.counts
     }
 
     /// True if nothing follows the line just read.
@@ -530,6 +572,11 @@ impl<R: BufRead> Iterator for JsonlReader<R> {
             if self.line.trim().is_empty() {
                 continue;
             }
+            if let Some(rec) = Canonical::decode(&self.line) {
+                self.counts.canonical += 1;
+                return Some(Ok(rec));
+            }
+            self.counts.general += 1;
             if json::object_members(&self.line, &mut self.members) {
                 return Some(decode(&self.line, &self.members, self.line_no));
             }

@@ -3,18 +3,20 @@
 //! to detect a crash-truncated tail, once to decode it), and fields are
 //! found with [`Value::get`]. The differential tests below check that the
 //! single-pass reader yields the same records, the same errors at the
-//! same lines, and stops at the same point on written, rewritten and
-//! byte-mutated traces.
+//! same lines, and stops at the same point on written, rewritten,
+//! near-canonical and byte-mutated traces, and which of its two decode
+//! paths each line takes.
 
 use std::io::BufRead;
 
 use proptest::prelude::*;
 
 use super::{
-    intern, schema_header, JsonlReader, TraceReadError, TRACE_SCHEMA, TRACE_SCHEMA_MIN_VERSION,
-    TRACE_SCHEMA_VERSION,
+    intern, schema_header, vocabulary, JsonlReader, LineCounts, TraceReadError, TRACE_SCHEMA,
+    TRACE_SCHEMA_MIN_VERSION, TRACE_SCHEMA_VERSION,
 };
 use crate::json::{self, Value};
+use crate::test_rng::Rng;
 use crate::trace::{JsonlTracer, PreemptAction, TraceRecord, Tracer};
 
 /// The previous `JsonlReader`, unchanged but for its name.
@@ -295,49 +297,6 @@ impl<R: BufRead> Iterator for TreeReader<R> {
 
 // ---- differential tests -------------------------------------------------
 
-/// SplitMix64, so a failing case replays from its printed seed.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    fn chance(&mut self, pct: u64) -> bool {
-        self.next() % 100 < pct
-    }
-
-    fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
-        xs[self.below(xs.len())]
-    }
-
-    /// A u64 of a random magnitude, edges included.
-    fn u64(&mut self) -> u64 {
-        match self.below(4) {
-            0 => self.next() % 16,
-            1 => self.next() % 100_000,
-            2 => self.next(),
-            _ => self.pick(&[0, u32::MAX as u64, 1 << 53, u64::MAX]),
-        }
-    }
-
-    fn u32(&mut self) -> u32 {
-        match self.below(3) {
-            0 => (self.next() % 64) as u32,
-            1 => self.next() as u32,
-            _ => u32::MAX,
-        }
-    }
-}
-
 /// Vocabulary words, and strings outside it that need escaping.
 const WORDS: &[&str] = &[
     "kill",
@@ -359,10 +318,11 @@ const WORDS: &[&str] = &[
 /// Number of [`TraceRecord`] kinds [`record`] can build.
 const KINDS: usize = 32;
 
-/// A record of kind `kind` (`0..KINDS`) with random fields.
-fn record(rng: &mut Rng, kind: usize) -> TraceRecord {
+/// A record of kind `kind` (`0..KINDS`) with random fields, its strings
+/// drawn from `words`.
+fn record(rng: &mut Rng, kind: usize, words: &[&'static str]) -> TraceRecord {
     let (task, node, n) = (rng.u64(), rng.u32(), rng.u64());
-    let word = rng.pick(WORDS);
+    let word = rng.pick(words);
     let flag = rng.chance(50);
     match kind {
         0 => TraceRecord::TaskSubmit {
@@ -389,7 +349,7 @@ fn record(rng: &mut Rng, kind: usize) -> TraceRecord {
             } else {
                 PreemptAction::Checkpoint
             },
-            policy: rng.pick(WORDS),
+            policy: rng.pick(words),
             reason: word,
         },
         5 => TraceRecord::DumpStart {
@@ -520,7 +480,7 @@ fn written(rng: &mut Rng) -> (Vec<String>, Vec<String>) {
     let mut w = JsonlTracer::new(Vec::new());
     let mut expected = Vec::new();
     for kind in kinds {
-        let (t, rec) = (rng.u64(), record(rng, kind));
+        let (t, rec) = (rng.u64(), record(rng, kind, WORDS));
         w.record(t, &rec);
         expected.push(format!("{t} {rec:?}"));
     }
@@ -738,6 +698,103 @@ fn mutate(rng: &mut Rng, line: &mut Vec<u8>) {
     }
 }
 
+/// A written line's members as (key, value text), in order.
+fn members(line: &str) -> Vec<(String, String)> {
+    let Some(Value::Object(members)) = json::parse(line) else {
+        unreachable!("the emitter writes objects")
+    };
+    members
+        .into_iter()
+        .map(|(k, v)| {
+            let text = match v {
+                Value::U64(x) => x.to_string(),
+                Value::Bool(b) => b.to_string(),
+                Value::Str(s) => {
+                    let mut text = String::new();
+                    json::push_str_escaped(&mut text, &s);
+                    text
+                }
+                other => unreachable!("the emitter writes no {other:?}"),
+            };
+            (k, text)
+        })
+        .collect()
+}
+
+/// Members laid out as the emitter lays them out.
+fn canonical_line(members: &[(String, String)]) -> String {
+    let body: Vec<String> = members
+        .iter()
+        .map(|(k, v)| format!("\"{k}\":{v}"))
+        .collect();
+    format!("{{{}}}", body.join(","))
+}
+
+/// One change that takes a written line just out of the form the
+/// canonical-line decoder takes: a leading zero, a sign, a node id above
+/// `u32::MAX`, a `\u`-escaped letter, a trailing space, a missing `}`,
+/// two members swapped, or a `\r` before the line end.
+fn near_canonical(rng: &mut Rng, line: &str) -> String {
+    let mut members = members(line);
+    assert_eq!(
+        canonical_line(&members),
+        line,
+        "the emitter writes canonical lines"
+    );
+    let pick = |rng: &mut Rng, members: &[(String, String)], f: fn(&str, &str) -> bool| {
+        let at: Vec<usize> = (0..members.len())
+            .filter(|&i| f(&members[i].0, &members[i].1))
+            .collect();
+        (!at.is_empty()).then(|| at[rng.below(at.len())])
+    };
+    let number = |_: &str, v: &str| v.bytes().all(|b| b.is_ascii_digit());
+    match rng.below(8) {
+        0 => {
+            let i = pick(rng, &members, number).expect("t_us is a number");
+            members[i].1.insert(0, '0');
+        }
+        1 => {
+            let i = pick(rng, &members, number).expect("t_us is a number");
+            members[i].1 = "-1".into();
+        }
+        2 => {
+            let id = |k: &str, _: &str| matches!(k, "node" | "rack" | "origin");
+            match pick(rng, &members, id) {
+                Some(i) => members[i].1 = (u32::MAX as u64 + 1 + rng.next() % 1000).to_string(),
+                None => members[0].1 = "18446744073709551616".into(),
+            }
+        }
+        3 => {
+            let i = pick(rng, &members, |_, v| v.starts_with('"')).expect("event is a string");
+            let Some(Value::Str(s)) = json::parse(&members[i].1) else {
+                unreachable!("a string member")
+            };
+            let chars: Vec<char> = s.chars().collect();
+            if let Some(at) = (0..chars.len()).find(|&j| chars[j].is_ascii_alphanumeric()) {
+                let escape = |cs: &[char]| {
+                    let mut text = String::new();
+                    json::push_str_escaped(&mut text, &cs.iter().collect::<String>());
+                    text[1..text.len() - 1].to_owned()
+                };
+                members[i].1 = format!(
+                    "\"{}\\u{:04x}{}\"",
+                    escape(&chars[..at]),
+                    chars[at] as u32,
+                    escape(&chars[at + 1..])
+                );
+            }
+        }
+        4 => return format!("{line} "),
+        5 => return line[..line.len() - 1].to_owned(),
+        6 => {
+            let i = rng.below(members.len() - 1);
+            members.swap(i, i + 1);
+        }
+        _ => return format!("{line}\r"),
+    }
+    canonical_line(&members)
+}
+
 /// A trace: the header, then `lines` each ended by `\n` or `\r\n`, with
 /// blank lines mixed in; the last line may lack its end.
 fn assemble(rng: &mut Rng, lines: &[Vec<u8>]) -> Vec<u8> {
@@ -785,6 +842,13 @@ fn both(bytes: &[u8]) -> (Vec<String>, Vec<String>) {
     )
 }
 
+/// How many lines of `bytes` the single-pass reader sent down each path.
+fn line_counts(bytes: &[u8]) -> LineCounts {
+    let mut reader = JsonlReader::new(bytes).expect("a valid header");
+    reader.by_ref().for_each(drop);
+    reader.line_counts()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -809,7 +873,17 @@ proptest! {
         let (single, tree) = both(&bytes);
         prop_assert_eq!(&single, &tree, "seed {seed}: rewritten stream");
 
-        // (c) Damaged bytes, the final line or the header included.
+        // (c) Near-canonical lines: the edge of the canonical-line fast
+        // path.
+        let near: Vec<Vec<u8>> = written
+            .iter()
+            .map(|l| if rng.chance(40) { near_canonical(&mut rng, l) } else { l.clone() }.into_bytes())
+            .collect();
+        let bytes = assemble(&mut rng, &near);
+        let (single, tree) = both(&bytes);
+        prop_assert_eq!(&single, &tree, "seed {seed}: near-canonical stream");
+
+        // (d) Damaged bytes, the final line or the header included.
         let mut damaged = rewritten;
         for _ in 0..=rng.below(3) {
             let i = rng.below(damaged.len());
@@ -834,9 +908,77 @@ proptest! {
 #[test]
 fn generator_covers_every_record_kind() {
     let mut rng = Rng(1);
-    let names: std::collections::BTreeSet<&str> =
-        (0..KINDS).map(|k| record(&mut rng, k).name()).collect();
+    let names: std::collections::BTreeSet<&str> = (0..KINDS)
+        .map(|k| record(&mut rng, k, WORDS).name())
+        .collect();
     assert_eq!(names.len(), KINDS);
+}
+
+#[test]
+fn every_kind_takes_the_canonical_path() {
+    let words: Vec<&'static str> = WORDS
+        .iter()
+        .copied()
+        .filter(|w| vocabulary(w).is_some())
+        .collect();
+    let mut rng = Rng(7);
+    for kind in 0..KINDS {
+        for _ in 0..16 {
+            let (t, rec) = (rng.u64(), record(&mut rng, kind, &words));
+            let mut w = JsonlTracer::new(Vec::new());
+            w.record(t, &rec);
+            let bytes = w.into_inner();
+            let (single, tree) = both(&bytes);
+            assert_eq!(single, [format!("{t} {rec:?}")]);
+            assert_eq!(single, tree);
+            let counts = line_counts(&bytes);
+            assert_eq!((counts.canonical, counts.general), (1, 0), "{rec:?}");
+        }
+    }
+}
+
+#[test]
+fn near_canonical_lines_take_the_general_path() {
+    let line = "{\"t_us\":5,\"event\":\"preempt_decision\",\"victim\":3,\"node\":2,\
+                \"action\":\"kill\",\"policy\":\"adaptive\",\"reason\":\"policy\"}";
+    let bytes = format!("{}\n{line}\n", schema_header());
+    assert_eq!(line_counts(bytes.as_bytes()).canonical, 1);
+    let node = format!(",\"node\":{}", u32::MAX as u64 + 1);
+    let near = [
+        line.replace("\"node\":2", "\"node\":02"),
+        line.replace("\"node\":2", "\"node\":-1"),
+        line.replace(",\"node\":2", &node),
+        line.replace("\"t_us\":5", "\"t_us\":18446744073709551616"),
+        line.replace("\"kill\"", "\"k\\u0069ll\""),
+        line.replace("preempt_decision", "preempt\\u005fdecision"),
+        line.replace("\"policy\"}", "\"not-in-vocab\"}"),
+        line.replace("\"victim\":3", "\"victim\":3.0"),
+        format!("{line} "),
+        format!(" {line}"),
+        line[..line.len() - 1].to_owned(),
+        line.replace("\"victim\":3,\"node\":2", "\"node\":2,\"victim\":3"),
+        line.replace("{\"t_us\":5,", "{\"t_us\":5,\"t_us\":5,"),
+    ];
+    for near in near {
+        for end in ["\n", "\r\n", ""] {
+            let bytes = format!("{}\n{near}{end}", schema_header());
+            let (single, tree) = both(bytes.as_bytes());
+            assert_eq!(single, tree, "{near:?}");
+            let counts = line_counts(bytes.as_bytes());
+            assert_eq!((counts.canonical, counts.general), (0, 1), "{near:?}");
+        }
+    }
+    // A CRLF line end is not part of the line, but a CR before it is.
+    for (end, canonical) in [("\r\n", 1), ("\r\r\n", 0), ("\r", 0)] {
+        let bytes = format!("{}\n{line}{end}", schema_header());
+        let (single, tree) = both(bytes.as_bytes());
+        assert_eq!(single, tree, "{end:?}");
+        assert_eq!(
+            line_counts(bytes.as_bytes()).canonical,
+            canonical,
+            "{end:?}"
+        );
+    }
 }
 
 #[test]

@@ -14,6 +14,7 @@
 //! [`MultiTracer`] fans a single record stream out to several sinks.
 
 use std::io::Write;
+use std::sync::{Arc, OnceLock};
 
 use crate::json;
 
@@ -375,45 +376,6 @@ pub enum TraceRecord {
 }
 
 impl TraceRecord {
-    /// Short stable name of the event kind (used as the JSONL `event`
-    /// field and the Chrome trace event name).
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceRecord::TaskSubmit { .. } => "task_submit",
-            TraceRecord::TaskSchedule { .. } => "task_schedule",
-            TraceRecord::TaskFinish { .. } => "task_finish",
-            TraceRecord::TaskEvict { .. } => "task_evict",
-            TraceRecord::PreemptDecision { .. } => "preempt_decision",
-            TraceRecord::DumpStart { .. } => "dump_start",
-            TraceRecord::DumpDone { .. } => "dump_done",
-            TraceRecord::DumpFallback { .. } => "dump_fallback",
-            TraceRecord::DumpFail { .. } => "dump_fail",
-            TraceRecord::RestoreFail { .. } => "restore_fail",
-            TraceRecord::AmEscalate { .. } => "am_escalate",
-            TraceRecord::ReplicationRepair { .. } => "replication_repair",
-            TraceRecord::RestoreStart { .. } => "restore_start",
-            TraceRecord::RestoreDone { .. } => "restore_done",
-            TraceRecord::NodeFail { .. } => "node_fail",
-            TraceRecord::NodeRecover { .. } => "node_recover",
-            TraceRecord::NodeDown { .. } => "node_down",
-            TraceRecord::NodeUp { .. } => "node_up",
-            TraceRecord::PartitionStart { .. } => "partition_start",
-            TraceRecord::PartitionEnd { .. } => "partition_end",
-            TraceRecord::BreakerOpen { .. } => "breaker_open",
-            TraceRecord::BreakerClose { .. } => "breaker_close",
-            TraceRecord::GcPass { .. } => "gc_pass",
-            TraceRecord::ImageEvict { .. } => "image_evict",
-            TraceRecord::ImageSpill { .. } => "image_spill",
-            TraceRecord::NoSpace { .. } => "no_space",
-            TraceRecord::ChunkDone { .. } => "chunk_done",
-            TraceRecord::ChunkCorrupt { .. } => "chunk_corrupt",
-            TraceRecord::ChunkRefetch { .. } => "chunk_refetch",
-            TraceRecord::ResumeDump { .. } => "resume_dump",
-            TraceRecord::ChainTruncate { .. } => "chain_truncate",
-            TraceRecord::QueueDepth { .. } => "queue_depth",
-        }
-    }
-
     /// Node the record is about, if any (used for Chrome trace tids).
     fn node(&self) -> Option<u32> {
         match *self {
@@ -451,265 +413,142 @@ impl TraceRecord {
             | TraceRecord::NodeUp { node } => Some(node),
         }
     }
+}
 
-    /// Appends the record's payload fields as `"key":value` pairs
-    /// (comma-prefixed) to a JSON object under construction. Field order is
-    /// fixed per variant so output is byte-stable.
-    fn push_fields(&self, out: &mut String) {
-        fn kv_u64(out: &mut String, k: &str, v: u64) {
-            out.push(',');
-            json::push_key(out, k);
-            json::push_u64(out, v);
+/// The JSONL layout of every record kind: its variant, its `event` name
+/// and its payload fields in the order they are written, each with the
+/// rule the reader decodes it by. The JSON key of a field is its name.
+///
+/// This table is the one place the layouts are spelt out. It is handed to
+/// the macro named `$m`, and every piece of code that writes or reads a
+/// record's fields is expanded from it: [`TraceRecord::name`], the payload
+/// emitter shared by [`JsonlTracer`] and [`ChromeTraceTracer`], and both
+/// decoders of [`crate::reader`]. So the order the emitter writes is the
+/// order the canonical-line decoder expects.
+///
+/// Decode rules: `u64`; `id32`, a node or rack id that is an error above
+/// `u32::MAX`; `sat32` and `sat8`, clamped to `u32` and `u8`; `bool`;
+/// `str`, interned into the static vocabulary; and `action`, a
+/// [`PreemptAction`].
+macro_rules! record_layouts {
+    ($m:ident) => {
+        $m! {
+            TaskSubmit "task_submit" { task: u64, job: u64, priority: sat8 },
+            TaskSchedule "task_schedule" { task: u64, node: id32, restore: bool },
+            TaskFinish "task_finish" { task: u64, node: id32 },
+            TaskEvict "task_evict" { task: u64, node: id32, reason: str },
+            PreemptDecision "preempt_decision" {
+                victim: u64, node: id32, action: action, policy: str, reason: str
+            },
+            DumpStart "dump_start" {
+                task: u64, node: id32, device: str, bytes: u64, incremental: bool
+            },
+            DumpDone "dump_done" { task: u64, node: id32, start_us: u64 },
+            DumpFallback "dump_fallback" { task: u64, node: id32, reason: str },
+            DumpFail "dump_fail" { task: u64, node: id32, attempt: sat32, will_retry: bool },
+            RestoreFail "restore_fail" {
+                task: u64, node: id32, attempt: sat32, reason: str, will_retry: bool
+            },
+            AmEscalate "am_escalate" { task: u64, node: id32, waited_us: u64 },
+            ReplicationRepair "replication_repair" { node: id32, blocks: u64, bytes: u64 },
+            RestoreStart "restore_start" {
+                task: u64, node: id32, origin: id32, device: str, bytes: u64, remote: bool
+            },
+            RestoreDone "restore_done" { task: u64, node: id32, start_us: u64 },
+            NodeFail "node_fail" { node: id32 },
+            NodeRecover "node_recover" { node: id32 },
+            NodeDown "node_down" { node: id32 },
+            NodeUp "node_up" { node: id32 },
+            PartitionStart "partition_start" { rack: id32 },
+            PartitionEnd "partition_end" { rack: id32 },
+            BreakerOpen "breaker_open" { node: id32, global: bool },
+            BreakerClose "breaker_close" { node: id32, global: bool },
+            GcPass "gc_pass" { node: id32, reclaimed: u64, chains: u64 },
+            ImageEvict "image_evict" { task: u64, node: id32, bytes: u64 },
+            ImageSpill "image_spill" { task: u64, node: id32, origin: id32, bytes: u64 },
+            NoSpace "no_space" { task: u64, node: id32, wanted: u64 },
+            ChunkDone "chunk_done" { task: u64, node: id32, chunk: u64, total: u64 },
+            ChunkCorrupt "chunk_corrupt" { task: u64, node: id32, image: u64, chunk: u64 },
+            ChunkRefetch "chunk_refetch" { task: u64, node: id32, chunk: u64, ok: bool },
+            ResumeDump "resume_dump" {
+                task: u64, node: id32, resumed_bytes: u64, total_bytes: u64
+            },
+            ChainTruncate "chain_truncate" { task: u64, node: id32, dropped: u64, kept: u64 },
+            QueueDepth "queue_depth" { pending: u64 },
         }
-        fn kv_str(out: &mut String, k: &str, v: &str) {
-            out.push(',');
-            json::push_key(out, k);
-            json::push_str_escaped(out, v);
-        }
-        fn kv_bool(out: &mut String, k: &str, v: bool) {
-            out.push(',');
-            json::push_key(out, k);
-            out.push_str(if v { "true" } else { "false" });
-        }
-        match *self {
-            TraceRecord::TaskSubmit {
-                task,
-                job,
-                priority,
-            } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "job", job);
-                kv_u64(out, "priority", priority as u64);
-            }
-            TraceRecord::TaskSchedule {
-                task,
-                node,
-                restore,
-            } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_bool(out, "restore", restore);
-            }
-            TraceRecord::TaskFinish { task, node } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-            }
-            TraceRecord::TaskEvict { task, node, reason } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_str(out, "reason", reason);
-            }
-            TraceRecord::PreemptDecision {
-                victim,
-                node,
-                action,
-                policy,
-                reason,
-            } => {
-                kv_u64(out, "victim", victim);
-                kv_u64(out, "node", node as u64);
-                kv_str(out, "action", action.as_str());
-                kv_str(out, "policy", policy);
-                kv_str(out, "reason", reason);
-            }
-            TraceRecord::DumpStart {
-                task,
-                node,
-                device,
-                bytes,
-                incremental,
-            } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_str(out, "device", device);
-                kv_u64(out, "bytes", bytes);
-                kv_bool(out, "incremental", incremental);
-            }
-            TraceRecord::DumpDone {
-                task,
-                node,
-                start_us,
-            } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "start_us", start_us);
-            }
-            TraceRecord::DumpFallback { task, node, reason } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_str(out, "reason", reason);
-            }
-            TraceRecord::DumpFail {
-                task,
-                node,
-                attempt,
-                will_retry,
-            } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "attempt", attempt as u64);
-                kv_bool(out, "will_retry", will_retry);
-            }
-            TraceRecord::RestoreFail {
-                task,
-                node,
-                attempt,
-                reason,
-                will_retry,
-            } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "attempt", attempt as u64);
-                kv_str(out, "reason", reason);
-                kv_bool(out, "will_retry", will_retry);
-            }
-            TraceRecord::AmEscalate {
-                task,
-                node,
-                waited_us,
-            } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "waited_us", waited_us);
-            }
-            TraceRecord::ReplicationRepair {
-                node,
-                blocks,
-                bytes,
-            } => {
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "blocks", blocks);
-                kv_u64(out, "bytes", bytes);
-            }
-            TraceRecord::RestoreStart {
-                task,
-                node,
-                origin,
-                device,
-                bytes,
-                remote,
-            } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "origin", origin as u64);
-                kv_str(out, "device", device);
-                kv_u64(out, "bytes", bytes);
-                kv_bool(out, "remote", remote);
-            }
-            TraceRecord::RestoreDone {
-                task,
-                node,
-                start_us,
-            } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "start_us", start_us);
-            }
-            TraceRecord::NodeFail { node }
-            | TraceRecord::NodeRecover { node }
-            | TraceRecord::NodeDown { node }
-            | TraceRecord::NodeUp { node } => {
-                kv_u64(out, "node", node as u64);
-            }
-            TraceRecord::PartitionStart { rack } | TraceRecord::PartitionEnd { rack } => {
-                kv_u64(out, "rack", rack as u64);
-            }
-            TraceRecord::BreakerOpen { node, global }
-            | TraceRecord::BreakerClose { node, global } => {
-                kv_u64(out, "node", node as u64);
-                kv_bool(out, "global", global);
-            }
-            TraceRecord::GcPass {
-                node,
-                reclaimed,
-                chains,
-            } => {
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "reclaimed", reclaimed);
-                kv_u64(out, "chains", chains);
-            }
-            TraceRecord::ImageEvict { task, node, bytes } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "bytes", bytes);
-            }
-            TraceRecord::ImageSpill {
-                task,
-                node,
-                origin,
-                bytes,
-            } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "origin", origin as u64);
-                kv_u64(out, "bytes", bytes);
-            }
-            TraceRecord::NoSpace { task, node, wanted } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "wanted", wanted);
-            }
-            TraceRecord::ChunkDone {
-                task,
-                node,
-                chunk,
-                total,
-            } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "chunk", chunk);
-                kv_u64(out, "total", total);
-            }
-            TraceRecord::ChunkCorrupt {
-                task,
-                node,
-                image,
-                chunk,
-            } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "image", image);
-                kv_u64(out, "chunk", chunk);
-            }
-            TraceRecord::ChunkRefetch {
-                task,
-                node,
-                chunk,
-                ok,
-            } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "chunk", chunk);
-                kv_bool(out, "ok", ok);
-            }
-            TraceRecord::ResumeDump {
-                task,
-                node,
-                resumed_bytes,
-                total_bytes,
-            } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "resumed_bytes", resumed_bytes);
-                kv_u64(out, "total_bytes", total_bytes);
-            }
-            TraceRecord::ChainTruncate {
-                task,
-                node,
-                dropped,
-                kept,
-            } => {
-                kv_u64(out, "task", task);
-                kv_u64(out, "node", node as u64);
-                kv_u64(out, "dropped", dropped);
-                kv_u64(out, "kept", kept);
-            }
-            TraceRecord::QueueDepth { pending } => {
-                kv_u64(out, "pending", pending);
-            }
-        }
+    };
+}
+pub(crate) use record_layouts;
+
+/// A payload field's value as JSON text.
+trait PushJson {
+    fn push_json(self, out: &mut String);
+}
+
+impl PushJson for u64 {
+    fn push_json(self, out: &mut String) {
+        json::push_u64(out, self);
     }
 }
+
+impl PushJson for u32 {
+    fn push_json(self, out: &mut String) {
+        json::push_u64(out, self.into());
+    }
+}
+
+impl PushJson for u8 {
+    fn push_json(self, out: &mut String) {
+        json::push_u64(out, self.into());
+    }
+}
+
+impl PushJson for bool {
+    fn push_json(self, out: &mut String) {
+        out.push_str(if self { "true" } else { "false" });
+    }
+}
+
+impl PushJson for &str {
+    fn push_json(self, out: &mut String) {
+        json::push_str_escaped(out, self);
+    }
+}
+
+impl PushJson for PreemptAction {
+    fn push_json(self, out: &mut String) {
+        json::push_str_escaped(out, self.as_str());
+    }
+}
+
+macro_rules! impl_layouts {
+    ($($variant:ident $name:literal { $($field:ident: $rule:ident),* $(,)? }),* $(,)?) => {
+        impl TraceRecord {
+            /// Short stable name of the event kind (used as the JSONL
+            /// `event` field and the Chrome trace event name).
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(TraceRecord::$variant { .. } => $name,)*
+                }
+            }
+
+            /// Appends the record's payload fields as `"key":value` pairs
+            /// (comma-prefixed) to a JSON object under construction, in
+            /// the order of [`record_layouts`], so output is byte-stable.
+            fn push_fields(&self, out: &mut String) {
+                match *self {
+                    $(TraceRecord::$variant { $($field),* } => {
+                        $(
+                            out.push_str(concat!(",\"", stringify!($field), "\":"));
+                            $field.push_json(out);
+                        )*
+                    })*
+                }
+            }
+        }
+    };
+}
+record_layouts!(impl_layouts);
 
 /// Sink for sim-time-stamped trace records.
 ///
@@ -786,58 +625,111 @@ impl TraceSink {
     }
 }
 
+/// The first I/O error a file-writing sink ([`JsonlTracer`],
+/// [`ChromeTraceTracer`]) met. The sink keeps it here instead of
+/// panicking and writes nothing after it, so its output ends early. Take
+/// a handle with the sink's `status()` before handing the sink to a
+/// simulator, and read it after the run.
+#[derive(Debug, Clone, Default)]
+pub struct SinkStatus(Arc<OnceLock<std::io::Error>>);
+
+impl SinkStatus {
+    /// The first write or flush error, if there was one.
+    pub fn error(&self) -> Option<&std::io::Error> {
+        self.0.get()
+    }
+}
+
+/// A writer that keeps its first error in a [`SinkStatus`] and skips
+/// every write and flush after it.
+struct Latched<W: Write> {
+    out: W,
+    status: SinkStatus,
+}
+
+impl<W: Write> Latched<W> {
+    fn new(out: W) -> Self {
+        Latched {
+            out,
+            status: SinkStatus::default(),
+        }
+    }
+
+    fn write_all(&mut self, bytes: &[u8]) {
+        self.attempt(|out| out.write_all(bytes));
+    }
+
+    fn flush(&mut self) {
+        self.attempt(W::flush);
+    }
+
+    fn attempt(&mut self, op: impl FnOnce(&mut W) -> std::io::Result<()>) {
+        if self.status.error().is_none() {
+            if let Err(e) = op(&mut self.out) {
+                let _ = self.status.0.set(e);
+            }
+        }
+    }
+}
+
 /// Writes one JSON object per line: `{"t_us":N,"event":"...",...}`.
 ///
 /// The first line is a schema header
-/// (`{"schema":"cbp-trace","version":4}`, see
+/// (`{"schema":"cbp-trace","version":5}`, see
 /// [`crate::reader::schema_header`]) so consumers can reject traces
 /// written by an incompatible emitter. Field order is fixed (`t_us`,
 /// `event`, then per-variant payload), so the same record stream
 /// produces byte-identical output.
+///
+/// A failed write does not panic: the tracer stops writing and keeps the
+/// error (see [`SinkStatus`]).
 pub struct JsonlTracer<W: Write> {
-    out: W,
+    out: Latched<W>,
     buf: String,
 }
 
 impl<W: Write> JsonlTracer<W> {
     /// Creates a tracer writing to `out`. Writes the schema header line
     /// immediately.
-    pub fn new(mut out: W) -> Self {
+    pub fn new(out: W) -> Self {
+        let mut out = Latched::new(out);
         let mut header = crate::reader::schema_header();
         header.push('\n');
-        out.write_all(header.as_bytes())
-            .expect("JsonlTracer: write failed");
+        out.write_all(header.as_bytes());
         JsonlTracer {
             out,
             buf: String::with_capacity(256),
         }
     }
 
+    /// A handle on the first write error; it outlives the tracer.
+    pub fn status(&self) -> SinkStatus {
+        self.out.status.clone()
+    }
+
     /// Unwraps the inner writer (flushing first).
     pub fn into_inner(mut self) -> W {
-        let _ = self.out.flush();
-        self.out
+        self.out.flush();
+        self.out.out
     }
 }
 
 impl<W: Write> Tracer for JsonlTracer<W> {
     fn record(&mut self, t_us: u64, rec: &TraceRecord) {
         self.buf.clear();
-        self.buf.push('{');
-        json::push_key(&mut self.buf, "t_us");
+        self.buf.push_str("{\"t_us\":");
         json::push_u64(&mut self.buf, t_us);
-        self.buf.push(',');
-        json::push_key(&mut self.buf, "event");
-        json::push_str_escaped(&mut self.buf, rec.name());
+        // Event names are `[a-z_]+`: nothing to escape.
+        self.buf.push_str(",\"event\":\"");
+        self.buf.push_str(rec.name());
+        self.buf.push('"');
         rec.push_fields(&mut self.buf);
         self.buf.push_str("}\n");
-        self.out
-            .write_all(self.buf.as_bytes())
-            .expect("JsonlTracer: write failed");
+        self.out.write_all(self.buf.as_bytes());
     }
 
     fn finish(&mut self) {
-        self.out.flush().expect("JsonlTracer: flush failed");
+        self.out.flush();
     }
 }
 
@@ -856,9 +748,10 @@ impl<W: Write> Tracer for JsonlTracer<W> {
 /// * queue depth is a counter (`"ph":"C"`) track.
 ///
 /// [`Tracer::finish`] must be called to close the JSON array; the output
-/// is not valid JSON before that.
+/// is not valid JSON before that. Like [`JsonlTracer`], the tracer stops
+/// writing at the first failed write and keeps the error.
 pub struct ChromeTraceTracer<W: Write> {
-    out: W,
+    out: Latched<W>,
     buf: String,
     first: bool,
     /// Nodes that already have a `thread_name` metadata event.
@@ -869,9 +762,9 @@ pub struct ChromeTraceTracer<W: Write> {
 impl<W: Write> ChromeTraceTracer<W> {
     /// Creates a tracer writing to `out`. Writes the opening of the
     /// top-level object immediately.
-    pub fn new(mut out: W) -> Self {
-        out.write_all(b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n")
-            .expect("ChromeTraceTracer: write failed");
+    pub fn new(out: W) -> Self {
+        let mut out = Latched::new(out);
+        out.write_all(b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
         ChromeTraceTracer {
             out,
             buf: String::with_capacity(256),
@@ -879,6 +772,11 @@ impl<W: Write> ChromeTraceTracer<W> {
             named: Vec::new(),
             finished: false,
         }
+    }
+
+    /// A handle on the first write error; it outlives the tracer.
+    pub fn status(&self) -> SinkStatus {
+        self.out.status.clone()
     }
 
     fn sep(&mut self) {
@@ -932,9 +830,7 @@ impl<W: Write> ChromeTraceTracer<W> {
     }
 
     fn flush_buf(&mut self) {
-        self.out
-            .write_all(self.buf.as_bytes())
-            .expect("ChromeTraceTracer: write failed");
+        self.out.write_all(self.buf.as_bytes());
         self.buf.clear();
     }
 }
@@ -1002,7 +898,7 @@ impl<W: Write> Tracer for ChromeTraceTracer<W> {
         self.finished = true;
         self.buf.push_str("\n]}\n");
         self.flush_buf();
-        self.out.flush().expect("ChromeTraceTracer: flush failed");
+        self.out.flush();
     }
 }
 
@@ -1322,7 +1218,7 @@ mod tests {
             // Write a second finish to prove idempotence, then inspect.
             t.finish();
             let ChromeTraceTracer { out, .. } = t;
-            String::from_utf8(out).unwrap()
+            String::from_utf8(out.out).unwrap()
         };
         assert!(
             crate::json::is_valid(&text),
@@ -1337,6 +1233,82 @@ mod tests {
         assert_eq!(text.matches("\"thread_name\"").count(), 3, "nodes 1, 2, 5");
         // Queue depth is a counter track.
         assert!(text.contains("\"name\":\"pending_tasks\",\"ph\":\"C\""));
+    }
+
+    /// A writer with room for `room` bytes; every call after that fails.
+    #[derive(Default)]
+    struct Full {
+        room: usize,
+        written: Vec<u8>,
+        failed_calls: usize,
+    }
+
+    impl Write for Full {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.room == 0 {
+                self.failed_calls += 1;
+                return Err(std::io::Error::other("device full"));
+            }
+            let n = buf.len().min(self.room);
+            self.room -= n;
+            self.written.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            if self.room == 0 {
+                self.failed_calls += 1;
+                return Err(std::io::Error::other("device full"));
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn jsonl_tracer_keeps_the_first_write_error() {
+        let header = crate::reader::schema_header().len() + 1;
+        for room in [0, header, header + 10] {
+            let mut t = JsonlTracer::new(Full {
+                room,
+                ..Full::default()
+            });
+            let status = t.status();
+            for (ts, rec) in sample_stream() {
+                t.record(ts, &rec);
+            }
+            t.finish();
+            let err = status.error().expect("the write error is kept");
+            assert_eq!(err.to_string(), "device full", "room {room}");
+            let out = t.into_inner();
+            assert_eq!(
+                out.failed_calls, 1,
+                "room {room}: no write after the first failure"
+            );
+            assert_eq!(out.written.len(), room);
+        }
+        let mut t = JsonlTracer::new(Vec::new());
+        let status = t.status();
+        t.record(1, &TraceRecord::NodeFail { node: 0 });
+        t.finish();
+        assert!(status.error().is_none(), "a healthy sink reports no error");
+    }
+
+    #[test]
+    fn chrome_tracer_keeps_the_first_write_error() {
+        let mut t = ChromeTraceTracer::new(Full {
+            room: 100,
+            ..Full::default()
+        });
+        let status = t.status();
+        for (ts, rec) in sample_stream() {
+            t.record(ts, &rec);
+        }
+        t.finish();
+        assert_eq!(
+            status.error().map(ToString::to_string).as_deref(),
+            Some("device full")
+        );
+        assert_eq!(t.out.out.failed_calls, 1);
     }
 
     #[test]

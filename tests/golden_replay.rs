@@ -306,11 +306,14 @@ const FOLDED: [(&str, &str); 3] = [
 /// the hard kills (`task_evict` records of any reason but `dump`) are
 /// `scheduler.kills` plus the evictions by downed nodes, which the
 /// ledger counts apart (`scheduler.failure_evictions` is ClusterSim's
-/// alone).
+/// alone). Also asserts that every line of the trace is in the form the
+/// reader's canonical-line decoder takes, so none falls back to the
+/// general path.
 fn check_fold(case: &str, sim: &str, trace: &[u8], registry: &MetricsRegistry) {
     let mut folded = [0u64; FOLDED.len()];
     let mut hard_kills = 0u64;
-    for item in JsonlReader::new(trace).expect("golden traces have a header") {
+    let mut reader = JsonlReader::new(trace).expect("golden traces have a header");
+    for item in reader.by_ref() {
         let (_, rec) = item.expect("golden traces are well-formed");
         if let Some(i) = FOLDED.iter().position(|(_, kind)| *kind == rec.name()) {
             folded[i] += 1;
@@ -326,6 +329,13 @@ fn check_fold(case: &str, sim: &str, trace: &[u8], registry: &MetricsRegistry) {
             "{case}, {sim}: {key} vs {n} {kind} records"
         );
     }
+    let lines = reader.line_counts();
+    let records = trace.iter().filter(|&&b| b == b'\n').count() as u64 - 1;
+    assert_eq!(
+        (lines.canonical, lines.general),
+        (records, 0),
+        "{case}, {sim}: lines decoded by the canonical and the general path"
+    );
     let counter = |key: &str| registry.counter(key);
     let kills = counter("scheduler.kills").expect("both simulators count kills");
     let crashes = counter("faults.crash_evictions").expect("both simulators count crashes");
