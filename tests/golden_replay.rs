@@ -8,10 +8,15 @@
 //! every byte of every trace and every registry value, including the
 //! lifecycle (GC → evict → spill → kill) and integrity (refetch →
 //! truncate → scratch) ladders and the `lifecycle = false` /
-//! `resume = false` ablations. Debug builds additionally hard-assert the
-//! image-ledger conservation invariant after every event. Every run also
-//! checks that its finished-task, checkpoint and restore counters equal
-//! the counts of the matching records in its trace.
+//! `resume = false` ablations. Most cases run the trace simulator under
+//! the Checkpoint policy and the YARN analog under Algorithm 1 with
+//! incremental dumps; three chaos cases run both under Kill, under
+//! Checkpoint, and under Algorithm 1 with full dumps, so every arm of the
+//! preemption decision and of the dump-size estimate is pinned on both.
+//! Debug builds additionally hard-assert the image-ledger conservation
+//! invariant after every event. Every run also checks that its
+//! finished-task, checkpoint and restore counters equal the counts of the
+//! matching records in its trace.
 //!
 //! On a mismatch the test names every failing case and prints the
 //! observed digests.
@@ -42,11 +47,16 @@ enum Store {
 }
 
 /// One golden case: a fault plan, the lifecycle ablation switch, the
-/// cluster sizes and the trace simulator's checkpoint store.
+/// preemption policies, the incremental-dump switch, the cluster sizes
+/// and the trace simulator's checkpoint store.
 struct Case {
     name: &'static str,
     plan: &'static str,
     lifecycle: bool,
+    /// Preemption policies: trace simulator, YARN analog.
+    policies: [PreemptionPolicy; 2],
+    /// Incremental dumps on both simulators.
+    incremental: bool,
     /// Node counts: trace simulator, YARN analog.
     nodes: [usize; 2],
     store: Store,
@@ -56,11 +66,18 @@ struct Case {
 
 const PRESSURE: &str = "pressure,cap=0.01,leak=0.6,leak-window=300,seed=11";
 
+/// The policies of every case but the policy cases: the trace simulator
+/// always checkpoints, the YARN analog runs Algorithm 1.
+const CHK_ADAPTIVE: [PreemptionPolicy; 2] =
+    [PreemptionPolicy::Checkpoint, PreemptionPolicy::Adaptive];
+
 const CASES: &[Case] = &[
     Case {
         name: "off",
         plan: "off",
         lifecycle: true,
+        policies: CHK_ADAPTIVE,
+        incremental: true,
         nodes: [5, 4],
         store: Store::Dfs,
         golden: [
@@ -74,6 +91,8 @@ const CASES: &[Case] = &[
         name: "light",
         plan: "light,seed=11",
         lifecycle: true,
+        policies: CHK_ADAPTIVE,
+        incremental: true,
         nodes: [5, 4],
         store: Store::Dfs,
         golden: [
@@ -87,6 +106,8 @@ const CASES: &[Case] = &[
         name: "heavy",
         plan: "heavy,seed=11",
         lifecycle: true,
+        policies: CHK_ADAPTIVE,
+        incremental: true,
         nodes: [5, 4],
         store: Store::Dfs,
         golden: [
@@ -100,6 +121,8 @@ const CASES: &[Case] = &[
         name: "chaos",
         plan: "chaos,seed=11",
         lifecycle: true,
+        policies: CHK_ADAPTIVE,
+        incremental: true,
         nodes: [5, 4],
         store: Store::Dfs,
         golden: [
@@ -115,6 +138,8 @@ const CASES: &[Case] = &[
         name: "chaos-lost-chains",
         plan: "chaos,rack-size=2,rack=0.3,seed=11",
         lifecycle: true,
+        policies: CHK_ADAPTIVE,
+        incremental: true,
         nodes: [2, 2],
         store: Store::Dfs,
         golden: [
@@ -132,6 +157,8 @@ const CASES: &[Case] = &[
         name: "chaos-partition",
         plan: "chaos,partition=1,seed=11",
         lifecycle: true,
+        policies: CHK_ADAPTIVE,
+        incremental: true,
         nodes: [5, 4],
         store: Store::Dfs,
         golden: [
@@ -145,6 +172,8 @@ const CASES: &[Case] = &[
         name: "pressure",
         plan: PRESSURE,
         lifecycle: true,
+        policies: CHK_ADAPTIVE,
+        incremental: true,
         nodes: [5, 4],
         store: Store::Dfs,
         golden: [
@@ -158,6 +187,8 @@ const CASES: &[Case] = &[
         name: "pressure-local-fs",
         plan: PRESSURE,
         lifecycle: true,
+        policies: CHK_ADAPTIVE,
+        incremental: true,
         nodes: [5, 4],
         store: Store::LocalFs,
         golden: [
@@ -171,6 +202,8 @@ const CASES: &[Case] = &[
         name: "heavy-corrupt",
         plan: "heavy,corrupt=0.3,seed=11",
         lifecycle: true,
+        policies: CHK_ADAPTIVE,
+        incremental: true,
         nodes: [5, 4],
         store: Store::Dfs,
         golden: [
@@ -184,6 +217,8 @@ const CASES: &[Case] = &[
         name: "heavy-corrupt-local-fs",
         plan: "heavy,corrupt=0.3,seed=11",
         lifecycle: true,
+        policies: CHK_ADAPTIVE,
+        incremental: true,
         nodes: [5, 4],
         store: Store::LocalFs,
         golden: [
@@ -197,6 +232,8 @@ const CASES: &[Case] = &[
         name: "heavy-nvram",
         plan: "heavy,seed=11",
         lifecycle: true,
+        policies: CHK_ADAPTIVE,
+        incremental: true,
         nodes: [5, 4],
         store: Store::Nvram,
         golden: [
@@ -210,6 +247,8 @@ const CASES: &[Case] = &[
         name: "pressure-no-lifecycle",
         plan: PRESSURE,
         lifecycle: false,
+        policies: CHK_ADAPTIVE,
+        incremental: true,
         nodes: [5, 4],
         store: Store::Dfs,
         golden: [
@@ -223,6 +262,8 @@ const CASES: &[Case] = &[
         name: "heavy-corrupt-no-resume",
         plan: "heavy,corrupt=0.3,resume=false,seed=11",
         lifecycle: true,
+        policies: CHK_ADAPTIVE,
+        incremental: true,
         nodes: [5, 4],
         store: Store::Dfs,
         golden: [
@@ -232,6 +273,58 @@ const CASES: &[Case] = &[
             0xaecd36fd0c1bc4d6,
         ],
     },
+    Case {
+        // Both simulators kill every victim.
+        name: "chaos-kill",
+        plan: "chaos,seed=11",
+        lifecycle: true,
+        policies: [PreemptionPolicy::Kill, PreemptionPolicy::Kill],
+        incremental: true,
+        nodes: [5, 4],
+        store: Store::Dfs,
+        golden: [
+            0xcd113e6b53f2d624,
+            0x517bdf79d8b57b7f,
+            0xe66270e3b4812af5,
+            0xc31c792185e351d1,
+        ],
+    },
+    Case {
+        // Both simulators checkpoint every victim (the trace simulator's
+        // run is the "chaos" case's), and the YARN analog's breaker
+        // opens: its breaker-open kills run too.
+        name: "chaos-checkpoint",
+        plan: "chaos,seed=11",
+        lifecycle: true,
+        policies: [PreemptionPolicy::Checkpoint, PreemptionPolicy::Checkpoint],
+        incremental: true,
+        nodes: [5, 4],
+        store: Store::Dfs,
+        golden: [
+            0xe4ba231b7ff33626,
+            0xeadb4508737bcec7,
+            0x3c82b772dca8adf4,
+            0x45e76064d918b6df,
+        ],
+    },
+    Case {
+        // Algorithm 1 on both simulators with every dump full: the size
+        // estimates take their non-incremental branch, and both
+        // simulators' breakers open under it.
+        name: "chaos-adaptive-full-dumps",
+        plan: "chaos,seed=11",
+        lifecycle: true,
+        policies: [PreemptionPolicy::Adaptive, PreemptionPolicy::Adaptive],
+        incremental: false,
+        nodes: [5, 4],
+        store: Store::Dfs,
+        golden: [
+            0x3d2e0fac92f7426c,
+            0xa1171cfdee357497,
+            0xaa5a83e26dcb1d63,
+            0xc7b4191d0aba8f4d,
+        ],
+    },
 ];
 
 /// Runs both simulators for `case` and returns its four digests.
@@ -239,9 +332,10 @@ fn digests(case: &Case) -> [u64; 4] {
     let spec = FaultSpec::parse(case.plan).expect("golden fault plans parse");
 
     let w = GoogleTraceConfig::small(80.0).generate(9);
-    let mut cfg = SimConfig::trace_sim(PreemptionPolicy::Checkpoint, MediaKind::Ssd)
+    let mut cfg = SimConfig::trace_sim(case.policies[0], MediaKind::Ssd)
         .with_nodes(case.nodes[0])
         .with_lifecycle(case.lifecycle)
+        .with_incremental(case.incremental)
         .with_faults(spec.clone());
     match case.store {
         Store::Dfs => {}
@@ -274,9 +368,12 @@ fn digests(case: &Case) -> [u64; 4] {
         ..Default::default()
     }
     .generate(9);
-    let mut ycfg = YarnConfig::paper_cluster(PreemptionPolicy::Adaptive, MediaKind::Hdd);
+    let mut ycfg = YarnConfig::paper_cluster(case.policies[1], MediaKind::Hdd);
     ycfg.nodes = case.nodes[1];
-    let ycfg = ycfg.with_lifecycle(case.lifecycle).with_faults(spec);
+    let ycfg = ycfg
+        .with_lifecycle(case.lifecycle)
+        .with_incremental(case.incremental)
+        .with_faults(spec);
     let buf = SharedBuf::default();
     let mut sim = YarnSim::new(ycfg, fw.clone());
     sim.set_tracer(Box::new(JsonlTracer::new(buf.clone())));
