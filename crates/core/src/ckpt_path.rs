@@ -14,6 +14,13 @@
 //! - **lost chains** (a datanode failure took the last replica of a
 //!   block): abort the in-flight dump and discard the chain.
 //!
+//! It also holds the paper's Algorithm 1 for both simulators: the §5.2.2
+//! victim-ranking estimate ([`CkptPath::victim_cost_secs`]) and the
+//! preemption decision with its breaker-open fallback
+//! ([`CkptPath::preempt_action`]). What the simulators do differently —
+//! the slowdown and retry terms of the ranking, the overhead estimate and
+//! when progress and memory are synced — comes in as arguments.
+//!
 //! Tasks are opaque `u64` keys (the ids trace records carry). Task state
 //! stays with the simulators: the methods here return decisions — an
 //! origin device, the keys whose chains were dropped, a validation verdict
@@ -27,7 +34,10 @@ use cbp_faults::{BreakerTransition, FaultPlan, HealthMonitor};
 use cbp_simkit::units::ByteSize;
 use cbp_simkit::{SimDuration, SimTime};
 use cbp_storage::{Device, MediaKind, MediaSpec, OpCompletion, OpKind};
-use cbp_telemetry::{MetricsRegistry, TraceRecord, TraceSink};
+use cbp_telemetry::{MetricsRegistry, PreemptAction, TraceRecord, TraceSink};
+
+use crate::config::PreemptionPolicy;
+use crate::task::TaskExec;
 
 /// Short stable device name for trace records.
 pub fn media_name(kind: MediaKind) -> &'static str {
@@ -103,6 +113,40 @@ pub struct DumpRetry {
     pub origin: usize,
     /// Wait before the rewrite starts.
     pub backoff: SimDuration,
+}
+
+/// The terms of a victim's ranking estimate that every victim on one node
+/// shares at one time (see [`CkptPath::node_cost`]).
+#[derive(Debug, Clone, Copy)]
+pub struct NodeCost {
+    node: usize,
+    now: SimTime,
+    /// The node's checkpoint-device queue wait.
+    queue: SimDuration,
+    /// Slowdown of the node's checkpoint path (applied above 1).
+    factor: f64,
+    /// Expected rewrite multiplier under a fault plan with dump failures.
+    retry: Option<f64>,
+}
+
+impl NodeCost {
+    /// The cost [`CkptPath::victim_cost_secs`] gives a victim with
+    /// nothing to dump: a lower bound on every victim's cost, since the
+    /// rounding of each step is monotone.
+    pub(crate) fn floor(&self) -> f64 {
+        self.scale(self.queue.as_secs_f64())
+    }
+
+    /// `secs` under the node's slowdown and retry terms.
+    fn scale(&self, mut secs: f64) -> f64 {
+        if self.factor > 1.0 {
+            secs *= self.factor;
+        }
+        if let Some(retry) = self.retry {
+            secs *= retry;
+        }
+        secs
+    }
 }
 
 /// The checkpoint-image path: storage, catalog, DFS files, retry state and
@@ -293,6 +337,135 @@ impl CkptPath {
     /// Total breaker-open seconds up to `end` (0 without breakers).
     pub fn breaker_open_secs(&self, end: SimTime) -> f64 {
         self.health.as_ref().map_or(0.0, |h| h.open_secs_total(end))
+    }
+
+    // ---- Algorithm 1 -----------------------------------------------------
+
+    /// The ranking terms of node `node` at `now`: its device's queue wait,
+    /// the caller's slowdown `factor` of the node's checkpoint path and
+    /// its expected dump-retry multiplier `retry`.
+    pub fn node_cost(
+        &self,
+        node: usize,
+        now: SimTime,
+        factor: f64,
+        retry: Option<f64>,
+    ) -> NodeCost {
+        NodeCost {
+            node,
+            now,
+            queue: self.devices[node].queue_wait(now),
+            factor,
+            retry,
+        }
+    }
+
+    /// The §5.2.2 ranking estimate of checkpointing `task` on `at`'s node,
+    /// in seconds: writing and reading back its next dump plus the queue
+    /// wait, scaled by the node's terms. It is arithmetic only and touches
+    /// no page bitmap: the dump is the whole footprint, or, when it will
+    /// be `incremental`, the dirty fraction extrapolated from the last
+    /// memory sync at the task's dirty rate.
+    pub fn victim_cost_secs(&self, task: &TaskExec, incremental: bool, at: &NodeCost) -> f64 {
+        let mem = task.spec.resources.mem();
+        let size = if incremental {
+            let since_sync = at.now.saturating_since(task.mem_synced).as_secs_f64();
+            let already_dirty = task.memory.as_ref().map_or(0.0, |m| m.dirty_fraction());
+            let frac = (already_dirty + task.spec.dirty_rate_per_sec * since_sync).min(1.0);
+            mem.mul_f64(frac)
+        } else {
+            mem
+        };
+        let spec = self.devices[at.node].spec();
+        let dump = spec.write_time(size) + spec.read_time(size);
+        at.scale((dump + at.queue).as_secs_f64())
+    }
+
+    /// The CRIU overhead Algorithm 1 weighs against the progress at risk:
+    /// dump, restore and queue time of `key`'s next image from `node`.
+    pub fn dump_overhead(
+        &self,
+        key: u64,
+        mem: &TaskMemory,
+        node: usize,
+        now: SimTime,
+    ) -> SimDuration {
+        self.criu
+            .estimate(key, mem, &self.devices[node], now)
+            .total()
+    }
+
+    /// Algorithm 1 under `policy`: Kill and Checkpoint act by policy, and
+    /// Adaptive checkpoints only when the progress at risk exceeds the
+    /// estimated overhead. `costs` gives the two, `(at_risk, overhead)`;
+    /// only Adaptive calls it. Returns the action and its trace reason.
+    ///
+    /// # Panics
+    ///
+    /// Panics under [`PreemptionPolicy::Wait`], which never preempts.
+    pub fn decide(
+        policy: PreemptionPolicy,
+        costs: impl FnOnce() -> (SimDuration, SimDuration),
+    ) -> (PreemptAction, &'static str) {
+        match policy {
+            PreemptionPolicy::Wait => unreachable!("Wait never preempts"),
+            PreemptionPolicy::Kill => (PreemptAction::Kill, "policy"),
+            PreemptionPolicy::Checkpoint => (PreemptAction::Checkpoint, "policy"),
+            PreemptionPolicy::Adaptive => {
+                let (at_risk, overhead) = costs();
+                if at_risk > overhead {
+                    (PreemptAction::Checkpoint, "progress-at-risk")
+                } else {
+                    (PreemptAction::Kill, "overhead-exceeds-risk")
+                }
+            }
+        }
+    }
+
+    /// Decides what preempting victim `key` on `node` does (see
+    /// [`CkptPath::decide`]; `costs` reads this path) and records the
+    /// decision. A checkpoint the breakers do not let through on `node`
+    /// degrades to a kill: the decision is recorded as a `breaker-open`
+    /// kill, followed by its `DumpFallback`, and counted. The caller
+    /// carries out the returned action.
+    pub fn preempt_action(
+        &mut self,
+        key: u64,
+        node: usize,
+        policy: PreemptionPolicy,
+        now: SimTime,
+        trace: &mut TraceSink,
+        costs: impl FnOnce(&Self) -> (SimDuration, SimDuration),
+    ) -> PreemptAction {
+        let (mut action, mut reason) = Self::decide(policy, || costs(self));
+        let breaker_open = action == PreemptAction::Checkpoint && !self.breaker_allows(node, now);
+        if breaker_open {
+            (action, reason) = (PreemptAction::Kill, "breaker-open");
+        }
+        let t_us = now.as_micros();
+        let node = node as u32;
+        trace.record(
+            t_us,
+            TraceRecord::PreemptDecision {
+                victim: key,
+                node,
+                action,
+                policy: policy.trace_name(),
+                reason,
+            },
+        );
+        if breaker_open {
+            self.counters.breaker_open_kills += 1;
+            trace.record(
+                t_us,
+                TraceRecord::DumpFallback {
+                    task: key,
+                    node,
+                    reason,
+                },
+            );
+        }
+        action
     }
 
     // ---- lifecycle ladder ------------------------------------------------
@@ -1104,6 +1277,19 @@ impl CkptPath {
 mod tests {
     use super::*;
     use cbp_faults::FaultSpec;
+    use cbp_telemetry::Tracer;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// Keeps every record it is given.
+    #[derive(Clone, Default)]
+    struct Records(Rc<RefCell<Vec<TraceRecord>>>);
+
+    impl Tracer for Records {
+        fn record(&mut self, _t_us: u64, rec: &TraceRecord) {
+            self.0.borrow_mut().push(*rec);
+        }
+    }
 
     /// Two local-FS nodes with 10 GB NVM checkpoint devices.
     fn local_path(plan: Option<&FaultPlan>) -> CkptPath {
@@ -1270,5 +1456,150 @@ mod tests {
         path.criu.mark_tip_chunk_corrupt(1, 0);
         assert_eq!(validate(&mut path, &mut charge), ChainValidation::Dead);
         assert_eq!(path.counters.integrity_scratch_restarts, 1);
+    }
+
+    #[test]
+    fn algorithm1_decides_by_policy_and_progress_at_risk() {
+        let dev = Device::new(MediaSpec::hdd());
+        let mem = TaskMemory::new(ByteSize::from_gb(5));
+        let overhead = Criu::new(true)
+            .estimate(1, &mem, &dev, SimTime::ZERO)
+            .total();
+        let decide =
+            |policy, secs| CkptPath::decide(policy, || (SimDuration::from_secs(secs), overhead));
+        use PreemptAction::{Checkpoint, Kill};
+        use PreemptionPolicy as P;
+        // HDD 5 GB: overhead ~= 250 s. 30 s of progress -> kill.
+        assert_eq!(decide(P::Adaptive, 30), (Kill, "overhead-exceeds-risk"));
+        // 1000 s of progress -> checkpoint.
+        assert_eq!(decide(P::Adaptive, 1000), (Checkpoint, "progress-at-risk"));
+        assert_eq!(decide(P::Kill, 1000), (Kill, "policy"));
+        assert_eq!(decide(P::Checkpoint, 0), (Checkpoint, "policy"));
+        // Only Algorithm 1 asks for the estimate.
+        let never = || -> (SimDuration, SimDuration) { panic!("estimate asked for") };
+        assert_eq!(CkptPath::decide(P::Kill, never), (Kill, "policy"));
+        assert_eq!(
+            CkptPath::decide(P::Checkpoint, never),
+            (Checkpoint, "policy")
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "Wait never preempts")]
+    fn wait_never_preempts() {
+        CkptPath::decide(PreemptionPolicy::Wait, || {
+            (SimDuration::ZERO, SimDuration::ZERO)
+        });
+    }
+
+    #[test]
+    fn open_breaker_degrades_a_checkpoint_to_a_recorded_kill() {
+        let plan = FaultPlan::new(FaultSpec::parse("breaker=0.5,breaker-min=1").unwrap());
+        let mut path = local_path(Some(&plan));
+        let records = Records::default();
+        let mut trace = TraceSink::new(Box::new(records.clone()));
+        let now = SimTime::from_secs(1);
+        let no_costs = |_: &CkptPath| (SimDuration::ZERO, SimDuration::ZERO);
+        let action = path.preempt_action(
+            7,
+            0,
+            PreemptionPolicy::Checkpoint,
+            now,
+            &mut trace,
+            no_costs,
+        );
+        assert_eq!(
+            action,
+            PreemptAction::Checkpoint,
+            "a closed breaker lets it through"
+        );
+
+        path.observe_health(0, now, false, &mut trace);
+        assert!(
+            !path.breaker_allows(0, now),
+            "one failure opens the breaker"
+        );
+        records.0.borrow_mut().clear();
+        for policy in [PreemptionPolicy::Checkpoint, PreemptionPolicy::Kill] {
+            let action = path.preempt_action(7, 0, policy, now, &mut trace, no_costs);
+            assert_eq!(action, PreemptAction::Kill);
+        }
+        assert_eq!(
+            path.counters.breaker_open_kills, 1,
+            "a kill decision is not a fallback"
+        );
+        let records = records.0.borrow();
+        assert!(matches!(
+            records[..],
+            [
+                TraceRecord::PreemptDecision {
+                    victim: 7,
+                    node: 0,
+                    action: PreemptAction::Kill,
+                    policy: "checkpoint",
+                    reason: "breaker-open",
+                },
+                TraceRecord::DumpFallback {
+                    task: 7,
+                    node: 0,
+                    reason: "breaker-open",
+                },
+                TraceRecord::PreemptDecision {
+                    action: PreemptAction::Kill,
+                    policy: "kill",
+                    reason: "policy",
+                    ..
+                },
+            ]
+        ));
+    }
+
+    #[test]
+    fn ranking_estimate_scales_the_next_dump_and_the_queue() {
+        let path = local_path(None);
+        let mut task = TaskExec::new(cbp_workload::TaskSpec {
+            id: cbp_workload::TaskId {
+                job: cbp_workload::JobId(0),
+                index: 0,
+            },
+            resources: cbp_cluster::Resources::new_cores(1, ByteSize::from_gb(2)),
+            duration: SimDuration::from_secs(100),
+            dirty_rate_per_sec: 0.01,
+        });
+        let now = SimTime::from_secs(10);
+        let spec = path.device(0).spec();
+        let full = spec.write_time(ByteSize::from_gb(2)) + spec.read_time(ByteSize::from_gb(2));
+
+        let plain = path.node_cost(0, now, 1.0, None);
+        assert_eq!(plain.floor(), 0.0, "an idle device has no queue");
+        assert_eq!(
+            path.victim_cost_secs(&task, false, &plain),
+            full.as_secs_f64()
+        );
+
+        // An incremental dump extrapolates the dirty fraction: 10 s at 1%/s
+        // on top of a clean image is a tenth of the footprint.
+        let mut mem = TaskMemory::new(ByteSize::from_gb(2));
+        mem.clear_dirty();
+        task.memory = Some(mem);
+        let tenth = ByteSize::from_gb(2).mul_f64(0.1);
+        let delta = spec.write_time(tenth) + spec.read_time(tenth);
+        assert_eq!(
+            path.victim_cost_secs(&task, true, &plain),
+            delta.as_secs_f64()
+        );
+
+        // A slowdown below 1 is ignored; one above it and the retry
+        // multiplier scale the whole estimate.
+        let fast = path.node_cost(0, now, 0.5, None);
+        assert_eq!(
+            path.victim_cost_secs(&task, false, &fast),
+            full.as_secs_f64()
+        );
+        let slow = path.node_cost(0, now, 2.0, Some(1.5));
+        assert_eq!(
+            path.victim_cost_secs(&task, false, &slow),
+            full.as_secs_f64() * 2.0 * 1.5
+        );
     }
 }

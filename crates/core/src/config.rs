@@ -48,6 +48,16 @@ impl PreemptionPolicy {
             PreemptionPolicy::Checkpoint | PreemptionPolicy::Adaptive
         )
     }
+
+    /// Short stable name for trace records.
+    pub fn trace_name(self) -> &'static str {
+        match self {
+            PreemptionPolicy::Wait => "wait",
+            PreemptionPolicy::Kill => "kill",
+            PreemptionPolicy::Checkpoint => "checkpoint",
+            PreemptionPolicy::Adaptive => "adaptive",
+        }
+    }
 }
 
 impl fmt::Display for PreemptionPolicy {
@@ -326,6 +336,8 @@ mod tests {
         assert!(PreemptionPolicy::Adaptive.uses_checkpoints());
         assert!(!PreemptionPolicy::Kill.uses_checkpoints());
         assert!(!PreemptionPolicy::Wait.uses_checkpoints());
+        let names = PreemptionPolicy::ALL.map(PreemptionPolicy::trace_name);
+        assert_eq!(names, ["wait", "kill", "checkpoint", "adaptive"]);
     }
 
     #[test]

@@ -49,7 +49,7 @@ mod metrics;
 mod pending;
 pub mod scenario;
 mod sim;
-mod task;
+pub mod task;
 
 pub use config::{PreemptionPolicy, QueueDiscipline, RestorePlacement, SimConfig, VictimSelection};
 pub use metrics::{

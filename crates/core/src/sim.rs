@@ -18,7 +18,7 @@ use cbp_simkit::{
 use cbp_telemetry::{MetricsRegistry, PreemptAction, TimeSeries, TraceRecord, TraceSink, Tracer};
 use cbp_workload::{Priority, PriorityBand, TaskSpec, Workload};
 
-use crate::ckpt_path::{media_name, ChainValidation, CkptPath};
+use crate::ckpt_path::{media_name, ChainValidation, CkptPath, NodeCost};
 use crate::config::{PreemptionPolicy, RestorePlacement, SimConfig, VictimSelection};
 use crate::fault_clock::{FaultClock, FaultHost, FaultTick};
 use crate::metrics::{MetricsCollector, PassWork, RunReport, TelemetryReport};
@@ -206,35 +206,6 @@ impl FreeFront {
             .points
             .partition_point(|p| p.cpu_milli() >= demand.cpu_milli());
         k > 0 && demand.mem() <= self.points[k - 1].mem()
-    }
-}
-
-/// The terms of a victim's checkpoint-cost estimate shared by every victim
-/// on one node at one time (see [`ClusterSim::node_cost`]).
-struct NodeCost {
-    node: usize,
-    now: SimTime,
-    /// The node's checkpoint-device queue wait.
-    queue: SimDuration,
-    /// Stall and partition slowdown of the node's checkpoint path.
-    factor: f64,
-    /// Expected rewrite multiplier under a fault plan with dump failures.
-    retry: Option<f64>,
-}
-
-impl NodeCost {
-    /// The cost [`ClusterSim::victim_cost_secs`] gives a victim with
-    /// nothing to dump: a lower bound on every victim's cost, since the
-    /// rounding of each step is monotone.
-    fn floor(&self) -> f64 {
-        let mut cost = self.queue.as_secs_f64();
-        if self.factor > 1.0 {
-            cost *= self.factor;
-        }
-        if let Some(retry) = self.retry {
-            cost *= retry;
-        }
-        cost
     }
 }
 
@@ -594,7 +565,7 @@ impl ClusterSim {
         self.set_status(t, TaskStatus::Pending);
         self.pending.insert(Queued {
             key: self.pending_key(t),
-            demand: self.tasks[t as usize].spec.resources,
+            demand: self.tasks[t as usize].exec.spec.resources,
             ckpt: self.has_checkpoint(t),
         });
     }
@@ -604,7 +575,7 @@ impl ClusterSim {
         let task = &self.tasks[t as usize];
         let fair = match self.cfg.queue_discipline {
             crate::config::QueueDiscipline::Fifo => 0,
-            crate::config::QueueDiscipline::Fair => task.spec.id.index,
+            crate::config::QueueDiscipline::Fair => task.exec.spec.id.index,
         };
         let seq = task.queue_seq.expect("queued tasks have a sequence number");
         (Reverse(task.priority.0), fair, seq, t)
@@ -747,14 +718,14 @@ impl ClusterSim {
     /// enters or leaves `Running`. Every status change goes through here.
     fn set_status(&mut self, t: u32, status: TaskStatus) {
         let task = &mut self.tasks[t as usize];
-        let old = std::mem::replace(&mut task.status, status);
+        let old = std::mem::replace(&mut task.exec.status, status);
         if let TaskStatus::Running { node, .. } = old {
             self.victims
-                .remove(node as usize, task.priority, task.spec.resources);
+                .remove(node as usize, task.priority, task.exec.spec.resources);
         }
         if let TaskStatus::Running { node, .. } = status {
             self.victims
-                .add(node as usize, task.priority, task.spec.resources);
+                .add(node as usize, task.priority, task.exec.spec.resources);
         }
     }
 
@@ -796,7 +767,7 @@ impl ClusterSim {
 
     /// Algorithm 2: pick the restore node with the lowest total overhead.
     fn choose_restore_node(&mut self, t: u32, now: SimTime) -> Option<usize> {
-        let task = &self.tasks[t as usize];
+        let task = &self.tasks[t as usize].exec;
         let origin = match task.status {
             TaskStatus::Checkpointed { origin } => origin as usize,
             _ => unreachable!("choose_restore_node on non-checkpointed task"),
@@ -852,27 +823,6 @@ impl ClusterSim {
         plan.device_factor(i as u32, now) * self.clock.partition_factor(i)
     }
 
-    /// Breaker gate for a checkpoint decision: when the checkpoint path
-    /// on `node` is considered down, the victim is killed instead
-    /// (graceful degradation) and `true` is returned.
-    fn breaker_denies(&mut self, v: u32, node: usize, now: SimTime, policy: &'static str) -> bool {
-        if self.ckpt.breaker_allows(node, now) {
-            return false;
-        }
-        self.trace_preempt_decision(now, v, node, PreemptAction::Kill, policy, "breaker-open");
-        self.trace.record(
-            now.as_micros(),
-            TraceRecord::DumpFallback {
-                task: v as u64,
-                node: node as u32,
-                reason: "breaker-open",
-            },
-        );
-        self.ckpt.counters.breaker_open_kills += 1;
-        self.kill_task(v, node, now);
-        true
-    }
-
     /// Algorithm 2's overhead estimate for restoring `t` on node `i`.
     /// Degradation-aware: a stalled device makes its own restores look
     /// expensive, steering cost-aware placement elsewhere.
@@ -891,7 +841,7 @@ impl ClusterSim {
     fn restore_service(&self, t: u32, i: usize) -> SimDuration {
         if let Some(spec) = &self.cfg.nvram {
             // Lazy NVRAM resume: only the hot fraction is copied up front.
-            let footprint = self.tasks[t as usize].spec.resources.mem();
+            let footprint = self.tasks[t as usize].exec.spec.resources.mem();
             return spec
                 .restore_bw
                 .transfer_time(footprint.mul_f64(spec.lazy_restore_fraction));
@@ -908,7 +858,7 @@ impl ClusterSim {
     fn place_task(&mut self, t: u32, node: usize, now: SimTime, q: &mut EventQueue<Event>) {
         let cid = ContainerId(self.next_container);
         self.next_container += 1;
-        let demand = self.tasks[t as usize].spec.resources;
+        let demand = self.tasks[t as usize].exec.spec.resources;
         self.nodes[node]
             .node
             .allocate(Container::new(cid, demand, t as u64))
@@ -929,7 +879,7 @@ impl ClusterSim {
         if has_image {
             // Resume from checkpoint: read the image chain (or NVRAM
             // mirror) first.
-            let origin = match self.tasks[t as usize].status {
+            let origin = match self.tasks[t as usize].exec.status {
                 TaskStatus::Checkpointed { origin } => origin,
                 _ => unreachable!("image implies checkpointed status"),
             };
@@ -959,7 +909,7 @@ impl ClusterSim {
                 let (device, bytes) = if self.cfg.nvram.is_some() {
                     (
                         "nvram",
-                        self.tasks[t as usize].spec.resources.mem().as_u64(),
+                        self.tasks[t as usize].exec.spec.resources.mem().as_u64(),
                     )
                 } else {
                     (
@@ -986,7 +936,7 @@ impl ClusterSim {
                     container: cid,
                 },
             );
-            let epoch = self.tasks[t as usize].epoch;
+            let epoch = self.tasks[t as usize].exec.epoch;
             let remote = origin != node as u32;
             if remote {
                 // Count it now; duration is charged at completion.
@@ -1009,7 +959,7 @@ impl ClusterSim {
                     container: cid,
                 },
             );
-            let task = &mut self.tasks[t as usize];
+            let task = &mut self.tasks[t as usize].exec;
             task.run_started = now;
             task.mem_synced = now;
             let epoch = task.epoch;
@@ -1019,7 +969,7 @@ impl ClusterSim {
     }
 
     fn release_container(&mut self, t: u32, now: SimTime) {
-        let (node, cid) = match self.tasks[t as usize].status {
+        let (node, cid) = match self.tasks[t as usize].exec.status {
             TaskStatus::Running { node, container }
             | TaskStatus::Dumping { node, container }
             | TaskStatus::Restoring { node, container } => (node as usize, container),
@@ -1035,9 +985,9 @@ impl ClusterSim {
     /// Kills `t` (a Running victim): progress since the last checkpoint is
     /// lost; the task re-queues (from its image if it has one).
     fn kill_task(&mut self, t: u32, node: usize, now: SimTime) {
-        self.tasks[t as usize].sync_progress(now);
-        let lost = self.tasks[t as usize].progress_at_risk();
-        let cores = self.tasks[t as usize].spec.resources.cores_f64();
+        self.tasks[t as usize].exec.sync_progress(now);
+        let lost = self.tasks[t as usize].exec.progress_at_risk();
+        let cores = self.tasks[t as usize].exec.spec.resources.cores_f64();
         self.metrics.charge_kill(lost, cores);
         self.trace.record(
             now.as_micros(),
@@ -1048,7 +998,14 @@ impl ClusterSim {
             },
         );
         self.release_container(t, now);
+        self.tasks[t as usize].exec.preemptions += 1;
+        self.roll_back_and_requeue(t);
+    }
 
+    /// Rolls `t` back to its newest checkpoint after a kill, a failed
+    /// drain or an eviction, and re-queues it: from that checkpoint (a
+    /// CRIU chain or an NVRAM mirror) if it has one, else as a fresh start.
+    fn roll_back_and_requeue(&mut self, t: u32) {
         let has_image = self.has_checkpoint(t);
         let origin = if self.cfg.nvram.is_some() {
             self.nvram_origin.get(&t).copied()
@@ -1059,19 +1016,7 @@ impl ClusterSim {
                 .and_then(|c| c.tip())
                 .map(|r| r.origin_node)
         };
-        let task = &mut self.tasks[t as usize];
-        task.epoch += 1;
-        task.preemptions += 1;
-        task.progress = task.checkpointed_progress;
-        if let Some(mem) = task.memory.as_mut() {
-            if has_image {
-                // In-memory writes since the last dump are lost; the image
-                // is the ground truth, so nothing is dirty relative to it.
-                mem.clear_dirty();
-            } else {
-                mem.mark_all_dirty();
-            }
-        }
+        self.tasks[t as usize].exec.roll_back(has_image);
         let status = match origin {
             Some(origin) if has_image => TaskStatus::Checkpointed { origin },
             _ => TaskStatus::Pending,
@@ -1083,7 +1028,7 @@ impl ClusterSim {
     /// `enqueue_pending` resets status to Pending; checkpointed tasks keep
     /// their status while queued.
     fn enqueue_pending_preserving_status(&mut self, t: u32) {
-        let status = self.tasks[t as usize].status;
+        let status = self.tasks[t as usize].exec.status;
         self.enqueue_pending(t);
         if let TaskStatus::Checkpointed { .. } = status {
             self.set_status(t, status);
@@ -1102,17 +1047,16 @@ impl ClusterSim {
         now: SimTime,
         q: &mut EventQueue<Event>,
     ) -> bool {
-        let task = &mut self.tasks[t as usize];
-        let mem = task.memory.as_mut().expect("sync_memory created the image");
+        let mem = self.tasks[t as usize].exec.sync_memory(now);
         let engine = self.nodes[node]
             .nvram
             .as_mut()
             .expect("nvram backend configured");
         match engine.suspend(handle_u64(t), mem) {
             Ok(suspend) => {
-                let cores = self.tasks[t as usize].spec.resources.cores_f64();
+                let cores = self.tasks[t as usize].exec.spec.resources.cores_f64();
                 let mut unused = 0;
-                let incremental = suspend.copied < self.tasks[t as usize].spec.resources.mem();
+                let incremental = suspend.copied < self.tasks[t as usize].exec.spec.resources.mem();
                 self.metrics
                     .charge_dump(suspend.duration, cores, &mut unused, incremental);
                 self.nvram_origin.insert(t, node as u32);
@@ -1134,7 +1078,7 @@ impl ClusterSim {
                         reason: "dump",
                     },
                 );
-                let container = match self.tasks[t as usize].status {
+                let container = match self.tasks[t as usize].exec.status {
                     TaskStatus::Running { container, .. } => container,
                     _ => unreachable!("dump victim must be running"),
                 };
@@ -1145,7 +1089,7 @@ impl ClusterSim {
                         container,
                     },
                 );
-                let task = &mut self.tasks[t as usize];
+                let task = &mut self.tasks[t as usize].exec;
                 task.epoch += 1;
                 task.preemptions += 1;
                 let epoch = task.epoch;
@@ -1181,19 +1125,13 @@ impl ClusterSim {
     /// Suspends `t` with a checkpoint dump; resources stay held until
     /// `DumpDone`.
     fn dump_task(&mut self, t: u32, node: usize, now: SimTime, q: &mut EventQueue<Event>) -> bool {
-        self.tasks[t as usize].sync_progress(now);
-        self.tasks[t as usize].sync_memory(now);
+        let task = &mut self.tasks[t as usize].exec;
+        task.sync_progress(now);
         if self.cfg.nvram.is_some() {
             return !self.dump_task_nvram(t, node, now, q);
         }
         let key = handle_u64(t);
-        let (size, _) = {
-            let task = &self.tasks[t as usize];
-            self.ckpt.criu().next_dump_size(
-                key,
-                task.memory.as_ref().expect("sync_memory created the image"),
-            )
-        };
+        let (size, _) = self.ckpt.criu().next_dump_size(key, task.sync_memory(now));
         let (nodes, tasks) = (&self.nodes, &self.tasks);
         let (origin, dropped) = self.ckpt.place_dump(
             key,
@@ -1203,7 +1141,7 @@ impl ClusterSim {
             now,
             &mut self.trace,
             &|i| nodes[i].up,
-            &|k| chain_loss(&tasks[k as usize]),
+            &|k| tasks[k as usize].exec.chain_loss(),
         );
         for k in dropped {
             self.chain_lost(k as u32);
@@ -1222,7 +1160,7 @@ impl ClusterSim {
             .compression()
             .map(|c| c.compressed_size(size))
             .unwrap_or(size);
-        let epoch = self.tasks[t as usize].epoch;
+        let epoch = self.tasks[t as usize].exec.epoch;
         // A stall window on the origin device degrades the dump's service
         // time (HDFS pipeline and local writes alike).
         let factor = self.device_factor(origin, now);
@@ -1243,8 +1181,9 @@ impl ClusterSim {
             None
         };
 
-        let task = &mut self.tasks[t as usize];
-        let mem = task.memory.as_mut().expect("sync_memory created the image");
+        // Re-syncing at the same instant folds in nothing; it hands back
+        // the image.
+        let mem = self.tasks[t as usize].exec.sync_memory(now);
         let Some(result) =
             self.ckpt
                 .dump_image(key, mem, node, origin, service, now, &mut self.trace)
@@ -1256,7 +1195,7 @@ impl ClusterSim {
             result.kind,
             cbp_checkpoint::CheckpointKind::Incremental { .. }
         );
-        let cores = self.tasks[t as usize].spec.resources.cores_f64();
+        let cores = self.tasks[t as usize].exec.spec.resources.cores_f64();
         let mut unused = 0;
         // Wastage is *CPU time*: the dump burns CPU while copying (service
         // time); while queued the victim is stopped and burns none.
@@ -1286,7 +1225,7 @@ impl ClusterSim {
                 reason: "dump",
             },
         );
-        let container = match self.tasks[t as usize].status {
+        let container = match self.tasks[t as usize].exec.status {
             TaskStatus::Running { container, .. } => container,
             _ => unreachable!("dump victim must be running"),
         };
@@ -1297,7 +1236,7 @@ impl ClusterSim {
                 container,
             },
         );
-        let task = &mut self.tasks[t as usize];
+        let task = &mut self.tasks[t as usize].exec;
         task.epoch += 1;
         task.preemptions += 1;
         let epoch = task.epoch;
@@ -1323,11 +1262,8 @@ impl ClusterSim {
     /// loss): the next dump is full and a queued restore becomes a fresh
     /// start.
     fn chain_lost(&mut self, t: u32) {
-        let task = &mut self.tasks[t as usize];
-        task.checkpointed_progress = SimDuration::ZERO;
-        if let Some(mem) = task.memory.as_mut() {
-            mem.mark_all_dirty();
-        }
+        let task = &mut self.tasks[t as usize].exec;
+        task.lose_chain();
         if matches!(task.status, TaskStatus::Checkpointed { .. }) {
             // Still queued under its existing key; only the resume mode
             // changes.
@@ -1346,97 +1282,34 @@ impl ClusterSim {
         q: &mut EventQueue<Event>,
     ) -> bool {
         let _prof = cbp_prof::scope("preempt_victim");
-        match self.cfg.policy {
-            PreemptionPolicy::Wait => unreachable!("Wait never preempts"),
-            PreemptionPolicy::Kill => {
-                self.trace_preempt_decision(now, v, node, PreemptAction::Kill, "kill", "policy");
+        let key = handle_u64(v);
+        let (task, nvram) = (&mut self.tasks[v as usize].exec, &self.nodes[node].nvram);
+        let action =
+            self.ckpt
+                .preempt_action(key, node, self.cfg.policy, now, &mut self.trace, |ckpt| {
+                    // Only Algorithm 1 reads the current progress and dirty
+                    // estimate, so only it syncs them here.
+                    task.sync_progress(now);
+                    let at_risk = task.progress_at_risk();
+                    let mem = task.sync_memory(now);
+                    let overhead = match nvram {
+                        Some(engine) => engine.estimate_total(key, mem),
+                        None => ckpt.dump_overhead(key, mem, node, now),
+                    };
+                    (at_risk, overhead)
+                });
+        match action {
+            PreemptAction::Kill => {
                 self.kill_task(v, node, now);
                 true
             }
-            PreemptionPolicy::Checkpoint => {
-                if self.breaker_denies(v, node, now, "checkpoint") {
-                    return true;
-                }
-                self.trace_preempt_decision(
-                    now,
-                    v,
-                    node,
-                    PreemptAction::Checkpoint,
-                    "checkpoint",
-                    "policy",
-                );
-                !self.dump_task(v, node, now, q)
-            }
-            PreemptionPolicy::Adaptive => {
-                // Algorithm 1: checkpoint only if the progress at risk
-                // exceeds the estimated dump + restore + queue overhead.
-                self.tasks[v as usize].sync_progress(now);
-                self.tasks[v as usize].sync_memory(now);
-                let est_total = {
-                    let task = &self.tasks[v as usize];
-                    let mem = task.memory.as_ref().expect("sync_memory created the image");
-                    match &self.nodes[node].nvram {
-                        Some(engine) => engine.estimate_total(handle_u64(v), mem),
-                        None => self
-                            .ckpt
-                            .criu()
-                            .estimate(handle_u64(v), mem, self.ckpt.device(node), now)
-                            .total(),
-                    }
-                };
-                if self.tasks[v as usize].progress_at_risk() > est_total {
-                    if self.breaker_denies(v, node, now, "adaptive") {
-                        return true;
-                    }
-                    self.trace_preempt_decision(
-                        now,
-                        v,
-                        node,
-                        PreemptAction::Checkpoint,
-                        "adaptive",
-                        "progress-at-risk",
-                    );
-                    !self.dump_task(v, node, now, q)
-                } else {
-                    self.trace_preempt_decision(
-                        now,
-                        v,
-                        node,
-                        PreemptAction::Kill,
-                        "adaptive",
-                        "overhead-exceeds-risk",
-                    );
-                    self.kill_task(v, node, now);
-                    true
-                }
-            }
+            PreemptAction::Checkpoint => !self.dump_task(v, node, now, q),
         }
     }
 
-    /// Records a [`TraceRecord::PreemptDecision`] if tracing is enabled.
-    fn trace_preempt_decision(
-        &mut self,
-        now: SimTime,
-        victim: u32,
-        node: usize,
-        action: PreemptAction,
-        policy: &'static str,
-        reason: &'static str,
-    ) {
-        self.trace.record(
-            now.as_micros(),
-            TraceRecord::PreemptDecision {
-                victim: victim as u64,
-                node: node as u32,
-                action,
-                policy,
-                reason,
-            },
-        );
-    }
-
-    /// The terms of [`ClusterSim::victim_cost_secs`] that are the same
-    /// for every victim on `node` at `now`.
+    /// The ranking terms of `node` at `now`: the stall and partition
+    /// slowdown of its checkpoint path and, under a fault plan with dump
+    /// failures, the expected rewrite multiplier.
     fn node_cost(&self, node: usize, now: SimTime) -> NodeCost {
         // Fault-aware: expected dump rewrites inflate the victim's cost.
         // With chunked resume a retry rewrites only the suffix past the
@@ -1451,43 +1324,8 @@ impl ClusterSim {
                 1.0 + expected_retries * rewrite_frac
             })
         });
-        NodeCost {
-            node,
-            now,
-            queue: self.ckpt.device(node).queue_wait(now),
-            factor: self.device_factor(node, now),
-            retry,
-        }
-    }
-
-    /// Cheap (arithmetic-only) estimate of a victim's next dump size, used
-    /// for cost-aware victim ranking without touching page bitmaps.
-    fn victim_cost_secs(&self, v: u32, at: &NodeCost) -> f64 {
-        let now = at.now;
-        let task = &self.tasks[v as usize];
-        let mem = task.spec.resources.mem();
-        let size = if self.cfg.incremental && self.has_checkpoint(v) {
-            let since_sync = now.saturating_since(task.mem_synced).as_secs_f64();
-            let already_dirty = task
-                .memory
-                .as_ref()
-                .map(|m| m.dirty_fraction())
-                .unwrap_or(0.0);
-            let frac = (already_dirty + task.spec.dirty_rate_per_sec * since_sync).min(1.0);
-            mem.mul_f64(frac)
-        } else {
-            mem
-        };
-        let spec = self.ckpt.device(at.node).spec();
-        let dump = spec.write_time(size) + spec.read_time(size);
-        let mut cost = (dump + at.queue).as_secs_f64();
-        if at.factor > 1.0 {
-            cost *= at.factor;
-        }
-        if let Some(retry) = at.retry {
-            cost *= retry;
-        }
-        cost
+        self.ckpt
+            .node_cost(node, now, self.device_factor(node, now), retry)
     }
 
     /// What preempting every victim of node `i` below `priority` would
@@ -1509,8 +1347,8 @@ impl ClusterSim {
             .node
             .containers()
             .map(|c| &self.tasks[c.task() as usize])
-            .filter(|task| task.is_preemptible() && task.priority < priority)
-            .map(|task| task.spec.resources)
+            .filter(|task| task.exec.is_preemptible() && task.priority < priority)
+            .map(|task| task.exec.spec.resources)
             .sum()
     }
 
@@ -1521,12 +1359,12 @@ impl ClusterSim {
         if self.own_reservation(t).is_some() {
             return false; // a drain is already in flight for this task
         }
-        let demand = self.tasks[t as usize].spec.resources;
+        let demand = self.tasks[t as usize].exec.spec.resources;
         let priority = self.tasks[t as usize].priority;
 
         // For a checkpointed task under LocalOnly restore, only the origin
         // node is eligible.
-        let restrict = match self.tasks[t as usize].status {
+        let restrict = match self.tasks[t as usize].exec.status {
             TaskStatus::Checkpointed { origin }
                 if self.cfg.restore_placement == RestorePlacement::LocalOnly
                     || !self.ckpt.has_dfs() =>
@@ -1573,11 +1411,17 @@ impl ClusterSim {
                 .map(|c| c.task() as u32)
                 .filter(|&v| {
                     let task = &self.tasks[v as usize];
-                    task.is_preemptible() && task.priority < priority
+                    task.exec.is_preemptible() && task.priority < priority
                 });
             let mut ranked = std::mem::take(&mut self.ranked);
             ranked.clear();
-            ranked.extend(victims.map(|v| (self.victim_cost_secs(v, &at), v)));
+            ranked.extend(victims.map(|v| {
+                let incremental = self.cfg.incremental && self.has_checkpoint(v);
+                let cost =
+                    self.ckpt
+                        .victim_cost_secs(&self.tasks[v as usize].exec, incremental, &at);
+                (cost, v)
+            }));
             match self.cfg.victim_selection {
                 // §5.2.2: lowest checkpoint cost first.
                 VictimSelection::CostAware => {
@@ -1587,7 +1431,7 @@ impl ClusterSim {
                 // handle.
                 VictimSelection::Naive => ranked.sort_unstable_by_key(|&(_, v)| {
                     let task = &self.tasks[v as usize];
-                    (task.priority, Reverse(task.run_started), v)
+                    (task.priority, Reverse(task.exec.run_started), v)
                 }),
             }
             let mut freed = Resources::ZERO;
@@ -1598,7 +1442,7 @@ impl ClusterSim {
                     break;
                 }
                 cost += c;
-                freed += self.tasks[v as usize].spec.resources;
+                freed += self.tasks[v as usize].exec.spec.resources;
                 chosen.push(v);
             }
             self.ranked = ranked;
@@ -1661,7 +1505,7 @@ impl ClusterSim {
         q: &mut EventQueue<Event>,
     ) {
         let plan = self.clock.plan().expect("caller checked plan presence");
-        let full = self.tasks[t as usize].spec.resources.mem();
+        let full = self.tasks[t as usize].exec.spec.resources.mem();
         let retry = self.ckpt.fail_dump(
             plan,
             handle_u64(t),
@@ -1689,7 +1533,7 @@ impl ClusterSim {
             .spec()
             .write_time(retry.rewrite)
             .mul_f64(factor);
-        let cores = self.tasks[t as usize].spec.resources.cores_f64();
+        let cores = self.tasks[t as usize].exec.spec.resources.cores_f64();
         self.metrics.retry_cpu_secs += service.as_secs_f64() * cores;
         let start = now + retry.backoff;
         q.push(
@@ -1709,8 +1553,8 @@ impl ClusterSim {
         // The victim stopped at eviction; its progress was synced when the
         // dump started, and the failed dump never advanced
         // `checkpointed_progress`.
-        let lost = self.tasks[t as usize].progress_at_risk();
-        let cores = self.tasks[t as usize].spec.resources.cores_f64();
+        let lost = self.tasks[t as usize].exec.progress_at_risk();
+        let cores = self.tasks[t as usize].exec.spec.resources.cores_f64();
         self.metrics.charge_kill(lost, cores);
         self.trace.record(
             now.as_micros(),
@@ -1724,29 +1568,7 @@ impl ClusterSim {
         // Credit the drain to the blocked task it was serving: the kill
         // freed the resources the reservation was waiting for.
         self.credit_drain(t);
-        let has_image = self.has_checkpoint(t);
-        let origin = self
-            .ckpt
-            .criu()
-            .chain(handle_u64(t))
-            .and_then(|c| c.tip())
-            .map(|r| r.origin_node);
-        let task = &mut self.tasks[t as usize];
-        task.epoch += 1;
-        task.progress = task.checkpointed_progress;
-        if let Some(mem) = task.memory.as_mut() {
-            if has_image {
-                mem.clear_dirty();
-            } else {
-                mem.mark_all_dirty();
-            }
-        }
-        let status = match origin {
-            Some(origin) if has_image => TaskStatus::Checkpointed { origin },
-            _ => TaskStatus::Pending,
-        };
-        self.set_status(t, status);
-        self.enqueue_pending_preserving_status(t);
+        self.roll_back_and_requeue(t);
     }
 
     /// Handles a restore attempt that failed (detected when its read
@@ -1774,7 +1596,7 @@ impl ClusterSim {
         };
         self.ckpt.observe_health(node, now, false, &mut self.trace);
         // The failed read occupied CPU for its whole service window.
-        let cores = self.tasks[t as usize].spec.resources.cores_f64();
+        let cores = self.tasks[t as usize].exec.spec.resources.cores_f64();
         self.metrics.retry_cpu_secs += now.since(started).as_secs_f64() * cores;
         self.trace.record(
             now.as_micros(),
@@ -1826,7 +1648,7 @@ impl ClusterSim {
         q: &mut EventQueue<Event>,
     ) -> ChainValidation {
         let plan = self.clock.plan().expect("resume mode implies a plan");
-        let cores = self.tasks[t as usize].spec.resources.cores_f64();
+        let cores = self.tasks[t as usize].exec.spec.resources.cores_f64();
         let attempt = self.restore_attempts.get(&t).copied().unwrap_or(0);
         let verdict = self.ckpt.validate_chain(
             plan,
@@ -1848,9 +1670,7 @@ impl ClusterSim {
             }
             ChainValidation::Truncated { stamp } => {
                 // Roll progress back to what the surviving tip certifies.
-                let task = &mut self.tasks[t as usize];
-                task.checkpointed_progress = SimDuration::from_micros(stamp);
-                task.progress = task.checkpointed_progress;
+                self.tasks[t as usize].exec.truncate_to(stamp);
                 // Re-read the truncated chain in place (same node, same
                 // episode). The strictly shrinking chain bounds this loop
                 // without consuming the transient-retry budget.
@@ -1875,19 +1695,16 @@ impl ClusterSim {
     /// re-execution waste, the chain is discarded, and the task re-queues
     /// as a fresh start.
     fn restart_from_scratch(&mut self, t: u32, now: SimTime) {
-        let cores = self.tasks[t as usize].spec.resources.cores_f64();
-        let lost = self.tasks[t as usize].checkpointed_progress;
+        let cores = self.tasks[t as usize].exec.spec.resources.cores_f64();
+        let lost = self.tasks[t as usize].exec.checkpointed_progress;
         self.metrics.ledger.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
         self.release_container(t, now);
         self.ckpt.discard_chain(handle_u64(t));
         self.restore_attempts.remove(&t);
-        let task = &mut self.tasks[t as usize];
+        let task = &mut self.tasks[t as usize].exec;
+        task.lose_chain();
         task.epoch += 1;
         task.progress = SimDuration::ZERO;
-        task.checkpointed_progress = SimDuration::ZERO;
-        if let Some(mem) = task.memory.as_mut() {
-            mem.mark_all_dirty();
-        }
         self.set_status(t, TaskStatus::Pending);
         self.enqueue_pending(t);
     }
@@ -1899,7 +1716,7 @@ impl ClusterSim {
     /// used next.
     fn drop_lost_chain(&mut self, t: u32, now: SimTime) {
         self.metrics.images_lost_to_failures += 1;
-        let status = self.tasks[t as usize].status;
+        let status = self.tasks[t as usize].exec.status;
         let dumping_on = match status {
             TaskStatus::Dumping { node, .. } => Some(node as usize),
             _ => None,
@@ -1929,7 +1746,7 @@ impl ClusterSim {
                 // The tip being written sat below lost ancestor blocks:
                 // the whole chain is useless, so the aborted write falls
                 // back to the hard kill (the epoch bump stales DumpDone).
-                self.tasks[t as usize].checkpointed_progress = SimDuration::ZERO;
+                self.tasks[t as usize].exec.checkpointed_progress = SimDuration::ZERO;
                 self.kill_dump_victim(t, node as usize, now);
             }
             _ => self.chain_lost(t),
@@ -1941,9 +1758,9 @@ impl ClusterSim {
     /// scheduler's choice; unlike a checkpoint, nothing is saved.
     fn fail_task(&mut self, t: u32, node: usize, now: SimTime, chaos: bool) {
         let reason = if chaos { "node-crash" } else { "node-fail" };
-        self.tasks[t as usize].sync_progress(now);
-        let lost = self.tasks[t as usize].progress_at_risk();
-        let cores = self.tasks[t as usize].spec.resources.cores_f64();
+        self.tasks[t as usize].exec.sync_progress(now);
+        let lost = self.tasks[t as usize].exec.progress_at_risk();
+        let cores = self.tasks[t as usize].exec.spec.resources.cores_f64();
         if chaos {
             self.metrics.ledger.crash_evictions += 1;
         } else {
@@ -1960,7 +1777,10 @@ impl ClusterSim {
         );
         self.release_container(t, now);
         // An in-flight dump died with the node: abort its half-written tip.
-        if matches!(self.tasks[t as usize].status, TaskStatus::Dumping { .. }) {
+        if matches!(
+            self.tasks[t as usize].exec.status,
+            TaskStatus::Dumping { .. }
+        ) {
             // The `DumpFallback` record closes the dangling DumpStart span
             // (the epoch bump below makes the queued DumpDone stale), and
             // the aborted write's DFS entry is deleted, not just dropped:
@@ -1975,7 +1795,7 @@ impl ClusterSim {
         if !self.ckpt.has_dfs() && self.ckpt.criu().has_image_on(handle_u64(t), node as u32) {
             self.ckpt.discard_chain(handle_u64(t));
             self.metrics.images_lost_to_failures += 1;
-            self.tasks[t as usize].checkpointed_progress = SimDuration::ZERO;
+            self.tasks[t as usize].exec.checkpointed_progress = SimDuration::ZERO;
         }
         if self.nvram_origin.get(&t) == Some(&(node as u32)) {
             self.nvram_origin.remove(&t);
@@ -1983,40 +1803,14 @@ impl ClusterSim {
                 engine.discard(handle_u64(t));
             }
             self.metrics.images_lost_to_failures += 1;
-            self.tasks[t as usize].checkpointed_progress = SimDuration::ZERO;
+            self.tasks[t as usize].exec.checkpointed_progress = SimDuration::ZERO;
         }
         // The node failure ends any in-flight dump/restore episode.
         if self.clock.plan().is_some() {
             self.ckpt.end_dump(handle_u64(t));
             self.restore_attempts.remove(&t);
         }
-
-        let has_image = self.has_checkpoint(t);
-        let origin = if self.cfg.nvram.is_some() {
-            self.nvram_origin.get(&t).copied()
-        } else {
-            self.ckpt
-                .criu()
-                .chain(handle_u64(t))
-                .and_then(|c| c.tip())
-                .map(|r| r.origin_node)
-        };
-        let task = &mut self.tasks[t as usize];
-        task.epoch += 1;
-        task.progress = task.checkpointed_progress;
-        if let Some(mem) = task.memory.as_mut() {
-            if has_image {
-                mem.clear_dirty();
-            } else {
-                mem.mark_all_dirty();
-            }
-        }
-        let status = match origin {
-            Some(origin) if has_image => TaskStatus::Checkpointed { origin },
-            _ => TaskStatus::Pending,
-        };
-        self.set_status(t, status);
-        self.enqueue_pending_preserving_status(t);
+        self.roll_back_and_requeue(t);
     }
 
     /// Takes a node down, evicting everything on it. `chaos` marks a
@@ -2098,7 +1892,7 @@ impl ClusterSim {
         {
             cursor = Some(key);
             let t = key.3;
-            let demand = self.tasks[t as usize].spec.resources;
+            let demand = self.tasks[t as usize].exec.spec.resources;
             let fits_somewhere = demand.fits_in(&max_avail);
             let node = if !fits_somewhere {
                 None
@@ -2292,7 +2086,7 @@ impl ClusterSim {
                 // A checkpointed task not in the `Checkpointed` state is
                 // left to the full visit.
                 if !matches!(
-                    self.tasks[t as usize].status,
+                    self.tasks[t as usize].exec.status,
                     TaskStatus::Checkpointed { .. }
                 ) {
                     return false;
@@ -2323,7 +2117,7 @@ impl ClusterSim {
         {
             Visit::Idle
         } else if matches!(
-            self.tasks[t as usize].status,
+            self.tasks[t as usize].exec.status,
             TaskStatus::Checkpointed { .. }
         ) {
             Visit::Draw
@@ -2394,7 +2188,7 @@ impl ClusterSim {
         for (i, q) in (pos.at..end).map(|at| chunk.get(at)).enumerate() {
             let t = q.key.3;
             let task = &self.tasks[t as usize];
-            assert_eq!(q.demand, task.spec.resources, "queued demand of {t}");
+            assert_eq!(q.demand, task.exec.spec.resources, "queued demand of {t}");
             assert!(!self.any_node_fits(t, &q.demand), "jumped {t}, which fits");
             assert!(q.ckpt || !self.has_checkpoint(t), "{t} gained a checkpoint");
             if budget.is_some_and(|b| i < b) {
@@ -2501,7 +2295,7 @@ impl ClusterSim {
                 Visit::Idle
             };
         }
-        let TaskStatus::Checkpointed { origin } = self.tasks[t as usize].status else {
+        let TaskStatus::Checkpointed { origin } = self.tasks[t as usize].exec.status else {
             return Visit::Act;
         };
         if self.can_place(origin as usize, t, &demand) {
@@ -2605,16 +2399,20 @@ impl ClusterSim {
                 self.schedule_pass(now, q);
             }
             Event::TaskFinish { task, epoch } => {
-                if self.tasks[task as usize].epoch != epoch
-                    || !matches!(self.tasks[task as usize].status, TaskStatus::Running { .. })
+                if self.tasks[task as usize].exec.epoch != epoch
+                    || !matches!(
+                        self.tasks[task as usize].exec.status,
+                        TaskStatus::Running { .. }
+                    )
                 {
                     return; // stale: the task was preempted meanwhile
                 }
-                self.tasks[task as usize].sync_progress(now);
-                debug_assert!(self.tasks[task as usize].remaining().is_zero());
+                self.tasks[task as usize].exec.sync_progress(now);
+                debug_assert!(self.tasks[task as usize].exec.remaining().is_zero());
                 debug_assert!(now >= self.tasks[task as usize].submit);
                 if self.trace.on() {
-                    if let TaskStatus::Running { node, .. } = self.tasks[task as usize].status {
+                    if let TaskStatus::Running { node, .. } = self.tasks[task as usize].exec.status
+                    {
                         self.trace.record(
                             now.as_micros(),
                             TraceRecord::TaskFinish {
@@ -2625,8 +2423,8 @@ impl ClusterSim {
                     }
                 }
                 self.release_container(task, now);
-                let cores = self.tasks[task as usize].spec.resources.cores_f64();
-                let work = self.tasks[task as usize].spec.duration.as_secs_f64();
+                let cores = self.tasks[task as usize].exec.spec.resources.cores_f64();
+                let work = self.tasks[task as usize].exec.spec.duration.as_secs_f64();
                 self.metrics.ledger.useful_cpu_secs += cores * work;
                 self.metrics.ledger.tasks_finished += 1;
                 self.set_status(task, TaskStatus::Finished);
@@ -2656,10 +2454,10 @@ impl ClusterSim {
                 epoch,
                 started,
             } => {
-                if self.tasks[task as usize].epoch != epoch {
+                if self.tasks[task as usize].exec.epoch != epoch {
                     return;
                 }
-                let TaskStatus::Dumping { node, .. } = self.tasks[task as usize].status else {
+                let TaskStatus::Dumping { node, .. } = self.tasks[task as usize].exec.status else {
                     return;
                 };
                 self.ckpt.advance(node as usize, now);
@@ -2689,9 +2487,7 @@ impl ClusterSim {
                     },
                 );
                 self.set_status(task, TaskStatus::Checkpointed { origin: node });
-                let task_state = &mut self.tasks[task as usize];
-                task_state.checkpointed_progress = task_state.progress;
-                let stamp = task_state.checkpointed_progress.as_micros();
+                let stamp = self.tasks[task as usize].exec.commit_checkpoint();
                 // Stamp the tip with the progress it certifies (a later
                 // truncation rolls back to exactly that), end the episode
                 // and land the plan's corruption draws on the new image.
@@ -2729,10 +2525,11 @@ impl ClusterSim {
                 epoch,
                 started,
             } => {
-                if self.tasks[task as usize].epoch != epoch {
+                if self.tasks[task as usize].exec.epoch != epoch {
                     return;
                 }
-                let TaskStatus::Restoring { node, container } = self.tasks[task as usize].status
+                let TaskStatus::Restoring { node, container } =
+                    self.tasks[task as usize].exec.status
                 else {
                     return;
                 };
@@ -2787,12 +2584,12 @@ impl ClusterSim {
                         start_us: started.as_micros(),
                     },
                 );
-                let cores = self.tasks[task as usize].spec.resources.cores_f64();
+                let cores = self.tasks[task as usize].exec.spec.resources.cores_f64();
                 // The remote flag was already recorded at placement time.
                 self.metrics
                     .charge_restore(now.since(started), cores, false);
                 self.set_status(task, TaskStatus::Running { node, container });
-                let task_state = &mut self.tasks[task as usize];
+                let task_state = &mut self.tasks[task as usize].exec;
                 task_state.run_started = now;
                 task_state.mem_synced = now;
                 if let Some(mem) = task_state.memory.as_mut() {
@@ -2803,15 +2600,6 @@ impl ClusterSim {
                 q.push(finish, Event::TaskFinish { task, epoch });
             }
         }
-    }
-}
-
-/// Core-seconds `task` would lose with its checkpoint chain, or `None`
-/// while a dump or restore owns the chain.
-fn chain_loss(task: &TaskState) -> Option<f64> {
-    match task.status {
-        TaskStatus::Dumping { .. } | TaskStatus::Restoring { .. } => None,
-        _ => Some(task.checkpointed_progress.as_secs_f64() * task.spec.resources.cores_f64()),
     }
 }
 
@@ -2882,7 +2670,7 @@ mod tests {
         };
         let reserve = |sim: &mut ClusterSim, drains_left| {
             sim.cancel_reservation(t);
-            let amount = sim.tasks[t as usize].spec.resources;
+            let amount = sim.tasks[t as usize].exec.spec.resources;
             let r = Reservation {
                 node: 0,
                 amount,
@@ -2946,7 +2734,7 @@ mod tests {
     fn in_flight_holder(room: [Resources; 2]) -> (ClusterSim, u32, Resources) {
         let mut sim = small_sim(2);
         let t = 0;
-        let demand = sim.tasks[t as usize].spec.resources;
+        let demand = sim.tasks[t as usize].exec.spec.resources;
         assert!(!demand.is_zero());
         sim.enqueue_pending(t);
         for (i, room) in room.into_iter().enumerate() {
@@ -2977,9 +2765,9 @@ mod tests {
             sim.schedule_pass(SimTime::ZERO, &mut q);
             let node = u32::from(!own);
             assert!(
-                matches!(sim.tasks[t as usize].status, TaskStatus::Running { node: n, .. } if n == node),
+                matches!(sim.tasks[t as usize].exec.status, TaskStatus::Running { node: n, .. } if n == node),
                 "own node: {own}, demand {demand}: {:?}",
-                sim.tasks[t as usize].status
+                sim.tasks[t as usize].exec.status
             );
             assert!(sim.reservations.is_empty());
             assert_eq!(sim.pending.holders().count(), 0);
@@ -2990,7 +2778,7 @@ mod tests {
 
     /// The demand of task 0 in [`small_sim`]'s workload.
     fn demand_of(t: u32) -> Resources {
-        small_sim(1).tasks[t as usize].spec.resources
+        small_sim(1).tasks[t as usize].exec.spec.resources
     }
 
     /// A holder whose drains are still in flight and that fits no node is
@@ -3036,8 +2824,8 @@ mod tests {
         let mut sim = small_sim(2);
         let (t, u) = (0, 1);
         let room = Resources::new(1, ByteSize::from_mb(1));
-        sim.tasks[u as usize].spec.resources = room;
-        assert!(!sim.tasks[t as usize].spec.resources.fits_in(&room));
+        sim.tasks[u as usize].exec.spec.resources = room;
+        assert!(!sim.tasks[t as usize].exec.spec.resources.fits_in(&room));
         sim.enqueue_pending(t);
         sim.enqueue_pending(u);
         // The filler task is not Running, so no node has a victim.

@@ -3,10 +3,8 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use cbp_checkpoint::{OverheadEstimate, TaskMemory};
-use cbp_cluster::ContainerId;
-use cbp_core::PreemptionPolicy;
-use cbp_simkit::{SimDuration, SimTime};
+use cbp_core::task::TaskExec;
+use cbp_simkit::SimTime;
 use cbp_workload::TaskSpec;
 
 /// The two capacity-scheduler queues of the §5 experiments.
@@ -129,155 +127,23 @@ impl ResourceManager {
     }
 }
 
-/// What the AM's Preemption Manager decides to do with a
-/// `ContainerPreemptEvent`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PreemptDecision {
-    /// Kill the container (stock YARN behaviour).
-    Kill,
-    /// Suspend it with a CRIU dump to HDFS.
-    Checkpoint,
-}
-
-/// The Preemption Manager's decision rule — Algorithm 1 under
-/// [`PreemptionPolicy::Adaptive`].
-///
-/// # Panics
-///
-/// Panics if called with [`PreemptionPolicy::Wait`] (the RM never issues
-/// preempt events in that mode).
-pub fn preemption_decision(
-    policy: PreemptionPolicy,
-    progress_at_risk: SimDuration,
-    estimate: &OverheadEstimate,
-) -> PreemptDecision {
-    match policy {
-        PreemptionPolicy::Wait => {
-            unreachable!("the Wait policy never dispatches ContainerPreemptEvents")
-        }
-        PreemptionPolicy::Kill => PreemptDecision::Kill,
-        PreemptionPolicy::Checkpoint => PreemptDecision::Checkpoint,
-        PreemptionPolicy::Adaptive => {
-            if progress_at_risk > estimate.total() {
-                PreemptDecision::Checkpoint
-            } else {
-                PreemptDecision::Kill
-            }
-        }
-    }
-}
-
-/// An AM-side container/task record.
+/// An AM-side container/task record: the execution record both simulators
+/// share, plus the RM's preemption request.
 #[derive(Debug)]
 pub struct AmTask {
-    /// The task description.
-    pub spec: TaskSpec,
-    /// Lifecycle.
-    pub status: AmTaskStatus,
-    /// Staleness guard for in-flight events.
-    pub epoch: u32,
-    /// Useful work accumulated.
-    pub progress: SimDuration,
-    /// Progress captured in the newest image.
-    pub checkpointed_progress: SimDuration,
-    /// Start of the current run interval.
-    pub run_started: SimTime,
-    /// Last dirty-bitmap sync.
-    pub mem_synced: SimTime,
+    /// Progress, checkpoint and memory bookkeeping.
+    pub exec: TaskExec,
     /// Whether the RM has already asked to preempt this container.
     pub preempt_requested: bool,
-    /// Times preempted.
-    pub preemptions: u32,
-    /// Lazily created memory image.
-    pub memory: Option<TaskMemory>,
-}
-
-/// AM-side task lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AmTaskStatus {
-    /// Waiting for a container.
-    Waiting,
-    /// Running in a container.
-    Running {
-        /// Node index.
-        node: u32,
-        /// Container id.
-        container: ContainerId,
-    },
-    /// Dump in progress; resources still held.
-    Dumping {
-        /// Node index.
-        node: u32,
-        /// Container id.
-        container: ContainerId,
-    },
-    /// Suspended with an image; waiting for a new container.
-    Suspended {
-        /// Node whose device holds the image.
-        origin: u32,
-    },
-    /// Reading its image back in a fresh container.
-    Restoring {
-        /// Node index.
-        node: u32,
-        /// Container id.
-        container: ContainerId,
-    },
-    /// Completed.
-    Done,
 }
 
 impl AmTask {
     /// A fresh waiting task.
     pub fn new(spec: TaskSpec) -> Self {
         AmTask {
-            spec,
-            status: AmTaskStatus::Waiting,
-            epoch: 0,
-            progress: SimDuration::ZERO,
-            checkpointed_progress: SimDuration::ZERO,
-            run_started: SimTime::ZERO,
-            mem_synced: SimTime::ZERO,
+            exec: TaskExec::new(spec),
             preempt_requested: false,
-            preemptions: 0,
-            memory: None,
         }
-    }
-
-    /// Work left to do.
-    pub fn remaining(&self) -> SimDuration {
-        self.spec.duration.saturating_sub(self.progress)
-    }
-
-    /// Folds the current run interval into `progress`. A task preempted
-    /// while still paying its container-startup cost (run_started in the
-    /// future) has made no progress.
-    pub fn sync_progress(&mut self, now: SimTime) {
-        if matches!(self.status, AmTaskStatus::Running { .. }) {
-            self.progress =
-                (self.progress + now.saturating_since(self.run_started)).min(self.spec.duration);
-            self.run_started = now.max(self.run_started);
-        }
-    }
-
-    /// Progress a kill would lose.
-    pub fn progress_at_risk(&self) -> SimDuration {
-        self.progress.saturating_sub(self.checkpointed_progress)
-    }
-
-    /// Folds memory writes since the last sync into the dirty bitmap.
-    pub fn sync_memory(&mut self, now: SimTime) {
-        let mem = self
-            .memory
-            .get_or_insert_with(|| TaskMemory::new(self.spec.resources.mem()));
-        if matches!(self.status, AmTaskStatus::Running { .. }) {
-            let elapsed = now.saturating_since(self.mem_synced);
-            let frac = self.spec.dirty_rate_per_sec * elapsed.as_secs_f64();
-            if frac > 0.0 {
-                mem.touch_fraction(frac.min(1.0));
-            }
-        }
-        self.mem_synced = now;
     }
 }
 
@@ -397,7 +263,7 @@ mod tests {
     use super::*;
     use cbp_cluster::Resources;
     use cbp_simkit::units::ByteSize;
-    use cbp_storage::{Device, MediaSpec};
+    use cbp_simkit::SimDuration;
     use cbp_workload::{JobId, TaskId};
 
     fn spec(secs: u64) -> TaskSpec {
@@ -556,36 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn decision_rule_matches_algorithm1() {
-        let dev = Device::new(MediaSpec::hdd());
-        let mem = TaskMemory::new(ByteSize::from_gb(5));
-        let criu = cbp_checkpoint::Criu::new(true);
-        let est = criu.estimate(1, &mem, &dev, SimTime::ZERO);
-        // HDD 5 GB: overhead ~= 250 s. 30 s of progress -> kill.
-        assert_eq!(
-            preemption_decision(PreemptionPolicy::Adaptive, SimDuration::from_secs(30), &est),
-            PreemptDecision::Kill
-        );
-        // 1000 s of progress -> checkpoint.
-        assert_eq!(
-            preemption_decision(
-                PreemptionPolicy::Adaptive,
-                SimDuration::from_secs(1000),
-                &est
-            ),
-            PreemptDecision::Checkpoint
-        );
-        assert_eq!(
-            preemption_decision(PreemptionPolicy::Kill, SimDuration::from_secs(1000), &est),
-            PreemptDecision::Kill
-        );
-        assert_eq!(
-            preemption_decision(PreemptionPolicy::Checkpoint, SimDuration::ZERO, &est),
-            PreemptDecision::Checkpoint
-        );
-    }
-
-    #[test]
     fn am_launch_queue_resumes_preempted_first() {
         let specs = vec![spec(60), spec(60), spec(60)];
         let mut am = AppMaster::new(0, QueueKind::Default, SimTime::ZERO, &specs);
@@ -653,20 +489,5 @@ mod tests {
     fn barrier_must_split_phases() {
         let specs = vec![spec(60)];
         AppMaster::new_with_barrier(0, QueueKind::Default, SimTime::ZERO, &specs, 1);
-    }
-
-    #[test]
-    fn am_task_progress_and_risk() {
-        let mut t = AmTask::new(spec(100));
-        t.status = AmTaskStatus::Running {
-            node: 0,
-            container: ContainerId(1),
-        };
-        t.run_started = SimTime::ZERO;
-        t.sync_progress(SimTime::from_secs(40));
-        assert_eq!(t.progress, SimDuration::from_secs(40));
-        t.checkpointed_progress = SimDuration::from_secs(25);
-        assert_eq!(t.progress_at_risk(), SimDuration::from_secs(15));
-        assert_eq!(t.remaining(), SimDuration::from_secs(60));
     }
 }

@@ -4,7 +4,8 @@ use cbp_checkpoint::Criu;
 use cbp_cluster::{Container, ContainerId, EnergyMeter, Node, NodeId};
 use cbp_core::ckpt_path::{media_name, ChainValidation, CkptPath};
 use cbp_core::fault_clock::{FaultClock, FaultHost, FaultTick};
-use cbp_core::{PreemptionPolicy, RunLedger, TelemetryReport};
+use cbp_core::task::TaskExec;
+use cbp_core::{PreemptionPolicy, RunLedger, TaskStatus, TelemetryReport};
 use cbp_dfs::DfsCluster;
 use cbp_faults::FaultPlan;
 use cbp_simkit::stats::Samples;
@@ -18,10 +19,7 @@ use std::collections::HashMap;
 
 use cbp_workload::JobId;
 
-use crate::components::{
-    preemption_decision, AmTask, AmTaskStatus, AppMaster, PreemptDecision, QueueKind,
-    ResourceManager,
-};
+use crate::components::{AppMaster, QueueKind, ResourceManager};
 use crate::config::YarnConfig;
 use crate::report::YarnReport;
 
@@ -320,16 +318,26 @@ impl YarnSim {
         queue
     }
 
+    /// The execution record of `app`'s task `task`.
+    fn exec(&self, app: u32, task: u32) -> &TaskExec {
+        &self.apps[app as usize].tasks[task as usize].exec
+    }
+
+    /// [`Self::exec`], mutably.
+    fn exec_mut(&mut self, app: u32, task: u32) -> &mut TaskExec {
+        &mut self.apps[app as usize].tasks[task as usize].exec
+    }
+
     fn update_meter(&mut self, node: usize, now: SimTime) {
         let util = self.nms[node].node.cpu_utilization();
         self.nms[node].meter.set_utilization(now, util);
     }
 
     fn release_container(&mut self, app: u32, task: u32, now: SimTime) {
-        let (node, cid) = match self.apps[app as usize].tasks[task as usize].status {
-            AmTaskStatus::Running { node, container }
-            | AmTaskStatus::Dumping { node, container }
-            | AmTaskStatus::Restoring { node, container } => (node as usize, container),
+        let (node, cid) = match self.exec(app, task).status {
+            TaskStatus::Running { node, container }
+            | TaskStatus::Dumping { node, container }
+            | TaskStatus::Restoring { node, container } => (node as usize, container),
             _ => return,
         };
         self.nms[node].node.release(cid).expect("container on node");
@@ -350,7 +358,7 @@ impl YarnSim {
                 let _ = self.rm.next_grant();
                 continue;
             };
-            let demand = self.apps[app as usize].tasks[task as usize].spec.resources;
+            let demand = self.exec(app, task).spec.resources;
             let Some(node) =
                 (0..self.nms.len()).find(|&i| self.nms[i].up && self.nms[i].node.can_fit(&demand))
             else {
@@ -395,7 +403,7 @@ impl YarnSim {
             let (app, task) = ((key >> 32) as u32, key as u32);
             let am_task = &mut self.apps[app as usize].tasks[task as usize];
             am_task.preempt_requested = true;
-            let epoch = am_task.epoch;
+            let epoch = am_task.exec.epoch;
             // ContainerPreemptEvent travels RM -> AM.
             q.push(
                 now + self.cfg.rpc_delay,
@@ -404,24 +412,17 @@ impl YarnSim {
         }
     }
 
-    /// Cheap (arithmetic) checkpoint-cost estimate used for victim ranking.
-    fn checkpoint_cost_secs(&self, key: u64, t: &AmTask, node: usize, now: SimTime) -> f64 {
-        let mem = t.spec.resources.mem();
-        let size = if self.cfg.incremental && self.ckpt.path_count(key) > 0 {
-            let since = now.saturating_since(t.mem_synced).as_secs_f64();
-            let dirty = t.memory.as_ref().map(|m| m.dirty_fraction()).unwrap_or(0.0);
-            mem.mul_f64((dirty + t.spec.dirty_rate_per_sec * since).min(1.0))
-        } else {
-            mem
-        };
-        let spec = self.ckpt.device(node).spec();
-        let cost =
-            (spec.write_time(size) + spec.read_time(size) + self.ckpt.device(node).queue_wait(now))
-                .as_secs_f64();
-        // Victim ranking sees the same partition penalty the actual
-        // dump/restore transfers would pay, steering preemption away
-        // from the isolated rack.
-        cost * self.clock.partition_factor(node).max(1.0)
+    /// The §5.2.2 ranking estimate of checkpointing `key` on `node`. It
+    /// sees the partition penalty the real dump and restore would pay,
+    /// steering preemption away from an isolated rack; it has no stall or
+    /// retry term.
+    fn checkpoint_cost_secs(&self, key: u64, node: usize, now: SimTime) -> f64 {
+        let at = self
+            .ckpt
+            .node_cost(node, now, self.clock.partition_factor(node), None);
+        let incremental = self.cfg.incremental && self.ckpt.path_count(key) > 0;
+        let task = &self.apps[(key >> 32) as usize].tasks[key as u32 as usize].exec;
+        self.ckpt.victim_cost_secs(task, incremental, &at)
     }
 
     /// One walk over the live containers, which are at most the cluster's
@@ -439,11 +440,9 @@ impl YarnSim {
             let key = c.task();
             let am = &self.apps[(key >> 32) as usize];
             let t = &am.tasks[key as u32 as usize];
-            match (am.queue, t.status) {
+            match (am.queue, t.exec.status) {
                 (QueueKind::Production, _) => prod_running += 1,
-                (QueueKind::Default, AmTaskStatus::Running { node, .. })
-                    if !t.preempt_requested =>
-                {
+                (QueueKind::Default, TaskStatus::Running { node, .. }) if !t.preempt_requested => {
                     idle_default.push((key, node as usize))
                 }
                 (QueueKind::Default, _) => {}
@@ -458,10 +457,7 @@ impl YarnSim {
     fn victim_costs(&self, idle_default: Vec<(u64, usize)>, now: SimTime) -> Vec<(f64, u64)> {
         idle_default
             .into_iter()
-            .map(|(key, node)| {
-                let t = &self.apps[(key >> 32) as usize].tasks[key as u32 as usize];
-                (self.checkpoint_cost_secs(key, t, node, now), key)
-            })
+            .map(|(key, node)| (self.checkpoint_cost_secs(key, node, now), key))
             .collect()
     }
 
@@ -475,10 +471,10 @@ impl YarnSim {
             .flat_map(|a| a.tasks.iter())
             .filter(|t| {
                 matches!(
-                    t.status,
-                    AmTaskStatus::Running { .. }
-                        | AmTaskStatus::Dumping { .. }
-                        | AmTaskStatus::Restoring { .. }
+                    t.exec.status,
+                    TaskStatus::Running { .. }
+                        | TaskStatus::Dumping { .. }
+                        | TaskStatus::Restoring { .. }
                 )
             })
             .count() as u32
@@ -498,9 +494,9 @@ impl YarnSim {
                 if t.preempt_requested {
                     continue;
                 }
-                if let AmTaskStatus::Running { node, .. } = t.status {
+                if let TaskStatus::Running { node, .. } = t.exec.status {
                     let key = task_key(ai as u32, ti as u32);
-                    let cost = self.checkpoint_cost_secs(key, t, node as usize, now);
+                    let cost = self.checkpoint_cost_secs(key, node as usize, now);
                     candidates.push((cost, key));
                 }
             }
@@ -515,7 +511,7 @@ impl YarnSim {
         };
         let cid = ContainerId(self.next_container);
         self.next_container += 1;
-        let demand = self.apps[app as usize].tasks[task as usize].spec.resources;
+        let demand = self.exec(app, task).spec.resources;
         self.nms[node]
             .node
             .allocate(Container::new(cid, demand, task_key(app, task)))
@@ -525,8 +521,8 @@ impl YarnSim {
         let key = task_key(app, task);
         // Only a suspended task holds an image, so a fresh or killed task
         // skips the catalog lookup.
-        let restore_from = match self.apps[app as usize].tasks[task as usize].status {
-            AmTaskStatus::Suspended { origin } if self.ckpt.criu().has_image(key) => Some(origin),
+        let restore_from = match self.exec(app, task).status {
+            TaskStatus::Checkpointed { origin } if self.ckpt.criu().has_image(key) => Some(origin),
             _ => {
                 debug_assert!(!self.ckpt.criu().has_image(key), "image implies suspended");
                 None
@@ -566,8 +562,8 @@ impl YarnSim {
                     remote: origin != node as u32,
                 },
             );
-            let am_task = &mut self.apps[app as usize].tasks[task as usize];
-            am_task.status = AmTaskStatus::Restoring {
+            let am_task = self.exec_mut(app, task);
+            am_task.status = TaskStatus::Restoring {
                 node: node as u32,
                 container: cid,
             };
@@ -586,8 +582,8 @@ impl YarnSim {
             // The container pays its startup (localization + JVM spawn)
             // before useful execution begins.
             let started = now + self.cfg.container_startup;
-            let am_task = &mut self.apps[app as usize].tasks[task as usize];
-            am_task.status = AmTaskStatus::Running {
+            let am_task = self.exec_mut(app, task);
+            am_task.status = TaskStatus::Running {
                 node: node as u32,
                 container: cid,
             };
@@ -635,16 +631,16 @@ impl YarnSim {
         q: &mut EventQueue<YarnEvent>,
         reason: &'static str,
     ) {
-        let am_task = &mut self.apps[app as usize].tasks[task as usize];
+        let am_task = self.exec_mut(app, task);
         am_task.sync_progress(now);
         let lost = am_task.progress_at_risk();
         let cores = am_task.spec.resources.cores_f64();
         self.ledger.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
         if self.trace.on() {
-            let node = match self.apps[app as usize].tasks[task as usize].status {
-                AmTaskStatus::Running { node, .. }
-                | AmTaskStatus::Dumping { node, .. }
-                | AmTaskStatus::Restoring { node, .. } => node,
+            let node = match self.exec(app, task).status {
+                TaskStatus::Running { node, .. }
+                | TaskStatus::Dumping { node, .. }
+                | TaskStatus::Restoring { node, .. } => node,
                 _ => u32::MAX,
             };
             self.trace.record(
@@ -661,18 +657,10 @@ impl YarnSim {
         let key = task_key(app, task);
         let has_image = self.ckpt.criu().has_image(key);
         let am_task = &mut self.apps[app as usize].tasks[task as usize];
-        am_task.epoch += 1;
-        am_task.preemptions += 1;
+        am_task.exec.roll_back(has_image);
+        am_task.exec.preemptions += 1;
         am_task.preempt_requested = false;
-        am_task.progress = am_task.checkpointed_progress;
-        if let Some(mem) = am_task.memory.as_mut() {
-            if has_image {
-                mem.clear_dirty();
-            } else {
-                mem.mark_all_dirty();
-            }
-        }
-        am_task.status = if has_image {
+        am_task.exec.status = if has_image {
             let origin = self
                 .ckpt
                 .criu()
@@ -680,9 +668,9 @@ impl YarnSim {
                 .and_then(|c| c.tip())
                 .map(|r| r.origin_node)
                 .expect("image has a tip");
-            AmTaskStatus::Suspended { origin }
+            TaskStatus::Checkpointed { origin }
         } else {
-            AmTaskStatus::Waiting
+            TaskStatus::Pending
         };
         self.apps[app as usize].requeue(task);
         self.rm.add_asks(app, 1);
@@ -693,20 +681,17 @@ impl YarnSim {
 
     /// Suspends a running container with a CRIU dump to HDFS.
     fn dump(&mut self, app: u32, task: u32, now: SimTime, q: &mut EventQueue<YarnEvent>) {
-        let (node, cid) = match self.apps[app as usize].tasks[task as usize].status {
-            AmTaskStatus::Running { node, container } => (node as usize, container),
+        let (node, cid) = match self.exec(app, task).status {
+            TaskStatus::Running { node, container } => (node as usize, container),
             _ => unreachable!("dump target must be running"),
         };
         let key = task_key(app, task);
-        let size = {
-            let am_task = &mut self.apps[app as usize].tasks[task as usize];
-            am_task.sync_progress(now);
-            am_task.sync_memory(now);
-            self.ckpt
-                .criu()
-                .next_dump_size(key, am_task.memory.as_ref().expect("synced"))
-                .0
-        };
+        let am_task = &mut self.apps[app as usize].tasks[task as usize].exec;
+        am_task.sync_progress(now);
+        let (size, _) = self
+            .ckpt
+            .criu()
+            .next_dump_size(key, am_task.sync_memory(now));
         let (nms, apps) = (&self.nms, &self.apps);
         let (origin, dropped) = self.ckpt.place_dump(
             key,
@@ -716,7 +701,11 @@ impl YarnSim {
             now,
             &mut self.trace,
             &|i| nms[i].up,
-            &|k| chain_loss(&apps[(k >> 32) as usize].tasks[k as u32 as usize]),
+            &|k| {
+                apps[(k >> 32) as usize].tasks[k as u32 as usize]
+                    .exec
+                    .chain_loss()
+            },
         );
         for k in dropped {
             self.chain_lost(k);
@@ -726,7 +715,7 @@ impl YarnSim {
             return;
         };
 
-        let epoch = self.apps[app as usize].tasks[task as usize].epoch;
+        let epoch = self.exec(app, task).epoch;
         let path = format!("/ckpt/{app}/{task}/{epoch}/{}", self.ckpt.path_count(key));
         // A rack partition degrades the DFS write pipeline out of the
         // isolated rack; the slowdown is also a health signal even when
@@ -738,8 +727,11 @@ impl YarnSim {
         let write = self.ckpt.write_dfs(key, path, size, node);
         let service = write.map(|d| if factor > 1.0 { d.mul_f64(factor) } else { d });
 
-        let am_task = &mut self.apps[app as usize].tasks[task as usize];
-        let mem = am_task.memory.as_mut().expect("synced");
+        // Re-syncing at the same instant folds in nothing; it hands back
+        // the image.
+        let mem = self.apps[app as usize].tasks[task as usize]
+            .exec
+            .sync_memory(now);
         let Some(result) =
             self.ckpt
                 .dump_image(key, mem, node, origin, service, now, &mut self.trace)
@@ -770,14 +762,14 @@ impl YarnSim {
                 reason: "dump",
             },
         );
-        let am_task = &mut self.apps[app as usize].tasks[task as usize];
+        let am_task = &mut self.apps[app as usize].tasks[task as usize].exec;
         let cores = am_task.spec.resources.cores_f64();
         // CPU wastage counts the dump's service time only: a queued victim
         // is stopped and burns no CPU (queueing still delays resource
         // release through the DumpDone event time).
         self.ledger.dump_overhead_cpu_secs +=
             result.op.end.since(result.op.start).as_secs_f64() * cores;
-        am_task.status = AmTaskStatus::Dumping {
+        am_task.status = TaskStatus::Dumping {
             node: node as u32,
             container: cid,
         };
@@ -817,8 +809,8 @@ impl YarnSim {
         now: SimTime,
         q: &mut EventQueue<YarnEvent>,
     ) {
-        let am_task = &self.apps[app as usize].tasks[task as usize];
-        let AmTaskStatus::Dumping { node, container } = am_task.status else {
+        let am_task = self.exec(app, task);
+        let TaskStatus::Dumping { node, container } = am_task.status else {
             return;
         };
         let full = am_task.spec.resources.mem();
@@ -836,8 +828,7 @@ impl YarnSim {
         );
         let Some(retry) = retry else {
             // The container is still held; transition it through a kill.
-            self.apps[app as usize].tasks[task as usize].status =
-                AmTaskStatus::Running { node, container };
+            self.exec_mut(app, task).status = TaskStatus::Running { node, container };
             self.kill(app, task, now, q);
             return;
         };
@@ -897,16 +888,13 @@ impl YarnSim {
     /// eviction is not the scheduler's choice, so it counts as a
     /// `crash_eviction`; an in-flight dump dies with the node.
     fn crash_victim(&mut self, app: u32, task: u32, now: SimTime, q: &mut EventQueue<YarnEvent>) {
-        if let AmTaskStatus::Dumping { node, container } =
-            self.apps[app as usize].tasks[task as usize].status
-        {
+        if let TaskStatus::Dumping { node, container } = self.exec(app, task).status {
             // Abort the half-written tip; the epoch bump below stales the
             // queued DumpDone, so close the dangling dump span here.
             let key = task_key(app, task);
             self.ckpt
                 .abort_dump(key, node as usize, "node-crash", true, now, &mut self.trace);
-            self.apps[app as usize].tasks[task as usize].status =
-                AmTaskStatus::Running { node, container };
+            self.exec_mut(app, task).status = TaskStatus::Running { node, container };
         }
         self.ledger.crash_evictions += 1;
         self.evict_container(app, task, now, q, "node-crash");
@@ -924,23 +912,22 @@ impl YarnSim {
         q: &mut EventQueue<YarnEvent>,
     ) {
         let key = task_key(app, task);
-        let status = self.apps[app as usize].tasks[task as usize].status;
+        let status = self.exec(app, task).status;
         let dumping_on = match status {
-            AmTaskStatus::Dumping { node, .. } => Some(node as usize),
+            TaskStatus::Dumping { node, .. } => Some(node as usize),
             _ => None,
         };
         self.ckpt
             .lose_chain(key, dumping_on, "node-crash", now, &mut self.trace);
         self.chain_lost(key);
         match status {
-            AmTaskStatus::Dumping { node, container } => {
+            TaskStatus::Dumping { node, container } => {
                 // The tip being written sat below lost ancestor blocks.
-                self.apps[app as usize].tasks[task as usize].status =
-                    AmTaskStatus::Running { node, container };
+                self.exec_mut(app, task).status = TaskStatus::Running { node, container };
                 self.ledger.crash_evictions += 1;
                 self.evict_container(app, task, now, q, "node-crash");
             }
-            AmTaskStatus::Restoring { .. } => {
+            TaskStatus::Restoring { .. } => {
                 // The in-flight read can no longer complete; the epoch
                 // bump in the eviction stales the queued RestoreDone.
                 self.ledger.crash_evictions += 1;
@@ -957,17 +944,14 @@ impl YarnSim {
     /// its image restarts from scratch in place (it already sits in the
     /// launch queue).
     fn chain_lost(&mut self, key: u64) {
-        let am_task = &mut self.apps[(key >> 32) as usize].tasks[key as u32 as usize];
-        am_task.checkpointed_progress = SimDuration::ZERO;
-        if let Some(mem) = am_task.memory.as_mut() {
-            mem.mark_all_dirty();
-        }
+        let am_task = &mut self.apps[(key >> 32) as usize].tasks[key as u32 as usize].exec;
+        am_task.lose_chain();
         if matches!(
             am_task.status,
-            AmTaskStatus::Waiting | AmTaskStatus::Suspended { .. }
+            TaskStatus::Pending | TaskStatus::Checkpointed { .. }
         ) {
             am_task.progress = SimDuration::ZERO;
-            am_task.status = AmTaskStatus::Waiting;
+            am_task.status = TaskStatus::Pending;
         }
     }
 
@@ -984,8 +968,8 @@ impl YarnSim {
         q: &mut EventQueue<YarnEvent>,
     ) -> ChainValidation {
         let key = task_key(app, task);
-        let am_task = &self.apps[app as usize].tasks[task as usize];
-        let AmTaskStatus::Restoring { node, container } = am_task.status else {
+        let am_task = self.exec(app, task);
+        let TaskStatus::Restoring { node, container } = am_task.status else {
             return ChainValidation::Intact;
         };
         let cores = am_task.spec.resources.cores_f64();
@@ -1007,14 +991,14 @@ impl YarnSim {
             ChainValidation::Dead => {
                 // The checkpointed progress is re-execution waste and the
                 // task restarts from scratch on its container.
-                let lost = self.apps[app as usize].tasks[task as usize].checkpointed_progress;
+                let lost = self.exec(app, task).checkpointed_progress;
                 self.ledger.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
                 self.ckpt.discard_chain(key);
                 self.chain_lost(key);
                 let startup = self.cfg.container_startup;
-                let am_task = &mut self.apps[app as usize].tasks[task as usize];
+                let am_task = self.exec_mut(app, task);
                 am_task.progress = SimDuration::ZERO;
-                am_task.status = AmTaskStatus::Running { node, container };
+                am_task.status = TaskStatus::Running { node, container };
                 am_task.run_started = now + startup;
                 am_task.mem_synced = am_task.run_started;
                 let epoch = am_task.epoch;
@@ -1025,9 +1009,7 @@ impl YarnSim {
             }
             ChainValidation::Truncated { stamp } => {
                 // Roll progress back to what the surviving tip certifies.
-                let am_task = &mut self.apps[app as usize].tasks[task as usize];
-                am_task.checkpointed_progress = SimDuration::from_micros(stamp);
-                am_task.progress = am_task.checkpointed_progress;
+                self.exec_mut(app, task).truncate_to(stamp);
                 // Re-read the truncated chain in place (same node, same
                 // episode). The strictly shrinking chain bounds the
                 // truncation loop.
@@ -1052,25 +1034,6 @@ impl YarnSim {
             }
         }
         verdict
-    }
-}
-
-/// Core-seconds `t` would lose with its checkpoint chain, or `None` while
-/// a dump or restore owns the chain.
-fn chain_loss(t: &AmTask) -> Option<f64> {
-    match t.status {
-        AmTaskStatus::Dumping { .. } | AmTaskStatus::Restoring { .. } => None,
-        _ => Some(t.checkpointed_progress.as_secs_f64() * t.spec.resources.cores_f64()),
-    }
-}
-
-/// Short stable policy name for trace records.
-fn policy_name(policy: PreemptionPolicy) -> &'static str {
-    match policy {
-        PreemptionPolicy::Wait => "wait",
-        PreemptionPolicy::Kill => "kill",
-        PreemptionPolicy::Checkpoint => "checkpoint",
-        PreemptionPolicy::Adaptive => "adaptive",
     }
 }
 
@@ -1116,13 +1079,12 @@ impl YarnSim {
                 self.rm_schedule(now, q);
             }
             YarnEvent::PreemptDecision { app, task, epoch } => {
-                let am_task = &self.apps[app as usize].tasks[task as usize];
-                if am_task.epoch != epoch || !matches!(am_task.status, AmTaskStatus::Running { .. })
-                {
+                let am_task = self.exec(app, task);
+                if am_task.epoch != epoch || !matches!(am_task.status, TaskStatus::Running { .. }) {
                     return; // finished or already transitioned
                 }
                 let node = match am_task.status {
-                    AmTaskStatus::Running { node, .. } => node as usize,
+                    TaskStatus::Running { node, .. } => node as usize,
                     _ => unreachable!(),
                 };
                 // Fault injection: an unresponsive AM drops the
@@ -1141,77 +1103,32 @@ impl YarnSim {
                         return;
                     }
                 }
-                // Algorithm 1 needs the current dirty estimate.
-                self.apps[app as usize].tasks[task as usize].sync_progress(now);
-                self.apps[app as usize].tasks[task as usize].sync_memory(now);
-                let mut decision = {
-                    let am_task = &self.apps[app as usize].tasks[task as usize];
-                    let est = self.ckpt.criu().estimate(
-                        task_key(app, task),
-                        am_task.memory.as_ref().expect("synced"),
-                        self.ckpt.device(node),
-                        now,
-                    );
-                    preemption_decision(self.cfg.policy, am_task.progress_at_risk(), &est)
-                };
-                // Circuit breaker: while the checkpoint path on `node` is
-                // considered down, the Preemption Manager degrades to the
-                // stock-YARN kill instead of risking another dump.
-                let breaker_kill =
-                    decision == PreemptDecision::Checkpoint && !self.ckpt.breaker_allows(node, now);
-                if breaker_kill {
-                    decision = PreemptDecision::Kill;
-                }
-                if self.trace.on() {
-                    let (action, reason) = if breaker_kill {
-                        (PreemptAction::Kill, "breaker-open")
-                    } else {
-                        match (self.cfg.policy, decision) {
-                            (PreemptionPolicy::Adaptive, PreemptDecision::Checkpoint) => {
-                                (PreemptAction::Checkpoint, "progress-at-risk")
-                            }
-                            (PreemptionPolicy::Adaptive, PreemptDecision::Kill) => {
-                                (PreemptAction::Kill, "overhead-exceeds-risk")
-                            }
-                            (_, PreemptDecision::Checkpoint) => {
-                                (PreemptAction::Checkpoint, "policy")
-                            }
-                            (_, PreemptDecision::Kill) => (PreemptAction::Kill, "policy"),
-                        }
-                    };
-                    self.trace.record(
-                        now.as_micros(),
-                        TraceRecord::PreemptDecision {
-                            victim: task_key(app, task),
-                            node: node as u32,
-                            action,
-                            policy: policy_name(self.cfg.policy),
-                            reason,
-                        },
-                    );
-                }
-                if breaker_kill {
-                    self.ckpt.counters.breaker_open_kills += 1;
-                    self.trace.record(
-                        now.as_micros(),
-                        TraceRecord::DumpFallback {
-                            task: task_key(app, task),
-                            node: node as u32,
-                            reason: "breaker-open",
-                        },
-                    );
-                }
-                match decision {
-                    PreemptDecision::Kill => self.kill(app, task, now, q),
-                    PreemptDecision::Checkpoint => self.dump(app, task, now, q),
+                // The Preemption Manager syncs progress and memory under
+                // every policy; only Algorithm 1 reads them.
+                let key = task_key(app, task);
+                let am_task = &mut self.apps[app as usize].tasks[task as usize].exec;
+                am_task.sync_progress(now);
+                let at_risk = am_task.progress_at_risk();
+                let mem = am_task.sync_memory(now);
+                let action = self.ckpt.preempt_action(
+                    key,
+                    node,
+                    self.cfg.policy,
+                    now,
+                    &mut self.trace,
+                    |ckpt| (at_risk, ckpt.dump_overhead(key, mem, node, now)),
+                );
+                match action {
+                    PreemptAction::Kill => self.kill(app, task, now, q),
+                    PreemptAction::Checkpoint => self.dump(app, task, now, q),
                 }
             }
             YarnEvent::ForceKill { app, task, epoch } => {
-                let am_task = &self.apps[app as usize].tasks[task as usize];
+                let am_task = self.exec(app, task);
                 if am_task.epoch != epoch {
                     return; // the dump completed in time
                 }
-                let AmTaskStatus::Dumping { node, .. } = am_task.status else {
+                let TaskStatus::Dumping { node, .. } = am_task.status else {
                     return;
                 };
                 // Abort the half-written dump (its HDFS file stays behind)
@@ -1229,19 +1146,19 @@ impl YarnSim {
                 // The container is still held; transition it through a kill.
                 // kill() handles Running; emulate by restoring Running-like
                 // state first.
-                let am_task = &mut self.apps[app as usize].tasks[task as usize];
-                let AmTaskStatus::Dumping { node, container } = am_task.status else {
+                let am_task = self.exec_mut(app, task);
+                let TaskStatus::Dumping { node, container } = am_task.status else {
                     unreachable!()
                 };
-                am_task.status = AmTaskStatus::Running { node, container };
+                am_task.status = TaskStatus::Running { node, container };
                 self.kill(app, task, now, q);
             }
             YarnEvent::AmEscalate { app, task, epoch } => {
-                let am_task = &self.apps[app as usize].tasks[task as usize];
+                let am_task = self.exec(app, task);
                 if am_task.epoch != epoch {
                     return; // the task moved on (finished or was dumped)
                 }
-                let AmTaskStatus::Running { node, .. } = am_task.status else {
+                let TaskStatus::Running { node, .. } = am_task.status else {
                     return;
                 };
                 self.am_escalations += 1;
@@ -1268,11 +1185,11 @@ impl YarnSim {
                 epoch,
                 started,
             } => {
-                let am_task = &self.apps[app as usize].tasks[task as usize];
+                let am_task = self.exec(app, task);
                 if am_task.epoch != epoch {
                     return;
                 }
-                let AmTaskStatus::Dumping { node, .. } = am_task.status else {
+                let TaskStatus::Dumping { node, .. } = am_task.status else {
                     return;
                 };
                 self.ckpt.advance(node as usize, now);
@@ -1302,10 +1219,9 @@ impl YarnSim {
                     },
                 );
                 let am_task = &mut self.apps[app as usize].tasks[task as usize];
-                am_task.checkpointed_progress = am_task.progress;
+                let stamp = am_task.exec.commit_checkpoint();
                 am_task.preempt_requested = false;
-                am_task.status = AmTaskStatus::Suspended { origin: node };
-                let stamp = am_task.checkpointed_progress.as_micros();
+                am_task.exec.status = TaskStatus::Checkpointed { origin: node };
                 // Stamp the tip with the progress it certifies (a later
                 // truncation rolls back to exactly that), end the episode
                 // and land the plan's per-chunk corruption draws.
@@ -1328,11 +1244,11 @@ impl YarnSim {
                 epoch,
                 started,
             } => {
-                let am_task = &self.apps[app as usize].tasks[task as usize];
+                let am_task = self.exec(app, task);
                 if am_task.epoch != epoch {
                     return;
                 }
-                let AmTaskStatus::Restoring { node, container } = am_task.status else {
+                let TaskStatus::Restoring { node, container } = am_task.status else {
                     return;
                 };
                 self.ckpt.advance(node as usize, now);
@@ -1356,10 +1272,10 @@ impl YarnSim {
                         start_us: started.as_micros(),
                     },
                 );
-                let am_task = &mut self.apps[app as usize].tasks[task as usize];
+                let am_task = &mut self.apps[app as usize].tasks[task as usize].exec;
                 let cores = am_task.spec.resources.cores_f64();
                 self.ledger.restore_overhead_cpu_secs += now.since(started).as_secs_f64() * cores;
-                am_task.status = AmTaskStatus::Running { node, container };
+                am_task.status = TaskStatus::Running { node, container };
                 am_task.run_started = now;
                 am_task.mem_synced = now;
                 if let Some(mem) = am_task.memory.as_mut() {
@@ -1372,16 +1288,13 @@ impl YarnSim {
                 );
             }
             YarnEvent::TaskFinish { app, task, epoch } => {
-                let am_task = &self.apps[app as usize].tasks[task as usize];
-                if am_task.epoch != epoch || !matches!(am_task.status, AmTaskStatus::Running { .. })
-                {
+                let am_task = self.exec(app, task);
+                if am_task.epoch != epoch || !matches!(am_task.status, TaskStatus::Running { .. }) {
                     return;
                 }
-                self.apps[app as usize].tasks[task as usize].sync_progress(now);
+                self.exec_mut(app, task).sync_progress(now);
                 if self.trace.on() {
-                    if let AmTaskStatus::Running { node, .. } =
-                        self.apps[app as usize].tasks[task as usize].status
-                    {
+                    if let TaskStatus::Running { node, .. } = self.exec(app, task).status {
                         self.trace.record(
                             now.as_micros(),
                             TraceRecord::TaskFinish {
@@ -1392,8 +1305,8 @@ impl YarnSim {
                     }
                 }
                 self.release_container(app, task, now);
-                let am_task = &mut self.apps[app as usize].tasks[task as usize];
-                am_task.status = AmTaskStatus::Done;
+                let am_task = self.exec_mut(app, task);
+                am_task.status = TaskStatus::Finished;
                 let cores = am_task.spec.resources.cores_f64();
                 let work = am_task.spec.duration.as_secs_f64();
                 self.ledger.useful_cpu_secs += cores * work;
