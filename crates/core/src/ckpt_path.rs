@@ -117,7 +117,7 @@ pub struct DumpRetry {
 
 /// The terms of a victim's ranking estimate that every victim on one node
 /// shares at one time (see [`CkptPath::node_cost`]).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub struct NodeCost {
     node: usize,
     now: SimTime,
