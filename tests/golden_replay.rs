@@ -2,8 +2,8 @@
 //!
 //! Each case runs one small seeded workload through `ClusterSim` and
 //! through `YarnSim` under one fault plan and hashes (FNV-1a, 64-bit) the
-//! full JSONL trace and the metrics-registry JSON of each run. The
-//! digests were recorded before the two simulators' checkpoint paths
+//! full JSONL trace, the metrics-registry JSON and the run report of
+//! each run. The trace and registry digests were recorded before the two simulators' checkpoint paths
 //! were merged into one module and are pinned: a refactor of the checkpoint path must reproduce
 //! every byte of every trace and every registry value, including the
 //! lifecycle (GC → evict → spill → kill) and integrity (refetch →
@@ -20,17 +20,23 @@
 //!
 //! On a mismatch the test names every failing case and prints the
 //! observed digests.
+//!
+//! The report digest hashes a fixed list of report values (see
+//! [`report_words`]). Mean responses are left out: they depend on the
+//! order the samples are summed in, while the registry's response
+//! quantiles already pin the values themselves.
 
 mod common;
 
 use cbp::checkpoint::NvramSpec;
-use cbp::core::{ClusterSim, PreemptionPolicy, SimConfig};
+use cbp::core::{ClusterSim, PreemptionPolicy, RunMetrics, SimConfig};
 use cbp::faults::FaultSpec;
 use cbp::storage::MediaKind;
 use cbp::telemetry::{JsonlReader, JsonlTracer, MetricsRegistry, TraceRecord};
 use cbp::workload::facebook::FacebookConfig;
 use cbp::workload::google::GoogleTraceConfig;
-use cbp::yarn::{YarnConfig, YarnSim};
+use cbp::workload::PriorityBand;
+use cbp::yarn::{YarnConfig, YarnReport, YarnSim};
 
 use common::{fnv1a, SharedBuf};
 
@@ -60,8 +66,9 @@ struct Case {
     /// Node counts: trace simulator, YARN analog.
     nodes: [usize; 2],
     store: Store,
-    /// Digests: cluster trace, cluster registry, yarn trace, yarn registry.
-    golden: [u64; 4],
+    /// Digests: cluster trace, cluster registry, yarn trace, yarn
+    /// registry, cluster report, yarn report.
+    golden: [u64; 6],
 }
 
 const PRESSURE: &str = "pressure,cap=0.01,leak=0.6,leak-window=300,seed=11";
@@ -85,6 +92,8 @@ const CASES: &[Case] = &[
             0x69efb84ae242d78d,
             0x161b2b0dd7932029,
             0xe55d4b2499323dab,
+            0xfba7c877692b3ea5,
+            0x3bbde7bcfd4ab986,
         ],
     },
     Case {
@@ -100,6 +109,8 @@ const CASES: &[Case] = &[
             0xe73d12c89f2ad589,
             0x99b7379d6df86466,
             0xc497dd3ab52b9a70,
+            0xdfbebe6499c8e368,
+            0xa8c98c58eda3c974,
         ],
     },
     Case {
@@ -115,6 +126,8 @@ const CASES: &[Case] = &[
             0x54e76f9f03ce8f4b,
             0xc3672fe368efeda6,
             0xf1797f99e17bdb4f,
+            0x6eed81c00018c5a9,
+            0xfe7b95d4043d6fcf,
         ],
     },
     Case {
@@ -130,6 +143,8 @@ const CASES: &[Case] = &[
             0xeadb4508737bcec7,
             0xb6901fe940fbcbff,
             0xbba6ff1cc7ee8a46,
+            0x9b11780d7afea958,
+            0x9a76bb6370de84b6,
         ],
     },
     Case {
@@ -147,6 +162,8 @@ const CASES: &[Case] = &[
             0x74e73aad010d9f48,
             0xc87ec521dacc3a87,
             0x85d3c4ee22b066de,
+            0xa4dd0991e18a7aef,
+            0xa98af8e3fac2b197,
         ],
     },
     Case {
@@ -166,6 +183,8 @@ const CASES: &[Case] = &[
             0xd08f5eb0ab053b99,
             0x0bf8a2ea89817e18,
             0xf584d49f232b0dd0,
+            0xdb5632d519c2f864,
+            0x2bceb8b453b5ab15,
         ],
     },
     Case {
@@ -181,6 +200,8 @@ const CASES: &[Case] = &[
             0x97dd3c6cab055888,
             0x01d337ee9ec4385d,
             0x38ccf9ca4106030f,
+            0xa9e4482c256f403f,
+            0xadd2717665ba959b,
         ],
     },
     Case {
@@ -196,6 +217,8 @@ const CASES: &[Case] = &[
             0x4f8dbd17cab5b3f3,
             0x01d337ee9ec4385d,
             0x38ccf9ca4106030f,
+            0x8404a529bd35a10a,
+            0xadd2717665ba959b,
         ],
     },
     Case {
@@ -211,6 +234,8 @@ const CASES: &[Case] = &[
             0x3d8f12d823c711b9,
             0xa41ef0400455a458,
             0x1874239076fb5459,
+            0x9196ea30a1c523ee,
+            0xbb9c6a5e5aa64dfa,
         ],
     },
     Case {
@@ -226,6 +251,8 @@ const CASES: &[Case] = &[
             0x6e6e2ac04f1f1e04,
             0xa41ef0400455a458,
             0x1874239076fb5459,
+            0x39fc38afc41c75fc,
+            0xbb9c6a5e5aa64dfa,
         ],
     },
     Case {
@@ -241,6 +268,8 @@ const CASES: &[Case] = &[
             0xacfd768f18dc53d0,
             0xc3672fe368efeda6,
             0xf1797f99e17bdb4f,
+            0x3153f6bd9b24c6f0,
+            0xfe7b95d4043d6fcf,
         ],
     },
     Case {
@@ -256,6 +285,8 @@ const CASES: &[Case] = &[
             0xe49051a75e725f78,
             0xeb88f2a77be4ec88,
             0x1fda542e08b7bb1c,
+            0xebeb62fd9ca5b0fe,
+            0x462a9d93e163dc15,
         ],
     },
     Case {
@@ -271,6 +302,8 @@ const CASES: &[Case] = &[
             0x1d7f740ceaf3995b,
             0x886b022b8ed99511,
             0xaecd36fd0c1bc4d6,
+            0xbcf29671b1ebfbea,
+            0xaad29690ae4065a9,
         ],
     },
     Case {
@@ -287,6 +320,8 @@ const CASES: &[Case] = &[
             0x517bdf79d8b57b7f,
             0xe66270e3b4812af5,
             0xc31c792185e351d1,
+            0xad9ea97b4020906f,
+            0x3407343a9838bcf4,
         ],
     },
     Case {
@@ -305,6 +340,8 @@ const CASES: &[Case] = &[
             0xeadb4508737bcec7,
             0x3c82b772dca8adf4,
             0x45e76064d918b6df,
+            0x9b11780d7afea958,
+            0x9228b572d13f1652,
         ],
     },
     Case {
@@ -323,12 +360,14 @@ const CASES: &[Case] = &[
             0xa1171cfdee357497,
             0xaa5a83e26dcb1d63,
             0xc7b4191d0aba8f4d,
+            0x93e372cf66127878,
+            0x1fe99a82a3a40247,
         ],
     },
 ];
 
-/// Runs both simulators for `case` and returns its four digests.
-fn digests(case: &Case) -> [u64; 4] {
+/// Runs both simulators for `case` and returns its six digests.
+fn digests(case: &Case) -> [u64; 6] {
     let spec = FaultSpec::parse(case.plan).expect("golden fault plans parse");
 
     let w = GoogleTraceConfig::small(80.0).generate(9);
@@ -354,6 +393,7 @@ fn digests(case: &Case) -> [u64; 4] {
     );
     let cluster_trace = fnv1a(&buf.0.borrow());
     let cluster_reg = fnv1a(report.telemetry.registry.to_json().as_bytes());
+    let cluster_report = words_digest(&report_words(&report.metrics));
     check_fold(
         case.name,
         "cluster",
@@ -386,9 +426,140 @@ fn digests(case: &Case) -> [u64; 4] {
     );
     let yarn_trace = fnv1a(&buf.0.borrow());
     let yarn_reg = fnv1a(telemetry.registry.to_json().as_bytes());
+    let yarn_report = words_digest(&yarn_report_words(&report));
     check_fold(case.name, "yarn", &buf.0.borrow(), &telemetry.registry);
 
-    [cluster_trace, cluster_reg, yarn_trace, yarn_reg]
+    [
+        cluster_trace,
+        cluster_reg,
+        yarn_trace,
+        yarn_reg,
+        cluster_report,
+        yarn_report,
+    ]
+}
+
+/// FNV-1a over the little-endian bytes of `words`.
+fn words_digest(words: &[u64]) -> u64 {
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    fnv1a(&bytes)
+}
+
+/// The pinned report values of a run: every integer counter, then the
+/// bit patterns of the makespan, the CPU-hour sums, the energy, the I/O
+/// and storage fractions and the breaker-open seconds, then the jobs
+/// finished per band.
+fn report_words(m: &RunMetrics) -> Vec<u64> {
+    let mut words = vec![
+        m.jobs_finished,
+        m.tasks_finished,
+        m.preemptions,
+        m.kills,
+        m.checkpoints,
+        m.incremental_checkpoints,
+        m.restores,
+        m.remote_restores,
+        m.capacity_fallbacks,
+        m.gc_reclaimed_bytes,
+        m.evicted_chains,
+        m.spill_dumps,
+        m.no_space_kills,
+        m.failure_evictions,
+        m.crash_evictions,
+        m.breaker_open_kills,
+        m.images_lost_to_failures,
+        m.dump_fail_retries,
+        m.dump_fail_kills,
+        m.restore_fail_retries,
+        m.scratch_restarts,
+        m.resumed_dumps,
+        m.resumed_bytes,
+        m.chunk_refetches,
+        m.chain_truncations,
+        m.integrity_scratch_restarts,
+        m.dfs_blocks_repaired,
+        m.dfs_repair_bytes,
+        m.dfs_blocks_lost,
+        0, // force kills: YARN only
+        0, // AM escalations: YARN only
+    ];
+    words.extend(
+        [
+            m.makespan_secs,
+            m.retry_overhead_cpu_hours,
+            m.kill_lost_cpu_hours,
+            m.dump_overhead_cpu_hours,
+            m.restore_overhead_cpu_hours,
+            m.useful_cpu_hours,
+            m.energy_kwh,
+            m.io_overhead_fraction,
+            m.storage_peak_fraction,
+            m.breaker_open_secs,
+        ]
+        .map(f64::to_bits),
+    );
+    words.extend(PriorityBand::ALL.map(|band| m.per_band.get(&band).map_or(0, |b| b.jobs)));
+    words
+}
+
+/// [`report_words`] for the YARN report, whose low (default-queue) and
+/// high (production-queue) jobs are the free and production bands; the
+/// counters it does not keep are 0.
+fn yarn_report_words(r: &YarnReport) -> Vec<u64> {
+    let mut words = vec![
+        r.jobs_finished,
+        r.tasks_finished,
+        r.kills + r.checkpoints,
+        r.kills,
+        r.checkpoints,
+        r.incremental_checkpoints,
+        r.restores,
+        r.remote_restores,
+        r.capacity_fallbacks,
+        r.gc_reclaimed_bytes,
+        r.evicted_chains,
+        r.spill_dumps,
+        r.no_space_kills,
+        0, // failure evictions
+        r.crash_evictions,
+        r.breaker_open_kills,
+        0, // images lost to failures
+        0, // dump-fail retries
+        r.dump_fail_kills,
+        0, // restore-fail retries
+        0, // scratch restarts
+        r.resumed_dumps,
+        r.resumed_bytes,
+        r.chunk_refetches,
+        r.chain_truncations,
+        r.integrity_scratch_restarts,
+        0, // DFS blocks repaired
+        0, // DFS repair bytes
+        0, // DFS blocks lost
+        r.force_kills,
+        r.am_escalations,
+    ];
+    words.extend(
+        [
+            r.makespan_secs,
+            0.0, // retry overhead
+            r.kill_lost_cpu_hours,
+            r.dump_overhead_cpu_hours,
+            r.restore_overhead_cpu_hours,
+            r.useful_cpu_hours,
+            r.energy_kwh,
+            r.io_overhead_fraction,
+            r.storage_peak_fraction,
+            r.breaker_open_secs,
+        ]
+        .map(f64::to_bits),
+    );
+    words.extend([
+        r.low_responses.len() as u64,
+        0,
+        r.high_responses.len() as u64,
+    ]);
+    words
 }
 
 /// Registry counters that each equal the count of one record kind in
@@ -452,16 +623,15 @@ fn both_simulators_replay_golden_bytes() {
         .filter_map(|case| {
             let got = digests(case);
             (got != case.golden).then(|| {
-                format!(
-                    "{}: got [{:#018x}, {:#018x}, {:#018x}, {:#018x}]",
-                    case.name, got[0], got[1], got[2], got[3]
-                )
+                let got: Vec<String> = got.iter().map(|d| format!("{d:#018x}")).collect();
+                format!("{}: got [{}]", case.name, got.join(", "))
             })
         })
         .collect();
     assert!(
         mismatches.is_empty(),
-        "golden digests differ (cluster trace, cluster registry, yarn trace, yarn registry):\n{}",
+        "golden digests differ (cluster trace, cluster registry, yarn trace, yarn registry, \
+         cluster report, yarn report):\n{}",
         mismatches.join("\n")
     );
 }
