@@ -43,7 +43,7 @@ fn bench_yarn_sim(c: &mut Criterion) {
             b.iter(|| {
                 let mut cfg = YarnConfig::paper_cluster(policy, MediaKind::Nvm);
                 cfg.nodes = 2;
-                black_box(cfg.run(&workload).tasks_finished)
+                black_box(cfg.run(&workload).metrics.tasks_finished)
             })
         });
     }

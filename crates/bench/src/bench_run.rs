@@ -250,7 +250,7 @@ fn run_once(s: &BenchScenario) -> TelemetryReport {
             if let Some(spec) = s.fault_spec() {
                 cfg = cfg.with_faults(spec);
             }
-            YarnSim::new(cfg, workload).run_with_telemetry().1
+            YarnSim::new(cfg, workload).run().telemetry
         }
     }
 }

@@ -5,6 +5,7 @@ use cbp_core::PreemptionPolicy;
 use cbp_faults::FaultSpec;
 use cbp_storage::MediaKind;
 use cbp_workload::mapreduce::MapReduceConfig;
+use cbp_workload::PriorityBand;
 use cbp_yarn::YarnConfig;
 
 use crate::experiments::google_setup;
@@ -48,7 +49,7 @@ pub fn mapreduce(scale: Scale, seed: u64) -> Experiment {
     ] {
         let mut cfg = YarnConfig::paper_cluster(policy, media);
         cfg.nodes = nodes;
-        let r = cfg.run_mapreduce(&plan);
+        let r = cfg.run_mapreduce(&plan).metrics;
         let label = if policy == PreemptionPolicy::Kill {
             "Kill (stock)".to_string()
         } else {
@@ -57,8 +58,8 @@ pub fn mapreduce(scale: Scale, seed: u64) -> Experiment {
         t.row(vec![
             label,
             fmt(r.wasted_cpu_hours(), 2),
-            fmt(r.mean_low_response() / 60.0, 1),
-            fmt(r.mean_high_response() / 60.0, 1),
+            fmt(r.mean_response(PriorityBand::Free) / 60.0, 1),
+            fmt(r.mean_response(PriorityBand::Production) / 60.0, 1),
             r.kills.to_string(),
             r.checkpoints.to_string(),
         ]);
@@ -91,7 +92,8 @@ pub fn mapreduce(scale: Scale, seed: u64) -> Experiment {
             cfg.nodes = nodes;
             let r = cfg
                 .with_graceful_timeout(cbp_simkit::SimDuration::from_secs(secs))
-                .run_mapreduce(&plan);
+                .run_mapreduce(&plan)
+                .metrics;
             grace.row(vec![
                 label.to_string(),
                 media.to_string(),
@@ -220,7 +222,8 @@ pub fn faults(scale: Scale, seed: u64) -> Experiment {
                 am_unresponsive_prob: p,
                 ..FaultSpec::default()
             })
-            .run(&fb_workload);
+            .run(&fb_workload)
+            .metrics;
         am.row(vec![
             format!("{p:.2}"),
             r.checkpoints.to_string(),

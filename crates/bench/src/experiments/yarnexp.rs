@@ -1,10 +1,10 @@
 //! §5 YARN experiments: Figs. 8–12.
 
-use cbp_core::PreemptionPolicy;
+use cbp_core::{PreemptionPolicy, RunMetrics};
 use cbp_storage::MediaKind;
 use cbp_workload::facebook::FacebookConfig;
-use cbp_workload::Workload;
-use cbp_yarn::{YarnConfig, YarnReport};
+use cbp_workload::{PriorityBand, Workload};
+use cbp_yarn::YarnConfig;
 
 use crate::table::{fmt, pct, Experiment, Table};
 use crate::Scale;
@@ -31,12 +31,13 @@ fn run(
     w: &Workload,
     policy: PreemptionPolicy,
     media: MediaKind,
-) -> YarnReport {
+) -> RunMetrics {
     config
         .clone()
         .with_policy(policy)
         .with_media_kind(media)
         .run(w)
+        .metrics
 }
 
 /// Fig. 8: wastage, energy and mean response times of Kill vs
@@ -44,7 +45,7 @@ fn run(
 pub fn fig8(scale: Scale, seed: u64) -> Experiment {
     let (w, base) = setup(scale, seed);
     let kill = run(&base, &w, PreemptionPolicy::Kill, MediaKind::Ssd);
-    let chk: Vec<(MediaKind, YarnReport)> = MediaKind::ALL
+    let chk: Vec<(MediaKind, RunMetrics)> = MediaKind::ALL
         .into_iter()
         .map(|m| (m, run(&base, &w, PreemptionPolicy::Checkpoint, m)))
         .collect();
@@ -107,14 +108,14 @@ pub fn fig8(scale: Scale, seed: u64) -> Experiment {
     );
     c.row(vec![
         "Kill".into(),
-        fmt(kill.mean_low_response() / 60.0, 1),
-        fmt(kill.mean_high_response() / 60.0, 1),
+        fmt(kill.mean_response(PriorityBand::Free) / 60.0, 1),
+        fmt(kill.mean_response(PriorityBand::Production) / 60.0, 1),
     ]);
     for (m, r) in &chk {
         c.row(vec![
             format!("Chk-{m}"),
-            fmt(r.mean_low_response() / 60.0, 1),
-            fmt(r.mean_high_response() / 60.0, 1),
+            fmt(r.mean_response(PriorityBand::Free) / 60.0, 1),
+            fmt(r.mean_response(PriorityBand::Production) / 60.0, 1),
         ]);
     }
     c.note("paper fig8c: low-priority -18/-53/-61% on HDD/SSD/NVM; high priority worse on HDD/SSD, comparable on NVM");
@@ -177,8 +178,8 @@ pub fn fig10(scale: Scale, seed: u64) -> Experiment {
         for (label, r) in [("Basic", &basic), ("Adaptive", &adaptive)] {
             t.row(vec![
                 label.into(),
-                fmt(r.mean_low_response() / 60.0, 1),
-                fmt(r.mean_high_response() / 60.0, 1),
+                fmt(r.mean_response(PriorityBand::Free) / 60.0, 1),
+                fmt(r.mean_response(PriorityBand::Production) / 60.0, 1),
                 r.kills.to_string(),
                 r.checkpoints.to_string(),
             ]);

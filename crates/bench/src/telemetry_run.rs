@@ -286,7 +286,7 @@ fn run_yarn(
     if let Some(tracer) = sinks.tracer.take() {
         sim.set_tracer(tracer);
     }
-    let (_, telemetry) = sim.run_with_telemetry();
+    let telemetry = sim.run().telemetry;
     sinks.check_files()?;
     Ok((telemetry, sinks.collector))
 }
@@ -394,35 +394,6 @@ pub fn emit_crit_extras(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The `ResponseSummary` percentiles must survive JSON serialization —
-    /// `BandMetrics.responses` is `#[serde(skip)]`, so the summary is the
-    /// only percentile information a JSON consumer gets.
-    #[test]
-    fn response_summary_survives_json_export() {
-        let (workload, base) = google_setup(Scale::SMOKE, 3);
-        let report = base.with_policy(PreemptionPolicy::Kill).run(&workload);
-        let json = serde_json::to_value(&report.metrics).expect("serialize RunMetrics");
-        let bands = json
-            .get("per_band")
-            .and_then(|b| b.as_object())
-            .expect("per_band object");
-        assert!(!bands.is_empty(), "smoke run finishes jobs in some band");
-        for (band, metrics) in bands {
-            let summary = metrics
-                .get("response_summary")
-                .unwrap_or_else(|| panic!("band {band} missing response_summary"));
-            for key in ["p50", "p95", "p99", "max"] {
-                let v = summary
-                    .get(key)
-                    .and_then(|v| v.as_f64())
-                    .unwrap_or_else(|| panic!("band {band} summary missing {key}"));
-                assert!(v >= 0.0);
-            }
-            // raw samples must stay out of the export
-            assert!(metrics.get("responses").is_none());
-        }
-    }
 
     #[test]
     fn instrumented_run_produces_deterministic_registry() {

@@ -22,7 +22,7 @@ use cbp_storage::MediaKind;
 use cbp_workload::facebook::FacebookConfig;
 use cbp_workload::google::GoogleTraceConfig;
 use cbp_workload::Workload;
-use cbp_yarn::{YarnConfig, YarnReport, YarnSim};
+use cbp_yarn::{YarnConfig, YarnSim};
 use proptest::prelude::*;
 
 /// A `Write` sink whose buffer outlives the boxed tracer.
@@ -107,7 +107,7 @@ fn traced_cluster(cfg: SimConfig, workload: &Workload) -> (RunReport, Vec<u8>) {
 }
 
 /// Runs the YARN protocol simulator with a JSONL tracer.
-fn traced_yarn(cfg: YarnConfig, workload: &Workload) -> (YarnReport, Vec<u8>) {
+fn traced_yarn(cfg: YarnConfig, workload: &Workload) -> (RunReport, Vec<u8>) {
     let buf = SharedBuf::default();
     let mut sim = YarnSim::new(cfg, workload.clone());
     sim.set_tracer(Box::new(cbp_telemetry::JsonlTracer::new(buf.clone())));
@@ -188,8 +188,8 @@ proptest! {
         };
 
         let (report, bytes_a) = traced_yarn(cfg(), &workload);
-        prop_assert_eq!(report.jobs_finished, workload.job_count() as u64);
-        prop_assert_eq!(report.tasks_finished, workload.task_count() as u64);
+        prop_assert_eq!(report.metrics.jobs_finished, workload.job_count() as u64);
+        prop_assert_eq!(report.metrics.tasks_finished, workload.task_count() as u64);
 
         let (_, bytes_b) = traced_yarn(cfg(), &workload);
         prop_assert_eq!(bytes_a, bytes_b, "same (seed, fault plan) must replay identically");
@@ -255,8 +255,8 @@ proptest! {
             cfg.with_faults(spec.clone())
         };
         let (report, bytes_a) = traced_yarn(ycfg(), &fw);
-        prop_assert_eq!(report.jobs_finished, fw.job_count() as u64);
-        prop_assert_eq!(report.tasks_finished, fw.task_count() as u64);
+        prop_assert_eq!(report.metrics.jobs_finished, fw.job_count() as u64);
+        prop_assert_eq!(report.metrics.tasks_finished, fw.task_count() as u64);
         let (_, bytes_b) = traced_yarn(ycfg(), &fw);
         prop_assert_eq!(bytes_a, bytes_b, "yarn: chaos replay must be byte-identical");
     }

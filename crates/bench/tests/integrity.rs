@@ -24,7 +24,7 @@ use cbp_storage::MediaKind;
 use cbp_workload::facebook::FacebookConfig;
 use cbp_workload::google::GoogleTraceConfig;
 use cbp_workload::Workload;
-use cbp_yarn::{YarnConfig, YarnReport, YarnSim};
+use cbp_yarn::{YarnConfig, YarnSim};
 use proptest::prelude::*;
 
 /// A `Write` sink whose buffer outlives the boxed tracer.
@@ -63,7 +63,7 @@ fn traced_cluster(cfg: SimConfig, workload: &Workload) -> (RunReport, Vec<u8>) {
 }
 
 /// Runs the YARN protocol simulator with a JSONL tracer.
-fn traced_yarn(cfg: YarnConfig, workload: &Workload) -> (YarnReport, Vec<u8>) {
+fn traced_yarn(cfg: YarnConfig, workload: &Workload) -> (RunReport, Vec<u8>) {
     let buf = SharedBuf::default();
     let mut sim = YarnSim::new(cfg, workload.clone());
     sim.set_tracer(Box::new(cbp_telemetry::JsonlTracer::new(buf.clone())));
@@ -177,7 +177,7 @@ proptest! {
             cfg.with_faults(heavy(plan_seed, resume))
         };
         let (report, bytes_a) = traced_yarn(ycfg(), &fw);
-        prop_assert_eq!(report.jobs_finished, fw.job_count() as u64);
+        prop_assert_eq!(report.metrics.jobs_finished, fw.job_count() as u64);
         let (_, bytes_b) = traced_yarn(ycfg(), &fw);
         prop_assert_eq!(bytes_a, bytes_b, "yarn: integrity replay must be byte-identical");
     }
@@ -284,24 +284,26 @@ fn yarn_heavy_faults_engage_integrity_machinery() {
     for seed in 3..9 {
         let fw = workload(seed);
         let (on, bytes_on) = traced_yarn(cfg(true), &fw);
-        assert_eq!(on.jobs_finished, fw.job_count() as u64);
-        assert_eq!(on.tasks_finished, fw.task_count() as u64);
-        resumed += on.resumed_dumps;
-        resumed_bytes += on.resumed_bytes;
-        recovered += on.chunk_refetches + on.chain_truncations + on.integrity_scratch_restarts;
+        assert_eq!(on.metrics.jobs_finished, fw.job_count() as u64);
+        assert_eq!(on.metrics.tasks_finished, fw.task_count() as u64);
+        resumed += on.metrics.resumed_dumps;
+        resumed_bytes += on.metrics.resumed_bytes;
+        recovered += on.metrics.chunk_refetches
+            + on.metrics.chain_truncations
+            + on.metrics.integrity_scratch_restarts;
         assert_eq!(
             kind_count(&bytes_on, "resume_dump") as u64,
-            on.resumed_dumps
+            on.metrics.resumed_dumps
         );
 
         let (off, bytes_off) = traced_yarn(cfg(false), &fw);
-        assert_eq!(off.jobs_finished, fw.job_count() as u64);
+        assert_eq!(off.metrics.jobs_finished, fw.job_count() as u64);
         assert_eq!(
             (
-                off.resumed_dumps,
-                off.chunk_refetches,
-                off.chain_truncations,
-                off.integrity_scratch_restarts
+                off.metrics.resumed_dumps,
+                off.metrics.chunk_refetches,
+                off.metrics.chain_truncations,
+                off.metrics.integrity_scratch_restarts
             ),
             (0, 0, 0, 0),
             "--no-resume must keep the yarn integrity ledger at zero"

@@ -26,7 +26,7 @@ use cbp_storage::MediaKind;
 use cbp_workload::facebook::FacebookConfig;
 use cbp_workload::google::GoogleTraceConfig;
 use cbp_workload::Workload;
-use cbp_yarn::{YarnConfig, YarnReport, YarnSim};
+use cbp_yarn::{YarnConfig, YarnSim};
 use proptest::prelude::*;
 
 /// A `Write` sink whose buffer outlives the boxed tracer.
@@ -79,7 +79,7 @@ fn traced_cluster(cfg: SimConfig, workload: &Workload) -> (RunReport, Vec<u8>) {
 }
 
 /// Runs the YARN protocol simulator with a JSONL tracer.
-fn traced_yarn(cfg: YarnConfig, workload: &Workload) -> (YarnReport, Vec<u8>) {
+fn traced_yarn(cfg: YarnConfig, workload: &Workload) -> (RunReport, Vec<u8>) {
     let buf = SharedBuf::default();
     let mut sim = YarnSim::new(cfg, workload.clone());
     sim.set_tracer(Box::new(cbp_telemetry::JsonlTracer::new(buf.clone())));
@@ -146,8 +146,8 @@ proptest! {
         };
 
         let (report, bytes_a) = traced_yarn(cfg(), &workload);
-        prop_assert_eq!(report.jobs_finished, workload.job_count() as u64);
-        prop_assert_eq!(report.tasks_finished, workload.task_count() as u64);
+        prop_assert_eq!(report.metrics.jobs_finished, workload.job_count() as u64);
+        prop_assert_eq!(report.metrics.tasks_finished, workload.task_count() as u64);
 
         let (_, bytes_b) = traced_yarn(cfg(), &workload);
         prop_assert_eq!(bytes_a, bytes_b, "same (seed, plan) must replay identically");
@@ -183,7 +183,7 @@ proptest! {
             .with_faults(plan);
         ycfg.nodes = 2;
         let report = YarnSim::new(ycfg, fw.clone()).run();
-        prop_assert_eq!(report.tasks_finished, fw.task_count() as u64);
+        prop_assert_eq!(report.metrics.tasks_finished, fw.task_count() as u64);
     }
 }
 
@@ -328,20 +328,22 @@ fn lifecycle_strictly_reduces_no_space_kills_yarn() {
         })
         .find_map(|fw| {
             let off = YarnSim::new(cfg(false), fw.clone()).run();
-            (off.no_space_kills > 0).then_some((fw, off))
+            (off.metrics.no_space_kills > 0).then_some((fw, off))
         })
         .expect("a draw where the bare fallback kills within 35 seeds");
     let on = YarnSim::new(cfg(true), fw.clone()).run();
-    assert_eq!(off.tasks_finished, fw.task_count() as u64);
-    assert_eq!(on.tasks_finished, fw.task_count() as u64);
+    assert_eq!(off.metrics.tasks_finished, fw.task_count() as u64);
+    assert_eq!(on.metrics.tasks_finished, fw.task_count() as u64);
     assert!(
-        on.no_space_kills < off.no_space_kills,
+        on.metrics.no_space_kills < off.metrics.no_space_kills,
         "lifecycle on must kill strictly less for lack of space (on={}, off={})",
-        on.no_space_kills,
-        off.no_space_kills
+        on.metrics.no_space_kills,
+        off.metrics.no_space_kills
     );
     assert!(
-        on.gc_reclaimed_bytes > 0 || on.evicted_chains > 0 || on.spill_dumps > 0,
+        on.metrics.gc_reclaimed_bytes > 0
+            || on.metrics.evicted_chains > 0
+            || on.metrics.spill_dumps > 0,
         "the reduction must come from the ladder actually engaging"
     );
 }

@@ -7,55 +7,24 @@ use cbp_simkit::{RunStats, SimDuration, SimTime};
 use cbp_telemetry::{MetricsRegistry, StreamingQuantiles, TimeSeries};
 use cbp_workload::{LatencyClass, PriorityBand};
 
-use crate::ckpt_path::CkptCounters;
-use serde::Serialize;
-
-/// Percentile summary of a band's response times, seconds.
-///
-/// `BandMetrics.responses` is `#[serde(skip)]` (raw samples are too big to
-/// export), so this summary is computed on snapshot and serialized in its
-/// place — `--json` output carries p50/p95/p99/max per band.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
-pub struct ResponseSummary {
-    /// Median response time.
-    pub p50: f64,
-    /// 95th-percentile response time.
-    pub p95: f64,
-    /// 99th-percentile response time.
-    pub p99: f64,
-    /// Worst response time.
-    pub max: f64,
-}
-
-impl ResponseSummary {
-    /// Computes the summary from raw samples (zeros if empty).
-    pub fn from_samples(samples: &mut Samples) -> Self {
-        ResponseSummary {
-            p50: samples.percentile(50.0).unwrap_or(0.0),
-            p95: samples.percentile(95.0).unwrap_or(0.0),
-            p99: samples.percentile(99.0).unwrap_or(0.0),
-            max: samples.percentile(100.0).unwrap_or(0.0),
-        }
-    }
-}
+use crate::ckpt_path::CkptPath;
 
 /// Response-time statistics for one priority band.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BandMetrics {
     /// Jobs finished in this band.
     pub jobs: u64,
     /// Mean response time (submission → last task finish), seconds.
     pub mean_response_secs: f64,
-    /// Percentile summary (serialized; computed when the run snapshots).
-    pub response_summary: ResponseSummary,
-    /// All response times, seconds (for CDFs and percentiles).
-    #[serde(skip)]
+    /// All response times, seconds, in finish order (for CDFs and
+    /// percentiles).
     pub responses: Samples,
 }
 
 /// Aggregate results of one simulation run — the quantities plotted in
-/// Figs. 3, 4, 5, 6, 8–12.
-#[derive(Debug, Clone, Serialize)]
+/// Figs. 3, 4, 5, 6, 8–12. Both simulators report it; a counter only one
+/// of them keeps is 0 under the other.
+#[derive(Debug, Clone)]
 pub struct RunMetrics {
     /// Total simulated time (first submit → last event).
     pub makespan_secs: f64,
@@ -63,7 +32,7 @@ pub struct RunMetrics {
     pub jobs_finished: u64,
     /// Tasks that completed.
     pub tasks_finished: u64,
-    /// Preemption events (kills + suspends).
+    /// Preemption events: `kills + checkpoints`.
     pub preemptions: u64,
     /// Victims killed.
     pub kills: u64,
@@ -141,6 +110,11 @@ pub struct RunMetrics {
     pub dfs_repair_bytes: u64,
     /// HDFS blocks whose every replica died (data loss).
     pub dfs_blocks_lost: u64,
+    /// Dumps aborted by the YARN NodeManager's grace-period force-kill.
+    pub force_kills: u64,
+    /// Preemption requests the YARN ResourceManager escalated to kills
+    /// because the ApplicationMaster stayed unresponsive (fault injection).
+    pub am_escalations: u64,
     /// CPU-hours lost to killed progress (re-execution waste).
     pub kill_lost_cpu_hours: f64,
     /// CPU-hours spent holding resources during dumps.
@@ -223,6 +197,15 @@ impl RunMetrics {
             sum / n as f64
         }
     }
+
+    /// Every job's response time, seconds, band by band (for the Fig. 9
+    /// CDF).
+    pub fn all_responses(&self) -> Samples {
+        self.per_band
+            .values()
+            .flat_map(|b| b.responses.values().iter().copied())
+            .collect()
+    }
 }
 
 /// Observability artifacts of one run: the metrics-registry snapshot, the
@@ -304,22 +287,26 @@ pub struct RunReport {
     pub telemetry: TelemetryReport,
 }
 
-/// The counters and CPU-second sums both simulators keep, incremented in
-/// place, and the registry keys they share.
-#[derive(Debug, Default, Clone, Copy)]
+/// The accumulator both simulators write a run into: the counters and
+/// CPU-second sums, the response samples per band and per latency class,
+/// and the counters only one simulator keeps (0 under the other).
+/// [`RunLedger::export`] sets the registry keys the simulators share and
+/// [`RunLedger::into_metrics`] turns the ledger into the run's
+/// [`RunMetrics`].
+#[derive(Debug, Default, Clone)]
 pub struct RunLedger {
     /// Hard kills (`scheduler.kills`): the `task_evict` records whose
     /// reason is not `dump`, except evictions by a node that went down.
     /// `node-crash` evictions count as [`RunLedger::crash_evictions`]
     /// and ClusterSim's `node-fail` evictions as
-    /// `scheduler.failure_evictions`, so the three counters sum to the
+    /// [`RunLedger::failure_evictions`], so the three counters sum to the
     /// trace's hard-kill count.
     pub kills: u64,
     /// Checkpoint dumps started.
     pub checkpoints: u64,
     /// Restores completed.
     pub restores: u64,
-    /// Restores on a node other than the checkpoint origin.
+    /// Restores started on a node other than the checkpoint origin.
     pub remote_restores: u64,
     /// Containers evicted by fault-plan node or rack crashes.
     pub crash_evictions: u64,
@@ -334,29 +321,95 @@ pub struct RunLedger {
     pub dump_overhead_cpu_secs: f64,
     /// Core-seconds spent holding resources during restores.
     pub restore_overhead_cpu_secs: f64,
+    /// ClusterSim: containers evicted by MTBF node failures.
+    pub failure_evictions: u64,
+    /// ClusterSim: checkpoint chains destroyed by node failures.
+    pub images_lost_to_failures: u64,
+    /// ClusterSim: injected dump failures that were retried.
+    pub dump_fail_retries: u64,
+    /// ClusterSim: injected restore failures that were retried.
+    pub restore_fail_retries: u64,
+    /// ClusterSim: restores abandoned for good (the task restarted from
+    /// scratch).
+    pub scratch_restarts: u64,
+    /// ClusterSim: core-seconds burnt inside failed dump/restore attempts
+    /// and their rewrites.
+    pub retry_cpu_secs: f64,
+    /// ClusterSim: HDFS blocks re-replicated after datanode failures.
+    pub dfs_blocks_repaired: u64,
+    /// ClusterSim: bytes copied by HDFS re-replication.
+    pub dfs_repair_bytes: u64,
+    /// ClusterSim: HDFS blocks whose every replica died.
+    pub dfs_blocks_lost: u64,
+    /// YarnSim: dumps aborted by the NodeManager's grace-period
+    /// force-kill.
+    pub force_kills: u64,
+    /// YarnSim: preemption requests escalated to kills because the
+    /// ApplicationMaster stayed unresponsive.
+    pub am_escalations: u64,
+    /// Response times per band, seconds, in finish order.
+    responses: BTreeMap<PriorityBand, Samples>,
+    /// Response times per latency class, seconds, in finish order.
+    latency_responses: BTreeMap<u8, Samples>,
 }
 
 impl RunLedger {
+    /// Records a job that was submitted at `submit` and whose last task
+    /// finished at `finish`.
+    pub fn record_response(
+        &mut self,
+        band: PriorityBand,
+        latency: LatencyClass,
+        submit: SimTime,
+        finish: SimTime,
+    ) {
+        let response = finish.since(submit).as_secs_f64();
+        self.responses.entry(band).or_default().push(response);
+        self.latency_responses
+            .entry(latency.0)
+            .or_default()
+            .push(response);
+    }
+
+    /// Jobs finished so far (one response each).
+    pub fn jobs_finished(&self) -> u64 {
+        self.responses.values().map(|s| s.len() as u64).sum()
+    }
+
+    /// Charges a hard kill that lost `lost` of progress on `cores` cores.
+    pub fn charge_kill(&mut self, lost: SimDuration, cores: f64) {
+        self.kills += 1;
+        self.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
+    }
+
+    /// Charges a checkpoint dump whose service took `duration` on `cores`
+    /// cores.
+    pub fn charge_dump(&mut self, duration: SimDuration, cores: f64) {
+        self.checkpoints += 1;
+        self.dump_overhead_cpu_secs += duration.as_secs_f64() * cores;
+    }
+
+    /// Charges a completed restore whose service took `duration` on
+    /// `cores` cores. Remote restores are counted where they start.
+    pub fn charge_restore(&mut self, duration: SimDuration, cores: f64) {
+        self.restores += 1;
+        self.restore_overhead_cpu_secs += duration.as_secs_f64() * cores;
+    }
+
     /// Sets the registry keys both simulators share for a run the engine
     /// ended with `stats`: the engine's event count, the `scheduler.*`
     /// counters, makespan and response quantiles, crash evictions, the
-    /// `cpu.*_hours` sums and the energy. `responses` are fed to the P²
-    /// estimators in the order given, which the estimate depends on.
-    pub fn export(
-        &self,
-        reg: &mut MetricsRegistry,
-        stats: &RunStats,
-        jobs_finished: u64,
-        energy_kwh: f64,
-        responses: impl IntoIterator<Item = f64>,
-    ) {
+    /// `cpu.*_hours` sums and the energy. The responses are fed to the P²
+    /// estimators band by band (Free, Middle, Production), each band in
+    /// finish order; the estimate depends on that order.
+    pub fn export(&self, reg: &mut MetricsRegistry, stats: &RunStats, energy_kwh: f64) {
         reg.set_counter("engine.events", "events", stats.events);
         reg.set_counter("scheduler.kills", "ops", self.kills);
         reg.set_counter("scheduler.checkpoints", "ops", self.checkpoints);
         reg.set_counter("scheduler.restores", "ops", self.restores);
         reg.set_counter("scheduler.remote_restores", "ops", self.remote_restores);
         reg.set_counter("scheduler.tasks_finished", "ops", self.tasks_finished);
-        reg.set_counter("scheduler.jobs_finished", "ops", jobs_finished);
+        reg.set_counter("scheduler.jobs_finished", "ops", self.jobs_finished());
         reg.set_counter("faults.crash_evictions", "ops", self.crash_evictions);
         reg.set_gauge("scheduler.makespan_secs", "s", stats.now.as_secs_f64());
         for (name, secs) in [
@@ -369,150 +422,79 @@ impl RunLedger {
         }
         reg.set_gauge("energy.total_kwh", "kWh", energy_kwh);
         let mut quantiles = StreamingQuantiles::new();
-        for v in responses {
-            quantiles.observe(v);
+        for samples in self.responses.values() {
+            for &v in samples.values() {
+                quantiles.observe(v);
+            }
         }
         if quantiles.count() > 0 {
             reg.set_quantiles("scheduler.response_secs", "s", quantiles.snapshot());
         }
     }
-}
 
-/// Internal accumulator the simulator writes into.
-#[derive(Debug, Default)]
-pub(crate) struct MetricsCollector {
-    pub ledger: RunLedger,
-    pub preemptions: u64,
-    pub failure_evictions: u64,
-    pub breaker_open_secs: f64,
-    pub images_lost_to_failures: u64,
-    pub dump_fail_retries: u64,
-    pub restore_fail_retries: u64,
-    pub scratch_restarts: u64,
-    pub retry_cpu_secs: f64,
-    pub dfs_blocks_repaired: u64,
-    pub dfs_repair_bytes: u64,
-    pub dfs_blocks_lost: u64,
-    pub responses: BTreeMap<PriorityBand, Samples>,
-    pub responses_latency: BTreeMap<u8, Samples>,
-    pub jobs_finished: u64,
-}
-
-impl MetricsCollector {
-    pub fn record_response(
-        &mut self,
-        band: PriorityBand,
-        latency: LatencyClass,
-        submit: SimTime,
-        finish: SimTime,
-    ) {
-        let response = finish.since(submit).as_secs_f64();
-        self.responses.entry(band).or_default().push(response);
-        self.responses_latency
-            .entry(latency.0)
-            .or_default()
-            .push(response);
-        self.jobs_finished += 1;
-    }
-
-    pub fn charge_kill(&mut self, lost: SimDuration, cores: f64) {
-        self.ledger.kills += 1;
-        self.preemptions += 1;
-        self.ledger.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
-    }
-
-    pub fn charge_dump(
-        &mut self,
-        duration: SimDuration,
-        cores: f64,
-        incremental_count: &mut u64,
-        incremental: bool,
-    ) {
-        self.ledger.checkpoints += 1;
-        self.preemptions += 1;
-        self.ledger.dump_overhead_cpu_secs += duration.as_secs_f64() * cores;
-        if incremental {
-            *incremental_count += 1;
+    /// The metrics of a run that ended at `makespan` having used
+    /// `energy_kwh`. The checkpoint counters, incremental dumps, I/O busy
+    /// and peak storage fractions and breaker-open seconds come from the
+    /// run's checkpoint path `ckpt`.
+    pub fn into_metrics(self, makespan: SimTime, energy_kwh: f64, ckpt: &CkptPath) -> RunMetrics {
+        fn bands<K: Ord>(samples: BTreeMap<K, Samples>) -> BTreeMap<K, BandMetrics> {
+            samples
+                .into_iter()
+                .map(|(key, responses)| {
+                    let metrics = BandMetrics {
+                        jobs: responses.len() as u64,
+                        mean_response_secs: responses.mean(),
+                        responses,
+                    };
+                    (key, metrics)
+                })
+                .collect()
         }
-    }
-
-    pub fn charge_restore(&mut self, duration: SimDuration, cores: f64, remote: bool) {
-        self.ledger.restores += 1;
-        self.ledger.restore_overhead_cpu_secs += duration.as_secs_f64() * cores;
-        if remote {
-            self.ledger.remote_restores += 1;
-        }
-    }
-
-    pub fn into_metrics(
-        mut self,
-        makespan: SimTime,
-        energy_kwh: f64,
-        io_overhead_fraction: f64,
-        storage_peak_fraction: f64,
-        incremental_checkpoints: u64,
-        ckpt: &CkptCounters,
-    ) -> RunMetrics {
-        fn to_band_metrics(mut samples: Samples) -> BandMetrics {
-            let response_summary = ResponseSummary::from_samples(&mut samples);
-            BandMetrics {
-                jobs: samples.len() as u64,
-                mean_response_secs: samples.mean(),
-                response_summary,
-                responses: samples,
-            }
-        }
-        let per_band = std::mem::take(&mut self.responses)
-            .into_iter()
-            .map(|(band, samples)| (band, to_band_metrics(samples)))
-            .collect();
-        let per_latency = std::mem::take(&mut self.responses_latency)
-            .into_iter()
-            .map(|(class, samples)| (class, to_band_metrics(samples)))
-            .collect();
-        let l = self.ledger;
+        let c = &ckpt.counters;
         RunMetrics {
             makespan_secs: makespan.as_secs_f64(),
-            jobs_finished: self.jobs_finished,
-            tasks_finished: l.tasks_finished,
-            preemptions: self.preemptions,
-            kills: l.kills,
-            checkpoints: l.checkpoints,
-            incremental_checkpoints,
-            restores: l.restores,
-            remote_restores: l.remote_restores,
-            capacity_fallbacks: ckpt.capacity_fallbacks,
-            gc_reclaimed_bytes: ckpt.gc_reclaimed_bytes,
-            evicted_chains: ckpt.evicted_chains,
-            spill_dumps: ckpt.spill_dumps,
-            no_space_kills: ckpt.no_space_kills,
+            jobs_finished: self.jobs_finished(),
+            tasks_finished: self.tasks_finished,
+            preemptions: self.kills + self.checkpoints,
+            kills: self.kills,
+            checkpoints: self.checkpoints,
+            incremental_checkpoints: ckpt.criu().incremental_dumps(),
+            restores: self.restores,
+            remote_restores: self.remote_restores,
+            capacity_fallbacks: c.capacity_fallbacks,
+            gc_reclaimed_bytes: c.gc_reclaimed_bytes,
+            evicted_chains: c.evicted_chains,
+            spill_dumps: c.spill_dumps,
+            no_space_kills: c.no_space_kills,
             failure_evictions: self.failure_evictions,
-            crash_evictions: l.crash_evictions,
-            breaker_open_kills: ckpt.breaker_open_kills,
-            breaker_open_secs: self.breaker_open_secs,
+            crash_evictions: self.crash_evictions,
+            breaker_open_kills: c.breaker_open_kills,
+            breaker_open_secs: ckpt.breaker_open_secs(makespan),
             images_lost_to_failures: self.images_lost_to_failures,
             dump_fail_retries: self.dump_fail_retries,
-            dump_fail_kills: ckpt.dump_fail_kills,
+            dump_fail_kills: c.dump_fail_kills,
             restore_fail_retries: self.restore_fail_retries,
             scratch_restarts: self.scratch_restarts,
-            resumed_dumps: ckpt.resumed_dumps,
-            resumed_bytes: ckpt.resumed_bytes,
-            chunk_refetches: ckpt.chunk_refetches,
-            chain_truncations: ckpt.chain_truncations,
-            integrity_scratch_restarts: ckpt.integrity_scratch_restarts,
+            resumed_dumps: c.resumed_dumps,
+            resumed_bytes: c.resumed_bytes,
+            chunk_refetches: c.chunk_refetches,
+            chain_truncations: c.chain_truncations,
+            integrity_scratch_restarts: c.integrity_scratch_restarts,
             retry_overhead_cpu_hours: self.retry_cpu_secs / 3600.0,
             dfs_blocks_repaired: self.dfs_blocks_repaired,
             dfs_repair_bytes: self.dfs_repair_bytes,
             dfs_blocks_lost: self.dfs_blocks_lost,
-            kill_lost_cpu_hours: l.kill_lost_cpu_secs / 3600.0,
-            dump_overhead_cpu_hours: l.dump_overhead_cpu_secs / 3600.0,
-            restore_overhead_cpu_hours: l.restore_overhead_cpu_secs / 3600.0,
-            useful_cpu_hours: l.useful_cpu_secs / 3600.0,
+            force_kills: self.force_kills,
+            am_escalations: self.am_escalations,
+            kill_lost_cpu_hours: self.kill_lost_cpu_secs / 3600.0,
+            dump_overhead_cpu_hours: self.dump_overhead_cpu_secs / 3600.0,
+            restore_overhead_cpu_hours: self.restore_overhead_cpu_secs / 3600.0,
+            useful_cpu_hours: self.useful_cpu_secs / 3600.0,
             energy_kwh,
-            io_overhead_fraction,
-            storage_peak_fraction,
-            per_band,
-            per_latency,
+            io_overhead_fraction: ckpt.io_busy_fraction(makespan.since(SimTime::ZERO)),
+            storage_peak_fraction: ckpt.peak_used_fraction(),
+            per_band: bands(self.responses),
+            per_latency: bands(self.latency_responses),
         }
     }
 }
@@ -520,17 +502,28 @@ impl MetricsCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ckpt_path::CkptCounters;
+    use cbp_checkpoint::Criu;
+    use cbp_storage::MediaSpec;
+
+    /// A two-node checkpoint path with no faults and `counters` set.
+    fn path(counters: CkptCounters) -> CkptPath {
+        let mut path = CkptPath::new(2, MediaSpec::ssd(), Criu::new(true), None, None, false);
+        path.counters = counters;
+        path
+    }
 
     #[test]
-    fn collector_aggregates_into_metrics() {
-        let mut c = MetricsCollector::default();
-        c.charge_kill(SimDuration::from_secs(3600), 2.0);
-        let mut inc = 0;
-        c.charge_dump(SimDuration::from_secs(1800), 1.0, &mut inc, true);
-        c.charge_restore(SimDuration::from_secs(1800), 1.0, true);
-        c.ledger.useful_cpu_secs = 3600.0 * 6.0;
-        c.ledger.crash_evictions = 2;
-        c.breaker_open_secs = 42.0;
+    fn ledger_aggregates_into_metrics() {
+        let mut l = RunLedger::default();
+        l.charge_kill(SimDuration::from_secs(3600), 2.0);
+        l.charge_dump(SimDuration::from_secs(1800), 1.0);
+        l.charge_restore(SimDuration::from_secs(1800), 1.0);
+        l.remote_restores += 1;
+        l.useful_cpu_secs = 3600.0 * 6.0;
+        l.crash_evictions = 2;
+        l.force_kills = 3;
+        l.am_escalations = 4;
         let k = CkptCounters {
             breaker_open_kills: 1,
             gc_reclaimed_bytes: 1_000_000,
@@ -544,35 +537,37 @@ mod tests {
             integrity_scratch_restarts: 1,
             ..CkptCounters::default()
         };
-        c.record_response(
+        l.record_response(
             PriorityBand::Free,
             LatencyClass::new(0),
             SimTime::ZERO,
             SimTime::from_secs(120),
         );
-        c.record_response(
+        l.record_response(
             PriorityBand::Free,
             LatencyClass::new(1),
             SimTime::ZERO,
             SimTime::from_secs(240),
         );
-        c.record_response(
+        l.record_response(
             PriorityBand::Production,
             LatencyClass::new(3),
             SimTime::from_secs(60),
             SimTime::from_secs(120),
         );
-        let m = c.into_metrics(SimTime::from_secs(1000), 12.5, 0.25, 0.1, inc, &k);
+        assert_eq!(l.jobs_finished(), 3);
+        let m = l.into_metrics(SimTime::from_secs(1000), 12.5, &path(k));
 
         assert_eq!(m.kills, 1);
         assert_eq!(m.checkpoints, 1);
-        assert_eq!(m.incremental_checkpoints, 1);
         assert_eq!(m.restores, 1);
         assert_eq!(m.remote_restores, 1);
         assert_eq!(m.preemptions, 2);
         assert_eq!(m.crash_evictions, 2);
+        assert_eq!(m.force_kills, 3);
+        assert_eq!(m.am_escalations, 4);
         assert_eq!(m.breaker_open_kills, 1);
-        assert_eq!(m.breaker_open_secs, 42.0);
+        assert_eq!(m.breaker_open_secs, 0.0);
         assert_eq!(m.gc_reclaimed_bytes, 1_000_000);
         assert_eq!(m.evicted_chains, 3);
         assert_eq!(m.spill_dumps, 4);
@@ -596,50 +591,62 @@ mod tests {
         assert!((m.mean_response_latency(LatencyClass::new(0)) - 120.0).abs() < 1e-9);
         assert!((m.mean_response_latency(LatencyClass::new(3)) - 60.0).abs() < 1e-9);
         assert_eq!(m.mean_response_latency(LatencyClass::new(2)), 0.0);
+        assert_eq!(m.all_responses().values(), [120.0, 240.0, 60.0]);
         assert_eq!(m.energy_kwh, 12.5);
+        assert_eq!(m.io_overhead_fraction, 0.0);
+        assert_eq!(m.storage_peak_fraction, 0.0);
     }
 
     #[test]
-    fn response_summary_percentiles() {
-        let mut c = MetricsCollector::default();
-        for i in 1..=100u64 {
-            c.record_response(
-                PriorityBand::Middle,
+    fn export_feeds_responses_in_band_order() {
+        let mut a = RunLedger::default();
+        let mut b = RunLedger::default();
+        let jobs = [
+            (PriorityBand::Production, 30),
+            (PriorityBand::Free, 500),
+            (PriorityBand::Middle, 90),
+            (PriorityBand::Free, 7),
+            (PriorityBand::Production, 1_000),
+            (PriorityBand::Free, 60),
+        ];
+        for &(band, secs) in &jobs {
+            a.record_response(
+                band,
                 LatencyClass::new(0),
                 SimTime::ZERO,
-                SimTime::from_secs(i),
+                SimTime::from_secs(secs),
             );
         }
-        let m = c.into_metrics(
-            SimTime::from_secs(100),
-            0.0,
-            0.0,
-            0.0,
-            0,
-            &CkptCounters::default(),
-        );
-        let band = &m.per_band[&PriorityBand::Middle];
-        let s = band.response_summary;
-        assert!((s.p50 - 50.5).abs() < 1e-9, "p50 = {}", s.p50);
-        assert!((s.p95 - 95.05).abs() < 1e-9, "p95 = {}", s.p95);
-        assert!((s.p99 - 99.01).abs() < 1e-9, "p99 = {}", s.p99);
-        assert!((s.max - 100.0).abs() < 1e-9, "max = {}", s.max);
-        // JSON export of the summary is asserted in cbp-bench (which has
-        // serde_json); this crate stays serde-only.
+        // The same jobs finished band by band give the same estimate.
+        for band in PriorityBand::ALL {
+            for &(_, secs) in jobs.iter().filter(|(b, _)| *b == band) {
+                b.record_response(
+                    band,
+                    LatencyClass::new(0),
+                    SimTime::ZERO,
+                    SimTime::from_secs(secs),
+                );
+            }
+        }
+        let stats = RunStats {
+            events: 0,
+            now: SimTime::ZERO,
+            wall: std::time::Duration::ZERO,
+        };
+        let (mut ra, mut rb) = (MetricsRegistry::new(), MetricsRegistry::new());
+        a.export(&mut ra, &stats, 0.0);
+        b.export(&mut rb, &stats, 0.0);
+        assert_eq!(ra.to_json(), rb.to_json());
+        assert_eq!(ra.counter("scheduler.jobs_finished"), Some(6));
     }
 
     #[test]
     fn empty_metrics_are_zero() {
-        let m = MetricsCollector::default().into_metrics(
-            SimTime::ZERO,
-            0.0,
-            0.0,
-            0.0,
-            0,
-            &CkptCounters::default(),
-        );
+        let m =
+            RunLedger::default().into_metrics(SimTime::ZERO, 0.0, &path(CkptCounters::default()));
         assert_eq!(m.waste_fraction(), 0.0);
         assert_eq!(m.cpu_overhead_fraction(), 0.0);
         assert_eq!(m.mean_response_overall(), 0.0);
+        assert!(m.all_responses().is_empty());
     }
 }

@@ -21,7 +21,7 @@ use cbp_workload::{Priority, PriorityBand, TaskSpec, Workload};
 use crate::ckpt_path::{media_name, ChainValidation, CkptPath, NodeCost};
 use crate::config::{PreemptionPolicy, RestorePlacement, SimConfig, VictimSelection};
 use crate::fault_clock::{FaultClock, FaultHost, FaultTick};
-use crate::metrics::{MetricsCollector, PassWork, RunReport, TelemetryReport};
+use crate::metrics::{PassWork, RunLedger, RunReport, TelemetryReport};
 use crate::pending::{PendingKey, PendingQueue, Pos, Queued};
 use crate::task::{TaskMap, TaskState, TaskStatus};
 
@@ -83,7 +83,7 @@ pub struct ClusterSim {
     pending: PendingQueue,
     /// Checkpoint images, devices, DFS files, retry state and breakers.
     ckpt: CkptPath,
-    metrics: MetricsCollector,
+    ledger: RunLedger,
     rng: SimRng,
     next_container: u64,
     next_seq: u32,
@@ -313,7 +313,7 @@ impl ClusterSim {
             nodes,
             tasks,
             pending: PendingQueue::default(),
-            metrics: MetricsCollector::default(),
+            ledger: RunLedger::default(),
             rng,
             next_container: 1,
             next_seq: 0,
@@ -408,34 +408,19 @@ impl ClusterSim {
         let mut queue = self.initial_events();
         let stats = run_until_observed(&mut self, &mut queue, SimTime::MAX, &mut |_| {});
         let makespan = stats.now;
-        self.metrics.breaker_open_secs = self.ckpt.breaker_open_secs(makespan);
         self.trace.finish();
 
-        let label = format!("{}-{}", self.cfg.policy, self.cfg.media.kind());
         let energy_kwh: f64 = self.nodes.iter().map(|n| n.meter.kwh(makespan)).sum();
-        let horizon = makespan.since(SimTime::ZERO);
-        let io_overhead = self.ckpt.io_busy_fraction(horizon);
-        let storage_peak = self.ckpt.peak_used_fraction();
-        let incremental = self.ckpt.criu().incremental_dumps();
-        let registry = self.build_registry(energy_kwh, &stats);
         let telemetry = TelemetryReport {
-            registry,
+            registry: self.build_registry(energy_kwh, &stats),
             timeseries: self.sampler.take().map(|s| s.series),
             engine_events: stats.events,
             engine_wall_secs: stats.wall.as_secs_f64(),
             pass_work: Some(self.work),
         };
-        let metrics = self.metrics.into_metrics(
-            makespan,
-            energy_kwh,
-            io_overhead,
-            storage_peak,
-            incremental,
-            &self.ckpt.counters,
-        );
         RunReport {
-            label,
-            metrics,
+            label: format!("{}-{}", self.cfg.policy, self.cfg.media.kind()),
+            metrics: self.ledger.into_metrics(makespan, energy_kwh, &self.ckpt),
             telemetry,
         }
     }
@@ -448,16 +433,11 @@ impl ClusterSim {
     /// same seed (wall-clock engine throughput lives on
     /// [`TelemetryReport`] instead).
     fn build_registry(&self, energy_kwh: f64, stats: &RunStats) -> MetricsRegistry {
-        let m = &self.metrics;
+        let m = &self.ledger;
         let mut reg = MetricsRegistry::new();
         self.ckpt.export(&mut reg, stats.now);
-        let responses = m
-            .responses
-            .values()
-            .flat_map(|s| s.values().iter().copied());
-        m.ledger
-            .export(&mut reg, stats, m.jobs_finished, energy_kwh, responses);
-        reg.set_counter("scheduler.preemptions", "ops", m.preemptions);
+        m.export(&mut reg, stats, energy_kwh);
+        reg.set_counter("scheduler.preemptions", "ops", m.kills + m.checkpoints);
         reg.set_counter("scheduler.failure_evictions", "ops", m.failure_evictions);
         reg.set_counter(
             "scheduler.images_lost_to_failures",
@@ -940,7 +920,7 @@ impl ClusterSim {
             let remote = origin != node as u32;
             if remote {
                 // Count it now; duration is charged at completion.
-                self.metrics.ledger.remote_restores += 1;
+                self.ledger.remote_restores += 1;
             }
             // `started` is the service start: queue wait burns no CPU.
             q.push(
@@ -988,7 +968,7 @@ impl ClusterSim {
         self.tasks[t as usize].exec.sync_progress(now);
         let lost = self.tasks[t as usize].exec.progress_at_risk();
         let cores = self.tasks[t as usize].exec.spec.resources.cores_f64();
-        self.metrics.charge_kill(lost, cores);
+        self.ledger.charge_kill(lost, cores);
         self.trace.record(
             now.as_micros(),
             TraceRecord::TaskEvict {
@@ -998,7 +978,6 @@ impl ClusterSim {
             },
         );
         self.release_container(t, now);
-        self.tasks[t as usize].exec.preemptions += 1;
         self.roll_back_and_requeue(t);
     }
 
@@ -1055,10 +1034,8 @@ impl ClusterSim {
         match engine.suspend(handle_u64(t), mem) {
             Ok(suspend) => {
                 let cores = self.tasks[t as usize].exec.spec.resources.cores_f64();
-                let mut unused = 0;
                 let incremental = suspend.copied < self.tasks[t as usize].exec.spec.resources.mem();
-                self.metrics
-                    .charge_dump(suspend.duration, cores, &mut unused, incremental);
+                self.ledger.charge_dump(suspend.duration, cores);
                 self.nvram_origin.insert(t, node as u32);
                 self.trace.record(
                     now.as_micros(),
@@ -1091,7 +1068,6 @@ impl ClusterSim {
                 );
                 let task = &mut self.tasks[t as usize].exec;
                 task.epoch += 1;
-                task.preemptions += 1;
                 let epoch = task.epoch;
                 q.push(
                     now + suspend.duration,
@@ -1196,17 +1172,12 @@ impl ClusterSim {
             cbp_checkpoint::CheckpointKind::Incremental { .. }
         );
         let cores = self.tasks[t as usize].exec.spec.resources.cores_f64();
-        let mut unused = 0;
         // Wastage is *CPU time*: the dump burns CPU while copying (service
         // time); while queued the victim is stopped and burns none.
         // Queueing still delays resource release and response times
         // through the DumpDone event time.
-        self.metrics.charge_dump(
-            result.op.end.since(result.op.start),
-            cores,
-            &mut unused,
-            was_incremental,
-        );
+        self.ledger
+            .charge_dump(result.op.end.since(result.op.start), cores);
         self.trace.record(
             now.as_micros(),
             TraceRecord::DumpStart {
@@ -1238,7 +1209,6 @@ impl ClusterSim {
         );
         let task = &mut self.tasks[t as usize].exec;
         task.epoch += 1;
-        task.preemptions += 1;
         let epoch = task.epoch;
         if self.clock.plan().is_some() {
             self.ckpt.begin_dump(key);
@@ -1522,7 +1492,7 @@ impl ClusterSim {
             self.schedule_pass(now, q);
             return;
         };
-        self.metrics.dump_fail_retries += 1;
+        self.ledger.dump_fail_retries += 1;
         // Rewrite the stored tip after the backoff at the device's
         // (possibly degraded) sequential speed; the victim keeps holding
         // its resources, so the rewrite window is wasted CPU.
@@ -1534,7 +1504,7 @@ impl ClusterSim {
             .write_time(retry.rewrite)
             .mul_f64(factor);
         let cores = self.tasks[t as usize].exec.spec.resources.cores_f64();
-        self.metrics.retry_cpu_secs += service.as_secs_f64() * cores;
+        self.ledger.retry_cpu_secs += service.as_secs_f64() * cores;
         let start = now + retry.backoff;
         q.push(
             start + service,
@@ -1555,7 +1525,7 @@ impl ClusterSim {
         // `checkpointed_progress`.
         let lost = self.tasks[t as usize].exec.progress_at_risk();
         let cores = self.tasks[t as usize].exec.spec.resources.cores_f64();
-        self.metrics.charge_kill(lost, cores);
+        self.ledger.charge_kill(lost, cores);
         self.trace.record(
             now.as_micros(),
             TraceRecord::TaskEvict {
@@ -1597,7 +1567,7 @@ impl ClusterSim {
         self.ckpt.observe_health(node, now, false, &mut self.trace);
         // The failed read occupied CPU for its whole service window.
         let cores = self.tasks[t as usize].exec.spec.resources.cores_f64();
-        self.metrics.retry_cpu_secs += now.since(started).as_secs_f64() * cores;
+        self.ledger.retry_cpu_secs += now.since(started).as_secs_f64() * cores;
         self.trace.record(
             now.as_micros(),
             TraceRecord::RestoreFail {
@@ -1609,7 +1579,7 @@ impl ClusterSim {
             },
         );
         if will_retry {
-            self.metrics.restore_fail_retries += 1;
+            self.ledger.restore_fail_retries += 1;
             self.restore_attempts.insert(t, attempt + 1);
             let factor = self.device_factor(node, now).max(1.0);
             let service = self.restore_service(t, node).mul_f64(factor);
@@ -1624,7 +1594,7 @@ impl ClusterSim {
                 },
             );
         } else {
-            self.metrics.scratch_restarts += 1;
+            self.ledger.scratch_restarts += 1;
             if corrupt {
                 // Integrity loss forced this restart (legacy whole-image
                 // corruption path, i.e. the `resume=false` ablation).
@@ -1659,13 +1629,13 @@ impl ClusterSim {
             started,
             now,
             cores,
-            &mut self.metrics.retry_cpu_secs,
+            &mut self.ledger.retry_cpu_secs,
             &mut self.trace,
         );
         match verdict {
             ChainValidation::Intact => {}
             ChainValidation::Dead => {
-                self.metrics.scratch_restarts += 1;
+                self.ledger.scratch_restarts += 1;
                 self.restart_from_scratch(t, now);
             }
             ChainValidation::Truncated { stamp } => {
@@ -1697,7 +1667,7 @@ impl ClusterSim {
     fn restart_from_scratch(&mut self, t: u32, now: SimTime) {
         let cores = self.tasks[t as usize].exec.spec.resources.cores_f64();
         let lost = self.tasks[t as usize].exec.checkpointed_progress;
-        self.metrics.ledger.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
+        self.ledger.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
         self.release_container(t, now);
         self.ckpt.discard_chain(handle_u64(t));
         self.restore_attempts.remove(&t);
@@ -1715,7 +1685,7 @@ impl ClusterSim {
     /// falls back to a fresh start wherever the image would have been
     /// used next.
     fn drop_lost_chain(&mut self, t: u32, now: SimTime) {
-        self.metrics.images_lost_to_failures += 1;
+        self.ledger.images_lost_to_failures += 1;
         let status = self.tasks[t as usize].exec.status;
         let dumping_on = match status {
             TaskStatus::Dumping { node, .. } => Some(node as usize),
@@ -1739,7 +1709,7 @@ impl ClusterSim {
                         will_retry: false,
                     },
                 );
-                self.metrics.scratch_restarts += 1;
+                self.ledger.scratch_restarts += 1;
                 self.restart_from_scratch(t, now);
             }
             TaskStatus::Dumping { node, .. } => {
@@ -1762,11 +1732,11 @@ impl ClusterSim {
         let lost = self.tasks[t as usize].exec.progress_at_risk();
         let cores = self.tasks[t as usize].exec.spec.resources.cores_f64();
         if chaos {
-            self.metrics.ledger.crash_evictions += 1;
+            self.ledger.crash_evictions += 1;
         } else {
-            self.metrics.failure_evictions += 1;
+            self.ledger.failure_evictions += 1;
         }
-        self.metrics.ledger.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
+        self.ledger.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
         self.trace.record(
             now.as_micros(),
             TraceRecord::TaskEvict {
@@ -1794,7 +1764,7 @@ impl ClusterSim {
         // replication keeps DFS-backed chains readable.
         if !self.ckpt.has_dfs() && self.ckpt.criu().has_image_on(handle_u64(t), node as u32) {
             self.ckpt.discard_chain(handle_u64(t));
-            self.metrics.images_lost_to_failures += 1;
+            self.ledger.images_lost_to_failures += 1;
             self.tasks[t as usize].exec.checkpointed_progress = SimDuration::ZERO;
         }
         if self.nvram_origin.get(&t) == Some(&(node as u32)) {
@@ -1802,7 +1772,7 @@ impl ClusterSim {
             if let Some(engine) = self.nodes[node].nvram.as_mut() {
                 engine.discard(handle_u64(t));
             }
-            self.metrics.images_lost_to_failures += 1;
+            self.ledger.images_lost_to_failures += 1;
             self.tasks[t as usize].exec.checkpointed_progress = SimDuration::ZERO;
         }
         // The node failure ends any in-flight dump/restore episode.
@@ -1844,9 +1814,9 @@ impl ClusterSim {
         // every block that lost a replica onto the surviving datanodes
         // (blocks whose only replica lived here are lost for good).
         if let Some((repair, lost)) = self.ckpt.fail_datanode(node, now, &mut self.trace) {
-            self.metrics.dfs_blocks_repaired += repair.blocks_repaired as u64;
-            self.metrics.dfs_repair_bytes += repair.bytes_copied.as_u64();
-            self.metrics.dfs_blocks_lost += repair.blocks_lost as u64;
+            self.ledger.dfs_blocks_repaired += repair.blocks_repaired as u64;
+            self.ledger.dfs_repair_bytes += repair.bytes_copied.as_u64();
+            self.ledger.dfs_blocks_lost += repair.blocks_lost as u64;
             for t in lost {
                 self.drop_lost_chain(t as u32, now);
             }
@@ -2425,8 +2395,8 @@ impl ClusterSim {
                 self.release_container(task, now);
                 let cores = self.tasks[task as usize].exec.spec.resources.cores_f64();
                 let work = self.tasks[task as usize].exec.spec.duration.as_secs_f64();
-                self.metrics.ledger.useful_cpu_secs += cores * work;
-                self.metrics.ledger.tasks_finished += 1;
+                self.ledger.useful_cpu_secs += cores * work;
+                self.ledger.tasks_finished += 1;
                 self.set_status(task, TaskStatus::Finished);
                 self.tasks[task as usize].finished_at = Some(now);
 
@@ -2444,7 +2414,7 @@ impl ClusterSim {
                 if self.job_remaining[job_idx] == 0 {
                     self.jobs_left -= 1;
                     let job = &self.workload.jobs()[job_idx];
-                    self.metrics
+                    self.ledger
                         .record_response(job.priority.band(), job.latency, job.submit, now);
                 }
                 self.schedule_pass(now, q);
@@ -2586,8 +2556,7 @@ impl ClusterSim {
                 );
                 let cores = self.tasks[task as usize].exec.spec.resources.cores_f64();
                 // The remote flag was already recorded at placement time.
-                self.metrics
-                    .charge_restore(now.since(started), cores, false);
+                self.ledger.charge_restore(now.since(started), cores);
                 self.set_status(task, TaskStatus::Running { node, container });
                 let task_state = &mut self.tasks[task as usize].exec;
                 task_state.run_started = now;

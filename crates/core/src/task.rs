@@ -104,8 +104,6 @@ pub struct TaskExec {
     pub run_started: SimTime,
     /// When memory writes were last folded into the dirty bitmap.
     pub mem_synced: SimTime,
-    /// Times this task was preempted.
-    pub preemptions: u32,
     /// Lazily created memory image (only checkpointing needs it).
     pub memory: Option<TaskMemory>,
 }
@@ -121,7 +119,6 @@ impl TaskExec {
             checkpointed_progress: SimDuration::ZERO,
             run_started: SimTime::ZERO,
             mem_synced: SimTime::ZERO,
-            preemptions: 0,
             memory: None,
         }
     }

@@ -169,8 +169,6 @@ pub struct AppMaster {
     pub barrier: Option<u32>,
     /// Maps not yet finished (meaningful only with a barrier).
     pub maps_unfinished: u32,
-    /// When the last task finished.
-    pub finished_at: Option<SimTime>,
 }
 
 impl AppMaster {
@@ -185,7 +183,6 @@ impl AppMaster {
             unfinished: specs.len() as u32,
             barrier: None,
             maps_unfinished: 0,
-            finished_at: None,
         }
     }
 
@@ -215,7 +212,6 @@ impl AppMaster {
             unfinished: specs.len() as u32,
             barrier: Some(barrier),
             maps_unfinished: barrier,
-            finished_at: None,
         }
     }
 

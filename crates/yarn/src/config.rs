@@ -1,7 +1,7 @@
 //! YARN cluster configuration.
 
 use cbp_cluster::{EnergyModel, Resources};
-use cbp_core::PreemptionPolicy;
+use cbp_core::{PreemptionPolicy, RunReport};
 use cbp_dfs::DfsConfig;
 use cbp_faults::FaultSpec;
 use cbp_simkit::units::ByteSize;
@@ -9,7 +9,6 @@ use cbp_simkit::SimDuration;
 use cbp_storage::{MediaKind, MediaSpec};
 use cbp_workload::Workload;
 
-use crate::report::YarnReport;
 use crate::sim::YarnSim;
 
 /// Configuration of the YARN analog.
@@ -135,13 +134,13 @@ impl YarnConfig {
     }
 
     /// Runs `workload` on this cluster to completion.
-    pub fn run(&self, workload: &Workload) -> YarnReport {
+    pub fn run(&self, workload: &Workload) -> RunReport {
         YarnSim::new(self.clone(), workload.clone()).run()
     }
 
     /// Runs a MapReduce plan: each job's reduces start only after all of
     /// its maps finish (the paper's §7 "wider range of applications").
-    pub fn run_mapreduce(&self, plan: &cbp_workload::mapreduce::MapReducePlan) -> YarnReport {
+    pub fn run_mapreduce(&self, plan: &cbp_workload::mapreduce::MapReducePlan) -> RunReport {
         YarnSim::new(self.clone(), plan.workload.clone())
             .with_barriers(plan.barriers.clone())
             .run()

@@ -37,7 +37,7 @@
 //! .generate(1);
 //! let report = YarnConfig::paper_cluster(PreemptionPolicy::Adaptive, MediaKind::Nvm)
 //!     .run(&workload);
-//! assert_eq!(report.jobs_finished, 6);
+//! assert_eq!(report.metrics.jobs_finished, 6);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -45,9 +45,7 @@
 
 pub mod components;
 mod config;
-mod report;
 mod sim;
 
 pub use config::YarnConfig;
-pub use report::YarnReport;
 pub use sim::YarnSim;

@@ -5,10 +5,9 @@ use cbp_cluster::{Container, ContainerId, EnergyMeter, Node, NodeId};
 use cbp_core::ckpt_path::{media_name, ChainValidation, CkptPath};
 use cbp_core::fault_clock::{FaultClock, FaultHost, FaultTick};
 use cbp_core::task::TaskExec;
-use cbp_core::{PreemptionPolicy, RunLedger, TaskStatus, TelemetryReport};
+use cbp_core::{PreemptionPolicy, RunLedger, RunMetrics, RunReport, TaskStatus, TelemetryReport};
 use cbp_dfs::DfsCluster;
 use cbp_faults::FaultPlan;
-use cbp_simkit::stats::Samples;
 use cbp_simkit::{
     run_until_observed, EventQueue, RunStats, SimDuration, SimRng, SimTime, Simulation,
 };
@@ -21,7 +20,6 @@ use cbp_workload::JobId;
 
 use crate::components::{AppMaster, QueueKind, ResourceManager};
 use crate::config::YarnConfig;
-use crate::report::YarnReport;
 
 /// Protocol events (public as [`YarnSim`]'s associated event type).
 #[derive(Debug, Clone, Copy)]
@@ -116,12 +114,7 @@ pub struct YarnSim {
     barriers: HashMap<JobId, u32>,
     next_container: u64,
     total_slots: u32,
-    // metrics
     ledger: RunLedger,
-    force_kills: u64,
-    am_escalations: u64,
-    low_responses: Samples,
-    high_responses: Samples,
     /// Structured-event sink (disabled by default).
     trace: TraceSink,
     /// The fault plan and its crash, partition and leak schedules.
@@ -202,10 +195,6 @@ impl YarnSim {
             next_container: 1,
             total_slots,
             ledger: RunLedger::default(),
-            force_kills: 0,
-            am_escalations: 0,
-            low_responses: Samples::new(),
-            high_responses: Samples::new(),
             trace: TraceSink::default(),
         }
     }
@@ -225,70 +214,34 @@ impl YarnSim {
         self
     }
 
-    /// Runs the workload to completion.
-    pub fn run(self) -> YarnReport {
-        self.run_with_telemetry().0
-    }
-
-    /// Runs the workload to completion, additionally returning the
-    /// [`TelemetryReport`] (the `subsystem.metric` registry plus engine
-    /// throughput stats). [`YarnReport`] itself is unchanged, so existing
-    /// consumers are unaffected.
-    pub fn run_with_telemetry(mut self) -> (YarnReport, TelemetryReport) {
+    /// Runs the workload to completion and returns the report.
+    pub fn run(mut self) -> RunReport {
         let mut queue = self.initial_events();
         let stats = run_until_observed(&mut self, &mut queue, SimTime::MAX, &mut |_| {});
         let makespan = stats.now;
         self.trace.finish();
 
-        let horizon = makespan.since(SimTime::ZERO);
         let energy_kwh = self.nms.iter().map(|n| n.meter.kwh(makespan)).sum();
-        let registry = self.build_registry(energy_kwh, &stats);
-        let c = self.ckpt.counters;
-        let l = self.ledger;
         let telemetry = TelemetryReport {
-            registry,
+            registry: self.build_registry(energy_kwh, &stats),
             timeseries: None,
             engine_events: stats.events,
             engine_wall_secs: stats.wall.as_secs_f64(),
             pass_work: None,
         };
-        let report = YarnReport {
+        RunReport {
             label: format!("{}-{}", self.cfg.policy, self.cfg.media.kind()),
-            makespan_secs: makespan.as_secs_f64(),
-            jobs_finished: self.apps.iter().filter(|a| a.finished_at.is_some()).count() as u64,
-            tasks_finished: l.tasks_finished,
-            kills: l.kills,
-            checkpoints: l.checkpoints,
-            incremental_checkpoints: self.ckpt.criu().incremental_dumps(),
-            restores: l.restores,
-            remote_restores: l.remote_restores,
-            capacity_fallbacks: c.capacity_fallbacks,
-            gc_reclaimed_bytes: c.gc_reclaimed_bytes,
-            evicted_chains: c.evicted_chains,
-            spill_dumps: c.spill_dumps,
-            no_space_kills: c.no_space_kills,
-            force_kills: self.force_kills,
-            dump_fail_kills: c.dump_fail_kills,
-            am_escalations: self.am_escalations,
-            crash_evictions: l.crash_evictions,
-            breaker_open_kills: c.breaker_open_kills,
-            breaker_open_secs: self.ckpt.breaker_open_secs(makespan),
-            resumed_dumps: c.resumed_dumps,
-            resumed_bytes: c.resumed_bytes,
-            chunk_refetches: c.chunk_refetches,
-            chain_truncations: c.chain_truncations,
-            integrity_scratch_restarts: c.integrity_scratch_restarts,
-            kill_lost_cpu_hours: l.kill_lost_cpu_secs / 3600.0,
-            dump_overhead_cpu_hours: l.dump_overhead_cpu_secs / 3600.0,
-            restore_overhead_cpu_hours: l.restore_overhead_cpu_secs / 3600.0,
-            useful_cpu_hours: l.useful_cpu_secs / 3600.0,
-            energy_kwh,
-            io_overhead_fraction: self.ckpt.io_busy_fraction(horizon),
-            storage_peak_fraction: self.ckpt.peak_used_fraction(),
-            low_responses: self.low_responses,
-            high_responses: self.high_responses,
-        };
-        (report, telemetry)
+            metrics: self.ledger.into_metrics(makespan, energy_kwh, &self.ckpt),
+            telemetry,
+        }
+    }
+
+    /// [`Self::run`] with the report split into its metrics and
+    /// telemetry. It stays for the benchmark harness under `perfbench/`,
+    /// which calls it and is built from its own sources.
+    pub fn run_with_telemetry(self) -> (RunMetrics, TelemetryReport) {
+        let report = self.run();
+        (report.metrics, report.telemetry)
     }
 
     /// Snapshots the run's `subsystem.metric` values. Everything here is a
@@ -297,13 +250,9 @@ impl YarnSim {
     fn build_registry(&self, energy_kwh: f64, stats: &RunStats) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
         self.ckpt.export(&mut reg, stats.now);
-        let jobs_finished = self.apps.iter().filter(|a| a.finished_at.is_some()).count() as u64;
-        let responses = self.low_responses.values().iter();
-        let responses = responses.chain(self.high_responses.values()).copied();
-        self.ledger
-            .export(&mut reg, stats, jobs_finished, energy_kwh, responses);
-        reg.set_counter("scheduler.force_kills", "ops", self.force_kills);
-        reg.set_counter("faults.am_escalations", "ops", self.am_escalations);
+        self.ledger.export(&mut reg, stats, energy_kwh);
+        reg.set_counter("scheduler.force_kills", "ops", self.ledger.force_kills);
+        reg.set_counter("faults.am_escalations", "ops", self.ledger.am_escalations);
         reg
     }
 
@@ -613,16 +562,24 @@ impl YarnSim {
         q: &mut EventQueue<YarnEvent>,
         reason: &'static str,
     ) {
-        self.ledger.kills += 1;
-        self.evict_container(app, task, now, q, reason);
+        let (lost, cores) = self.evict_container(app, task, now, q, reason);
+        self.ledger.charge_kill(lost, cores);
+    }
+
+    /// Evicts a container a node crash took down. Unlike a kill the
+    /// eviction is not the scheduler's choice, so it counts as a
+    /// `crash_eviction`.
+    fn evict_crashed(&mut self, app: u32, task: u32, now: SimTime, q: &mut EventQueue<YarnEvent>) {
+        let (lost, cores) = self.evict_container(app, task, now, q, "node-crash");
+        self.ledger.crash_evictions += 1;
+        self.ledger.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
     }
 
     /// Tears a container down and re-queues its task: progress since the
     /// last valid checkpoint is lost, the AM re-asks and the RM
-    /// reschedules. Shared by scheduler kills and chaos crashes — the
-    /// caller accounts the eviction (`kills` vs `crash_evictions`)
-    /// before calling so node crashes don't inflate the scheduler's
-    /// kill counter.
+    /// reschedules. Shared by scheduler kills and chaos crashes, so it
+    /// returns the lost progress and the task's cores for the caller to
+    /// charge as a kill or as a crash eviction.
     fn evict_container(
         &mut self,
         app: u32,
@@ -630,12 +587,11 @@ impl YarnSim {
         now: SimTime,
         q: &mut EventQueue<YarnEvent>,
         reason: &'static str,
-    ) {
+    ) -> (SimDuration, f64) {
         let am_task = self.exec_mut(app, task);
         am_task.sync_progress(now);
         let lost = am_task.progress_at_risk();
         let cores = am_task.spec.resources.cores_f64();
-        self.ledger.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
         if self.trace.on() {
             let node = match self.exec(app, task).status {
                 TaskStatus::Running { node, .. }
@@ -658,7 +614,6 @@ impl YarnSim {
         let has_image = self.ckpt.criu().has_image(key);
         let am_task = &mut self.apps[app as usize].tasks[task as usize];
         am_task.exec.roll_back(has_image);
-        am_task.exec.preemptions += 1;
         am_task.preempt_requested = false;
         am_task.exec.status = if has_image {
             let origin = self
@@ -675,6 +630,7 @@ impl YarnSim {
         self.apps[app as usize].requeue(task);
         self.rm.add_asks(app, 1);
         q.push(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
+        (lost, cores)
     }
 
     // ---- image lifecycle (capacity backpressure ladder) -----------------
@@ -739,7 +695,6 @@ impl YarnSim {
             self.kill(app, task, now, q);
             return;
         };
-        self.ledger.checkpoints += 1;
         let incremental = matches!(
             result.kind,
             cbp_checkpoint::CheckpointKind::Incremental { .. }
@@ -767,14 +722,13 @@ impl YarnSim {
         // CPU wastage counts the dump's service time only: a queued victim
         // is stopped and burns no CPU (queueing still delays resource
         // release through the DumpDone event time).
-        self.ledger.dump_overhead_cpu_secs +=
-            result.op.end.since(result.op.start).as_secs_f64() * cores;
+        self.ledger
+            .charge_dump(result.op.end.since(result.op.start), cores);
         am_task.status = TaskStatus::Dumping {
             node: node as u32,
             container: cid,
         };
         am_task.epoch += 1;
-        am_task.preemptions += 1;
         let epoch = am_task.epoch;
         q.push(
             result.op.end,
@@ -896,8 +850,7 @@ impl YarnSim {
                 .abort_dump(key, node as usize, "node-crash", true, now, &mut self.trace);
             self.exec_mut(app, task).status = TaskStatus::Running { node, container };
         }
-        self.ledger.crash_evictions += 1;
-        self.evict_container(app, task, now, q, "node-crash");
+        self.evict_crashed(app, task, now, q);
     }
 
     /// A replication repair could not save `task`'s image chain: discard
@@ -924,14 +877,12 @@ impl YarnSim {
             TaskStatus::Dumping { node, container } => {
                 // The tip being written sat below lost ancestor blocks.
                 self.exec_mut(app, task).status = TaskStatus::Running { node, container };
-                self.ledger.crash_evictions += 1;
-                self.evict_container(app, task, now, q, "node-crash");
+                self.evict_crashed(app, task, now, q);
             }
             TaskStatus::Restoring { .. } => {
                 // The in-flight read can no longer complete; the epoch
                 // bump in the eviction stales the queued RestoreDone.
-                self.ledger.crash_evictions += 1;
-                self.evict_container(app, task, now, q, "node-crash");
+                self.evict_crashed(app, task, now, q);
             }
             // A live task keeps its in-memory progress (only the safety
             // net is gone); a queued one restarted from scratch in place.
@@ -1142,7 +1093,7 @@ impl YarnSim {
                     now,
                     &mut self.trace,
                 );
-                self.force_kills += 1;
+                self.ledger.force_kills += 1;
                 // The container is still held; transition it through a kill.
                 // kill() handles Running; emulate by restoring Running-like
                 // state first.
@@ -1161,7 +1112,7 @@ impl YarnSim {
                 let TaskStatus::Running { node, .. } = am_task.status else {
                     return;
                 };
-                self.am_escalations += 1;
+                self.ledger.am_escalations += 1;
                 if self.trace.on() {
                     let plan = self.clock.plan().expect("escalation requires a plan");
                     let waited = self
@@ -1261,7 +1212,6 @@ impl YarnSim {
                         ChainValidation::Truncated { .. } | ChainValidation::Dead => return,
                     }
                 }
-                self.ledger.restores += 1;
                 self.ckpt
                     .observe_health(node as usize, now, true, &mut self.trace);
                 self.trace.record(
@@ -1274,7 +1224,7 @@ impl YarnSim {
                 );
                 let am_task = &mut self.apps[app as usize].tasks[task as usize].exec;
                 let cores = am_task.spec.resources.cores_f64();
-                self.ledger.restore_overhead_cpu_secs += now.since(started).as_secs_f64() * cores;
+                self.ledger.charge_restore(now.since(started), cores);
                 am_task.status = TaskStatus::Running { node, container };
                 am_task.run_started = now;
                 am_task.mem_synced = now;
@@ -1314,19 +1264,14 @@ impl YarnSim {
 
                 self.ckpt.discard_chain(task_key(app, task));
 
-                let am = &mut self.apps[app as usize];
-                let released_reduces = am.on_task_done(task);
+                let released_reduces = self.apps[app as usize].on_task_done(task);
                 if released_reduces > 0 {
                     self.rm.add_asks(app, released_reduces);
                 }
-                let am = &mut self.apps[app as usize];
-                if am.unfinished == 0 {
-                    am.finished_at = Some(now);
-                    let response = now.since(am.submit).as_secs_f64();
-                    match am.queue {
-                        QueueKind::Default => self.low_responses.push(response),
-                        QueueKind::Production => self.high_responses.push(response),
-                    }
+                if self.apps[app as usize].unfinished == 0 {
+                    let job = &self.workload.jobs()[app as usize];
+                    self.ledger
+                        .record_response(job.priority.band(), job.latency, job.submit, now);
                 }
                 q.push(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
             }

@@ -5,7 +5,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use cbp_core::PreemptionPolicy;
+use cbp_core::{PreemptionPolicy, RunReport};
 use cbp_faults::FaultSpec;
 use cbp_simkit::SimDuration;
 use cbp_storage::MediaKind;
@@ -54,6 +54,7 @@ fn contended_workload(seed: u64) -> Workload {
         .generate(probe);
         if cluster(PreemptionPolicy::Kill, MediaKind::Ssd)
             .run(&w)
+            .metrics
             .kills
             > 0
         {
@@ -63,7 +64,7 @@ fn contended_workload(seed: u64) -> Workload {
     panic!("no contended draw within 20 seeds of {seed}");
 }
 
-fn traced_run(cfg: YarnConfig, w: &Workload) -> (cbp_yarn::YarnReport, Vec<(u64, TraceRecord)>) {
+fn traced_run(cfg: YarnConfig, w: &Workload) -> (RunReport, Vec<(u64, TraceRecord)>) {
     let buf = SharedBuf::default();
     let mut sim = YarnSim::new(cfg, w.clone());
     sim.set_tracer(Box::new(JsonlTracer::new(buf.clone())));
@@ -86,9 +87,9 @@ fn force_kill_fires_exactly_at_grace_expiry() {
     let grace = SimDuration::from_secs(5);
     let cfg = cluster(PreemptionPolicy::Checkpoint, MediaKind::Hdd).with_graceful_timeout(grace);
     let (report, records) = traced_run(cfg, &w);
-    assert_eq!(report.jobs_finished, w.job_count() as u64);
+    assert_eq!(report.metrics.jobs_finished, w.job_count() as u64);
     assert!(
-        report.force_kills > 0,
+        report.metrics.force_kills > 0,
         "5s grace must abort some 60s HDD dumps"
     );
 
@@ -121,7 +122,10 @@ fn force_kill_fires_exactly_at_grace_expiry() {
         assert!(evicted, "grace expiry for {task} must evict immediately");
         checked += 1;
     }
-    assert_eq!(checked, report.force_kills, "every force-kill is traced");
+    assert_eq!(
+        checked, report.metrics.force_kills,
+        "every force-kill is traced"
+    );
 }
 
 /// `with_graceful_timeout` changes outcomes vs the unlimited default: the
@@ -136,17 +140,20 @@ fn graceful_timeout_changes_outcomes_vs_none() {
         .run(&w);
 
     assert_eq!(
-        unlimited.force_kills, 0,
+        unlimited.metrics.force_kills, 0,
         "unlimited grace never force-kills"
     );
-    assert!(strict.force_kills > 0, "strict grace must force-kill");
+    assert!(
+        strict.metrics.force_kills > 0,
+        "strict grace must force-kill"
+    );
     // Both drain the workload; the strict run pays for it in aborted
     // dumps (kills) the unlimited run does not suffer.
-    assert_eq!(unlimited.jobs_finished, w.job_count() as u64);
-    assert_eq!(strict.jobs_finished, w.job_count() as u64);
+    assert_eq!(unlimited.metrics.jobs_finished, w.job_count() as u64);
+    assert_eq!(strict.metrics.jobs_finished, w.job_count() as u64);
     assert!(
-        strict.kills != unlimited.kills
-            || strict.kill_lost_cpu_hours != unlimited.kill_lost_cpu_hours,
+        strict.metrics.kills != unlimited.metrics.kills
+            || strict.metrics.kill_lost_cpu_hours != unlimited.metrics.kill_lost_cpu_hours,
         "a binding grace period must change the run's outcome"
     );
 }
@@ -164,12 +171,15 @@ fn unresponsive_am_is_escalated_to_kill() {
         ..FaultSpec::default()
     });
     let (report, records) = traced_run(cfg, &w);
-    assert_eq!(report.jobs_finished, w.job_count() as u64);
+    assert_eq!(report.metrics.jobs_finished, w.job_count() as u64);
     assert_eq!(
-        report.checkpoints, 0,
+        report.metrics.checkpoints, 0,
         "an unresponsive AM never checkpoints"
     );
-    assert!(report.kills > 0, "escalation must kill the ignored victims");
+    assert!(
+        report.metrics.kills > 0,
+        "escalation must kill the ignored victims"
+    );
     let escalations = records
         .iter()
         .filter(|(_, r)| matches!(r, TraceRecord::AmEscalate { .. }))

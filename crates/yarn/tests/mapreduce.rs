@@ -31,12 +31,12 @@ fn mapreduce_completes_under_every_policy() {
     for policy in PreemptionPolicy::ALL {
         let r = cluster(policy, MediaKind::Ssd).run_mapreduce(&p);
         assert_eq!(
-            r.jobs_finished,
+            r.metrics.jobs_finished,
             p.workload.job_count() as u64,
             "{policy}: jobs lost"
         );
         assert_eq!(
-            r.tasks_finished,
+            r.metrics.tasks_finished,
             p.workload.task_count() as u64,
             "{policy}: tasks lost"
         );
@@ -58,12 +58,12 @@ fn barrier_serializes_phases() {
     let r = cluster(PreemptionPolicy::Wait, MediaKind::Ssd).run_mapreduce(&p);
     let shape = MapReduceShape::default();
     let min_secs = shape.map_duration.as_secs_f64() + shape.reduce_duration.as_secs_f64();
-    let response = r.makespan_secs - job.submit.as_secs_f64();
+    let response = r.metrics.makespan_secs - job.submit.as_secs_f64();
     assert!(
         response >= min_secs - 1.0,
         "phases overlapped: response {response:.0}s < {min_secs:.0}s"
     );
-    assert_eq!(r.jobs_finished, 1);
+    assert_eq!(r.metrics.jobs_finished, 1);
 }
 
 /// Without a barrier the same flat workload can overlap "phases" — the
@@ -74,10 +74,10 @@ fn barrier_never_speeds_things_up() {
     let with_barrier = cluster(PreemptionPolicy::Kill, MediaKind::Ssd).run_mapreduce(&p);
     let flat = cluster(PreemptionPolicy::Kill, MediaKind::Ssd).run(&p.workload);
     assert!(
-        with_barrier.makespan_secs >= flat.makespan_secs - 1.0,
+        with_barrier.metrics.makespan_secs >= flat.metrics.makespan_secs - 1.0,
         "barrier {} vs flat {}",
-        with_barrier.makespan_secs,
-        flat.makespan_secs
+        with_barrier.metrics.makespan_secs,
+        flat.metrics.makespan_secs
     );
 }
 
@@ -88,15 +88,15 @@ fn checkpointing_helps_mapreduce() {
     let p = plan(4);
     let kill = cluster(PreemptionPolicy::Kill, MediaKind::Nvm).run_mapreduce(&p);
     let chk = cluster(PreemptionPolicy::Checkpoint, MediaKind::Nvm).run_mapreduce(&p);
-    if kill.kills > 0 {
+    if kill.metrics.kills > 0 {
         assert!(
-            chk.wasted_cpu_hours() <= kill.wasted_cpu_hours(),
+            chk.metrics.wasted_cpu_hours() <= kill.metrics.wasted_cpu_hours(),
             "chk {} vs kill {}",
-            chk.wasted_cpu_hours(),
-            kill.wasted_cpu_hours()
+            chk.metrics.wasted_cpu_hours(),
+            kill.metrics.wasted_cpu_hours()
         );
     }
-    assert_eq!(chk.jobs_finished, p.workload.job_count() as u64);
+    assert_eq!(chk.metrics.jobs_finished, p.workload.job_count() as u64);
 }
 
 #[test]
@@ -104,7 +104,7 @@ fn deterministic() {
     let p = plan(5);
     let a = cluster(PreemptionPolicy::Adaptive, MediaKind::Hdd).run_mapreduce(&p);
     let b = cluster(PreemptionPolicy::Adaptive, MediaKind::Hdd).run_mapreduce(&p);
-    assert!((a.makespan_secs - b.makespan_secs).abs() < 1e-9);
-    assert_eq!(a.kills, b.kills);
-    assert_eq!(a.checkpoints, b.checkpoints);
+    assert!((a.metrics.makespan_secs - b.metrics.makespan_secs).abs() < 1e-9);
+    assert_eq!(a.metrics.kills, b.metrics.kills);
+    assert_eq!(a.metrics.checkpoints, b.metrics.checkpoints);
 }

@@ -4,6 +4,7 @@
 use cbp_core::PreemptionPolicy;
 use cbp_storage::MediaKind;
 use cbp_workload::facebook::FacebookConfig;
+use cbp_workload::PriorityBand;
 use cbp_yarn::YarnConfig;
 
 /// Fig. 8a at full scale: checkpointing beats kill on every medium, with
@@ -12,15 +13,15 @@ use cbp_yarn::YarnConfig;
 fn fig8_full_scale_waste_reductions() {
     let w = FacebookConfig::default().generate(42);
     let kill = YarnConfig::paper_cluster(PreemptionPolicy::Kill, MediaKind::Ssd).run(&w);
-    assert!(kill.kills > 0);
+    assert!(kill.metrics.kills > 0);
     let mut waste = Vec::new();
     for media in MediaKind::ALL {
         let chk = YarnConfig::paper_cluster(PreemptionPolicy::Checkpoint, media).run(&w);
-        let reduction = 1.0 - chk.wasted_cpu_hours() / kill.wasted_cpu_hours();
+        let reduction = 1.0 - chk.metrics.wasted_cpu_hours() / kill.metrics.wasted_cpu_hours();
         println!(
             "{media}: chk {:.2} core-h vs kill {:.2} (reduction {:.0}%)",
-            chk.wasted_cpu_hours(),
-            kill.wasted_cpu_hours(),
+            chk.metrics.wasted_cpu_hours(),
+            kill.metrics.wasted_cpu_hours(),
             reduction * 100.0
         );
         // The paper reports 50/65/67%; our simulated substrate reproduces
@@ -33,7 +34,7 @@ fn fig8_full_scale_waste_reductions() {
             "{media}: reduction only {:.0}%",
             reduction * 100.0
         );
-        waste.push(chk.wasted_cpu_hours());
+        waste.push(chk.metrics.wasted_cpu_hours());
     }
     // HDD wastes the most among checkpoint runs, NVM the least.
     assert!(waste[0] > waste[2], "HDD {} vs NVM {}", waste[0], waste[2]);
@@ -47,15 +48,17 @@ fn fig8_full_scale_nvm_responses() {
     let kill = YarnConfig::paper_cluster(PreemptionPolicy::Kill, MediaKind::Nvm).run(&w);
     let chk = YarnConfig::paper_cluster(PreemptionPolicy::Checkpoint, MediaKind::Nvm).run(&w);
     assert!(
-        chk.mean_low_response() <= kill.mean_low_response() * 1.02,
+        chk.metrics.mean_response(PriorityBand::Free)
+            <= kill.metrics.mean_response(PriorityBand::Free) * 1.02,
         "low: chk {} vs kill {}",
-        chk.mean_low_response(),
-        kill.mean_low_response()
+        chk.metrics.mean_response(PriorityBand::Free),
+        kill.metrics.mean_response(PriorityBand::Free)
     );
     assert!(
-        chk.mean_high_response() <= kill.mean_high_response() * 1.10,
+        chk.metrics.mean_response(PriorityBand::Production)
+            <= kill.metrics.mean_response(PriorityBand::Production) * 1.10,
         "high: chk {} vs kill {}",
-        chk.mean_high_response(),
-        kill.mean_high_response()
+        chk.metrics.mean_response(PriorityBand::Production),
+        kill.metrics.mean_response(PriorityBand::Production)
     );
 }

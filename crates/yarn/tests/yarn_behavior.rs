@@ -1,10 +1,10 @@
 //! End-to-end behaviour of the YARN analog on Facebook-derived workloads.
 
-use cbp_core::PreemptionPolicy;
+use cbp_core::{PreemptionPolicy, RunReport};
 use cbp_storage::MediaKind;
 use cbp_workload::facebook::FacebookConfig;
-use cbp_workload::Workload;
-use cbp_yarn::{YarnConfig, YarnReport};
+use cbp_workload::{PriorityBand, Workload};
+use cbp_yarn::YarnConfig;
 
 /// A scaled-down Facebook workload that still triggers whole-cluster
 /// preemption: the giant production job (60 tasks) exceeds the 2-node
@@ -31,6 +31,7 @@ fn workload(seed: u64) -> Workload {
         .generate(probe);
         let kills = cluster(PreemptionPolicy::Kill, MediaKind::Ssd)
             .run(&w)
+            .metrics
             .kills;
         if kills > 0 {
             return w;
@@ -45,7 +46,7 @@ fn cluster(policy: PreemptionPolicy, media: MediaKind) -> YarnConfig {
     cfg
 }
 
-fn run(policy: PreemptionPolicy, media: MediaKind, seed: u64) -> YarnReport {
+fn run(policy: PreemptionPolicy, media: MediaKind, seed: u64) -> RunReport {
     cluster(policy, media).run(&workload(seed))
 }
 
@@ -54,8 +55,8 @@ fn all_jobs_finish_under_every_policy() {
     let w = workload(1);
     for policy in PreemptionPolicy::ALL {
         let r = cluster(policy, MediaKind::Ssd).run(&w);
-        assert_eq!(r.jobs_finished, w.job_count() as u64, "{policy}");
-        assert_eq!(r.tasks_finished, w.task_count() as u64, "{policy}");
+        assert_eq!(r.metrics.jobs_finished, w.job_count() as u64, "{policy}");
+        assert_eq!(r.metrics.tasks_finished, w.task_count() as u64, "{policy}");
     }
 }
 
@@ -63,35 +64,35 @@ fn all_jobs_finish_under_every_policy() {
 fn deterministic() {
     let a = run(PreemptionPolicy::Adaptive, MediaKind::Hdd, 2);
     let b = run(PreemptionPolicy::Adaptive, MediaKind::Hdd, 2);
-    assert_eq!(a.kills, b.kills);
-    assert_eq!(a.checkpoints, b.checkpoints);
-    assert!((a.makespan_secs - b.makespan_secs).abs() < 1e-9);
-    assert!((a.energy_kwh - b.energy_kwh).abs() < 1e-12);
+    assert_eq!(a.metrics.kills, b.metrics.kills);
+    assert_eq!(a.metrics.checkpoints, b.metrics.checkpoints);
+    assert!((a.metrics.makespan_secs - b.metrics.makespan_secs).abs() < 1e-9);
+    assert!((a.metrics.energy_kwh - b.metrics.energy_kwh).abs() < 1e-12);
 }
 
 #[test]
 fn kill_policy_matches_stock_yarn() {
     let r = run(PreemptionPolicy::Kill, MediaKind::Ssd, 3);
-    assert!(r.kills > 0, "giant production job must preempt");
-    assert_eq!(r.checkpoints, 0);
-    assert_eq!(r.restores, 0);
-    assert!(r.kill_lost_cpu_hours > 0.0);
+    assert!(r.metrics.kills > 0, "giant production job must preempt");
+    assert_eq!(r.metrics.checkpoints, 0);
+    assert_eq!(r.metrics.restores, 0);
+    assert!(r.metrics.kill_lost_cpu_hours > 0.0);
 }
 
 #[test]
 fn wait_policy_never_preempts() {
     let r = run(PreemptionPolicy::Wait, MediaKind::Ssd, 3);
-    assert_eq!(r.kills, 0);
-    assert_eq!(r.checkpoints, 0);
-    assert_eq!(r.wasted_cpu_hours(), 0.0);
+    assert_eq!(r.metrics.kills, 0);
+    assert_eq!(r.metrics.checkpoints, 0);
+    assert_eq!(r.metrics.wasted_cpu_hours(), 0.0);
 }
 
 #[test]
 fn checkpoint_policy_suspends_and_restores() {
     let r = run(PreemptionPolicy::Checkpoint, MediaKind::Ssd, 3);
-    assert!(r.checkpoints > 0);
-    assert!(r.restores > 0);
-    assert_eq!(r.kills, r.capacity_fallbacks);
+    assert!(r.metrics.checkpoints > 0);
+    assert!(r.metrics.restores > 0);
+    assert_eq!(r.metrics.kills, r.metrics.capacity_fallbacks);
 }
 
 /// Fig. 8a: checkpoint-based preemption wastes less CPU than kill-based on
@@ -99,7 +100,7 @@ fn checkpoint_policy_suspends_and_restores() {
 #[test]
 fn fig8_waste_ordering() {
     let kill = run(PreemptionPolicy::Kill, MediaKind::Ssd, 4);
-    assert!(kill.wasted_cpu_hours() > 0.0);
+    assert!(kill.metrics.wasted_cpu_hours() > 0.0);
     let mut chk_waste = Vec::new();
     for media in MediaKind::ALL {
         let chk = run(PreemptionPolicy::Checkpoint, media, 4);
@@ -109,20 +110,20 @@ fn fig8_waste_ordering() {
         // ~50% HDD reduction.
         if media == MediaKind::Hdd {
             assert!(
-                chk.wasted_cpu_hours() < kill.wasted_cpu_hours() * 2.0,
+                chk.metrics.wasted_cpu_hours() < kill.metrics.wasted_cpu_hours() * 2.0,
                 "HDD: {} vs kill {}",
-                chk.wasted_cpu_hours(),
-                kill.wasted_cpu_hours()
+                chk.metrics.wasted_cpu_hours(),
+                kill.metrics.wasted_cpu_hours()
             );
         } else {
             assert!(
-                chk.wasted_cpu_hours() < kill.wasted_cpu_hours(),
+                chk.metrics.wasted_cpu_hours() < kill.metrics.wasted_cpu_hours(),
                 "{media}: {} vs kill {}",
-                chk.wasted_cpu_hours(),
-                kill.wasted_cpu_hours()
+                chk.metrics.wasted_cpu_hours(),
+                kill.metrics.wasted_cpu_hours()
             );
         }
-        chk_waste.push(chk.wasted_cpu_hours());
+        chk_waste.push(chk.metrics.wasted_cpu_hours());
     }
     assert!(
         chk_waste[0] > chk_waste[2],
@@ -137,13 +138,15 @@ fn fig8_response_shape_on_nvm() {
     let kill = run(PreemptionPolicy::Kill, MediaKind::Nvm, 4);
     let chk = run(PreemptionPolicy::Checkpoint, MediaKind::Nvm, 4);
     assert!(
-        chk.mean_low_response() < kill.mean_low_response(),
+        chk.metrics.mean_response(PriorityBand::Free)
+            < kill.metrics.mean_response(PriorityBand::Free),
         "chk low {} >= kill low {}",
-        chk.mean_low_response(),
-        kill.mean_low_response()
+        chk.metrics.mean_response(PriorityBand::Free),
+        kill.metrics.mean_response(PriorityBand::Free)
     );
     // High-priority within 15% of kill on NVM.
-    let ratio = chk.mean_high_response() / kill.mean_high_response();
+    let ratio = chk.metrics.mean_response(PriorityBand::Production)
+        / kill.metrics.mean_response(PriorityBand::Production);
     assert!(ratio < 1.15, "high-priority ratio {ratio}");
 }
 
@@ -154,13 +157,14 @@ fn fig10_adaptive_vs_basic_on_hdd() {
     let basic = run(PreemptionPolicy::Checkpoint, MediaKind::Hdd, 6);
     let adaptive = run(PreemptionPolicy::Adaptive, MediaKind::Hdd, 6);
     assert!(
-        adaptive.mean_high_response() <= basic.mean_high_response() * 1.02,
+        adaptive.metrics.mean_response(PriorityBand::Production)
+            <= basic.metrics.mean_response(PriorityBand::Production) * 1.02,
         "adaptive high {} vs basic {}",
-        adaptive.mean_high_response(),
-        basic.mean_high_response()
+        adaptive.metrics.mean_response(PriorityBand::Production),
+        basic.metrics.mean_response(PriorityBand::Production)
     );
     assert!(
-        adaptive.kills > 0,
+        adaptive.metrics.kills > 0,
         "adaptive on HDD should kill young tasks"
     );
 }
@@ -170,25 +174,25 @@ fn fig10_adaptive_vs_basic_on_hdd() {
 fn fig12_overheads() {
     let basic = run(PreemptionPolicy::Checkpoint, MediaKind::Hdd, 7);
     let adaptive = run(PreemptionPolicy::Adaptive, MediaKind::Hdd, 7);
-    assert!(basic.cpu_overhead_fraction() > 0.0);
+    assert!(basic.metrics.cpu_overhead_fraction() > 0.0);
     assert!(
-        adaptive.cpu_overhead_fraction() <= basic.cpu_overhead_fraction(),
+        adaptive.metrics.cpu_overhead_fraction() <= basic.metrics.cpu_overhead_fraction(),
         "adaptive {} vs basic {}",
-        adaptive.cpu_overhead_fraction(),
-        basic.cpu_overhead_fraction()
+        adaptive.metrics.cpu_overhead_fraction(),
+        basic.metrics.cpu_overhead_fraction()
     );
     assert!(
-        adaptive.io_overhead_fraction <= basic.io_overhead_fraction,
+        adaptive.metrics.io_overhead_fraction <= basic.metrics.io_overhead_fraction,
         "adaptive io {} vs basic io {}",
-        adaptive.io_overhead_fraction,
-        basic.io_overhead_fraction
+        adaptive.metrics.io_overhead_fraction,
+        basic.metrics.io_overhead_fraction
     );
     // NVM overheads are negligible, as in the paper.
     let nvm = run(PreemptionPolicy::Adaptive, MediaKind::Nvm, 7);
     assert!(
-        nvm.cpu_overhead_fraction() < 0.02,
+        nvm.metrics.cpu_overhead_fraction() < 0.02,
         "{}",
-        nvm.cpu_overhead_fraction()
+        nvm.metrics.cpu_overhead_fraction()
     );
 }
 
@@ -200,9 +204,9 @@ fn useful_work_conserved() {
     for policy in [PreemptionPolicy::Kill, PreemptionPolicy::Checkpoint] {
         let r = cluster(policy, MediaKind::Ssd).run(&w);
         assert!(
-            (r.useful_cpu_hours - expected).abs() / expected < 0.01,
+            (r.metrics.useful_cpu_hours - expected).abs() / expected < 0.01,
             "{policy}: {} vs {}",
-            r.useful_cpu_hours,
+            r.metrics.useful_cpu_hours,
             expected
         );
     }
@@ -215,10 +219,10 @@ fn incremental_and_storage_cleanup() {
     let r = run(PreemptionPolicy::Checkpoint, MediaKind::Nvm, 9);
     // Every image is discarded when its task finishes, so the *peak* must
     // exceed zero while the workload preempted anything.
-    if r.checkpoints > 0 {
-        assert!(r.storage_peak_fraction > 0.0);
+    if r.metrics.checkpoints > 0 {
+        assert!(r.metrics.storage_peak_fraction > 0.0);
     }
-    assert!(r.storage_peak_fraction <= 1.0);
+    assert!(r.metrics.storage_peak_fraction <= 1.0);
 }
 
 /// Stock YARN's short NodeManager grace period force-kills dumps that
@@ -230,13 +234,13 @@ fn graceful_timeout_breaks_slow_media_checkpointing() {
     let strict_hdd = cluster(PreemptionPolicy::Checkpoint, MediaKind::Hdd)
         .with_graceful_timeout(cbp_simkit::SimDuration::from_secs(5))
         .run(&w);
-    if strict_hdd.checkpoints > 0 {
+    if strict_hdd.metrics.checkpoints > 0 {
         assert!(
-            strict_hdd.force_kills > 0,
+            strict_hdd.metrics.force_kills > 0,
             "5s grace must abort 60s HDD dumps"
         );
     }
-    assert_eq!(strict_hdd.jobs_finished, w.job_count() as u64);
+    assert_eq!(strict_hdd.metrics.jobs_finished, w.job_count() as u64);
 
     // NVM dumps are ~1.5 s but mass-preemption waves queue them, so the
     // grace clock (which includes queueing, as in real YARN) can still
@@ -245,31 +249,32 @@ fn graceful_timeout_breaks_slow_media_checkpointing() {
         .with_graceful_timeout(cbp_simkit::SimDuration::from_secs(5))
         .run(&w);
     assert!(
-        strict_nvm.force_kills <= strict_hdd.force_kills,
+        strict_nvm.metrics.force_kills <= strict_hdd.metrics.force_kills,
         "NVM force-kills {} should not exceed HDD's {}",
-        strict_nvm.force_kills,
-        strict_hdd.force_kills
+        strict_nvm.metrics.force_kills,
+        strict_hdd.metrics.force_kills
     );
 
     // A generous grace never force-kills.
     let generous = cluster(PreemptionPolicy::Checkpoint, MediaKind::Hdd)
         .with_graceful_timeout(cbp_simkit::SimDuration::from_secs(3_600))
         .run(&w);
-    assert_eq!(generous.force_kills, 0);
+    assert_eq!(generous.metrics.force_kills, 0);
 }
 
 /// Responses are recorded for both queues and CDFs are extractable.
 #[test]
 fn responses_populated() {
-    let mut r = run(PreemptionPolicy::Adaptive, MediaKind::Ssd, 10);
-    assert!(!r.low_responses.is_empty());
-    assert!(!r.high_responses.is_empty());
-    let cdf = r.all_responses().cdf(20);
+    let m = run(PreemptionPolicy::Adaptive, MediaKind::Ssd, 10).metrics;
+    let mut low = m.per_band[&PriorityBand::Free].responses.clone();
+    assert!(!low.is_empty());
+    assert!(!m.per_band[&PriorityBand::Production].responses.is_empty());
+    let cdf = m.all_responses().cdf(20);
     assert_eq!(cdf.len(), 20);
-    assert!(r.mean_low_response() > 0.0);
-    assert!(r.mean_high_response() > 0.0);
+    assert!(m.mean_response(PriorityBand::Free) > 0.0);
+    assert!(m.mean_response(PriorityBand::Production) > 0.0);
     // Percentiles monotone.
-    let p50 = r.low_responses.percentile(50.0).unwrap();
-    let p90 = r.low_responses.percentile(90.0).unwrap();
+    let p50 = low.percentile(50.0).unwrap();
+    let p90 = low.percentile(90.0).unwrap();
     assert!(p90 >= p50);
 }

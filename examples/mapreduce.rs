@@ -13,6 +13,7 @@
 use cbp::core::PreemptionPolicy;
 use cbp::storage::MediaKind;
 use cbp::workload::mapreduce::MapReduceConfig;
+use cbp::workload::PriorityBand;
 use cbp::yarn::YarnConfig;
 
 fn main() {
@@ -45,11 +46,11 @@ fn main() {
         println!(
             "{:<18} {:>12.2} {:>10.1} {:>10.1} {:>8} {:>8}",
             label,
-            r.wasted_cpu_hours(),
-            r.mean_low_response() / 60.0,
-            r.mean_high_response() / 60.0,
-            r.kills,
-            r.checkpoints
+            r.metrics.wasted_cpu_hours(),
+            r.metrics.mean_response(PriorityBand::Free) / 60.0,
+            r.metrics.mean_response(PriorityBand::Production) / 60.0,
+            r.metrics.kills,
+            r.metrics.checkpoints
         );
     }
 

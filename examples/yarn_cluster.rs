@@ -8,6 +8,7 @@
 use cbp::core::PreemptionPolicy;
 use cbp::storage::MediaKind;
 use cbp::workload::facebook::FacebookConfig;
+use cbp::workload::PriorityBand;
 use cbp::yarn::YarnConfig;
 
 fn main() {
@@ -40,12 +41,12 @@ fn main() {
         println!(
             "{:<16} {:>12.2} {:>10.2} {:>10.1} {:>10.1} {:>8} {:>8}",
             label,
-            report.wasted_cpu_hours(),
-            report.energy_kwh,
-            report.mean_low_response() / 60.0,
-            report.mean_high_response() / 60.0,
-            report.kills,
-            report.checkpoints
+            report.metrics.wasted_cpu_hours(),
+            report.metrics.energy_kwh,
+            report.metrics.mean_response(PriorityBand::Free) / 60.0,
+            report.metrics.mean_response(PriorityBand::Production) / 60.0,
+            report.metrics.kills,
+            report.metrics.checkpoints
         );
     }
 

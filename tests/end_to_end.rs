@@ -66,12 +66,12 @@ fn stacks_agree_on_headline_claim() {
     yarn_cfg.nodes = 2;
     let ykill = yarn_cfg.clone().run(&fb);
     let ychk = yarn_cfg.with_policy(PreemptionPolicy::Checkpoint).run(&fb);
-    assert!(ykill.kills > 0, "yarn workload must be contended");
+    assert!(ykill.metrics.kills > 0, "yarn workload must be contended");
     assert!(
-        ychk.wasted_cpu_hours() < ykill.wasted_cpu_hours(),
+        ychk.metrics.wasted_cpu_hours() < ykill.metrics.wasted_cpu_hours(),
         "yarn: chk {} vs kill {}",
-        ychk.wasted_cpu_hours(),
-        ykill.wasted_cpu_hours()
+        ychk.metrics.wasted_cpu_hours(),
+        ykill.metrics.wasted_cpu_hours()
     );
 }
 
@@ -132,8 +132,8 @@ fn cross_stack_determinism() {
         cfg.run(&fb)
     };
     let (ya, yb) = (yrun(), yrun());
-    assert_eq!(ya.checkpoints, yb.checkpoints);
-    assert!((ya.makespan_secs - yb.makespan_secs).abs() < 1e-9);
+    assert_eq!(ya.metrics.checkpoints, yb.metrics.checkpoints);
+    assert!((ya.metrics.makespan_secs - yb.metrics.makespan_secs).abs() < 1e-9);
 }
 
 /// Different seeds produce different workloads but the policy ordering is

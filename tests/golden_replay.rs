@@ -36,7 +36,7 @@ use cbp::telemetry::{JsonlReader, JsonlTracer, MetricsRegistry, TraceRecord};
 use cbp::workload::facebook::FacebookConfig;
 use cbp::workload::google::GoogleTraceConfig;
 use cbp::workload::PriorityBand;
-use cbp::yarn::{YarnConfig, YarnReport, YarnSim};
+use cbp::yarn::{YarnConfig, YarnSim};
 
 use common::{fnv1a, SharedBuf};
 
@@ -417,17 +417,22 @@ fn digests(case: &Case) -> [u64; 6] {
     let buf = SharedBuf::default();
     let mut sim = YarnSim::new(ycfg, fw.clone());
     sim.set_tracer(Box::new(JsonlTracer::new(buf.clone())));
-    let (report, telemetry) = sim.run_with_telemetry();
+    let report = sim.run();
     assert_eq!(
-        report.jobs_finished,
+        report.metrics.jobs_finished,
         fw.job_count() as u64,
         "{}: yarn run must finish every job",
         case.name
     );
     let yarn_trace = fnv1a(&buf.0.borrow());
-    let yarn_reg = fnv1a(telemetry.registry.to_json().as_bytes());
-    let yarn_report = words_digest(&yarn_report_words(&report));
-    check_fold(case.name, "yarn", &buf.0.borrow(), &telemetry.registry);
+    let yarn_reg = fnv1a(report.telemetry.registry.to_json().as_bytes());
+    let yarn_report = words_digest(&report_words(&report.metrics));
+    check_fold(
+        case.name,
+        "yarn",
+        &buf.0.borrow(),
+        &report.telemetry.registry,
+    );
 
     [
         cluster_trace,
@@ -480,8 +485,8 @@ fn report_words(m: &RunMetrics) -> Vec<u64> {
         m.dfs_blocks_repaired,
         m.dfs_repair_bytes,
         m.dfs_blocks_lost,
-        0, // force kills: YARN only
-        0, // AM escalations: YARN only
+        m.force_kills,
+        m.am_escalations,
     ];
     words.extend(
         [
@@ -499,66 +504,6 @@ fn report_words(m: &RunMetrics) -> Vec<u64> {
         .map(f64::to_bits),
     );
     words.extend(PriorityBand::ALL.map(|band| m.per_band.get(&band).map_or(0, |b| b.jobs)));
-    words
-}
-
-/// [`report_words`] for the YARN report, whose low (default-queue) and
-/// high (production-queue) jobs are the free and production bands; the
-/// counters it does not keep are 0.
-fn yarn_report_words(r: &YarnReport) -> Vec<u64> {
-    let mut words = vec![
-        r.jobs_finished,
-        r.tasks_finished,
-        r.kills + r.checkpoints,
-        r.kills,
-        r.checkpoints,
-        r.incremental_checkpoints,
-        r.restores,
-        r.remote_restores,
-        r.capacity_fallbacks,
-        r.gc_reclaimed_bytes,
-        r.evicted_chains,
-        r.spill_dumps,
-        r.no_space_kills,
-        0, // failure evictions
-        r.crash_evictions,
-        r.breaker_open_kills,
-        0, // images lost to failures
-        0, // dump-fail retries
-        r.dump_fail_kills,
-        0, // restore-fail retries
-        0, // scratch restarts
-        r.resumed_dumps,
-        r.resumed_bytes,
-        r.chunk_refetches,
-        r.chain_truncations,
-        r.integrity_scratch_restarts,
-        0, // DFS blocks repaired
-        0, // DFS repair bytes
-        0, // DFS blocks lost
-        r.force_kills,
-        r.am_escalations,
-    ];
-    words.extend(
-        [
-            r.makespan_secs,
-            0.0, // retry overhead
-            r.kill_lost_cpu_hours,
-            r.dump_overhead_cpu_hours,
-            r.restore_overhead_cpu_hours,
-            r.useful_cpu_hours,
-            r.energy_kwh,
-            r.io_overhead_fraction,
-            r.storage_peak_fraction,
-            r.breaker_open_secs,
-        ]
-        .map(f64::to_bits),
-    );
-    words.extend([
-        r.low_responses.len() as u64,
-        0,
-        r.high_responses.len() as u64,
-    ]);
     words
 }
 

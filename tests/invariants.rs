@@ -149,22 +149,22 @@ proptest! {
         let mut cfg = YarnConfig::paper_cluster(policy, media);
         cfg.nodes = 2;
         cfg.seed = seed;
-        let r = cfg.run(&w);
+        let m = cfg.run(&w).metrics;
 
-        prop_assert_eq!(r.jobs_finished, w.job_count() as u64);
-        prop_assert_eq!(r.tasks_finished, w.task_count() as u64);
+        prop_assert_eq!(m.jobs_finished, w.job_count() as u64);
+        prop_assert_eq!(m.tasks_finished, w.task_count() as u64);
         let expected = w.total_cpu_hours();
         prop_assert!(
-            (r.useful_cpu_hours - expected).abs() <= expected * 0.01 + 1e-6,
-            "useful {} vs workload {}", r.useful_cpu_hours, expected
+            (m.useful_cpu_hours - expected).abs() <= expected * 0.01 + 1e-6,
+            "useful {} vs workload {}", m.useful_cpu_hours, expected
         );
-        prop_assert!(r.waste_fraction() >= 0.0 && r.waste_fraction() <= 1.0);
-        prop_assert!(r.storage_peak_fraction >= 0.0 && r.storage_peak_fraction <= 1.0);
+        prop_assert!(m.waste_fraction() >= 0.0 && m.waste_fraction() <= 1.0);
+        prop_assert!(m.storage_peak_fraction >= 0.0 && m.storage_peak_fraction <= 1.0);
         if policy == PreemptionPolicy::Wait {
-            prop_assert_eq!(r.kills + r.checkpoints, 0);
+            prop_assert_eq!(m.kills + m.checkpoints, 0);
         }
         if !policy.uses_checkpoints() {
-            prop_assert_eq!(r.checkpoints, 0);
+            prop_assert_eq!(m.checkpoints, 0);
         }
     }
 
