@@ -22,10 +22,9 @@ use std::time::Instant;
 use cbp_core::{ClusterSim, PassWork, PreemptionPolicy, TelemetryReport};
 use cbp_faults::FaultSpec;
 use cbp_storage::MediaKind;
-use cbp_telemetry::json;
+use cbp_telemetry::json::{self, Value};
 use cbp_workload::facebook::FacebookConfig;
 use cbp_yarn::{YarnConfig, YarnSim};
-use serde_json::Value;
 
 use crate::experiments::google_setup;
 use crate::Scale;
@@ -540,7 +539,7 @@ fn get_f64(v: &Value, section: &str, key: &str) -> Result<Option<f64>, String> {
         .get(section)
         .and_then(|s| s.get(key))
         .ok_or_else(|| format!("missing {section}.{key}"))?;
-    if field.is_null() {
+    if *field == Value::Null {
         return Ok(None);
     }
     field
@@ -578,8 +577,8 @@ pub fn check_bench_files(
     candidate: &str,
     tol_pct: f64,
 ) -> Result<BenchDiff, String> {
-    let base: Value = serde_json::from_str(baseline).map_err(|e| format!("baseline: {e}"))?;
-    let cand: Value = serde_json::from_str(candidate).map_err(|e| format!("candidate: {e}"))?;
+    let base = json::parse(baseline).ok_or("baseline: not valid JSON")?;
+    let cand = json::parse(candidate).ok_or("candidate: not valid JSON")?;
 
     for (name, v) in [("baseline", &base), ("candidate", &cand)] {
         let schema = v.get("schema").and_then(|s| s.as_str());
@@ -816,7 +815,7 @@ mod tests {
 
     /// Multiplies the value of `key` in the `measured` object by `factor`.
     fn perturb(json: &str, key: &str, factor: f64) -> String {
-        let v: Value = serde_json::from_str(json).unwrap();
+        let v = json::parse(json).unwrap();
         let old = v
             .get("measured")
             .and_then(|m| m.get(key))
