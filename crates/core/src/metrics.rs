@@ -293,7 +293,7 @@ pub struct RunReport {
 /// [`RunLedger::export`] sets the registry keys the simulators share and
 /// [`RunLedger::into_metrics`] turns the ledger into the run's
 /// [`RunMetrics`].
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct RunLedger {
     /// Hard kills (`scheduler.kills`): the `task_evict` records whose
     /// reason is not `dump`, except evictions by a node that went down.
