@@ -31,6 +31,7 @@ mod common;
 use cbp::checkpoint::NvramSpec;
 use cbp::core::{ClusterSim, PreemptionPolicy, RunMetrics, SimConfig};
 use cbp::faults::FaultSpec;
+use cbp::simkit::SimDuration;
 use cbp::storage::MediaKind;
 use cbp::telemetry::{JsonlReader, JsonlTracer, MetricsRegistry, TraceRecord};
 use cbp::workload::facebook::FacebookConfig;
@@ -66,10 +67,18 @@ struct Case {
     /// Node counts: trace simulator, YARN analog.
     nodes: [usize; 2],
     store: Store,
+    /// The YARN NodeManager's grace period before it force-kills a dump
+    /// still in flight, in seconds (none: dumps are never cut short).
+    grace_secs: Option<u64>,
     /// Digests: cluster trace, cluster registry, yarn trace, yarn
     /// registry, cluster report, yarn report.
     golden: [u64; 6],
 }
+
+/// The grace period of the "grace-period" case: shorter than most HDFS
+/// dumps of the YARN analog's containers (81 of its 109 are
+/// force-killed), while the rest commit and are restored.
+const GRACE_SECS: u64 = 90;
 
 const PRESSURE: &str = "pressure,cap=0.01,leak=0.6,leak-window=300,seed=11";
 
@@ -87,6 +96,7 @@ const CASES: &[Case] = &[
         incremental: true,
         nodes: [5, 4],
         store: Store::Dfs,
+        grace_secs: None,
         golden: [
             0xbda4445e1bce42fd,
             0x69efb84ae242d78d,
@@ -104,6 +114,7 @@ const CASES: &[Case] = &[
         incremental: true,
         nodes: [5, 4],
         store: Store::Dfs,
+        grace_secs: None,
         golden: [
             0x4f9cbe3ef9d4b02a,
             0xe73d12c89f2ad589,
@@ -121,6 +132,7 @@ const CASES: &[Case] = &[
         incremental: true,
         nodes: [5, 4],
         store: Store::Dfs,
+        grace_secs: None,
         golden: [
             0x68b31cb412ba92ad,
             0x54e76f9f03ce8f4b,
@@ -138,6 +150,7 @@ const CASES: &[Case] = &[
         incremental: true,
         nodes: [5, 4],
         store: Store::Dfs,
+        grace_secs: None,
         golden: [
             0xe4ba231b7ff33626,
             0xeadb4508737bcec7,
@@ -157,6 +170,7 @@ const CASES: &[Case] = &[
         incremental: true,
         nodes: [2, 2],
         store: Store::Dfs,
+        grace_secs: None,
         golden: [
             0x6aa46df3bf775179,
             0x74e73aad010d9f48,
@@ -178,6 +192,7 @@ const CASES: &[Case] = &[
         incremental: true,
         nodes: [5, 4],
         store: Store::Dfs,
+        grace_secs: None,
         golden: [
             0x4fc9e9615effcd13,
             0xd08f5eb0ab053b99,
@@ -195,6 +210,7 @@ const CASES: &[Case] = &[
         incremental: true,
         nodes: [5, 4],
         store: Store::Dfs,
+        grace_secs: None,
         golden: [
             0x057113946e733dc6,
             0x97dd3c6cab055888,
@@ -212,6 +228,7 @@ const CASES: &[Case] = &[
         incremental: true,
         nodes: [5, 4],
         store: Store::LocalFs,
+        grace_secs: None,
         golden: [
             0x177d43bf2bcc5740,
             0x4f8dbd17cab5b3f3,
@@ -229,6 +246,7 @@ const CASES: &[Case] = &[
         incremental: true,
         nodes: [5, 4],
         store: Store::Dfs,
+        grace_secs: None,
         golden: [
             0x4740b6cbb1ce3081,
             0x3d8f12d823c711b9,
@@ -246,6 +264,7 @@ const CASES: &[Case] = &[
         incremental: true,
         nodes: [5, 4],
         store: Store::LocalFs,
+        grace_secs: None,
         golden: [
             0x5b5a48040bcde053,
             0x6e6e2ac04f1f1e04,
@@ -263,6 +282,7 @@ const CASES: &[Case] = &[
         incremental: true,
         nodes: [5, 4],
         store: Store::Nvram,
+        grace_secs: None,
         golden: [
             0xd9eee67b7dea7b64,
             0xacfd768f18dc53d0,
@@ -280,6 +300,7 @@ const CASES: &[Case] = &[
         incremental: true,
         nodes: [5, 4],
         store: Store::Dfs,
+        grace_secs: None,
         golden: [
             0x28a4d6906c12e1fb,
             0xe49051a75e725f78,
@@ -297,6 +318,7 @@ const CASES: &[Case] = &[
         incremental: true,
         nodes: [5, 4],
         store: Store::Dfs,
+        grace_secs: None,
         golden: [
             0xd82ddcea1ee477fd,
             0x1d7f740ceaf3995b,
@@ -315,6 +337,7 @@ const CASES: &[Case] = &[
         incremental: true,
         nodes: [5, 4],
         store: Store::Dfs,
+        grace_secs: None,
         golden: [
             0xcd113e6b53f2d624,
             0x517bdf79d8b57b7f,
@@ -335,6 +358,7 @@ const CASES: &[Case] = &[
         incremental: true,
         nodes: [5, 4],
         store: Store::Dfs,
+        grace_secs: None,
         golden: [
             0xe4ba231b7ff33626,
             0xeadb4508737bcec7,
@@ -355,6 +379,7 @@ const CASES: &[Case] = &[
         incremental: false,
         nodes: [5, 4],
         store: Store::Dfs,
+        grace_secs: None,
         golden: [
             0x3d2e0fac92f7426c,
             0xa1171cfdee357497,
@@ -362,6 +387,28 @@ const CASES: &[Case] = &[
             0xc7b4191d0aba8f4d,
             0x93e372cf66127878,
             0x1fe99a82a3a40247,
+        ],
+    },
+    Case {
+        // The YARN NodeManager force-kills every dump still in flight
+        // when its grace period runs out (no other case sets one). The
+        // trace simulator has no grace period: its run is the "light"
+        // case's.
+        name: "grace-period",
+        plan: "light,seed=11",
+        lifecycle: true,
+        policies: CHK_ADAPTIVE,
+        incremental: true,
+        nodes: [5, 4],
+        store: Store::Dfs,
+        grace_secs: Some(GRACE_SECS),
+        golden: [
+            0x4f9cbe3ef9d4b02a,
+            0xe73d12c89f2ad589,
+            0x57c1da461e1d5649,
+            0xdcd3509f5a200070,
+            0xdfbebe6499c8e368,
+            0x586b9a9f19735a35,
         ],
     },
 ];
@@ -410,10 +457,13 @@ fn digests(case: &Case) -> [u64; 6] {
     .generate(9);
     let mut ycfg = YarnConfig::paper_cluster(case.policies[1], MediaKind::Hdd);
     ycfg.nodes = case.nodes[1];
-    let ycfg = ycfg
+    let mut ycfg = ycfg
         .with_lifecycle(case.lifecycle)
         .with_incremental(case.incremental)
         .with_faults(spec);
+    if let Some(secs) = case.grace_secs {
+        ycfg = ycfg.with_graceful_timeout(SimDuration::from_secs(secs));
+    }
     let buf = SharedBuf::default();
     let mut sim = YarnSim::new(ycfg, fw.clone());
     sim.set_tracer(Box::new(JsonlTracer::new(buf.clone())));
@@ -424,6 +474,13 @@ fn digests(case: &Case) -> [u64; 6] {
         "{}: yarn run must finish every job",
         case.name
     );
+    if case.grace_secs.is_some() {
+        assert!(
+            report.metrics.force_kills > 0,
+            "{}: the grace period must cut some dump short",
+            case.name
+        );
+    }
     let yarn_trace = fnv1a(&buf.0.borrow());
     let yarn_reg = fnv1a(report.telemetry.registry.to_json().as_bytes());
     let yarn_report = words_digest(&report_words(&report.metrics));
