@@ -4,9 +4,11 @@
 //! §5 the same protocol inside YARN) is one subsystem below the scheduler:
 //! [`CkptPath`] owns everything the image-ledger conservation invariant
 //! spans — the [`Criu`] catalog, each node's checkpoint [`Device`], the
-//! injected-leak bytes, the DFS and each task's DFS files, the dump-retry
-//! and resume-frontier state and the checkpoint-path circuit breakers —
-//! and runs the three degradation ladders on it:
+//! injected-leak bytes, the DFS and each task's DFS files, the dump-retry,
+//! restore-retry and resume-frontier state and the checkpoint-path circuit
+//! breakers — and, when configured, the §3.2.3 NVRAM backend, whose
+//! per-node mirrors replace the image files. It runs the three
+//! degradation ladders on them:
 //!
 //! - **lifecycle** (a dump does not fit): GC → evict → spill → kill;
 //! - **integrity** (a restored chain has corrupt chunks): replica refetch
@@ -14,30 +16,41 @@
 //! - **lost chains** (a datanode failure took the last replica of a
 //!   block): abort the in-flight dump and discard the chain.
 //!
-//! It also holds the paper's Algorithm 1 for both simulators: the §5.2.2
-//! victim-ranking estimate ([`CkptPath::victim_cost_secs`]) and the
-//! preemption decision with its breaker-open fallback
-//! ([`CkptPath::preempt_action`]). What the simulators do differently —
-//! the slowdown and retry terms of the ranking, the overhead estimate and
-//! when progress and memory are synced — comes in as arguments.
+//! The suspend/resume protocol is written here once, one method per step:
+//! [`CkptPath::start_dump`], [`CkptPath::dump_done`] (commit, or retry a
+//! failed write), [`CkptPath::start_restore`], [`CkptPath::check_restore`]
+//! (validate the chain, then re-read it), `CkptPath::restore_fault` (the
+//! trace simulator's injected read failures) and
+//! [`CkptPath::finish_restore`]. It also holds the paper's Algorithm 1 for
+//! both simulators: the §5.2.2 victim-ranking estimate
+//! ([`CkptPath::victim_cost_secs`]) and the preemption decision with its
+//! breaker-open fallback ([`CkptPath::preempt_action`]). What the
+//! simulators do differently — the slowdown and retry terms, the overhead
+//! estimate, when progress and memory are synced, the DFS path prefix,
+//! the CPU sums a retry charges — comes in as arguments.
 //!
-//! Tasks are opaque `u64` keys (the ids trace records carry). Task state
-//! stays with the simulators: the methods here return decisions — an
-//! origin device, the keys whose chains were dropped, a validation verdict
-//! — and each simulator applies its own rules to them.
+//! Tasks are opaque `u64` keys (the ids trace records carry). Status
+//! writes stay with the simulators: the methods here update a task's
+//! execution record and return decisions — a span to queue an event at,
+//! the keys whose chains were dropped, a verdict — and each simulator
+//! applies its own rules to them.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use cbp_checkpoint::{plan_evictions, Criu, DumpResult, EvictionCandidate, TaskMemory};
+use cbp_checkpoint::{
+    plan_evictions, CheckpointKind, Criu, DumpResult, EvictionCandidate, NvramCheckpointer,
+    NvramSpec, TaskMemory,
+};
 use cbp_dfs::{DfsCluster, DnId, ReplicationRepair};
 use cbp_faults::{BreakerTransition, FaultPlan, HealthMonitor};
 use cbp_simkit::units::ByteSize;
 use cbp_simkit::{SimDuration, SimTime};
-use cbp_storage::{Device, MediaKind, MediaSpec, OpCompletion, OpKind};
+use cbp_storage::{Device, MediaKind, MediaSpec, OpKind};
 use cbp_telemetry::{MetricsRegistry, PreemptAction, TraceRecord, TraceSink};
 
-use crate::config::PreemptionPolicy;
-use crate::task::TaskExec;
+use crate::config::{PreemptionPolicy, RestorePlacement};
+use crate::metrics::RunLedger;
+use crate::task::{TaskExec, TaskTable};
 
 /// Short stable device name for trace records.
 pub fn media_name(kind: MediaKind) -> &'static str {
@@ -115,6 +128,56 @@ pub struct DumpRetry {
     pub backoff: SimDuration,
 }
 
+/// When a checkpoint transfer's service starts and ends (queue wait
+/// burns no CPU, so the service start is what the trace and the CPU
+/// charges count from).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Span {
+    /// Service start.
+    pub start: SimTime,
+    /// Completion.
+    pub end: SimTime,
+}
+
+/// What a finished dump write comes to (see [`CkptPath::dump_done`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DumpEnd {
+    /// The image is committed: the caller releases the container and
+    /// queues the task to resume.
+    Committed,
+    /// The attempt failed and is rewritten over the span: the caller
+    /// queues the next dump completion at its end.
+    Retry(Span),
+    /// The attempt failed with no retry budget left: the half-written tip
+    /// was aborted and the fallback recorded. The caller kills the victim.
+    Failed,
+}
+
+/// What a finished restore read comes to (see [`CkptPath::check_restore`]
+/// and `CkptPath::restore_fault`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RestoreEnd {
+    /// The read stands.
+    Intact,
+    /// The chain is read again over the span, on the same node in the
+    /// same episode: the caller queues the next restore completion at its
+    /// end.
+    Reread(Span),
+    /// The chain is lost: the caller restarts the task from scratch (see
+    /// [`CkptPath::scratch_restart`]).
+    Dead,
+}
+
+/// The §3.2.3 NVRAM backend: each node's mirror engine and the node
+/// holding each task's mirror. A suspend is a memory copy into the
+/// node's NVRAM, so it skips the device queue, the stall factor and the
+/// storage fault draws, and a mirror can only be restored on its node.
+struct Mirrors {
+    engines: Vec<NvramCheckpointer>,
+    /// Task → node holding its mirror.
+    origin: HashMap<u64, u32>,
+}
+
 /// The terms of a victim's ranking estimate that every victim on one node
 /// shares at one time (see [`CkptPath::node_cost`]).
 #[derive(Debug)]
@@ -175,6 +238,10 @@ pub struct CkptPath {
     /// Task → durable bytes of its in-flight dump episode (monotone within
     /// an episode; a retry rewrites only the suffix past it).
     dump_frontier: HashMap<u64, u64>,
+    /// Task → 0-based attempt index of its in-flight restore episode.
+    restore_attempts: HashMap<u64, u32>,
+    /// The NVRAM mirrors that replace the image files when configured.
+    nvram: Option<Mirrors>,
     /// Tasks whose current chain was corrupted whole at dump time (the
     /// `resume = false` ablation): every restore of it fails.
     corrupt: BTreeSet<u64>,
@@ -184,8 +251,9 @@ pub struct CkptPath {
 }
 
 impl CkptPath {
-    /// Builds the path for `nodes` nodes with `media` devices. A pressure
-    /// plan shrinks every device; a plan's chunk size applies to `criu`.
+    /// Builds the path for `nodes` nodes with `media` devices, keeping
+    /// checkpoints as NVRAM mirrors when `nvram` is given. A pressure plan
+    /// shrinks every device; a plan's chunk size applies to `criu`.
     /// `whole_image_corruption` enables the legacy whole-image corruption
     /// draw of the `resume = false` ablation.
     pub fn new(
@@ -193,6 +261,7 @@ impl CkptPath {
         media: MediaSpec,
         criu: Criu,
         dfs: Option<DfsCluster>,
+        nvram: Option<NvramSpec>,
         plan: Option<&FaultPlan>,
         whole_image_corruption: bool,
     ) -> Self {
@@ -220,6 +289,11 @@ impl CkptPath {
             paths: BTreeMap::new(),
             dump_attempts: HashMap::new(),
             dump_frontier: HashMap::new(),
+            restore_attempts: HashMap::new(),
+            nvram: nvram.map(|spec| Mirrors {
+                engines: (0..nodes).map(|_| NvramCheckpointer::new(spec)).collect(),
+                origin: HashMap::new(),
+            }),
             corrupt: BTreeSet::new(),
             whole_image_corruption,
         }
@@ -235,26 +309,58 @@ impl CkptPath {
         &self.devices[node]
     }
 
-    /// Queues a `size`-byte restore read taking `service` on node `node`'s
-    /// device.
-    pub fn read(
-        &mut self,
-        node: usize,
-        now: SimTime,
-        size: ByteSize,
-        service: SimDuration,
-    ) -> OpCompletion {
-        self.devices[node].submit_custom(now, OpKind::Read, size, service)
-    }
-
-    /// Lets node `node`'s device drain the operations finished by `now`.
-    pub fn advance(&mut self, node: usize, now: SimTime) {
-        self.devices[node].on_advance(now);
-    }
-
     /// True if checkpoints are written through a DFS.
     pub fn has_dfs(&self) -> bool {
         self.dfs.is_some()
+    }
+
+    /// True if `key` can resume from a checkpoint: a CRIU image chain, or
+    /// a mirror on the NVRAM backend.
+    pub fn has_image(&self, key: u64) -> bool {
+        match &self.nvram {
+            Some(m) => m.origin.contains_key(&key),
+            None => self.criu.has_image(key),
+        }
+    }
+
+    /// The node holding `key`'s newest checkpoint (its chain's tip or its
+    /// mirror), if it has one.
+    pub fn image_origin(&self, key: u64) -> Option<u32> {
+        match &self.nvram {
+            Some(m) => m.origin.get(&key).copied(),
+            None => self.criu.chain(key)?.tip().map(|r| r.origin_node),
+        }
+    }
+
+    /// True if a checkpointed task can resume only on its origin node:
+    /// NVRAM mirrors live in the origin node's memory and local-FS images
+    /// on its disk, and `placement` may ask for it.
+    pub(crate) fn restore_is_local(&self, placement: RestorePlacement) -> bool {
+        self.nvram.is_some() || placement == RestorePlacement::LocalOnly || !self.has_dfs()
+    }
+
+    /// The service (transfer) time of restoring `key`, whose memory
+    /// footprint is `footprint`, on node `node`: lazy NVRAM resume copies
+    /// only the hot fraction up front; a DFS reads every file of the
+    /// chain; local FS reads the chain off the node's device.
+    pub(crate) fn restore_service(
+        &self,
+        key: u64,
+        footprint: ByteSize,
+        node: usize,
+    ) -> SimDuration {
+        if let Some(m) = &self.nvram {
+            let spec = m.engines[node].spec();
+            return spec
+                .restore_bw
+                .transfer_time(footprint.mul_f64(spec.lazy_restore_fraction));
+        }
+        if self.has_dfs() {
+            return self.dfs_read_time(key, node);
+        }
+        self.devices[node]
+            .spec()
+            .read_time(self.criu.image_size(key))
     }
 
     // ---- per-task DFS files ----------------------------------------------
@@ -265,7 +371,7 @@ impl CkptPath {
     }
 
     /// Time for node `node` to read every DFS file of `key`.
-    pub fn dfs_read_time(&self, key: u64, node: usize) -> SimDuration {
+    fn dfs_read_time(&self, key: u64, node: usize) -> SimDuration {
         let (Some(dfs), Some(paths)) = (&self.dfs, self.paths.get(&key)) else {
             return SimDuration::ZERO;
         };
@@ -282,7 +388,7 @@ impl CkptPath {
     /// Writes a `bytes`-byte file at `path` from `node` through the DFS and
     /// records it as `key`'s next file. Returns the pipelined write time,
     /// or `None` when there is no DFS or the write was refused.
-    pub fn write_dfs(
+    fn write_dfs(
         &mut self,
         key: u64,
         path: String,
@@ -381,8 +487,9 @@ impl CkptPath {
         at.scale((dump + at.queue).as_secs_f64())
     }
 
-    /// The CRIU overhead Algorithm 1 weighs against the progress at risk:
-    /// dump, restore and queue time of `key`'s next image from `node`.
+    /// The checkpoint overhead Algorithm 1 weighs against the progress at
+    /// risk: dump, restore and queue time of `key`'s next image from
+    /// `node`, or on the NVRAM backend the mirror's copy and restore time.
     pub fn dump_overhead(
         &self,
         key: u64,
@@ -390,9 +497,13 @@ impl CkptPath {
         node: usize,
         now: SimTime,
     ) -> SimDuration {
-        self.criu
-            .estimate(key, mem, &self.devices[node], now)
-            .total()
+        match &self.nvram {
+            Some(m) => m.engines[node].estimate_total(key, mem),
+            None => self
+                .criu
+                .estimate(key, mem, &self.devices[node], now)
+                .total(),
+        }
     }
 
     /// Algorithm 1 under `policy`: Kill and Checkpoint act by policy, and
@@ -509,7 +620,7 @@ impl CkptPath {
     /// dropped. `loss` gives the core-seconds a task would lose with its
     /// chain, or `None` while a dump or restore owns the chain.
     #[allow(clippy::too_many_arguments)]
-    pub fn place_dump(
+    fn place_dump(
         &mut self,
         key: u64,
         node: usize,
@@ -518,7 +629,7 @@ impl CkptPath {
         now: SimTime,
         trace: &mut TraceSink,
         up: &dyn Fn(usize) -> bool,
-        loss: &dyn Fn(u64) -> Option<f64>,
+        loss: &mut dyn FnMut(u64) -> Option<f64>,
     ) -> (Option<usize>, Vec<u64>) {
         let (origin, dropped) = match self.dump_origin_for(node, size, up) {
             Some(origin) => (Some(origin), Vec::new()),
@@ -583,9 +694,9 @@ impl CkptPath {
         now: SimTime,
         trace: &mut TraceSink,
         up: &dyn Fn(usize) -> bool,
-        loss: &dyn Fn(u64) -> Option<f64>,
+        loss: &mut dyn FnMut(u64) -> Option<f64>,
     ) -> (Option<usize>, Vec<u64>) {
-        let mut dropped = self.gc_pass(now, trace, loss);
+        let mut dropped = self.gc_pass(now, trace, &mut *loss);
         if let Some(origin) = self.dump_origin_for(node, size, up) {
             return (Some(origin), dropped);
         }
@@ -601,7 +712,7 @@ impl CkptPath {
         &mut self,
         now: SimTime,
         trace: &mut TraceSink,
-        loss: &dyn Fn(u64) -> Option<f64>,
+        loss: &mut dyn FnMut(u64) -> Option<f64>,
     ) -> Vec<u64> {
         let n = self.devices.len();
         let mut reclaimed = vec![0u64; n];
@@ -666,7 +777,7 @@ impl CkptPath {
         size: ByteSize,
         now: SimTime,
         trace: &mut TraceSink,
-        loss: &dyn Fn(u64) -> Option<f64>,
+        loss: &mut dyn FnMut(u64) -> Option<f64>,
     ) -> Vec<u64> {
         let shortfall = size.saturating_sub(self.devices[node].free_capacity());
         if shortfall.is_zero() {
@@ -733,20 +844,160 @@ impl CkptPath {
 
     // ---- dump path -------------------------------------------------------
 
-    /// Starts a dump episode for `key`: attempt numbering restarts.
-    pub(crate) fn begin_dump(&mut self, key: u64) {
+    /// Starts suspending victim `key` on `node` (§5.2.1: the victim stops
+    /// and its state is dumped while it keeps its container). Its progress
+    /// and memory are synced through `tasks`; the image is placed —
+    /// climbing the lifecycle ladder when `lifecycle` is on, where `up`
+    /// tells the nodes in service — then written through the DFS as
+    /// `{dfs_dir}/{epoch}/{n}` and queued on its device. The write pays
+    /// the `slowdown` factor (applied above 1) of the device that takes
+    /// the image when `dump_at_origin` is set, else of `node`.
+    /// On the NVRAM backend it is copied into the node's mirror instead.
+    /// The `dump_start` and `task_evict` records are written, the dump's
+    /// service is charged to `ledger` and the task's epoch moves on.
+    ///
+    /// Returns the dump's span — `None` after a recorded fallback, when
+    /// the caller kills the victim — and the keys whose chains the ladder
+    /// dropped, for the caller to degrade.
+    #[allow(clippy::too_many_arguments)]
+    pub fn start_dump(
+        &mut self,
+        key: u64,
+        node: usize,
+        tasks: &mut impl TaskTable,
+        dfs_dir: &dyn std::fmt::Display,
+        slowdown: &dyn Fn(usize) -> f64,
+        dump_at_origin: bool,
+        lifecycle: bool,
+        up: &dyn Fn(usize) -> bool,
+        ledger: &mut RunLedger,
+        now: SimTime,
+        trace: &mut TraceSink,
+    ) -> (Option<Span>, Vec<u64>) {
+        let task = tasks.exec(key);
+        task.sync_progress(now);
+        let mem = task.sync_memory(now);
+        let (span, device, bytes, incremental, dropped) = if let Some(m) = &mut self.nvram {
+            let Ok(suspend) = m.engines[node].suspend(key, mem) else {
+                // The node's NVRAM is full; mirrors are node-local so there
+                // is nowhere to spill.
+                self.counters.capacity_fallbacks += 1;
+                self.observe_health(node, now, false, trace);
+                trace.record(
+                    now.as_micros(),
+                    TraceRecord::DumpFallback {
+                        task: key,
+                        node: node as u32,
+                        reason: "nvram-full",
+                    },
+                );
+                return (None, Vec::new());
+            };
+            m.origin.insert(key, node as u32);
+            let incremental = suspend.copied < task.spec.resources.mem();
+            let span = Span {
+                start: now,
+                end: now + suspend.duration,
+            };
+            (span, "nvram", suspend.copied, incremental, Vec::new())
+        } else {
+            let (size, _) = self.criu.next_dump_size(key, mem);
+            let (origin, dropped) =
+                self.place_dump(key, node, size, lifecycle, now, trace, up, &mut |k| {
+                    tasks.exec(k).chain_loss()
+                });
+            let Some(origin) = origin else {
+                return (None, dropped);
+            };
+            // Through a DFS the pipelined write is the service time;
+            // locally the device's own write speed applies. With
+            // compression only the compressed bytes cross the pipeline.
+            let wire_size = self
+                .criu
+                .compression()
+                .map_or(size, |c| c.compressed_size(size));
+            // A stall window or a rack partition degrades the write, and is
+            // a health signal even when the dump eventually completes.
+            let at = if dump_at_origin { origin } else { node };
+            let factor = slowdown(at);
+            if factor > 1.0 {
+                self.observe_health(at, now, false, trace);
+            }
+            let task = tasks.exec(key);
+            let service = if self.has_dfs() {
+                let path = format!("{dfs_dir}/{}/{}", task.epoch, self.path_count(key));
+                let write = self.write_dfs(key, path, wire_size, node);
+                write.map(|d| if factor > 1.0 { d.mul_f64(factor) } else { d })
+            } else if factor > 1.0 {
+                Some(
+                    self.devices[origin]
+                        .spec()
+                        .write_time(wire_size)
+                        .mul_f64(factor),
+                )
+            } else {
+                None
+            };
+            // Re-syncing at the same instant folds in nothing; it hands
+            // back the image.
+            let mem = task.sync_memory(now);
+            let Some(result) = self.dump_image(key, mem, node, origin, service, now, trace) else {
+                return (None, dropped);
+            };
+            let incremental = matches!(result.kind, CheckpointKind::Incremental { .. });
+            let span = Span {
+                start: result.op.start,
+                end: result.op.end,
+            };
+            let device = media_name(self.devices[origin].spec().kind());
+            (span, device, wire_size, incremental, dropped)
+        };
+        let task = tasks.exec(key);
+        // Wastage is CPU time: the dump burns CPU while copying (its
+        // service time); while queued the victim is stopped and burns none.
+        // Queueing still delays the container's release.
+        ledger.charge_dump(span.end.since(span.start), task.spec.resources.cores_f64());
+        let t_us = now.as_micros();
+        let node = node as u32;
+        trace.record(
+            t_us,
+            TraceRecord::DumpStart {
+                task: key,
+                node,
+                device,
+                bytes: bytes.as_u64(),
+                incremental,
+            },
+        );
+        trace.record(
+            t_us,
+            TraceRecord::TaskEvict {
+                task: key,
+                node,
+                reason: "dump",
+            },
+        );
+        // A new dump episode: attempt numbering restarts.
         self.dump_attempts.insert(key, 0);
+        task.epoch += 1;
+        (Some(span), dropped)
     }
 
     /// Attempt index of `key`'s in-flight dump episode.
-    pub fn dump_attempt(&self, key: u64) -> u32 {
+    fn dump_attempt(&self, key: u64) -> u32 {
         self.dump_attempts.get(&key).copied().unwrap_or(0)
     }
 
     /// Ends `key`'s dump episode (its retry state is dropped).
-    pub fn end_dump(&mut self, key: u64) {
+    fn end_dump(&mut self, key: u64) {
         self.dump_attempts.remove(&key);
         self.dump_frontier.remove(&key);
+    }
+
+    /// Ends `key`'s dump and restore episodes (a node failure ends both).
+    pub(crate) fn end_episodes(&mut self, key: u64) {
+        self.end_dump(key);
+        self.restore_attempts.remove(&key);
     }
 
     /// Writes `key`'s next image to device `origin` (dumped from `node`),
@@ -754,7 +1005,7 @@ impl CkptPath {
     /// storage-full fallback is recorded and `None` returned: the caller
     /// kills the victim.
     #[allow(clippy::too_many_arguments)]
-    pub fn dump_image(
+    fn dump_image(
         &mut self,
         key: u64,
         mem: &mut TaskMemory,
@@ -795,26 +1046,70 @@ impl CkptPath {
         }
     }
 
-    /// Commits `key`'s finished dump: the tip is stamped with the progress
-    /// (µs) it certifies, the episode ends, and the plan's corruption draws
-    /// land — per chunk in the tip's manifest with chunked resume on,
-    /// whole-image otherwise (when enabled).
+    /// Handles the end of victim `key`'s dump write on `node` (attempt
+    /// `epoch`, its service started at `started`). Under `plan` the write
+    /// may have failed (NVRAM copies never do): while retry budget remains
+    /// the tip is rewritten under `slowdown`, the rewrite's CPU charged to
+    /// `charge`; once it is spent the dump is abandoned. Otherwise the
+    /// path reports healthy, the `dump_done` record is written and the
+    /// image committed: `task`'s checkpoint moves up to its progress, the
+    /// tip is stamped with it (a later truncation rolls back to exactly
+    /// that), the episode ends and the plan's corruption draws land on the
+    /// new image.
     #[allow(clippy::too_many_arguments)]
-    pub fn commit_dump(
+    pub fn dump_done(
         &mut self,
         plan: Option<&FaultPlan>,
         key: u64,
-        node: u32,
+        node: usize,
         epoch: u32,
-        stamp: u64,
+        started: SimTime,
+        task: &mut TaskExec,
+        slowdown: &dyn Fn(usize) -> f64,
+        charge: &mut f64,
         now: SimTime,
         trace: &mut TraceSink,
-    ) {
+    ) -> DumpEnd {
+        self.devices[node].on_advance(now);
+        if let (Some(plan), None) = (plan, &self.nvram) {
+            let attempt = self.dump_attempt(key);
+            if plan.dump_fails(key, epoch, attempt) {
+                let full = task.spec.resources.mem();
+                let retry = self.fail_dump(plan, key, node, epoch, attempt, full, now, trace);
+                let Some(retry) = retry else {
+                    return DumpEnd::Failed;
+                };
+                // The victim keeps holding its resources through the
+                // rewrite, so the rewrite window is wasted CPU.
+                let factor = slowdown(node).max(1.0);
+                let service = self.devices[retry.origin]
+                    .spec()
+                    .write_time(retry.rewrite)
+                    .mul_f64(factor);
+                *charge += service.as_secs_f64() * task.spec.resources.cores_f64();
+                let start = now + retry.backoff;
+                return DumpEnd::Retry(Span {
+                    start,
+                    end: start + service,
+                });
+            }
+        }
+        self.observe_health(node, now, true, trace);
+        trace.record(
+            now.as_micros(),
+            TraceRecord::DumpDone {
+                task: key,
+                node: node as u32,
+                start_us: started.as_micros(),
+            },
+        );
+        let stamp = task.commit_checkpoint();
         self.criu.set_tip_progress(key, stamp);
         self.end_dump(key);
-        let Some(plan) = plan else {
-            return;
+        let Some(plan) = plan.filter(|_| self.nvram.is_none()) else {
+            return DumpEnd::Committed;
         };
+        let node = node as u32;
         if plan.resume_enabled() {
             let hit: Vec<(u64, u64)> = self
                 .criu
@@ -847,11 +1142,7 @@ impl CkptPath {
                 self.corrupt.remove(&key);
             }
         }
-    }
-
-    /// True if `key`'s current chain was corrupted whole at dump time.
-    pub(crate) fn is_corrupt(&self, key: u64) -> bool {
-        self.corrupt.contains(&key)
+        DumpEnd::Committed
     }
 
     /// Handles a failed dump attempt of `key` on `node`. While retry budget
@@ -861,7 +1152,7 @@ impl CkptPath {
     /// half-written tip is aborted, the fallback recorded and `None`
     /// returned: the caller kills the victim.
     #[allow(clippy::too_many_arguments)]
-    pub fn fail_dump(
+    fn fail_dump(
         &mut self,
         plan: &FaultPlan,
         key: u64,
@@ -968,8 +1259,8 @@ impl CkptPath {
         );
     }
 
-    /// Discards `key`'s chain and DFS files, releasing their storage, and
-    /// clears its corruption flag.
+    /// Discards `key`'s chain and DFS files, releasing their storage, or
+    /// its NVRAM mirror, and clears its corruption flag.
     pub fn discard_chain(&mut self, key: u64) {
         for (origin, bytes) in self.criu.discard(key) {
             self.devices[origin as usize].release(bytes);
@@ -981,7 +1272,258 @@ impl CkptPath {
                 }
             }
         }
+        if let Some(m) = &mut self.nvram {
+            if let Some(origin) = m.origin.remove(&key) {
+                m.engines[origin as usize].discard(key);
+            }
+        }
         self.corrupt.remove(&key);
+    }
+
+    /// Discards `key`'s checkpoint if node `node`'s failure destroyed it —
+    /// a mirror in the node's memory, or without a DFS an image on its
+    /// disk (DFS replication keeps chains readable) — and returns whether
+    /// it did.
+    pub(crate) fn lose_images_on(&mut self, key: u64, node: usize) -> bool {
+        let lost = match &self.nvram {
+            Some(m) => m.origin.get(&key) == Some(&(node as u32)),
+            None => !self.has_dfs() && self.criu.has_image_on(key, node as u32),
+        };
+        if lost {
+            self.discard_chain(key);
+        }
+        lost
+    }
+
+    // ---- restore path ------------------------------------------------------
+
+    /// Starts restoring `key` (its execution record `task`) on `node` from
+    /// its checkpoint on `origin`, counting a remote restore in `ledger`.
+    /// A chain is read off `node`'s device under `slowdown`; an NVRAM
+    /// mirror is copied back lazily, off the device queue. The
+    /// `restore_start` record is written and a restore episode begins.
+    /// Returns the restore's span.
+    #[allow(clippy::too_many_arguments)]
+    pub fn start_restore(
+        &mut self,
+        key: u64,
+        node: usize,
+        origin: u32,
+        task: &TaskExec,
+        slowdown: &dyn Fn(usize) -> f64,
+        ledger: &mut RunLedger,
+        now: SimTime,
+        trace: &mut TraceSink,
+    ) -> Span {
+        // A new restore episode: attempt numbering restarts.
+        self.restore_attempts.insert(key, 0);
+        let remote = origin != node as u32;
+        if remote {
+            // Counted now; the duration is charged at completion.
+            ledger.remote_restores += 1;
+        }
+        let footprint = task.spec.resources.mem();
+        let (span, device, bytes) = if self.nvram.is_some() {
+            let service = self.restore_service(key, footprint, node);
+            if let Some(m) = &mut self.nvram {
+                m.engines[node].resume(key, true);
+            }
+            let span = Span {
+                start: now,
+                end: now + service,
+            };
+            (span, "nvram", footprint)
+        } else {
+            let span = self.read_chain(key, node, footprint, slowdown, now);
+            let device = media_name(self.devices[node].spec().kind());
+            (span, device, self.criu.image_size(key))
+        };
+        trace.record(
+            now.as_micros(),
+            TraceRecord::RestoreStart {
+                task: key,
+                node: node as u32,
+                origin,
+                device,
+                bytes: bytes.as_u64(),
+                remote,
+            },
+        );
+        span
+    }
+
+    /// Queues a read of `key`'s chain on `node`: its restore service under
+    /// the node's `slowdown`.
+    fn read_chain(
+        &mut self,
+        key: u64,
+        node: usize,
+        footprint: ByteSize,
+        slowdown: &dyn Fn(usize) -> f64,
+        now: SimTime,
+    ) -> Span {
+        let mut service = self.restore_service(key, footprint, node);
+        let factor = slowdown(node);
+        if factor > 1.0 {
+            service = service.mul_f64(factor);
+        }
+        let size = self.criu.image_size(key);
+        let op = self.devices[node].submit_custom(now, OpKind::Read, size, service);
+        Span {
+            start: op.start,
+            end: op.end,
+        }
+    }
+
+    /// Attempt index of `key`'s in-flight restore episode.
+    pub(crate) fn restore_attempt(&self, key: u64) -> u32 {
+        self.restore_attempts.get(&key).copied().unwrap_or(0)
+    }
+
+    /// Validates `key`'s chain chunk by chunk once its restore read on
+    /// `node` (service from `started`) completed, in chunked-resume mode
+    /// under `plan` (NVRAM mirrors are not validated): corrupt chunks are
+    /// refetched from replicas, an image that stays invalid cuts the chain
+    /// and a chain with no valid prefix is dead. Refetches and wasted
+    /// reads are charged to `charge`. A chain cut to its valid
+    /// prefix rolls `task` back to what the surviving tip certifies and is
+    /// re-read in place under `slowdown`; the strictly shrinking chain
+    /// bounds that loop without consuming the transient-retry budget.
+    #[allow(clippy::too_many_arguments)]
+    pub fn check_restore(
+        &mut self,
+        plan: Option<&FaultPlan>,
+        key: u64,
+        node: usize,
+        epoch: u32,
+        started: SimTime,
+        task: &mut TaskExec,
+        slowdown: &dyn Fn(usize) -> f64,
+        charge: &mut f64,
+        now: SimTime,
+        trace: &mut TraceSink,
+    ) -> RestoreEnd {
+        self.devices[node].on_advance(now);
+        let resume = plan.filter(|p| p.resume_enabled() && self.nvram.is_none());
+        let Some(plan) = resume else {
+            return RestoreEnd::Intact;
+        };
+        let attempt = self.restore_attempt(key);
+        let cores = task.spec.resources.cores_f64();
+        let verdict = self.validate_chain(
+            plan, key, node, epoch, attempt, started, now, cores, charge, trace,
+        );
+        match verdict {
+            ChainValidation::Intact => RestoreEnd::Intact,
+            ChainValidation::Dead => RestoreEnd::Dead,
+            ChainValidation::Truncated { stamp } => {
+                task.truncate_to(stamp);
+                let footprint = task.spec.resources.mem();
+                RestoreEnd::Reread(self.read_chain(key, node, footprint, slowdown, now))
+            }
+        }
+    }
+
+    /// Draws `plan`'s failure of `key`'s finished restore read on `node`
+    /// (NVRAM mirrors never fail): a transient error, or an image
+    /// corrupted whole at dump time (the `resume = false` ablation). The
+    /// failed read's service window from `started` is wasted CPU, charged
+    /// to `charge`. A transient failure with retry budget left re-reads
+    /// the chain from a surviving replica on the same placement under
+    /// `slowdown`; a corrupt image or a spent budget loses the chain.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn restore_fault(
+        &mut self,
+        plan: Option<&FaultPlan>,
+        key: u64,
+        node: usize,
+        epoch: u32,
+        started: SimTime,
+        task: &TaskExec,
+        slowdown: &dyn Fn(usize) -> f64,
+        charge: &mut f64,
+        now: SimTime,
+        trace: &mut TraceSink,
+    ) -> RestoreEnd {
+        let Some(plan) = plan.filter(|_| self.nvram.is_none()) else {
+            return RestoreEnd::Intact;
+        };
+        let attempt = self.restore_attempt(key);
+        let corrupt = self.corrupt.contains(&key);
+        if !corrupt && !plan.restore_fails(key, epoch, attempt) {
+            return RestoreEnd::Intact;
+        }
+        let will_retry = !corrupt && attempt < plan.max_restore_retries();
+        let reason = if corrupt {
+            "corrupt-image"
+        } else {
+            "transient"
+        };
+        self.observe_health(node, now, false, trace);
+        *charge += now.since(started).as_secs_f64() * task.spec.resources.cores_f64();
+        trace.record(
+            now.as_micros(),
+            TraceRecord::RestoreFail {
+                task: key,
+                node: node as u32,
+                attempt,
+                reason,
+                will_retry,
+            },
+        );
+        if will_retry {
+            self.restore_attempts.insert(key, attempt + 1);
+            let footprint = task.spec.resources.mem();
+            RestoreEnd::Reread(self.read_chain(key, node, footprint, slowdown, now))
+        } else {
+            if corrupt {
+                // Integrity loss forced this restart.
+                self.counters.integrity_scratch_restarts += 1;
+            }
+            RestoreEnd::Dead
+        }
+    }
+
+    /// Finishes `key`'s restore on `node` (service from `started`): the
+    /// episode ends, the path reports healthy, the `restore_done` record
+    /// is written, the restore charged to `ledger`, and `task` resumes.
+    /// Returns when it will finish; the caller marks it running.
+    #[allow(clippy::too_many_arguments)]
+    pub fn finish_restore(
+        &mut self,
+        key: u64,
+        node: usize,
+        started: SimTime,
+        task: &mut TaskExec,
+        ledger: &mut RunLedger,
+        now: SimTime,
+        trace: &mut TraceSink,
+    ) -> SimTime {
+        self.restore_attempts.remove(&key);
+        self.observe_health(node, now, true, trace);
+        trace.record(
+            now.as_micros(),
+            TraceRecord::RestoreDone {
+                task: key,
+                node: node as u32,
+                start_us: started.as_micros(),
+            },
+        );
+        ledger.charge_restore(now.since(started), task.spec.resources.cores_f64());
+        task.resume(now)
+    }
+
+    /// Abandons `key`'s checkpoint for good: the progress it saved is
+    /// re-execution waste charged to `ledger`, the chain (or mirror) is
+    /// discarded, the restore episode ends and `task` starts over from
+    /// zero progress with a full next dump.
+    pub fn scratch_restart(&mut self, key: u64, task: &mut TaskExec, ledger: &mut RunLedger) {
+        let cores = task.spec.resources.cores_f64();
+        ledger.kill_lost_cpu_secs += task.checkpointed_progress.as_secs_f64() * cores;
+        self.discard_chain(key);
+        self.restore_attempts.remove(&key);
+        task.lose_chain();
+        task.progress = SimDuration::ZERO;
     }
 
     // ---- integrity ladder --------------------------------------------------
@@ -994,7 +1536,7 @@ impl CkptPath {
     /// validation are charged to `charge` at `cores`; `attempt` numbers
     /// the `RestoreFail` records.
     #[allow(clippy::too_many_arguments)]
-    pub fn validate_chain(
+    fn validate_chain(
         &mut self,
         plan: &FaultPlan,
         key: u64,
@@ -1294,7 +1836,7 @@ mod tests {
     /// Two local-FS nodes with 10 GB NVM checkpoint devices.
     fn local_path(plan: Option<&FaultPlan>) -> CkptPath {
         let media = MediaSpec::nvm().with_capacity(ByteSize::from_gb(10));
-        CkptPath::new(2, media, Criu::new(true), None, plan, true)
+        CkptPath::new(2, media, Criu::new(true), None, None, plan, true)
     }
 
     /// Dumps a fresh `gb`-GB image of `key` on node 0 and returns its memory.
@@ -1326,7 +1868,7 @@ mod tests {
         assert!(path.devices[1].used().is_zero(), "down nodes do not leak");
         path.assert_image_conservation(SimTime::ZERO);
 
-        let dropped = path.gc_pass(SimTime::ZERO, &mut TraceSink::default(), &|_| Some(0.0));
+        let dropped = path.gc_pass(SimTime::ZERO, &mut TraceSink::default(), &mut |_| Some(0.0));
         assert!(dropped.is_empty(), "leaks own no chains");
         assert_eq!(path.counters.gc_reclaimed_bytes, cap.as_u64());
         assert!(path.devices.iter().all(|d| d.used().is_zero()));
@@ -1338,7 +1880,7 @@ mod tests {
         let mut path = local_path(None);
         dump(&mut path, 1, 4);
         dump(&mut path, 2, 4);
-        let loss = |k: u64| Some(if k == 1 { 10.0 } else { 5.0 });
+        let mut loss = |k: u64| Some(if k == 1 { 10.0 } else { 5.0 });
         let (origin, dropped) = path.place_dump(
             3,
             0,
@@ -1347,7 +1889,7 @@ mod tests {
             SimTime::ZERO,
             &mut TraceSink::default(),
             &|_| true,
-            &loss,
+            &mut loss,
         );
         assert_eq!(origin, Some(0));
         assert_eq!(dropped, vec![2], "the 2-GB shortfall costs only task 2");
@@ -1370,7 +1912,7 @@ mod tests {
                 SimTime::ZERO,
                 &mut TraceSink::default(),
                 &|_| true,
-                &|_| None,
+                &mut |_| None,
             );
             assert_eq!((origin, dropped), (None, Vec::new()));
         }
@@ -1389,7 +1931,6 @@ mod tests {
         let plan = FaultPlan::new(spec);
         let mut path = local_path(Some(&plan));
         dump(&mut path, 7, 4);
-        path.begin_dump(7);
         let full = ByteSize::from_gb(4);
         let mut trace = TraceSink::default();
         let mut last = full;

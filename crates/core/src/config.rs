@@ -2,15 +2,16 @@
 
 use std::fmt;
 
-use cbp_checkpoint::{CompressionSpec, NvramSpec};
+use cbp_checkpoint::{CompressionSpec, Criu, NvramSpec};
 use cbp_cluster::{EnergyModel, Resources};
-use cbp_dfs::DfsConfig;
-use cbp_faults::FaultSpec;
+use cbp_dfs::{DfsCluster, DfsConfig};
+use cbp_faults::{FaultPlan, FaultSpec};
 use cbp_simkit::units::ByteSize;
 use cbp_storage::{MediaKind, MediaSpec};
 use cbp_workload::Workload;
 use serde::{Deserialize, Serialize};
 
+use crate::ckpt_path::CkptPath;
 use crate::metrics::RunReport;
 use crate::sim::ClusterSim;
 
@@ -316,6 +317,18 @@ impl SimConfig {
     pub fn with_lifecycle(mut self, on: bool) -> Self {
         self.lifecycle = on;
         self
+    }
+
+    /// The checkpoint path this configuration describes for a run under
+    /// `plan`: the CRIU catalog (incremental and compressed as configured)
+    /// over each node's device, written through `dfs` when there is one,
+    /// or NVRAM mirrors when configured.
+    pub(crate) fn ckpt_path(&self, dfs: Option<DfsCluster>, plan: Option<&FaultPlan>) -> CkptPath {
+        let mut criu = Criu::new(self.incremental);
+        if let Some(compression) = self.compression {
+            criu = criu.with_compression(compression);
+        }
+        CkptPath::new(self.nodes, self.media, criu, dfs, self.nvram, plan, true)
     }
 
     /// Builds the simulator and runs `workload` to completion.

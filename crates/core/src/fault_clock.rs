@@ -96,6 +96,16 @@ impl FaultClock {
             _ => 1.0,
         }
     }
+
+    /// Slowdown of checkpoint I/O touching `node` at `now`: the plan's
+    /// stall window on the node's device times the partition penalty (1
+    /// without a plan, or while the node is healthy).
+    pub(crate) fn device_factor(&self, node: usize, now: SimTime) -> f64 {
+        let Some(plan) = &self.plan else {
+            return 1.0;
+        };
+        plan.device_factor(node as u32, now) * self.partition_factor(node)
+    }
 }
 
 /// A simulator the [`FaultClock`] drives. The required methods are what

@@ -508,7 +508,15 @@ mod tests {
 
     /// A two-node checkpoint path with no faults and `counters` set.
     fn path(counters: CkptCounters) -> CkptPath {
-        let mut path = CkptPath::new(2, MediaSpec::ssd(), Criu::new(true), None, None, false);
+        let mut path = CkptPath::new(
+            2,
+            MediaSpec::ssd(),
+            Criu::new(true),
+            None,
+            None,
+            None,
+            false,
+        );
         path.counters = counters;
         path
     }

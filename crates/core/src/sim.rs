@@ -8,7 +8,6 @@
 
 use std::cmp::Reverse;
 
-use cbp_checkpoint::{Criu, NvramCheckpointer};
 use cbp_cluster::{Container, ContainerId, EnergyMeter, Node, NodeId, Resources};
 use cbp_dfs::DfsCluster;
 use cbp_faults::FaultPlan;
@@ -18,7 +17,7 @@ use cbp_simkit::{
 use cbp_telemetry::{MetricsRegistry, PreemptAction, TimeSeries, TraceRecord, TraceSink, Tracer};
 use cbp_workload::{Priority, PriorityBand, TaskSpec, Workload};
 
-use crate::ckpt_path::{media_name, ChainValidation, CkptPath, NodeCost};
+use crate::ckpt_path::{CkptPath, DumpEnd, NodeCost, RestoreEnd};
 use crate::config::{PreemptionPolicy, RestorePlacement, SimConfig, VictimSelection};
 use crate::fault_clock::{FaultClock, FaultHost, FaultTick};
 use crate::metrics::{PassWork, RunLedger, RunReport, TelemetryReport};
@@ -66,8 +65,6 @@ pub enum Event {
 struct NodeSlot {
     node: Node,
     meter: EnergyMeter,
-    /// NVRAM checkpoint engine (when the NVRAM backend is configured).
-    nvram: Option<NvramCheckpointer>,
     /// False while the node is failed.
     up: bool,
 }
@@ -81,7 +78,8 @@ pub struct ClusterSim {
     nodes: Vec<NodeSlot>,
     tasks: Vec<TaskState>,
     pending: PendingQueue,
-    /// Checkpoint images, devices, DFS files, retry state and breakers.
+    /// Checkpoint images or NVRAM mirrors, devices, DFS files, retry state
+    /// and breakers.
     ckpt: CkptPath,
     ledger: RunLedger,
     rng: SimRng,
@@ -93,8 +91,6 @@ pub struct ClusterSim {
     reservations: TaskMap<Reservation>,
     /// Dumping victim → the blocked task its drain serves.
     drain_owner: TaskMap<u32>,
-    /// Task → node holding its valid NVRAM mirror (NVRAM backend only).
-    nvram_origin: TaskMap<u32>,
     /// Per-node sum of reservation amounts.
     node_reserved: Vec<Resources>,
     job_remaining: Vec<u32>,
@@ -128,18 +124,19 @@ pub struct ClusterSim {
     last_queue_depth: usize,
     /// The fault plan and its crash, partition and leak schedules.
     clock: FaultClock,
-    /// Task → 0-based attempt index of its in-flight restore episode.
-    restore_attempts: TaskMap<u32>,
     /// What the scheduling passes did, counted exactly.
     work: PassWork,
-    /// A search's ranked victims on one node, `(cost, task)`: a buffer
-    /// reused across searches.
-    ranked: Vec<(f64, u32)>,
+    /// A search's ranked victims on one node, `(cost, task, container)`:
+    /// a buffer reused across searches.
+    ranked: Vec<(f64, u32, ContainerId)>,
     /// Walk the pending queue one key at a time, never jumping a chunk
     /// (the reference the chunked walk is checked against).
     #[cfg(any(test, debug_assertions))]
     reference_walk: bool,
 }
+
+/// A victim a preemption search takes: its task and its container.
+type Victim = (u32, ContainerId);
 
 #[derive(Debug, Clone, Copy)]
 struct Reservation {
@@ -257,7 +254,6 @@ impl ClusterSim {
             .map(|i| NodeSlot {
                 node: Node::new(NodeId(i as u32), cfg.node_resources),
                 meter: EnergyMeter::new(cfg.energy),
-                nvram: cfg.nvram.map(NvramCheckpointer::new),
                 up: true,
             })
             .collect();
@@ -290,21 +286,10 @@ impl ClusterSim {
             .max()
             .unwrap_or(0);
 
-        let mut criu = Criu::new(cfg.incremental);
-        if let Some(compression) = cfg.compression {
-            criu = criu.with_compression(compression);
-        }
         // A pressure plan shrinks every node's checkpoint device before the
         // run starts (the fleet was provisioned smaller than the workload
         // needs); leak injection on top happens via `FaultTick::Pressure`.
-        let ckpt = CkptPath::new(
-            n_nodes,
-            cfg.media,
-            criu,
-            dfs,
-            faults.as_ref(),
-            cfg.nvram.is_none(),
-        );
+        let ckpt = cfg.ckpt_path(dfs, faults.as_ref());
         ClusterSim {
             ckpt,
             clock: FaultClock::new(faults, n_nodes),
@@ -319,7 +304,6 @@ impl ClusterSim {
             next_seq: 0,
             reservations: TaskMap::default(),
             drain_owner: TaskMap::default(),
-            nvram_origin: TaskMap::default(),
             node_reserved: vec![Resources::ZERO; n_nodes],
             job_remaining,
             jobs_left,
@@ -334,7 +318,6 @@ impl ClusterSim {
             trace: TraceSink::default(),
             sampler: None,
             last_queue_depth: 0,
-            restore_attempts: TaskMap::default(),
             work: PassWork::default(),
             ranked: Vec::new(),
             #[cfg(any(test, debug_assertions))]
@@ -725,24 +708,14 @@ impl ClusterSim {
         None
     }
 
-    /// True if `t` can resume from a checkpoint (a CRIU image chain or an
-    /// NVRAM mirror, depending on the configured backend).
+    /// True if `t` can resume from a checkpoint.
     fn has_checkpoint(&self, t: u32) -> bool {
-        if self.cfg.nvram.is_some() {
-            self.nvram_origin.contains_key(&t)
-        } else {
-            self.ckpt.criu().has_image(handle_u64(t))
-        }
+        self.ckpt.has_image(handle_u64(t))
     }
 
     /// True if a checkpointed task can resume only on its origin node.
-    /// NVRAM mirrors live in the origin node's memory: restore is
-    /// inherently local. Same for local-FS CRIU and the LocalOnly
-    /// ablation.
     fn restore_is_local(&self) -> bool {
-        self.cfg.nvram.is_some()
-            || self.cfg.restore_placement == RestorePlacement::LocalOnly
-            || !self.ckpt.has_dfs()
+        self.ckpt.restore_is_local(self.cfg.restore_placement)
     }
 
     /// Algorithm 2: pick the restore node with the lowest total overhead.
@@ -791,46 +764,20 @@ impl ClusterSim {
             .map(|(_, i)| i)
     }
 
-    /// Stall-window degradation multiplier for node `i` at `now` (1.0
-    /// whenever fault injection is off or the node is healthy), times the
-    /// partition penalty while a partition isolates `i`'s rack. Cost
-    /// estimators share this helper, so placement and victim ranking see
-    /// the same penalty the actual transfers pay.
-    fn device_factor(&self, i: usize, now: SimTime) -> f64 {
-        let Some(plan) = self.clock.plan() else {
-            return 1.0;
-        };
-        plan.device_factor(i as u32, now) * self.clock.partition_factor(i)
-    }
-
     /// Algorithm 2's overhead estimate for restoring `t` on node `i`.
     /// Degradation-aware: a stalled device makes its own restores look
-    /// expensive, steering cost-aware placement elsewhere.
+    /// expensive, steering cost-aware placement elsewhere, by the same
+    /// stall and partition factor the transfers pay.
     fn restore_cost(&self, t: u32, i: usize, now: SimTime) -> SimDuration {
         let queue = self.ckpt.device(i).queue_wait(now);
-        let cost = queue + self.restore_service(t, i);
-        let factor = self.device_factor(i, now);
+        let footprint = self.tasks[t as usize].exec.spec.resources.mem();
+        let cost = queue + self.ckpt.restore_service(handle_u64(t), footprint, i);
+        let factor = self.clock.device_factor(i, now);
         if factor > 1.0 {
             cost.mul_f64(factor)
         } else {
             cost
         }
-    }
-
-    /// The service (transfer) time of restoring `t` on node `i`.
-    fn restore_service(&self, t: u32, i: usize) -> SimDuration {
-        if let Some(spec) = &self.cfg.nvram {
-            // Lazy NVRAM resume: only the hot fraction is copied up front.
-            let footprint = self.tasks[t as usize].exec.spec.resources.mem();
-            return spec
-                .restore_bw
-                .transfer_time(footprint.mul_f64(spec.lazy_restore_fraction));
-        }
-        if self.ckpt.has_dfs() {
-            return self.ckpt.dfs_read_time(handle_u64(t), i);
-        }
-        let size = self.ckpt.criu().image_size(handle_u64(t));
-        self.ckpt.device(i).spec().read_time(size)
     }
 
     // ---- lifecycle transitions -----------------------------------------
@@ -847,68 +794,33 @@ impl ClusterSim {
         self.update_meter(node, now);
         self.cancel_reservation(t);
 
-        let has_image = self.has_checkpoint(t);
+        let key = handle_u64(t);
+        let restore_from = match self.tasks[t as usize].exec.status {
+            TaskStatus::Checkpointed { origin } if self.ckpt.has_image(key) => Some(origin),
+            _ => None,
+        };
         self.trace.record(
             now.as_micros(),
             TraceRecord::TaskSchedule {
-                task: t as u64,
+                task: key,
                 node: node as u32,
-                restore: has_image,
+                restore: restore_from.is_some(),
             },
         );
-        if has_image {
-            // Resume from checkpoint: read the image chain (or NVRAM
-            // mirror) first.
-            let origin = match self.tasks[t as usize].exec.status {
-                TaskStatus::Checkpointed { origin } => origin,
-                _ => unreachable!("image implies checkpointed status"),
-            };
-            let mut service = self.restore_service(t, node);
-            // A stall window on the reading device slows the restore.
-            let factor = self.device_factor(node, now);
-            if factor > 1.0 && self.cfg.nvram.is_none() {
-                service = service.mul_f64(factor);
-            }
-            if self.clock.plan().is_some() {
-                // New restore episode: attempt numbering restarts.
-                self.restore_attempts.insert(t, 0);
-            }
-            let (start, end) = if self.cfg.nvram.is_some() {
-                // NVRAM resume is a memory copy; it does not queue on the
-                // storage device. Record it on the engine for stats.
-                if let Some(engine) = self.nodes[node].nvram.as_mut() {
-                    let _ = engine.resume(handle_u64(t), true);
-                }
-                (now, now + service)
-            } else {
-                let size = self.ckpt.criu().image_size(handle_u64(t));
-                let op = self.ckpt.read(node, now, size, service);
-                (op.start, op.end)
-            };
-            if self.trace.on() {
-                let (device, bytes) = if self.cfg.nvram.is_some() {
-                    (
-                        "nvram",
-                        self.tasks[t as usize].exec.spec.resources.mem().as_u64(),
-                    )
-                } else {
-                    (
-                        media_name(self.cfg.media.kind()),
-                        self.ckpt.criu().image_size(handle_u64(t)).as_u64(),
-                    )
-                };
-                self.trace.record(
-                    now.as_micros(),
-                    TraceRecord::RestoreStart {
-                        task: t as u64,
-                        node: node as u32,
-                        origin,
-                        device,
-                        bytes,
-                        remote: origin != node as u32,
-                    },
-                );
-            }
+        if let Some(origin) = restore_from {
+            // Resume from checkpoint: read the image chain (or copy the
+            // NVRAM mirror) first. A stall window on the reading device
+            // slows the read.
+            let span = self.ckpt.start_restore(
+                key,
+                node,
+                origin,
+                &self.tasks[t as usize].exec,
+                &|i| self.clock.device_factor(i, now),
+                &mut self.ledger,
+                now,
+                &mut self.trace,
+            );
             self.set_status(
                 t,
                 TaskStatus::Restoring {
@@ -917,18 +829,13 @@ impl ClusterSim {
                 },
             );
             let epoch = self.tasks[t as usize].exec.epoch;
-            let remote = origin != node as u32;
-            if remote {
-                // Count it now; duration is charged at completion.
-                self.ledger.remote_restores += 1;
-            }
             // `started` is the service start: queue wait burns no CPU.
             q.push(
-                end,
+                span.end,
                 Event::RestoreDone {
                     task: t,
                     epoch,
-                    started: start,
+                    started: span.start,
                 },
             );
         } else {
@@ -985,21 +892,11 @@ impl ClusterSim {
     /// drain or an eviction, and re-queues it: from that checkpoint (a
     /// CRIU chain or an NVRAM mirror) if it has one, else as a fresh start.
     fn roll_back_and_requeue(&mut self, t: u32) {
-        let has_image = self.has_checkpoint(t);
-        let origin = if self.cfg.nvram.is_some() {
-            self.nvram_origin.get(&t).copied()
-        } else {
-            self.ckpt
-                .criu()
-                .chain(handle_u64(t))
-                .and_then(|c| c.tip())
-                .map(|r| r.origin_node)
-        };
-        self.tasks[t as usize].exec.roll_back(has_image);
-        let status = match origin {
-            Some(origin) if has_image => TaskStatus::Checkpointed { origin },
-            _ => TaskStatus::Pending,
-        };
+        let origin = self.ckpt.image_origin(handle_u64(t));
+        self.tasks[t as usize].exec.roll_back(origin.is_some());
+        let status = origin.map_or(TaskStatus::Pending, |origin| TaskStatus::Checkpointed {
+            origin,
+        });
         self.set_status(t, status);
         self.enqueue_pending_preserving_status(t);
     }
@@ -1016,189 +913,39 @@ impl ClusterSim {
 
     // ---- image lifecycle (capacity backpressure ladder) -----------------
 
-    /// Suspends `t` into the node's NVRAM (the §3.2.3 backend): a shadowed
-    /// DRAM→NVM copy with no file system, no serialization and no device
-    /// queueing. Returns `false` (a drain is in flight) on success.
-    fn dump_task_nvram(
+    /// Suspends Running victim `t` (in `container` on `node`) with a
+    /// checkpoint dump; resources stay held until `DumpDone`. Returns
+    /// false if the dump fell back to a kill.
+    fn dump_task(
         &mut self,
         t: u32,
         node: usize,
+        container: ContainerId,
         now: SimTime,
         q: &mut EventQueue<Event>,
     ) -> bool {
-        let mem = self.tasks[t as usize].exec.sync_memory(now);
-        let engine = self.nodes[node]
-            .nvram
-            .as_mut()
-            .expect("nvram backend configured");
-        match engine.suspend(handle_u64(t), mem) {
-            Ok(suspend) => {
-                let cores = self.tasks[t as usize].exec.spec.resources.cores_f64();
-                let incremental = suspend.copied < self.tasks[t as usize].exec.spec.resources.mem();
-                self.ledger.charge_dump(suspend.duration, cores);
-                self.nvram_origin.insert(t, node as u32);
-                self.trace.record(
-                    now.as_micros(),
-                    TraceRecord::DumpStart {
-                        task: t as u64,
-                        node: node as u32,
-                        device: "nvram",
-                        bytes: suspend.copied.as_u64(),
-                        incremental,
-                    },
-                );
-                self.trace.record(
-                    now.as_micros(),
-                    TraceRecord::TaskEvict {
-                        task: t as u64,
-                        node: node as u32,
-                        reason: "dump",
-                    },
-                );
-                let container = match self.tasks[t as usize].exec.status {
-                    TaskStatus::Running { container, .. } => container,
-                    _ => unreachable!("dump victim must be running"),
-                };
-                self.set_status(
-                    t,
-                    TaskStatus::Dumping {
-                        node: node as u32,
-                        container,
-                    },
-                );
-                let task = &mut self.tasks[t as usize].exec;
-                task.epoch += 1;
-                let epoch = task.epoch;
-                q.push(
-                    now + suspend.duration,
-                    Event::DumpDone {
-                        task: t,
-                        epoch,
-                        started: now,
-                    },
-                );
-                false
-            }
-            Err(_) => {
-                // The node's NVRAM is full; mirrors are node-local so there
-                // is nowhere to spill.
-                self.ckpt.counters.capacity_fallbacks += 1;
-                self.ckpt.observe_health(node, now, false, &mut self.trace);
-                self.trace.record(
-                    now.as_micros(),
-                    TraceRecord::DumpFallback {
-                        task: t as u64,
-                        node: node as u32,
-                        reason: "nvram-full",
-                    },
-                );
-                self.kill_task(t, node, now);
-                true
-            }
-        }
-    }
-
-    /// Suspends `t` with a checkpoint dump; resources stay held until
-    /// `DumpDone`.
-    fn dump_task(&mut self, t: u32, node: usize, now: SimTime, q: &mut EventQueue<Event>) -> bool {
-        let task = &mut self.tasks[t as usize].exec;
-        task.sync_progress(now);
-        if self.cfg.nvram.is_some() {
-            return !self.dump_task_nvram(t, node, now, q);
-        }
-        let key = handle_u64(t);
-        let (size, _) = self.ckpt.criu().next_dump_size(key, task.sync_memory(now));
-        let (nodes, tasks) = (&self.nodes, &self.tasks);
-        let (origin, dropped) = self.ckpt.place_dump(
-            key,
+        let nodes = &self.nodes;
+        let (span, dropped) = self.ckpt.start_dump(
+            handle_u64(t),
             node,
-            size,
+            &mut self.tasks,
+            &format_args!("/ckpt/{t}"),
+            // A stall window on the origin device degrades the dump's
+            // service time (DFS pipeline and local writes alike).
+            &|i| self.clock.device_factor(i, now),
+            true,
             self.cfg.lifecycle,
+            &|i| nodes[i].up,
+            &mut self.ledger,
             now,
             &mut self.trace,
-            &|i| nodes[i].up,
-            &|k| tasks[k as usize].exec.chain_loss(),
         );
         for k in dropped {
             self.chain_lost(k as u32);
         }
-        let Some(origin) = origin else {
+        let Some(span) = span else {
             self.kill_task(t, node, now);
             return false;
-        };
-
-        // Through HDFS the pipelined write is the service time; locally the
-        // device's own write speed applies. With compression enabled, only
-        // the compressed bytes cross the pipeline.
-        let wire_size = self
-            .ckpt
-            .criu()
-            .compression()
-            .map(|c| c.compressed_size(size))
-            .unwrap_or(size);
-        let epoch = self.tasks[t as usize].exec.epoch;
-        // A stall window on the origin device degrades the dump's service
-        // time (HDFS pipeline and local writes alike).
-        let factor = self.device_factor(origin, now);
-        if factor > 1.0 {
-            // A degraded checkpoint path (stall window or rack partition)
-            // is a health signal even when the dump eventually completes.
-            self.ckpt
-                .observe_health(origin, now, false, &mut self.trace);
-        }
-        let service = if self.ckpt.has_dfs() {
-            let path = format!("/ckpt/{t}/{epoch}/{}", self.ckpt.path_count(key));
-            let write = self.ckpt.write_dfs(key, path, wire_size, node);
-            write.map(|d| if factor > 1.0 { d.mul_f64(factor) } else { d })
-        } else if factor > 1.0 {
-            let write = self.ckpt.device(origin).spec().write_time(wire_size);
-            Some(write.mul_f64(factor))
-        } else {
-            None
-        };
-
-        // Re-syncing at the same instant folds in nothing; it hands back
-        // the image.
-        let mem = self.tasks[t as usize].exec.sync_memory(now);
-        let Some(result) =
-            self.ckpt
-                .dump_image(key, mem, node, origin, service, now, &mut self.trace)
-        else {
-            self.kill_task(t, node, now);
-            return false;
-        };
-        let was_incremental = matches!(
-            result.kind,
-            cbp_checkpoint::CheckpointKind::Incremental { .. }
-        );
-        let cores = self.tasks[t as usize].exec.spec.resources.cores_f64();
-        // Wastage is *CPU time*: the dump burns CPU while copying (service
-        // time); while queued the victim is stopped and burns none.
-        // Queueing still delays resource release and response times
-        // through the DumpDone event time.
-        self.ledger
-            .charge_dump(result.op.end.since(result.op.start), cores);
-        self.trace.record(
-            now.as_micros(),
-            TraceRecord::DumpStart {
-                task: key,
-                node: node as u32,
-                device: media_name(self.cfg.media.kind()),
-                bytes: wire_size.as_u64(),
-                incremental: was_incremental,
-            },
-        );
-        self.trace.record(
-            now.as_micros(),
-            TraceRecord::TaskEvict {
-                task: key,
-                node: node as u32,
-                reason: "dump",
-            },
-        );
-        let container = match self.tasks[t as usize].exec.status {
-            TaskStatus::Running { container, .. } => container,
-            _ => unreachable!("dump victim must be running"),
         };
         self.set_status(
             t,
@@ -1207,22 +954,16 @@ impl ClusterSim {
                 container,
             },
         );
-        let task = &mut self.tasks[t as usize].exec;
-        task.epoch += 1;
-        let epoch = task.epoch;
-        if self.clock.plan().is_some() {
-            self.ckpt.begin_dump(key);
-        }
+        let epoch = self.tasks[t as usize].exec.epoch;
+        // `started` is the device service start (not submission time): the
+        // trace's dump span then measures service time, and `start_us -
+        // evict time` exposes the checkpoint queue wait to blame analysis.
         q.push(
-            result.op.end,
+            span.end,
             Event::DumpDone {
                 task: t,
                 epoch,
-                // Device service start (not submission time): the trace's
-                // dump span then measures service time, and `start_us -
-                // evict time` exposes the checkpoint queue wait to blame
-                // analysis.
-                started: result.op.start,
+                started: span.start,
             },
         );
         true
@@ -1241,19 +982,20 @@ impl ClusterSim {
         }
     }
 
-    /// Preempts one victim according to the active policy. Returns `true` if
-    /// its resources were freed synchronously (kill), `false` if a dump is
-    /// in flight.
+    /// Preempts Running victim `v` (in `container` on `node`) according to
+    /// the active policy. Returns `true` if its resources were freed
+    /// synchronously (kill), `false` if a dump is in flight.
     fn preempt_victim(
         &mut self,
         v: u32,
         node: usize,
+        container: ContainerId,
         now: SimTime,
         q: &mut EventQueue<Event>,
     ) -> bool {
         let _prof = cbp_prof::scope("preempt_victim");
         let key = handle_u64(v);
-        let (task, nvram) = (&mut self.tasks[v as usize].exec, &self.nodes[node].nvram);
+        let task = &mut self.tasks[v as usize].exec;
         let action =
             self.ckpt
                 .preempt_action(key, node, self.cfg.policy, now, &mut self.trace, |ckpt| {
@@ -1262,18 +1004,14 @@ impl ClusterSim {
                     task.sync_progress(now);
                     let at_risk = task.progress_at_risk();
                     let mem = task.sync_memory(now);
-                    let overhead = match nvram {
-                        Some(engine) => engine.estimate_total(key, mem),
-                        None => ckpt.dump_overhead(key, mem, node, now),
-                    };
-                    (at_risk, overhead)
+                    (at_risk, ckpt.dump_overhead(key, mem, node, now))
                 });
         match action {
             PreemptAction::Kill => {
                 self.kill_task(v, node, now);
                 true
             }
-            PreemptAction::Checkpoint => !self.dump_task(v, node, now, q),
+            PreemptAction::Checkpoint => !self.dump_task(v, node, container, now, q),
         }
     }
 
@@ -1295,7 +1033,7 @@ impl ClusterSim {
             })
         });
         self.ckpt
-            .node_cost(node, now, self.device_factor(node, now), retry)
+            .node_cost(node, now, self.clock.device_factor(node, now), retry)
     }
 
     /// What preempting every victim of node `i` below `priority` would
@@ -1344,7 +1082,7 @@ impl ClusterSim {
             _ => None,
         };
 
-        let mut best: Option<(f64, usize, Vec<u32>)> = None;
+        let mut best: Option<(f64, usize, Vec<Victim>)> = None;
         for i in 0..self.nodes.len() {
             if !self.nodes[i].up {
                 continue;
@@ -1373,24 +1111,24 @@ impl ClusterSim {
             if best.as_ref().is_some_and(|(c, _, _)| at.floor() >= *c) {
                 continue;
             }
-            // The preemptible lower-priority victims, each with its cost,
-            // in the order they are taken.
+            // The preemptible lower-priority victims, each with its cost
+            // and container, in the order they are taken.
             let victims = self.nodes[i]
                 .node
                 .containers()
-                .map(|c| c.task() as u32)
-                .filter(|&v| {
+                .map(|c| (c.task() as u32, c.id()))
+                .filter(|&(v, _)| {
                     let task = &self.tasks[v as usize];
                     task.exec.is_preemptible() && task.priority < priority
                 });
             let mut ranked = std::mem::take(&mut self.ranked);
             ranked.clear();
-            ranked.extend(victims.map(|v| {
+            ranked.extend(victims.map(|(v, container)| {
                 let incremental = self.cfg.incremental && self.has_checkpoint(v);
                 let cost =
                     self.ckpt
                         .victim_cost_secs(&self.tasks[v as usize].exec, incremental, &at);
-                (cost, v)
+                (cost, v, container)
             }));
             match self.cfg.victim_selection {
                 // §5.2.2: lowest checkpoint cost first.
@@ -1399,7 +1137,7 @@ impl ClusterSim {
                 }
                 // Lowest priority, most recently started first, ties by
                 // handle.
-                VictimSelection::Naive => ranked.sort_unstable_by_key(|&(_, v)| {
+                VictimSelection::Naive => ranked.sort_unstable_by_key(|&(_, v, _)| {
                     let task = &self.tasks[v as usize];
                     (task.priority, Reverse(task.exec.run_started), v)
                 }),
@@ -1407,13 +1145,13 @@ impl ClusterSim {
             let mut freed = Resources::ZERO;
             let mut chosen = Vec::new();
             let mut cost = 0.0;
-            for &(c, v) in &ranked {
+            for &(c, v, container) in &ranked {
                 if needed.fits_in(&freed) {
                     break;
                 }
                 cost += c;
                 freed += self.tasks[v as usize].exec.spec.resources;
-                chosen.push(v);
+                chosen.push((v, container));
             }
             self.ranked = ranked;
             if needed.fits_in(&freed) {
@@ -1433,8 +1171,8 @@ impl ClusterSim {
         // The victims are about to change status and release capacity.
         self.drop_fronts();
         let mut drains = 0u32;
-        for v in victims {
-            let sync = self.preempt_victim(v, node, now, q);
+        for (v, container) in victims {
+            let sync = self.preempt_victim(v, node, container, now, q);
             if !sync {
                 drains += 1;
                 self.drain_owner.insert(v, t);
@@ -1458,63 +1196,6 @@ impl ClusterSim {
     }
 
     // ---- fault handling (checkpoint failure recovery policies) ---------
-
-    /// Handles a dump attempt that failed (detected when its device
-    /// operation completes): while retry budget remains, the image tip is
-    /// rewritten after an exponential backoff; once the budget is
-    /// exhausted the half-written tip is aborted and the victim falls
-    /// back to a hard kill — the same safety net a real NM applies when
-    /// `criu dump` keeps erroring.
-    fn on_dump_failed(
-        &mut self,
-        t: u32,
-        node: usize,
-        epoch: u32,
-        attempt: u32,
-        now: SimTime,
-        q: &mut EventQueue<Event>,
-    ) {
-        let plan = self.clock.plan().expect("caller checked plan presence");
-        let full = self.tasks[t as usize].exec.spec.resources.mem();
-        let retry = self.ckpt.fail_dump(
-            plan,
-            handle_u64(t),
-            node,
-            epoch,
-            attempt,
-            full,
-            now,
-            &mut self.trace,
-        );
-        let Some(retry) = retry else {
-            // Budget exhausted: the dump is abandoned for good.
-            self.kill_dump_victim(t, node, now);
-            self.schedule_pass(now, q);
-            return;
-        };
-        self.ledger.dump_fail_retries += 1;
-        // Rewrite the stored tip after the backoff at the device's
-        // (possibly degraded) sequential speed; the victim keeps holding
-        // its resources, so the rewrite window is wasted CPU.
-        let factor = self.device_factor(node, now).max(1.0);
-        let service = self
-            .ckpt
-            .device(node)
-            .spec()
-            .write_time(retry.rewrite)
-            .mul_f64(factor);
-        let cores = self.tasks[t as usize].exec.spec.resources.cores_f64();
-        self.ledger.retry_cpu_secs += service.as_secs_f64() * cores;
-        let start = now + retry.backoff;
-        q.push(
-            start + service,
-            Event::DumpDone {
-                task: t,
-                epoch,
-                started: start,
-            },
-        );
-    }
 
     /// Kills a `Dumping` victim whose dump could not be completed: the
     /// progress since its last *valid* checkpoint is lost and the task
@@ -1541,140 +1222,44 @@ impl ClusterSim {
         self.roll_back_and_requeue(t);
     }
 
-    /// Handles a restore attempt that failed (detected when its read
-    /// completes): transient failures retry from a surviving HDFS replica
-    /// on the same placement while budget remains; corrupt images and
-    /// exhausted budgets abandon the image and restart from scratch.
-    #[allow(clippy::too_many_arguments)]
-    fn on_restore_failed(
+    /// Carries out the verdict on a finished restore read of `t` (attempt
+    /// `epoch`): a re-read queues its completion, a lost chain restarts
+    /// the task from scratch. Returns true if the read stands.
+    fn restore_stands(
         &mut self,
         t: u32,
-        node: usize,
         epoch: u32,
-        attempt: u32,
-        corrupt: bool,
-        started: SimTime,
+        end: RestoreEnd,
         now: SimTime,
         q: &mut EventQueue<Event>,
-    ) {
-        let plan = self.clock.plan().expect("caller checked plan presence");
-        let will_retry = !corrupt && attempt < plan.max_restore_retries();
-        let reason = if corrupt {
-            "corrupt-image"
-        } else {
-            "transient"
-        };
-        self.ckpt.observe_health(node, now, false, &mut self.trace);
-        // The failed read occupied CPU for its whole service window.
-        let cores = self.tasks[t as usize].exec.spec.resources.cores_f64();
-        self.ledger.retry_cpu_secs += now.since(started).as_secs_f64() * cores;
-        self.trace.record(
-            now.as_micros(),
-            TraceRecord::RestoreFail {
-                task: t as u64,
-                node: node as u32,
-                attempt,
-                reason,
-                will_retry,
-            },
-        );
-        if will_retry {
-            self.ledger.restore_fail_retries += 1;
-            self.restore_attempts.insert(t, attempt + 1);
-            let factor = self.device_factor(node, now).max(1.0);
-            let service = self.restore_service(t, node).mul_f64(factor);
-            let size = self.ckpt.criu().image_size(handle_u64(t));
-            let op = self.ckpt.read(node, now, size, service);
-            q.push(
-                op.end,
+    ) -> bool {
+        match end {
+            RestoreEnd::Intact => return true,
+            RestoreEnd::Reread(span) => q.push(
+                span.end,
                 Event::RestoreDone {
                     task: t,
                     epoch,
-                    started: op.start,
+                    started: span.start,
                 },
-            );
-        } else {
-            self.ledger.scratch_restarts += 1;
-            if corrupt {
-                // Integrity loss forced this restart (legacy whole-image
-                // corruption path, i.e. the `resume=false` ablation).
-                self.ckpt.counters.integrity_scratch_restarts += 1;
-            }
-            self.restart_from_scratch(t, now);
-            self.schedule_pass(now, q);
-        }
-    }
-
-    /// Chunk-level validation of `t`'s chain after a restore read completed
-    /// (resume mode). A truncated chain is re-read in place from its
-    /// older tip; a dead chain restarts the task from scratch.
-    fn validate_restored_chain(
-        &mut self,
-        t: u32,
-        node: usize,
-        epoch: u32,
-        started: SimTime,
-        now: SimTime,
-        q: &mut EventQueue<Event>,
-    ) -> ChainValidation {
-        let plan = self.clock.plan().expect("resume mode implies a plan");
-        let cores = self.tasks[t as usize].exec.spec.resources.cores_f64();
-        let attempt = self.restore_attempts.get(&t).copied().unwrap_or(0);
-        let verdict = self.ckpt.validate_chain(
-            plan,
-            handle_u64(t),
-            node,
-            epoch,
-            attempt,
-            started,
-            now,
-            cores,
-            &mut self.ledger.retry_cpu_secs,
-            &mut self.trace,
-        );
-        match verdict {
-            ChainValidation::Intact => {}
-            ChainValidation::Dead => {
+            ),
+            RestoreEnd::Dead => {
                 self.ledger.scratch_restarts += 1;
                 self.restart_from_scratch(t, now);
-            }
-            ChainValidation::Truncated { stamp } => {
-                // Roll progress back to what the surviving tip certifies.
-                self.tasks[t as usize].exec.truncate_to(stamp);
-                // Re-read the truncated chain in place (same node, same
-                // episode). The strictly shrinking chain bounds this loop
-                // without consuming the transient-retry budget.
-                let factor = self.device_factor(node, now).max(1.0);
-                let service = self.restore_service(t, node).mul_f64(factor);
-                let size = self.ckpt.criu().image_size(handle_u64(t));
-                let op = self.ckpt.read(node, now, size, service);
-                q.push(
-                    op.end,
-                    Event::RestoreDone {
-                        task: t,
-                        epoch,
-                        started: op.start,
-                    },
-                );
+                self.schedule_pass(now, q);
             }
         }
-        verdict
+        false
     }
 
-    /// Abandons task `t`'s image for good: the checkpointed progress is
-    /// re-execution waste, the chain is discarded, and the task re-queues
-    /// as a fresh start.
+    /// Abandons task `t`'s image for good (see
+    /// [`CkptPath::scratch_restart`]) and re-queues it as a fresh start.
     fn restart_from_scratch(&mut self, t: u32, now: SimTime) {
-        let cores = self.tasks[t as usize].exec.spec.resources.cores_f64();
-        let lost = self.tasks[t as usize].exec.checkpointed_progress;
-        self.ledger.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
         self.release_container(t, now);
-        self.ckpt.discard_chain(handle_u64(t));
-        self.restore_attempts.remove(&t);
         let task = &mut self.tasks[t as usize].exec;
-        task.lose_chain();
+        self.ckpt
+            .scratch_restart(handle_u64(t), task, &mut self.ledger);
         task.epoch += 1;
-        task.progress = SimDuration::ZERO;
         self.set_status(t, TaskStatus::Pending);
         self.enqueue_pending(t);
     }
@@ -1698,7 +1283,7 @@ impl ClusterSim {
                 // The in-flight read can no longer complete: abandon it
                 // and restart from scratch (the epoch bump staled the
                 // queued RestoreDone).
-                let attempt = self.restore_attempts.get(&t).copied().unwrap_or(0);
+                let attempt = self.ckpt.restore_attempt(handle_u64(t));
                 self.trace.record(
                     now.as_micros(),
                     TraceRecord::RestoreFail {
@@ -1760,26 +1345,14 @@ impl ClusterSim {
             self.credit_drain(t);
         }
 
-        // Local-FS images stored on the failed node are gone; HDFS
-        // replication keeps DFS-backed chains readable.
-        if !self.ckpt.has_dfs() && self.ckpt.criu().has_image_on(handle_u64(t), node as u32) {
-            self.ckpt.discard_chain(handle_u64(t));
-            self.ledger.images_lost_to_failures += 1;
-            self.tasks[t as usize].exec.checkpointed_progress = SimDuration::ZERO;
-        }
-        if self.nvram_origin.get(&t) == Some(&(node as u32)) {
-            self.nvram_origin.remove(&t);
-            if let Some(engine) = self.nodes[node].nvram.as_mut() {
-                engine.discard(handle_u64(t));
-            }
+        // Local-FS images and NVRAM mirrors on the failed node are gone;
+        // HDFS replication keeps DFS-backed chains readable.
+        if self.ckpt.lose_images_on(handle_u64(t), node) {
             self.ledger.images_lost_to_failures += 1;
             self.tasks[t as usize].exec.checkpointed_progress = SimDuration::ZERO;
         }
         // The node failure ends any in-flight dump/restore episode.
-        if self.clock.plan().is_some() {
-            self.ckpt.end_dump(handle_u64(t));
-            self.restore_attempts.remove(&t);
-        }
+        self.ckpt.end_episodes(handle_u64(t));
         self.roll_back_and_requeue(t);
     }
 
@@ -2402,11 +1975,6 @@ impl ClusterSim {
 
                 // Drop checkpoint images / NVRAM mirrors.
                 self.ckpt.discard_chain(handle_u64(task));
-                if let Some(origin) = self.nvram_origin.remove(&task) {
-                    if let Some(engine) = self.nodes[origin as usize].nvram.as_mut() {
-                        engine.discard(handle_u64(task));
-                    }
-                }
 
                 // Job completion.
                 let job_idx = self.tasks[task as usize].job_idx as usize;
@@ -2430,49 +1998,41 @@ impl ClusterSim {
                 let TaskStatus::Dumping { node, .. } = self.tasks[task as usize].exec.status else {
                     return;
                 };
-                self.ckpt.advance(node as usize, now);
-                // Deterministic fault check: did this dump attempt fail?
-                // (NVRAM suspends are memory copies; they do not take the
-                // storage fault path.)
-                if self.cfg.nvram.is_none() {
-                    if let Some(plan) = self.clock.plan() {
-                        let attempt = self.ckpt.dump_attempt(handle_u64(task));
-                        if plan.dump_fails(task as u64, epoch, attempt) {
-                            self.on_dump_failed(task, node as usize, epoch, attempt, now, q);
-                            return;
-                        }
-                    }
-                }
-                self.ckpt
-                    .observe_health(node as usize, now, true, &mut self.trace);
-                self.release_container(task, now);
-                // Overhead was charged at dump submission; `started` only
-                // feeds the trace record.
-                self.trace.record(
-                    now.as_micros(),
-                    TraceRecord::DumpDone {
-                        task: task as u64,
-                        node,
-                        start_us: started.as_micros(),
-                    },
-                );
-                self.set_status(task, TaskStatus::Checkpointed { origin: node });
-                let stamp = self.tasks[task as usize].exec.commit_checkpoint();
-                // Stamp the tip with the progress it certifies (a later
-                // truncation rolls back to exactly that), end the episode
-                // and land the plan's corruption draws on the new image.
-                self.ckpt.commit_dump(
+                let end = self.ckpt.dump_done(
                     self.clock.plan(),
                     handle_u64(task),
-                    node,
+                    node as usize,
                     epoch,
-                    stamp,
+                    started,
+                    &mut self.tasks[task as usize].exec,
+                    &|i| self.clock.device_factor(i, now),
+                    &mut self.ledger.retry_cpu_secs,
                     now,
                     &mut self.trace,
                 );
-                // Credit the drain to the blocked task it was serving.
-                self.credit_drain(task);
-                self.enqueue_pending_preserving_status(task);
+                match end {
+                    DumpEnd::Retry(span) => {
+                        self.ledger.dump_fail_retries += 1;
+                        q.push(
+                            span.end,
+                            Event::DumpDone {
+                                task,
+                                epoch,
+                                started: span.start,
+                            },
+                        );
+                        return;
+                    }
+                    // Budget exhausted: the dump is abandoned for good.
+                    DumpEnd::Failed => self.kill_dump_victim(task, node as usize, now),
+                    DumpEnd::Committed => {
+                        self.release_container(task, now);
+                        self.set_status(task, TaskStatus::Checkpointed { origin: node });
+                        // Credit the drain to the blocked task it was serving.
+                        self.credit_drain(task);
+                        self.enqueue_pending_preserving_status(task);
+                    }
+                }
                 self.schedule_pass(now, q);
             }
             Event::NodeFail(node) => {
@@ -2503,69 +2063,57 @@ impl ClusterSim {
                 else {
                     return;
                 };
-                self.ckpt.advance(node as usize, now);
+                let (key, at) = (handle_u64(task), node as usize);
                 // Chunk-level integrity validation first (resume mode):
                 // corrupt chunks re-fetch from replicas, unrepairable
                 // images truncate the chain to its longest valid prefix,
                 // and an empty prefix scratch-restarts.
-                if self.cfg.nvram.is_none() && self.clock.plan().is_some_and(|p| p.resume_enabled())
-                {
-                    match self.validate_restored_chain(task, node as usize, epoch, started, now, q)
-                    {
-                        ChainValidation::Intact => {}
-                        ChainValidation::Truncated { .. } => return,
-                        ChainValidation::Dead => {
-                            self.schedule_pass(now, q);
-                            return;
-                        }
-                    }
+                let end = self.ckpt.check_restore(
+                    self.clock.plan(),
+                    key,
+                    at,
+                    epoch,
+                    started,
+                    &mut self.tasks[task as usize].exec,
+                    &|i| self.clock.device_factor(i, now),
+                    &mut self.ledger.retry_cpu_secs,
+                    now,
+                    &mut self.trace,
+                );
+                if !self.restore_stands(task, epoch, end, now, q) {
+                    return;
                 }
                 // Deterministic fault check: did this restore attempt
                 // fail (transiently, or because the image is corrupt)?
-                if self.cfg.nvram.is_none() {
-                    if let Some(plan) = self.clock.plan() {
-                        let attempt = self.restore_attempts.get(&task).copied().unwrap_or(0);
-                        let corrupt = self.ckpt.is_corrupt(handle_u64(task));
-                        if corrupt || plan.restore_fails(task as u64, epoch, attempt) {
-                            self.on_restore_failed(
-                                task,
-                                node as usize,
-                                epoch,
-                                attempt,
-                                corrupt,
-                                started,
-                                now,
-                                q,
-                            );
-                            return;
-                        }
-                    }
-                }
-                if self.clock.plan().is_some() {
-                    self.restore_attempts.remove(&task);
-                }
-                self.ckpt
-                    .observe_health(node as usize, now, true, &mut self.trace);
-                self.trace.record(
-                    now.as_micros(),
-                    TraceRecord::RestoreDone {
-                        task: task as u64,
-                        node,
-                        start_us: started.as_micros(),
-                    },
+                let end = self.ckpt.restore_fault(
+                    self.clock.plan(),
+                    key,
+                    at,
+                    epoch,
+                    started,
+                    &self.tasks[task as usize].exec,
+                    &|i| self.clock.device_factor(i, now),
+                    &mut self.ledger.retry_cpu_secs,
+                    now,
+                    &mut self.trace,
                 );
-                let cores = self.tasks[task as usize].exec.spec.resources.cores_f64();
-                // The remote flag was already recorded at placement time.
-                self.ledger.charge_restore(now.since(started), cores);
-                self.set_status(task, TaskStatus::Running { node, container });
-                let task_state = &mut self.tasks[task as usize].exec;
-                task_state.run_started = now;
-                task_state.mem_synced = now;
-                if let Some(mem) = task_state.memory.as_mut() {
-                    mem.clear_dirty();
+                if let RestoreEnd::Reread(_) = end {
+                    self.ledger.restore_fail_retries += 1;
                 }
-                let finish = now + task_state.remaining();
-                let epoch = task_state.epoch;
+                if !self.restore_stands(task, epoch, end, now, q) {
+                    return;
+                }
+                let finish = self.ckpt.finish_restore(
+                    key,
+                    at,
+                    started,
+                    &mut self.tasks[task as usize].exec,
+                    &mut self.ledger,
+                    now,
+                    &mut self.trace,
+                );
+                self.set_status(task, TaskStatus::Running { node, container });
+                let epoch = self.tasks[task as usize].exec.epoch;
                 q.push(finish, Event::TaskFinish { task, epoch });
             }
         }

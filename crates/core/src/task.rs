@@ -204,6 +204,19 @@ impl TaskExec {
         self.checkpointed_progress.as_micros()
     }
 
+    /// Starts the task running at `at` from its restored state (or, for
+    /// an in-place scratch restart, from zero): the running interval and
+    /// the memory sync start there, and nothing is dirty relative to the
+    /// image. Returns when the task will finish.
+    pub fn resume(&mut self, at: SimTime) -> SimTime {
+        self.run_started = at;
+        self.mem_synced = at;
+        if let Some(mem) = self.memory.as_mut() {
+            mem.clear_dirty();
+        }
+        at + self.remaining()
+    }
+
     /// Rolls progress back to what a truncated chain's surviving tip
     /// certifies (`stamp`, in µs).
     pub fn truncate_to(&mut self, stamp: u64) {
@@ -218,6 +231,20 @@ impl TaskExec {
         if let Some(mem) = self.memory.as_mut() {
             mem.mark_all_dirty();
         }
+    }
+}
+
+/// A simulator's task records, reached by the keys its trace records
+/// carry (the checkpoint path's start of a dump reads the victim and, on
+/// the lifecycle ladder, every chain owner through it).
+pub trait TaskTable {
+    /// The execution record of task `key`.
+    fn exec(&mut self, key: u64) -> &mut TaskExec;
+}
+
+impl TaskTable for Vec<TaskState> {
+    fn exec(&mut self, key: u64) -> &mut TaskExec {
+        &mut self[key as usize].exec
     }
 }
 

@@ -2,9 +2,9 @@
 
 use cbp_checkpoint::Criu;
 use cbp_cluster::{Container, ContainerId, EnergyMeter, Node, NodeId};
-use cbp_core::ckpt_path::{media_name, ChainValidation, CkptPath};
+use cbp_core::ckpt_path::{CkptPath, DumpEnd, RestoreEnd};
 use cbp_core::fault_clock::{FaultClock, FaultHost, FaultTick};
-use cbp_core::task::TaskExec;
+use cbp_core::task::{TaskExec, TaskTable};
 use cbp_core::{PreemptionPolicy, RunLedger, RunMetrics, RunReport, TaskStatus, TelemetryReport};
 use cbp_dfs::DfsCluster;
 use cbp_faults::FaultPlan;
@@ -129,6 +129,15 @@ fn task_key(app: u32, task: u32) -> u64 {
     ((app as u64) << 32) | task as u64
 }
 
+/// The AMs' task records by [`task_key`].
+struct AppTasks<'a>(&'a mut [AppMaster]);
+
+impl TaskTable for AppTasks<'_> {
+    fn exec(&mut self, key: u64) -> &mut TaskExec {
+        &mut self.0[(key >> 32) as usize].tasks[key as u32 as usize].exec
+    }
+}
+
 /// `candidates` in key order, to compare with the task scan's list.
 #[cfg(any(test, debug_assertions))]
 fn by_key(mut candidates: Vec<(f64, u64)>) -> Vec<(f64, u64)> {
@@ -178,6 +187,7 @@ impl YarnSim {
             cfg.media,
             Criu::new(cfg.incremental),
             Some(dfs),
+            None,
             faults.as_ref(),
             false,
         );
@@ -471,9 +481,9 @@ impl YarnSim {
         // Only a suspended task holds an image, so a fresh or killed task
         // skips the catalog lookup.
         let restore_from = match self.exec(app, task).status {
-            TaskStatus::Checkpointed { origin } if self.ckpt.criu().has_image(key) => Some(origin),
+            TaskStatus::Checkpointed { origin } if self.ckpt.has_image(key) => Some(origin),
             _ => {
-                debug_assert!(!self.ckpt.criu().has_image(key), "image implies suspended");
+                debug_assert!(!self.ckpt.has_image(key), "image implies suspended");
                 None
             }
         };
@@ -488,28 +498,15 @@ impl YarnSim {
         if let Some(origin) = restore_from {
             // Restore: read every image in the chain from HDFS. Blocks
             // hosted outside an isolated rack pay the partition penalty.
-            let service = self.ckpt.dfs_read_time(key, node);
-            let factor = self.clock.partition_factor(node);
-            let service = if factor > 1.0 {
-                service.mul_f64(factor)
-            } else {
-                service
-            };
-            let size = self.ckpt.criu().image_size(key);
-            let op = self.ckpt.read(node, now, size, service);
-            if origin != node as u32 {
-                self.ledger.remote_restores += 1;
-            }
-            self.trace.record(
-                now.as_micros(),
-                TraceRecord::RestoreStart {
-                    task: key,
-                    node: node as u32,
-                    origin,
-                    device: media_name(self.cfg.media.kind()),
-                    bytes: size.as_u64(),
-                    remote: origin != node as u32,
-                },
+            let span = self.ckpt.start_restore(
+                key,
+                node,
+                origin,
+                &self.apps[app as usize].tasks[task as usize].exec,
+                &|i| self.clock.partition_factor(i),
+                &mut self.ledger,
+                now,
+                &mut self.trace,
             );
             let am_task = self.exec_mut(app, task);
             am_task.status = TaskStatus::Restoring {
@@ -519,12 +516,12 @@ impl YarnSim {
             let epoch = am_task.epoch;
             // `started` is the service start: queue wait burns no CPU.
             q.push(
-                op.end,
+                span.end,
                 YarnEvent::RestoreDone {
                     app,
                     task,
                     epoch,
-                    started: op.start,
+                    started: span.start,
                 },
             );
         } else {
@@ -610,23 +607,13 @@ impl YarnSim {
         }
         self.release_container(app, task, now);
 
-        let key = task_key(app, task);
-        let has_image = self.ckpt.criu().has_image(key);
+        let origin = self.ckpt.image_origin(task_key(app, task));
         let am_task = &mut self.apps[app as usize].tasks[task as usize];
-        am_task.exec.roll_back(has_image);
+        am_task.exec.roll_back(origin.is_some());
         am_task.preempt_requested = false;
-        am_task.exec.status = if has_image {
-            let origin = self
-                .ckpt
-                .criu()
-                .chain(key)
-                .and_then(|c| c.tip())
-                .map(|r| r.origin_node)
-                .expect("image has a tip");
+        am_task.exec.status = origin.map_or(TaskStatus::Pending, |origin| {
             TaskStatus::Checkpointed { origin }
-        } else {
-            TaskStatus::Pending
-        };
+        });
         self.apps[app as usize].requeue(task);
         self.rm.add_asks(app, 1);
         q.push(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
@@ -635,103 +622,48 @@ impl YarnSim {
 
     // ---- image lifecycle (capacity backpressure ladder) -----------------
 
-    /// Suspends a running container with a CRIU dump to HDFS.
-    fn dump(&mut self, app: u32, task: u32, now: SimTime, q: &mut EventQueue<YarnEvent>) {
-        let (node, cid) = match self.exec(app, task).status {
-            TaskStatus::Running { node, container } => (node as usize, container),
-            _ => unreachable!("dump target must be running"),
-        };
-        let key = task_key(app, task);
-        let am_task = &mut self.apps[app as usize].tasks[task as usize].exec;
-        am_task.sync_progress(now);
-        let (size, _) = self
-            .ckpt
-            .criu()
-            .next_dump_size(key, am_task.sync_memory(now));
-        let (nms, apps) = (&self.nms, &self.apps);
-        let (origin, dropped) = self.ckpt.place_dump(
-            key,
+    /// Suspends the running `container` of `app`'s task `task` on `node`
+    /// with a CRIU dump to HDFS.
+    fn dump(
+        &mut self,
+        app: u32,
+        task: u32,
+        node: usize,
+        container: ContainerId,
+        now: SimTime,
+        q: &mut EventQueue<YarnEvent>,
+    ) {
+        let nms = &self.nms;
+        let (span, dropped) = self.ckpt.start_dump(
+            task_key(app, task),
             node,
-            size,
+            &mut AppTasks(&mut self.apps),
+            &format_args!("/ckpt/{app}/{task}"),
+            // A rack partition degrades the DFS write pipeline out of the
+            // isolated rack.
+            &|i| self.clock.partition_factor(i),
+            false,
             self.cfg.lifecycle,
+            &|i| nms[i].up,
+            &mut self.ledger,
             now,
             &mut self.trace,
-            &|i| nms[i].up,
-            &|k| {
-                apps[(k >> 32) as usize].tasks[k as u32 as usize]
-                    .exec
-                    .chain_loss()
-            },
         );
         for k in dropped {
             self.chain_lost(k);
         }
-        let Some(origin) = origin else {
+        let Some(span) = span else {
             self.kill(app, task, now, q);
             return;
         };
-
-        let epoch = self.exec(app, task).epoch;
-        let path = format!("/ckpt/{app}/{task}/{epoch}/{}", self.ckpt.path_count(key));
-        // A rack partition degrades the DFS write pipeline out of the
-        // isolated rack; the slowdown is also a health signal even when
-        // the dump eventually completes.
-        let factor = self.clock.partition_factor(node);
-        if factor > 1.0 {
-            self.ckpt.observe_health(node, now, false, &mut self.trace);
-        }
-        let write = self.ckpt.write_dfs(key, path, size, node);
-        let service = write.map(|d| if factor > 1.0 { d.mul_f64(factor) } else { d });
-
-        // Re-syncing at the same instant folds in nothing; it hands back
-        // the image.
-        let mem = self.apps[app as usize].tasks[task as usize]
-            .exec
-            .sync_memory(now);
-        let Some(result) =
-            self.ckpt
-                .dump_image(key, mem, node, origin, service, now, &mut self.trace)
-        else {
-            self.kill(app, task, now, q);
-            return;
-        };
-        let incremental = matches!(
-            result.kind,
-            cbp_checkpoint::CheckpointKind::Incremental { .. }
-        );
-        self.trace.record(
-            now.as_micros(),
-            TraceRecord::DumpStart {
-                task: key,
-                node: node as u32,
-                device: media_name(self.cfg.media.kind()),
-                bytes: size.as_u64(),
-                incremental,
-            },
-        );
-        self.trace.record(
-            now.as_micros(),
-            TraceRecord::TaskEvict {
-                task: key,
-                node: node as u32,
-                reason: "dump",
-            },
-        );
-        let am_task = &mut self.apps[app as usize].tasks[task as usize].exec;
-        let cores = am_task.spec.resources.cores_f64();
-        // CPU wastage counts the dump's service time only: a queued victim
-        // is stopped and burns no CPU (queueing still delays resource
-        // release through the DumpDone event time).
-        self.ledger
-            .charge_dump(result.op.end.since(result.op.start), cores);
+        let am_task = self.exec_mut(app, task);
         am_task.status = TaskStatus::Dumping {
             node: node as u32,
-            container: cid,
+            container,
         };
-        am_task.epoch += 1;
         let epoch = am_task.epoch;
         q.push(
-            result.op.end,
+            span.end,
             YarnEvent::DumpDone {
                 app,
                 task,
@@ -739,74 +671,12 @@ impl YarnSim {
                 // Device service start, so the trace's dump span is
                 // service time and `start_us - evict time` is the
                 // checkpoint queue wait (mirrors RestoreDone).
-                started: result.op.start,
+                started: span.start,
             },
         );
         if let Some(grace) = self.cfg.graceful_timeout {
             q.push(now + grace, YarnEvent::ForceKill { app, task, epoch });
         }
-    }
-
-    /// Handles a failed dump attempt (the NM's `criu dump` errored). While
-    /// the retry budget lasts the NM rewrites the stored tip after a
-    /// backoff (resuming past the durable chunk frontier when chunked
-    /// resume is on). Once it is spent the half-written tip is aborted and
-    /// the container goes through the same kill path the NM uses for a
-    /// grace-period expiry: progress since the last valid checkpoint is
-    /// lost but the preempted resources are released.
-    fn on_dump_failed(
-        &mut self,
-        app: u32,
-        task: u32,
-        epoch: u32,
-        attempt: u32,
-        now: SimTime,
-        q: &mut EventQueue<YarnEvent>,
-    ) {
-        let am_task = self.exec(app, task);
-        let TaskStatus::Dumping { node, container } = am_task.status else {
-            return;
-        };
-        let full = am_task.spec.resources.mem();
-        let cores = am_task.spec.resources.cores_f64();
-        let plan = self.clock.plan().expect("caller checked plan presence");
-        let retry = self.ckpt.fail_dump(
-            plan,
-            task_key(app, task),
-            node as usize,
-            epoch,
-            attempt,
-            full,
-            now,
-            &mut self.trace,
-        );
-        let Some(retry) = retry else {
-            // The container is still held; transition it through a kill.
-            self.exec_mut(app, task).status = TaskStatus::Running { node, container };
-            self.kill(app, task, now, q);
-            return;
-        };
-        // The rewrite pays the origin device's sequential write speed (plus
-        // any partition penalty); the preempted container keeps holding its
-        // resources through the window, so the service time is overhead.
-        let factor = self.clock.partition_factor(node as usize).max(1.0);
-        let service = self
-            .ckpt
-            .device(retry.origin)
-            .spec()
-            .write_time(retry.rewrite)
-            .mul_f64(factor);
-        self.ledger.dump_overhead_cpu_secs += service.as_secs_f64() * cores;
-        let start = now + retry.backoff;
-        q.push(
-            start + service,
-            YarnEvent::DumpDone {
-                app,
-                task,
-                epoch,
-                started: start,
-            },
-        );
     }
 
     /// A chaos-plan crash takes `node` (NM + datanode) down: every
@@ -905,87 +775,6 @@ impl YarnSim {
             am_task.status = TaskStatus::Pending;
         }
     }
-
-    /// Chunk-level validation of a restored chain (chunked-resume mode). A
-    /// truncated chain is re-read in place from its older tip; a dead one
-    /// restarts the task from scratch on its container.
-    fn validate_restored_chain(
-        &mut self,
-        app: u32,
-        task: u32,
-        epoch: u32,
-        started: SimTime,
-        now: SimTime,
-        q: &mut EventQueue<YarnEvent>,
-    ) -> ChainValidation {
-        let key = task_key(app, task);
-        let am_task = self.exec(app, task);
-        let TaskStatus::Restoring { node, container } = am_task.status else {
-            return ChainValidation::Intact;
-        };
-        let cores = am_task.spec.resources.cores_f64();
-        let plan = self.clock.plan().expect("resume mode implies a plan");
-        let verdict = self.ckpt.validate_chain(
-            plan,
-            key,
-            node as usize,
-            epoch,
-            0,
-            started,
-            now,
-            cores,
-            &mut self.ledger.restore_overhead_cpu_secs,
-            &mut self.trace,
-        );
-        match verdict {
-            ChainValidation::Intact => {}
-            ChainValidation::Dead => {
-                // The checkpointed progress is re-execution waste and the
-                // task restarts from scratch on its container.
-                let lost = self.exec(app, task).checkpointed_progress;
-                self.ledger.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
-                self.ckpt.discard_chain(key);
-                self.chain_lost(key);
-                let startup = self.cfg.container_startup;
-                let am_task = self.exec_mut(app, task);
-                am_task.progress = SimDuration::ZERO;
-                am_task.status = TaskStatus::Running { node, container };
-                am_task.run_started = now + startup;
-                am_task.mem_synced = am_task.run_started;
-                let epoch = am_task.epoch;
-                q.push(
-                    am_task.run_started + am_task.remaining(),
-                    YarnEvent::TaskFinish { app, task, epoch },
-                );
-            }
-            ChainValidation::Truncated { stamp } => {
-                // Roll progress back to what the surviving tip certifies.
-                self.exec_mut(app, task).truncate_to(stamp);
-                // Re-read the truncated chain in place (same node, same
-                // episode). The strictly shrinking chain bounds the
-                // truncation loop.
-                let service = self.ckpt.dfs_read_time(key, node as usize);
-                let factor = self.clock.partition_factor(node as usize);
-                let service = if factor > 1.0 {
-                    service.mul_f64(factor)
-                } else {
-                    service
-                };
-                let size = self.ckpt.criu().image_size(key);
-                let op = self.ckpt.read(node as usize, now, size, service);
-                q.push(
-                    op.end,
-                    YarnEvent::RestoreDone {
-                        app,
-                        task,
-                        epoch,
-                        started: op.start,
-                    },
-                );
-            }
-        }
-        verdict
-    }
 }
 
 impl YarnSim {
@@ -1031,13 +820,13 @@ impl YarnSim {
             }
             YarnEvent::PreemptDecision { app, task, epoch } => {
                 let am_task = self.exec(app, task);
-                if am_task.epoch != epoch || !matches!(am_task.status, TaskStatus::Running { .. }) {
+                let TaskStatus::Running { node, container } = am_task.status else {
                     return; // finished or already transitioned
-                }
-                let node = match am_task.status {
-                    TaskStatus::Running { node, .. } => node as usize,
-                    _ => unreachable!(),
                 };
+                if am_task.epoch != epoch {
+                    return;
+                }
+                let node = node as usize;
                 // Fault injection: an unresponsive AM drops the
                 // ContainerPreemptEvent on the floor. The RM notices the
                 // missed deadline (`graceful_timeout`, or the plan's
@@ -1071,7 +860,7 @@ impl YarnSim {
                 );
                 match action {
                     PreemptAction::Kill => self.kill(app, task, now, q),
-                    PreemptAction::Checkpoint => self.dump(app, task, now, q),
+                    PreemptAction::Checkpoint => self.dump(app, task, node, container, now, q),
                 }
             }
             YarnEvent::ForceKill { app, task, epoch } => {
@@ -1079,7 +868,7 @@ impl YarnSim {
                 if am_task.epoch != epoch {
                     return; // the dump completed in time
                 }
-                let TaskStatus::Dumping { node, .. } = am_task.status else {
+                let TaskStatus::Dumping { node, container } = am_task.status else {
                     return;
                 };
                 // Abort the half-written dump (its HDFS file stays behind)
@@ -1095,13 +884,7 @@ impl YarnSim {
                 );
                 self.ledger.force_kills += 1;
                 // The container is still held; transition it through a kill.
-                // kill() handles Running; emulate by restoring Running-like
-                // state first.
-                let am_task = self.exec_mut(app, task);
-                let TaskStatus::Dumping { node, container } = am_task.status else {
-                    unreachable!()
-                };
-                am_task.status = TaskStatus::Running { node, container };
+                self.exec_mut(app, task).status = TaskStatus::Running { node, container };
                 self.kill(app, task, now, q);
             }
             YarnEvent::AmEscalate { app, task, epoch } => {
@@ -1140,54 +923,54 @@ impl YarnSim {
                 if am_task.epoch != epoch {
                     return;
                 }
-                let TaskStatus::Dumping { node, .. } = am_task.status else {
+                let TaskStatus::Dumping { node, container } = am_task.status else {
                     return;
                 };
-                self.ckpt.advance(node as usize, now);
                 // Fault injection: the NM's `criu dump` errored. While the
                 // retry budget lasts the tip is rewritten after a backoff
                 // (resuming past the durable chunk frontier when chunked
-                // resume is on); once exhausted the Preemption Manager's
-                // fallback is the stock-YARN one — abort the half-written
-                // image and kill the container.
-                if let Some(plan) = self.clock.plan() {
-                    let key = task_key(app, task);
-                    let attempt = self.ckpt.dump_attempt(key);
-                    if plan.dump_fails(key, epoch, attempt) {
-                        self.on_dump_failed(app, task, epoch, attempt, now, q);
-                        return;
-                    }
-                }
-                self.ckpt
-                    .observe_health(node as usize, now, true, &mut self.trace);
-                self.release_container(app, task, now);
-                self.trace.record(
-                    now.as_micros(),
-                    TraceRecord::DumpDone {
-                        task: task_key(app, task),
-                        node,
-                        start_us: started.as_micros(),
-                    },
-                );
-                let am_task = &mut self.apps[app as usize].tasks[task as usize];
-                let stamp = am_task.exec.commit_checkpoint();
-                am_task.preempt_requested = false;
-                am_task.exec.status = TaskStatus::Checkpointed { origin: node };
-                // Stamp the tip with the progress it certifies (a later
-                // truncation rolls back to exactly that), end the episode
-                // and land the plan's per-chunk corruption draws.
-                self.ckpt.commit_dump(
+                // resume is on), the rewrite paying any partition penalty;
+                // once exhausted the Preemption Manager's fallback is the
+                // stock-YARN one — abort the half-written image and kill
+                // the container, as for a grace-period expiry.
+                let end = self.ckpt.dump_done(
                     self.clock.plan(),
                     task_key(app, task),
-                    node,
+                    node as usize,
                     epoch,
-                    stamp,
+                    started,
+                    &mut self.apps[app as usize].tasks[task as usize].exec,
+                    &|i| self.clock.partition_factor(i),
+                    &mut self.ledger.dump_overhead_cpu_secs,
                     now,
                     &mut self.trace,
                 );
-                self.apps[app as usize].requeue(task);
-                self.rm.add_asks(app, 1);
-                q.push(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
+                match end {
+                    DumpEnd::Retry(span) => q.push(
+                        span.end,
+                        YarnEvent::DumpDone {
+                            app,
+                            task,
+                            epoch,
+                            started: span.start,
+                        },
+                    ),
+                    DumpEnd::Failed => {
+                        // The container is still held; transition it
+                        // through a kill.
+                        self.exec_mut(app, task).status = TaskStatus::Running { node, container };
+                        self.kill(app, task, now, q);
+                    }
+                    DumpEnd::Committed => {
+                        self.release_container(app, task, now);
+                        let am_task = &mut self.apps[app as usize].tasks[task as usize];
+                        am_task.preempt_requested = false;
+                        am_task.exec.status = TaskStatus::Checkpointed { origin: node };
+                        self.apps[app as usize].requeue(task);
+                        self.rm.add_asks(app, 1);
+                        q.push(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
+                    }
+                }
             }
             YarnEvent::RestoreDone {
                 app,
@@ -1202,40 +985,54 @@ impl YarnSim {
                 let TaskStatus::Restoring { node, container } = am_task.status else {
                     return;
                 };
-                self.ckpt.advance(node as usize, now);
                 // Chunked-resume integrity: validate the chain before the
-                // restored state is trusted. A truncation already re-read
-                // the shorter chain; a dead chain restarted from scratch.
-                if self.clock.plan().is_some_and(|p| p.resume_enabled()) {
-                    match self.validate_restored_chain(app, task, epoch, started, now, q) {
-                        ChainValidation::Intact => {}
-                        ChainValidation::Truncated { .. } | ChainValidation::Dead => return,
+                // restored state is trusted. A truncated chain is re-read
+                // in place; a dead one restarts the task from scratch on
+                // its container.
+                let key = task_key(app, task);
+                let exec = &mut self.apps[app as usize].tasks[task as usize].exec;
+                let end = self.ckpt.check_restore(
+                    self.clock.plan(),
+                    key,
+                    node as usize,
+                    epoch,
+                    started,
+                    exec,
+                    &|i| self.clock.partition_factor(i),
+                    &mut self.ledger.restore_overhead_cpu_secs,
+                    now,
+                    &mut self.trace,
+                );
+                let finish = match end {
+                    RestoreEnd::Intact => self.ckpt.finish_restore(
+                        key,
+                        node as usize,
+                        started,
+                        exec,
+                        &mut self.ledger,
+                        now,
+                        &mut self.trace,
+                    ),
+                    RestoreEnd::Reread(span) => {
+                        q.push(
+                            span.end,
+                            YarnEvent::RestoreDone {
+                                app,
+                                task,
+                                epoch,
+                                started: span.start,
+                            },
+                        );
+                        return;
                     }
-                }
-                self.ckpt
-                    .observe_health(node as usize, now, true, &mut self.trace);
-                self.trace.record(
-                    now.as_micros(),
-                    TraceRecord::RestoreDone {
-                        task: task_key(app, task),
-                        node,
-                        start_us: started.as_micros(),
-                    },
-                );
-                let am_task = &mut self.apps[app as usize].tasks[task as usize].exec;
-                let cores = am_task.spec.resources.cores_f64();
-                self.ledger.charge_restore(now.since(started), cores);
-                am_task.status = TaskStatus::Running { node, container };
-                am_task.run_started = now;
-                am_task.mem_synced = now;
-                if let Some(mem) = am_task.memory.as_mut() {
-                    mem.clear_dirty();
-                }
-                let epoch = am_task.epoch;
-                q.push(
-                    now + am_task.remaining(),
-                    YarnEvent::TaskFinish { app, task, epoch },
-                );
+                    RestoreEnd::Dead => {
+                        self.ckpt.scratch_restart(key, exec, &mut self.ledger);
+                        exec.resume(now + self.cfg.container_startup)
+                    }
+                };
+                exec.status = TaskStatus::Running { node, container };
+                let epoch = exec.epoch;
+                q.push(finish, YarnEvent::TaskFinish { app, task, epoch });
             }
             YarnEvent::TaskFinish { app, task, epoch } => {
                 let am_task = self.exec(app, task);
