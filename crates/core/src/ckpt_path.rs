@@ -176,6 +176,8 @@ struct Mirrors {
     engines: Vec<NvramCheckpointer>,
     /// Task → node holding its mirror.
     origin: HashMap<u64, u32>,
+    /// Suspends that copied only part of the footprint.
+    incremental: u64,
 }
 
 /// The terms of a victim's ranking estimate that every victim on one node
@@ -293,20 +295,22 @@ impl CkptPath {
             nvram: nvram.map(|spec| Mirrors {
                 engines: (0..nodes).map(|_| NvramCheckpointer::new(spec)).collect(),
                 origin: HashMap::new(),
+                incremental: 0,
             }),
             corrupt: BTreeSet::new(),
             whole_image_corruption,
         }
     }
 
-    /// The CRIU image catalog.
-    pub fn criu(&self) -> &Criu {
-        &self.criu
-    }
-
     /// Node `node`'s checkpoint device.
     pub fn device(&self, node: usize) -> &Device {
         &self.devices[node]
+    }
+
+    /// Incremental dumps so far: CRIU dumps of the dirty pages only, or
+    /// NVRAM suspends that copied part of the footprint.
+    pub fn incremental_dumps(&self) -> u64 {
+        self.criu.incremental_dumps() + self.nvram.as_ref().map_or(0, |m| m.incremental)
     }
 
     /// True if checkpoints are written through a DFS.
@@ -895,6 +899,7 @@ impl CkptPath {
             };
             m.origin.insert(key, node as u32);
             let incremental = suspend.copied < task.spec.resources.mem();
+            m.incremental += u64::from(incremental);
             let span = Span {
                 start: now,
                 end: now + suspend.duration,

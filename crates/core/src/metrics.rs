@@ -458,7 +458,7 @@ impl RunLedger {
             preemptions: self.kills + self.checkpoints,
             kills: self.kills,
             checkpoints: self.checkpoints,
-            incremental_checkpoints: ckpt.criu().incremental_dumps(),
+            incremental_checkpoints: ckpt.incremental_dumps(),
             restores: self.restores,
             remote_restores: self.remote_restores,
             capacity_fallbacks: c.capacity_fallbacks,

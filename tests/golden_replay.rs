@@ -288,7 +288,7 @@ const CASES: &[Case] = &[
             0xacfd768f18dc53d0,
             0xc3672fe368efeda6,
             0xf1797f99e17bdb4f,
-            0x3153f6bd9b24c6f0,
+            0xbb1b8a42d013adae,
             0xfe7b95d4043d6fcf,
         ],
     },
@@ -446,6 +446,7 @@ fn digests(case: &Case) -> [u64; 6] {
         "cluster",
         &buf.0.borrow(),
         &report.telemetry.registry,
+        &report.metrics,
     );
 
     // The giant production job is 1.3x the cluster's container count, as
@@ -489,6 +490,7 @@ fn digests(case: &Case) -> [u64; 6] {
         "yarn",
         &buf.0.borrow(),
         &report.telemetry.registry,
+        &report.metrics,
     );
 
     [
@@ -572,24 +574,35 @@ const FOLDED: [(&str, &str); 3] = [
     ("scheduler.restores", "restore_done"),
 ];
 
-/// Asserts registry == fold(trace) for every [`FOLDED`] pair, and that
-/// the hard kills (`task_evict` records of any reason but `dump`) are
-/// `scheduler.kills` plus the evictions by downed nodes, which the
-/// ledger counts apart (`scheduler.failure_evictions` is ClusterSim's
-/// alone). Also asserts that every line of the trace is in the form the
-/// reader's canonical-line decoder takes, so none falls back to the
-/// general path.
-fn check_fold(case: &str, sim: &str, trace: &[u8], registry: &MetricsRegistry) {
+/// Asserts registry == fold(trace) for every [`FOLDED`] pair, that the
+/// report's incremental checkpoints are the `dump_start` records marked
+/// incremental, and that the hard kills (`task_evict` records of any
+/// reason but `dump`) are `scheduler.kills` plus the evictions by downed
+/// nodes, which the ledger counts apart (`scheduler.failure_evictions`
+/// is ClusterSim's alone). Also asserts that every line of the trace is
+/// in the form the reader's canonical-line decoder takes, so none falls
+/// back to the general path.
+fn check_fold(
+    case: &str,
+    sim: &str,
+    trace: &[u8],
+    registry: &MetricsRegistry,
+    metrics: &RunMetrics,
+) {
     let mut folded = [0u64; FOLDED.len()];
-    let mut hard_kills = 0u64;
+    let (mut hard_kills, mut incremental) = (0u64, 0u64);
     let mut reader = JsonlReader::new(trace).expect("golden traces have a header");
     for item in reader.by_ref() {
         let (_, rec) = item.expect("golden traces are well-formed");
         if let Some(i) = FOLDED.iter().position(|(_, kind)| *kind == rec.name()) {
             folded[i] += 1;
         }
-        if matches!(rec, TraceRecord::TaskEvict { reason, .. } if reason != "dump") {
-            hard_kills += 1;
+        match rec {
+            TraceRecord::TaskEvict { reason, .. } if reason != "dump" => hard_kills += 1,
+            TraceRecord::DumpStart {
+                incremental: true, ..
+            } => incremental += 1,
+            _ => {}
         }
     }
     for ((key, kind), n) in FOLDED.iter().zip(folded) {
@@ -599,6 +612,10 @@ fn check_fold(case: &str, sim: &str, trace: &[u8], registry: &MetricsRegistry) {
             "{case}, {sim}: {key} vs {n} {kind} records"
         );
     }
+    assert_eq!(
+        metrics.incremental_checkpoints, incremental,
+        "{case}, {sim}: incremental checkpoints vs incremental dump_start records"
+    );
     let lines = reader.line_counts();
     let records = trace.iter().filter(|&&b| b == b'\n').count() as u64 - 1;
     assert_eq!(
