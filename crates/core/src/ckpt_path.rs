@@ -50,7 +50,7 @@ use cbp_telemetry::{MetricsRegistry, PreemptAction, TraceRecord, TraceSink};
 
 use crate::config::{PreemptionPolicy, RestorePlacement};
 use crate::metrics::RunLedger;
-use crate::task::{TaskExec, TaskTable};
+use crate::task::{TaskExec, TaskStatus, TaskTable};
 
 /// Short stable device name for trace records.
 pub fn media_name(kind: MediaKind) -> &'static str {
@@ -1712,19 +1712,19 @@ impl CkptPath {
         }
     }
 
-    /// Loses `key`'s chain to a block loss: a dump in flight on
-    /// `dumping_on` is aborted (`DumpFallback(reason)`), then the chain is
+    /// Loses `key`'s chain to a block loss: a dump in flight (`status` is
+    /// `Dumping`) is aborted (`DumpFallback(reason)`), then the chain is
     /// discarded. The caller degrades the task.
     pub fn lose_chain(
         &mut self,
         key: u64,
-        dumping_on: Option<usize>,
+        status: TaskStatus,
         reason: &'static str,
         now: SimTime,
         trace: &mut TraceSink,
     ) {
-        if let Some(node) = dumping_on {
-            self.abort_dump(key, node, reason, true, now, trace);
+        if let TaskStatus::Dumping { node, .. } = status {
+            self.abort_dump(key, node as usize, reason, true, now, trace);
         }
         self.discard_chain(key);
     }

@@ -1272,12 +1272,8 @@ impl ClusterSim {
     fn drop_lost_chain(&mut self, t: u32, now: SimTime) {
         self.ledger.images_lost_to_failures += 1;
         let status = self.tasks[t as usize].exec.status;
-        let dumping_on = match status {
-            TaskStatus::Dumping { node, .. } => Some(node as usize),
-            _ => None,
-        };
         self.ckpt
-            .lose_chain(handle_u64(t), dumping_on, "node-fail", now, &mut self.trace);
+            .lose_chain(handle_u64(t), status, "node-fail", now, &mut self.trace);
         match status {
             TaskStatus::Restoring { node, .. } => {
                 // The in-flight read can no longer complete: abandon it

@@ -736,12 +736,8 @@ impl YarnSim {
     ) {
         let key = task_key(app, task);
         let status = self.exec(app, task).status;
-        let dumping_on = match status {
-            TaskStatus::Dumping { node, .. } => Some(node as usize),
-            _ => None,
-        };
         self.ckpt
-            .lose_chain(key, dumping_on, "node-crash", now, &mut self.trace);
+            .lose_chain(key, status, "node-crash", now, &mut self.trace);
         self.chain_lost(key);
         match status {
             TaskStatus::Dumping { node, container } => {
