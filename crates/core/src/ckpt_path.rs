@@ -102,7 +102,7 @@ pub struct CkptCounters {
 
 /// Verdict of chunk-level validation of a restored chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChainValidation {
+enum ChainValidation {
     /// Every image verified (possibly after replica refetches).
     Intact,
     /// The chain was cut to its longest valid prefix; `stamp` is the
@@ -118,14 +118,14 @@ pub enum ChainValidation {
 
 /// A failed dump attempt that still has retry budget.
 #[derive(Debug, Clone, Copy)]
-pub struct DumpRetry {
+struct DumpRetry {
     /// Bytes the retry must rewrite (the suffix past the durable frontier
     /// when chunked resume is on, else the whole tip).
-    pub rewrite: ByteSize,
+    rewrite: ByteSize,
     /// The device holding the tip (the failing node when there is none).
-    pub origin: usize,
+    origin: usize,
     /// Wait before the rewrite starts.
-    pub backoff: SimDuration,
+    backoff: SimDuration,
 }
 
 /// When a checkpoint transfer's service starts and ends (queue wait
@@ -911,6 +911,14 @@ impl CkptPath {
                 self.place_dump(key, node, size, lifecycle, now, trace, up, &mut |k| {
                     tasks.exec(k).chain_loss()
                 });
+            // The caller degrades the dropped chains only after this dump
+            // is written, which holds because the victim's own chain is
+            // never among them: eviction skips it, and GC drops only
+            // whole-image corrupt chains, which no running task holds.
+            debug_assert!(
+                !dropped.contains(&key),
+                "the ladder dropped {key}'s own chain"
+            );
             let Some(origin) = origin else {
                 return (None, dropped);
             };
@@ -1328,11 +1336,9 @@ impl CkptPath {
             ledger.remote_restores += 1;
         }
         let footprint = task.spec.resources.mem();
-        let (span, device, bytes) = if self.nvram.is_some() {
+        let (span, device, bytes) = if let Some(m) = &mut self.nvram {
+            m.engines[node].resume(key, true);
             let service = self.restore_service(key, footprint, node);
-            if let Some(m) = &mut self.nvram {
-                m.engines[node].resume(key, true);
-            }
             let span = Span {
                 start: now,
                 end: now + service,
@@ -2147,5 +2153,69 @@ mod tests {
             path.victim_cost_secs(&task, false, &slow),
             full.as_secs_f64() * 2.0 * 1.5
         );
+    }
+
+    #[test]
+    fn nvram_mirrors_stand_in_for_the_image_files() {
+        use crate::task::TaskState;
+        use cbp_cluster::ContainerId;
+        let media = MediaSpec::nvm().with_capacity(ByteSize::from_gb(10));
+        let nvram = Some(NvramSpec::default());
+        let mut path = CkptPath::new(2, media, Criu::new(true), None, nvram, None, true);
+        let spec = cbp_workload::TaskSpec {
+            id: cbp_workload::TaskId {
+                job: cbp_workload::JobId(0),
+                index: 0,
+            },
+            resources: cbp_cluster::Resources::new_cores(1, ByteSize::from_gb(2)),
+            duration: SimDuration::from_secs(100),
+            dirty_rate_per_sec: 0.01,
+        };
+        let mut tasks = vec![TaskState::new(
+            spec,
+            cbp_workload::Priority(0),
+            0,
+            SimTime::ZERO,
+        )];
+        let mut ledger = RunLedger::default();
+        let mut suspend = |path: &mut CkptPath, tasks: &mut Vec<TaskState>, secs| {
+            tasks[0].exec.status = TaskStatus::Running {
+                node: 1,
+                container: ContainerId(1),
+            };
+            let (span, dropped) = path.start_dump(
+                0,
+                1,
+                tasks,
+                &"/ckpt/0",
+                &|_| 2.0,
+                true,
+                true,
+                &|_| true,
+                &mut ledger,
+                SimTime::from_secs(secs),
+                &mut TraceSink::default(),
+            );
+            assert!(dropped.is_empty());
+            span.expect("the mirror fits")
+        };
+        let first = suspend(&mut path, &mut tasks, 10);
+        assert_eq!(first.start, SimTime::from_secs(10), "a copy never queues");
+        assert_eq!(path.image_origin(0), Some(1));
+        assert!(path.device(1).used().is_zero(), "a mirror takes no device");
+        assert!(path.restore_is_local(RestorePlacement::CostAware));
+        assert_eq!(path.incremental_dumps(), 0, "the first copy is full");
+
+        // Ten seconds at 1%/s dirty a tenth of the footprint; the shadow
+        // already holds most of it, and the slowdown does not apply.
+        let second = suspend(&mut path, &mut tasks, 20);
+        assert!(second.end.since(second.start) < first.end.since(first.start));
+        assert_eq!(path.incremental_dumps(), 1);
+        assert_eq!(tasks[0].exec.epoch, 2);
+        assert_eq!(ledger.checkpoints, 2);
+
+        assert!(!path.lose_images_on(0, 0), "the mirror is on node 1");
+        assert!(path.lose_images_on(0, 1));
+        assert!(!path.has_image(0));
     }
 }
