@@ -323,23 +323,22 @@ pub struct RunLedger {
     pub restore_overhead_cpu_secs: f64,
     /// ClusterSim: containers evicted by MTBF node failures.
     pub failure_evictions: u64,
-    /// ClusterSim: checkpoint chains destroyed by node failures.
+    /// Checkpoint chains destroyed by node failures.
     pub images_lost_to_failures: u64,
-    /// ClusterSim: injected dump failures that were retried.
+    /// Injected dump failures that were retried.
     pub dump_fail_retries: u64,
     /// ClusterSim: injected restore failures that were retried.
     pub restore_fail_retries: u64,
-    /// ClusterSim: restores abandoned for good (the task restarted from
-    /// scratch).
+    /// Restores abandoned for good (the task restarted from scratch).
     pub scratch_restarts: u64,
     /// ClusterSim: core-seconds burnt inside failed dump/restore attempts
     /// and their rewrites.
     pub retry_cpu_secs: f64,
-    /// ClusterSim: HDFS blocks re-replicated after datanode failures.
+    /// HDFS blocks re-replicated after datanode failures.
     pub dfs_blocks_repaired: u64,
-    /// ClusterSim: bytes copied by HDFS re-replication.
+    /// Bytes copied by HDFS re-replication.
     pub dfs_repair_bytes: u64,
-    /// ClusterSim: HDFS blocks whose every replica died.
+    /// HDFS blocks whose every replica died.
     pub dfs_blocks_lost: u64,
     /// YarnSim: dumps aborted by the NodeManager's grace-period
     /// force-kill.

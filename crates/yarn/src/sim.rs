@@ -699,7 +699,10 @@ impl YarnSim {
         // The node's datanode died with it: re-replicate every block that
         // lost a replica onto the survivors; blocks whose only replica
         // lived here are gone, breaking the image chains stacked on them.
-        if let Some((_, lost)) = self.ckpt.fail_datanode(node, now, &mut self.trace) {
+        if let Some((repair, lost)) = self.ckpt.fail_datanode(node, now, &mut self.trace) {
+            self.ledger.dfs_blocks_repaired += repair.blocks_repaired as u64;
+            self.ledger.dfs_repair_bytes += repair.bytes_copied.as_u64();
+            self.ledger.dfs_blocks_lost += repair.blocks_lost as u64;
             for key in lost {
                 self.drop_lost_chain((key >> 32) as u32, key as u32, now, q);
             }
@@ -734,6 +737,7 @@ impl YarnSim {
         now: SimTime,
         q: &mut EventQueue<YarnEvent>,
     ) {
+        self.ledger.images_lost_to_failures += 1;
         let key = task_key(app, task);
         let status = self.exec(app, task).status;
         self.ckpt
@@ -942,15 +946,18 @@ impl YarnSim {
                     &mut self.trace,
                 );
                 match end {
-                    DumpEnd::Retry(span) => q.push(
-                        span.end,
-                        YarnEvent::DumpDone {
-                            app,
-                            task,
-                            epoch,
-                            started: span.start,
-                        },
-                    ),
+                    DumpEnd::Retry(span) => {
+                        self.ledger.dump_fail_retries += 1;
+                        q.push(
+                            span.end,
+                            YarnEvent::DumpDone {
+                                app,
+                                task,
+                                epoch,
+                                started: span.start,
+                            },
+                        );
+                    }
                     DumpEnd::Failed => {
                         // The container is still held; transition it
                         // through a kill.
@@ -1022,6 +1029,7 @@ impl YarnSim {
                         return;
                     }
                     RestoreEnd::Dead => {
+                        self.ledger.scratch_restarts += 1;
                         self.ckpt.scratch_restart(key, exec, &mut self.ledger);
                         exec.resume(now + self.cfg.container_startup)
                     }

@@ -121,7 +121,7 @@ const CASES: &[Case] = &[
             0x99b7379d6df86466,
             0xc497dd3ab52b9a70,
             0xdfbebe6499c8e368,
-            0xa8c98c58eda3c974,
+            0x6d9e330be2b46ff3,
         ],
     },
     Case {
@@ -139,7 +139,7 @@ const CASES: &[Case] = &[
             0xc3672fe368efeda6,
             0xf1797f99e17bdb4f,
             0x6eed81c00018c5a9,
-            0xfe7b95d4043d6fcf,
+            0x0b68b2de4a248e15,
         ],
     },
     Case {
@@ -157,7 +157,7 @@ const CASES: &[Case] = &[
             0xb6901fe940fbcbff,
             0xbba6ff1cc7ee8a46,
             0x9b11780d7afea958,
-            0x9a76bb6370de84b6,
+            0xefc7565e3f5a7eed,
         ],
     },
     Case {
@@ -177,7 +177,7 @@ const CASES: &[Case] = &[
             0xc87ec521dacc3a87,
             0x85d3c4ee22b066de,
             0xa4dd0991e18a7aef,
-            0xa98af8e3fac2b197,
+            0xda5d018b391cabe3,
         ],
     },
     Case {
@@ -199,7 +199,7 @@ const CASES: &[Case] = &[
             0x0bf8a2ea89817e18,
             0xf584d49f232b0dd0,
             0xdb5632d519c2f864,
-            0x2bceb8b453b5ab15,
+            0xc1778e227d10666a,
         ],
     },
     Case {
@@ -253,7 +253,7 @@ const CASES: &[Case] = &[
             0xa41ef0400455a458,
             0x1874239076fb5459,
             0x9196ea30a1c523ee,
-            0xbb9c6a5e5aa64dfa,
+            0x750e9d49b29081bf,
         ],
     },
     Case {
@@ -271,7 +271,7 @@ const CASES: &[Case] = &[
             0xa41ef0400455a458,
             0x1874239076fb5459,
             0x39fc38afc41c75fc,
-            0xbb9c6a5e5aa64dfa,
+            0x750e9d49b29081bf,
         ],
     },
     Case {
@@ -289,7 +289,7 @@ const CASES: &[Case] = &[
             0xc3672fe368efeda6,
             0xf1797f99e17bdb4f,
             0xbb1b8a42d013adae,
-            0xfe7b95d4043d6fcf,
+            0x0b68b2de4a248e15,
         ],
     },
     Case {
@@ -325,7 +325,7 @@ const CASES: &[Case] = &[
             0x886b022b8ed99511,
             0xaecd36fd0c1bc4d6,
             0xbcf29671b1ebfbea,
-            0xaad29690ae4065a9,
+            0x31fa02adcfe83a22,
         ],
     },
     Case {
@@ -365,7 +365,7 @@ const CASES: &[Case] = &[
             0x3c82b772dca8adf4,
             0x45e76064d918b6df,
             0x9b11780d7afea958,
-            0x9228b572d13f1652,
+            0xaef532f7806c18d8,
         ],
     },
     Case {
@@ -386,7 +386,7 @@ const CASES: &[Case] = &[
             0xaa5a83e26dcb1d63,
             0xc7b4191d0aba8f4d,
             0x93e372cf66127878,
-            0x1fe99a82a3a40247,
+            0x2f56171500aad3da,
         ],
     },
     Case {
