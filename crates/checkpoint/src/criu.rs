@@ -110,7 +110,6 @@ pub struct Criu {
     chunk_bytes: u64,
     next_image: u64,
     full_dumps: u64,
-    incremental_dumps: u64,
     restores: u64,
 }
 
@@ -133,7 +132,6 @@ impl Criu {
             chunk_bytes: DEFAULT_CHUNK_BYTES,
             next_image: 1,
             full_dumps: 0,
-            incremental_dumps: 0,
             restores: 0,
         }
     }
@@ -332,7 +330,6 @@ impl Criu {
         let id = ImageId(self.next_image);
         self.next_image += 1;
         let kind = if is_incremental {
-            self.incremental_dumps += 1;
             CheckpointKind::Incremental {
                 parent: self
                     .chains
@@ -536,11 +533,6 @@ impl Criu {
     /// Number of full dumps performed.
     pub fn full_dumps(&self) -> u64 {
         self.full_dumps
-    }
-
-    /// Number of incremental dumps performed.
-    pub fn incremental_dumps(&self) -> u64 {
-        self.incremental_dumps
     }
 
     /// Number of restores performed.

@@ -46,10 +46,10 @@ use cbp_faults::{BreakerTransition, FaultPlan, HealthMonitor};
 use cbp_simkit::units::ByteSize;
 use cbp_simkit::{SimDuration, SimTime};
 use cbp_storage::{Device, MediaKind, MediaSpec, OpKind};
-use cbp_telemetry::{MetricsRegistry, PreemptAction, TraceRecord, TraceSink};
+use cbp_telemetry::{MetricsRegistry, PreemptAction, TraceRecord};
 
 use crate::config::{PreemptionPolicy, RestorePlacement};
-use crate::metrics::RunLedger;
+use crate::metrics::{Recorder, RunLedger};
 use crate::task::{TaskExec, TaskStatus, TaskTable};
 
 /// Short stable device name for trace records.
@@ -69,35 +69,6 @@ pub fn mean(iter: impl Iterator<Item = f64>) -> f64 {
     } else {
         sum / n as f64
     }
-}
-
-/// Counters both simulators keep for the checkpoint path.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CkptCounters {
-    /// Dumps that fell back to a kill because no storage could hold them.
-    pub capacity_fallbacks: u64,
-    /// Bytes GC passes reclaimed (leaked reservations and dead chains).
-    pub gc_reclaimed_bytes: u64,
-    /// Live chains evicted to make room for a dump.
-    pub evicted_chains: u64,
-    /// Dumps written to a remote node's device.
-    pub spill_dumps: u64,
-    /// Victims killed because the storage ladder found no space.
-    pub no_space_kills: u64,
-    /// Victims killed because the checkpoint-path breaker was open.
-    pub breaker_open_kills: u64,
-    /// Dumps abandoned after their retry budget ran out.
-    pub dump_fail_kills: u64,
-    /// Retried dumps that resumed past their durable chunk frontier.
-    pub resumed_dumps: u64,
-    /// Bytes those resumed dumps did not rewrite.
-    pub resumed_bytes: u64,
-    /// Corrupt chunks repaired from a DFS replica.
-    pub chunk_refetches: u64,
-    /// Chains cut to their longest valid prefix.
-    pub chain_truncations: u64,
-    /// Scratch restarts forced by integrity loss.
-    pub integrity_scratch_restarts: u64,
 }
 
 /// Verdict of chunk-level validation of a restored chain.
@@ -176,8 +147,6 @@ struct Mirrors {
     engines: Vec<NvramCheckpointer>,
     /// Task → node holding its mirror.
     origin: HashMap<u64, u32>,
-    /// Suspends that copied only part of the footprint.
-    incremental: u64,
 }
 
 /// The terms of a victim's ranking estimate that every victim on one node
@@ -217,8 +186,6 @@ impl NodeCost {
 /// The checkpoint-image path: storage, catalog, DFS files, retry state and
 /// breakers (see the [module docs](self)).
 pub struct CkptPath {
-    /// Shared counters.
-    pub counters: CkptCounters,
     /// The CRIU image catalog.
     criu: Criu,
     /// Per-node checkpoint device.
@@ -286,7 +253,6 @@ impl CkptPath {
             health: plan
                 .and_then(|p| p.breaker())
                 .map(|spec| HealthMonitor::new(*spec, nodes)),
-            counters: CkptCounters::default(),
             leaked: vec![0; nodes],
             paths: BTreeMap::new(),
             dump_attempts: HashMap::new(),
@@ -295,7 +261,6 @@ impl CkptPath {
             nvram: nvram.map(|spec| Mirrors {
                 engines: (0..nodes).map(|_| NvramCheckpointer::new(spec)).collect(),
                 origin: HashMap::new(),
-                incremental: 0,
             }),
             corrupt: BTreeSet::new(),
             whole_image_corruption,
@@ -305,12 +270,6 @@ impl CkptPath {
     /// Node `node`'s checkpoint device.
     pub fn device(&self, node: usize) -> &Device {
         &self.devices[node]
-    }
-
-    /// Incremental dumps so far: CRIU dumps of the dirty pages only, or
-    /// NVRAM suspends that copied part of the footprint.
-    pub fn incremental_dumps(&self) -> u64 {
-        self.criu.incremental_dumps() + self.nvram.as_ref().map_or(0, |m| m.incremental)
     }
 
     /// True if checkpoints are written through a DFS.
@@ -423,17 +382,17 @@ impl CkptPath {
 
     /// Feeds one checkpoint-path outcome on `node` into the breakers and
     /// traces any state transitions.
-    pub fn observe_health(&mut self, node: usize, now: SimTime, ok: bool, trace: &mut TraceSink) {
+    pub fn observe_health(&mut self, node: usize, now: SimTime, ok: bool, rec: &mut Recorder) {
         let Some(h) = self.health.as_mut() else {
             return;
         };
         for e in h.observe(node as u32, now, ok) {
             let (node, global) = (e.node.unwrap_or(0), e.node.is_none());
-            let rec = match e.transition {
+            let record = match e.transition {
                 BreakerTransition::Opened => TraceRecord::BreakerOpen { node, global },
                 BreakerTransition::Closed => TraceRecord::BreakerClose { node, global },
             };
-            trace.record(now.as_micros(), rec);
+            rec.record(now.as_micros(), record);
         }
     }
 
@@ -549,7 +508,7 @@ impl CkptPath {
         node: usize,
         policy: PreemptionPolicy,
         now: SimTime,
-        trace: &mut TraceSink,
+        rec: &mut Recorder,
         costs: impl FnOnce(&Self) -> (SimDuration, SimDuration),
     ) -> PreemptAction {
         let (mut action, mut reason) = Self::decide(policy, || costs(self));
@@ -559,7 +518,7 @@ impl CkptPath {
         }
         let t_us = now.as_micros();
         let node = node as u32;
-        trace.record(
+        rec.record(
             t_us,
             TraceRecord::PreemptDecision {
                 victim: key,
@@ -570,8 +529,7 @@ impl CkptPath {
             },
         );
         if breaker_open {
-            self.counters.breaker_open_kills += 1;
-            trace.record(
+            rec.record(
                 t_us,
                 TraceRecord::DumpFallback {
                     task: key,
@@ -631,13 +589,13 @@ impl CkptPath {
         size: ByteSize,
         lifecycle: bool,
         now: SimTime,
-        trace: &mut TraceSink,
+        rec: &mut Recorder,
         up: &dyn Fn(usize) -> bool,
         loss: &mut dyn FnMut(u64) -> Option<f64>,
     ) -> (Option<usize>, Vec<u64>) {
         let (origin, dropped) = match self.dump_origin_for(node, size, up) {
             Some(origin) => (Some(origin), Vec::new()),
-            None if lifecycle => self.reclaim_for_dump(key, node, size, now, trace, up, loss),
+            None if lifecycle => self.reclaim_for_dump(key, node, size, now, rec, up, loss),
             None => (None, Vec::new()),
         };
         let t_us = now.as_micros();
@@ -645,11 +603,9 @@ impl CkptPath {
             None => {
                 // No device can hold the image, even after the ladder (or,
                 // with lifecycle off, after the bare search).
-                self.counters.capacity_fallbacks += 1;
-                self.counters.no_space_kills += 1;
-                self.observe_health(node, now, false, trace);
+                self.observe_health(node, now, false, rec);
                 if lifecycle {
-                    trace.record(
+                    rec.record(
                         t_us,
                         TraceRecord::NoSpace {
                             task: key,
@@ -659,7 +615,7 @@ impl CkptPath {
                     );
                 }
                 let reason = if lifecycle { "no-space" } else { "no-capacity" };
-                trace.record(
+                rec.record(
                     t_us,
                     TraceRecord::DumpFallback {
                         task: key,
@@ -670,8 +626,7 @@ impl CkptPath {
             }
             Some(origin) if origin != node && lifecycle => {
                 // Spill: the dump lands on a remote node's device.
-                self.counters.spill_dumps += 1;
-                trace.record(
+                rec.record(
                     t_us,
                     TraceRecord::ImageSpill {
                         task: key,
@@ -696,15 +651,15 @@ impl CkptPath {
         node: usize,
         size: ByteSize,
         now: SimTime,
-        trace: &mut TraceSink,
+        rec: &mut Recorder,
         up: &dyn Fn(usize) -> bool,
         loss: &mut dyn FnMut(u64) -> Option<f64>,
     ) -> (Option<usize>, Vec<u64>) {
-        let mut dropped = self.gc_pass(now, trace, &mut *loss);
+        let mut dropped = self.gc_pass(now, rec, &mut *loss);
         if let Some(origin) = self.dump_origin_for(node, size, up) {
             return (Some(origin), dropped);
         }
-        dropped.extend(self.evict_for(key, node, size, now, trace, loss));
+        dropped.extend(self.evict_for(key, node, size, now, rec, loss));
         (self.dump_origin_for(node, size, up), dropped)
     }
 
@@ -715,7 +670,7 @@ impl CkptPath {
     fn gc_pass(
         &mut self,
         now: SimTime,
-        trace: &mut TraceSink,
+        rec: &mut Recorder,
         loss: &mut dyn FnMut(u64) -> Option<f64>,
     ) -> Vec<u64> {
         let n = self.devices.len();
@@ -756,8 +711,7 @@ impl CkptPath {
             if reclaimed[i] == 0 && chains[i] == 0 {
                 continue;
             }
-            self.counters.gc_reclaimed_bytes += reclaimed[i];
-            trace.record(
+            rec.record(
                 now.as_micros(),
                 TraceRecord::GcPass {
                     node: i as u32,
@@ -780,7 +734,7 @@ impl CkptPath {
         node: usize,
         size: ByteSize,
         now: SimTime,
-        trace: &mut TraceSink,
+        rec: &mut Recorder,
         loss: &mut dyn FnMut(u64) -> Option<f64>,
     ) -> Vec<u64> {
         let shortfall = size.saturating_sub(self.devices[node].free_capacity());
@@ -803,8 +757,7 @@ impl CkptPath {
             .collect();
         let mut evicted = Vec::new();
         for victim in plan_evictions(candidates, shortfall) {
-            self.counters.evicted_chains += 1;
-            trace.record(
+            rec.record(
                 now.as_micros(),
                 TraceRecord::ImageEvict {
                     task: victim.task,
@@ -858,7 +811,7 @@ impl CkptPath {
     /// the image when `dump_at_origin` is set, else of `node`.
     /// On the NVRAM backend it is copied into the node's mirror instead.
     /// The `dump_start` and `task_evict` records are written, the dump's
-    /// service is charged to `ledger` and the task's epoch moves on.
+    /// service is charged to the ledger and the task's epoch moves on.
     ///
     /// Returns the dump's span — `None` after a recorded fallback, when
     /// the caller kills the victim — and the keys whose chains the ladder
@@ -874,9 +827,8 @@ impl CkptPath {
         dump_at_origin: bool,
         lifecycle: bool,
         up: &dyn Fn(usize) -> bool,
-        ledger: &mut RunLedger,
         now: SimTime,
-        trace: &mut TraceSink,
+        rec: &mut Recorder,
     ) -> (Option<Span>, Vec<u64>) {
         let task = tasks.exec(key);
         task.sync_progress(now);
@@ -885,9 +837,8 @@ impl CkptPath {
             let Ok(suspend) = m.engines[node].suspend(key, mem) else {
                 // The node's NVRAM is full; mirrors are node-local so there
                 // is nowhere to spill.
-                self.counters.capacity_fallbacks += 1;
-                self.observe_health(node, now, false, trace);
-                trace.record(
+                self.observe_health(node, now, false, rec);
+                rec.record(
                     now.as_micros(),
                     TraceRecord::DumpFallback {
                         task: key,
@@ -899,7 +850,6 @@ impl CkptPath {
             };
             m.origin.insert(key, node as u32);
             let incremental = suspend.copied < task.spec.resources.mem();
-            m.incremental += u64::from(incremental);
             let span = Span {
                 start: now,
                 end: now + suspend.duration,
@@ -908,7 +858,7 @@ impl CkptPath {
         } else {
             let (size, _) = self.criu.next_dump_size(key, mem);
             let (origin, dropped) =
-                self.place_dump(key, node, size, lifecycle, now, trace, up, &mut |k| {
+                self.place_dump(key, node, size, lifecycle, now, rec, up, &mut |k| {
                     tasks.exec(k).chain_loss()
                 });
             // The caller degrades the dropped chains only after this dump
@@ -934,7 +884,7 @@ impl CkptPath {
             let at = if dump_at_origin { origin } else { node };
             let factor = slowdown(at);
             if factor > 1.0 {
-                self.observe_health(at, now, false, trace);
+                self.observe_health(at, now, false, rec);
             }
             let task = tasks.exec(key);
             let service = if self.has_dfs() {
@@ -954,7 +904,7 @@ impl CkptPath {
             // Re-syncing at the same instant folds in nothing; it hands
             // back the image.
             let mem = task.sync_memory(now);
-            let Some(result) = self.dump_image(key, mem, node, origin, service, now, trace) else {
+            let Some(result) = self.dump_image(key, mem, node, origin, service, now, rec) else {
                 return (None, dropped);
             };
             let incremental = matches!(result.kind, CheckpointKind::Incremental { .. });
@@ -969,10 +919,11 @@ impl CkptPath {
         // Wastage is CPU time: the dump burns CPU while copying (its
         // service time); while queued the victim is stopped and burns none.
         // Queueing still delays the container's release.
-        ledger.charge_dump(span.end.since(span.start), task.spec.resources.cores_f64());
+        let cores = task.spec.resources.cores_f64();
+        rec.ledger.dump_overhead_cpu_secs += span.end.since(span.start).as_secs_f64() * cores;
         let t_us = now.as_micros();
         let node = node as u32;
-        trace.record(
+        rec.record(
             t_us,
             TraceRecord::DumpStart {
                 task: key,
@@ -982,7 +933,7 @@ impl CkptPath {
                 incremental,
             },
         );
-        trace.record(
+        rec.record(
             t_us,
             TraceRecord::TaskEvict {
                 task: key,
@@ -1026,7 +977,7 @@ impl CkptPath {
         origin: usize,
         service: Option<SimDuration>,
         now: SimTime,
-        trace: &mut TraceSink,
+        rec: &mut Recorder,
     ) -> Option<DumpResult> {
         match self.criu.dump_with(
             key,
@@ -1043,10 +994,8 @@ impl CkptPath {
                 Some(result)
             }
             Err(_) => {
-                self.counters.capacity_fallbacks += 1;
-                self.counters.no_space_kills += 1;
-                self.observe_health(node, now, false, trace);
-                trace.record(
+                self.observe_health(node, now, false, rec);
+                rec.record(
                     now.as_micros(),
                     TraceRecord::DumpFallback {
                         task: key,
@@ -1063,7 +1012,7 @@ impl CkptPath {
     /// `epoch`, its service started at `started`). Under `plan` the write
     /// may have failed (NVRAM copies never do): while retry budget remains
     /// the tip is rewritten under `slowdown`, the rewrite's CPU charged to
-    /// `charge`; once it is spent the dump is abandoned. Otherwise the
+    /// the `charge` sum; once it is spent the dump is abandoned. Otherwise the
     /// path reports healthy, the `dump_done` record is written and the
     /// image committed: `task`'s checkpoint moves up to its progress, the
     /// tip is stamped with it (a later truncation rolls back to exactly
@@ -1079,16 +1028,16 @@ impl CkptPath {
         started: SimTime,
         task: &mut TaskExec,
         slowdown: &dyn Fn(usize) -> f64,
-        charge: &mut f64,
+        charge: fn(&mut RunLedger) -> &mut f64,
         now: SimTime,
-        trace: &mut TraceSink,
+        rec: &mut Recorder,
     ) -> DumpEnd {
         self.devices[node].on_advance(now);
         if let (Some(plan), None) = (plan, &self.nvram) {
             let attempt = self.dump_attempt(key);
             if plan.dump_fails(key, epoch, attempt) {
                 let full = task.spec.resources.mem();
-                let retry = self.fail_dump(plan, key, node, epoch, attempt, full, now, trace);
+                let retry = self.fail_dump(plan, key, node, epoch, attempt, full, now, rec);
                 let Some(retry) = retry else {
                     return DumpEnd::Failed;
                 };
@@ -1099,7 +1048,7 @@ impl CkptPath {
                     .spec()
                     .write_time(retry.rewrite)
                     .mul_f64(factor);
-                *charge += service.as_secs_f64() * task.spec.resources.cores_f64();
+                *charge(&mut rec.ledger) += service.as_secs_f64() * task.spec.resources.cores_f64();
                 let start = now + retry.backoff;
                 return DumpEnd::Retry(Span {
                     start,
@@ -1107,8 +1056,8 @@ impl CkptPath {
                 });
             }
         }
-        self.observe_health(node, now, true, trace);
-        trace.record(
+        self.observe_health(node, now, true, rec);
+        rec.record(
             now.as_micros(),
             TraceRecord::DumpDone {
                 task: key,
@@ -1138,7 +1087,7 @@ impl CkptPath {
                 .unwrap_or_default();
             for (chunk, image) in hit {
                 self.criu.mark_tip_chunk_corrupt(key, chunk);
-                trace.record(
+                rec.record(
                     now.as_micros(),
                     TraceRecord::ChunkCorrupt {
                         task: key,
@@ -1174,12 +1123,12 @@ impl CkptPath {
         attempt: u32,
         full: ByteSize,
         now: SimTime,
-        trace: &mut TraceSink,
+        rec: &mut Recorder,
     ) -> Option<DumpRetry> {
-        self.observe_health(node, now, false, trace);
+        self.observe_health(node, now, false, rec);
         let will_retry = attempt < plan.max_dump_retries();
         let t_us = now.as_micros();
-        trace.record(
+        rec.record(
             t_us,
             TraceRecord::DumpFail {
                 task: key,
@@ -1189,8 +1138,7 @@ impl CkptPath {
             },
         );
         if !will_retry {
-            self.counters.dump_fail_kills += 1;
-            self.abort_dump(key, node, "dump-fail", true, now, trace);
+            self.abort_dump(key, node, "dump-fail", true, now, rec);
             return None;
         }
         self.dump_attempts.insert(key, attempt + 1);
@@ -1216,9 +1164,7 @@ impl CkptPath {
                     .max(frontier / plan.chunk_bytes().max(1));
                 self.dump_frontier.insert(key, frontier);
                 rewrite = size.saturating_sub(ByteSize::from_bytes(frontier));
-                self.counters.resumed_dumps += 1;
-                self.counters.resumed_bytes += frontier;
-                trace.record(
+                rec.record(
                     t_us,
                     TraceRecord::ChunkDone {
                         task: key,
@@ -1227,7 +1173,7 @@ impl CkptPath {
                         total,
                     },
                 );
-                trace.record(
+                rec.record(
                     t_us,
                     TraceRecord::ResumeDump {
                         task: key,
@@ -1255,14 +1201,14 @@ impl CkptPath {
         reason: &'static str,
         delete_file: bool,
         now: SimTime,
-        trace: &mut TraceSink,
+        rec: &mut Recorder,
     ) {
         self.end_dump(key);
         if let Some((origin, bytes)) = self.criu.abort_tip(key) {
             self.devices[origin as usize].release(bytes);
         }
         self.pop_path(key, delete_file);
-        trace.record(
+        rec.record(
             now.as_micros(),
             TraceRecord::DumpFallback {
                 task: key,
@@ -1311,7 +1257,7 @@ impl CkptPath {
     // ---- restore path ------------------------------------------------------
 
     /// Starts restoring `key` (its execution record `task`) on `node` from
-    /// its checkpoint on `origin`, counting a remote restore in `ledger`.
+    /// its checkpoint on `origin`.
     /// A chain is read off `node`'s device under `slowdown`; an NVRAM
     /// mirror is copied back lazily, off the device queue. The
     /// `restore_start` record is written and a restore episode begins.
@@ -1324,17 +1270,12 @@ impl CkptPath {
         origin: u32,
         task: &TaskExec,
         slowdown: &dyn Fn(usize) -> f64,
-        ledger: &mut RunLedger,
         now: SimTime,
-        trace: &mut TraceSink,
+        rec: &mut Recorder,
     ) -> Span {
         // A new restore episode: attempt numbering restarts.
         self.restore_attempts.insert(key, 0);
         let remote = origin != node as u32;
-        if remote {
-            // Counted now; the duration is charged at completion.
-            ledger.remote_restores += 1;
-        }
         let footprint = task.spec.resources.mem();
         let (span, device, bytes) = if let Some(m) = &mut self.nvram {
             m.engines[node].resume(key, true);
@@ -1349,7 +1290,7 @@ impl CkptPath {
             let device = media_name(self.devices[node].spec().kind());
             (span, device, self.criu.image_size(key))
         };
-        trace.record(
+        rec.record(
             now.as_micros(),
             TraceRecord::RestoreStart {
                 task: key,
@@ -1396,7 +1337,7 @@ impl CkptPath {
     /// under `plan` (NVRAM mirrors are not validated): corrupt chunks are
     /// refetched from replicas, an image that stays invalid cuts the chain
     /// and a chain with no valid prefix is dead. Refetches and wasted
-    /// reads are charged to `charge`. A chain cut to its valid
+    /// reads are charged to the `charge` sum. A chain cut to its valid
     /// prefix rolls `task` back to what the surviving tip certifies and is
     /// re-read in place under `slowdown`; the strictly shrinking chain
     /// bounds that loop without consuming the transient-retry budget.
@@ -1410,9 +1351,9 @@ impl CkptPath {
         started: SimTime,
         task: &mut TaskExec,
         slowdown: &dyn Fn(usize) -> f64,
-        charge: &mut f64,
+        charge: fn(&mut RunLedger) -> &mut f64,
         now: SimTime,
-        trace: &mut TraceSink,
+        rec: &mut Recorder,
     ) -> RestoreEnd {
         self.devices[node].on_advance(now);
         let resume = plan.filter(|p| p.resume_enabled() && self.nvram.is_none());
@@ -1422,7 +1363,7 @@ impl CkptPath {
         let attempt = self.restore_attempt(key);
         let cores = task.spec.resources.cores_f64();
         let verdict = self.validate_chain(
-            plan, key, node, epoch, attempt, started, now, cores, charge, trace,
+            plan, key, node, epoch, attempt, started, now, cores, charge, rec,
         );
         match verdict {
             ChainValidation::Intact => RestoreEnd::Intact,
@@ -1439,7 +1380,7 @@ impl CkptPath {
     /// (NVRAM mirrors never fail): a transient error, or an image
     /// corrupted whole at dump time (the `resume = false` ablation). The
     /// failed read's service window from `started` is wasted CPU, charged
-    /// to `charge`. A transient failure with retry budget left re-reads
+    /// to the `charge` sum. A transient failure with retry budget left re-reads
     /// the chain from a surviving replica on the same placement under
     /// `slowdown`; a corrupt image or a spent budget loses the chain.
     #[allow(clippy::too_many_arguments)]
@@ -1452,9 +1393,9 @@ impl CkptPath {
         started: SimTime,
         task: &TaskExec,
         slowdown: &dyn Fn(usize) -> f64,
-        charge: &mut f64,
+        charge: fn(&mut RunLedger) -> &mut f64,
         now: SimTime,
-        trace: &mut TraceSink,
+        rec: &mut Recorder,
     ) -> RestoreEnd {
         let Some(plan) = plan.filter(|_| self.nvram.is_none()) else {
             return RestoreEnd::Intact;
@@ -1470,9 +1411,10 @@ impl CkptPath {
         } else {
             "transient"
         };
-        self.observe_health(node, now, false, trace);
-        *charge += now.since(started).as_secs_f64() * task.spec.resources.cores_f64();
-        trace.record(
+        self.observe_health(node, now, false, rec);
+        *charge(&mut rec.ledger) +=
+            now.since(started).as_secs_f64() * task.spec.resources.cores_f64();
+        rec.record(
             now.as_micros(),
             TraceRecord::RestoreFail {
                 task: key,
@@ -1487,17 +1429,13 @@ impl CkptPath {
             let footprint = task.spec.resources.mem();
             RestoreEnd::Reread(self.read_chain(key, node, footprint, slowdown, now))
         } else {
-            if corrupt {
-                // Integrity loss forced this restart.
-                self.counters.integrity_scratch_restarts += 1;
-            }
             RestoreEnd::Dead
         }
     }
 
     /// Finishes `key`'s restore on `node` (service from `started`): the
     /// episode ends, the path reports healthy, the `restore_done` record
-    /// is written, the restore charged to `ledger`, and `task` resumes.
+    /// is written, the restore charged to the ledger, and `task` resumes.
     /// Returns when it will finish; the caller marks it running.
     #[allow(clippy::too_many_arguments)]
     pub fn finish_restore(
@@ -1506,13 +1444,12 @@ impl CkptPath {
         node: usize,
         started: SimTime,
         task: &mut TaskExec,
-        ledger: &mut RunLedger,
         now: SimTime,
-        trace: &mut TraceSink,
+        rec: &mut Recorder,
     ) -> SimTime {
         self.restore_attempts.remove(&key);
-        self.observe_health(node, now, true, trace);
-        trace.record(
+        self.observe_health(node, now, true, rec);
+        rec.record(
             now.as_micros(),
             TraceRecord::RestoreDone {
                 task: key,
@@ -1520,7 +1457,8 @@ impl CkptPath {
                 start_us: started.as_micros(),
             },
         );
-        ledger.charge_restore(now.since(started), task.spec.resources.cores_f64());
+        rec.ledger.restore_overhead_cpu_secs +=
+            now.since(started).as_secs_f64() * task.spec.resources.cores_f64();
         task.resume(now)
     }
 
@@ -1544,7 +1482,7 @@ impl CkptPath {
     /// DFS replica; an image that stays invalid cuts the chain at its
     /// longest valid prefix, and a chain with no valid prefix is dead.
     /// Refetch re-reads and the wasted read (`started`..`now`) of a failed
-    /// validation are charged to `charge` at `cores`; `attempt` numbers
+    /// validation are charged to the `charge` sum at `cores`; `attempt` numbers
     /// the `RestoreFail` records.
     #[allow(clippy::too_many_arguments)]
     fn validate_chain(
@@ -1557,8 +1495,8 @@ impl CkptPath {
         started: SimTime,
         now: SimTime,
         cores: f64,
-        charge: &mut f64,
-        trace: &mut TraceSink,
+        charge: fn(&mut RunLedger) -> &mut f64,
+        rec: &mut Recorder,
     ) -> ChainValidation {
         // Snapshot (image idx → corrupt chunks with lengths): the catalog
         // is mutated during repair.
@@ -1598,7 +1536,7 @@ impl CkptPath {
                 // Per-image × per-chunk key keeps refetch draws independent.
                 let ckey = ((i as u64) << 20) | chunk;
                 let ok = replica && !plan.chunk_refetch_fails(key, epoch, ckey);
-                trace.record(
+                rec.record(
                     t_us,
                     TraceRecord::ChunkRefetch {
                         task: key,
@@ -1612,23 +1550,22 @@ impl CkptPath {
                     break 'walk;
                 }
                 self.criu.repair_chunk(key, i, chunk);
-                self.counters.chunk_refetches += 1;
                 // The targeted re-read holds the container.
                 let reread = self.devices[node]
                     .spec()
                     .read_time(ByteSize::from_bytes(len));
-                *charge += reread.as_secs_f64() * cores;
+                *charge(&mut rec.ledger) += reread.as_secs_f64() * cores;
             }
         }
         if valid_prefix == total {
             return ChainValidation::Intact;
         }
         // The read past the prefix was wasted work.
-        *charge += now.since(started).as_secs_f64() * cores;
-        self.observe_health(node, now, false, trace);
+        *charge(&mut rec.ledger) += now.since(started).as_secs_f64() * cores;
+        self.observe_health(node, now, false, rec);
         let reason = "corrupt-image";
         if valid_prefix == 0 {
-            trace.record(
+            rec.record(
                 t_us,
                 TraceRecord::RestoreFail {
                     task: key,
@@ -1638,7 +1575,6 @@ impl CkptPath {
                     will_retry: false,
                 },
             );
-            self.counters.integrity_scratch_restarts += 1;
             return ChainValidation::Dead;
         }
         let dropped = (total - valid_prefix) as u64;
@@ -1648,8 +1584,7 @@ impl CkptPath {
         while self.path_count(key) > valid_prefix {
             self.pop_path(key, true);
         }
-        self.counters.chain_truncations += 1;
-        trace.record(
+        rec.record(
             t_us,
             TraceRecord::ChainTruncate {
                 task: key,
@@ -1658,7 +1593,7 @@ impl CkptPath {
                 kept: valid_prefix as u64,
             },
         );
-        trace.record(
+        rec.record(
             t_us,
             TraceRecord::RestoreFail {
                 task: key,
@@ -1686,12 +1621,12 @@ impl CkptPath {
         &mut self,
         node: usize,
         now: SimTime,
-        trace: &mut TraceSink,
+        rec: &mut Recorder,
     ) -> Option<(ReplicationRepair, Vec<u64>)> {
         let dfs = self.dfs.as_mut()?;
         let repair = dfs.fail_datanode(DnId(node as u32)).ok()?;
         if repair.blocks_repaired > 0 || repair.blocks_lost > 0 {
-            trace.record(
+            rec.record(
                 now.as_micros(),
                 TraceRecord::ReplicationRepair {
                     node: node as u32,
@@ -1727,10 +1662,10 @@ impl CkptPath {
         status: TaskStatus,
         reason: &'static str,
         now: SimTime,
-        trace: &mut TraceSink,
+        rec: &mut Recorder,
     ) {
         if let TaskStatus::Dumping { node, .. } = status {
-            self.abort_dump(key, node as usize, reason, true, now, trace);
+            self.abort_dump(key, node as usize, reason, true, now, rec);
         }
         self.discard_chain(key);
     }
@@ -1764,34 +1699,11 @@ impl CkptPath {
         mean(self.devices.iter().map(|d| d.peak_used_fraction()))
     }
 
-    /// Sets the registry keys both simulators share: the `lifecycle.*`
-    /// and `integrity.*` counters, the capacity-fallback, breaker and
-    /// dump-fail keys, and the `storage.*` device statistics of a run that
-    /// ended at `end`.
+    /// Sets the registry keys of the checkpoint path both simulators
+    /// share: the breaker-open seconds and the `storage.*` device
+    /// statistics of a run that ended at `end`.
     pub fn export(&self, reg: &mut MetricsRegistry, end: SimTime) {
-        let c = &self.counters;
-        reg.set_counter("scheduler.capacity_fallbacks", "ops", c.capacity_fallbacks);
-        reg.set_counter(
-            "lifecycle.gc_reclaimed_bytes",
-            "bytes",
-            c.gc_reclaimed_bytes,
-        );
-        reg.set_counter("lifecycle.evicted_chains", "ops", c.evicted_chains);
-        reg.set_counter("lifecycle.spill_dumps", "ops", c.spill_dumps);
-        reg.set_counter("lifecycle.no_space_kills", "ops", c.no_space_kills);
-        reg.set_counter("faults.breaker_open_kills", "ops", c.breaker_open_kills);
         reg.set_gauge("faults.breaker_open_secs", "s", self.breaker_open_secs(end));
-        reg.set_counter("faults.dump_fail_kills", "ops", c.dump_fail_kills);
-        reg.set_counter("integrity.resumed_dumps", "ops", c.resumed_dumps);
-        reg.set_counter("integrity.resumed_bytes", "bytes", c.resumed_bytes);
-        reg.set_counter("integrity.chunk_refetches", "ops", c.chunk_refetches);
-        reg.set_counter("integrity.chain_truncations", "ops", c.chain_truncations);
-        reg.set_counter(
-            "integrity.scratch_restarts",
-            "ops",
-            c.integrity_scratch_restarts,
-        );
-
         let horizon = end.since(SimTime::ZERO);
         reg.set_gauge(
             "storage.io_busy_fraction",
@@ -1853,9 +1765,16 @@ mod tests {
     /// Dumps a fresh `gb`-GB image of `key` on node 0 and returns its memory.
     fn dump(path: &mut CkptPath, key: u64, gb: u64) -> TaskMemory {
         let mut mem = TaskMemory::new(ByteSize::from_gb(gb));
-        let mut trace = TraceSink::default();
-        path.dump_image(key, &mut mem, 0, 0, None, SimTime::ZERO, &mut trace)
-            .expect("image fits");
+        path.dump_image(
+            key,
+            &mut mem,
+            0,
+            0,
+            None,
+            SimTime::ZERO,
+            &mut Recorder::default(),
+        )
+        .expect("image fits");
         mem
     }
 
@@ -1879,9 +1798,10 @@ mod tests {
         assert!(path.devices[1].used().is_zero(), "down nodes do not leak");
         path.assert_image_conservation(SimTime::ZERO);
 
-        let dropped = path.gc_pass(SimTime::ZERO, &mut TraceSink::default(), &mut |_| Some(0.0));
+        let mut rec = Recorder::default();
+        let dropped = path.gc_pass(SimTime::ZERO, &mut rec, &mut |_| Some(0.0));
         assert!(dropped.is_empty(), "leaks own no chains");
-        assert_eq!(path.counters.gc_reclaimed_bytes, cap.as_u64());
+        assert_eq!(rec.ledger.counts().gc_reclaimed_bytes, cap.as_u64());
         assert!(path.devices.iter().all(|d| d.used().is_zero()));
         path.assert_image_conservation(SimTime::ZERO);
     }
@@ -1892,21 +1812,22 @@ mod tests {
         dump(&mut path, 1, 4);
         dump(&mut path, 2, 4);
         let mut loss = |k: u64| Some(if k == 1 { 10.0 } else { 5.0 });
+        let mut rec = Recorder::default();
         let (origin, dropped) = path.place_dump(
             3,
             0,
             ByteSize::from_gb(4),
             true,
             SimTime::ZERO,
-            &mut TraceSink::default(),
+            &mut rec,
             &|_| true,
             &mut loss,
         );
         assert_eq!(origin, Some(0));
         assert_eq!(dropped, vec![2], "the 2-GB shortfall costs only task 2");
         assert!(path.criu.has_image(1) && !path.criu.has_image(2));
-        assert_eq!(path.counters.evicted_chains, 1);
-        assert_eq!(path.counters.no_space_kills, 0);
+        assert_eq!(rec.ledger.counts().evicted_chains, 1);
+        assert_eq!(rec.ledger.counts().no_space_kills, 0);
         path.assert_image_conservation(SimTime::ZERO);
     }
 
@@ -1914,6 +1835,7 @@ mod tests {
     fn busy_chains_are_never_evicted_and_lifecycle_off_kills() {
         let mut path = local_path(None);
         dump(&mut path, 1, 8);
+        let mut rec = Recorder::default();
         for lifecycle in [true, false] {
             let (origin, dropped) = path.place_dump(
                 2,
@@ -1921,15 +1843,15 @@ mod tests {
                 ByteSize::from_gb(4),
                 lifecycle,
                 SimTime::ZERO,
-                &mut TraceSink::default(),
+                &mut rec,
                 &|_| true,
                 &mut |_| None,
             );
             assert_eq!((origin, dropped), (None, Vec::new()));
         }
         assert!(path.criu.has_image(1));
-        assert_eq!(path.counters.no_space_kills, 2);
-        assert_eq!(path.counters.capacity_fallbacks, 2);
+        assert_eq!(rec.ledger.counts().no_space_kills, 2);
+        assert_eq!(rec.ledger.counts().capacity_fallbacks, 2);
     }
 
     #[test]
@@ -1943,11 +1865,11 @@ mod tests {
         let mut path = local_path(Some(&plan));
         dump(&mut path, 7, 4);
         let full = ByteSize::from_gb(4);
-        let mut trace = TraceSink::default();
+        let mut rec = Recorder::default();
         let mut last = full;
         for attempt in 0..3 {
             let retry = path
-                .fail_dump(&plan, 7, 0, 1, attempt, full, SimTime::ZERO, &mut trace)
+                .fail_dump(&plan, 7, 0, 1, attempt, full, SimTime::ZERO, &mut rec)
                 .expect("budget left");
             assert!(retry.rewrite <= last, "the frontier never moves back");
             assert_eq!(retry.origin, 0);
@@ -1956,9 +1878,10 @@ mod tests {
         }
         assert!(last < full, "some chunks were durable");
         assert!(path
-            .fail_dump(&plan, 7, 0, 1, 3, full, SimTime::ZERO, &mut trace)
+            .fail_dump(&plan, 7, 0, 1, 3, full, SimTime::ZERO, &mut rec)
             .is_none());
-        assert_eq!(path.counters.dump_fail_kills, 1);
+        assert_eq!(rec.ledger.counts().dump_fail_retries, 3);
+        assert_eq!(rec.ledger.counts().dump_fail_kills, 1);
         assert_eq!(path.dump_attempt(7), 0, "the episode ended");
         assert!(!path.criu.has_image(7), "the half-written tip was aborted");
         path.assert_image_conservation(SimTime::ZERO);
@@ -1968,18 +1891,17 @@ mod tests {
     fn corrupt_tip_truncates_to_the_valid_prefix_and_a_corrupt_root_is_dead() {
         let plan = FaultPlan::new(FaultSpec::default());
         let mut path = local_path(Some(&plan));
-        let mut trace = TraceSink::default();
+        let mut rec = Recorder::default();
         let mut mem = dump(&mut path, 1, 2);
         path.criu.set_tip_progress(1, 111);
         mem.touch_fraction(0.5);
-        path.dump_image(1, &mut mem, 0, 0, None, SimTime::ZERO, &mut trace)
+        path.dump_image(1, &mut mem, 0, 0, None, SimTime::ZERO, &mut rec)
             .expect("image fits");
         path.criu.set_tip_progress(1, 222);
         assert_eq!(path.criu.chain(1).map(|c| c.images().len()), Some(2));
 
-        let validate = |path: &mut CkptPath, charge: &mut f64| {
+        let validate = |path: &mut CkptPath, rec: &mut Recorder| {
             let now = SimTime::from_secs(10);
-            let mut trace = TraceSink::default();
             path.validate_chain(
                 &plan,
                 1,
@@ -1989,25 +1911,29 @@ mod tests {
                 SimTime::ZERO,
                 now,
                 2.0,
-                charge,
-                &mut trace,
+                |l| &mut l.retry_cpu_secs,
+                rec,
             )
         };
-        let mut charge = 0.0;
-        assert_eq!(validate(&mut path, &mut charge), ChainValidation::Intact);
-        assert_eq!(charge, 0.0);
+        assert_eq!(validate(&mut path, &mut rec), ChainValidation::Intact);
+        assert_eq!(rec.ledger.retry_cpu_secs, 0.0);
 
         // Without a DFS replica the corrupt tip cannot be refetched.
         path.criu.mark_tip_chunk_corrupt(1, 0);
-        let verdict = validate(&mut path, &mut charge);
+        let verdict = validate(&mut path, &mut rec);
         assert_eq!(verdict, ChainValidation::Truncated { stamp: 111 });
-        assert_eq!(charge, 20.0, "the wasted read is charged at 2 cores");
-        assert_eq!(path.counters.chain_truncations, 1);
+        assert_eq!(
+            rec.ledger.retry_cpu_secs, 20.0,
+            "the wasted read is charged at 2 cores"
+        );
+        let counts = *rec.ledger.counts();
+        assert_eq!(counts.chain_truncations, 1);
+        assert_eq!(counts.restore_fail_retries, 0, "a re-read is no retry");
         path.assert_image_conservation(SimTime::ZERO);
 
         path.criu.mark_tip_chunk_corrupt(1, 0);
-        assert_eq!(validate(&mut path, &mut charge), ChainValidation::Dead);
-        assert_eq!(path.counters.integrity_scratch_restarts, 1);
+        assert_eq!(validate(&mut path, &mut rec), ChainValidation::Dead);
+        assert_eq!(rec.ledger.counts().integrity_scratch_restarts, 1);
     }
 
     #[test]
@@ -2049,35 +1975,31 @@ mod tests {
         let plan = FaultPlan::new(FaultSpec::parse("breaker=0.5,breaker-min=1").unwrap());
         let mut path = local_path(Some(&plan));
         let records = Records::default();
-        let mut trace = TraceSink::new(Box::new(records.clone()));
+        let mut rec = Recorder::default();
+        rec.set_tracer(Box::new(records.clone()));
         let now = SimTime::from_secs(1);
         let no_costs = |_: &CkptPath| (SimDuration::ZERO, SimDuration::ZERO);
-        let action = path.preempt_action(
-            7,
-            0,
-            PreemptionPolicy::Checkpoint,
-            now,
-            &mut trace,
-            no_costs,
-        );
+        let action =
+            path.preempt_action(7, 0, PreemptionPolicy::Checkpoint, now, &mut rec, no_costs);
         assert_eq!(
             action,
             PreemptAction::Checkpoint,
             "a closed breaker lets it through"
         );
 
-        path.observe_health(0, now, false, &mut trace);
+        path.observe_health(0, now, false, &mut rec);
         assert!(
             !path.breaker_allows(0, now),
             "one failure opens the breaker"
         );
         records.0.borrow_mut().clear();
         for policy in [PreemptionPolicy::Checkpoint, PreemptionPolicy::Kill] {
-            let action = path.preempt_action(7, 0, policy, now, &mut trace, no_costs);
+            let action = path.preempt_action(7, 0, policy, now, &mut rec, no_costs);
             assert_eq!(action, PreemptAction::Kill);
         }
         assert_eq!(
-            path.counters.breaker_open_kills, 1,
+            rec.ledger.counts().breaker_open_kills,
+            1,
             "a kill decision is not a fallback"
         );
         let records = records.0.borrow();
@@ -2177,42 +2099,46 @@ mod tests {
             0,
             SimTime::ZERO,
         )];
-        let mut ledger = RunLedger::default();
-        let mut suspend = |path: &mut CkptPath, tasks: &mut Vec<TaskState>, secs| {
-            tasks[0].exec.status = TaskStatus::Running {
-                node: 1,
-                container: ContainerId(1),
+        let mut rec = Recorder::default();
+        let suspend =
+            |path: &mut CkptPath, tasks: &mut Vec<TaskState>, rec: &mut Recorder, secs| {
+                tasks[0].exec.status = TaskStatus::Running {
+                    node: 1,
+                    container: ContainerId(1),
+                };
+                let (span, dropped) = path.start_dump(
+                    0,
+                    1,
+                    tasks,
+                    &"/ckpt/0",
+                    &|_| 2.0,
+                    true,
+                    true,
+                    &|_| true,
+                    SimTime::from_secs(secs),
+                    rec,
+                );
+                assert!(dropped.is_empty());
+                span.expect("the mirror fits")
             };
-            let (span, dropped) = path.start_dump(
-                0,
-                1,
-                tasks,
-                &"/ckpt/0",
-                &|_| 2.0,
-                true,
-                true,
-                &|_| true,
-                &mut ledger,
-                SimTime::from_secs(secs),
-                &mut TraceSink::default(),
-            );
-            assert!(dropped.is_empty());
-            span.expect("the mirror fits")
-        };
-        let first = suspend(&mut path, &mut tasks, 10);
+        let first = suspend(&mut path, &mut tasks, &mut rec, 10);
         assert_eq!(first.start, SimTime::from_secs(10), "a copy never queues");
         assert_eq!(path.image_origin(0), Some(1));
         assert!(path.device(1).used().is_zero(), "a mirror takes no device");
         assert!(path.restore_is_local(RestorePlacement::CostAware));
-        assert_eq!(path.incremental_dumps(), 0, "the first copy is full");
+        assert_eq!(
+            rec.ledger.counts().incremental_checkpoints,
+            0,
+            "the first copy is full"
+        );
 
         // Ten seconds at 1%/s dirty a tenth of the footprint; the shadow
         // already holds most of it, and the slowdown does not apply.
-        let second = suspend(&mut path, &mut tasks, 20);
+        let second = suspend(&mut path, &mut tasks, &mut rec, 20);
         assert!(second.end.since(second.start) < first.end.since(first.start));
-        assert_eq!(path.incremental_dumps(), 1);
+        assert_eq!(rec.ledger.counts().incremental_checkpoints, 1);
         assert_eq!(tasks[0].exec.epoch, 2);
-        assert_eq!(ledger.checkpoints, 2);
+        assert_eq!(rec.ledger.counts().checkpoints, 2);
 
         assert!(!path.lose_images_on(0, 0), "the mirror is on node 1");
         assert!(path.lose_images_on(0, 1));

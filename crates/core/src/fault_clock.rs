@@ -14,9 +14,10 @@
 
 use cbp_faults::FaultPlan;
 use cbp_simkit::{EventQueue, SimTime};
-use cbp_telemetry::{TraceRecord, TraceSink};
+use cbp_telemetry::TraceRecord;
 
 use crate::ckpt_path::CkptPath;
+use crate::metrics::Recorder;
 
 /// One tick of the fault plan's schedules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,9 +118,9 @@ pub trait FaultHost {
     /// Wraps `tick` in the simulator's event type.
     fn fault_event(tick: FaultTick) -> Self::Event;
 
-    /// The fault clock, the checkpoint path and the trace sink, borrowed
-    /// together.
-    fn fault_parts(&mut self) -> (&mut FaultClock, &mut CkptPath, &mut TraceSink);
+    /// The fault clock, the checkpoint path and the run's recorder,
+    /// borrowed together.
+    fn fault_parts(&mut self) -> (&mut FaultClock, &mut CkptPath, &mut Recorder);
 
     /// Whether `node` is in service.
     fn node_up(&mut self, node: usize) -> &mut bool;
@@ -192,19 +193,19 @@ pub trait FaultHost {
             }
             FaultTick::Partition => {
                 let more = self.work_remains();
-                let (clock, _, trace) = self.fault_parts();
+                let (clock, _, rec) = self.fault_parts();
                 let Some(plan) = &clock.plan else { return };
                 let Some(p) = plan.partition() else { return };
                 let widx = now.as_micros() / p.window.as_micros().max(1);
                 let next = plan.partition_isolates(widx, clock.racks);
                 let window = p.window;
                 if next != clock.partition {
-                    if trace.on() {
+                    if rec.on() {
                         if let Some(rack) = clock.partition {
-                            trace.record(now.as_micros(), TraceRecord::PartitionEnd { rack });
+                            rec.record(now.as_micros(), TraceRecord::PartitionEnd { rack });
                         }
                         if let Some(rack) = next {
-                            trace.record(now.as_micros(), TraceRecord::PartitionStart { rack });
+                            rec.record(now.as_micros(), TraceRecord::PartitionStart { rack });
                         }
                     }
                     clock.partition = next;
@@ -214,7 +215,7 @@ pub trait FaultHost {
                 } else if let Some(rack) = clock.partition.take() {
                     // Heal the partition when the schedule winds down so
                     // the trace's start/end records tile.
-                    trace.record(now.as_micros(), TraceRecord::PartitionEnd { rack });
+                    rec.record(now.as_micros(), TraceRecord::PartitionEnd { rack });
                 }
             }
             FaultTick::Pressure => {
@@ -235,11 +236,11 @@ pub trait FaultHost {
                     return; // stale (never expected, but harmless)
                 }
                 *up = true;
-                let (_, ckpt, trace) = self.fault_parts();
+                let (_, ckpt, rec) = self.fault_parts();
                 // Re-registration: the datanode rejoins empty (its blocks
                 // were re-replicated or lost at crash time).
                 ckpt.recover_datanode(node as usize);
-                trace.record(now.as_micros(), TraceRecord::NodeUp { node });
+                rec.record(now.as_micros(), TraceRecord::NodeUp { node });
                 self.follow_up(tick, now, q);
             }
         }

@@ -52,6 +52,8 @@ mod sim;
 pub mod task;
 
 pub use config::{PreemptionPolicy, QueueDiscipline, RestorePlacement, SimConfig, VictimSelection};
-pub use metrics::{BandMetrics, PassWork, RunLedger, RunMetrics, RunReport, TelemetryReport};
+pub use metrics::{
+    BandMetrics, PassWork, Recorder, RunCounts, RunLedger, RunMetrics, RunReport, TelemetryReport,
+};
 pub use sim::ClusterSim;
 pub use task::TaskStatus;

@@ -3,8 +3,10 @@
 use std::collections::BTreeMap;
 
 use cbp_simkit::stats::Samples;
-use cbp_simkit::{RunStats, SimDuration, SimTime};
-use cbp_telemetry::{MetricsRegistry, StreamingQuantiles, TimeSeries};
+use cbp_simkit::{RunStats, SimTime};
+use cbp_telemetry::{
+    MetricsRegistry, StreamingQuantiles, TimeSeries, TraceRecord, TraceSink, Tracer,
+};
 use cbp_workload::{LatencyClass, PriorityBand};
 
 use crate::ckpt_path::CkptPath;
@@ -287,31 +289,77 @@ pub struct RunReport {
     pub telemetry: TelemetryReport,
 }
 
-/// The accumulator both simulators write a run into: the counters and
+/// The run counters, each a fold over the run's trace records: only
+/// [`RunLedger::fold`] writes them. Each doc names the records counted.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct RunCounts {
+    /// `task_evict` records of any reason but `dump`, `node-crash` and `node-fail`.
+    pub kills: u64,
+    /// `dump_start` records.
+    pub checkpoints: u64,
+    /// `dump_start` records marked incremental.
+    pub incremental_checkpoints: u64,
+    /// `restore_done` records.
+    pub restores: u64,
+    /// `restore_start` records marked remote.
+    pub remote_restores: u64,
+    /// `task_evict` records of reason `node-crash` (fault-plan crashes).
+    pub crash_evictions: u64,
+    /// `task_evict` records of reason `node-fail` (ClusterSim's MTBF failures).
+    pub failure_evictions: u64,
+    /// `task_finish` records.
+    pub tasks_finished: u64,
+    /// `dump_fallback` records of reason `no-space`, `no-capacity`,
+    /// `storage-full` or `nvram-full`.
+    pub capacity_fallbacks: u64,
+    /// The capacity fallbacks but the `nvram-full` ones.
+    pub no_space_kills: u64,
+    /// `dump_fallback` records of reason `breaker-open`.
+    pub breaker_open_kills: u64,
+    /// `dump_fallback` records of reason `grace-expired` (YarnSim's).
+    pub force_kills: u64,
+    /// `dump_fail` records that will retry.
+    pub dump_fail_retries: u64,
+    /// `dump_fail` records that will not: the dump was abandoned.
+    pub dump_fail_kills: u64,
+    /// `restore_fail` records that will retry, but `corrupt-image` re-reads.
+    pub restore_fail_retries: u64,
+    /// `restore_fail` records that will not retry: scratch restarts.
+    pub scratch_restarts: u64,
+    /// Of which `corrupt-image` ones (integrity loss).
+    pub integrity_scratch_restarts: u64,
+    /// `image_spill` records.
+    pub spill_dumps: u64,
+    /// `image_evict` records.
+    pub evicted_chains: u64,
+    /// `chain_truncate` records.
+    pub chain_truncations: u64,
+    /// `am_escalate` records (YarnSim's).
+    pub am_escalations: u64,
+    /// `chunk_refetch` records that repaired their chunk.
+    pub chunk_refetches: u64,
+    /// Bytes reclaimed, summed over the `gc_pass` records.
+    pub gc_reclaimed_bytes: u64,
+    /// `resume_dump` records.
+    pub resumed_dumps: u64,
+    /// Bytes not rewritten, summed over the `resume_dump` records.
+    pub resumed_bytes: u64,
+    /// Blocks re-replicated, summed over the `replication_repair` records.
+    pub dfs_blocks_repaired: u64,
+    /// Bytes copied, summed over the `replication_repair` records.
+    pub dfs_repair_bytes: u64,
+}
+
+/// The accumulator both simulators write a run into. Its counters are a
+/// fold over the run's trace records ([`RunLedger::fold`], fed by the
+/// run's [`Recorder`]). What no record carries is kept inline: the
 /// CPU-second sums, the response samples per band and per latency class,
-/// and the counters only one simulator keeps (0 under the other).
-/// [`RunLedger::export`] sets the registry keys the simulators share and
-/// [`RunLedger::into_metrics`] turns the ledger into the run's
-/// [`RunMetrics`].
+/// and the images and DFS blocks lost. [`RunLedger::export`] sets the
+/// registry keys the simulators share and [`RunLedger::into_metrics`]
+/// turns the ledger into the run's [`RunMetrics`].
 #[derive(Debug, Default)]
 pub struct RunLedger {
-    /// Hard kills (`scheduler.kills`): the `task_evict` records whose
-    /// reason is not `dump`, except evictions by a node that went down.
-    /// `node-crash` evictions count as [`RunLedger::crash_evictions`]
-    /// and ClusterSim's `node-fail` evictions as
-    /// [`RunLedger::failure_evictions`], so the three counters sum to the
-    /// trace's hard-kill count.
-    pub kills: u64,
-    /// Checkpoint dumps started.
-    pub checkpoints: u64,
-    /// Restores completed.
-    pub restores: u64,
-    /// Restores started on a node other than the checkpoint origin.
-    pub remote_restores: u64,
-    /// Containers evicted by fault-plan node or rack crashes.
-    pub crash_evictions: u64,
-    /// Tasks that completed.
-    pub tasks_finished: u64,
+    counts: RunCounts,
     /// Core-seconds of completed work.
     pub useful_cpu_secs: f64,
     /// Core-seconds of progress lost to kills, crashes and scratch
@@ -321,31 +369,13 @@ pub struct RunLedger {
     pub dump_overhead_cpu_secs: f64,
     /// Core-seconds spent holding resources during restores.
     pub restore_overhead_cpu_secs: f64,
-    /// ClusterSim: containers evicted by MTBF node failures.
-    pub failure_evictions: u64,
-    /// Checkpoint chains destroyed by node failures.
-    pub images_lost_to_failures: u64,
-    /// Injected dump failures that were retried.
-    pub dump_fail_retries: u64,
-    /// ClusterSim: injected restore failures that were retried.
-    pub restore_fail_retries: u64,
-    /// Restores abandoned for good (the task restarted from scratch).
-    pub scratch_restarts: u64,
     /// ClusterSim: core-seconds burnt inside failed dump/restore attempts
     /// and their rewrites.
     pub retry_cpu_secs: f64,
-    /// HDFS blocks re-replicated after datanode failures.
-    pub dfs_blocks_repaired: u64,
-    /// Bytes copied by HDFS re-replication.
-    pub dfs_repair_bytes: u64,
+    /// Checkpoint chains destroyed by node failures.
+    pub images_lost_to_failures: u64,
     /// HDFS blocks whose every replica died.
     pub dfs_blocks_lost: u64,
-    /// YarnSim: dumps aborted by the NodeManager's grace-period
-    /// force-kill.
-    pub force_kills: u64,
-    /// YarnSim: preemption requests escalated to kills because the
-    /// ApplicationMaster stayed unresponsive.
-    pub am_escalations: u64,
     /// Response times per band, seconds, in finish order.
     responses: BTreeMap<PriorityBand, Samples>,
     /// Response times per latency class, seconds, in finish order.
@@ -353,6 +383,71 @@ pub struct RunLedger {
 }
 
 impl RunLedger {
+    /// The counters folded so far.
+    pub fn counts(&self) -> &RunCounts {
+        &self.counts
+    }
+
+    /// Folds one trace record into the counters (see [`RunCounts`]). A
+    /// `dump-fail` or node-loss `dump_fallback` counts nothing: the
+    /// `dump_fail` or `task_evict` record beside it counts the kill.
+    pub fn fold(&mut self, rec: &TraceRecord) {
+        let c = &mut self.counts;
+        match *rec {
+            TraceRecord::TaskEvict { reason, .. } => match reason {
+                "dump" => {}
+                "node-crash" => c.crash_evictions += 1,
+                "node-fail" => c.failure_evictions += 1,
+                _ => c.kills += 1,
+            },
+            TraceRecord::DumpStart { incremental, .. } => {
+                c.checkpoints += 1;
+                c.incremental_checkpoints += u64::from(incremental);
+            }
+            TraceRecord::RestoreStart { remote, .. } => c.remote_restores += u64::from(remote),
+            TraceRecord::RestoreDone { .. } => c.restores += 1,
+            TraceRecord::TaskFinish { .. } => c.tasks_finished += 1,
+            TraceRecord::DumpFallback { reason, .. } => match reason {
+                "breaker-open" => c.breaker_open_kills += 1,
+                "no-space" | "no-capacity" | "storage-full" => {
+                    c.capacity_fallbacks += 1;
+                    c.no_space_kills += 1;
+                }
+                "nvram-full" => c.capacity_fallbacks += 1,
+                "grace-expired" => c.force_kills += 1,
+                _ => {}
+            },
+            TraceRecord::DumpFail {
+                will_retry: true, ..
+            } => c.dump_fail_retries += 1,
+            TraceRecord::DumpFail { .. } => c.dump_fail_kills += 1,
+            TraceRecord::RestoreFail {
+                reason,
+                will_retry: true,
+                ..
+            } => c.restore_fail_retries += u64::from(reason != "corrupt-image"),
+            TraceRecord::RestoreFail { reason, .. } => {
+                c.scratch_restarts += 1;
+                c.integrity_scratch_restarts += u64::from(reason == "corrupt-image");
+            }
+            TraceRecord::ImageSpill { .. } => c.spill_dumps += 1,
+            TraceRecord::ImageEvict { .. } => c.evicted_chains += 1,
+            TraceRecord::ChainTruncate { .. } => c.chain_truncations += 1,
+            TraceRecord::AmEscalate { .. } => c.am_escalations += 1,
+            TraceRecord::ChunkRefetch { ok, .. } => c.chunk_refetches += u64::from(ok),
+            TraceRecord::GcPass { reclaimed, .. } => c.gc_reclaimed_bytes += reclaimed,
+            TraceRecord::ResumeDump { resumed_bytes, .. } => {
+                c.resumed_dumps += 1;
+                c.resumed_bytes += resumed_bytes;
+            }
+            TraceRecord::ReplicationRepair { blocks, bytes, .. } => {
+                c.dfs_blocks_repaired += blocks;
+                c.dfs_repair_bytes += bytes;
+            }
+            _ => {}
+        }
+    }
+
     /// Records a job that was submitted at `submit` and whose last task
     /// finished at `finish`.
     pub fn record_response(
@@ -375,41 +470,48 @@ impl RunLedger {
         self.responses.values().map(|s| s.len() as u64).sum()
     }
 
-    /// Charges a hard kill that lost `lost` of progress on `cores` cores.
-    pub fn charge_kill(&mut self, lost: SimDuration, cores: f64) {
-        self.kills += 1;
-        self.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
-    }
-
-    /// Charges a checkpoint dump whose service took `duration` on `cores`
-    /// cores.
-    pub fn charge_dump(&mut self, duration: SimDuration, cores: f64) {
-        self.checkpoints += 1;
-        self.dump_overhead_cpu_secs += duration.as_secs_f64() * cores;
-    }
-
-    /// Charges a completed restore whose service took `duration` on
-    /// `cores` cores. Remote restores are counted where they start.
-    pub fn charge_restore(&mut self, duration: SimDuration, cores: f64) {
-        self.restores += 1;
-        self.restore_overhead_cpu_secs += duration.as_secs_f64() * cores;
-    }
-
     /// Sets the registry keys both simulators share for a run the engine
     /// ended with `stats`: the engine's event count, the `scheduler.*`
-    /// counters, makespan and response quantiles, crash evictions, the
-    /// `cpu.*_hours` sums and the energy. The responses are fed to the P²
-    /// estimators band by band (Free, Middle, Production), each band in
-    /// finish order; the estimate depends on that order.
+    /// counters, makespan and response quantiles, the crash evictions,
+    /// the `lifecycle.*` and `integrity.*` counters, the breaker-open and
+    /// dump-fail kills, the `cpu.*_hours` sums and the energy. The
+    /// responses are fed to the P² estimators band by band (Free, Middle,
+    /// Production), each band in finish order; the estimate depends on
+    /// that order.
     pub fn export(&self, reg: &mut MetricsRegistry, stats: &RunStats, energy_kwh: f64) {
+        let c = &self.counts;
         reg.set_counter("engine.events", "events", stats.events);
-        reg.set_counter("scheduler.kills", "ops", self.kills);
-        reg.set_counter("scheduler.checkpoints", "ops", self.checkpoints);
-        reg.set_counter("scheduler.restores", "ops", self.restores);
-        reg.set_counter("scheduler.remote_restores", "ops", self.remote_restores);
-        reg.set_counter("scheduler.tasks_finished", "ops", self.tasks_finished);
-        reg.set_counter("scheduler.jobs_finished", "ops", self.jobs_finished());
-        reg.set_counter("faults.crash_evictions", "ops", self.crash_evictions);
+        for (name, unit, v) in [
+            ("scheduler.kills", "ops", c.kills),
+            ("scheduler.checkpoints", "ops", c.checkpoints),
+            ("scheduler.restores", "ops", c.restores),
+            ("scheduler.remote_restores", "ops", c.remote_restores),
+            ("scheduler.tasks_finished", "ops", c.tasks_finished),
+            ("scheduler.jobs_finished", "ops", self.jobs_finished()),
+            ("scheduler.capacity_fallbacks", "ops", c.capacity_fallbacks),
+            ("faults.crash_evictions", "ops", c.crash_evictions),
+            ("faults.breaker_open_kills", "ops", c.breaker_open_kills),
+            ("faults.dump_fail_kills", "ops", c.dump_fail_kills),
+            (
+                "lifecycle.gc_reclaimed_bytes",
+                "bytes",
+                c.gc_reclaimed_bytes,
+            ),
+            ("lifecycle.evicted_chains", "ops", c.evicted_chains),
+            ("lifecycle.spill_dumps", "ops", c.spill_dumps),
+            ("lifecycle.no_space_kills", "ops", c.no_space_kills),
+            ("integrity.resumed_dumps", "ops", c.resumed_dumps),
+            ("integrity.resumed_bytes", "bytes", c.resumed_bytes),
+            ("integrity.chunk_refetches", "ops", c.chunk_refetches),
+            ("integrity.chain_truncations", "ops", c.chain_truncations),
+            (
+                "integrity.scratch_restarts",
+                "ops",
+                c.integrity_scratch_restarts,
+            ),
+        ] {
+            reg.set_counter(name, unit, v);
+        }
         reg.set_gauge("scheduler.makespan_secs", "s", stats.now.as_secs_f64());
         for (name, secs) in [
             ("cpu.useful_hours", self.useful_cpu_secs),
@@ -432,9 +534,8 @@ impl RunLedger {
     }
 
     /// The metrics of a run that ended at `makespan` having used
-    /// `energy_kwh`. The checkpoint counters, incremental dumps, I/O busy
-    /// and peak storage fractions and breaker-open seconds come from the
-    /// run's checkpoint path `ckpt`.
+    /// `energy_kwh`. The I/O busy and peak storage fractions and the
+    /// breaker-open seconds come from the run's checkpoint path `ckpt`.
     pub fn into_metrics(self, makespan: SimTime, energy_kwh: f64, ckpt: &CkptPath) -> RunMetrics {
         fn bands<K: Ord>(samples: BTreeMap<K, Samples>) -> BTreeMap<K, BandMetrics> {
             samples
@@ -449,42 +550,42 @@ impl RunLedger {
                 })
                 .collect()
         }
-        let c = &ckpt.counters;
+        let c = self.counts;
         RunMetrics {
             makespan_secs: makespan.as_secs_f64(),
             jobs_finished: self.jobs_finished(),
-            tasks_finished: self.tasks_finished,
-            preemptions: self.kills + self.checkpoints,
-            kills: self.kills,
-            checkpoints: self.checkpoints,
-            incremental_checkpoints: ckpt.incremental_dumps(),
-            restores: self.restores,
-            remote_restores: self.remote_restores,
+            tasks_finished: c.tasks_finished,
+            preemptions: c.kills + c.checkpoints,
+            kills: c.kills,
+            checkpoints: c.checkpoints,
+            incremental_checkpoints: c.incremental_checkpoints,
+            restores: c.restores,
+            remote_restores: c.remote_restores,
             capacity_fallbacks: c.capacity_fallbacks,
             gc_reclaimed_bytes: c.gc_reclaimed_bytes,
             evicted_chains: c.evicted_chains,
             spill_dumps: c.spill_dumps,
             no_space_kills: c.no_space_kills,
-            failure_evictions: self.failure_evictions,
-            crash_evictions: self.crash_evictions,
+            failure_evictions: c.failure_evictions,
+            crash_evictions: c.crash_evictions,
             breaker_open_kills: c.breaker_open_kills,
             breaker_open_secs: ckpt.breaker_open_secs(makespan),
             images_lost_to_failures: self.images_lost_to_failures,
-            dump_fail_retries: self.dump_fail_retries,
+            dump_fail_retries: c.dump_fail_retries,
             dump_fail_kills: c.dump_fail_kills,
-            restore_fail_retries: self.restore_fail_retries,
-            scratch_restarts: self.scratch_restarts,
+            restore_fail_retries: c.restore_fail_retries,
+            scratch_restarts: c.scratch_restarts,
             resumed_dumps: c.resumed_dumps,
             resumed_bytes: c.resumed_bytes,
             chunk_refetches: c.chunk_refetches,
             chain_truncations: c.chain_truncations,
             integrity_scratch_restarts: c.integrity_scratch_restarts,
             retry_overhead_cpu_hours: self.retry_cpu_secs / 3600.0,
-            dfs_blocks_repaired: self.dfs_blocks_repaired,
-            dfs_repair_bytes: self.dfs_repair_bytes,
+            dfs_blocks_repaired: c.dfs_blocks_repaired,
+            dfs_repair_bytes: c.dfs_repair_bytes,
             dfs_blocks_lost: self.dfs_blocks_lost,
-            force_kills: self.force_kills,
-            am_escalations: self.am_escalations,
+            force_kills: c.force_kills,
+            am_escalations: c.am_escalations,
             kill_lost_cpu_hours: self.kill_lost_cpu_secs / 3600.0,
             dump_overhead_cpu_hours: self.dump_overhead_cpu_secs / 3600.0,
             restore_overhead_cpu_hours: self.restore_overhead_cpu_secs / 3600.0,
@@ -498,16 +599,52 @@ impl RunLedger {
     }
 }
 
+/// Where every trace record of a run goes: it is folded into the run's
+/// [`RunLedger`], then handed to the tracer when one is attached. Both
+/// simulators and the checkpoint path record through it alone, so the
+/// ledger's counters equal the fold of the trace by construction, traced
+/// or not.
+#[derive(Default)]
+pub struct Recorder {
+    /// The run's counters and sums.
+    pub ledger: RunLedger,
+    trace: TraceSink,
+}
+
+impl Recorder {
+    /// Replaces the tracer records are handed to (none by default).
+    pub fn set_tracer(&mut self, tracer: Box<dyn Tracer>) {
+        self.trace = TraceSink::new(tracer);
+    }
+
+    /// Whether records reach a tracer. Guard a record that nothing counts
+    /// and whose fields cost more than a copy to compute with this.
+    pub fn on(&self) -> bool {
+        self.trace.on()
+    }
+
+    /// Folds `rec` into the ledger and hands it to the tracer at `t_us`.
+    #[inline]
+    pub fn record(&mut self, t_us: u64, rec: TraceRecord) {
+        self.ledger.fold(&rec);
+        self.trace.record(t_us, rec);
+    }
+
+    /// Finalizes the tracer (see [`Tracer::finish`]).
+    pub fn finish(&mut self) {
+        self.trace.finish();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ckpt_path::CkptCounters;
     use cbp_checkpoint::Criu;
     use cbp_storage::MediaSpec;
 
-    /// A two-node checkpoint path with no faults and `counters` set.
-    fn path(counters: CkptCounters) -> CkptPath {
-        let mut path = CkptPath::new(
+    /// A two-node checkpoint path with no faults.
+    fn path() -> CkptPath {
+        CkptPath::new(
             2,
             MediaSpec::ssd(),
             Criu::new(true),
@@ -515,35 +652,136 @@ mod tests {
             None,
             None,
             false,
-        );
-        path.counters = counters;
-        path
+        )
+    }
+
+    /// The counts `records` fold to.
+    fn fold(records: &[TraceRecord]) -> RunCounts {
+        let mut l = RunLedger::default();
+        for rec in records {
+            l.fold(rec);
+        }
+        *l.counts()
+    }
+
+    fn evict(reason: &'static str) -> TraceRecord {
+        TraceRecord::TaskEvict {
+            task: 1,
+            node: 0,
+            reason,
+        }
+    }
+
+    fn fallback(reason: &'static str) -> TraceRecord {
+        TraceRecord::DumpFallback {
+            task: 1,
+            node: 0,
+            reason,
+        }
+    }
+
+    fn dump_fail(will_retry: bool) -> TraceRecord {
+        TraceRecord::DumpFail {
+            task: 1,
+            node: 0,
+            attempt: 0,
+            will_retry,
+        }
+    }
+
+    fn restore_fail(reason: &'static str, will_retry: bool) -> TraceRecord {
+        TraceRecord::RestoreFail {
+            task: 1,
+            node: 0,
+            attempt: 0,
+            reason,
+            will_retry,
+        }
     }
 
     #[test]
     fn ledger_aggregates_into_metrics() {
         let mut l = RunLedger::default();
-        l.charge_kill(SimDuration::from_secs(3600), 2.0);
-        l.charge_dump(SimDuration::from_secs(1800), 1.0);
-        l.charge_restore(SimDuration::from_secs(1800), 1.0);
-        l.remote_restores += 1;
+        for rec in [
+            evict("kill"),
+            evict("node-crash"),
+            evict("node-crash"),
+            TraceRecord::DumpStart {
+                task: 2,
+                node: 0,
+                device: "ssd",
+                bytes: 1,
+                incremental: true,
+            },
+            TraceRecord::RestoreStart {
+                task: 2,
+                node: 1,
+                origin: 0,
+                device: "ssd",
+                bytes: 1,
+                remote: true,
+            },
+            TraceRecord::RestoreDone {
+                task: 2,
+                node: 1,
+                start_us: 0,
+            },
+            fallback("grace-expired"),
+            fallback("breaker-open"),
+            fallback("no-space"),
+            TraceRecord::AmEscalate {
+                task: 3,
+                node: 0,
+                waited_us: 1,
+            },
+            TraceRecord::GcPass {
+                node: 0,
+                reclaimed: 1_000_000,
+                chains: 0,
+            },
+            TraceRecord::ImageEvict {
+                task: 4,
+                node: 0,
+                bytes: 1,
+            },
+            TraceRecord::ImageSpill {
+                task: 5,
+                node: 0,
+                origin: 1,
+                bytes: 1,
+            },
+            TraceRecord::ResumeDump {
+                task: 6,
+                node: 0,
+                resumed_bytes: 128_000_000,
+                total_bytes: 256_000_000,
+            },
+            TraceRecord::ChunkRefetch {
+                task: 7,
+                node: 0,
+                chunk: 0,
+                ok: true,
+            },
+            TraceRecord::ChainTruncate {
+                task: 7,
+                node: 0,
+                dropped: 1,
+                kept: 1,
+            },
+            restore_fail("corrupt-image", false),
+            TraceRecord::ReplicationRepair {
+                node: 0,
+                blocks: 5,
+                bytes: 640,
+            },
+        ] {
+            l.fold(&rec);
+        }
+        l.kill_lost_cpu_secs = 3600.0 * 2.0;
+        l.dump_overhead_cpu_secs = 1800.0;
+        l.restore_overhead_cpu_secs = 1800.0;
         l.useful_cpu_secs = 3600.0 * 6.0;
-        l.crash_evictions = 2;
-        l.force_kills = 3;
-        l.am_escalations = 4;
-        let k = CkptCounters {
-            breaker_open_kills: 1,
-            gc_reclaimed_bytes: 1_000_000,
-            evicted_chains: 3,
-            spill_dumps: 4,
-            no_space_kills: 1,
-            resumed_dumps: 2,
-            resumed_bytes: 128_000_000,
-            chunk_refetches: 5,
-            chain_truncations: 1,
-            integrity_scratch_restarts: 1,
-            ..CkptCounters::default()
-        };
+        l.images_lost_to_failures = 2;
         l.record_response(
             PriorityBand::Free,
             LatencyClass::new(0),
@@ -563,27 +801,30 @@ mod tests {
             SimTime::from_secs(120),
         );
         assert_eq!(l.jobs_finished(), 3);
-        let m = l.into_metrics(SimTime::from_secs(1000), 12.5, &path(k));
+        let m = l.into_metrics(SimTime::from_secs(1000), 12.5, &path());
 
         assert_eq!(m.kills, 1);
         assert_eq!(m.checkpoints, 1);
+        assert_eq!(m.incremental_checkpoints, 1);
         assert_eq!(m.restores, 1);
         assert_eq!(m.remote_restores, 1);
         assert_eq!(m.preemptions, 2);
         assert_eq!(m.crash_evictions, 2);
-        assert_eq!(m.force_kills, 3);
-        assert_eq!(m.am_escalations, 4);
+        assert_eq!(m.force_kills, 1);
+        assert_eq!(m.am_escalations, 1);
         assert_eq!(m.breaker_open_kills, 1);
         assert_eq!(m.breaker_open_secs, 0.0);
         assert_eq!(m.gc_reclaimed_bytes, 1_000_000);
-        assert_eq!(m.evicted_chains, 3);
-        assert_eq!(m.spill_dumps, 4);
-        assert_eq!(m.no_space_kills, 1);
-        assert_eq!(m.resumed_dumps, 2);
+        assert_eq!(m.evicted_chains, 1);
+        assert_eq!(m.spill_dumps, 1);
+        assert_eq!((m.capacity_fallbacks, m.no_space_kills), (1, 1));
+        assert_eq!(m.resumed_dumps, 1);
         assert_eq!(m.resumed_bytes, 128_000_000);
-        assert_eq!(m.chunk_refetches, 5);
+        assert_eq!(m.chunk_refetches, 1);
         assert_eq!(m.chain_truncations, 1);
-        assert_eq!(m.integrity_scratch_restarts, 1);
+        assert_eq!((m.scratch_restarts, m.integrity_scratch_restarts), (1, 1));
+        assert_eq!((m.dfs_blocks_repaired, m.dfs_repair_bytes), (5, 640));
+        assert_eq!(m.images_lost_to_failures, 2);
         assert!((m.kill_lost_cpu_hours - 2.0).abs() < 1e-12);
         assert!((m.dump_overhead_cpu_hours - 0.5).abs() < 1e-12);
         assert!((m.restore_overhead_cpu_hours - 0.5).abs() < 1e-12);
@@ -602,6 +843,66 @@ mod tests {
         assert_eq!(m.energy_kwh, 12.5);
         assert_eq!(m.io_overhead_fraction, 0.0);
         assert_eq!(m.storage_peak_fraction, 0.0);
+    }
+
+    /// Records that look alike but count differently.
+    #[test]
+    fn fold_tells_look_alike_records_apart() {
+        let none = RunCounts::default();
+        let cases: [(&str, &[TraceRecord], RunCounts); 7] = [
+            (
+                "a corrupt-image re-read is not a restore retry",
+                &[restore_fail("corrupt-image", true)],
+                none,
+            ),
+            (
+                "a transient re-read is",
+                &[restore_fail("transient", true)],
+                RunCounts {
+                    restore_fail_retries: 1,
+                    ..none
+                },
+            ),
+            (
+                "nvram-full is not a no-space kill",
+                &[fallback("nvram-full")],
+                RunCounts {
+                    capacity_fallbacks: 1,
+                    ..none
+                },
+            ),
+            (
+                "storage-full is",
+                &[fallback("storage-full")],
+                RunCounts {
+                    capacity_fallbacks: 1,
+                    no_space_kills: 1,
+                    ..none
+                },
+            ),
+            ("a dump eviction is not a kill", &[evict("dump")], none),
+            (
+                "a node-fail eviction is a failure eviction",
+                &[evict("node-fail")],
+                RunCounts {
+                    failure_evictions: 1,
+                    ..none
+                },
+            ),
+            (
+                "the dump-fail fallback after a final dump_fail counts once",
+                &[dump_fail(false), fallback("dump-fail"), evict("dump-fail")],
+                RunCounts {
+                    dump_fail_kills: 1,
+                    kills: 1,
+                    ..none
+                },
+            ),
+        ];
+        for (rule, records, want) in cases {
+            assert_eq!(fold(records), want, "{rule}");
+        }
+        assert_eq!(fold(&[dump_fail(true)]).dump_fail_retries, 1);
     }
 
     #[test]
@@ -649,8 +950,7 @@ mod tests {
 
     #[test]
     fn empty_metrics_are_zero() {
-        let m =
-            RunLedger::default().into_metrics(SimTime::ZERO, 0.0, &path(CkptCounters::default()));
+        let m = RunLedger::default().into_metrics(SimTime::ZERO, 0.0, &path());
         assert_eq!(m.waste_fraction(), 0.0);
         assert_eq!(m.cpu_overhead_fraction(), 0.0);
         assert_eq!(m.mean_response_overall(), 0.0);

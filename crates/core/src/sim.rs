@@ -14,13 +14,13 @@ use cbp_faults::FaultPlan;
 use cbp_simkit::{
     run_until_observed, EventQueue, RunStats, SimDuration, SimRng, SimTime, Simulation,
 };
-use cbp_telemetry::{MetricsRegistry, PreemptAction, TimeSeries, TraceRecord, TraceSink, Tracer};
+use cbp_telemetry::{MetricsRegistry, PreemptAction, TimeSeries, TraceRecord, Tracer};
 use cbp_workload::{Priority, PriorityBand, TaskSpec, Workload};
 
 use crate::ckpt_path::{CkptPath, DumpEnd, NodeCost, RestoreEnd};
 use crate::config::{PreemptionPolicy, RestorePlacement, SimConfig, VictimSelection};
 use crate::fault_clock::{FaultClock, FaultHost, FaultTick};
-use crate::metrics::{PassWork, RunLedger, RunReport, TelemetryReport};
+use crate::metrics::{PassWork, Recorder, RunReport, TelemetryReport};
 use crate::pending::{PendingKey, PendingQueue, Pos, Queued};
 use crate::task::{TaskMap, TaskState, TaskStatus};
 
@@ -81,7 +81,6 @@ pub struct ClusterSim {
     /// Checkpoint images or NVRAM mirrors, devices, DFS files, retry state
     /// and breakers.
     ckpt: CkptPath,
-    ledger: RunLedger,
     rng: SimRng,
     next_container: u64,
     next_seq: u32,
@@ -116,8 +115,8 @@ pub struct ClusterSim {
     /// `None` once stale, which it goes with `free_front`.
     reach: FreeFront,
     reach_at: Option<Priority>,
-    /// Structured-event sink (disabled by default).
-    trace: TraceSink,
+    /// The run's ledger, and the tracer when one is attached.
+    rec: Recorder,
     /// Periodic time-series probe (absent unless enabled).
     sampler: Option<Sampler>,
     /// Pending-queue depth after the previous event (for change records).
@@ -298,7 +297,6 @@ impl ClusterSim {
             nodes,
             tasks,
             pending: PendingQueue::default(),
-            ledger: RunLedger::default(),
             rng,
             next_container: 1,
             next_seq: 0,
@@ -315,7 +313,7 @@ impl ClusterSim {
             free_front_ok: false,
             reach: FreeFront::default(),
             reach_at: None,
-            trace: TraceSink::default(),
+            rec: Recorder::default(),
             sampler: None,
             last_queue_depth: 0,
             work: PassWork::default(),
@@ -330,7 +328,7 @@ impl ClusterSim {
     /// `ChromeTraceTracer` / `MultiTracer` to capture the run. The tracer's `finish()` is called
     /// at the end of [`ClusterSim::run`].
     pub fn set_tracer(&mut self, tracer: Box<dyn Tracer>) {
-        self.trace = TraceSink::new(tracer);
+        self.rec.set_tracer(tracer);
     }
 
     /// Enables the periodic time-series probe: every `interval` of sim
@@ -391,7 +389,7 @@ impl ClusterSim {
         let mut queue = self.initial_events();
         let stats = run_until_observed(&mut self, &mut queue, SimTime::MAX, &mut |_| {});
         let makespan = stats.now;
-        self.trace.finish();
+        self.rec.finish();
 
         let energy_kwh: f64 = self.nodes.iter().map(|n| n.meter.kwh(makespan)).sum();
         let telemetry = TelemetryReport {
@@ -403,7 +401,10 @@ impl ClusterSim {
         };
         RunReport {
             label: format!("{}-{}", self.cfg.policy, self.cfg.media.kind()),
-            metrics: self.ledger.into_metrics(makespan, energy_kwh, &self.ckpt),
+            metrics: self
+                .rec
+                .ledger
+                .into_metrics(makespan, energy_kwh, &self.ckpt),
             telemetry,
         }
     }
@@ -416,22 +417,23 @@ impl ClusterSim {
     /// same seed (wall-clock engine throughput lives on
     /// [`TelemetryReport`] instead).
     fn build_registry(&self, energy_kwh: f64, stats: &RunStats) -> MetricsRegistry {
-        let m = &self.ledger;
+        let m = &self.rec.ledger;
+        let c = m.counts();
         let mut reg = MetricsRegistry::new();
         self.ckpt.export(&mut reg, stats.now);
         m.export(&mut reg, stats, energy_kwh);
-        reg.set_counter("scheduler.preemptions", "ops", m.kills + m.checkpoints);
-        reg.set_counter("scheduler.failure_evictions", "ops", m.failure_evictions);
+        reg.set_counter("scheduler.preemptions", "ops", c.kills + c.checkpoints);
+        reg.set_counter("scheduler.failure_evictions", "ops", c.failure_evictions);
         reg.set_counter(
             "scheduler.images_lost_to_failures",
             "ops",
             m.images_lost_to_failures,
         );
-        reg.set_counter("faults.dump_fail_retries", "ops", m.dump_fail_retries);
-        reg.set_counter("faults.restore_fail_retries", "ops", m.restore_fail_retries);
-        reg.set_counter("faults.scratch_restarts", "ops", m.scratch_restarts);
-        reg.set_counter("dfs.blocks_repaired", "blocks", m.dfs_blocks_repaired);
-        reg.set_counter("dfs.repair_bytes", "bytes", m.dfs_repair_bytes);
+        reg.set_counter("faults.dump_fail_retries", "ops", c.dump_fail_retries);
+        reg.set_counter("faults.restore_fail_retries", "ops", c.restore_fail_retries);
+        reg.set_counter("faults.scratch_restarts", "ops", c.scratch_restarts);
+        reg.set_counter("dfs.blocks_repaired", "blocks", c.dfs_blocks_repaired);
+        reg.set_counter("dfs.repair_bytes", "bytes", c.dfs_repair_bytes);
         reg.set_counter("dfs.blocks_lost", "blocks", m.dfs_blocks_lost);
         reg
     }
@@ -799,7 +801,7 @@ impl ClusterSim {
             TaskStatus::Checkpointed { origin } if self.ckpt.has_image(key) => Some(origin),
             _ => None,
         };
-        self.trace.record(
+        self.rec.record(
             now.as_micros(),
             TraceRecord::TaskSchedule {
                 task: key,
@@ -817,9 +819,8 @@ impl ClusterSim {
                 origin,
                 &self.tasks[t as usize].exec,
                 &|i| self.clock.device_factor(i, now),
-                &mut self.ledger,
                 now,
-                &mut self.trace,
+                &mut self.rec,
             );
             self.set_status(
                 t,
@@ -873,19 +874,25 @@ impl ClusterSim {
     /// lost; the task re-queues (from its image if it has one).
     fn kill_task(&mut self, t: u32, node: usize, now: SimTime) {
         self.tasks[t as usize].exec.sync_progress(now);
-        let lost = self.tasks[t as usize].exec.progress_at_risk();
-        let cores = self.tasks[t as usize].exec.spec.resources.cores_f64();
-        self.ledger.charge_kill(lost, cores);
-        self.trace.record(
+        self.evict(t, node, "kill", now);
+        self.release_container(t, now);
+        self.roll_back_and_requeue(t);
+    }
+
+    /// Records `t`'s eviction from `node` for `reason` and charges the
+    /// progress it had at risk as re-execution waste.
+    fn evict(&mut self, t: u32, node: usize, reason: &'static str, now: SimTime) {
+        let task = &self.tasks[t as usize].exec;
+        let cores = task.spec.resources.cores_f64();
+        self.rec.ledger.kill_lost_cpu_secs += task.progress_at_risk().as_secs_f64() * cores;
+        self.rec.record(
             now.as_micros(),
             TraceRecord::TaskEvict {
                 task: t as u64,
                 node: node as u32,
-                reason: "kill",
+                reason,
             },
         );
-        self.release_container(t, now);
-        self.roll_back_and_requeue(t);
     }
 
     /// Rolls `t` back to its newest checkpoint after a kill, a failed
@@ -936,9 +943,8 @@ impl ClusterSim {
             true,
             self.cfg.lifecycle,
             &|i| nodes[i].up,
-            &mut self.ledger,
             now,
-            &mut self.trace,
+            &mut self.rec,
         );
         for k in dropped {
             self.chain_lost(k as u32);
@@ -998,7 +1004,7 @@ impl ClusterSim {
         let task = &mut self.tasks[v as usize].exec;
         let action =
             self.ckpt
-                .preempt_action(key, node, self.cfg.policy, now, &mut self.trace, |ckpt| {
+                .preempt_action(key, node, self.cfg.policy, now, &mut self.rec, |ckpt| {
                     // Only Algorithm 1 reads the current progress and dirty
                     // estimate, so only it syncs them here.
                     task.sync_progress(now);
@@ -1204,17 +1210,7 @@ impl ClusterSim {
         // The victim stopped at eviction; its progress was synced when the
         // dump started, and the failed dump never advanced
         // `checkpointed_progress`.
-        let lost = self.tasks[t as usize].exec.progress_at_risk();
-        let cores = self.tasks[t as usize].exec.spec.resources.cores_f64();
-        self.ledger.charge_kill(lost, cores);
-        self.trace.record(
-            now.as_micros(),
-            TraceRecord::TaskEvict {
-                task: t as u64,
-                node: node as u32,
-                reason: "dump-fail",
-            },
-        );
+        self.evict(t, node, "dump-fail", now);
         self.release_container(t, now);
         // Credit the drain to the blocked task it was serving: the kill
         // freed the resources the reservation was waiting for.
@@ -1244,7 +1240,6 @@ impl ClusterSim {
                 },
             ),
             RestoreEnd::Dead => {
-                self.ledger.scratch_restarts += 1;
                 self.restart_from_scratch(t, now);
                 self.schedule_pass(now, q);
             }
@@ -1258,7 +1253,7 @@ impl ClusterSim {
         self.release_container(t, now);
         let task = &mut self.tasks[t as usize].exec;
         self.ckpt
-            .scratch_restart(handle_u64(t), task, &mut self.ledger);
+            .scratch_restart(handle_u64(t), task, &mut self.rec.ledger);
         task.epoch += 1;
         self.set_status(t, TaskStatus::Pending);
         self.enqueue_pending(t);
@@ -1270,17 +1265,17 @@ impl ClusterSim {
     /// falls back to a fresh start wherever the image would have been
     /// used next.
     fn drop_lost_chain(&mut self, t: u32, now: SimTime) {
-        self.ledger.images_lost_to_failures += 1;
+        self.rec.ledger.images_lost_to_failures += 1;
         let status = self.tasks[t as usize].exec.status;
         self.ckpt
-            .lose_chain(handle_u64(t), status, "node-fail", now, &mut self.trace);
+            .lose_chain(handle_u64(t), status, "node-fail", now, &mut self.rec);
         match status {
             TaskStatus::Restoring { node, .. } => {
                 // The in-flight read can no longer complete: abandon it
                 // and restart from scratch (the epoch bump staled the
                 // queued RestoreDone).
                 let attempt = self.ckpt.restore_attempt(handle_u64(t));
-                self.trace.record(
+                self.rec.record(
                     now.as_micros(),
                     TraceRecord::RestoreFail {
                         task: t as u64,
@@ -1290,7 +1285,6 @@ impl ClusterSim {
                         will_retry: false,
                     },
                 );
-                self.ledger.scratch_restarts += 1;
                 self.restart_from_scratch(t, now);
             }
             TaskStatus::Dumping { node, .. } => {
@@ -1310,22 +1304,7 @@ impl ClusterSim {
     fn fail_task(&mut self, t: u32, node: usize, now: SimTime, chaos: bool) {
         let reason = if chaos { "node-crash" } else { "node-fail" };
         self.tasks[t as usize].exec.sync_progress(now);
-        let lost = self.tasks[t as usize].exec.progress_at_risk();
-        let cores = self.tasks[t as usize].exec.spec.resources.cores_f64();
-        if chaos {
-            self.ledger.crash_evictions += 1;
-        } else {
-            self.ledger.failure_evictions += 1;
-        }
-        self.ledger.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
-        self.trace.record(
-            now.as_micros(),
-            TraceRecord::TaskEvict {
-                task: t as u64,
-                node: node as u32,
-                reason,
-            },
-        );
+        self.evict(t, node, reason, now);
         self.release_container(t, now);
         // An in-flight dump died with the node: abort its half-written tip.
         if matches!(
@@ -1337,14 +1316,14 @@ impl ClusterSim {
             // the aborted write's DFS entry is deleted, not just dropped:
             // the next dump of this task would collide with it.
             self.ckpt
-                .abort_dump(handle_u64(t), node, reason, true, now, &mut self.trace);
+                .abort_dump(handle_u64(t), node, reason, true, now, &mut self.rec);
             self.credit_drain(t);
         }
 
         // Local-FS images and NVRAM mirrors on the failed node are gone;
         // HDFS replication keeps DFS-backed chains readable.
         if self.ckpt.lose_images_on(handle_u64(t), node) {
-            self.ledger.images_lost_to_failures += 1;
+            self.rec.ledger.images_lost_to_failures += 1;
             self.tasks[t as usize].exec.checkpointed_progress = SimDuration::ZERO;
         }
         // The node failure ends any in-flight dump/restore episode.
@@ -1361,13 +1340,13 @@ impl ClusterSim {
             return; // already down (stale event)
         }
         self.nodes[node].up = false;
-        if self.trace.on() {
-            let rec = if chaos {
+        if self.rec.on() {
+            let record = if chaos {
                 TraceRecord::NodeDown { node: node as u32 }
             } else {
                 TraceRecord::NodeFail { node: node as u32 }
             };
-            self.trace.record(now.as_micros(), rec);
+            self.rec.record(now.as_micros(), record);
         }
         let victims: Vec<u32> = self.nodes[node]
             .node
@@ -1382,10 +1361,8 @@ impl ClusterSim {
         // The node's datanode died with it: the NameNode re-replicates
         // every block that lost a replica onto the surviving datanodes
         // (blocks whose only replica lived here are lost for good).
-        if let Some((repair, lost)) = self.ckpt.fail_datanode(node, now, &mut self.trace) {
-            self.ledger.dfs_blocks_repaired += repair.blocks_repaired as u64;
-            self.ledger.dfs_repair_bytes += repair.bytes_copied.as_u64();
-            self.ledger.dfs_blocks_lost += repair.blocks_lost as u64;
+        if let Some((repair, lost)) = self.ckpt.fail_datanode(node, now, &mut self.rec) {
+            self.rec.ledger.dfs_blocks_lost += repair.blocks_lost as u64;
             for t in lost {
                 self.drop_lost_chain(t as u32, now);
             }
@@ -1862,8 +1839,8 @@ impl Simulation for ClusterSim {
         #[cfg(debug_assertions)]
         self.ckpt.assert_image_conservation(now);
         let depth = self.pending.len();
-        if self.trace.on() && depth != self.last_queue_depth {
-            self.trace.record(
+        if self.rec.on() && depth != self.last_queue_depth {
+            self.rec.record(
                 now.as_micros(),
                 TraceRecord::QueueDepth {
                     pending: depth as u64,
@@ -1893,8 +1870,8 @@ impl FaultHost for ClusterSim {
         Event::Fault(tick)
     }
 
-    fn fault_parts(&mut self) -> (&mut FaultClock, &mut CkptPath, &mut TraceSink) {
-        (&mut self.clock, &mut self.ckpt, &mut self.trace)
+    fn fault_parts(&mut self) -> (&mut FaultClock, &mut CkptPath, &mut Recorder) {
+        (&mut self.clock, &mut self.ckpt, &mut self.rec)
     }
 
     fn node_up(&mut self, node: usize) -> &mut bool {
@@ -1922,9 +1899,9 @@ impl ClusterSim {
             Event::JobSubmit(job_idx) => {
                 let range = self.task_handle_range(job_idx);
                 for t in range {
-                    if self.trace.on() {
+                    if self.rec.on() {
                         let priority = self.tasks[t].priority.0;
-                        self.trace.record(
+                        self.rec.record(
                             now.as_micros(),
                             TraceRecord::TaskSubmit {
                                 task: t as u64,
@@ -1949,23 +1926,19 @@ impl ClusterSim {
                 self.tasks[task as usize].exec.sync_progress(now);
                 debug_assert!(self.tasks[task as usize].exec.remaining().is_zero());
                 debug_assert!(now >= self.tasks[task as usize].submit);
-                if self.trace.on() {
-                    if let TaskStatus::Running { node, .. } = self.tasks[task as usize].exec.status
-                    {
-                        self.trace.record(
-                            now.as_micros(),
-                            TraceRecord::TaskFinish {
-                                task: task as u64,
-                                node,
-                            },
-                        );
-                    }
+                if let TaskStatus::Running { node, .. } = self.tasks[task as usize].exec.status {
+                    self.rec.record(
+                        now.as_micros(),
+                        TraceRecord::TaskFinish {
+                            task: task as u64,
+                            node,
+                        },
+                    );
                 }
                 self.release_container(task, now);
                 let cores = self.tasks[task as usize].exec.spec.resources.cores_f64();
                 let work = self.tasks[task as usize].exec.spec.duration.as_secs_f64();
-                self.ledger.useful_cpu_secs += cores * work;
-                self.ledger.tasks_finished += 1;
+                self.rec.ledger.useful_cpu_secs += cores * work;
                 self.set_status(task, TaskStatus::Finished);
                 self.tasks[task as usize].finished_at = Some(now);
 
@@ -1978,8 +1951,12 @@ impl ClusterSim {
                 if self.job_remaining[job_idx] == 0 {
                     self.jobs_left -= 1;
                     let job = &self.workload.jobs()[job_idx];
-                    self.ledger
-                        .record_response(job.priority.band(), job.latency, job.submit, now);
+                    self.rec.ledger.record_response(
+                        job.priority.band(),
+                        job.latency,
+                        job.submit,
+                        now,
+                    );
                 }
                 self.schedule_pass(now, q);
             }
@@ -2002,13 +1979,12 @@ impl ClusterSim {
                     started,
                     &mut self.tasks[task as usize].exec,
                     &|i| self.clock.device_factor(i, now),
-                    &mut self.ledger.retry_cpu_secs,
+                    |l| &mut l.retry_cpu_secs,
                     now,
-                    &mut self.trace,
+                    &mut self.rec,
                 );
                 match end {
                     DumpEnd::Retry(span) => {
-                        self.ledger.dump_fail_retries += 1;
                         q.push(
                             span.end,
                             Event::DumpDone {
@@ -2041,7 +2017,7 @@ impl ClusterSim {
                 // The datanode rejoins empty (its blocks were already
                 // re-replicated or lost at failure time).
                 self.ckpt.recover_datanode(node as usize);
-                self.trace
+                self.rec
                     .record(now.as_micros(), TraceRecord::NodeRecover { node });
                 self.schedule_next_failure(node as usize, now, q);
                 self.schedule_pass(now, q);
@@ -2072,9 +2048,9 @@ impl ClusterSim {
                     started,
                     &mut self.tasks[task as usize].exec,
                     &|i| self.clock.device_factor(i, now),
-                    &mut self.ledger.retry_cpu_secs,
+                    |l| &mut l.retry_cpu_secs,
                     now,
-                    &mut self.trace,
+                    &mut self.rec,
                 );
                 if !self.restore_stands(task, epoch, end, now, q) {
                     return;
@@ -2089,13 +2065,10 @@ impl ClusterSim {
                     started,
                     &self.tasks[task as usize].exec,
                     &|i| self.clock.device_factor(i, now),
-                    &mut self.ledger.retry_cpu_secs,
+                    |l| &mut l.retry_cpu_secs,
                     now,
-                    &mut self.trace,
+                    &mut self.rec,
                 );
-                if let RestoreEnd::Reread(_) = end {
-                    self.ledger.restore_fail_retries += 1;
-                }
                 if !self.restore_stands(task, epoch, end, now, q) {
                     return;
                 }
@@ -2104,9 +2077,8 @@ impl ClusterSim {
                     at,
                     started,
                     &mut self.tasks[task as usize].exec,
-                    &mut self.ledger,
                     now,
-                    &mut self.trace,
+                    &mut self.rec,
                 );
                 self.set_status(task, TaskStatus::Running { node, container });
                 let epoch = self.tasks[task as usize].exec.epoch;

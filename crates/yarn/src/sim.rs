@@ -5,13 +5,13 @@ use cbp_cluster::{Container, ContainerId, EnergyMeter, Node, NodeId};
 use cbp_core::ckpt_path::{CkptPath, DumpEnd, RestoreEnd};
 use cbp_core::fault_clock::{FaultClock, FaultHost, FaultTick};
 use cbp_core::task::{TaskExec, TaskTable};
-use cbp_core::{PreemptionPolicy, RunLedger, RunMetrics, RunReport, TaskStatus, TelemetryReport};
+use cbp_core::{PreemptionPolicy, Recorder, RunMetrics, RunReport, TaskStatus, TelemetryReport};
 use cbp_dfs::DfsCluster;
 use cbp_faults::FaultPlan;
 use cbp_simkit::{
     run_until_observed, EventQueue, RunStats, SimDuration, SimRng, SimTime, Simulation,
 };
-use cbp_telemetry::{MetricsRegistry, PreemptAction, TraceRecord, TraceSink, Tracer};
+use cbp_telemetry::{MetricsRegistry, PreemptAction, TraceRecord, Tracer};
 use cbp_workload::{PriorityBand, Workload};
 
 use std::collections::HashMap;
@@ -88,6 +88,8 @@ pub enum YarnEvent {
         task: u32,
         /// Staleness guard (the epoch when the request was ignored).
         epoch: u32,
+        /// The deadline the RM waited out.
+        waited: SimDuration,
     },
     /// A tick of the fault plan's schedules (see [`FaultTick`]).
     Fault(FaultTick),
@@ -114,9 +116,8 @@ pub struct YarnSim {
     barriers: HashMap<JobId, u32>,
     next_container: u64,
     total_slots: u32,
-    ledger: RunLedger,
-    /// Structured-event sink (disabled by default).
-    trace: TraceSink,
+    /// The run's ledger, and the tracer when one is attached.
+    rec: Recorder,
     /// The fault plan and its crash, partition and leak schedules.
     clock: FaultClock,
     /// Total container count of the workload — the fault tick chains
@@ -204,8 +205,7 @@ impl YarnSim {
             workload,
             next_container: 1,
             total_slots,
-            ledger: RunLedger::default(),
-            trace: TraceSink::default(),
+            rec: Recorder::default(),
         }
     }
 
@@ -214,7 +214,7 @@ impl YarnSim {
     /// `ChromeTraceTracer` / `MultiTracer` to capture the run. The tracer's `finish()` is called
     /// at the end of the run.
     pub fn set_tracer(&mut self, tracer: Box<dyn Tracer>) {
-        self.trace = TraceSink::new(tracer);
+        self.rec.set_tracer(tracer);
     }
 
     /// Attaches MapReduce phase barriers (reduces start only after all of a
@@ -229,7 +229,7 @@ impl YarnSim {
         let mut queue = self.initial_events();
         let stats = run_until_observed(&mut self, &mut queue, SimTime::MAX, &mut |_| {});
         let makespan = stats.now;
-        self.trace.finish();
+        self.rec.finish();
 
         let energy_kwh = self.nms.iter().map(|n| n.meter.kwh(makespan)).sum();
         let telemetry = TelemetryReport {
@@ -241,7 +241,10 @@ impl YarnSim {
         };
         RunReport {
             label: format!("{}-{}", self.cfg.policy, self.cfg.media.kind()),
-            metrics: self.ledger.into_metrics(makespan, energy_kwh, &self.ckpt),
+            metrics: self
+                .rec
+                .ledger
+                .into_metrics(makespan, energy_kwh, &self.ckpt),
             telemetry,
         }
     }
@@ -260,9 +263,10 @@ impl YarnSim {
     fn build_registry(&self, energy_kwh: f64, stats: &RunStats) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
         self.ckpt.export(&mut reg, stats.now);
-        self.ledger.export(&mut reg, stats, energy_kwh);
-        reg.set_counter("scheduler.force_kills", "ops", self.ledger.force_kills);
-        reg.set_counter("faults.am_escalations", "ops", self.ledger.am_escalations);
+        self.rec.ledger.export(&mut reg, stats, energy_kwh);
+        let c = self.rec.ledger.counts();
+        reg.set_counter("scheduler.force_kills", "ops", c.force_kills);
+        reg.set_counter("faults.am_escalations", "ops", c.am_escalations);
         reg
     }
 
@@ -487,7 +491,7 @@ impl YarnSim {
                 None
             }
         };
-        self.trace.record(
+        self.rec.record(
             now.as_micros(),
             TraceRecord::TaskSchedule {
                 task: key,
@@ -504,9 +508,8 @@ impl YarnSim {
                 origin,
                 &self.apps[app as usize].tasks[task as usize].exec,
                 &|i| self.clock.partition_factor(i),
-                &mut self.ledger,
                 now,
-                &mut self.trace,
+                &mut self.rec,
             );
             let am_task = self.exec_mut(app, task);
             am_task.status = TaskStatus::Restoring {
@@ -543,15 +546,12 @@ impl YarnSim {
         }
     }
 
-    /// Kills a running container: at-risk progress is lost; the AM re-asks.
-    fn kill(&mut self, app: u32, task: u32, now: SimTime, q: &mut EventQueue<YarnEvent>) {
-        self.kill_with_reason(app, task, now, q, "kill");
-    }
-
-    /// [`Self::kill`] with an explicit trace eviction reason, so
-    /// AM-escalation kills stay distinguishable from scheduler-initiated
-    /// kills in the trace (`"am-escalate"` vs `"kill"`).
-    fn kill_with_reason(
+    /// Tears a container down for `reason` and re-queues its task:
+    /// progress since the last valid checkpoint is lost (re-execution
+    /// waste), the AM re-asks and the RM reschedules. Scheduler kills
+    /// (`kill`), escalations (`am-escalate`) and chaos crashes
+    /// (`node-crash`) all end here.
+    fn evict(
         &mut self,
         app: u32,
         task: u32,
@@ -559,52 +559,25 @@ impl YarnSim {
         q: &mut EventQueue<YarnEvent>,
         reason: &'static str,
     ) {
-        let (lost, cores) = self.evict_container(app, task, now, q, reason);
-        self.ledger.charge_kill(lost, cores);
-    }
-
-    /// Evicts a container a node crash took down. Unlike a kill the
-    /// eviction is not the scheduler's choice, so it counts as a
-    /// `crash_eviction`.
-    fn evict_crashed(&mut self, app: u32, task: u32, now: SimTime, q: &mut EventQueue<YarnEvent>) {
-        let (lost, cores) = self.evict_container(app, task, now, q, "node-crash");
-        self.ledger.crash_evictions += 1;
-        self.ledger.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
-    }
-
-    /// Tears a container down and re-queues its task: progress since the
-    /// last valid checkpoint is lost, the AM re-asks and the RM
-    /// reschedules. Shared by scheduler kills and chaos crashes, so it
-    /// returns the lost progress and the task's cores for the caller to
-    /// charge as a kill or as a crash eviction.
-    fn evict_container(
-        &mut self,
-        app: u32,
-        task: u32,
-        now: SimTime,
-        q: &mut EventQueue<YarnEvent>,
-        reason: &'static str,
-    ) -> (SimDuration, f64) {
         let am_task = self.exec_mut(app, task);
         am_task.sync_progress(now);
         let lost = am_task.progress_at_risk();
         let cores = am_task.spec.resources.cores_f64();
-        if self.trace.on() {
-            let node = match self.exec(app, task).status {
-                TaskStatus::Running { node, .. }
-                | TaskStatus::Dumping { node, .. }
-                | TaskStatus::Restoring { node, .. } => node,
-                _ => u32::MAX,
-            };
-            self.trace.record(
-                now.as_micros(),
-                TraceRecord::TaskEvict {
-                    task: task_key(app, task),
-                    node,
-                    reason,
-                },
-            );
-        }
+        let node = match am_task.status {
+            TaskStatus::Running { node, .. }
+            | TaskStatus::Dumping { node, .. }
+            | TaskStatus::Restoring { node, .. } => node,
+            _ => u32::MAX,
+        };
+        self.rec.ledger.kill_lost_cpu_secs += lost.as_secs_f64() * cores;
+        self.rec.record(
+            now.as_micros(),
+            TraceRecord::TaskEvict {
+                task: task_key(app, task),
+                node,
+                reason,
+            },
+        );
         self.release_container(app, task, now);
 
         let origin = self.ckpt.image_origin(task_key(app, task));
@@ -617,7 +590,6 @@ impl YarnSim {
         self.apps[app as usize].requeue(task);
         self.rm.add_asks(app, 1);
         q.push(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
-        (lost, cores)
     }
 
     // ---- image lifecycle (capacity backpressure ladder) -----------------
@@ -645,15 +617,14 @@ impl YarnSim {
             false,
             self.cfg.lifecycle,
             &|i| nms[i].up,
-            &mut self.ledger,
             now,
-            &mut self.trace,
+            &mut self.rec,
         );
         for k in dropped {
             self.chain_lost(k);
         }
         let Some(span) = span else {
-            self.kill(app, task, now, q);
+            self.evict(app, task, now, q, "kill");
             return;
         };
         let am_task = self.exec_mut(app, task);
@@ -688,7 +659,7 @@ impl YarnSim {
             return; // already down (stale event)
         }
         self.nms[node].up = false;
-        self.trace
+        self.rec
             .record(now.as_micros(), TraceRecord::NodeDown { node: node as u32 });
         let mut victims: Vec<u64> = self.nms[node].node.containers().map(|c| c.task()).collect();
         victims.sort_unstable();
@@ -699,10 +670,8 @@ impl YarnSim {
         // The node's datanode died with it: re-replicate every block that
         // lost a replica onto the survivors; blocks whose only replica
         // lived here are gone, breaking the image chains stacked on them.
-        if let Some((repair, lost)) = self.ckpt.fail_datanode(node, now, &mut self.trace) {
-            self.ledger.dfs_blocks_repaired += repair.blocks_repaired as u64;
-            self.ledger.dfs_repair_bytes += repair.bytes_copied.as_u64();
-            self.ledger.dfs_blocks_lost += repair.blocks_lost as u64;
+        if let Some((repair, lost)) = self.ckpt.fail_datanode(node, now, &mut self.rec) {
+            self.rec.ledger.dfs_blocks_lost += repair.blocks_lost as u64;
             for key in lost {
                 self.drop_lost_chain((key >> 32) as u32, key as u32, now, q);
             }
@@ -720,10 +689,10 @@ impl YarnSim {
             // queued DumpDone, so close the dangling dump span here.
             let key = task_key(app, task);
             self.ckpt
-                .abort_dump(key, node as usize, "node-crash", true, now, &mut self.trace);
+                .abort_dump(key, node as usize, "node-crash", true, now, &mut self.rec);
             self.exec_mut(app, task).status = TaskStatus::Running { node, container };
         }
-        self.evict_crashed(app, task, now, q);
+        self.evict(app, task, now, q, "node-crash");
     }
 
     /// A replication repair could not save `task`'s image chain: discard
@@ -737,22 +706,22 @@ impl YarnSim {
         now: SimTime,
         q: &mut EventQueue<YarnEvent>,
     ) {
-        self.ledger.images_lost_to_failures += 1;
+        self.rec.ledger.images_lost_to_failures += 1;
         let key = task_key(app, task);
         let status = self.exec(app, task).status;
         self.ckpt
-            .lose_chain(key, status, "node-crash", now, &mut self.trace);
+            .lose_chain(key, status, "node-crash", now, &mut self.rec);
         self.chain_lost(key);
         match status {
             TaskStatus::Dumping { node, container } => {
                 // The tip being written sat below lost ancestor blocks.
                 self.exec_mut(app, task).status = TaskStatus::Running { node, container };
-                self.evict_crashed(app, task, now, q);
+                self.evict(app, task, now, q, "node-crash");
             }
             TaskStatus::Restoring { .. } => {
                 // The in-flight read can no longer complete; the epoch
                 // bump in the eviction stales the queued RestoreDone.
-                self.evict_crashed(app, task, now, q);
+                self.evict(app, task, now, q, "node-crash");
             }
             // A live task keeps its in-memory progress (only the safety
             // net is gone); a queued one restarted from scratch in place.
@@ -796,10 +765,10 @@ impl YarnSim {
                     }
                     None => AppMaster::new(app, queue, job.submit, &job.tasks),
                 };
-                if self.trace.on() {
+                if self.rec.on() {
                     let priority = job.priority.0;
                     for ti in 0..job.tasks.len() {
-                        self.trace.record(
+                        self.rec.record(
                             now.as_micros(),
                             TraceRecord::TaskSubmit {
                                 task: task_key(app, ti as u32),
@@ -835,11 +804,19 @@ impl YarnSim {
                 // never starved forever.
                 if let Some(plan) = self.clock.plan() {
                     if plan.am_unresponsive(task_key(app, task), epoch) {
-                        let wait = self
+                        let waited = self
                             .cfg
                             .graceful_timeout
                             .unwrap_or_else(|| plan.escalation_timeout());
-                        q.push(now + wait, YarnEvent::AmEscalate { app, task, epoch });
+                        q.push(
+                            now + waited,
+                            YarnEvent::AmEscalate {
+                                app,
+                                task,
+                                epoch,
+                                waited,
+                            },
+                        );
                         return;
                     }
                 }
@@ -855,11 +832,11 @@ impl YarnSim {
                     node,
                     self.cfg.policy,
                     now,
-                    &mut self.trace,
+                    &mut self.rec,
                     |ckpt| (at_risk, ckpt.dump_overhead(key, mem, node, now)),
                 );
                 match action {
-                    PreemptAction::Kill => self.kill(app, task, now, q),
+                    PreemptAction::Kill => self.evict(app, task, now, q, "kill"),
                     PreemptAction::Checkpoint => self.dump(app, task, node, container, now, q),
                 }
             }
@@ -880,14 +857,18 @@ impl YarnSim {
                     "grace-expired",
                     false,
                     now,
-                    &mut self.trace,
+                    &mut self.rec,
                 );
-                self.ledger.force_kills += 1;
                 // The container is still held; transition it through a kill.
                 self.exec_mut(app, task).status = TaskStatus::Running { node, container };
-                self.kill(app, task, now, q);
+                self.evict(app, task, now, q, "kill");
             }
-            YarnEvent::AmEscalate { app, task, epoch } => {
+            YarnEvent::AmEscalate {
+                app,
+                task,
+                epoch,
+                waited,
+            } => {
                 let am_task = self.exec(app, task);
                 if am_task.epoch != epoch {
                     return; // the task moved on (finished or was dumped)
@@ -895,23 +876,15 @@ impl YarnSim {
                 let TaskStatus::Running { node, .. } = am_task.status else {
                     return;
                 };
-                self.ledger.am_escalations += 1;
-                if self.trace.on() {
-                    let plan = self.clock.plan().expect("escalation requires a plan");
-                    let waited = self
-                        .cfg
-                        .graceful_timeout
-                        .unwrap_or_else(|| plan.escalation_timeout());
-                    self.trace.record(
-                        now.as_micros(),
-                        TraceRecord::AmEscalate {
-                            task: task_key(app, task),
-                            node,
-                            waited_us: waited.as_micros(),
-                        },
-                    );
-                }
-                self.kill_with_reason(app, task, now, q, "am-escalate");
+                self.rec.record(
+                    now.as_micros(),
+                    TraceRecord::AmEscalate {
+                        task: task_key(app, task),
+                        node,
+                        waited_us: waited.as_micros(),
+                    },
+                );
+                self.evict(app, task, now, q, "am-escalate");
             }
             YarnEvent::DumpDone {
                 app,
@@ -941,28 +914,25 @@ impl YarnSim {
                     started,
                     &mut self.apps[app as usize].tasks[task as usize].exec,
                     &|i| self.clock.partition_factor(i),
-                    &mut self.ledger.dump_overhead_cpu_secs,
+                    |l| &mut l.dump_overhead_cpu_secs,
                     now,
-                    &mut self.trace,
+                    &mut self.rec,
                 );
                 match end {
-                    DumpEnd::Retry(span) => {
-                        self.ledger.dump_fail_retries += 1;
-                        q.push(
-                            span.end,
-                            YarnEvent::DumpDone {
-                                app,
-                                task,
-                                epoch,
-                                started: span.start,
-                            },
-                        );
-                    }
+                    DumpEnd::Retry(span) => q.push(
+                        span.end,
+                        YarnEvent::DumpDone {
+                            app,
+                            task,
+                            epoch,
+                            started: span.start,
+                        },
+                    ),
                     DumpEnd::Failed => {
                         // The container is still held; transition it
                         // through a kill.
                         self.exec_mut(app, task).status = TaskStatus::Running { node, container };
-                        self.kill(app, task, now, q);
+                        self.evict(app, task, now, q, "kill");
                     }
                     DumpEnd::Committed => {
                         self.release_container(app, task, now);
@@ -1002,9 +972,9 @@ impl YarnSim {
                     started,
                     exec,
                     &|i| self.clock.partition_factor(i),
-                    &mut self.ledger.restore_overhead_cpu_secs,
+                    |l| &mut l.restore_overhead_cpu_secs,
                     now,
-                    &mut self.trace,
+                    &mut self.rec,
                 );
                 let finish = match end {
                     RestoreEnd::Intact => self.ckpt.finish_restore(
@@ -1012,9 +982,8 @@ impl YarnSim {
                         node as usize,
                         started,
                         exec,
-                        &mut self.ledger,
                         now,
-                        &mut self.trace,
+                        &mut self.rec,
                     ),
                     RestoreEnd::Reread(span) => {
                         q.push(
@@ -1029,8 +998,7 @@ impl YarnSim {
                         return;
                     }
                     RestoreEnd::Dead => {
-                        self.ledger.scratch_restarts += 1;
-                        self.ckpt.scratch_restart(key, exec, &mut self.ledger);
+                        self.ckpt.scratch_restart(key, exec, &mut self.rec.ledger);
                         exec.resume(now + self.cfg.container_startup)
                     }
                 };
@@ -1044,24 +1012,21 @@ impl YarnSim {
                     return;
                 }
                 self.exec_mut(app, task).sync_progress(now);
-                if self.trace.on() {
-                    if let TaskStatus::Running { node, .. } = self.exec(app, task).status {
-                        self.trace.record(
-                            now.as_micros(),
-                            TraceRecord::TaskFinish {
-                                task: task_key(app, task),
-                                node,
-                            },
-                        );
-                    }
+                if let TaskStatus::Running { node, .. } = self.exec(app, task).status {
+                    self.rec.record(
+                        now.as_micros(),
+                        TraceRecord::TaskFinish {
+                            task: task_key(app, task),
+                            node,
+                        },
+                    );
                 }
                 self.release_container(app, task, now);
                 let am_task = self.exec_mut(app, task);
                 am_task.status = TaskStatus::Finished;
                 let cores = am_task.spec.resources.cores_f64();
                 let work = am_task.spec.duration.as_secs_f64();
-                self.ledger.useful_cpu_secs += cores * work;
-                self.ledger.tasks_finished += 1;
+                self.rec.ledger.useful_cpu_secs += cores * work;
 
                 self.ckpt.discard_chain(task_key(app, task));
 
@@ -1071,8 +1036,12 @@ impl YarnSim {
                 }
                 if self.apps[app as usize].unfinished == 0 {
                     let job = &self.workload.jobs()[app as usize];
-                    self.ledger
-                        .record_response(job.priority.band(), job.latency, job.submit, now);
+                    self.rec.ledger.record_response(
+                        job.priority.band(),
+                        job.latency,
+                        job.submit,
+                        now,
+                    );
                 }
                 q.push(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
             }
@@ -1088,8 +1057,8 @@ impl FaultHost for YarnSim {
         YarnEvent::Fault(tick)
     }
 
-    fn fault_parts(&mut self) -> (&mut FaultClock, &mut CkptPath, &mut TraceSink) {
-        (&mut self.clock, &mut self.ckpt, &mut self.trace)
+    fn fault_parts(&mut self) -> (&mut FaultClock, &mut CkptPath, &mut Recorder) {
+        (&mut self.clock, &mut self.ckpt, &mut self.rec)
     }
 
     fn node_up(&mut self, node: usize) -> &mut bool {
@@ -1101,7 +1070,7 @@ impl FaultHost for YarnSim {
     }
 
     fn work_remains(&self) -> bool {
-        self.ledger.tasks_finished < self.total_tasks
+        self.rec.ledger.counts().tasks_finished < self.total_tasks
     }
 
     /// A crash already asked the RM for a pass per crashed node; a node's
@@ -1179,7 +1148,8 @@ mod tests {
                 );
             }
             assert_eq!(
-                sim.ledger.tasks_finished, sim.total_tasks,
+                sim.rec.ledger.counts().tasks_finished,
+                sim.total_tasks,
                 "{plan}: every task finishes"
             );
             assert!(

@@ -14,9 +14,10 @@
 //! Checkpoint, and under Algorithm 1 with full dumps, so every arm of the
 //! preemption decision and of the dump-size estimate is pinned on both.
 //! Debug builds additionally hard-assert the image-ledger conservation
-//! invariant after every event. Every run also checks that its
-//! finished-task, checkpoint and restore counters equal the counts of the
-//! matching records in its trace.
+//! invariant after every event. Every run also checks that its trace,
+//! read back and folded with `RunLedger::fold`, gives every counter of its
+//! report, and that a second run with no tracer attached gives the same
+//! registry and report bytes.
 //!
 //! On a mismatch the test names every failing case and prints the
 //! observed digests.
@@ -28,12 +29,13 @@
 
 mod common;
 
-use cbp::checkpoint::NvramSpec;
-use cbp::core::{ClusterSim, PreemptionPolicy, RunMetrics, SimConfig};
+use cbp::checkpoint::{Criu, NvramSpec};
+use cbp::core::ckpt_path::CkptPath;
+use cbp::core::{ClusterSim, PreemptionPolicy, RunLedger, RunMetrics, RunReport, SimConfig};
 use cbp::faults::FaultSpec;
-use cbp::simkit::SimDuration;
-use cbp::storage::MediaKind;
-use cbp::telemetry::{JsonlReader, JsonlTracer, MetricsRegistry, TraceRecord};
+use cbp::simkit::{SimDuration, SimTime};
+use cbp::storage::{MediaKind, MediaSpec};
+use cbp::telemetry::{JsonlReader, JsonlTracer};
 use cbp::workload::facebook::FacebookConfig;
 use cbp::workload::google::GoogleTraceConfig;
 use cbp::workload::PriorityBand;
@@ -428,26 +430,13 @@ fn digests(case: &Case) -> [u64; 6] {
         Store::LocalFs => cfg.via_dfs = false,
         Store::Nvram => cfg = cfg.with_nvram(NvramSpec::default()),
     }
-    let buf = SharedBuf::default();
-    let mut sim = ClusterSim::new(cfg, w.clone());
-    sim.set_tracer(Box::new(JsonlTracer::new(buf.clone())));
-    let report = sim.run();
-    assert_eq!(
-        report.metrics.jobs_finished,
-        w.job_count() as u64,
-        "{}: cluster run must finish every job",
-        case.name
-    );
-    let cluster_trace = fnv1a(&buf.0.borrow());
-    let cluster_reg = fnv1a(report.telemetry.registry.to_json().as_bytes());
-    let cluster_report = words_digest(&report_words(&report.metrics));
-    check_fold(
-        case.name,
-        "cluster",
-        &buf.0.borrow(),
-        &report.telemetry.registry,
-        &report.metrics,
-    );
+    let (cluster, _) = checked_digests(case.name, "cluster", w.job_count(), |buf| {
+        let mut sim = ClusterSim::new(cfg.clone(), w.clone());
+        if let Some(buf) = buf {
+            sim.set_tracer(Box::new(JsonlTracer::new(buf)));
+        }
+        sim.run()
+    });
 
     // The giant production job is 1.3x the cluster's container count, as
     // in the §5.3.3 setup, so it preempts default-queue work.
@@ -465,42 +454,56 @@ fn digests(case: &Case) -> [u64; 6] {
     if let Some(secs) = case.grace_secs {
         ycfg = ycfg.with_graceful_timeout(SimDuration::from_secs(secs));
     }
-    let buf = SharedBuf::default();
-    let mut sim = YarnSim::new(ycfg, fw.clone());
-    sim.set_tracer(Box::new(JsonlTracer::new(buf.clone())));
-    let report = sim.run();
-    assert_eq!(
-        report.metrics.jobs_finished,
-        fw.job_count() as u64,
-        "{}: yarn run must finish every job",
-        case.name
-    );
+    let (yarn, metrics) = checked_digests(case.name, "yarn", fw.job_count(), |buf| {
+        let mut sim = YarnSim::new(ycfg.clone(), fw.clone());
+        if let Some(buf) = buf {
+            sim.set_tracer(Box::new(JsonlTracer::new(buf)));
+        }
+        sim.run()
+    });
     if case.grace_secs.is_some() {
         assert!(
-            report.metrics.force_kills > 0,
+            metrics.force_kills > 0,
             "{}: the grace period must cut some dump short",
             case.name
         );
     }
-    let yarn_trace = fnv1a(&buf.0.borrow());
-    let yarn_reg = fnv1a(report.telemetry.registry.to_json().as_bytes());
-    let yarn_report = words_digest(&report_words(&report.metrics));
-    check_fold(
-        case.name,
-        "yarn",
-        &buf.0.borrow(),
-        &report.telemetry.registry,
-        &report.metrics,
-    );
 
     [
-        cluster_trace,
-        cluster_reg,
-        yarn_trace,
-        yarn_reg,
-        cluster_report,
-        yarn_report,
+        cluster[0], cluster[1], yarn[0], yarn[1], cluster[2], yarn[2],
     ]
+}
+
+/// Runs one simulator of `case` through `run`, traced into the buffer it
+/// is given, and returns the digests of the trace, the registry and the
+/// report, and the report's metrics. Checks that the run finished all
+/// `jobs`, that its trace folds to its counters, and that `run` with no
+/// tracer gives the same registry and report.
+fn checked_digests(
+    case: &str,
+    sim: &str,
+    jobs: usize,
+    run: impl Fn(Option<SharedBuf>) -> RunReport,
+) -> ([u64; 3], RunMetrics) {
+    let buf = SharedBuf::default();
+    let report = run(Some(buf.clone()));
+    assert_eq!(
+        report.metrics.jobs_finished, jobs as u64,
+        "{case}: {sim} run must finish every job"
+    );
+    let trace = buf.0.take();
+    check_fold(case, sim, &trace, &report.metrics);
+    let digests = |r: &RunReport| {
+        let registry = fnv1a(r.telemetry.registry.to_json().as_bytes());
+        (registry, words_digest(&report_words(&r.metrics)))
+    };
+    let (registry, words) = digests(&report);
+    assert_eq!(
+        digests(&run(None)),
+        (registry, words),
+        "{case}, {sim}: an untraced run's registry and report digests differ from the traced run's"
+    );
+    ([fnv1a(&trace), registry, words], report.metrics)
 }
 
 /// FNV-1a over the little-endian bytes of `words`.
@@ -509,44 +512,49 @@ fn words_digest(words: &[u64]) -> u64 {
     fnv1a(&bytes)
 }
 
+/// Every integer counter of a report, by name.
+fn counters(m: &RunMetrics) -> [(&'static str, u64); 31] {
+    [
+        ("jobs_finished", m.jobs_finished),
+        ("tasks_finished", m.tasks_finished),
+        ("preemptions", m.preemptions),
+        ("kills", m.kills),
+        ("checkpoints", m.checkpoints),
+        ("incremental_checkpoints", m.incremental_checkpoints),
+        ("restores", m.restores),
+        ("remote_restores", m.remote_restores),
+        ("capacity_fallbacks", m.capacity_fallbacks),
+        ("gc_reclaimed_bytes", m.gc_reclaimed_bytes),
+        ("evicted_chains", m.evicted_chains),
+        ("spill_dumps", m.spill_dumps),
+        ("no_space_kills", m.no_space_kills),
+        ("failure_evictions", m.failure_evictions),
+        ("crash_evictions", m.crash_evictions),
+        ("breaker_open_kills", m.breaker_open_kills),
+        ("images_lost_to_failures", m.images_lost_to_failures),
+        ("dump_fail_retries", m.dump_fail_retries),
+        ("dump_fail_kills", m.dump_fail_kills),
+        ("restore_fail_retries", m.restore_fail_retries),
+        ("scratch_restarts", m.scratch_restarts),
+        ("resumed_dumps", m.resumed_dumps),
+        ("resumed_bytes", m.resumed_bytes),
+        ("chunk_refetches", m.chunk_refetches),
+        ("chain_truncations", m.chain_truncations),
+        ("integrity_scratch_restarts", m.integrity_scratch_restarts),
+        ("dfs_blocks_repaired", m.dfs_blocks_repaired),
+        ("dfs_repair_bytes", m.dfs_repair_bytes),
+        ("dfs_blocks_lost", m.dfs_blocks_lost),
+        ("force_kills", m.force_kills),
+        ("am_escalations", m.am_escalations),
+    ]
+}
+
 /// The pinned report values of a run: every integer counter, then the
 /// bit patterns of the makespan, the CPU-hour sums, the energy, the I/O
 /// and storage fractions and the breaker-open seconds, then the jobs
 /// finished per band.
 fn report_words(m: &RunMetrics) -> Vec<u64> {
-    let mut words = vec![
-        m.jobs_finished,
-        m.tasks_finished,
-        m.preemptions,
-        m.kills,
-        m.checkpoints,
-        m.incremental_checkpoints,
-        m.restores,
-        m.remote_restores,
-        m.capacity_fallbacks,
-        m.gc_reclaimed_bytes,
-        m.evicted_chains,
-        m.spill_dumps,
-        m.no_space_kills,
-        m.failure_evictions,
-        m.crash_evictions,
-        m.breaker_open_kills,
-        m.images_lost_to_failures,
-        m.dump_fail_retries,
-        m.dump_fail_kills,
-        m.restore_fail_retries,
-        m.scratch_restarts,
-        m.resumed_dumps,
-        m.resumed_bytes,
-        m.chunk_refetches,
-        m.chain_truncations,
-        m.integrity_scratch_restarts,
-        m.dfs_blocks_repaired,
-        m.dfs_repair_bytes,
-        m.dfs_blocks_lost,
-        m.force_kills,
-        m.am_escalations,
-    ];
+    let mut words: Vec<u64> = counters(m).iter().map(|&(_, v)| v).collect();
     words.extend(
         [
             m.makespan_secs,
@@ -566,72 +574,50 @@ fn report_words(m: &RunMetrics) -> Vec<u64> {
     words
 }
 
-/// Registry counters that each equal the count of one record kind in
-/// the run's trace.
-const FOLDED: [(&str, &str); 3] = [
-    ("scheduler.tasks_finished", "task_finish"),
-    ("scheduler.checkpoints", "dump_start"),
-    ("scheduler.restores", "restore_done"),
+/// Report counters no trace record carries: the run ledger keeps them
+/// inline.
+const INLINE: [&str; 3] = [
+    "jobs_finished",
+    "images_lost_to_failures",
+    "dfs_blocks_lost",
 ];
 
-/// Asserts registry == fold(trace) for every [`FOLDED`] pair, that the
-/// report's incremental checkpoints are the `dump_start` records marked
-/// incremental, and that the hard kills (`task_evict` records of any
-/// reason but `dump`) are `scheduler.kills` plus the evictions by downed
-/// nodes, which the ledger counts apart (`scheduler.failure_evictions`
-/// is ClusterSim's alone). Also asserts that every line of the trace is
+/// Asserts that folding `trace`, as read back by the JSONL reader, with
+/// the run ledger's own fold gives every counter of the run's `metrics`
+/// but the [`INLINE`] ones. Also asserts that every line of the trace is
 /// in the form the reader's canonical-line decoder takes, so none falls
 /// back to the general path.
-fn check_fold(
-    case: &str,
-    sim: &str,
-    trace: &[u8],
-    registry: &MetricsRegistry,
-    metrics: &RunMetrics,
-) {
-    let mut folded = [0u64; FOLDED.len()];
-    let (mut hard_kills, mut incremental) = (0u64, 0u64);
+fn check_fold(case: &str, sim: &str, trace: &[u8], metrics: &RunMetrics) {
+    let mut ledger = RunLedger::default();
     let mut reader = JsonlReader::new(trace).expect("golden traces have a header");
     for item in reader.by_ref() {
         let (_, rec) = item.expect("golden traces are well-formed");
-        if let Some(i) = FOLDED.iter().position(|(_, kind)| *kind == rec.name()) {
-            folded[i] += 1;
-        }
-        match rec {
-            TraceRecord::TaskEvict { reason, .. } if reason != "dump" => hard_kills += 1,
-            TraceRecord::DumpStart {
-                incremental: true, ..
-            } => incremental += 1,
-            _ => {}
-        }
+        ledger.fold(&rec);
     }
-    for ((key, kind), n) in FOLDED.iter().zip(folded) {
-        assert_eq!(
-            registry.counter(key),
-            Some(n),
-            "{case}, {sim}: {key} vs {n} {kind} records"
-        );
-    }
-    assert_eq!(
-        metrics.incremental_checkpoints, incremental,
-        "{case}, {sim}: incremental checkpoints vs incremental dump_start records"
+    let no_path = CkptPath::new(
+        0,
+        MediaSpec::ssd(),
+        Criu::new(true),
+        None,
+        None,
+        None,
+        false,
     );
+    let folded = ledger.into_metrics(SimTime::ZERO, 0.0, &no_path);
+    for ((name, n), (_, want)) in counters(&folded).into_iter().zip(counters(metrics)) {
+        if !INLINE.contains(&name) {
+            assert_eq!(
+                n, want,
+                "{case}, {sim}: {name} folded from the trace vs the run's"
+            );
+        }
+    }
     let lines = reader.line_counts();
     let records = trace.iter().filter(|&&b| b == b'\n').count() as u64 - 1;
     assert_eq!(
         (lines.canonical, lines.general),
         (records, 0),
         "{case}, {sim}: lines decoded by the canonical and the general path"
-    );
-    let counter = |key: &str| registry.counter(key);
-    let kills = counter("scheduler.kills").expect("both simulators count kills");
-    let crashes = counter("faults.crash_evictions").expect("both simulators count crashes");
-    let failures = counter("scheduler.failure_evictions").unwrap_or(0);
-    assert_eq!(
-        kills + crashes + failures,
-        hard_kills,
-        "{case}, {sim}: scheduler.kills {kills} + faults.crash_evictions {crashes} \
-         + scheduler.failure_evictions {failures} vs {hard_kills} hard-kill task_evict records"
     );
 }
 
