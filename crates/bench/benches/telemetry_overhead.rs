@@ -1,9 +1,10 @@
-//! Criterion benchmark proving the telemetry wiring is free when disabled.
+//! Criterion benchmark of what the telemetry wiring costs a run.
 //!
-//! Every trace point in `ClusterSim` is guarded by a cached
-//! `tracer.enabled()` bool, so a run with the default `NullTracer` must be
-//! within noise (the PR's acceptance bar: <2%) of the pre-telemetry
-//! baseline. Since the baseline no longer exists in-tree, we compare
+//! A run's counters are a fold over its trace records, so with the
+//! default `NullTracer` every record the run ledger counts is still
+//! built and folded; only its hand-off to the tracer is skipped. A record
+//! nothing counts whose fields cost more than a copy is built only while
+//! a tracer is on. Since no untraced build exists in-tree, we compare
 //!
 //! * `null_tracer` — the default, exactly what every experiment runs, vs.
 //! * `sink_tracer` — a `JsonlTracer` writing to `std::io::sink()`, the

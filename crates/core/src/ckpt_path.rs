@@ -27,7 +27,9 @@
 //! breaker-open fallback ([`CkptPath::preempt_action`]). What the
 //! simulators do differently — the slowdown and retry terms, the overhead
 //! estimate, when progress and memory are synced, the DFS path prefix,
-//! the CPU sums a retry charges — comes in as arguments.
+//! the CPU sums a retry charges — comes in as arguments. Each step writes
+//! its trace records through the run's [`Recorder`], whose ledger counts
+//! them, so the path keeps no counters of its own.
 //!
 //! Tasks are opaque `u64` keys (the ids trace records carry). Status
 //! writes stay with the simulators: the methods here update a task's

@@ -391,6 +391,7 @@ impl RunLedger {
     /// Folds one trace record into the counters (see [`RunCounts`]). A
     /// `dump-fail` or node-loss `dump_fallback` counts nothing: the
     /// `dump_fail` or `task_evict` record beside it counts the kill.
+    #[inline]
     pub fn fold(&mut self, rec: &TraceRecord) {
         let c = &mut self.counts;
         match *rec {

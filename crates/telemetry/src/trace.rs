@@ -3,8 +3,8 @@
 //! The simulators emit typed [`TraceRecord`]s through a [`Tracer`] trait
 //! object. Three sinks are provided:
 //!
-//! * [`NullTracer`] — the default; `enabled()` returns `false` so call
-//!   sites can skip record construction entirely.
+//! * [`NullTracer`] — the default; `enabled()` returns `false`, so a call
+//!   site can skip building a record that only the tracer reads.
 //! * [`JsonlTracer`] — one JSON object per line with a fixed field order,
 //!   so the same seed produces byte-identical output.
 //! * [`ChromeTraceTracer`] — a `chrome://tracing` / Perfetto-compatible
@@ -555,9 +555,9 @@ record_layouts!(impl_layouts);
 /// `t_us` is integer microseconds of simulated time (mirroring
 /// `SimTime::as_micros`).
 pub trait Tracer {
-    /// Whether records should be constructed at all. Call sites should
-    /// guard trace-point construction with this (or a cached copy of it)
-    /// so the disabled path costs a single branch.
+    /// Whether records reach the tracer. A call site can guard a record
+    /// that only the tracer reads with this (or a cached copy of it), so
+    /// the disabled path costs a single branch.
     fn enabled(&self) -> bool {
         true
     }
