@@ -1439,7 +1439,6 @@ impl CkptPath {
     /// episode ends, the path reports healthy, the `restore_done` record
     /// is written, the restore charged to the ledger, and `task` resumes.
     /// Returns when it will finish; the caller marks it running.
-    #[allow(clippy::too_many_arguments)]
     pub fn finish_restore(
         &mut self,
         key: u64,
