@@ -1,9 +1,7 @@
 //! The checkpoint/restore engine and cost estimator.
 
-use std::collections::HashMap;
-
 use cbp_simkit::units::ByteSize;
-use cbp_simkit::{SimDuration, SimTime};
+use cbp_simkit::{HandleMap, SimDuration, SimTime};
 use cbp_storage::{CapacityError, Device, OpCompletion};
 
 use crate::image::{CheckpointKind, ImageChain, ImageId, ImageRecord};
@@ -102,7 +100,7 @@ impl OverheadEstimate {
 /// [crate-level example](crate) for typical usage.
 #[derive(Debug, Default)]
 pub struct Criu {
-    chains: HashMap<u64, ImageChain>,
+    chains: HandleMap<u64, ImageChain>,
     ledger: ImageLedger,
     incremental: bool,
     compression: Option<CompressionSpec>,
@@ -124,7 +122,7 @@ impl Criu {
     /// baseline.
     pub fn new(incremental: bool) -> Self {
         Criu {
-            chains: HashMap::new(),
+            chains: HandleMap::default(),
             ledger: ImageLedger::new(),
             incremental,
             compression: None,

@@ -18,10 +18,8 @@
 //! [`NvramCheckpointer`] models all three against a [`TaskMemory`]'s real
 //! dirty bitmap.
 
-use std::collections::HashMap;
-
 use cbp_simkit::units::{Bandwidth, ByteSize};
-use cbp_simkit::SimDuration;
+use cbp_simkit::{HandleMap, SimDuration};
 use serde::{Deserialize, Serialize};
 
 use crate::memory::TaskMemory;
@@ -140,7 +138,7 @@ impl std::error::Error for NvramError {}
 #[derive(Debug)]
 pub struct NvramCheckpointer {
     spec: NvramSpec,
-    mirrors: HashMap<u64, Mirror>,
+    mirrors: HandleMap<u64, Mirror>,
     used: ByteSize,
     suspends: u64,
     resumes: u64,
@@ -152,7 +150,7 @@ impl NvramCheckpointer {
     pub fn new(spec: NvramSpec) -> Self {
         NvramCheckpointer {
             spec,
-            mirrors: HashMap::new(),
+            mirrors: HandleMap::default(),
             used: ByteSize::ZERO,
             suspends: 0,
             resumes: 0,

@@ -1,9 +1,9 @@
 //! Nodes and containers.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::fmt;
 
+use cbp_simkit::HandleMap;
 use serde::{Deserialize, Serialize};
 
 use crate::resources::Resources;
@@ -98,7 +98,7 @@ pub struct Node {
     id: NodeId,
     capacity: Resources,
     allocated: Resources,
-    containers: HashMap<ContainerId, Container>,
+    containers: HandleMap<ContainerId, Container>,
 }
 
 impl Node {
@@ -108,7 +108,7 @@ impl Node {
             id,
             capacity,
             allocated: Resources::ZERO,
-            containers: HashMap::new(),
+            containers: HandleMap::default(),
         }
     }
 

@@ -1,47 +1,14 @@
 //! Per-task simulator state: the execution record both simulators share
 //! ([`TaskExec`]) and `ClusterSim`'s own task record around it.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
 use cbp_checkpoint::TaskMemory;
 use cbp_cluster::ContainerId;
-use cbp_simkit::{SimDuration, SimTime};
+use cbp_simkit::{HandleMap, SimDuration, SimTime};
 use cbp_workload::{Priority, TaskSpec};
 
-/// A map keyed by task handle. The handles are dense small integers that
-/// no input controls, so SipHash's flood resistance buys nothing here,
-/// while its cost showed in the scheduling pass, which probes the
-/// reservation map for every key it visits.
-pub(crate) type TaskMap<V> = HashMap<u32, V, BuildHasherDefault<HandleHasher>>;
-
-/// A multiplicative (Fx-style) hash of a task handle.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct HandleHasher(u64);
-
-impl HandleHasher {
-    const K: u64 = 0x517c_c1b7_2722_0a95;
-
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
-    }
-}
-
-impl Hasher for HandleHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(u64::from(b));
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.add(u64::from(n));
-    }
-}
+/// A map keyed by task handle (the scheduling pass probes the reservation
+/// map for every key it visits).
+pub(crate) type TaskMap<V> = HandleMap<u32, V>;
 
 /// Where a task is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

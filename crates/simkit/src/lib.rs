@@ -6,7 +6,10 @@
 //!
 //! * [`SimTime`] / [`SimDuration`]: microsecond-resolution simulated time,
 //! * [`EventQueue`]: a priority queue of timestamped events with FIFO
-//!   tie-breaking so runs are fully deterministic,
+//!   tie-breaking so runs are fully deterministic, plus a FIFO lane for
+//!   events scheduled a constant delay ahead,
+//! * [`HandleHasher`] / [`HandleMap`]: the fast hasher for maps keyed by
+//!   simulator-made integers,
 //! * [`Simulation`] and [`run`] / [`run_until`]: a minimal engine loop,
 //! * [`SimRng`]: a seeded random-number source plus heavy-tailed
 //!   distributions used by the workload generators,
@@ -55,6 +58,7 @@
 
 mod engine;
 mod event;
+mod hash;
 mod rng;
 mod time;
 
@@ -64,5 +68,6 @@ pub mod units;
 
 pub use engine::{run, run_until, run_until_observed, RunStats, Simulation, OBSERVE_EVERY};
 pub use event::EventQueue;
+pub use hash::{HandleHasher, HandleMap};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
