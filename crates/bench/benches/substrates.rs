@@ -54,7 +54,7 @@ fn bench_dfs(c: &mut Criterion) {
             |mut dfs| {
                 for i in 0..100 {
                     let path = format!("/f{i}");
-                    dfs.create(&path, ByteSize::from_mb(256), DnId(i % 8))
+                    dfs.create(path.as_str(), ByteSize::from_mb(256), DnId(i % 8))
                         .unwrap();
                     black_box(dfs.read_cost(&path, DnId((i + 1) % 8)).unwrap().duration);
                 }

@@ -37,7 +37,9 @@
 //! the keys whose chains were dropped, a verdict — and each simulator
 //! applies its own rules to them.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write;
+use std::rc::Rc;
 
 use cbp_checkpoint::{
     plan_evictions, CheckpointKind, Criu, DumpResult, EvictionCandidate, NvramCheckpointer,
@@ -46,7 +48,7 @@ use cbp_checkpoint::{
 use cbp_dfs::{DfsCluster, DnId, ReplicationRepair};
 use cbp_faults::{BreakerTransition, FaultPlan, HealthMonitor};
 use cbp_simkit::units::ByteSize;
-use cbp_simkit::{SimDuration, SimTime};
+use cbp_simkit::{HandleMap, SimDuration, SimTime};
 use cbp_storage::{Device, MediaKind, MediaSpec, OpKind};
 use cbp_telemetry::{MetricsRegistry, PreemptAction, TraceRecord};
 
@@ -148,7 +150,7 @@ pub enum RestoreEnd {
 struct Mirrors {
     engines: Vec<NvramCheckpointer>,
     /// Task → node holding its mirror.
-    origin: HashMap<u64, u32>,
+    origin: HandleMap<u64, u32>,
 }
 
 /// The terms of a victim's ranking estimate that every victim on one node
@@ -202,15 +204,18 @@ pub struct CkptPath {
     /// conservation invariant is `device.used == live catalog bytes +
     /// leaked`.
     leaked: Vec<u64>,
-    /// Task → its DFS files, in chain order.
-    paths: BTreeMap<u64, Vec<String>>,
+    /// Task → its DFS files, in chain order. Each path is the string the
+    /// DFS namespace keys the file by, shared.
+    paths: BTreeMap<u64, Vec<Rc<str>>>,
+    /// Where the next DFS path is spelled out before it is shared.
+    path_buf: String,
     /// Task → 0-based attempt index of its in-flight dump episode.
-    dump_attempts: HashMap<u64, u32>,
+    dump_attempts: HandleMap<u64, u32>,
     /// Task → durable bytes of its in-flight dump episode (monotone within
     /// an episode; a retry rewrites only the suffix past it).
-    dump_frontier: HashMap<u64, u64>,
+    dump_frontier: HandleMap<u64, u64>,
     /// Task → 0-based attempt index of its in-flight restore episode.
-    restore_attempts: HashMap<u64, u32>,
+    restore_attempts: HandleMap<u64, u32>,
     /// The NVRAM mirrors that replace the image files when configured.
     nvram: Option<Mirrors>,
     /// Tasks whose current chain was corrupted whole at dump time (the
@@ -257,12 +262,13 @@ impl CkptPath {
                 .map(|spec| HealthMonitor::new(*spec, nodes)),
             leaked: vec![0; nodes],
             paths: BTreeMap::new(),
-            dump_attempts: HashMap::new(),
-            dump_frontier: HashMap::new(),
-            restore_attempts: HashMap::new(),
+            path_buf: String::new(),
+            dump_attempts: HandleMap::default(),
+            dump_frontier: HandleMap::default(),
+            restore_attempts: HandleMap::default(),
             nvram: nvram.map(|spec| Mirrors {
                 engines: (0..nodes).map(|_| NvramCheckpointer::new(spec)).collect(),
-                origin: HashMap::new(),
+                origin: HandleMap::default(),
             }),
             corrupt: BTreeSet::new(),
             whole_image_corruption,
@@ -350,20 +356,32 @@ impl CkptPath {
             .sum()
     }
 
-    /// Writes a `bytes`-byte file at `path` from `node` through the DFS and
-    /// records it as `key`'s next file. Returns the pipelined write time,
-    /// or `None` when there is no DFS or the write was refused.
+    /// Writes a `bytes`-byte file from `node` through the DFS as `key`'s
+    /// next file, `/ckpt/{dir…}/{epoch}/{n}` where `dir` names the task's
+    /// directory and `n` counts its files. Returns the pipelined write
+    /// time, or `None` when there is no DFS or the write was refused.
     fn write_dfs(
         &mut self,
         key: u64,
-        path: String,
+        dir: &[u32],
+        epoch: u32,
         bytes: ByteSize,
         node: usize,
     ) -> Option<SimDuration> {
+        let n = self.path_count(key);
+        let buf = &mut self.path_buf;
+        buf.clear();
+        buf.push_str("/ckpt");
+        for part in dir.iter().chain([&epoch]) {
+            // Writing to a `String` cannot fail.
+            let _ = write!(buf, "/{part}");
+        }
+        let _ = write!(buf, "/{n}");
+        let path = Rc::<str>::from(buf.as_str());
         let receipt = self
             .dfs
             .as_mut()?
-            .create(&path, bytes, DnId(node as u32))
+            .create(Rc::clone(&path), bytes, DnId(node as u32))
             .ok()?;
         self.paths.entry(key).or_default().push(path);
         Some(receipt.duration)
@@ -808,7 +826,7 @@ impl CkptPath {
     /// and memory are synced through `tasks`; the image is placed —
     /// climbing the lifecycle ladder when `lifecycle` is on, where `up`
     /// tells the nodes in service — then written through the DFS as
-    /// `{dfs_dir}/{epoch}/{n}` and queued on its device. The write pays
+    /// `/ckpt/{dir…}/{epoch}/{n}` and queued on its device. The write pays
     /// the `slowdown` factor (applied above 1) of the device that takes
     /// the image when `dump_at_origin` is set, else of `node`.
     /// On the NVRAM backend it is copied into the node's mirror instead.
@@ -824,7 +842,7 @@ impl CkptPath {
         key: u64,
         node: usize,
         tasks: &mut impl TaskTable,
-        dfs_dir: &dyn std::fmt::Display,
+        dir: &[u32],
         slowdown: &dyn Fn(usize) -> f64,
         dump_at_origin: bool,
         lifecycle: bool,
@@ -890,8 +908,7 @@ impl CkptPath {
             }
             let task = tasks.exec(key);
             let service = if self.has_dfs() {
-                let path = format!("{dfs_dir}/{}/{}", task.epoch, self.path_count(key));
-                let write = self.write_dfs(key, path, wire_size, node);
+                let write = self.write_dfs(key, dir, task.epoch, wire_size, node);
                 write.map(|d| if factor > 1.0 { d.mul_f64(factor) } else { d })
             } else if factor > 1.0 {
                 Some(
@@ -2111,7 +2128,7 @@ mod tests {
                     0,
                     1,
                     tasks,
-                    &"/ckpt/0",
+                    &[0],
                     &|_| 2.0,
                     true,
                     true,

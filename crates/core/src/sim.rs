@@ -936,7 +936,7 @@ impl ClusterSim {
             handle_u64(t),
             node,
             &mut self.tasks,
-            &format_args!("/ckpt/{t}"),
+            &[t],
             // A stall window on the origin device degrades the dump's
             // service time (DFS pipeline and local writes alike).
             &|i| self.clock.device_factor(i, now),

@@ -1,11 +1,13 @@
 //! The DFS cluster: datanodes, placement, and transfer timing.
 
+use std::rc::Rc;
+
 use cbp_simkit::units::{Bandwidth, ByteSize};
 use cbp_simkit::{SimDuration, SimRng};
 use cbp_storage::MediaSpec;
 use serde::{Deserialize, Serialize};
 
-use crate::namespace::{BlockInfo, FileId, Namespace};
+use crate::namespace::{add_replica, live, remove_replica, FileId, FileInfo, Namespace};
 use crate::DfsError;
 
 /// Identifier of a datanode (index into the cluster's datanode table; the
@@ -158,6 +160,8 @@ impl DfsCluster {
     }
 
     /// Creates `path` with `size` bytes written from datanode `writer`.
+    /// The namespace keeps `path` itself as the file's name, so a caller
+    /// that holds on to an `Rc<str>` shares it instead of copying it.
     ///
     /// Returns the pipelined write timing. Replicas: one on `writer`, the
     /// rest on distinct other nodes (fewer if the cluster is smaller than
@@ -169,34 +173,35 @@ impl DfsCluster {
     /// * [`DfsError::UnknownDataNode`] if `writer` is out of range.
     pub fn create(
         &mut self,
-        path: &str,
+        path: impl Into<Rc<str>>,
         size: ByteSize,
         writer: DnId,
     ) -> Result<WriteReceipt, DfsError> {
+        let path = path.into();
         self.node(writer)?;
-        if self.namespace.contains(path) {
+        if self.namespace.contains(&path) {
             return Err(DfsError::FileExists(path.to_string()));
         }
 
-        let mut blocks = Vec::new();
+        let block_size = self.config.block_size;
+        let nblocks = size.as_u64().div_ceil(block_size.as_u64()) as usize;
+        let alive = self.nodes.iter().filter(|n| n.alive).count();
+        let want = self.config.replication.min(alive.max(1));
+        let mut slots = Vec::with_capacity(nblocks * want);
         let mut remaining = size;
         while !remaining.is_zero() {
-            let bsize = remaining.min(self.config.block_size);
+            let bsize = remaining.min(block_size);
             remaining = remaining.saturating_sub(bsize);
-            let replicas = self.place_replicas(writer);
-            let id = self.namespace.new_block_id();
-            for &dn in &replicas {
+            let start = slots.len();
+            self.place_replicas(writer, want, &mut slots);
+            for &dn in &slots[start..] {
                 self.nodes[dn.0 as usize].used += bsize;
             }
-            blocks.push(BlockInfo {
-                id,
-                size: bsize,
-                replicas,
-            });
         }
         // Zero-byte files still occupy a namespace entry.
-        let nblocks = blocks.len();
-        let file = self.namespace.insert(path, size, blocks)?;
+        let file = self
+            .namespace
+            .insert(path, FileInfo::new(size, block_size, want, slots))?;
 
         let writer_node = &self.nodes[writer.0 as usize];
         let bw = self.pipeline_write_bw(writer_node);
@@ -210,19 +215,18 @@ impl DfsCluster {
         })
     }
 
-    fn place_replicas(&mut self, writer: DnId) -> Vec<DnId> {
-        let mut replicas = vec![writer];
-        let alive = self.nodes.iter().filter(|n| n.alive).count();
-        let want = self.config.replication.min(alive.max(1));
-        // Rejection-sample distinct live remote nodes; bounded because
-        // want <= live node count.
-        while replicas.len() < want {
+    /// Appends one block's `want` replicas to `slots`: the writer, then
+    /// distinct live nodes by rejection sampling (bounded because `want`
+    /// is at most the live node count, or 1).
+    fn place_replicas(&mut self, writer: DnId, want: usize, slots: &mut Vec<DnId>) {
+        let start = slots.len();
+        slots.push(writer);
+        while slots.len() - start < want {
             let cand = DnId(self.rng.index(self.nodes.len()) as u32);
-            if !replicas.contains(&cand) && self.nodes[cand.0 as usize].alive {
-                replicas.push(cand);
+            if !slots[start..].contains(&cand) && self.nodes[cand.0 as usize].alive {
+                slots.push(cand);
             }
         }
-        replicas
     }
 
     /// Marks `dn` dead and re-replicates every block that lost a replica
@@ -249,7 +253,7 @@ impl DfsCluster {
         self.nodes[dn.0 as usize].alive = false;
         self.nodes[dn.0 as usize].used = ByteSize::ZERO;
 
-        let live: Vec<u32> = (0..self.nodes.len() as u32)
+        let live_nodes: Vec<u32> = (0..self.nodes.len() as u32)
             .filter(|&i| self.nodes[i as usize].alive)
             .collect();
         let mut repair = ReplicationRepair {
@@ -257,38 +261,33 @@ impl DfsCluster {
             bytes_copied: ByteSize::ZERO,
             blocks_lost: 0,
         };
-        // Collect the replica moves first (namespace borrows), then apply
-        // usage accounting.
-        let mut additions: Vec<(DnId, ByteSize)> = Vec::new();
-        let rng = &mut self.rng;
+        let mut candidates: Vec<u32> = Vec::new();
         for file in self.namespace.files_mut() {
-            for block in &mut file.blocks {
-                let before = block.replicas.len();
-                block.replicas.retain(|&r| r != dn);
-                if block.replicas.len() == before {
+            for (size, slots) in file.slots_mut() {
+                if !remove_replica(slots, dn) {
                     continue; // this block had no replica on dn
                 }
-                if block.replicas.is_empty() {
+                let replicas = live(slots);
+                if replicas.is_empty() {
                     repair.blocks_lost += 1;
                     continue;
                 }
                 // Pick a live node not already holding the block.
-                let candidates: Vec<u32> = live
-                    .iter()
-                    .copied()
-                    .filter(|&i| !block.replicas.contains(&DnId(i)))
-                    .collect();
+                candidates.clear();
+                candidates.extend(
+                    live_nodes
+                        .iter()
+                        .copied()
+                        .filter(|&i| !replicas.contains(&DnId(i))),
+                );
                 if !candidates.is_empty() {
-                    let target = candidates[rng.index(candidates.len())];
-                    block.replicas.push(DnId(target));
-                    additions.push((DnId(target), block.size));
+                    let target = candidates[self.rng.index(candidates.len())];
+                    add_replica(slots, DnId(target));
+                    self.nodes[target as usize].used += size;
                     repair.blocks_repaired += 1;
-                    repair.bytes_copied += block.size;
+                    repair.bytes_copied += size;
                 }
             }
-        }
-        for (target, size) in additions {
-            self.nodes[target.0 as usize].used += size;
         }
         Ok(repair)
     }
@@ -322,8 +321,7 @@ impl DfsCluster {
         Ok(self
             .namespace
             .file(path)?
-            .blocks
-            .iter()
+            .blocks()
             .all(|b| !b.replicas.is_empty()))
     }
 
@@ -341,7 +339,7 @@ impl DfsCluster {
         let mut local = ByteSize::ZERO;
         let mut remote = ByteSize::ZERO;
         let mut remote_bw = self.config.network_bw;
-        for b in &file.blocks {
+        for b in file.blocks() {
             if b.is_local_to(reader) {
                 local += b.size;
             } else if b.replicas.is_empty() {
@@ -361,7 +359,7 @@ impl DfsCluster {
         let duration = reader_node.media.setup()
             + reader_node.media.read_bw().transfer_time(local)
             + remote_bw.transfer_time(remote)
-            + self.config.per_block_overhead * file.blocks.len() as u64;
+            + self.config.per_block_overhead * file.block_count() as u64;
         Ok(ReadCost {
             local_bytes: local,
             remote_bytes: remote,
@@ -376,8 +374,8 @@ impl DfsCluster {
     /// [`DfsError::NotFound`] if the path is absent.
     pub fn delete(&mut self, path: &str) -> Result<ByteSize, DfsError> {
         let file = self.namespace.remove(path)?;
-        for b in &file.blocks {
-            for &dn in &b.replicas {
+        for b in file.blocks() {
+            for &dn in b.replicas {
                 let node = &mut self.nodes[dn.0 as usize];
                 node.used = node.used.saturating_sub(b.size);
             }
@@ -408,11 +406,11 @@ mod tests {
         let mut dfs = cluster(5, 3);
         dfs.create("/f", ByteSize::from_mb(300), DnId(2)).unwrap();
         let file = dfs.namespace().file("/f").unwrap();
-        assert_eq!(file.blocks.len(), 3); // 128 + 128 + 44 MB
-        for b in &file.blocks {
+        assert_eq!(file.block_count(), 3); // 128 + 128 + 44 MB
+        for b in file.blocks() {
             assert_eq!(b.replicas[0], DnId(2));
             assert_eq!(b.replicas.len(), 3);
-            let mut sorted = b.replicas.clone();
+            let mut sorted = b.replicas.to_vec();
             sorted.sort();
             sorted.dedup();
             assert_eq!(sorted.len(), 3, "replicas must be distinct");
@@ -424,7 +422,18 @@ mod tests {
         let mut dfs = cluster(2, 3);
         dfs.create("/f", ByteSize::from_mb(10), DnId(0)).unwrap();
         let file = dfs.namespace().file("/f").unwrap();
-        assert_eq!(file.blocks[0].replicas.len(), 2);
+        assert_eq!(file.block(0).replicas.len(), 2);
+    }
+
+    /// A replication factor above the cluster size costs no more slots
+    /// than the cluster can fill.
+    #[test]
+    fn huge_replication_factor_is_capped() {
+        let mut dfs = cluster(3, 1_000);
+        dfs.create("/f", ByteSize::from_mb(300), DnId(1)).unwrap();
+        let file = dfs.namespace().file("/f").unwrap();
+        assert!(file.blocks().all(|b| b.replicas.len() == 3));
+        assert_eq!(dfs.total_used(), ByteSize::from_mb(900));
     }
 
     #[test]
@@ -530,9 +539,9 @@ mod tests {
         assert_eq!(dfs.used_on(DnId(0)).unwrap(), ByteSize::ZERO);
         // Every block readable from a live node, with no dead replicas.
         let file = dfs.namespace().file("/f").unwrap();
-        for b in &file.blocks {
+        for b in file.blocks() {
             assert_eq!(b.replicas.len(), 2);
-            for &r in &b.replicas {
+            for &r in b.replicas {
                 assert!(dfs.is_alive(r), "dead replica {r:?} survives in map");
             }
         }
@@ -550,7 +559,7 @@ mod tests {
         assert_eq!(repair.blocks_repaired, 0);
         assert_eq!(repair.blocks_lost, 1);
         let file = dfs.namespace().file("/f").unwrap();
-        assert!(file.blocks[0].replicas.is_empty());
+        assert!(file.block(0).replicas.is_empty());
     }
 
     /// Regression: overlapping failure reports for the same block chain
@@ -573,12 +582,12 @@ mod tests {
         assert_eq!(second.blocks_lost, 0);
         assert!(dfs.is_readable("/f").unwrap());
         let file = dfs.namespace().file("/f").unwrap();
-        for b in &file.blocks {
+        for b in file.blocks() {
             assert!(
                 !b.replicas.is_empty(),
                 "block lost replicas while healthy nodes exist"
             );
-            for &r in &b.replicas {
+            for &r in b.replicas {
                 assert!(dfs.is_alive(r), "dead replica {r:?} survives in map");
             }
         }
@@ -602,8 +611,8 @@ mod tests {
         a.create("/g", ByteSize::from_mb(128), DnId(1)).unwrap();
         b.create("/g", ByteSize::from_mb(128), DnId(1)).unwrap();
         assert_eq!(
-            a.namespace().file("/g").unwrap().blocks,
-            b.namespace().file("/g").unwrap().blocks
+            a.namespace().file("/g").unwrap(),
+            b.namespace().file("/g").unwrap()
         );
     }
 
@@ -614,8 +623,8 @@ mod tests {
         dfs.create("/f", ByteSize::from_mb(10), DnId(0)).unwrap();
         let file = dfs.namespace().file("/f").unwrap();
         // Only 2 live nodes: replication clamps to 2, none on the dead node.
-        assert_eq!(file.blocks[0].replicas.len(), 2);
-        assert!(!file.blocks[0].replicas.contains(&DnId(2)));
+        assert_eq!(file.block(0).replicas.len(), 2);
+        assert!(!file.block(0).is_local_to(DnId(2)));
     }
 
     #[test]
@@ -624,14 +633,16 @@ mod tests {
         let mut b = cluster(10, 3);
         for i in 0..20 {
             let path = format!("/f{i}");
-            a.create(&path, ByteSize::from_mb(64), DnId(0)).unwrap();
-            b.create(&path, ByteSize::from_mb(64), DnId(0)).unwrap();
+            a.create(path.as_str(), ByteSize::from_mb(64), DnId(0))
+                .unwrap();
+            b.create(path.as_str(), ByteSize::from_mb(64), DnId(0))
+                .unwrap();
         }
         for i in 0..20 {
             let path = format!("/f{i}");
             assert_eq!(
-                a.namespace().file(&path).unwrap().blocks,
-                b.namespace().file(&path).unwrap().blocks
+                a.namespace().file(&path).unwrap(),
+                b.namespace().file(&path).unwrap()
             );
         }
     }
