@@ -5,7 +5,7 @@
 //! ROADMAP's "as fast as the hardware allows" goal needs: where does the
 //! *engine itself* spend host time? It provides:
 //!
-//! * [`scope`] — a hierarchical RAII scope profiler. Scopes nest on a
+//! * [`scope()`] — a hierarchical RAII scope profiler. Scopes nest on a
 //!   thread-local span stack; each distinct *path* of scope names becomes a
 //!   node accumulating call count, total wall time and (with the
 //!   `count-alloc` feature) allocation count. `cbp_simkit::run_until_observed`
@@ -24,7 +24,7 @@
 //!
 //! # The null profiler, and overhead
 //!
-//! Profiling is **off by default** (the "null profiler" state): [`scope`]
+//! Profiling is **off by default** (the "null profiler" state): [`scope()`]
 //! then costs a single thread-local boolean load and branch, allocates
 //! nothing, and records nothing — instrumented hot paths behave
 //! byte-identically to un-instrumented ones. [`start`] flips the

@@ -368,7 +368,7 @@ impl YarnSim {
             am_task.preempt_requested = true;
             let epoch = am_task.exec.epoch;
             // ContainerPreemptEvent travels RM -> AM.
-            q.push(
+            q.push_lane(
                 now + self.cfg.rpc_delay,
                 YarnEvent::PreemptDecision { app, task, epoch },
             );
@@ -589,7 +589,7 @@ impl YarnSim {
         });
         self.apps[app as usize].requeue(task);
         self.rm.add_asks(app, 1);
-        q.push(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
+        q.push_lane(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
     }
 
     // ---- image lifecycle (capacity backpressure ladder) -----------------
@@ -610,7 +610,7 @@ impl YarnSim {
             task_key(app, task),
             node,
             &mut AppTasks(&mut self.apps),
-            &format_args!("/ckpt/{app}/{task}"),
+            &[app, task],
             // A rack partition degrades the DFS write pipeline out of the
             // isolated rack.
             &|i| self.clock.partition_factor(i),
@@ -653,7 +653,7 @@ impl YarnSim {
     /// A chaos-plan crash takes `node` (NM + datanode) down: every
     /// container on it is lost, in-flight dumps are aborted, and the
     /// NameNode re-replicates the blocks that lost a replica. Recovery
-    /// is scheduled by the caller ([`YarnEvent::ChaosRecover`]).
+    /// is scheduled by the caller ([`FaultTick::Recover`]).
     fn crash_node(&mut self, node: usize, now: SimTime, q: &mut EventQueue<YarnEvent>) {
         if !self.nms[node].up {
             return; // already down (stale event)
@@ -677,7 +677,7 @@ impl YarnSim {
             }
         }
         self.update_meter(node, now);
-        q.push(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
+        q.push_lane(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
     }
 
     /// Evicts one container lost to a node crash. Unlike a kill the
@@ -782,7 +782,7 @@ impl YarnSim {
                 self.apps.push(am);
                 self.rm.register_app(app, queue);
                 self.rm.add_asks(app, asks);
-                q.push(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
+                q.push_lane(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
             }
             YarnEvent::RmSchedule => {
                 self.rm_schedule(now, q);
@@ -941,7 +941,7 @@ impl YarnSim {
                         am_task.exec.status = TaskStatus::Checkpointed { origin: node };
                         self.apps[app as usize].requeue(task);
                         self.rm.add_asks(app, 1);
-                        q.push(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
+                        q.push_lane(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
                     }
                 }
             }
@@ -1043,7 +1043,7 @@ impl YarnSim {
                         now,
                     );
                 }
-                q.push(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
+                q.push_lane(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
             }
             YarnEvent::Fault(tick) => self.on_fault_tick(tick, now, q),
         }
@@ -1077,7 +1077,7 @@ impl FaultHost for YarnSim {
     /// return asks for one after the heartbeat delay.
     fn follow_up(&mut self, after: FaultTick, now: SimTime, q: &mut EventQueue<YarnEvent>) {
         if let FaultTick::Recover(_) = after {
-            q.push(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
+            q.push_lane(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
         }
     }
 }
