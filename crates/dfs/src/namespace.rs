@@ -1,6 +1,6 @@
 //! The NameNode's view: files, blocks and replica locations.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::rc::Rc;
 
 use cbp_simkit::units::ByteSize;
@@ -93,14 +93,9 @@ impl FileInfo {
     pub fn block(&self, i: usize) -> BlockInfo<'_> {
         let n = self.block_count();
         assert!(i < n, "block {i} of a {n}-block file");
-        let size = if i + 1 < n {
-            self.block_size
-        } else {
-            self.size - self.block_size * (n as u64 - 1)
-        };
         BlockInfo {
             id: BlockId(self.first_block.0 + i as u64),
-            size,
+            size: (self.size - self.block_size * i as u64).min(self.block_size),
             replicas: live(&self.slots[i * self.stride..(i + 1) * self.stride]),
         }
     }
@@ -112,19 +107,11 @@ impl FileInfo {
 
     /// Each block's size and replica slots, for NameNode maintenance.
     pub(crate) fn slots_mut(&mut self) -> impl Iterator<Item = (ByteSize, &mut [DnId])> {
-        let n = self.block_count();
         let (size, block_size) = (self.size, self.block_size);
         self.slots
             .chunks_exact_mut(self.stride)
             .enumerate()
-            .map(move |(i, slots)| {
-                let bsize = if i + 1 < n {
-                    block_size
-                } else {
-                    size - block_size * (n as u64 - 1)
-                };
-                (bsize, slots)
-            })
+            .map(move |(i, slots)| ((size - block_size * i as u64).min(block_size), slots))
     }
 }
 
@@ -203,15 +190,16 @@ impl Namespace {
     /// [`DfsError::FileExists`] if the path is taken (the caller must roll
     /// back its placements).
     pub(crate) fn insert(&mut self, path: Rc<str>, mut file: FileInfo) -> Result<FileId, DfsError> {
-        if self.files.contains_key(&path) {
-            return Err(DfsError::FileExists(path.to_string()));
-        }
+        let slot = match self.files.entry(path) {
+            Entry::Vacant(slot) => slot,
+            Entry::Occupied(taken) => return Err(DfsError::FileExists(taken.key().to_string())),
+        };
         let id = FileId(self.next_file);
         self.next_file += 1;
         file.id = id;
         file.first_block = BlockId(self.next_block);
         self.next_block += file.block_count() as u64;
-        self.files.insert(path, file);
+        slot.insert(file);
         Ok(id)
     }
 

@@ -55,7 +55,7 @@ static ALLOC: CountingAllocator = CountingAllocator;
 
 /// Allocations per dump the run may make. The run below makes 7.0 per
 /// dump in release builds and 23.4 in debug builds, whose assertions run
-/// allocating reference scans. One more allocation per DFS block (13.6
+/// allocating reference scans. One more allocation per DFS block (13.7
 /// blocks per dump) or per file path crosses either bound.
 const BUDGET_PER_DUMP: f64 = if cfg!(debug_assertions) { 24.0 } else { 8.0 };
 
