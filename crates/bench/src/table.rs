@@ -207,4 +207,88 @@ mod tests {
         assert_eq!(fmt(1.2345, 2), "1.23");
         assert_eq!(pct(0.123), "12.3%");
     }
+
+    /// Edge cases of `experiments.json` with their exact text: an empty
+    /// list, an experiment with no tables, a table with no rows or notes,
+    /// and cells that need escaping (quote, backslash, newline, U+0001)
+    /// next to one that does not (`≈`).
+    fn pinned_json() -> Vec<(Vec<Experiment>, &'static str)> {
+        let bare = Experiment::new("e0", "no tables");
+        let mut empty = Experiment::new("e1", "claim");
+        empty.push(Table::new("t1", "Empty", &["a"]));
+        let mut escaped = Experiment::new("e2", "≈ \"quoted\"");
+        let mut t = Table::new("t2", "Esc\\aped", &["x", "y"]);
+        t.row(vec!["q\"b\\s".into(), "n\nu\u{1}≈".into()]);
+        t.note("tab\there");
+        escaped.push(t);
+        vec![
+            (Vec::new(), "[]"),
+            (
+                vec![bare],
+                r#"[
+  {
+    "id": "e0",
+    "paper_claim": "no tables",
+    "tables": []
+  }
+]"#,
+            ),
+            (
+                vec![empty],
+                r#"[
+  {
+    "id": "e1",
+    "paper_claim": "claim",
+    "tables": [
+      {
+        "id": "t1",
+        "title": "Empty",
+        "columns": [
+          "a"
+        ],
+        "rows": [],
+        "notes": []
+      }
+    ]
+  }
+]"#,
+            ),
+            (
+                vec![escaped],
+                r#"[
+  {
+    "id": "e2",
+    "paper_claim": "≈ \"quoted\"",
+    "tables": [
+      {
+        "id": "t2",
+        "title": "Esc\\aped",
+        "columns": [
+          "x",
+          "y"
+        ],
+        "rows": [
+          [
+            "q\"b\\s",
+            "n\nu\u0001≈"
+          ]
+        ],
+        "notes": [
+          "tab\there"
+        ]
+      }
+    ]
+  }
+]"#,
+            ),
+        ]
+    }
+
+    #[test]
+    fn experiments_json_is_pinned() {
+        for (experiments, text) in pinned_json() {
+            let json = serde_json::to_string_pretty(&experiments).expect("serialize");
+            assert_eq!(json, text);
+        }
+    }
 }
