@@ -45,9 +45,9 @@
 use std::fmt::Write as _;
 
 use cbp_bench::{
-    analyze_trace_collector, check_bench_files, check_scale, emit_crit_extras, find_scenario,
-    run_all, run_instrumented, run_one, run_scenario, standard_matrix, tiny_matrix, BenchOptions,
-    Scale, TelemetryOptions, ANALYZE_TOP_K, EXPERIMENT_IDS,
+    analyze_trace_collector, check_bench_files, check_scale, emit_crit_extras, experiments_json,
+    find_scenario, run_all, run_instrumented, run_one, run_scenario, standard_matrix, tiny_matrix,
+    BenchOptions, Scale, TelemetryOptions, ANALYZE_TOP_K, EXPERIMENT_IDS,
 };
 use cbp_obs::{diff_reports, ObsReport, Tolerances, Verdict, WhatIf};
 
@@ -248,9 +248,8 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        let json = serde_json::to_string_pretty(&experiments)
-            .unwrap_or_else(|e| die(&format!("serialize: {e}")));
-        std::fs::write(&path, json).unwrap_or_else(|e| die(&format!("write {path}: {e}")));
+        std::fs::write(&path, experiments_json(&experiments))
+            .unwrap_or_else(|e| die(&format!("write {path}: {e}")));
         eprintln!("wrote {path}");
     }
 

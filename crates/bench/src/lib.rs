@@ -19,7 +19,7 @@ pub use bench_run::{
     check_bench_files, find_scenario, run_scenario, standard_matrix, tiny_matrix, BenchDiff,
     BenchOptions, BenchResult, BenchScenario, SimKind, BENCH_SCHEMA, BENCH_VERSION,
 };
-pub use table::{Experiment, Table};
+pub use table::{experiments_json, Experiment, Table};
 pub use telemetry_run::{
     analyze_trace_collector, analyze_trace_file, emit_crit_extras, run_instrumented,
     InstrumentError, TelemetryOptions, ANALYZE_TOP_K,

@@ -2,10 +2,10 @@
 
 use std::fmt::Write as _;
 
-use serde::Serialize;
+use cbp_telemetry::json::push_str_escaped;
 
 /// One table or figure-series of results.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     /// Paper artifact id (`fig3a`, `table1`, ...).
     pub id: String,
@@ -111,7 +111,7 @@ impl Table {
 
 /// A complete experiment: one or more tables plus the paper's headline
 /// expectation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Experiment {
     /// Experiment id (`fig3`, `table3`, ...).
     pub id: String,
@@ -146,6 +146,87 @@ impl Experiment {
             out.push('\n');
         }
         out
+    }
+}
+
+/// Renders `experiments.json`: a JSON array indented by two spaces per
+/// level, one value per line, each object's fields in declaration order
+/// and empty arrays as `[]`.
+pub fn experiments_json(experiments: &[Experiment]) -> String {
+    let mut out = String::new();
+    push_array(&mut out, 0, experiments, |out, depth, e| {
+        out.push('{');
+        push_member(out, depth, "id");
+        push_str_escaped(out, &e.id);
+        push_member(out, depth, "paper_claim");
+        push_str_escaped(out, &e.paper_claim);
+        push_member(out, depth, "tables");
+        push_array(out, depth + 1, &e.tables, |out, depth, t| {
+            out.push('{');
+            push_member(out, depth, "id");
+            push_str_escaped(out, &t.id);
+            push_member(out, depth, "title");
+            push_str_escaped(out, &t.title);
+            push_member(out, depth, "columns");
+            push_strings(out, depth + 1, &t.columns);
+            push_member(out, depth, "rows");
+            push_array(out, depth + 1, &t.rows, |out, depth, row| {
+                push_strings(out, depth, row)
+            });
+            push_member(out, depth, "notes");
+            push_strings(out, depth + 1, &t.notes);
+            push_newline(out, depth);
+            out.push('}');
+        });
+        push_newline(out, depth);
+        out.push('}');
+    });
+    out
+}
+
+/// Appends `items` as an array nested `depth` levels deep; `item` writes
+/// one element at `depth + 1`.
+fn push_array<T>(
+    out: &mut String,
+    depth: usize,
+    items: &[T],
+    mut item: impl FnMut(&mut String, usize, &T),
+) {
+    if items.is_empty() {
+        out.push_str("[]");
+        return;
+    }
+    out.push('[');
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_newline(out, depth + 1);
+        item(out, depth + 1, x);
+    }
+    push_newline(out, depth);
+    out.push(']');
+}
+
+fn push_strings(out: &mut String, depth: usize, strings: &[String]) {
+    push_array(out, depth, strings, |out, _, s| push_str_escaped(out, s));
+}
+
+/// Starts the field `key` of the object at `depth` whose `{` is already
+/// written.
+fn push_member(out: &mut String, depth: usize, key: &str) {
+    if !out.ends_with('{') {
+        out.push(',');
+    }
+    push_newline(out, depth + 1);
+    push_str_escaped(out, key);
+    out.push_str(": ");
+}
+
+fn push_newline(out: &mut String, depth: usize) {
+    out.push('\n');
+    for _ in 0..depth {
+        out.push_str("  ");
     }
 }
 
@@ -287,8 +368,7 @@ mod tests {
     #[test]
     fn experiments_json_is_pinned() {
         for (experiments, text) in pinned_json() {
-            let json = serde_json::to_string_pretty(&experiments).expect("serialize");
-            assert_eq!(json, text);
+            assert_eq!(experiments_json(&experiments), text);
         }
     }
 }
