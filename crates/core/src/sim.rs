@@ -257,7 +257,7 @@ impl ClusterSim {
             })
             .collect();
         let dfs = cfg.via_dfs.then(|| {
-            DfsCluster::homogeneous(cfg.dfs, cfg.media, cfg.nodes, rng.fork(0xD0F5).next_seed())
+            DfsCluster::homogeneous(cfg.dfs, cfg.media, cfg.nodes, rng.fork(0xD0F5).next_u64())
         });
 
         let mut tasks = Vec::with_capacity(workload.task_count());
@@ -2097,17 +2097,6 @@ pub(crate) fn clamp_to_node(mut spec: TaskSpec, node: Resources) -> TaskSpec {
 
 fn handle_u64(t: u32) -> u64 {
     t as u64
-}
-
-/// Extension trait used to derive DFS seeds from the run seed.
-trait NextSeed {
-    fn next_seed(self) -> u64;
-}
-impl NextSeed for SimRng {
-    fn next_seed(mut self) -> u64 {
-        use rand::RngCore;
-        self.next_u64()
-    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,6 @@ use rand::{Rng, RngCore, SeedableRng};
 ///
 /// ```
 /// use cbp_simkit::SimRng;
-/// use rand::RngCore;
 /// let mut a = SimRng::seed_from_u64(42);
 /// let mut b = SimRng::seed_from_u64(42);
 /// assert_eq!(a.next_u64(), b.next_u64());
@@ -29,6 +28,11 @@ impl SimRng {
         SimRng {
             inner: StdRng::seed_from_u64(seed),
         }
+    }
+
+    /// Draws a uniform 64-bit value.
+    pub fn next_u64(&mut self) -> u64 {
+        self.inner.next_u64()
     }
 
     /// Derives an independent sub-stream labelled by `stream`.
@@ -75,18 +79,6 @@ impl SimRng {
     /// Access to the underlying [`Rng`] for use with `rand_distr`.
     pub(crate) fn rng(&mut self) -> &mut StdRng {
         &mut self.inner
-    }
-}
-
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
-        self.inner.next_u32()
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.inner.fill_bytes(dest)
     }
 }
 

@@ -162,10 +162,7 @@ impl YarnSim {
                 up: true,
             })
             .collect();
-        let dfs = DfsCluster::homogeneous(cfg.dfs, cfg.media, cfg.nodes, {
-            use rand::RngCore;
-            rng.next_u64()
-        });
+        let dfs = DfsCluster::homogeneous(cfg.dfs, cfg.media, cfg.nodes, rng.next_u64());
         // Slots are CPU-bound in the paper's setup (24 one-core containers).
         let per_node = workload
             .jobs()
