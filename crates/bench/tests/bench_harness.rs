@@ -47,7 +47,7 @@ fn bench_emits_schema_valid_json_that_self_checks_at_zero_tolerance() {
     );
     assert!(cbp_telemetry::json::is_valid(&json), "invalid JSON emitted");
     // Config and measured fields live in separate objects.
-    let v: serde_json::Value = serde_json::from_str(&json).unwrap();
+    let v = cbp_telemetry::json::parse(&json).expect("BENCH file parses");
     assert!(v.get("config").and_then(|c| c.get("scenario")).is_some());
     assert!(v.get("measured").and_then(|m| m.get("events")).is_some());
 
@@ -84,7 +84,7 @@ fn check_exits_one_on_regression() {
     std::fs::write(&base_path, &baseline).unwrap();
 
     // A candidate whose event count differs: regression at any tolerance.
-    let v: serde_json::Value = serde_json::from_str(&baseline).unwrap();
+    let v = cbp_telemetry::json::parse(&baseline).expect("baseline parses");
     let events = v
         .get("measured")
         .and_then(|m| m.get("events"))

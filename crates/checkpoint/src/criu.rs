@@ -14,7 +14,7 @@ use crate::memory::TaskMemory;
 /// compressor itself is bandwidth-limited, so the *effective* dump rate is
 /// `min(media_write_bw, compress_throughput)` applied to the compressed
 /// bytes. Worth it on slow media; pure overhead on NVM.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompressionSpec {
     /// Compressed size as a fraction of the original, in `(0, 1]`.
     pub ratio: f64,

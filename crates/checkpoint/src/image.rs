@@ -2,17 +2,16 @@
 
 use cbp_simkit::units::ByteSize;
 use cbp_simkit::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::integrity::ChunkManifest;
 
 /// Identifier of one dumped image (unique within a [`crate::Criu`] catalog).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ImageId(pub u64);
 
 /// Whether an image holds the whole address space or only pages dirtied
 /// since the previous image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CheckpointKind {
     /// A complete dump.
     Full,
@@ -24,7 +23,7 @@ pub enum CheckpointKind {
 }
 
 /// One on-disk checkpoint image.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ImageRecord {
     /// Image identity.
     pub id: ImageId,
@@ -52,7 +51,7 @@ pub struct ImageRecord {
 /// A restore must read every image in the chain, so the restore cost of a
 /// much-suspended task grows with its accumulated deltas — matching CRIU,
 /// where each `--prev-images-dir` layer is read back.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ImageChain {
     images: Vec<ImageRecord>,
 }

@@ -24,7 +24,6 @@
 //! recompute in the debug-build integrity audit after every event.
 
 use cbp_simkit::units::ByteSize;
-use serde::{Deserialize, Serialize};
 
 use crate::image::ImageId;
 
@@ -47,7 +46,7 @@ pub fn chunk_checksum(image: ImageId, chunk: u64, len: u64) -> u64 {
 }
 
 /// One chunk's manifest entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkEntry {
     /// Chunk length in bytes (equal to the manifest chunk size except for a
     /// shorter final chunk).
@@ -60,7 +59,7 @@ pub struct ChunkEntry {
 }
 
 /// The per-image chunk manifest: chunk size plus one entry per chunk.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkManifest {
     /// Nominal chunk size the image was split at.
     pub chunk_bytes: u64,

@@ -20,12 +20,11 @@
 
 use cbp_simkit::units::{Bandwidth, ByteSize};
 use cbp_simkit::{HandleMap, SimDuration};
-use serde::{Deserialize, Serialize};
 
 use crate::memory::TaskMemory;
 
 /// NVRAM device + mechanism parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NvramSpec {
     /// DRAM→NVM copy bandwidth (store path; PCM-class NVM writes are slower
     /// than reads).

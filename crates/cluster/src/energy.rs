@@ -7,13 +7,12 @@
 //! [`EnergyMeter`] integrates it over piecewise-constant utilization.
 
 use cbp_simkit::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Linear utilization → power conversion.
 ///
 /// `watts(u) = idle + (peak - idle) * u` — the standard affine server power
 /// model. Defaults approximate the paper's dual Xeon 5650 machines.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     idle_watts: f64,
     peak_watts: f64,

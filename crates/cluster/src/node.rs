@@ -4,23 +4,22 @@ use std::collections::hash_map::Entry;
 use std::fmt;
 
 use cbp_simkit::HandleMap;
-use serde::{Deserialize, Serialize};
 
 use crate::resources::Resources;
 
 /// Identifier of a compute node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 /// Identifier of a container (unique across the cluster for one run).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ContainerId(pub u64);
 
 /// A resource lease on a node, running one task.
 ///
 /// `task` is an opaque handle owned by the scheduler layer (a task index in
 /// `cbp-core`, a container-attempt key in `cbp-yarn`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Container {
     id: ContainerId,
     resources: Resources,

@@ -5,7 +5,6 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
 use cbp_simkit::units::ByteSize;
-use serde::{Deserialize, Serialize};
 
 /// A CPU + memory demand or capacity.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// expresses demand as core fractions. Comparison is component-wise:
 /// use [`Resources::fits_in`] rather than `<=` (resource vectors are only
 /// partially ordered).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Resources {
     cpu_milli: u64,
     mem: ByteSize,

@@ -9,7 +9,6 @@ use cbp_faults::{FaultPlan, FaultSpec};
 use cbp_simkit::units::ByteSize;
 use cbp_storage::{MediaKind, MediaSpec};
 use cbp_workload::Workload;
-use serde::{Deserialize, Serialize};
 
 use crate::ckpt_path::CkptPath;
 use crate::metrics::RunReport;
@@ -17,7 +16,7 @@ use crate::sim::ClusterSim;
 
 /// What the scheduler does to victims when a higher-priority task needs
 /// their resources.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PreemptionPolicy {
     /// Never preempt: arrivals queue until resources free up.
     Wait,
@@ -74,7 +73,7 @@ impl fmt::Display for PreemptionPolicy {
 }
 
 /// How victims are chosen among a node's lower-priority containers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VictimSelection {
     /// Lowest priority first, most recently started first — the obvious
     /// baseline that minimizes lost progress under kill.
@@ -85,7 +84,7 @@ pub enum VictimSelection {
 }
 
 /// How pending tasks of equal priority are ordered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueueDiscipline {
     /// Strict FIFO within a priority (YARN capacity scheduler's default):
     /// a huge early job occupies the whole queue ahead of later arrivals.
@@ -97,7 +96,7 @@ pub enum QueueDiscipline {
 }
 
 /// Where a checkpointed task may resume (the paper's Algorithm 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RestorePlacement {
     /// Only on the node that holds the checkpoint (stock CRIU, before the
     /// paper's HDFS extension).

@@ -5,7 +5,6 @@ use std::rc::Rc;
 use cbp_simkit::units::{Bandwidth, ByteSize};
 use cbp_simkit::{SimDuration, SimRng};
 use cbp_storage::MediaSpec;
-use serde::{Deserialize, Serialize};
 
 use crate::namespace::{add_replica, live, remove_replica, FileId, FileInfo, Namespace};
 use crate::DfsError;
@@ -13,11 +12,11 @@ use crate::DfsError;
 /// Identifier of a datanode (index into the cluster's datanode table; the
 /// scheduler layers use the same index for compute nodes, mirroring the
 /// co-located NodeManager + DataNode deployment of the paper's testbed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DnId(pub u32);
 
 /// DFS-wide configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DfsConfig {
     /// Block size (HDFS default is 128 MB).
     pub block_size: ByteSize,

@@ -4,17 +4,16 @@ use std::collections::btree_map::{BTreeMap, Entry};
 use std::rc::Rc;
 
 use cbp_simkit::units::ByteSize;
-use serde::{Deserialize, Serialize};
 
 use crate::cluster::DnId;
 use crate::DfsError;
 
 /// Identifier of a file in the namespace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FileId(pub u64);
 
 /// Identifier of a block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId(pub u64);
 
 /// Marks an unused replica slot: a block that lost replicas to datanode

@@ -9,8 +9,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// An absolute instant on the simulation clock, in microseconds since the
 /// start of the run.
 ///
@@ -23,9 +21,7 @@ use serde::{Deserialize, Serialize};
 /// let t = SimTime::from_secs(2) + SimDuration::from_millis(500);
 /// assert_eq!(t.as_secs_f64(), 2.5);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in microseconds.
@@ -35,9 +31,7 @@ pub struct SimTime(u64);
 /// let d = SimDuration::from_secs_f64(0.25) * 4;
 /// assert_eq!(d, SimDuration::from_secs(1));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

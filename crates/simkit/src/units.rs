@@ -8,8 +8,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimDuration;
 
 /// A number of bytes.
@@ -20,9 +18,7 @@ use crate::time::SimDuration;
 /// assert_eq!(s.as_u64(), 5_000_000_000);
 /// assert_eq!(format!("{s}"), "5.00 GB");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ByteSize(u64);
 
 impl ByteSize {
@@ -158,7 +154,7 @@ impl fmt::Display for ByteSize {
 /// let t = bw.transfer_time(ByteSize::from_gb(1));
 /// assert_eq!(t.as_secs_f64(), 10.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Bandwidth(u64);
 
 impl Bandwidth {

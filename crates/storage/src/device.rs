@@ -3,12 +3,11 @@
 use cbp_simkit::units::ByteSize;
 use cbp_simkit::{SimDuration, SimTime};
 use cbp_telemetry::Histogram;
-use serde::{Deserialize, Serialize};
 
 use crate::media::MediaSpec;
 
 /// The direction of a device operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// A checkpoint dump (write).
     Write,

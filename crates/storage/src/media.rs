@@ -4,10 +4,9 @@ use std::fmt;
 
 use cbp_simkit::units::{Bandwidth, ByteSize};
 use cbp_simkit::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// The class of storage medium a checkpoint is written to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MediaKind {
     /// Spinning disk.
     Hdd,
@@ -55,7 +54,7 @@ impl fmt::Display for MediaKind {
 ///
 /// (Effective bandwidths are well below device sequential maxima because a
 /// CRIU dump interleaves many small image files with memory content.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MediaSpec {
     kind: MediaKind,
     write_bw: Bandwidth,

@@ -18,12 +18,11 @@ use cbp_checkpoint::TaskMemory;
 use cbp_cluster::Resources;
 use cbp_simkit::units::ByteSize;
 use cbp_simkit::SimDuration;
-use serde::{Deserialize, Serialize};
 
 use crate::spec::{TaskId, TaskSpec};
 
 /// An iterative k-means task description.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KMeansJob {
     /// Number of points.
     pub points: u64,

@@ -19,12 +19,11 @@ use cbp_cluster::Resources;
 use cbp_simkit::dist::Dist;
 use cbp_simkit::units::ByteSize;
 use cbp_simkit::{SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::spec::{JobId, JobSpec, LatencyClass, Priority, TaskId, TaskSpec, Workload};
 
 /// Shape of one MapReduce job class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MapReduceShape {
     /// Map tasks per job.
     pub maps: u32,

@@ -4,10 +4,9 @@ use std::fmt;
 
 use cbp_cluster::Resources;
 use cbp_simkit::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A Google-style scheduling priority, 0 (lowest) to 11 (highest).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Priority(pub u8);
 
 impl Priority {
@@ -36,7 +35,7 @@ impl fmt::Display for Priority {
 }
 
 /// The paper's three priority bands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PriorityBand {
     /// Priorities 0–1 ("free" tier; 20.26% of its tasks preempted).
     Free,
@@ -71,7 +70,7 @@ impl fmt::Display for PriorityBand {
 }
 
 /// Latency-sensitivity scheduling class, 0 (least) to 3 (most sensitive).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LatencyClass(pub u8);
 
 impl LatencyClass {
@@ -96,11 +95,11 @@ impl fmt::Display for LatencyClass {
 }
 
 /// Identifier of a job within a [`Workload`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u64);
 
 /// Identifier of a task: a job plus the task's index within it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId {
     /// The owning job.
     pub job: JobId,
@@ -115,7 +114,7 @@ impl fmt::Display for TaskId {
 }
 
 /// One schedulable task.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskSpec {
     /// Task identity.
     pub id: TaskId,
@@ -130,7 +129,7 @@ pub struct TaskSpec {
 }
 
 /// One job: a set of tasks submitted together under one priority.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Job identity.
     pub id: JobId,
@@ -160,7 +159,7 @@ impl JobSpec {
 }
 
 /// A full experiment input: jobs ordered by submission time.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Workload {
     jobs: Vec<JobSpec>,
 }
@@ -235,32 +234,6 @@ impl Workload {
             (PriorityBand::Middle, counts[1]),
             (PriorityBand::Production, counts[2]),
         ]
-    }
-}
-
-impl Workload {
-    /// Serializes the workload to pretty JSON (for archiving generated
-    /// traces alongside experiment results).
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O or serialization error.
-    pub fn save_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let json = serde_json::to_string_pretty(self)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        std::fs::write(path, json)
-    }
-
-    /// Loads a workload previously written by [`Workload::save_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O or deserialization error.
-    pub fn load_json(path: impl AsRef<std::path::Path>) -> std::io::Result<Workload> {
-        let json = std::fs::read_to_string(path)?;
-        let workload: Workload = serde_json::from_str(&json)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        Ok(workload)
     }
 }
 
@@ -339,30 +312,6 @@ mod tests {
         );
         assert_eq!(j.total_cpu_seconds(), 240.0);
         assert!(w.job(JobId(8)).is_none());
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let w: Workload = vec![job(1, 0, 0, 3), job(2, 10, 9, 2)]
-            .into_iter()
-            .collect();
-        let dir = std::env::temp_dir().join("cbp-workload-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("w.json");
-        w.save_json(&path).unwrap();
-        let loaded = Workload::load_json(&path).unwrap();
-        assert_eq!(w, loaded);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn load_json_rejects_garbage() {
-        let dir = std::env::temp_dir().join("cbp-workload-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.json");
-        std::fs::write(&path, "not json").unwrap();
-        assert!(Workload::load_json(&path).is_err());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
