@@ -170,6 +170,7 @@ impl DfsCluster {
     ///
     /// * [`DfsError::FileExists`] if the path is taken.
     /// * [`DfsError::UnknownDataNode`] if `writer` is out of range.
+    /// * [`DfsError::WriterDown`] if `writer` is down.
     pub fn create(
         &mut self,
         path: impl Into<Rc<str>>,
@@ -177,7 +178,9 @@ impl DfsCluster {
         writer: DnId,
     ) -> Result<WriteReceipt, DfsError> {
         let path = path.into();
-        self.node(writer)?;
+        if !self.node(writer)?.alive {
+            return Err(DfsError::WriterDown(writer));
+        }
         if self.namespace.contains(&path) {
             return Err(DfsError::FileExists(path.to_string()));
         }
@@ -292,13 +295,15 @@ impl DfsCluster {
     }
 
     /// Brings `dn` back into service, empty (its old data was already
-    /// re-replicated or lost).
+    /// re-replicated or lost). Recovering a live datanode does nothing.
     ///
     /// # Errors
     ///
     /// [`DfsError::UnknownDataNode`] if `dn` is out of range.
     pub fn recover_datanode(&mut self, dn: DnId) -> Result<(), DfsError> {
-        self.node(dn)?;
+        if self.node(dn)?.alive {
+            return Ok(());
+        }
         self.nodes[dn.0 as usize].alive = true;
         debug_assert!(self.nodes[dn.0 as usize].used.is_zero());
         Ok(())
@@ -503,6 +508,11 @@ mod tests {
             dfs.create("/g", ByteSize::from_mb(1), DnId(9)),
             Err(DfsError::UnknownDataNode(_))
         ));
+        dfs.fail_datanode(DnId(1)).unwrap();
+        assert_eq!(
+            dfs.create("/g", ByteSize::from_mb(1), DnId(1)),
+            Err(DfsError::WriterDown(DnId(1)))
+        );
         assert!(matches!(
             dfs.read_cost("/nope", DnId(0)),
             Err(DfsError::NotFound(_))

@@ -52,6 +52,8 @@ pub enum DfsError {
     },
     /// The referenced datanode id is out of range.
     UnknownDataNode(DnId),
+    /// The writing datanode is down, so it can hold no replica.
+    WriterDown(DnId),
 }
 
 impl fmt::Display for DfsError {
@@ -63,6 +65,7 @@ impl fmt::Display for DfsError {
                 write!(f, "insufficient datanode capacity for {requested} bytes")
             }
             DfsError::UnknownDataNode(id) => write!(f, "unknown datanode: {id:?}"),
+            DfsError::WriterDown(id) => write!(f, "writer datanode is down: {id:?}"),
         }
     }
 }
