@@ -178,11 +178,6 @@ impl Criu {
         self.compression.as_ref()
     }
 
-    /// Whether incremental dumps are enabled.
-    pub fn incremental_enabled(&self) -> bool {
-        self.incremental
-    }
-
     /// True if `task` has a restorable image chain.
     pub fn has_image(&self, task: u64) -> bool {
         self.chains.get(&task).is_some_and(|c| !c.is_empty())

@@ -122,11 +122,6 @@ impl DfsCluster {
         &self.config
     }
 
-    /// Number of datanodes.
-    pub fn datanode_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// The namespace (read-only).
     pub fn namespace(&self) -> &Namespace {
         &self.namespace

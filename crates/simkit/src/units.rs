@@ -59,11 +59,6 @@ impl ByteSize {
         self.0
     }
 
-    /// Size in fractional megabytes.
-    pub fn as_mb_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Size in fractional gigabytes.
     pub fn as_gb_f64(self) -> f64 {
         self.0 as f64 / 1e9

@@ -93,12 +93,6 @@ impl Device {
         &self.spec
     }
 
-    /// Replaces the medium specification (used by bandwidth sweeps between
-    /// runs; does not retime in-flight operations).
-    pub fn set_spec(&mut self, spec: MediaSpec) {
-        self.spec = spec;
-    }
-
     /// How long a newly submitted operation would wait before starting —
     /// the `queue_time` term of the paper's Algorithm 1.
     pub fn queue_wait(&self, now: SimTime) -> SimDuration {

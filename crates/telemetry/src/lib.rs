@@ -16,8 +16,7 @@
 //!   one JSON object per line, and a [`ChromeTraceTracer`] emitting
 //!   `chrome://tracing` / Perfetto-compatible `trace.json` where nodes are
 //!   "threads" and dump/restore are duration events.
-//! * [`metrics`] — [`Counter`]/[`Gauge`] cells, a fixed-bucket
-//!   [`Histogram`], the P² quantile estimator [`P2Quantile`] and the
+//! * [`metrics`] — a fixed-bucket [`Histogram`], the P² quantile estimator [`P2Quantile`] and the
 //!   p50/p95/p99 [`StreamingQuantiles`] built on it, and a
 //!   [`MetricsRegistry`] snapshot keyed `subsystem.metric` with unit
 //!   metadata, serializable to deterministic JSON and renderable as a table.
@@ -51,8 +50,8 @@ pub mod timeseries;
 pub mod trace;
 
 pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricEntry, MetricValue, MetricsRegistry,
-    P2Quantile, QuantileSnapshot, StreamingQuantiles,
+    Histogram, HistogramSnapshot, MetricEntry, MetricValue, MetricsRegistry, P2Quantile,
+    QuantileSnapshot, StreamingQuantiles,
 };
 pub use reader::{
     schema_header, JsonlReader, LineCounts, TraceReadError, TRACE_SCHEMA, TRACE_SCHEMA_MIN_VERSION,

@@ -2,64 +2,10 @@
 //! streaming quantiles, snapshotted into a `BTreeMap` keyed
 //! `subsystem.metric` with unit metadata.
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::json;
-
-/// A monotonically increasing event count (single-threaded `Cell`; the
-/// simulators never share instruments across threads).
-#[derive(Debug, Default, Clone)]
-pub struct Counter(Cell<u64>);
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Counter(Cell::new(0))
-    }
-
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.0.set(self.0.get().saturating_add(n));
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.get()
-    }
-}
-
-/// A point-in-time measurement.
-#[derive(Debug, Default, Clone)]
-pub struct Gauge(Cell<f64>);
-
-impl Gauge {
-    /// Creates a gauge at zero.
-    pub fn new() -> Self {
-        Gauge(Cell::new(0.0))
-    }
-
-    /// Sets the value.
-    pub fn set(&self, v: f64) {
-        self.0.set(v);
-    }
-
-    /// Adds to the value.
-    pub fn add(&self, v: f64) {
-        self.0.set(self.0.get() + v);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        self.0.get()
-    }
-}
 
 /// A fixed-bucket histogram over explicit upper bounds.
 ///
@@ -706,18 +652,6 @@ mod tests {
             let u = self.next_f64().max(1e-16);
             -mean * u.ln()
         }
-    }
-
-    #[test]
-    fn counter_and_gauge_cells() {
-        let c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        let g = Gauge::new();
-        g.set(1.5);
-        g.add(0.5);
-        assert_eq!(g.get(), 2.0);
     }
 
     #[test]

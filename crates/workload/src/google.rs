@@ -82,14 +82,6 @@ impl GoogleTraceConfig {
         }
     }
 
-    /// The full 29-day horizon used by the §2 characterization (Fig. 1).
-    pub fn full_trace() -> Self {
-        GoogleTraceConfig {
-            horizon: SimDuration::from_secs(29 * 86_400),
-            ..Self::one_day()
-        }
-    }
-
     /// A small workload for unit tests and examples: `jobs` jobs over one
     /// simulated hour.
     pub fn small(jobs: f64) -> Self {
