@@ -21,7 +21,7 @@ fn bench_trace_sim(c: &mut Criterion) {
         group.bench_function(format!("{policy}_ssd"), |b| {
             b.iter(|| {
                 let cfg = SimConfig::trace_sim(policy, MediaKind::Ssd).with_nodes(4);
-                black_box(cfg.run(&workload).metrics.preemptions)
+                black_box(cfg.run(&workload).metrics.preemptions())
             })
         });
     }

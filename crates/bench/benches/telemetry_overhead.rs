@@ -85,7 +85,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
         b.iter(|| {
             // Default tracer: the disabled path (one branch per trace point).
             let sim = ClusterSim::new(cfg.clone(), workload.clone());
-            black_box(sim.run().metrics.preemptions)
+            black_box(sim.run().metrics.preemptions())
         })
     });
 
@@ -93,7 +93,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
         b.iter(|| {
             let mut sim = ClusterSim::new(cfg.clone(), workload.clone());
             sim.set_tracer(Box::new(JsonlTracer::new(std::io::sink())));
-            black_box(sim.run().metrics.preemptions)
+            black_box(sim.run().metrics.preemptions())
         })
     });
 
@@ -101,7 +101,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
         b.iter(|| {
             let mut sim = ClusterSim::new(cfg.clone(), workload.clone());
             sim.enable_sampling(SimDuration::from_secs(60));
-            black_box(sim.run().metrics.preemptions)
+            black_box(sim.run().metrics.preemptions())
         })
     });
 

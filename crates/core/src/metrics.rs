@@ -1,11 +1,12 @@
 //! Run metrics: everything the paper's figures report.
 
 use std::collections::BTreeMap;
+use std::ops::Deref;
 
 use cbp_simkit::stats::Samples;
 use cbp_simkit::{RunStats, SimTime};
 use cbp_telemetry::{
-    MetricsRegistry, StreamingQuantiles, TimeSeries, TraceRecord, TraceSink, Tracer,
+    MetricsRegistry, NullTracer, StreamingQuantiles, TimeSeries, TraceRecord, Tracer,
 };
 use cbp_workload::{LatencyClass, PriorityBand};
 
@@ -25,98 +26,27 @@ pub struct BandMetrics {
 
 /// Aggregate results of one simulation run — the quantities plotted in
 /// Figs. 3, 4, 5, 6, 8–12. Both simulators report it; a counter only one
-/// of them keeps is 0 under the other.
+/// of them keeps is 0 under the other. The run counters are
+/// [`RunMetrics::counts`], read through `Deref` (`m.kills`).
 #[derive(Debug, Clone)]
 pub struct RunMetrics {
     /// Total simulated time (first submit → last event).
     pub makespan_secs: f64,
     /// Jobs that completed.
     pub jobs_finished: u64,
-    /// Tasks that completed.
-    pub tasks_finished: u64,
-    /// Preemption events: `kills + checkpoints`.
-    pub preemptions: u64,
-    /// Victims killed.
-    pub kills: u64,
-    /// Victims suspended (checkpoint dumps started).
-    pub checkpoints: u64,
-    /// Of which incremental dumps.
-    pub incremental_checkpoints: u64,
-    /// Restores performed.
-    pub restores: u64,
-    /// Remote restores (on a node other than the checkpoint origin).
-    pub remote_restores: u64,
-    /// Dumps that fell back to kill because checkpoint storage was full.
-    pub capacity_fallbacks: u64,
-    /// Bytes reclaimed by lifecycle GC passes (leaked reservations and
-    /// dead chains collected under capacity pressure).
-    pub gc_reclaimed_bytes: u64,
-    /// Live checkpoint chains evicted by the lifecycle manager to make
-    /// room for a higher-value dump (the evicted task restarts from
-    /// scratch on its next placement).
-    pub evicted_chains: u64,
-    /// Dumps redirected to a remote node's device because the local
-    /// device had no headroom (lifecycle spill step).
-    pub spill_dumps: u64,
-    /// Victims killed because the full degradation ladder (GC → evict →
-    /// spill) still could not find space (`DumpFallback("no-space")`).
-    /// With lifecycle disabled this counts the bare capacity kills, so
-    /// the two modes are directly comparable.
-    pub no_space_kills: u64,
-    /// Containers evicted by node failures (not preemption).
-    pub failure_evictions: u64,
-    /// Containers evicted by chaos-plan node/rack crashes (failure-domain
-    /// injection, counted separately from organic MTBF failures).
-    pub crash_evictions: u64,
-    /// Preemption victims killed because the checkpoint-path circuit
-    /// breaker was open (`DumpFallback("breaker-open")`).
-    pub breaker_open_kills: u64,
+    /// The run counters, each a fold over the run's trace records.
+    pub counts: RunCounts,
     /// Total breaker-open seconds summed over every per-node breaker and
     /// the global one (time the checkpoint path was considered down).
     pub breaker_open_secs: f64,
     /// Checkpoint chains destroyed by node failures (local-FS images on the
     /// failed node; HDFS chains that lost a block past replication's reach).
     pub images_lost_to_failures: u64,
-    /// Injected dump failures that were retried (fault injection only).
-    pub dump_fail_retries: u64,
-    /// Dumps abandoned after exhausting their retry budget (the victim
-    /// fell back to a hard kill).
-    pub dump_fail_kills: u64,
-    /// Injected restore failures that were retried from a surviving
-    /// replica.
-    pub restore_fail_retries: u64,
-    /// Restores abandoned for good (corrupt image, lost blocks or
-    /// exhausted retries): the task restarted from scratch.
-    pub scratch_restarts: u64,
-    /// Interrupted dumps that resumed from their last durable chunk
-    /// instead of rewriting from byte zero (resume enabled only).
-    pub resumed_dumps: u64,
-    /// Bytes those resumed dumps did *not* have to rewrite (the durable
-    /// prefix credited by chunked resume).
-    pub resumed_bytes: u64,
-    /// Corrupt chunks successfully re-fetched from a DFS replica during
-    /// restore validation (targeted repair instead of whole-image loss).
-    pub chunk_refetches: u64,
-    /// Image chains truncated to their longest valid prefix after an
-    /// unrepairable chunk (restore continued from an older image).
-    pub chain_truncations: u64,
-    /// Scratch restarts forced specifically by integrity loss (no valid
-    /// prefix survived). A subset of `scratch_restarts`.
-    pub integrity_scratch_restarts: u64,
     /// CPU-hours burnt inside failed dump/restore attempts and their
     /// rewrites (part of wasted CPU).
     pub retry_overhead_cpu_hours: f64,
-    /// HDFS blocks re-replicated after datanode failures.
-    pub dfs_blocks_repaired: u64,
-    /// Bytes copied by HDFS re-replication repairs.
-    pub dfs_repair_bytes: u64,
     /// HDFS blocks whose every replica died (data loss).
     pub dfs_blocks_lost: u64,
-    /// Dumps aborted by the YARN NodeManager's grace-period force-kill.
-    pub force_kills: u64,
-    /// Preemption requests the YARN ResourceManager escalated to kills
-    /// because the ApplicationMaster stayed unresponsive (fault injection).
-    pub am_escalations: u64,
     /// CPU-hours lost to killed progress (re-execution waste).
     pub kill_lost_cpu_hours: f64,
     /// CPU-hours spent holding resources during dumps.
@@ -138,6 +68,14 @@ pub struct RunMetrics {
     /// Per latency-sensitivity class response statistics (the paper's
     /// Table 2 QoS concern: latency-bound tasks suffer from preemption).
     pub per_latency: BTreeMap<u8, BandMetrics>,
+}
+
+impl Deref for RunMetrics {
+    type Target = RunCounts;
+
+    fn deref(&self) -> &RunCounts {
+        &self.counts
+    }
 }
 
 impl RunMetrics {
@@ -290,64 +228,97 @@ pub struct RunReport {
 }
 
 /// The run counters, each a fold over the run's trace records: only
-/// [`RunLedger::fold`] writes them. Each doc names the records counted.
+/// [`RunLedger::fold`] writes them. Each doc says what is counted, then
+/// names the records counted.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RunCounts {
-    /// `task_evict` records of any reason but `dump`, `node-crash` and `node-fail`.
+    /// Victims killed: `task_evict` records of any reason but `dump`,
+    /// `node-crash` and `node-fail`.
     pub kills: u64,
-    /// `dump_start` records.
+    /// Victims suspended: `dump_start` records.
     pub checkpoints: u64,
-    /// `dump_start` records marked incremental.
+    /// Of which incremental dumps: `dump_start` records marked incremental.
     pub incremental_checkpoints: u64,
-    /// `restore_done` records.
+    /// Restores performed: `restore_done` records.
     pub restores: u64,
-    /// `restore_start` records marked remote.
+    /// Restores on a node other than the checkpoint origin: `restore_start`
+    /// records marked remote.
     pub remote_restores: u64,
-    /// `task_evict` records of reason `node-crash` (fault-plan crashes).
+    /// Containers evicted by chaos-plan node/rack crashes: `task_evict`
+    /// records of reason `node-crash`.
     pub crash_evictions: u64,
-    /// `task_evict` records of reason `node-fail` (ClusterSim's MTBF failures).
+    /// Containers evicted by ClusterSim's MTBF node failures: `task_evict`
+    /// records of reason `node-fail`.
     pub failure_evictions: u64,
-    /// `task_finish` records.
+    /// Tasks that completed: `task_finish` records.
     pub tasks_finished: u64,
+    /// Dumps that fell back to kill because checkpoint storage was full:
     /// `dump_fallback` records of reason `no-space`, `no-capacity`,
     /// `storage-full` or `nvram-full`.
     pub capacity_fallbacks: u64,
-    /// The capacity fallbacks but the `nvram-full` ones.
+    /// Victims killed because the degradation ladder (GC → evict → spill)
+    /// still found no space: the capacity fallbacks but the `nvram-full`
+    /// ones. With lifecycle disabled these are the bare capacity kills, so
+    /// the two modes compare directly.
     pub no_space_kills: u64,
-    /// `dump_fallback` records of reason `breaker-open`.
+    /// Victims killed because the checkpoint-path circuit breaker was
+    /// open: `dump_fallback` records of reason `breaker-open`.
     pub breaker_open_kills: u64,
-    /// `dump_fallback` records of reason `grace-expired` (YarnSim's).
+    /// Dumps cut short by the YARN NodeManager's grace-period force-kill:
+    /// `dump_fallback` records of reason `grace-expired`.
     pub force_kills: u64,
-    /// `dump_fail` records that will retry.
+    /// Injected dump failures that were retried: `dump_fail` records that
+    /// will retry.
     pub dump_fail_retries: u64,
-    /// `dump_fail` records that will not: the dump was abandoned.
+    /// Dumps abandoned after their retry budget, the victim killed:
+    /// `dump_fail` records that will not retry.
     pub dump_fail_kills: u64,
-    /// `restore_fail` records that will retry, but `corrupt-image` re-reads.
+    /// Restore failures retried from a surviving replica: `restore_fail`
+    /// records that will retry, but `corrupt-image` re-reads.
     pub restore_fail_retries: u64,
-    /// `restore_fail` records that will not retry: scratch restarts.
+    /// Restores abandoned for good, the task restarted from scratch:
+    /// `restore_fail` records that will not retry.
     pub scratch_restarts: u64,
-    /// Of which `corrupt-image` ones (integrity loss).
+    /// Of which forced by integrity loss, no valid prefix left:
+    /// `corrupt-image` ones.
     pub integrity_scratch_restarts: u64,
-    /// `image_spill` records.
+    /// Dumps redirected to a remote node's device because the local one
+    /// had no headroom: `image_spill` records.
     pub spill_dumps: u64,
-    /// `image_evict` records.
+    /// Live chains evicted to make room for a higher-value dump (the task
+    /// restarts from scratch): `image_evict` records.
     pub evicted_chains: u64,
-    /// `chain_truncate` records.
+    /// Chains truncated to their longest valid prefix after an
+    /// unrepairable chunk: `chain_truncate` records.
     pub chain_truncations: u64,
-    /// `am_escalate` records (YarnSim's).
+    /// Preemptions the YARN RM escalated to kills because the AM stayed
+    /// unresponsive: `am_escalate` records.
     pub am_escalations: u64,
-    /// `chunk_refetch` records that repaired their chunk.
+    /// Corrupt chunks re-fetched from a DFS replica during restore
+    /// validation: `chunk_refetch` records that repaired their chunk.
     pub chunk_refetches: u64,
-    /// Bytes reclaimed, summed over the `gc_pass` records.
+    /// Bytes reclaimed by lifecycle GC (leaked reservations and dead
+    /// chains), summed over the `gc_pass` records.
     pub gc_reclaimed_bytes: u64,
+    /// Interrupted dumps that resumed from their last durable chunk:
     /// `resume_dump` records.
     pub resumed_dumps: u64,
-    /// Bytes not rewritten, summed over the `resume_dump` records.
+    /// Bytes those dumps did not rewrite, summed over the `resume_dump`
+    /// records.
     pub resumed_bytes: u64,
-    /// Blocks re-replicated, summed over the `replication_repair` records.
+    /// HDFS blocks re-replicated after datanode failures, summed over the
+    /// `replication_repair` records.
     pub dfs_blocks_repaired: u64,
-    /// Bytes copied, summed over the `replication_repair` records.
+    /// Bytes those repairs copied, summed over the `replication_repair`
+    /// records.
     pub dfs_repair_bytes: u64,
+}
+
+impl RunCounts {
+    /// Preemption events: `kills + checkpoints`.
+    pub fn preemptions(&self) -> u64 {
+        self.kills + self.checkpoints
+    }
 }
 
 /// The accumulator both simulators write a run into. Its counters are a
@@ -551,42 +522,14 @@ impl RunLedger {
                 })
                 .collect()
         }
-        let c = self.counts;
         RunMetrics {
             makespan_secs: makespan.as_secs_f64(),
             jobs_finished: self.jobs_finished(),
-            tasks_finished: c.tasks_finished,
-            preemptions: c.kills + c.checkpoints,
-            kills: c.kills,
-            checkpoints: c.checkpoints,
-            incremental_checkpoints: c.incremental_checkpoints,
-            restores: c.restores,
-            remote_restores: c.remote_restores,
-            capacity_fallbacks: c.capacity_fallbacks,
-            gc_reclaimed_bytes: c.gc_reclaimed_bytes,
-            evicted_chains: c.evicted_chains,
-            spill_dumps: c.spill_dumps,
-            no_space_kills: c.no_space_kills,
-            failure_evictions: c.failure_evictions,
-            crash_evictions: c.crash_evictions,
-            breaker_open_kills: c.breaker_open_kills,
+            counts: self.counts,
             breaker_open_secs: ckpt.breaker_open_secs(makespan),
             images_lost_to_failures: self.images_lost_to_failures,
-            dump_fail_retries: c.dump_fail_retries,
-            dump_fail_kills: c.dump_fail_kills,
-            restore_fail_retries: c.restore_fail_retries,
-            scratch_restarts: c.scratch_restarts,
-            resumed_dumps: c.resumed_dumps,
-            resumed_bytes: c.resumed_bytes,
-            chunk_refetches: c.chunk_refetches,
-            chain_truncations: c.chain_truncations,
-            integrity_scratch_restarts: c.integrity_scratch_restarts,
             retry_overhead_cpu_hours: self.retry_cpu_secs / 3600.0,
-            dfs_blocks_repaired: c.dfs_blocks_repaired,
-            dfs_repair_bytes: c.dfs_repair_bytes,
             dfs_blocks_lost: self.dfs_blocks_lost,
-            force_kills: c.force_kills,
-            am_escalations: c.am_escalations,
             kill_lost_cpu_hours: self.kill_lost_cpu_secs / 3600.0,
             dump_overhead_cpu_hours: self.dump_overhead_cpu_secs / 3600.0,
             restore_overhead_cpu_hours: self.restore_overhead_cpu_secs / 3600.0,
@@ -605,35 +548,50 @@ impl RunLedger {
 /// simulators and the checkpoint path record through it alone, so the
 /// ledger's counters equal the fold of the trace by construction, traced
 /// or not.
-#[derive(Default)]
 pub struct Recorder {
     /// The run's counters and sums.
     pub ledger: RunLedger,
-    trace: TraceSink,
+    tracer: Box<dyn Tracer>,
+    /// The tracer's [`Tracer::enabled`] answer, cached so a record costs
+    /// one branch when no tracer is on.
+    on: bool,
+}
+
+impl Default for Recorder {
+    fn default() -> Self {
+        Recorder {
+            ledger: RunLedger::default(),
+            tracer: Box::new(NullTracer),
+            on: false,
+        }
+    }
 }
 
 impl Recorder {
     /// Replaces the tracer records are handed to (none by default).
     pub fn set_tracer(&mut self, tracer: Box<dyn Tracer>) {
-        self.trace = TraceSink::new(tracer);
+        self.on = tracer.enabled();
+        self.tracer = tracer;
     }
 
     /// Whether records reach a tracer. Guard a record that nothing counts
     /// and whose fields cost more than a copy to compute with this.
     pub fn on(&self) -> bool {
-        self.trace.on()
+        self.on
     }
 
     /// Folds `rec` into the ledger and hands it to the tracer at `t_us`.
     #[inline]
     pub fn record(&mut self, t_us: u64, rec: TraceRecord) {
         self.ledger.fold(&rec);
-        self.trace.record(t_us, rec);
+        if self.on {
+            self.tracer.record(t_us, &rec);
+        }
     }
 
     /// Finalizes the tracer (see [`Tracer::finish`]).
     pub fn finish(&mut self) {
-        self.trace.finish();
+        self.tracer.finish();
     }
 }
 
@@ -809,7 +767,7 @@ mod tests {
         assert_eq!(m.incremental_checkpoints, 1);
         assert_eq!(m.restores, 1);
         assert_eq!(m.remote_restores, 1);
-        assert_eq!(m.preemptions, 2);
+        assert_eq!(m.preemptions(), 2);
         assert_eq!(m.crash_evictions, 2);
         assert_eq!(m.force_kills, 1);
         assert_eq!(m.am_escalations, 1);

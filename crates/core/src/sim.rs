@@ -422,7 +422,7 @@ impl ClusterSim {
         let mut reg = MetricsRegistry::new();
         self.ckpt.export(&mut reg, stats.now);
         m.export(&mut reg, stats, energy_kwh);
-        reg.set_counter("scheduler.preemptions", "ops", c.kills + c.checkpoints);
+        reg.set_counter("scheduler.preemptions", "ops", c.preemptions());
         reg.set_counter("scheduler.failure_evictions", "ops", c.failure_evictions);
         reg.set_counter(
             "scheduler.images_lost_to_failures",

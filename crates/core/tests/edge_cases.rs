@@ -65,7 +65,7 @@ fn equal_priorities_never_preempt_each_other() {
         job(1, 1, 5, vec![task(1, 0, 4, 2, 100)]),
     ]);
     let r = one_node(PreemptionPolicy::Adaptive).run(&w);
-    assert_eq!(r.metrics.preemptions, 0);
+    assert_eq!(r.metrics.preemptions(), 0);
     assert!((r.metrics.makespan_secs - 200.0).abs() < 1.0);
 }
 

@@ -76,7 +76,7 @@ fn failure_waste_is_accounted() {
 
     let flaky = flaky_cluster(PreemptionPolicy::Wait).run(&w);
     // Wait never preempts, so all lost progress comes from failures.
-    assert_eq!(flaky.metrics.preemptions, 0);
+    assert_eq!(flaky.metrics.preemptions(), 0);
     assert!(flaky.metrics.failure_evictions > 0);
     assert!(flaky.metrics.kill_lost_cpu_hours > 0.0);
 }

@@ -73,13 +73,13 @@ fn run_traced(policy: PreemptionPolicy, media: MediaKind, seed: u64) -> (RunRepo
 fn deterministic_across_runs() {
     let (a, trace_a) = run_traced(PreemptionPolicy::Adaptive, MediaKind::Hdd, 2);
     let (b, trace_b) = run_traced(PreemptionPolicy::Adaptive, MediaKind::Hdd, 2);
-    assert_eq!(a.metrics.preemptions, b.metrics.preemptions);
+    assert_eq!(a.metrics.preemptions(), b.metrics.preemptions());
     assert_eq!(a.metrics.checkpoints, b.metrics.checkpoints);
     assert_eq!(a.metrics.kills, b.metrics.kills);
     assert!((a.metrics.energy_kwh - b.metrics.energy_kwh).abs() < 1e-12);
     assert!((a.metrics.makespan_secs - b.metrics.makespan_secs).abs() < 1e-9);
     assert!(
-        a.metrics.preemptions > 0,
+        a.metrics.preemptions() > 0,
         "the run must exercise preemption"
     );
     assert!(
@@ -91,7 +91,7 @@ fn deterministic_across_runs() {
 #[test]
 fn wait_policy_never_preempts() {
     let report = run(PreemptionPolicy::Wait, MediaKind::Ssd, 3);
-    assert_eq!(report.metrics.preemptions, 0);
+    assert_eq!(report.metrics.preemptions(), 0);
     assert_eq!(report.metrics.kills, 0);
     assert_eq!(report.metrics.checkpoints, 0);
     assert_eq!(report.metrics.wasted_cpu_hours(), 0.0);
@@ -100,7 +100,10 @@ fn wait_policy_never_preempts() {
 #[test]
 fn kill_policy_preempts_and_wastes() {
     let report = run(PreemptionPolicy::Kill, MediaKind::Ssd, 3);
-    assert!(report.metrics.preemptions > 0, "workload must be contended");
+    assert!(
+        report.metrics.preemptions() > 0,
+        "workload must be contended"
+    );
     assert_eq!(report.metrics.checkpoints, 0);
     assert!(report.metrics.kill_lost_cpu_hours > 0.0);
     assert_eq!(report.metrics.dump_overhead_cpu_hours, 0.0);
@@ -161,14 +164,14 @@ fn faster_media_reduce_checkpoint_overhead() {
 #[test]
 fn adaptive_mixes_mechanisms() {
     let report = run(PreemptionPolicy::Adaptive, MediaKind::Hdd, 6);
-    assert!(report.metrics.preemptions > 0);
+    assert!(report.metrics.preemptions() > 0);
     assert!(
         report.metrics.kills > 0,
         "adaptive on HDD should kill young tasks"
     );
     // On NVM almost everything is worth checkpointing.
     let nvm = run(PreemptionPolicy::Adaptive, MediaKind::Nvm, 6);
-    let chk_share = nvm.metrics.checkpoints as f64 / nvm.metrics.preemptions.max(1) as f64;
+    let chk_share = nvm.metrics.checkpoints as f64 / nvm.metrics.preemptions().max(1) as f64;
     assert!(chk_share > 0.5, "NVM adaptive checkpoint share {chk_share}");
 }
 
@@ -241,8 +244,8 @@ fn victim_selection_ablation() {
         .with_victim_selection(VictimSelection::CostAware)
         .run(&w);
     assert_eq!(naive.metrics.jobs_finished, aware.metrics.jobs_finished);
-    assert!(naive.metrics.preemptions > 0);
-    assert!(aware.metrics.preemptions > 0);
+    assert!(naive.metrics.preemptions() > 0);
+    assert!(aware.metrics.preemptions() > 0);
 }
 
 /// CPU accounting is conserved: useful work equals the workload's total

@@ -60,5 +60,5 @@ pub use reader::{
 pub use timeseries::TimeSeries;
 pub use trace::{
     ChromeTraceTracer, JsonlTracer, MultiTracer, NullTracer, PreemptAction, SinkStatus,
-    TraceRecord, TraceSink, Tracer,
+    TraceRecord, Tracer,
 };

@@ -583,48 +583,6 @@ impl Tracer for NullTracer {
     fn record(&mut self, _t_us: u64, _rec: &TraceRecord) {}
 }
 
-/// A boxed [`Tracer`] with its [`Tracer::enabled`] answer cached, so a
-/// trace point in a disabled sink costs one branch.
-pub struct TraceSink {
-    tracer: Box<dyn Tracer>,
-    on: bool,
-}
-
-impl Default for TraceSink {
-    fn default() -> Self {
-        TraceSink::new(Box::new(NullTracer))
-    }
-}
-
-impl TraceSink {
-    /// Wraps `tracer`.
-    pub fn new(tracer: Box<dyn Tracer>) -> Self {
-        TraceSink {
-            on: tracer.enabled(),
-            tracer,
-        }
-    }
-
-    /// Whether records reach the tracer. Guard trace points whose fields
-    /// cost more than a copy to compute with this.
-    pub fn on(&self) -> bool {
-        self.on
-    }
-
-    /// Records `rec` at sim time `t_us` (a no-op when disabled).
-    #[inline]
-    pub fn record(&mut self, t_us: u64, rec: TraceRecord) {
-        if self.on {
-            self.tracer.record(t_us, &rec);
-        }
-    }
-
-    /// Finalizes the wrapped tracer (see [`Tracer::finish`]).
-    pub fn finish(&mut self) {
-        self.tracer.finish();
-    }
-}
-
 /// The first I/O error a file-writing sink ([`JsonlTracer`],
 /// [`ChromeTraceTracer`]) met. The sink keeps it here instead of
 /// panicking and writes nothing after it, so its output ends early. Take

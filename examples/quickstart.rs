@@ -38,7 +38,7 @@ fn main() {
             m.energy_kwh,
             m.mean_response(PriorityBand::Free),
             m.mean_response(PriorityBand::Production),
-            m.preemptions
+            m.preemptions()
         );
     }
 

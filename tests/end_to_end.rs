@@ -43,7 +43,7 @@ fn stacks_agree_on_headline_claim() {
     let kill = base.clone().run(&w);
     let chk = base.with_policy(PreemptionPolicy::Checkpoint).run(&w);
     assert!(
-        kill.metrics.preemptions > 0,
+        kill.metrics.preemptions() > 0,
         "trace workload must be contended"
     );
     assert!(
@@ -85,7 +85,7 @@ fn trace_and_metrics_are_consistent() {
         .run_analyzed(&w, SimDuration::from_secs(86_400));
     // Every simulator-counted eviction appears in the trace; the analyzer's
     // 5-second criterion may classify a subset as priority preemptions.
-    assert!(analysis.overall.preemptions <= report.metrics.preemptions);
+    assert!(analysis.overall.preemptions <= report.metrics.preemptions());
     assert!(analysis.overall.preemptions > 0);
     // Tasks that finished = tasks scheduled at least once in the log.
     assert_eq!(
@@ -115,7 +115,7 @@ fn cross_stack_determinism() {
             .run(&w)
     };
     let (a, b) = (run(), run());
-    assert_eq!(a.metrics.preemptions, b.metrics.preemptions);
+    assert_eq!(a.metrics.preemptions(), b.metrics.preemptions());
     assert_eq!(a.metrics.tasks_finished, b.metrics.tasks_finished);
     assert!((a.metrics.energy_kwh - b.metrics.energy_kwh).abs() < 1e-12);
 
@@ -144,7 +144,7 @@ fn headline_holds_across_seeds() {
         let w = GoogleTraceConfig::small(300.0).generate(seed);
         let base = SimConfig::trace_sim(PreemptionPolicy::Kill, MediaKind::Nvm).with_nodes(6);
         let kill = base.clone().run(&w);
-        if kill.metrics.preemptions == 0 {
+        if kill.metrics.preemptions() == 0 {
             continue; // uncontended draw; nothing to compare
         }
         let chk = base.with_policy(PreemptionPolicy::Checkpoint).run(&w);

@@ -15,8 +15,8 @@
 //! preemption decision and of the dump-size estimate is pinned on both.
 //! Debug builds additionally hard-assert the image-ledger conservation
 //! invariant after every event. Every run also checks that its trace,
-//! read back and folded with `RunLedger::fold`, gives every counter of its
-//! report, and that a second run with no tracer attached gives the same
+//! read back and folded with `RunLedger::fold`, gives its report's
+//! `RunCounts`, and that a second run with no tracer attached gives the same
 //! registry and report bytes.
 //!
 //! On a mismatch the test names every failing case and prints the
@@ -29,12 +29,11 @@
 
 mod common;
 
-use cbp::checkpoint::{Criu, NvramSpec};
-use cbp::core::ckpt_path::CkptPath;
+use cbp::checkpoint::NvramSpec;
 use cbp::core::{ClusterSim, PreemptionPolicy, RunLedger, RunMetrics, RunReport, SimConfig};
 use cbp::faults::FaultSpec;
-use cbp::simkit::{SimDuration, SimTime};
-use cbp::storage::{MediaKind, MediaSpec};
+use cbp::simkit::SimDuration;
+use cbp::storage::MediaKind;
 use cbp::telemetry::{JsonlReader, JsonlTracer};
 use cbp::workload::facebook::FacebookConfig;
 use cbp::workload::google::GoogleTraceConfig;
@@ -517,7 +516,7 @@ fn counters(m: &RunMetrics) -> [(&'static str, u64); 31] {
     [
         ("jobs_finished", m.jobs_finished),
         ("tasks_finished", m.tasks_finished),
-        ("preemptions", m.preemptions),
+        ("preemptions", m.preemptions()),
         ("kills", m.kills),
         ("checkpoints", m.checkpoints),
         ("incremental_checkpoints", m.incremental_checkpoints),
@@ -574,19 +573,10 @@ fn report_words(m: &RunMetrics) -> Vec<u64> {
     words
 }
 
-/// Report counters no trace record carries: the run ledger keeps them
-/// inline.
-const INLINE: [&str; 3] = [
-    "jobs_finished",
-    "images_lost_to_failures",
-    "dfs_blocks_lost",
-];
-
 /// Asserts that folding `trace`, as read back by the JSONL reader, with
-/// the run ledger's own fold gives every counter of the run's `metrics`
-/// but the [`INLINE`] ones. Also asserts that every line of the trace is
-/// in the form the reader's canonical-line decoder takes, so none falls
-/// back to the general path.
+/// the run ledger's own fold gives the run's counters. Also asserts that
+/// every line of the trace is in the form the reader's canonical-line
+/// decoder takes, so none falls back to the general path.
 fn check_fold(case: &str, sim: &str, trace: &[u8], metrics: &RunMetrics) {
     let mut ledger = RunLedger::default();
     let mut reader = JsonlReader::new(trace).expect("golden traces have a header");
@@ -594,24 +584,11 @@ fn check_fold(case: &str, sim: &str, trace: &[u8], metrics: &RunMetrics) {
         let (_, rec) = item.expect("golden traces are well-formed");
         ledger.fold(&rec);
     }
-    let no_path = CkptPath::new(
-        0,
-        MediaSpec::ssd(),
-        Criu::new(true),
-        None,
-        None,
-        None,
-        false,
+    assert_eq!(
+        ledger.counts(),
+        &metrics.counts,
+        "{case}, {sim}: counters folded from the trace vs the run's"
     );
-    let folded = ledger.into_metrics(SimTime::ZERO, 0.0, &no_path);
-    for ((name, n), (_, want)) in counters(&folded).into_iter().zip(counters(metrics)) {
-        if !INLINE.contains(&name) {
-            assert_eq!(
-                n, want,
-                "{case}, {sim}: {name} folded from the trace vs the run's"
-            );
-        }
-    }
     let lines = reader.line_counts();
     let records = trace.iter().filter(|&&b| b == b'\n').count() as u64 - 1;
     assert_eq!(

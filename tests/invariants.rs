@@ -104,9 +104,9 @@ proptest! {
         prop_assert!(m.makespan_secs >= 0.0);
 
         // Event taxonomy adds up.
-        prop_assert_eq!(m.preemptions, m.kills + m.checkpoints);
+        prop_assert_eq!(m.preemptions(), m.kills + m.checkpoints);
         if policy == PreemptionPolicy::Wait {
-            prop_assert_eq!(m.preemptions, 0);
+            prop_assert_eq!(m.preemptions(), 0);
         }
         if !policy.uses_checkpoints() {
             prop_assert_eq!(m.checkpoints, 0);
