@@ -107,8 +107,6 @@ pub struct Criu {
     max_chain_len: usize,
     chunk_bytes: u64,
     next_image: u64,
-    full_dumps: u64,
-    restores: u64,
 }
 
 /// Default bound on incremental-chain length before a consolidating full
@@ -129,8 +127,6 @@ impl Criu {
             max_chain_len: DEFAULT_MAX_CHAIN_LEN,
             chunk_bytes: DEFAULT_CHUNK_BYTES,
             next_image: 1,
-            full_dumps: 0,
-            restores: 0,
         }
     }
 
@@ -332,7 +328,6 @@ impl Criu {
                     .id,
             }
         } else {
-            self.full_dumps += 1;
             CheckpointKind::Full
         };
         self.chains.entry(task).or_default().push(ImageRecord {
@@ -370,7 +365,6 @@ impl Criu {
         if size.is_zero() {
             return None;
         }
-        self.restores += 1;
         let op = device.submit_read(now, size);
         Some(RestoreResult { op, size })
     }
@@ -522,16 +516,6 @@ impl Criu {
             .get(&task)
             .is_some_and(|c| c.images().iter().any(|i| i.origin_node == node))
     }
-
-    /// Number of full dumps performed.
-    pub fn full_dumps(&self) -> u64 {
-        self.full_dumps
-    }
-
-    /// Number of restores performed.
-    pub fn restores(&self) -> u64 {
-        self.restores
-    }
 }
 
 #[cfg(test)]
@@ -606,7 +590,6 @@ mod tests {
         // freed for the caller to release.
         assert_eq!(d2.freed, vec![(0, ByteSize::from_gb(5))]);
         assert_eq!(criu.image_size(1), ByteSize::from_gb(5));
-        assert_eq!(criu.full_dumps(), 2);
     }
 
     #[test]
@@ -622,7 +605,6 @@ mod tests {
             .restore(1, &mut dev, SimTime::from_secs(200))
             .expect("image exists");
         assert_eq!(r.size, ByteSize::from_mb(5500));
-        assert_eq!(criu.restores(), 1);
     }
 
     #[test]

@@ -139,9 +139,6 @@ pub struct NvramCheckpointer {
     spec: NvramSpec,
     mirrors: HandleMap<u64, Mirror>,
     used: ByteSize,
-    suspends: u64,
-    resumes: u64,
-    bytes_copied: ByteSize,
 }
 
 impl NvramCheckpointer {
@@ -151,9 +148,6 @@ impl NvramCheckpointer {
             spec,
             mirrors: HandleMap::default(),
             used: ByteSize::ZERO,
-            suspends: 0,
-            resumes: 0,
-            bytes_copied: ByteSize::ZERO,
         }
     }
 
@@ -262,8 +256,6 @@ impl NvramCheckpointer {
             .expect("mirror inserted above")
             .valid = true;
         mem.clear_dirty();
-        self.suspends += 1;
-        self.bytes_copied += copied;
         Ok(NvramSuspend {
             duration,
             copied,
@@ -286,7 +278,6 @@ impl NvramCheckpointer {
             .filter(|m| m.valid)
             .copied()
             .expect("resume requires a valid mirror");
-        self.resumes += 1;
         let (upfront, lazy_bytes) = if lazy {
             let up = mirror
                 .footprint
@@ -311,21 +302,6 @@ impl NvramCheckpointer {
             }
             None => ByteSize::ZERO,
         }
-    }
-
-    /// Suspends performed.
-    pub fn suspends(&self) -> u64 {
-        self.suspends
-    }
-
-    /// Resumes performed.
-    pub fn resumes(&self) -> u64 {
-        self.resumes
-    }
-
-    /// Total bytes copied at suspend time (shadow-absorbed bytes excluded).
-    pub fn bytes_copied(&self) -> ByteSize {
-        self.bytes_copied
     }
 }
 
@@ -442,7 +418,6 @@ mod tests {
         assert_eq!(lazy.copied_upfront, ByteSize::from_mb(250));
         assert_eq!(lazy.lazy_bytes, ByteSize::from_mb(4750));
         assert!(lazy.duration.as_secs_f64() < eager.duration.as_secs_f64() / 10.0);
-        assert_eq!(nvram.resumes(), 2);
     }
 
     #[test]
