@@ -21,12 +21,10 @@ use std::time::Instant;
 
 use cbp_core::{ClusterSim, PassWork, PreemptionPolicy, TelemetryReport};
 use cbp_faults::FaultSpec;
-use cbp_storage::MediaKind;
 use cbp_telemetry::json::{self, Value};
-use cbp_workload::facebook::FacebookConfig;
-use cbp_yarn::{YarnConfig, YarnSim};
+use cbp_yarn::YarnSim;
 
-use crate::experiments::google_setup;
+use crate::experiments::{google_setup, yarn_setup};
 use crate::Scale;
 
 /// Schema tag stamped into every BENCH json document.
@@ -235,17 +233,8 @@ fn run_once(s: &BenchScenario) -> TelemetryReport {
             ClusterSim::new(cfg, workload).run().telemetry
         }
         SimKind::Yarn => {
-            let nodes = s.scale.apply(8, 2);
-            let slots = nodes * 24;
-            let workload = FacebookConfig {
-                jobs: s.scale.apply(40, 10),
-                total_tasks: s.scale.apply(7_000, 260),
-                giant_job_tasks: (slots as f64 * 1.3) as usize,
-                ..Default::default()
-            }
-            .generate(s.seed);
-            let mut cfg = YarnConfig::paper_cluster(PreemptionPolicy::Adaptive, MediaKind::Hdd);
-            cfg.nodes = nodes;
+            let (workload, base) = yarn_setup(s.scale, s.seed);
+            let mut cfg = base.with_policy(PreemptionPolicy::Adaptive);
             if let Some(spec) = s.fault_spec() {
                 cfg = cfg.with_faults(spec);
             }

@@ -8,7 +8,7 @@ use cbp_workload::mapreduce::MapReduceConfig;
 use cbp_workload::PriorityBand;
 use cbp_yarn::YarnConfig;
 
-use crate::experiments::google_setup;
+use crate::experiments::{google_setup, yarn_setup};
 use crate::table::{fmt, Experiment, Table};
 use crate::Scale;
 
@@ -194,7 +194,6 @@ pub fn faults(scale: Scale, seed: u64) -> Experiment {
     // AM-unresponsiveness escalation on the protocol simulator: as the
     // probability that an AM ignores ContainerPreemptEvents rises, the
     // RM's escalation deadline converts would-be checkpoints into kills.
-    let nodes = scale.apply(8, 2);
     let mut am = Table::new(
         "faults-am",
         "AM unresponsiveness vs RM escalation (YARN protocol sim, Chk-HDD)",
@@ -206,17 +205,11 @@ pub fn faults(scale: Scale, seed: u64) -> Experiment {
             "wasted core-h",
         ],
     );
-    let fb_workload = cbp_workload::facebook::FacebookConfig {
-        jobs: scale.apply(40, 10),
-        total_tasks: scale.apply(7_000, 260),
-        giant_job_tasks: nodes * 24 * 13 / 10,
-        ..Default::default()
-    }
-    .generate(seed);
+    let (fb_workload, base) = yarn_setup(scale, seed);
     for p in [0.0, 0.25, 1.0] {
-        let mut cfg = YarnConfig::paper_cluster(PreemptionPolicy::Checkpoint, MediaKind::Hdd);
-        cfg.nodes = nodes;
-        let r = cfg
+        let r = base
+            .clone()
+            .with_policy(PreemptionPolicy::Checkpoint)
             .with_faults(FaultSpec {
                 seed,
                 am_unresponsive_prob: p,

@@ -11,8 +11,10 @@ pub mod yarnexp;
 
 use cbp_core::{PreemptionPolicy, SimConfig};
 use cbp_storage::MediaKind;
+use cbp_workload::facebook::FacebookConfig;
 use cbp_workload::google::GoogleTraceConfig;
 use cbp_workload::Workload;
+use cbp_yarn::YarnConfig;
 
 use crate::Scale;
 
@@ -27,5 +29,23 @@ pub fn google_setup(scale: Scale, seed: u64) -> (Workload, SimConfig) {
         .generate(seed);
     let nodes = scale.apply(200, 4);
     let config = SimConfig::trace_sim(PreemptionPolicy::Kill, MediaKind::Hdd).with_nodes(nodes);
+    (workload, config)
+}
+
+/// The shared YARN setup (§5.3): the Facebook-derived workload on the
+/// paper's cluster (Kill, HDD), scaled together. The giant production job
+/// is 1.3× the cluster's container count, so it always preempts
+/// default-queue work.
+pub fn yarn_setup(scale: Scale, seed: u64) -> (Workload, YarnConfig) {
+    let nodes = scale.apply(8, 2);
+    let workload = FacebookConfig {
+        jobs: scale.apply(40, 10),
+        total_tasks: scale.apply(7_000, 260),
+        giant_job_tasks: nodes * 24 * 13 / 10,
+        ..Default::default()
+    }
+    .generate(seed);
+    let mut config = YarnConfig::paper_cluster(PreemptionPolicy::Kill, MediaKind::Hdd);
+    config.nodes = nodes;
     (workload, config)
 }

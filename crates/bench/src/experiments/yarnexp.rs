@@ -2,29 +2,12 @@
 
 use cbp_core::{PreemptionPolicy, RunMetrics};
 use cbp_storage::MediaKind;
-use cbp_workload::facebook::FacebookConfig;
 use cbp_workload::{PriorityBand, Workload};
 use cbp_yarn::YarnConfig;
 
+use super::yarn_setup;
 use crate::table::{fmt, pct, Experiment, Table};
 use crate::Scale;
-
-/// The Facebook-derived workload and cluster, scaled together so the giant
-/// production job always exceeds cluster capacity.
-fn setup(scale: Scale, seed: u64) -> (Workload, YarnConfig) {
-    let nodes = scale.apply(8, 2);
-    let slots = nodes * 24;
-    let workload = FacebookConfig {
-        jobs: scale.apply(40, 10),
-        total_tasks: scale.apply(7_000, 260),
-        giant_job_tasks: (slots as f64 * 1.3) as usize,
-        ..Default::default()
-    }
-    .generate(seed);
-    let mut config = YarnConfig::paper_cluster(PreemptionPolicy::Kill, MediaKind::Hdd);
-    config.nodes = nodes;
-    (workload, config)
-}
 
 fn run(
     config: &YarnConfig,
@@ -43,7 +26,7 @@ fn run(
 /// Fig. 8: wastage, energy and mean response times of Kill vs
 /// Chk-{HDD,SSD,NVM}.
 pub fn fig8(scale: Scale, seed: u64) -> Experiment {
-    let (w, base) = setup(scale, seed);
+    let (w, base) = yarn_setup(scale, seed);
     let kill = run(&base, &w, PreemptionPolicy::Kill, MediaKind::Ssd);
     let chk: Vec<(MediaKind, RunMetrics)> = MediaKind::ALL
         .into_iter()
@@ -126,7 +109,7 @@ pub fn fig8(scale: Scale, seed: u64) -> Experiment {
 
 /// Fig. 9: response-time CDF per policy.
 pub fn fig9(scale: Scale, seed: u64) -> Experiment {
-    let (w, base) = setup(scale, seed);
+    let (w, base) = yarn_setup(scale, seed);
     let mut exp = Experiment::new(
         "fig9",
         "the whole response-time CDF improves under checkpoint-based \
@@ -155,7 +138,7 @@ pub fn fig9(scale: Scale, seed: u64) -> Experiment {
 
 /// Fig. 10: basic vs adaptive mean responses per medium.
 pub fn fig10(scale: Scale, seed: u64) -> Experiment {
-    let (w, base) = setup(scale, seed);
+    let (w, base) = yarn_setup(scale, seed);
     let mut exp = Experiment::new(
         "fig10",
         "adaptive reduces low-priority response by 28/16/20% and \
@@ -191,7 +174,7 @@ pub fn fig10(scale: Scale, seed: u64) -> Experiment {
 
 /// Fig. 11: response CDFs of kill / basic / adaptive per medium.
 pub fn fig11(scale: Scale, seed: u64) -> Experiment {
-    let (w, base) = setup(scale, seed);
+    let (w, base) = yarn_setup(scale, seed);
     let mut exp = Experiment::new(
         "fig11",
         "adaptive improves the whole response CDF over basic on every medium",
@@ -220,7 +203,7 @@ pub fn fig11(scale: Scale, seed: u64) -> Experiment {
 
 /// Fig. 12: checkpoint CPU and I/O overhead, basic vs adaptive.
 pub fn fig12(scale: Scale, seed: u64) -> Experiment {
-    let (w, base) = setup(scale, seed);
+    let (w, base) = yarn_setup(scale, seed);
     let mut exp = Experiment::new(
         "fig12",
         "basic checkpointing costs 17/4/0.4% CPU overhead on HDD/SSD/NVM \

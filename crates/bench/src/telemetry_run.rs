@@ -21,12 +21,10 @@ use cbp_core::{ClusterSim, PreemptionPolicy, TelemetryReport};
 use cbp_faults::FaultSpec;
 use cbp_obs::{paths_to_folded, ObsReport, SharedCollector, SpanCollector, WhatIf};
 use cbp_simkit::SimDuration;
-use cbp_storage::MediaKind;
 use cbp_telemetry::{ChromeTraceTracer, JsonlTracer, MultiTracer, SinkStatus, Tracer};
-use cbp_workload::facebook::FacebookConfig;
-use cbp_yarn::{YarnConfig, YarnSim};
+use cbp_yarn::YarnSim;
 
-use crate::experiments::google_setup;
+use crate::experiments::{google_setup, yarn_setup};
 use crate::Scale;
 
 /// Jobs listed in the analysis report's worst-penalized table. Shared by
@@ -262,18 +260,10 @@ fn run_yarn(
     seed: u64,
     opts: &TelemetryOptions,
 ) -> Result<(TelemetryReport, Option<SharedCollector>), InstrumentError> {
-    let nodes = scale.apply(8, 2);
-    let slots = nodes * 24;
-    let workload = FacebookConfig {
-        jobs: scale.apply(40, 10),
-        total_tasks: scale.apply(7_000, 260),
-        giant_job_tasks: (slots as f64 * 1.3) as usize,
-        ..Default::default()
-    }
-    .generate(seed);
-    let mut cfg = YarnConfig::paper_cluster(PreemptionPolicy::Adaptive, MediaKind::Hdd)
+    let (workload, base) = yarn_setup(scale, seed);
+    let mut cfg = base
+        .with_policy(PreemptionPolicy::Adaptive)
         .with_lifecycle(!opts.no_lifecycle);
-    cfg.nodes = nodes;
     if let Some(spec) = &opts.faults {
         let mut spec = spec.clone();
         if opts.no_resume {
