@@ -26,10 +26,6 @@ pub struct YarnConfig {
     pub incremental: bool,
     /// HDFS parameters (checkpoints always go through HDFS on YARN).
     pub dfs: DfsConfig,
-    /// Fraction of cluster capacity the production queue may claim by
-    /// preempting the default queue (1.0 = the §5.3.3 behaviour where one
-    /// production job can evict every non-production container).
-    pub prod_queue_guarantee: f64,
     /// One-way RM ↔ AM RPC latency.
     pub rpc_delay: SimDuration,
     /// Container startup cost (localizing the job's resources, spawning the
@@ -67,7 +63,6 @@ impl YarnConfig {
             policy,
             incremental: true,
             dfs: DfsConfig::default(),
-            prod_queue_guarantee: 1.0,
             rpc_delay: SimDuration::from_millis(10),
             container_startup: SimDuration::from_secs(2),
             // The paper's AM handles the preempt event, so the NM timeout
@@ -96,20 +91,6 @@ impl YarnConfig {
     /// Returns a copy with incremental checkpointing toggled.
     pub fn with_incremental(mut self, incremental: bool) -> Self {
         self.incremental = incremental;
-        self
-    }
-
-    /// Returns a copy with a different production-queue claim.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `guarantee` is in `[0, 1]`.
-    pub fn with_prod_guarantee(mut self, guarantee: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&guarantee),
-            "guarantee must be in [0,1]"
-        );
-        self.prod_queue_guarantee = guarantee;
         self
     }
 
@@ -167,18 +148,10 @@ mod tests {
         let cfg = YarnConfig::paper_cluster(PreemptionPolicy::Kill, MediaKind::Hdd)
             .with_policy(PreemptionPolicy::Adaptive)
             .with_media_kind(MediaKind::Nvm)
-            .with_incremental(false)
-            .with_prod_guarantee(0.5);
+            .with_incremental(false);
         assert_eq!(cfg.policy, PreemptionPolicy::Adaptive);
         assert_eq!(cfg.media.kind(), MediaKind::Nvm);
 
         assert!(!cfg.incremental);
-        assert_eq!(cfg.prod_queue_guarantee, 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "guarantee")]
-    fn bad_guarantee_rejected() {
-        YarnConfig::paper_cluster(PreemptionPolicy::Kill, MediaKind::Hdd).with_prod_guarantee(1.5);
     }
 }

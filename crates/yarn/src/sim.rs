@@ -344,8 +344,9 @@ impl YarnSim {
             self.count_running_scan(QueueKind::Production),
             "container-derived running count drifted from the task scan"
         );
-        let allowed = (self.cfg.prod_queue_guarantee * self.total_slots as f64).floor() as u32;
-        let claimable = allowed.saturating_sub(prod_running);
+        // The production queue may claim every slot: in §5.3.3 one
+        // production job can evict every non-production container.
+        let claimable = self.total_slots.saturating_sub(prod_running);
         let needed = pending_prod.min(claimable);
         if needed == 0 {
             return;
