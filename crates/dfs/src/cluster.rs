@@ -86,9 +86,11 @@ pub struct ReadCost {
 /// The distributed file system: a NameNode ([`Namespace`]) plus datanodes.
 ///
 /// Placement follows HDFS: the first replica lands on the writing node, the
-/// remaining replicas on distinct nodes chosen uniformly (capacity
-/// permitting). Placement randomness comes from a seeded [`SimRng`], so runs
-/// are reproducible.
+/// remaining replicas on distinct live nodes chosen uniformly. Datanode
+/// capacity is not modelled: each node's use is tracked
+/// ([`DfsCluster::used_on`]), but no write is refused for lack of space.
+/// Placement randomness comes from a seeded [`SimRng`], so runs are
+/// reproducible.
 #[derive(Debug)]
 pub struct DfsCluster {
     config: DfsConfig,
@@ -514,8 +516,8 @@ mod tests {
         ));
         assert!(matches!(dfs.delete("/nope"), Err(DfsError::NotFound(_))));
         // Display formatting is meaningful.
-        let msg = DfsError::NoSpace { requested: 10 }.to_string();
-        assert!(msg.contains("insufficient"), "{msg}");
+        let msg = DfsError::WriterDown(DnId(1)).to_string();
+        assert!(msg.contains("down"), "{msg}");
     }
 
     #[test]

@@ -45,11 +45,6 @@ pub enum DfsError {
     FileExists(String),
     /// The path does not exist.
     NotFound(String),
-    /// Not enough aggregate datanode capacity for the requested replicas.
-    NoSpace {
-        /// Bytes that could not be placed.
-        requested: u64,
-    },
     /// The referenced datanode id is out of range.
     UnknownDataNode(DnId),
     /// The writing datanode is down, so it can hold no replica.
@@ -61,9 +56,6 @@ impl fmt::Display for DfsError {
         match self {
             DfsError::FileExists(p) => write!(f, "file already exists: {p}"),
             DfsError::NotFound(p) => write!(f, "file not found: {p}"),
-            DfsError::NoSpace { requested } => {
-                write!(f, "insufficient datanode capacity for {requested} bytes")
-            }
             DfsError::UnknownDataNode(id) => write!(f, "unknown datanode: {id:?}"),
             DfsError::WriterDown(id) => write!(f, "writer datanode is down: {id:?}"),
         }
