@@ -19,6 +19,12 @@
 //! `RunCounts`, and that a second run with no tracer attached gives the same
 //! registry and report bytes.
 //!
+//! Each run's trace is also replayed through the lenient `cbp-obs`
+//! collector, and its analysis report (critical paths included) and the
+//! folded stacks of its critical paths are pinned as one more digest.
+//! The trace simulator's traces also go through the strict collector,
+//! which panics on any malformed record.
+//!
 //! On a mismatch the test names every failing case and prints the
 //! observed digests.
 //!
@@ -32,6 +38,7 @@ mod common;
 use cbp::checkpoint::NvramSpec;
 use cbp::core::{ClusterSim, PreemptionPolicy, RunLedger, RunMetrics, RunReport, SimConfig};
 use cbp::faults::FaultSpec;
+use cbp::obs::{paths_to_folded, CritReport, ObsReport, SpanCollector};
 use cbp::simkit::SimDuration;
 use cbp::storage::MediaKind;
 use cbp::telemetry::{JsonlReader, JsonlTracer};
@@ -72,8 +79,9 @@ struct Case {
     /// still in flight, in seconds (none: dumps are never cut short).
     grace_secs: Option<u64>,
     /// Digests: cluster trace, cluster registry, yarn trace, yarn
-    /// registry, cluster report, yarn report.
-    golden: [u64; 6],
+    /// registry, cluster report, yarn report, cluster analysis, yarn
+    /// analysis.
+    golden: [u64; 8],
 }
 
 /// The grace period of the "grace-period" case: shorter than most HDFS
@@ -105,6 +113,8 @@ const CASES: &[Case] = &[
             0xe55d4b2499323dab,
             0xfba7c877692b3ea5,
             0x3bbde7bcfd4ab986,
+            0xaeb98d8cd6fa2270,
+            0x03cc34a5d33daa43,
         ],
     },
     Case {
@@ -123,6 +133,8 @@ const CASES: &[Case] = &[
             0xc497dd3ab52b9a70,
             0xdfbebe6499c8e368,
             0x6d9e330be2b46ff3,
+            0xc508cd4b764cf2f2,
+            0xc09dcb263783e47b,
         ],
     },
     Case {
@@ -141,6 +153,8 @@ const CASES: &[Case] = &[
             0xf1797f99e17bdb4f,
             0x6eed81c00018c5a9,
             0x0b68b2de4a248e15,
+            0x4b79decc8af586c7,
+            0xaa49398c49c3eb2b,
         ],
     },
     Case {
@@ -159,6 +173,8 @@ const CASES: &[Case] = &[
             0xbba6ff1cc7ee8a46,
             0x9b11780d7afea958,
             0xefc7565e3f5a7eed,
+            0xf48a5224001161be,
+            0xd71dc0a6759fea47,
         ],
     },
     Case {
@@ -179,6 +195,8 @@ const CASES: &[Case] = &[
             0x85d3c4ee22b066de,
             0xa4dd0991e18a7aef,
             0xda5d018b391cabe3,
+            0x86011bb334b2015f,
+            0x793c78dceacd078f,
         ],
     },
     Case {
@@ -201,6 +219,8 @@ const CASES: &[Case] = &[
             0xf584d49f232b0dd0,
             0xdb5632d519c2f864,
             0xc1778e227d10666a,
+            0x97438e52ea5a0a87,
+            0xcf2adb09473439dc,
         ],
     },
     Case {
@@ -219,6 +239,8 @@ const CASES: &[Case] = &[
             0x38ccf9ca4106030f,
             0xa9e4482c256f403f,
             0xadd2717665ba959b,
+            0x446801cca8c00d13,
+            0xbd8c044ab18ca3a5,
         ],
     },
     Case {
@@ -237,6 +259,8 @@ const CASES: &[Case] = &[
             0x38ccf9ca4106030f,
             0x8404a529bd35a10a,
             0xadd2717665ba959b,
+            0x653b2ad211f697af,
+            0xbd8c044ab18ca3a5,
         ],
     },
     Case {
@@ -255,6 +279,8 @@ const CASES: &[Case] = &[
             0x1874239076fb5459,
             0x9196ea30a1c523ee,
             0x750e9d49b29081bf,
+            0xe1c2dca90ef49bb3,
+            0xc031b0b699cd35c5,
         ],
     },
     Case {
@@ -273,6 +299,8 @@ const CASES: &[Case] = &[
             0x1874239076fb5459,
             0x39fc38afc41c75fc,
             0x750e9d49b29081bf,
+            0xbb0bc37827ce79e5,
+            0xc031b0b699cd35c5,
         ],
     },
     Case {
@@ -291,6 +319,8 @@ const CASES: &[Case] = &[
             0xf1797f99e17bdb4f,
             0xbb1b8a42d013adae,
             0x0b68b2de4a248e15,
+            0xa65f4ebf2bc63c7a,
+            0xaa49398c49c3eb2b,
         ],
     },
     Case {
@@ -309,6 +339,8 @@ const CASES: &[Case] = &[
             0x1fda542e08b7bb1c,
             0xebeb62fd9ca5b0fe,
             0x462a9d93e163dc15,
+            0xe76e85a16494fe8f,
+            0xc3c84090c5dbdd46,
         ],
     },
     Case {
@@ -327,6 +359,8 @@ const CASES: &[Case] = &[
             0xaecd36fd0c1bc4d6,
             0xbcf29671b1ebfbea,
             0x31fa02adcfe83a22,
+            0x39e9f960cdb42f38,
+            0xba6df0bfc18f6dc8,
         ],
     },
     Case {
@@ -346,6 +380,8 @@ const CASES: &[Case] = &[
             0xc31c792185e351d1,
             0xad9ea97b4020906f,
             0x3407343a9838bcf4,
+            0x25462127ef2e51db,
+            0x6374419bf93845f3,
         ],
     },
     Case {
@@ -367,6 +403,8 @@ const CASES: &[Case] = &[
             0x45e76064d918b6df,
             0x9b11780d7afea958,
             0xaef532f7806c18d8,
+            0xf48a5224001161be,
+            0x3522103d3dcce114,
         ],
     },
     Case {
@@ -388,6 +426,8 @@ const CASES: &[Case] = &[
             0xc7b4191d0aba8f4d,
             0x93e372cf66127878,
             0x2f56171500aad3da,
+            0x3853b43c3435e371,
+            0x7d1cca36b8272fb9,
         ],
     },
     Case {
@@ -410,12 +450,17 @@ const CASES: &[Case] = &[
             0xdcd3509f5a200070,
             0xdfbebe6499c8e368,
             0x586b9a9f19735a35,
+            0xc508cd4b764cf2f2,
+            0xcffcf604c85302c1,
         ],
     },
 ];
 
-/// Runs both simulators for `case` and returns its six digests.
-fn digests(case: &Case) -> [u64; 6] {
+/// Jobs in the pinned analysis report's worst-penalized table.
+const OBS_TOP_K: usize = 10;
+
+/// Runs both simulators for `case` and returns its eight digests.
+fn digests(case: &Case) -> [u64; 8] {
     let spec = FaultSpec::parse(case.plan).expect("golden fault plans parse");
 
     let w = GoogleTraceConfig::small(80.0).generate(9);
@@ -429,7 +474,7 @@ fn digests(case: &Case) -> [u64; 6] {
         Store::LocalFs => cfg.via_dfs = false,
         Store::Nvram => cfg = cfg.with_nvram(NvramSpec::default()),
     }
-    let (cluster, _) = checked_digests(case.name, "cluster", w.job_count(), |buf| {
+    let (cluster, _) = checked_digests(case.name, "cluster", w.job_count(), true, |buf| {
         let mut sim = ClusterSim::new(cfg.clone(), w.clone());
         if let Some(buf) = buf {
             sim.set_tracer(Box::new(JsonlTracer::new(buf)));
@@ -453,7 +498,7 @@ fn digests(case: &Case) -> [u64; 6] {
     if let Some(secs) = case.grace_secs {
         ycfg = ycfg.with_graceful_timeout(SimDuration::from_secs(secs));
     }
-    let (yarn, metrics) = checked_digests(case.name, "yarn", fw.job_count(), |buf| {
+    let (yarn, metrics) = checked_digests(case.name, "yarn", fw.job_count(), false, |buf| {
         let mut sim = YarnSim::new(ycfg.clone(), fw.clone());
         if let Some(buf) = buf {
             sim.set_tracer(Box::new(JsonlTracer::new(buf)));
@@ -469,21 +514,23 @@ fn digests(case: &Case) -> [u64; 6] {
     }
 
     [
-        cluster[0], cluster[1], yarn[0], yarn[1], cluster[2], yarn[2],
+        cluster[0], cluster[1], yarn[0], yarn[1], cluster[2], yarn[2], cluster[3], yarn[3],
     ]
 }
 
 /// Runs one simulator of `case` through `run`, traced into the buffer it
-/// is given, and returns the digests of the trace, the registry and the
-/// report, and the report's metrics. Checks that the run finished all
-/// `jobs`, that its trace folds to its counters, and that `run` with no
-/// tracer gives the same registry and report.
+/// is given, and returns the digests of the trace, the registry, the
+/// report and the trace's analysis, and the report's metrics. Checks that
+/// the run finished all `jobs`, that its trace folds to its counters, and
+/// that `run` with no tracer gives the same registry and report. With
+/// `strict`, the trace must also replay through the strict collector.
 fn checked_digests(
     case: &str,
     sim: &str,
     jobs: usize,
+    strict: bool,
     run: impl Fn(Option<SharedBuf>) -> RunReport,
-) -> ([u64; 3], RunMetrics) {
+) -> ([u64; 4], RunMetrics) {
     let buf = SharedBuf::default();
     let report = run(Some(buf.clone()));
     assert_eq!(
@@ -502,7 +549,37 @@ fn checked_digests(
         (registry, words),
         "{case}, {sim}: an untraced run's registry and report digests differ from the traced run's"
     );
-    ([fnv1a(&trace), registry, words], report.metrics)
+    let analysis = obs_digest(case, sim, &trace, strict);
+    ([fnv1a(&trace), registry, words, analysis], report.metrics)
+}
+
+/// FNV-1a over the analysis report of `trace`, replayed through the
+/// lenient collector with its critical paths, followed by the folded
+/// stacks of those paths. With `strict`, the trace is also replayed
+/// through the strict collector, which panics on a malformed record.
+fn obs_digest(case: &str, sim: &str, trace: &[u8], strict: bool) -> u64 {
+    let collector = cbp::obs::collect_jsonl_with(trace, true)
+        .unwrap_or_else(|e| panic!("{case}, {sim}: trace replay: {e}"));
+    let report = ObsReport::build(&collector, OBS_TOP_K)
+        .with_crit(&collector)
+        .unwrap_or_else(|e| panic!("{case}, {sim}: critical paths: {e}"));
+    let paths = CritReport::extract_paths(&collector)
+        .unwrap_or_else(|e| panic!("{case}, {sim}: critical paths: {e}"));
+    if strict {
+        let mut strict = SpanCollector::new().with_segments();
+        for item in JsonlReader::new(trace).expect("golden traces have a header") {
+            let (t_us, rec) = item.expect("golden traces are well-formed");
+            strict.observe(t_us, &rec);
+        }
+        assert_eq!(
+            strict.records(),
+            collector.records(),
+            "{case}, {sim}: records replayed strictly and leniently"
+        );
+    }
+    let mut bytes = report.to_json().into_bytes();
+    bytes.extend_from_slice(paths_to_folded(&paths).as_bytes());
+    fnv1a(&bytes)
 }
 
 /// FNV-1a over the little-endian bytes of `words`.
@@ -613,7 +690,7 @@ fn both_simulators_replay_golden_bytes() {
     assert!(
         mismatches.is_empty(),
         "golden digests differ (cluster trace, cluster registry, yarn trace, yarn registry, \
-         cluster report, yarn report):\n{}",
+         cluster report, yarn report, cluster analysis, yarn analysis):\n{}",
         mismatches.join("\n")
     );
 }
