@@ -15,9 +15,6 @@
 //! * [`ProfReport`] — the deterministic tree report extracted by [`stop`]:
 //!   children sorted by name, self time = total − Σ(children), rendered as
 //!   an indented table or as byte-stable JSON (`{"schema":"cbp-prof",...}`).
-//! * [`report::SpanEvent`] capture + [`ProfReport::to_chrome_trace`] — a
-//!   **wall-clock** Chrome-trace sink, so profiler spans open in Perfetto
-//!   alongside the existing *sim-time* trace from `cbp-telemetry`.
 //! * [`alloc`] (feature `count-alloc`) — a counting global allocator
 //!   (allocations + live/peak bytes) binaries can install to get an
 //!   RSS-proxy per benchmark phase.
@@ -53,5 +50,5 @@ pub mod alloc;
 pub mod report;
 mod scope;
 
-pub use report::{ProfNode, ProfReport, SpanEvent, PROF_SCHEMA, PROF_VERSION};
-pub use scope::{enabled, scope, start, stop, ProfOptions, ScopeGuard, SPAN_CAP};
+pub use report::{ProfNode, ProfReport, PROF_SCHEMA, PROF_VERSION};
+pub use scope::{enabled, scope, start, stop, ProfOptions, ScopeGuard};

@@ -1,5 +1,5 @@
-//! The immutable profiling report: a deterministic tree plus optional raw
-//! spans, rendered as text, byte-stable JSON, or a Chrome trace.
+//! The immutable profiling report: a deterministic tree, rendered as text
+//! or byte-stable JSON.
 
 use cbp_telemetry::json;
 use std::fmt::Write as _;
@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 /// Schema tag stamped into every report JSON document.
 pub const PROF_SCHEMA: &str = "cbp-prof";
 /// Schema version stamped into every report JSON document.
-pub const PROF_VERSION: u32 = 1;
+pub const PROF_VERSION: u32 = 2;
 
 /// One node in the report tree: a distinct *path* of scope names.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,19 +30,6 @@ pub struct ProfNode {
     pub children: Vec<ProfNode>,
 }
 
-/// One raw closed scope, captured when `ProfOptions::capture_spans` is on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanEvent {
-    /// Scope name.
-    pub name: &'static str,
-    /// Open time in nanoseconds since the profiler started.
-    pub start_ns: u64,
-    /// Wall-clock duration in nanoseconds.
-    pub dur_ns: u64,
-    /// Nesting depth at open time (0 = root scope).
-    pub depth: u32,
-}
-
 /// A flattened scope path, ranked by [`ProfReport::top_self`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlatScope {
@@ -61,16 +48,11 @@ pub struct FlatScope {
 pub struct ProfReport {
     /// Top-level scope paths, sorted by name.
     pub roots: Vec<ProfNode>,
-    /// Raw spans in `(start_ns, depth)` order; empty unless span capture
-    /// was requested.
-    pub spans: Vec<SpanEvent>,
-    /// Spans discarded after the capture buffer filled.
-    pub spans_dropped: u64,
 }
 
 impl ProfReport {
     /// Serializes the tree as compact, byte-stable JSON. Field order is
-    /// fixed (`schema`, `version`, `spans_dropped`, `roots`; within a node
+    /// fixed (`schema`, `version`, `roots`; within a node
     /// `name`, `calls`, `total_ns`, `self_ns`, `allocs`, `self_allocs`,
     /// `children`) so identical measurements yield identical bytes.
     pub fn to_json(&self) -> String {
@@ -113,9 +95,6 @@ impl ProfReport {
         json::push_key(&mut out, "version");
         json::push_u64(&mut out, PROF_VERSION as u64);
         out.push(',');
-        json::push_key(&mut out, "spans_dropped");
-        json::push_u64(&mut out, self.spans_dropped);
-        out.push(',');
         json::push_key(&mut out, "roots");
         out.push('[');
         for (i, r) in self.roots.iter().enumerate() {
@@ -150,13 +129,6 @@ impl ProfReport {
         for r in &self.roots {
             line(&mut out, r, 0);
         }
-        if self.spans_dropped > 0 {
-            let _ = writeln!(
-                out,
-                "({} spans dropped past capture cap)",
-                self.spans_dropped
-            );
-        }
         out
     }
 
@@ -185,75 +157,6 @@ impl ProfReport {
         flat.truncate(k);
         flat
     }
-
-    /// Serializes captured spans as a Chrome trace (`traceEvents` with
-    /// complete `"ph":"X"` events, microsecond timestamps) loadable in
-    /// Perfetto / `chrome://tracing`. Complements the *sim-time* trace from
-    /// `cbp-telemetry`: this one is wall-clock, showing where the engine
-    /// itself spends host time.
-    pub fn to_chrome_trace(&self) -> String {
-        let mut out = String::new();
-        out.push('{');
-        json::push_key(&mut out, "displayTimeUnit");
-        json::push_str_escaped(&mut out, "ms");
-        out.push(',');
-        json::push_key(&mut out, "traceEvents");
-        out.push('[');
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            json::push_key(&mut out, "name");
-            json::push_str_escaped(&mut out, s.name);
-            out.push(',');
-            json::push_key(&mut out, "ph");
-            json::push_str_escaped(&mut out, "X");
-            out.push(',');
-            json::push_key(&mut out, "ts");
-            json::push_f64(&mut out, s.start_ns as f64 / 1e3);
-            out.push(',');
-            json::push_key(&mut out, "dur");
-            json::push_f64(&mut out, s.dur_ns as f64 / 1e3);
-            out.push(',');
-            json::push_key(&mut out, "pid");
-            json::push_u64(&mut out, 0);
-            out.push(',');
-            json::push_key(&mut out, "tid");
-            json::push_u64(&mut out, s.depth as u64);
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Serializes the scope tree as inferno-compatible folded-stack text:
-    /// one `frame;frame;frame weight` line per path, weighted by *self*
-    /// nanoseconds (flamegraph renderers reconstruct inclusive time by
-    /// summing descendants). Paths with zero self time are skipped —
-    /// they would render as invisible zero-width frames. Lines are
-    /// emitted in depth-first tree order, which is already sorted by
-    /// name at every level, so the output is byte-stable for a given
-    /// tree shape.
-    pub fn to_folded(&self) -> String {
-        fn walk(nodes: &[ProfNode], prefix: &str, out: &mut String) {
-            use std::fmt::Write as _;
-            for n in nodes {
-                let path = if prefix.is_empty() {
-                    n.name.clone()
-                } else {
-                    format!("{prefix};{}", n.name)
-                };
-                if n.self_ns > 0 {
-                    let _ = writeln!(out, "{path} {}", n.self_ns);
-                }
-                walk(&n.children, &path, out);
-            }
-        }
-        let mut out = String::new();
-        walk(&self.roots, "", &mut out);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -276,16 +179,7 @@ mod tests {
         let mut run = leaf("run", 1, 10_000);
         run.children = vec![leaf("event", 7, 6_000), leaf("io", 2, 1_000)];
         run.self_ns = 3_000;
-        ProfReport {
-            roots: vec![run],
-            spans: vec![SpanEvent {
-                name: "run",
-                start_ns: 0,
-                dur_ns: 10_000,
-                depth: 0,
-            }],
-            spans_dropped: 0,
-        }
+        ProfReport { roots: vec![run] }
     }
 
     #[test]
@@ -293,7 +187,7 @@ mod tests {
         let r = sample();
         let j = r.to_json();
         assert!(cbp_telemetry::json::is_valid(&j));
-        assert!(j.starts_with("{\"schema\":\"cbp-prof\",\"version\":1,"));
+        assert!(j.starts_with("{\"schema\":\"cbp-prof\",\"version\":2,"));
         assert_eq!(j, r.to_json());
     }
 
@@ -312,22 +206,5 @@ mod tests {
         for name in ["run", "event", "io"] {
             assert!(text.contains(name), "missing {name} in:\n{text}");
         }
-    }
-
-    #[test]
-    fn folded_stacks_weight_by_self_time() {
-        let mut r = sample();
-        assert_eq!(r.to_folded(), "run 3000\nrun;event 6000\nrun;io 1000\n");
-        // Zero-self frames disappear but their children keep full paths.
-        r.roots[0].self_ns = 0;
-        assert_eq!(r.to_folded(), "run;event 6000\nrun;io 1000\n");
-    }
-
-    #[test]
-    fn chrome_trace_is_valid_json() {
-        let t = sample().to_chrome_trace();
-        assert!(cbp_telemetry::json::is_valid(&t));
-        assert!(t.contains("\"ph\":\"X\""));
-        assert!(t.contains("\"name\":\"run\""));
     }
 }

@@ -4,12 +4,7 @@ use std::cell::{Cell, RefCell};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use crate::report::{ProfNode, ProfReport, SpanEvent};
-
-/// Maximum number of raw span events captured for the Chrome-trace sink.
-/// Beyond the cap spans are counted (`ProfReport::spans_dropped`) but not
-/// stored, bounding profiler memory on long runs.
-pub const SPAN_CAP: usize = 1 << 20;
+use crate::report::{ProfNode, ProfReport};
 
 /// Configuration for [`start`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -18,10 +13,6 @@ pub struct ProfOptions {
     /// process-monotonic default; tests inject a deterministic counter so
     /// report JSON is byte-stable.
     pub clock: Option<fn() -> u64>,
-    /// Capture raw span events (start, duration, depth) for
-    /// [`ProfReport::to_chrome_trace`]. Costs one `Vec` push per scope
-    /// exit, capped at [`SPAN_CAP`].
-    pub capture_spans: bool,
 }
 
 /// One tree node while profiling is live (indices into `State::nodes`).
@@ -45,9 +36,6 @@ struct State {
     /// `nodes[0]` is the virtual root (empty name, never reported itself).
     nodes: Vec<NodeData>,
     stack: Vec<Frame>,
-    spans: Option<Vec<SpanEvent>>,
-    spans_dropped: u64,
-    t0: u64,
 }
 
 thread_local! {
@@ -84,7 +72,6 @@ pub fn enabled() -> bool {
 /// thread.
 pub fn start(opts: ProfOptions) {
     let clock = opts.clock.unwrap_or(mono_ns);
-    let t0 = clock();
     STATE.with(|s| {
         *s.borrow_mut() = Some(State {
             clock,
@@ -96,9 +83,6 @@ pub fn start(opts: ProfOptions) {
                 allocs: 0,
             }],
             stack: Vec::new(),
-            spans: opts.capture_spans.then(Vec::new),
-            spans_dropped: 0,
-            t0,
         });
     });
     ENABLED.with(|e| e.set(true));
@@ -179,26 +163,10 @@ fn exit() {
             None => return,
         };
         let end_ns = (st.clock)();
-        let dur = end_ns.saturating_sub(frame.start_ns);
-        let depth = st.stack.len() as u32;
         let node = &mut st.nodes[frame.node];
         node.calls += 1;
-        node.total_ns += dur;
+        node.total_ns += end_ns.saturating_sub(frame.start_ns);
         node.allocs += alloc_count().saturating_sub(frame.start_allocs);
-        let name = node.name;
-        let t0 = st.t0;
-        if let Some(spans) = st.spans.as_mut() {
-            if spans.len() < SPAN_CAP {
-                spans.push(SpanEvent {
-                    name,
-                    start_ns: frame.start_ns.saturating_sub(t0),
-                    dur_ns: dur,
-                    depth,
-                });
-            } else {
-                st.spans_dropped += 1;
-            }
-        }
     });
 }
 
@@ -235,15 +203,8 @@ fn build_report(state: State) -> ProfReport {
             children,
         }
     }
-    let root = convert(&state.nodes, 0);
-    let mut spans = state.spans.unwrap_or_default();
-    // Sort by start time (then deeper-first so Perfetto sees parents
-    // opened before children at identical timestamps).
-    spans.sort_by_key(|a| (a.start_ns, a.depth));
     ProfReport {
-        roots: root.children,
-        spans,
-        spans_dropped: state.spans_dropped,
+        roots: convert(&state.nodes, 0).children,
     }
 }
 
@@ -268,10 +229,7 @@ mod tests {
 
     fn fresh() -> ProfOptions {
         TICKS.with(|t| t.set(0));
-        ProfOptions {
-            clock: Some(tick),
-            capture_spans: true,
-        }
+        ProfOptions { clock: Some(tick) }
     }
 
     #[test]
@@ -370,27 +328,7 @@ mod tests {
         let (x, y) = (run(), run());
         assert_eq!(x, y, "same scopes + deterministic clock → same bytes");
         assert!(cbp_telemetry::json::is_valid(&x));
-        assert!(x.starts_with("{\"schema\":\"cbp-prof\",\"version\":1,"));
-    }
-
-    #[test]
-    fn spans_capture_and_chrome_trace() {
-        start(fresh());
-        {
-            let _a = scope("a");
-            let _b = scope("b");
-        }
-        let report = stop().unwrap();
-        assert_eq!(report.spans.len(), 2);
-        assert_eq!(report.spans_dropped, 0);
-        // Parent "a" sorts before child "b": same logical open order.
-        assert_eq!(report.spans[0].name, "a");
-        assert_eq!(report.spans[0].depth, 0);
-        assert_eq!(report.spans[1].name, "b");
-        assert_eq!(report.spans[1].depth, 1);
-        let chrome = report.to_chrome_trace();
-        assert!(cbp_telemetry::json::is_valid(&chrome));
-        assert!(chrome.contains("\"ph\":\"X\""));
+        assert!(x.starts_with("{\"schema\":\"cbp-prof\",\"version\":2,"));
     }
 
     #[test]
