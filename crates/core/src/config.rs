@@ -3,8 +3,8 @@
 use std::fmt;
 
 use cbp_checkpoint::{CompressionSpec, Criu, NvramSpec};
-use cbp_cluster::{EnergyModel, Resources};
-use cbp_dfs::{DfsCluster, DfsConfig};
+use cbp_cluster::Resources;
+use cbp_dfs::DfsCluster;
 use cbp_faults::{FaultPlan, FaultSpec};
 use cbp_simkit::units::ByteSize;
 use cbp_storage::{MediaKind, MediaSpec};
@@ -106,7 +106,9 @@ pub enum RestorePlacement {
     CostAware,
 }
 
-/// Full configuration of one simulation run.
+/// Full configuration of one simulation run. Every node draws power by
+/// the default `EnergyModel`, and HDFS (when `via_dfs`) runs with the
+/// default `DfsConfig`.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Preemption policy under test.
@@ -120,8 +122,6 @@ pub struct SimConfig {
     /// Whether checkpoints go through HDFS (enabling remote restore) or the
     /// local file system only.
     pub via_dfs: bool,
-    /// HDFS parameters (used when `via_dfs`).
-    pub dfs: DfsConfig,
     /// Victim-selection strategy.
     pub victim_selection: VictimSelection,
     /// Restore-placement strategy.
@@ -145,8 +145,6 @@ pub struct SimConfig {
     /// and restores are lazy; the trade-off is that mirrors are node-local,
     /// so restore placement degrades to the origin node.
     pub nvram: Option<NvramSpec>,
-    /// Per-node power model.
-    pub energy: EnergyModel,
     /// Seed for placement tie-breaking and DFS placement.
     pub seed: u64,
     /// At most this many pending tasks are examined per scheduling pass
@@ -176,7 +174,6 @@ impl SimConfig {
             nodes: 200,
             node_resources: Resources::new_cores(16, ByteSize::from_gb(32)),
             via_dfs: true,
-            dfs: DfsConfig::default(),
             victim_selection: VictimSelection::CostAware,
             restore_placement: RestorePlacement::CostAware,
             incremental: true,
@@ -185,7 +182,6 @@ impl SimConfig {
             failure_mtbf_per_node: None,
             failure_downtime: cbp_simkit::SimDuration::from_secs(600),
             nvram: None,
-            energy: EnergyModel::default(),
             seed: 42,
             max_schedule_scan: 3_000,
             preempt_budget_per_pass: 64,
@@ -203,7 +199,6 @@ impl SimConfig {
             nodes: 1,
             node_resources: Resources::new_cores(1, ByteSize::from_gb(96)),
             via_dfs: false,
-            dfs: DfsConfig::default(),
             victim_selection: VictimSelection::CostAware,
             restore_placement: RestorePlacement::CostAware,
             incremental: true,
@@ -212,7 +207,6 @@ impl SimConfig {
             failure_mtbf_per_node: None,
             failure_downtime: cbp_simkit::SimDuration::from_secs(600),
             nvram: None,
-            energy: EnergyModel::default(),
             seed: 42,
             max_schedule_scan: 100,
             preempt_budget_per_pass: 8,

@@ -8,8 +8,8 @@
 
 use std::cmp::Reverse;
 
-use cbp_cluster::{Container, ContainerId, EnergyMeter, Node, NodeId, Resources};
-use cbp_dfs::DfsCluster;
+use cbp_cluster::{Container, ContainerId, EnergyMeter, EnergyModel, Node, NodeId, Resources};
+use cbp_dfs::{DfsCluster, DfsConfig};
 use cbp_faults::FaultPlan;
 use cbp_simkit::{
     run_until_observed, EventQueue, RunStats, SimDuration, SimRng, SimTime, Simulation,
@@ -252,12 +252,17 @@ impl ClusterSim {
         let nodes = (0..cfg.nodes)
             .map(|i| NodeSlot {
                 node: Node::new(NodeId(i as u32), cfg.node_resources),
-                meter: EnergyMeter::new(cfg.energy),
+                meter: EnergyMeter::new(EnergyModel::default()),
                 up: true,
             })
             .collect();
         let dfs = cfg.via_dfs.then(|| {
-            DfsCluster::homogeneous(cfg.dfs, cfg.media, cfg.nodes, rng.fork(0xD0F5).next_u64())
+            DfsCluster::homogeneous(
+                DfsConfig::default(),
+                cfg.media,
+                cfg.nodes,
+                rng.fork(0xD0F5).next_u64(),
+            )
         });
 
         let mut tasks = Vec::with_capacity(workload.task_count());

@@ -1,8 +1,7 @@
 //! YARN cluster configuration.
 
-use cbp_cluster::{EnergyModel, Resources};
+use cbp_cluster::Resources;
 use cbp_core::{PreemptionPolicy, RunReport};
-use cbp_dfs::DfsConfig;
 use cbp_faults::FaultSpec;
 use cbp_simkit::units::ByteSize;
 use cbp_simkit::SimDuration;
@@ -11,7 +10,16 @@ use cbp_workload::Workload;
 
 use crate::sim::YarnSim;
 
-/// Configuration of the YARN analog.
+/// One-way RM ↔ AM RPC latency.
+pub const RPC_DELAY: SimDuration = SimDuration::from_millis(10);
+
+/// Container startup cost (localizing the job's resources, spawning the
+/// JVM) paid by every fresh launch *and* every restore.
+pub const CONTAINER_STARTUP: SimDuration = SimDuration::from_secs(2);
+
+/// Configuration of the YARN analog. Every node draws power by the
+/// default `EnergyModel`, and checkpoints always go through HDFS with the
+/// default `DfsConfig`.
 #[derive(Debug, Clone)]
 pub struct YarnConfig {
     /// Number of NodeManagers.
@@ -24,20 +32,11 @@ pub struct YarnConfig {
     pub policy: PreemptionPolicy,
     /// Enable incremental (soft-dirty) checkpoints.
     pub incremental: bool,
-    /// HDFS parameters (checkpoints always go through HDFS on YARN).
-    pub dfs: DfsConfig,
-    /// One-way RM ↔ AM RPC latency.
-    pub rpc_delay: SimDuration,
-    /// Container startup cost (localizing the job's resources, spawning the
-    /// JVM) paid by every fresh launch *and* every restore.
-    pub container_startup: SimDuration,
     /// Grace period the NodeManager allows a preempted container before
     /// force-killing it (stock YARN defaults to seconds). A checkpoint dump
     /// still in flight when the grace expires is aborted and the container
     /// killed — slow media need a generous grace. `None` = unlimited.
     pub graceful_timeout: Option<SimDuration>,
-    /// Per-node power model.
-    pub energy: EnergyModel,
     /// Seed for DFS placement.
     pub seed: u64,
     /// Deterministic fault-injection plan (`None` — and any inert spec —
@@ -62,14 +61,10 @@ impl YarnConfig {
             media: media.spec(),
             policy,
             incremental: true,
-            dfs: DfsConfig::default(),
-            rpc_delay: SimDuration::from_millis(10),
-            container_startup: SimDuration::from_secs(2),
             // The paper's AM handles the preempt event, so the NM timeout
             // is configured generously; `with_graceful_timeout` restores
             // stock YARN behaviour for ablation.
             graceful_timeout: None,
-            energy: EnergyModel::default(),
             seed: 42,
             faults: None,
             lifecycle: true,

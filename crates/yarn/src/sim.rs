@@ -1,12 +1,12 @@
 //! The YARN protocol simulation.
 
 use cbp_checkpoint::Criu;
-use cbp_cluster::{Container, ContainerId, EnergyMeter, Node, NodeId};
+use cbp_cluster::{Container, ContainerId, EnergyMeter, EnergyModel, Node, NodeId};
 use cbp_core::ckpt_path::{CkptPath, DumpEnd, RestoreEnd};
 use cbp_core::fault_clock::{FaultClock, FaultHost, FaultTick};
 use cbp_core::task::{TaskExec, TaskTable};
 use cbp_core::{PreemptionPolicy, Recorder, RunMetrics, RunReport, TaskStatus, TelemetryReport};
-use cbp_dfs::DfsCluster;
+use cbp_dfs::{DfsCluster, DfsConfig};
 use cbp_faults::FaultPlan;
 use cbp_simkit::{
     run_until_observed, EventQueue, RunStats, SimDuration, SimRng, SimTime, Simulation,
@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use cbp_workload::JobId;
 
 use crate::components::{AppMaster, QueueKind, ResourceManager};
-use crate::config::YarnConfig;
+use crate::config::{YarnConfig, CONTAINER_STARTUP, RPC_DELAY};
 
 /// Protocol events (public as [`YarnSim`]'s associated event type).
 #[derive(Debug, Clone, Copy)]
@@ -158,11 +158,11 @@ impl YarnSim {
         let nms = (0..cfg.nodes)
             .map(|i| NodeManager {
                 node: Node::new(NodeId(i as u32), cfg.node_resources),
-                meter: EnergyMeter::new(cfg.energy),
+                meter: EnergyMeter::new(EnergyModel::default()),
                 up: true,
             })
             .collect();
-        let dfs = DfsCluster::homogeneous(cfg.dfs, cfg.media, cfg.nodes, rng.next_u64());
+        let dfs = DfsCluster::homogeneous(DfsConfig::default(), cfg.media, cfg.nodes, rng.next_u64());
         // Slots are CPU-bound in the paper's setup (24 one-core containers).
         let per_node = workload
             .jobs()
@@ -367,7 +367,7 @@ impl YarnSim {
             let epoch = am_task.exec.epoch;
             // ContainerPreemptEvent travels RM -> AM.
             q.push_lane(
-                now + self.cfg.rpc_delay,
+                now + RPC_DELAY,
                 YarnEvent::PreemptDecision { app, task, epoch },
             );
         }
@@ -528,7 +528,7 @@ impl YarnSim {
         } else {
             // The container pays its startup (localization + JVM spawn)
             // before useful execution begins.
-            let started = now + self.cfg.container_startup;
+            let started = now + CONTAINER_STARTUP;
             let am_task = self.exec_mut(app, task);
             am_task.status = TaskStatus::Running {
                 node: node as u32,
@@ -587,7 +587,7 @@ impl YarnSim {
         });
         self.apps[app as usize].requeue(task);
         self.rm.add_asks(app, 1);
-        q.push_lane(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
+        q.push_lane(now + RPC_DELAY, YarnEvent::RmSchedule);
     }
 
     // ---- image lifecycle (capacity backpressure ladder) -----------------
@@ -675,7 +675,7 @@ impl YarnSim {
             }
         }
         self.update_meter(node, now);
-        q.push_lane(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
+        q.push_lane(now + RPC_DELAY, YarnEvent::RmSchedule);
     }
 
     /// Evicts one container lost to a node crash. Unlike a kill the
@@ -780,7 +780,7 @@ impl YarnSim {
                 self.apps.push(am);
                 self.rm.register_app(app, queue);
                 self.rm.add_asks(app, asks);
-                q.push_lane(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
+                q.push_lane(now + RPC_DELAY, YarnEvent::RmSchedule);
             }
             YarnEvent::RmSchedule => {
                 self.rm_schedule(now, q);
@@ -939,7 +939,7 @@ impl YarnSim {
                         am_task.exec.status = TaskStatus::Checkpointed { origin: node };
                         self.apps[app as usize].requeue(task);
                         self.rm.add_asks(app, 1);
-                        q.push_lane(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
+                        q.push_lane(now + RPC_DELAY, YarnEvent::RmSchedule);
                     }
                 }
             }
@@ -997,7 +997,7 @@ impl YarnSim {
                     }
                     RestoreEnd::Dead => {
                         self.ckpt.scratch_restart(key, exec, &mut self.rec.ledger);
-                        exec.resume(now + self.cfg.container_startup)
+                        exec.resume(now + CONTAINER_STARTUP)
                     }
                 };
                 exec.status = TaskStatus::Running { node, container };
@@ -1041,7 +1041,7 @@ impl YarnSim {
                         now,
                     );
                 }
-                q.push_lane(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
+                q.push_lane(now + RPC_DELAY, YarnEvent::RmSchedule);
             }
             YarnEvent::Fault(tick) => self.on_fault_tick(tick, now, q),
         }
@@ -1075,7 +1075,7 @@ impl FaultHost for YarnSim {
     /// return asks for one after the heartbeat delay.
     fn follow_up(&mut self, after: FaultTick, now: SimTime, q: &mut EventQueue<YarnEvent>) {
         if let FaultTick::Recover(_) = after {
-            q.push_lane(now + self.cfg.rpc_delay, YarnEvent::RmSchedule);
+            q.push_lane(now + RPC_DELAY, YarnEvent::RmSchedule);
         }
     }
 }
