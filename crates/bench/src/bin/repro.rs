@@ -184,9 +184,6 @@ fn main() {
             "--no-lifecycle" => {
                 telemetry.no_lifecycle = true;
             }
-            "--no-resume" => {
-                telemetry.no_resume = true;
-            }
             other => die(&format!("unknown argument: {other}")),
         }
         i += 1;
@@ -206,9 +203,6 @@ fn main() {
             "--no-lifecycle applies to the instrumented run; add a telemetry sink \
              (--trace-out/--chrome-trace/--timeseries/--telemetry/--analyze)",
         );
-    }
-    if telemetry.no_resume && telemetry.faults.is_none() {
-        die("--no-resume is an ablation of the fault plan's chunked resume; add --faults SPEC");
     }
 
     if let Err(e) = check_scale(&id, scale, seed) {
@@ -515,7 +509,7 @@ fn usage() {
         "usage: repro <experiment-id|all> [--scale full|small|smoke|<0..1>] [--seed N] \
          [--md PATH] [--json PATH]\n\
          \x20            [--trace-out PATH] [--chrome-trace PATH] [--timeseries PATH] [--telemetry]\n\
-         \x20            [--analyze PATH] [--faults SPEC] [--no-lifecycle] [--no-resume]\n\
+         \x20            [--analyze PATH] [--faults SPEC] [--no-lifecycle]\n\
          \x20      repro analyze <trace.jsonl> [--report PATH] [--baseline PATH] [--tol-rel F] \
          [--tol-abs-us F]\n\
          \x20      repro bench [--matrix tiny|standard] [--scenario NAME]... [--reps N] \
@@ -550,12 +544,11 @@ fn usage() {
          \x20                      breaker-cooldown, breaker-decay\n\
          \x20                      pressure shrinks checkpoint stores and leaks reservations;\n\
          \x20                      keys: cap, leak, leak-gb, leak-window\n\
+         \x20                      integrity keys on --faults: chunk-mb=N, resume=true|false\n\
+         \x20                      (resume=false: failed dumps rewrite from byte zero and\n\
+         \x20                      corrupt images are total losses)\n\
          \x20 --no-lifecycle       disable the image-lifecycle ladder (GC -> evict -> spill)\n\
          \x20                      for the instrumented run (ablation baseline)\n\
-         \x20 --no-resume          disable chunked resumable transfers + targeted repair\n\
-         \x20                      (failed dumps rewrite from byte zero, corrupt images are\n\
-         \x20                      total losses; requires --faults; same as resume=false)\n\
-         \x20                      integrity keys on --faults: chunk-mb=N, resume=true|false\n\
          \n\
          offline analysis (replays a --trace-out file; byte-identical to --analyze,\n\
          also accepts --critical-path / --flamegraph-out / --what-if):\n\

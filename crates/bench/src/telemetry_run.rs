@@ -64,11 +64,6 @@ pub struct TelemetryOptions {
     /// run. Ablation baseline for the capacity-pressure experiments;
     /// lifecycle is on by default.
     pub no_lifecycle: bool,
-    /// `--no-resume`: disable chunked resumable transfers + targeted
-    /// chunk repair in the attached fault plan (failed dumps rewrite
-    /// from byte zero, corrupt images are total losses). Ablation of
-    /// the integrity machinery; requires `--faults`.
-    pub no_resume: bool,
 }
 
 impl TelemetryOptions {
@@ -235,11 +230,7 @@ fn run_trace_sim(
         .with_policy(PreemptionPolicy::Adaptive)
         .with_lifecycle(!opts.no_lifecycle);
     if let Some(spec) = &opts.faults {
-        let mut spec = spec.clone();
-        if opts.no_resume {
-            spec.resume = false;
-        }
-        cfg = cfg.with_faults(spec);
+        cfg = cfg.with_faults(spec.clone());
     }
     let mut sim = ClusterSim::new(cfg, workload);
     let mut sinks = build_tracer(opts)?;
@@ -265,11 +256,7 @@ fn run_yarn(
         .with_policy(PreemptionPolicy::Adaptive)
         .with_lifecycle(!opts.no_lifecycle);
     if let Some(spec) = &opts.faults {
-        let mut spec = spec.clone();
-        if opts.no_resume {
-            spec.resume = false;
-        }
-        cfg = cfg.with_faults(spec);
+        cfg = cfg.with_faults(spec.clone());
     }
     let mut sim = YarnSim::new(cfg, workload);
     let mut sinks = build_tracer(opts)?;

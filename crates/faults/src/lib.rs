@@ -241,9 +241,9 @@ pub struct FaultSpec {
     pub chunk_bytes: ByteSize,
     /// Whether interrupted dumps resume from the last durable chunk and
     /// corrupt restores attempt chunk re-fetch / longest-valid-prefix
-    /// recovery. On by default; `resume=false` (the `--no-resume`
-    /// ablation) restores the legacy behaviour — every retry re-dumps
-    /// from byte zero and any corruption scratch-restarts the task.
+    /// recovery. On by default; `resume=false` (the ablation) restores
+    /// the legacy behaviour — every retry re-dumps from byte zero and any
+    /// corruption scratch-restarts the task.
     pub resume: bool,
 }
 
@@ -854,7 +854,7 @@ impl FaultPlan {
     }
 
     /// Whether resumable transfers and targeted repair are enabled
-    /// (the `resume=false` / `--no-resume` ablation turns them off).
+    /// (the `resume=false` ablation turns them off).
     pub fn resume_enabled(&self) -> bool {
         self.spec.resume
     }
