@@ -162,7 +162,8 @@ impl YarnSim {
                 up: true,
             })
             .collect();
-        let dfs = DfsCluster::homogeneous(DfsConfig::default(), cfg.media, cfg.nodes, rng.next_u64());
+        let dfs =
+            DfsCluster::homogeneous(DfsConfig::default(), cfg.media, cfg.nodes, rng.next_u64());
         // Slots are CPU-bound in the paper's setup (24 one-core containers).
         let per_node = workload
             .jobs()
