@@ -481,7 +481,7 @@ fn analyze_cmd(args: &[String]) {
         i += 1;
     }
     let trace = trace.unwrap_or_else(|| die("usage: repro analyze <trace.jsonl> [...]"));
-    let collector = analyze_trace_collector(&trace, crit.wants_crit()).unwrap_or_else(|e| die(&e));
+    let collector = analyze_trace_collector(&trace).unwrap_or_else(|e| die(&e));
     let mut report = ObsReport::build(&collector, ANALYZE_TOP_K);
     if crit.wants_crit() {
         report = report.with_crit(&collector).unwrap_or_else(|e| die(&e));

@@ -46,9 +46,8 @@ pub struct TelemetryOptions {
     /// `--analyze PATH`: write the `cbp-obs` analysis report and print
     /// the penalty table.
     pub analyze: Option<String>,
-    /// `--critical-path`: record segment timelines, extract per-job
-    /// critical paths and print the attribution table (the report JSON
-    /// gains its `"crit"` section).
+    /// `--critical-path`: extract per-job critical paths and print the
+    /// attribution table (the report JSON gains its `"crit"` section).
     pub critical_path: bool,
     /// `--flamegraph-out PATH`: write the critical paths as
     /// inferno-compatible folded-stack text (implies `--critical-path`).
@@ -77,7 +76,7 @@ impl TelemetryOptions {
             || self.wants_crit()
     }
 
-    /// True if any flag needs segment timelines and critical paths.
+    /// True if any flag needs critical paths.
     pub fn wants_crit(&self) -> bool {
         self.critical_path || self.flamegraph_out.is_some() || !self.what_if.is_empty()
     }
@@ -165,8 +164,9 @@ struct Sinks {
     /// The fan-out tracer; `None` if nothing was requested, so the
     /// simulator keeps its `NullTracer`.
     tracer: Option<Box<dyn Tracer>>,
-    /// With `--analyze`, a [`SharedCollector`] handle kept outside the
-    /// tracer so the report can be extracted after the run.
+    /// With `--analyze` or a critical-path flag, a [`SharedCollector`]
+    /// handle kept outside the tracer so the report can be extracted
+    /// after the run.
     collector: Option<SharedCollector>,
     /// Each trace file with its sink's write status.
     files: Vec<(String, SinkStatus)>,
@@ -203,13 +203,7 @@ fn build_tracer(opts: &TelemetryOptions) -> Result<Sinks, String> {
         sinks.files.push((path.clone(), tracer.status()));
         multi.push(Box::new(tracer));
     }
-    sinks.collector = if opts.wants_crit() {
-        Some(SharedCollector::with_segments())
-    } else if opts.analyze.is_some() {
-        Some(SharedCollector::new())
-    } else {
-        None
-    };
+    sinks.collector = (opts.analyze.is_some() || opts.wants_crit()).then(SharedCollector::new);
     if let Some(c) = &sinks.collector {
         multi.push(Box::new(c.clone()));
     }
@@ -272,20 +266,15 @@ fn run_yarn(
 /// [`ObsReport`] the online `--analyze` path produces. Entry point for
 /// the `repro analyze` subcommand.
 pub fn analyze_trace_file(path: &str, top_k: usize) -> Result<ObsReport, String> {
-    Ok(ObsReport::build(
-        &analyze_trace_collector(path, false)?,
-        top_k,
-    ))
+    Ok(ObsReport::build(&analyze_trace_collector(path)?, top_k))
 }
 
-/// Replays a `--trace-out` JSONL file into a [`SpanCollector`],
-/// optionally recording segment timelines for critical-path extraction.
-/// The offline collector state is identical to the online one for the
-/// same run, so reports built either way are byte-identical.
-pub fn analyze_trace_collector(path: &str, segments: bool) -> Result<SpanCollector, String> {
+/// Replays a `--trace-out` JSONL file into a [`SpanCollector`]. The
+/// offline collector state is identical to the online one for the same
+/// run, so reports built either way are byte-identical.
+pub fn analyze_trace_collector(path: &str) -> Result<SpanCollector, String> {
     let f = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-    cbp_obs::collect_jsonl_with(BufReader::new(f), segments)
-        .map_err(|e| format!("read {path}: {e}"))
+    cbp_obs::collect_jsonl(BufReader::new(f)).map_err(|e| format!("read {path}: {e}"))
 }
 
 /// Writes the time series (if requested), prints the registry table and
@@ -479,9 +468,8 @@ mod tests {
     }
 
     /// Same contract with the critical-path section on: the online
-    /// segment-recording collector and an offline segment-recording
-    /// replay produce byte-identical reports *including* `"crit"`, and
-    /// byte-identical folded stacks.
+    /// collector and an offline replay produce byte-identical reports
+    /// *including* `"crit"`, and byte-identical folded stacks.
     #[test]
     fn online_and_offline_critical_paths_agree() {
         let dir = std::env::temp_dir().join(format!("cbp-crit-analyze-{}", std::process::id()));
@@ -497,7 +485,7 @@ mod tests {
         let online = ObsReport::build(&online_c, ANALYZE_TOP_K)
             .with_crit(&online_c)
             .unwrap();
-        let offline_c = analyze_trace_collector(trace.to_str().unwrap(), true).unwrap();
+        let offline_c = analyze_trace_collector(trace.to_str().unwrap()).unwrap();
         let offline = ObsReport::build(&offline_c, ANALYZE_TOP_K)
             .with_crit(&offline_c)
             .unwrap();

@@ -166,7 +166,7 @@ fn report_json() -> &'static str {
         let cfg = SimConfig::trace_sim(PreemptionPolicy::Adaptive, MediaKind::Hdd)
             .with_nodes(4)
             .with_faults(FaultSpec::heavy());
-        let shared = SharedCollector::with_segments();
+        let shared = SharedCollector::new();
         let mut sim = ClusterSim::new(cfg, GoogleTraceConfig::small(40.0).generate(5));
         sim.set_tracer(Box::new(shared.clone()));
         sim.run();

@@ -34,18 +34,18 @@ use cbp_workload::Workload;
 use cbp_yarn::{YarnConfig, YarnSim};
 use proptest::prelude::*;
 
-/// Runs the trace-driven simulator with a segment-recording collector.
+/// Runs the trace-driven simulator with a span collector attached.
 fn collect_cluster(cfg: SimConfig, workload: Workload) -> SpanCollector {
-    let shared = SharedCollector::with_segments();
+    let shared = SharedCollector::new();
     let mut sim = ClusterSim::new(cfg, workload);
     sim.set_tracer(Box::new(shared.clone()));
     let _ = sim.run();
     shared.take()
 }
 
-/// Runs the YARN protocol simulator with a segment-recording collector.
+/// Runs the YARN protocol simulator with a span collector attached.
 fn collect_yarn(cfg: YarnConfig, workload: Workload) -> SpanCollector {
-    let shared = SharedCollector::with_segments();
+    let shared = SharedCollector::new();
     let mut sim = YarnSim::new(cfg, workload);
     sim.set_tracer(Box::new(shared.clone()));
     let _ = sim.run();

@@ -29,20 +29,21 @@ fn check_conservation(collector: &SpanCollector, label: &str) {
             continue;
         };
         finished += 1;
+        let blame = span.blame();
         assert_eq!(
-            span.blame.total_us(),
+            blame.total_us(),
             response,
             "{label}: task {key} blame does not tile submit..finish"
         );
-        let component_sum: u64 = span.blame.components().iter().map(|(_, v)| *v).sum();
+        let component_sum: u64 = blame.components().iter().map(|(_, v)| *v).sum();
         assert_eq!(
             component_sum,
-            span.blame.total_us(),
+            blame.total_us(),
             "{label}: task {key} components out of sync with total"
         );
         assert_eq!(
-            span.blame.penalty_us(),
-            response - span.blame.run_us,
+            blame.penalty_us(),
+            response - blame.run_us,
             "{label}: task {key} penalty must be response minus run"
         );
     }

@@ -86,16 +86,7 @@ pub struct JobPaths {
 /// Extracts the critical path of every complete job from a finished
 /// collector. Every returned path has passed [`JobPath::check_tiling`];
 /// a violation is returned as an error (callers treat it as fatal).
-///
-/// Requires segment timelines: build the collector with
-/// `SpanCollector::with_segments` (or replay the trace through
-/// `collect_jsonl_with(.., true)`).
 pub fn extract_job_paths(collector: &SpanCollector) -> Result<JobPaths, String> {
-    if !collector.segments_enabled() {
-        return Err("critical-path extraction needs segment timelines; \
-             build the collector with_segments"
-            .to_string());
-    }
     // Group tasks by job (BTreeMap: deterministic job order).
     let mut jobs: BTreeMap<u64, Vec<&TaskSpan>> = BTreeMap::new();
     for span in collector.tasks().values() {
@@ -141,7 +132,7 @@ mod tests {
     use cbp_telemetry::TraceRecord;
 
     fn two_job_collector() -> SpanCollector {
-        let mut c = SpanCollector::new().with_segments();
+        let mut c = SpanCollector::new();
         let stream = [
             // Job 1: tasks 1 and 2; task 2 finishes last.
             (
@@ -219,12 +210,6 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec![(SegKind::ReadyWait, 20), (SegKind::Run, 200)],
         );
-    }
-
-    #[test]
-    fn extraction_requires_segments() {
-        let c = SpanCollector::new();
-        assert!(extract_job_paths(&c).is_err());
     }
 
     #[test]

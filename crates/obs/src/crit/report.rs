@@ -65,9 +65,8 @@ fn percentile(xs: &mut [f64], p: f64) -> f64 {
 }
 
 impl CritReport {
-    /// Builds the attribution from a finished segment-recording
-    /// collector. Fails if segments were not recorded or any job's
-    /// critical path violates the tiling invariant.
+    /// Builds the attribution from a finished collector. Fails if any
+    /// job's critical path violates the tiling invariant.
     pub fn build(collector: &SpanCollector) -> Result<CritReport, String> {
         let jp = extract_job_paths(collector)?;
         let predictions: Vec<_> = WhatIf::ALL
@@ -280,7 +279,7 @@ mod tests {
     use cbp_telemetry::TraceRecord;
 
     fn collector() -> SpanCollector {
-        let mut c = SpanCollector::new().with_segments();
+        let mut c = SpanCollector::new();
         let stream = [
             (
                 0,

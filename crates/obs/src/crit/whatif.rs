@@ -105,7 +105,7 @@ mod tests {
     /// One job, one task: ready_wait 10, run 40, dump_queue 10, dump 20,
     /// suspended 20, restore_queue 5, restore 15, run 30.
     fn collector() -> SpanCollector {
-        let mut c = SpanCollector::new().with_segments();
+        let mut c = SpanCollector::new();
         let stream = [
             (
                 0,

@@ -7,13 +7,14 @@
 //! JSONL trace file — and reconstructs per-task lifecycle spans in a
 //! single streaming pass, then derives three analyses:
 //!
-//! * **Blame accounting** ([`span`]) — every finished task's response
-//!   time is decomposed into eight segments (run, ready-queue wait,
+//! * **Blame accounting** ([`span`]) — every task's lifetime is recorded
+//!   once, as an ordered segment timeline that tiles the submit→finish
+//!   interval *exactly*, in integer microseconds; its response time is
+//!   that timeline folded into eight blame kinds (run, ready-queue wait,
 //!   dump, checkpoint-queue wait, restore, retry/backoff, lost-work
-//!   re-execution, suspended) that tile the submit→finish interval *exactly*, in
-//!   integer microseconds. The conservation invariant is hard-asserted
-//!   on every task and property-tested against randomized scenarios on
-//!   both simulators.
+//!   re-execution, suspended). The tiling is hard-asserted on every task
+//!   and property-tested against randomized scenarios on both
+//!   simulators.
 //! * **Aggregation** ([`report`]) — per-priority-band penalty summaries
 //!   (P² streaming quantiles via `cbp_telemetry::P2Quantile`, exponential
 //!   penalty histograms via `cbp_telemetry::Histogram`), per-node
@@ -54,6 +55,6 @@ pub use report::{
     ANOMALY_K, REPORT_SCHEMA, REPORT_VERSION,
 };
 pub use span::{
-    collect_jsonl, collect_jsonl_with, Band, Blame, NodeStats, SegKind, Segment, SharedCollector,
-    SpanCollector, TaskSpan,
+    collect_jsonl, Band, Blame, NodeStats, SegKind, Segment, SharedCollector, SpanCollector,
+    TaskSpan,
 };

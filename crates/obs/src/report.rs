@@ -184,9 +184,8 @@ pub struct ObsReport {
     pub top_jobs: Vec<JobSummary>,
     /// Flagged outlier tasks.
     pub anomalies: Vec<Anomaly>,
-    /// Critical-path and what-if attribution; present only when the
-    /// collector recorded segment timelines and critical-path analysis
-    /// was requested (see [`ObsReport::with_crit`]).
+    /// Critical-path and what-if attribution; present only when
+    /// critical-path analysis was requested (see [`ObsReport::with_crit`]).
     pub crit: Option<crate::crit::CritReport>,
 }
 
@@ -295,22 +294,23 @@ impl ObsReport {
                 continue;
             };
             source.tasks_finished += 1;
-            totals.blame.accumulate(&span.blame);
+            let blame = span.blame();
+            totals.blame.accumulate(&blame);
             acc.finished += 1;
-            acc.blame.accumulate(&span.blame);
+            acc.blame.accumulate(&blame);
             acc.response_us += response;
-            let penalty = span.blame.penalty_us() as f64;
+            let penalty = blame.penalty_us() as f64;
             acc.p50.observe(penalty);
             acc.p95.observe(penalty);
             acc.p99.observe(penalty);
             acc.hist.record(penalty);
             acc.evictions.push(span.evictions as f64);
-            acc.restore_us.push(span.blame.restore_us as f64);
+            acc.restore_us.push(blame.restore_us as f64);
             acc.task_ids.push((span.task, span.job));
             job.finished += 1;
-            job.penalty_us += span.blame.penalty_us();
+            job.penalty_us += blame.penalty_us();
             job.response_us += response;
-            job.lost_us += span.blame.lost_us;
+            job.lost_us += blame.lost_us;
         }
         totals.penalty_us = totals.blame.penalty_us();
 
@@ -412,9 +412,8 @@ impl ObsReport {
     }
 
     /// Attaches the critical-path section, built from the same
-    /// collector (which must have recorded segment timelines). Fails if
-    /// segments are missing or a job's critical path violates the
-    /// tiling invariant.
+    /// collector. Fails if a job's critical path violates the tiling
+    /// invariant.
     pub fn with_crit(mut self, collector: &SpanCollector) -> Result<ObsReport, String> {
         self.crit = Some(crate::crit::CritReport::build(collector)?);
         Ok(self)

@@ -3,14 +3,17 @@
 //! [`SpanCollector`] is a [`Tracer`]: it can be attached to a running
 //! simulator (online) or fed from a JSONL trace via [`collect_jsonl`]
 //! (offline). Either way it makes a single streaming pass over the
-//! records, keeping O(1) state per task — a phase and the running
-//! [`Blame`] totals — and never buffering the record stream itself.
+//! records, keeping per task a phase and the ordered [`Segment`]
+//! timeline of its lifetime, and never buffering the record stream
+//! itself. The timeline is the one account: a task's [`Blame`] is the
+//! timeline folded by kind ([`TaskSpan::blame`]), and critical paths
+//! read it as recorded.
 //!
 //! # Blame accounting
 //!
 //! Every task's wall-clock (sim-time) span from `task_submit` to
-//! `task_finish` is tiled — exactly, in integer microseconds — by eight
-//! segments:
+//! `task_finish` is tiled — exactly, in integer microseconds — by
+//! segments of eight blame kinds:
 //!
 //! * **run** — productive execution that counted toward completion;
 //! * **ready_wait** — pending-queue time before a fresh (non-restore)
@@ -33,11 +36,13 @@
 //! * **suspended** — pending-queue time while holding a checkpoint
 //!   image, waiting to be rescheduled for a restore.
 //!
-//! The conservation invariant `run + ready_wait + dump + ckpt_wait +
-//! restore + retry + lost + suspended == finish - submit` holds by construction
-//! and is hard-asserted at every `task_finish`; the property tests in
-//! `cbp-bench` exercise it across randomized scenarios on both
-//! simulators.
+//! At every `task_finish` the sorted timeline is hard-asserted to tile
+//! `submit..finish` with no gap or overlap, which implies the
+//! conservation invariant `run + ready_wait + dump + ckpt_wait +
+//! restore + retry + lost + suspended == finish - submit`; the property
+//! tests in `cbp-bench` exercise it across randomized scenarios on both
+//! simulators. A phase record earlier than the start of the task's
+//! current phase is malformed: it would give a negative interval.
 //!
 //! Two subtleties are worth calling out:
 //!
@@ -178,7 +183,7 @@ impl Blame {
 /// Kind of one ordered lifecycle segment. Finer-grained than [`Blame`]:
 /// checkpoint-device *queue* time is split by side (dump vs restore), so
 /// counterfactual cost models can zero them independently — `Blame`'s
-/// `ckpt_wait_us` equals `DumpQueue + RestoreQueue`.
+/// `ckpt_wait_us` folds `DumpQueue + RestoreQueue`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SegKind {
     /// Productive execution that counted toward completion.
@@ -267,18 +272,6 @@ impl Segment {
     }
 }
 
-/// Appends a non-empty segment (zero-length intervals carry no blame and
-/// would only clutter the timeline).
-fn push_seg(span: &mut TaskSpan, kind: SegKind, start: u64, end: u64) {
-    if end > start {
-        span.segments.push(Segment {
-            kind,
-            start_us: start,
-            end_us: end,
-        });
-    }
-}
-
 /// Where a task currently is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
@@ -288,14 +281,30 @@ enum Phase {
     Queued { since: u64 },
     /// Executing on a node since `since`.
     Running { since: u64 },
-    /// Evicted for a dump at `evict_at`; `run_len` holds the execution
-    /// since the last resume point, credited as run only if the dump
-    /// completes (an aborted dump loses it).
-    DumpWait { evict_at: u64, run_len: u64 },
-    /// Placed for a restore at `sched_at`, waiting for the image read.
-    Restoring { sched_at: u64 },
+    /// Evicted for a dump, waiting on the dump since `since` (the
+    /// eviction or the last failed attempt). `run` is the execution
+    /// interval since the last resume point, held back: a `Run` segment
+    /// if the dump completes, `Lost` if it is aborted.
+    DumpWait { since: u64, run: (u64, u64) },
+    /// Placed for a restore, waiting on the image read since `since`
+    /// (the placement or the last failed attempt).
+    Restoring { since: u64 },
     /// Finished.
     Done,
+}
+
+impl Phase {
+    /// When the phase began. `Done` gives 0: every phase record after
+    /// the finish is malformed for its phase anyway.
+    fn since(self) -> u64 {
+        match self {
+            Phase::Queued { since }
+            | Phase::Running { since }
+            | Phase::DumpWait { since, .. }
+            | Phase::Restoring { since } => since,
+            Phase::Done => 0,
+        }
+    }
 }
 
 /// The reconstructed lifecycle of one task.
@@ -311,8 +320,6 @@ pub struct TaskSpan {
     pub submit_us: u64,
     /// Completion time, if the task finished within the trace.
     pub finish_us: Option<u64>,
-    /// Response-time decomposition.
-    pub blame: Blame,
     /// `task_evict` records seen (any reason).
     pub evictions: u32,
     /// Evictions with reason `"kill"` or `"node-fail"`.
@@ -341,15 +348,11 @@ pub struct TaskSpan {
     /// Records that arrived in a phase where they make no sense. Tasks
     /// with `malformed > 0` are excluded from aggregation.
     pub malformed: u32,
-    /// Ordered lifecycle intervals; empty unless the collector was built
-    /// with segment recording. Sorted by `start_us` — and guaranteed to
-    /// tile `submit_us..finish_us` exactly — once the task finished.
+    /// Ordered lifecycle intervals. Sorted by `start_us` — and
+    /// guaranteed to tile `submit_us..finish_us` exactly — once the task
+    /// finished.
     pub segments: Vec<Segment>,
     current: Phase,
-    /// Execution interval held back while a dump is pending: credited as
-    /// a `Run` segment if the dump completes, `Lost` if it is aborted.
-    /// Only maintained when segments are recorded.
-    pending_run: Option<(u64, u64)>,
 }
 
 impl TaskSpan {
@@ -367,6 +370,53 @@ impl TaskSpan {
     pub fn finished(&self) -> bool {
         self.finish_us.is_some()
     }
+
+    /// Response-time decomposition: the segment timeline folded by kind.
+    pub fn blame(&self) -> Blame {
+        let mut us = [0u64; SegKind::ALL.len()];
+        for s in &self.segments {
+            us[s.kind.index()] += s.dur_us();
+        }
+        let of = |kind: SegKind| us[kind.index()];
+        Blame {
+            run_us: of(SegKind::Run),
+            ready_wait_us: of(SegKind::ReadyWait),
+            dump_us: of(SegKind::Dump),
+            ckpt_wait_us: of(SegKind::DumpQueue) + of(SegKind::RestoreQueue),
+            restore_us: of(SegKind::Restore),
+            retry_us: of(SegKind::Retry),
+            lost_us: of(SegKind::Lost),
+            suspended_us: of(SegKind::Suspended),
+        }
+    }
+
+    /// Appends `start..end` as a `kind` segment and returns its length.
+    /// Zero-length intervals carry no blame and are not recorded.
+    fn push(&mut self, kind: SegKind, start: u64, end: u64) -> u64 {
+        if end > start {
+            self.segments.push(Segment {
+                kind,
+                start_us: start,
+                end_us: end,
+            });
+        }
+        end - start
+    }
+}
+
+/// The span of `task` if a phase record at `t` may advance it, or why the
+/// record is malformed: the task was never submitted, or `t` is earlier
+/// than the start of its current phase.
+fn advance(
+    tasks: &mut BTreeMap<u64, TaskSpan>,
+    task: u64,
+    t: u64,
+) -> Result<&mut TaskSpan, &'static str> {
+    let span = tasks.get_mut(&task).ok_or("record before task_submit")?;
+    if t < span.current.since() {
+        return Err("record earlier than the start of the task's current phase");
+    }
+    Ok(span)
 }
 
 /// Per-node tallies (service times and eviction counts observed on the
@@ -411,7 +461,6 @@ pub struct SpanCollector {
     records: u64,
     malformed: u64,
     strict: bool,
-    record_segments: bool,
 }
 
 impl SpanCollector {
@@ -431,18 +480,10 @@ impl SpanCollector {
         SpanCollector::default()
     }
 
-    /// Enables per-task segment timelines (the input to critical-path
-    /// extraction). Costs O(transitions) extra memory per task; when a
-    /// task finishes, its ordered segments are hard-asserted to tile
-    /// `submit..finish` exactly, mirroring the blame conservation check.
-    pub fn with_segments(mut self) -> Self {
-        self.record_segments = true;
+    /// Returns the collector unchanged: segment timelines are always
+    /// recorded. Kept only for existing callers.
+    pub fn with_segments(self) -> Self {
         self
-    }
-
-    /// Whether segment timelines are being recorded.
-    pub fn segments_enabled(&self) -> bool {
-        self.record_segments
     }
 
     /// Records consumed so far.
@@ -501,7 +542,6 @@ impl SpanCollector {
                         priority,
                         submit_us: t,
                         finish_us: None,
-                        blame: Blame::default(),
                         evictions: 0,
                         kills: 0,
                         dumps: 0,
@@ -516,97 +556,68 @@ impl SpanCollector {
                         malformed: 0,
                         segments: Vec::new(),
                         current: Phase::Queued { since: t },
-                        pending_run: None,
                     },
                 );
             }
             TraceRecord::TaskSchedule { task, restore, .. } => {
-                let segs = self.record_segments;
-                let Some(span) = self.tasks.get_mut(&task) else {
-                    self.bad(task, "task_schedule before task_submit", rec);
-                    return;
+                let span = match advance(&mut self.tasks, task, t) {
+                    Ok(span) => span,
+                    Err(what) => return self.bad(task, what, rec),
                 };
-                match span.current {
-                    Phase::Queued { since } => {
-                        let wait = t - since;
-                        if restore {
-                            span.blame.suspended_us += wait;
-                            if segs {
-                                push_seg(span, SegKind::Suspended, since, t);
-                            }
-                            span.current = Phase::Restoring { sched_at: t };
-                        } else {
-                            span.blame.ready_wait_us += wait;
-                            // A fresh start re-executes everything credited
-                            // so far (the image, if any, was unusable).
-                            span.blame.lost_us += span.blame.run_us;
-                            span.blame.run_us = 0;
-                            if segs {
-                                push_seg(span, SegKind::ReadyWait, since, t);
-                                for s in span.segments.iter_mut() {
-                                    if s.kind == SegKind::Run {
-                                        s.kind = SegKind::Lost;
-                                    }
-                                }
-                            }
-                            span.current = Phase::Running { since: t };
+                let Phase::Queued { since } = span.current else {
+                    return self.bad(task, "task_schedule while not queued", rec);
+                };
+                if restore {
+                    span.push(SegKind::Suspended, since, t);
+                    span.current = Phase::Restoring { since: t };
+                } else {
+                    // A fresh start re-executes everything credited so far
+                    // (the image, if any, was unusable).
+                    for s in span.segments.iter_mut() {
+                        if s.kind == SegKind::Run {
+                            s.kind = SegKind::Lost;
                         }
                     }
-                    _ => self.bad(task, "task_schedule while not queued", rec),
+                    span.push(SegKind::ReadyWait, since, t);
+                    span.current = Phase::Running { since: t };
                 }
             }
             TraceRecord::TaskFinish { task, node } => {
-                let segs = self.record_segments;
-                let Some(span) = self.tasks.get_mut(&task) else {
-                    self.bad(task, "task_finish before task_submit", rec);
-                    return;
+                let span = match advance(&mut self.tasks, task, t) {
+                    Ok(span) => span,
+                    Err(what) => return self.bad(task, what, rec),
                 };
-                match span.current {
-                    Phase::Running { since } => {
-                        span.blame.run_us += t - since;
-                        span.finish_us = Some(t);
-                        span.current = Phase::Done;
-                        assert_eq!(
-                            span.blame.total_us(),
-                            t - span.submit_us,
-                            "blame conservation violated for task {task}: \
-                             segments {:?} must tile submit {} .. finish {t}",
-                            span.blame,
-                            span.submit_us,
-                        );
-                        if segs {
-                            push_seg(span, SegKind::Run, since, t);
-                            // Held-back run segments (DumpDone credits) and
-                            // abort-time Lost segments were appended out of
-                            // chronological order; restore it. Non-empty
-                            // intervals never overlap, so start order is
-                            // total.
-                            span.segments.sort_by_key(|s| s.start_us);
-                            let mut cursor = span.submit_us;
-                            for s in &span.segments {
-                                assert_eq!(
-                                    s.start_us, cursor,
-                                    "segment timeline violated for task {task}: \
-                                     gap or overlap at {cursor} before {s:?}",
-                                );
-                                cursor = s.end_us;
-                            }
-                            assert_eq!(
-                                cursor, t,
-                                "segment timeline violated for task {task}: \
-                                 segments end at {cursor}, finish at {t}",
-                            );
-                        }
-                        self.node(node).finishes += 1;
-                    }
-                    _ => self.bad(task, "task_finish while not running", rec),
+                let Phase::Running { since } = span.current else {
+                    return self.bad(task, "task_finish while not running", rec);
+                };
+                span.push(SegKind::Run, since, t);
+                span.finish_us = Some(t);
+                span.current = Phase::Done;
+                // Held-back run segments (DumpDone credits) and abort-time
+                // Lost segments were appended out of chronological order;
+                // restore it. Non-empty intervals never overlap, so start
+                // order is total.
+                span.segments.sort_by_key(|s| s.start_us);
+                let mut cursor = span.submit_us;
+                for s in &span.segments {
+                    assert_eq!(
+                        s.start_us, cursor,
+                        "segment timeline violated for task {task}: \
+                         gap or overlap at {cursor} before {s:?}",
+                    );
+                    cursor = s.end_us;
                 }
+                assert_eq!(
+                    cursor, t,
+                    "segment timeline violated for task {task}: \
+                     segments end at {cursor}, finish at {t}",
+                );
+                self.node(node).finishes += 1;
             }
             TraceRecord::TaskEvict { task, node, reason } => {
-                let segs = self.record_segments;
-                let Some(span) = self.tasks.get_mut(&task) else {
-                    self.bad(task, "task_evict before task_submit", rec);
-                    return;
+                let span = match advance(&mut self.tasks, task, t) {
+                    Ok(span) => span,
+                    Err(what) => return self.bad(task, what, rec),
                 };
                 span.evictions += 1;
                 let hard = reason != "dump";
@@ -614,52 +625,30 @@ impl SpanCollector {
                     span.kills += 1;
                 }
                 let lost = match span.current {
-                    Phase::Running { since } if hard => {
-                        if segs {
-                            push_seg(span, SegKind::Lost, since, t);
-                        }
-                        Some(t - since)
-                    }
+                    Phase::Running { since } if hard => Some(span.push(SegKind::Lost, since, t)),
                     Phase::Running { since } => {
                         // reason == "dump": execution since the resume
                         // point is held back until the dump completes.
-                        if segs {
-                            span.pending_run = Some((since, t));
-                        }
                         span.current = Phase::DumpWait {
-                            evict_at: t,
-                            run_len: t - since,
+                            since: t,
+                            run: (since, t),
                         };
                         None
                     }
-                    Phase::DumpWait { evict_at, run_len } => {
+                    Phase::DumpWait { since, run } => {
                         // The in-flight dump was aborted: the held-back
                         // run and the dump time bought nothing.
-                        if segs {
-                            if let Some((rs, re)) = span.pending_run.take() {
-                                push_seg(span, SegKind::Lost, rs, re);
-                            }
-                            push_seg(span, SegKind::Lost, evict_at, t);
-                        }
-                        Some(run_len + (t - evict_at))
+                        let run = span.push(SegKind::Lost, run.0, run.1);
+                        Some(run + span.push(SegKind::Lost, since, t))
                     }
-                    Phase::Restoring { sched_at } => {
-                        if segs {
-                            push_seg(span, SegKind::Lost, sched_at, t);
-                        }
-                        Some(t - sched_at)
-                    }
+                    Phase::Restoring { since } => Some(span.push(SegKind::Lost, since, t)),
                     Phase::Queued { .. } | Phase::Done => {
-                        self.bad(task, "task_evict while not placed", rec);
-                        return;
+                        return self.bad(task, "task_evict while not placed", rec);
                     }
                 };
                 if let Some(lost) = lost {
-                    let span = self.tasks.get_mut(&task).expect("present above");
-                    span.blame.lost_us += lost;
                     span.current = Phase::Queued { since: t };
-                    let ns = self.node(node);
-                    ns.lost_us += lost;
+                    self.node(node).lost_us += lost;
                 }
                 let ns = self.node(node);
                 ns.evictions += 1;
@@ -672,59 +661,44 @@ impl SpanCollector {
                 node,
                 start_us,
             } => {
-                let Some(span) = self.tasks.get_mut(&task) else {
-                    self.bad(task, "dump_done before task_submit", rec);
-                    return;
+                let span = match advance(&mut self.tasks, task, t) {
+                    Ok(span) => span,
+                    Err(what) => return self.bad(task, what, rec),
                 };
-                match span.current {
-                    Phase::DumpWait { evict_at, run_len } => {
-                        // Split evict..done at the device service start.
-                        let boundary = start_us.clamp(evict_at, t);
-                        span.blame.run_us += run_len;
-                        span.blame.ckpt_wait_us += boundary - evict_at;
-                        span.blame.dump_us += t - boundary;
-                        span.dumps += 1;
-                        if self.record_segments {
-                            if let Some((rs, re)) = span.pending_run.take() {
-                                push_seg(span, SegKind::Run, rs, re);
-                            }
-                            push_seg(span, SegKind::DumpQueue, evict_at, boundary);
-                            push_seg(span, SegKind::Dump, boundary, t);
-                        }
-                        span.current = Phase::Queued { since: t };
-                        let ns = self.node(node);
-                        ns.dumps += 1;
-                        ns.dump_us += t - boundary;
-                    }
-                    _ => self.bad(task, "dump_done without pending dump", rec),
-                }
+                let Phase::DumpWait { since, run } = span.current else {
+                    return self.bad(task, "dump_done without pending dump", rec);
+                };
+                // Split since..done at the device service start.
+                let boundary = start_us.clamp(since, t);
+                span.push(SegKind::Run, run.0, run.1);
+                span.push(SegKind::DumpQueue, since, boundary);
+                let dump_us = span.push(SegKind::Dump, boundary, t);
+                span.dumps += 1;
+                span.current = Phase::Queued { since: t };
+                let ns = self.node(node);
+                ns.dumps += 1;
+                ns.dump_us += dump_us;
             }
             TraceRecord::RestoreDone {
                 task,
                 node,
                 start_us,
             } => {
-                let Some(span) = self.tasks.get_mut(&task) else {
-                    self.bad(task, "restore_done before task_submit", rec);
-                    return;
+                let span = match advance(&mut self.tasks, task, t) {
+                    Ok(span) => span,
+                    Err(what) => return self.bad(task, what, rec),
                 };
-                match span.current {
-                    Phase::Restoring { sched_at } => {
-                        let boundary = start_us.clamp(sched_at, t);
-                        span.blame.ckpt_wait_us += boundary - sched_at;
-                        span.blame.restore_us += t - boundary;
-                        span.restores += 1;
-                        if self.record_segments {
-                            push_seg(span, SegKind::RestoreQueue, sched_at, boundary);
-                            push_seg(span, SegKind::Restore, boundary, t);
-                        }
-                        span.current = Phase::Running { since: t };
-                        let ns = self.node(node);
-                        ns.restores += 1;
-                        ns.restore_us += t - boundary;
-                    }
-                    _ => self.bad(task, "restore_done without pending restore", rec),
-                }
+                let Phase::Restoring { since } = span.current else {
+                    return self.bad(task, "restore_done without pending restore", rec);
+                };
+                let boundary = start_us.clamp(since, t);
+                span.push(SegKind::RestoreQueue, since, boundary);
+                let restore_us = span.push(SegKind::Restore, boundary, t);
+                span.restores += 1;
+                span.current = Phase::Running { since: t };
+                let ns = self.node(node);
+                ns.restores += 1;
+                ns.restore_us += restore_us;
             }
             TraceRecord::DumpFallback { task, .. } => {
                 // Always followed by the kill's task_evict (or, on node
@@ -734,30 +708,20 @@ impl SpanCollector {
                 }
             }
             TraceRecord::DumpFail { task, node, .. } => {
-                let Some(span) = self.tasks.get_mut(&task) else {
-                    self.bad(task, "dump_fail before task_submit", rec);
-                    return;
+                let span = match advance(&mut self.tasks, task, t) {
+                    Ok(span) => span,
+                    Err(what) => return self.bad(task, what, rec),
                 };
-                match span.current {
-                    Phase::DumpWait { evict_at, run_len } => {
-                        // The failed attempt (and any backoff before it)
-                        // is recovery overhead; the held-back run stays
-                        // held back for the next attempt or the fallback
-                        // kill.
-                        let burnt = t - evict_at;
-                        span.blame.retry_us += burnt;
-                        span.dump_fails += 1;
-                        if self.record_segments {
-                            push_seg(span, SegKind::Retry, evict_at, t);
-                        }
-                        span.current = Phase::DumpWait {
-                            evict_at: t,
-                            run_len,
-                        };
-                        self.node(node).retry_us += burnt;
-                    }
-                    _ => self.bad(task, "dump_fail without pending dump", rec),
-                }
+                let Phase::DumpWait { since, run } = span.current else {
+                    return self.bad(task, "dump_fail without pending dump", rec);
+                };
+                // The failed attempt (and any backoff before it) is
+                // recovery overhead; the held-back run stays held back
+                // for the next attempt or the fallback kill.
+                let burnt = span.push(SegKind::Retry, since, t);
+                span.dump_fails += 1;
+                span.current = Phase::DumpWait { since: t, run };
+                self.node(node).retry_us += burnt;
             }
             TraceRecord::RestoreFail {
                 task,
@@ -765,32 +729,26 @@ impl SpanCollector {
                 will_retry,
                 ..
             } => {
-                let Some(span) = self.tasks.get_mut(&task) else {
-                    self.bad(task, "restore_fail before task_submit", rec);
-                    return;
+                let span = match advance(&mut self.tasks, task, t) {
+                    Ok(span) => span,
+                    Err(what) => return self.bad(task, what, rec),
                 };
-                match span.current {
-                    Phase::Restoring { sched_at } => {
-                        let burnt = t - sched_at;
-                        span.blame.retry_us += burnt;
-                        span.restore_fails += 1;
-                        if self.record_segments {
-                            push_seg(span, SegKind::Retry, sched_at, t);
-                        }
-                        span.current = if will_retry {
-                            // Next attempt (e.g. from a surviving HDFS
-                            // replica) begins now, on the same placement.
-                            Phase::Restoring { sched_at: t }
-                        } else {
-                            // Restart from scratch: the task re-queues;
-                            // the following task_schedule(restore=false)
-                            // reclassifies the credited run as lost.
-                            Phase::Queued { since: t }
-                        };
-                        self.node(node).retry_us += burnt;
-                    }
-                    _ => self.bad(task, "restore_fail without pending restore", rec),
-                }
+                let Phase::Restoring { since } = span.current else {
+                    return self.bad(task, "restore_fail without pending restore", rec);
+                };
+                let burnt = span.push(SegKind::Retry, since, t);
+                span.restore_fails += 1;
+                span.current = if will_retry {
+                    // Next attempt (e.g. from a surviving HDFS replica)
+                    // begins now, on the same placement.
+                    Phase::Restoring { since: t }
+                } else {
+                    // Restart from scratch: the task re-queues; the
+                    // following task_schedule(restore=false) reclassifies
+                    // the credited run as lost.
+                    Phase::Queued { since: t }
+                };
+                self.node(node).retry_us += burnt;
             }
             TraceRecord::AmEscalate { task, .. } => {
                 // The victim keeps running until the forced kill's
@@ -893,12 +851,6 @@ impl SharedCollector {
         SharedCollector(Rc::new(RefCell::new(SpanCollector::new())))
     }
 
-    /// Wraps a fresh strict collector with segment timelines enabled
-    /// (needed for critical-path extraction).
-    pub fn with_segments() -> Self {
-        SharedCollector(Rc::new(RefCell::new(SpanCollector::new().with_segments())))
-    }
-
     /// Takes the collector out, leaving an empty one behind. Call after
     /// the simulation finished.
     pub fn take(&self) -> SpanCollector {
@@ -915,19 +867,7 @@ impl Tracer for SharedCollector {
 /// Replays a JSONL trace (as written by `cbp_telemetry::JsonlTracer`)
 /// into a lenient [`SpanCollector`].
 pub fn collect_jsonl<R: BufRead>(input: R) -> Result<SpanCollector, TraceReadError> {
-    collect_jsonl_with(input, false)
-}
-
-/// [`collect_jsonl`] with optional segment timelines (the input to
-/// critical-path extraction).
-pub fn collect_jsonl_with<R: BufRead>(
-    input: R,
-    segments: bool,
-) -> Result<SpanCollector, TraceReadError> {
     let mut collector = SpanCollector::lenient();
-    if segments {
-        collector = collector.with_segments();
-    }
     for item in JsonlReader::new(input)? {
         let (t_us, rec) = item?;
         collector.observe(t_us, &rec);
@@ -982,9 +922,9 @@ mod tests {
         );
         let span = &c.tasks()[&1];
         assert!(span.finished());
-        assert_eq!(span.blame.ready_wait_us, 50);
-        assert_eq!(span.blame.run_us, 1_000);
-        assert_eq!(span.blame.penalty_us(), 50);
+        assert_eq!(span.blame().ready_wait_us, 50);
+        assert_eq!(span.blame().run_us, 1_000);
+        assert_eq!(span.blame().penalty_us(), 50);
         assert_eq!(span.response_us(), Some(1_050));
         assert_eq!(c.nodes()[&0].finishes, 1);
     }
@@ -1022,7 +962,7 @@ mod tests {
                 (300, TraceRecord::TaskFinish { task: 1, node: 0 }),
             ],
         );
-        let b = c.tasks()[&1].blame;
+        let b = c.tasks()[&1].blame();
         assert_eq!(b.ready_wait_us, 10);
         assert_eq!(b.run_us, 90 + 70);
         assert_eq!(b.ckpt_wait_us, 10 + 5);
@@ -1048,7 +988,7 @@ mod tests {
                 (250, TraceRecord::TaskFinish { task: 1, node: 0 }),
             ],
         );
-        let b = c.tasks()[&1].blame;
+        let b = c.tasks()[&1].blame();
         assert_eq!(b.lost_us, 80);
         assert_eq!(b.ready_wait_us, 20);
         assert_eq!(b.run_us, 150);
@@ -1082,10 +1022,10 @@ mod tests {
             ],
         );
         let span = &c.tasks()[&1];
-        assert_eq!(span.blame.lost_us, 80);
-        assert_eq!(span.blame.dump_us, 0);
-        assert_eq!(span.blame.run_us, 100);
-        assert_eq!(span.blame.total_us(), 190);
+        assert_eq!(span.blame().lost_us, 80);
+        assert_eq!(span.blame().dump_us, 0);
+        assert_eq!(span.blame().run_us, 100);
+        assert_eq!(span.blame().total_us(), 190);
         assert_eq!(span.fallbacks, 1);
         assert_eq!(span.evictions, 2);
         assert_eq!(span.dumps, 0);
@@ -1115,7 +1055,7 @@ mod tests {
                 (260, TraceRecord::TaskFinish { task: 1, node: 0 }),
             ],
         );
-        let b = c.tasks()[&1].blame;
+        let b = c.tasks()[&1].blame();
         assert_eq!(b.lost_us, 60);
         assert_eq!(b.run_us, 160);
         assert_eq!(b.dump_us, 10);
@@ -1156,7 +1096,7 @@ mod tests {
                 (200, TraceRecord::TaskFinish { task: 1, node: 0 }),
             ],
         );
-        let b = c.tasks()[&1].blame;
+        let b = c.tasks()[&1].blame();
         assert_eq!(b.run_us, 40 + 100);
         assert_eq!(b.lost_us, 15, "aborted restore time");
         assert_eq!(b.suspended_us, 10 + 15);
@@ -1196,7 +1136,7 @@ mod tests {
                 (100, TraceRecord::TaskFinish { task: 1, node: 0 }),
             ],
         );
-        let b = c.tasks()[&1].blame;
+        let b = c.tasks()[&1].blame();
         assert_eq!(b.dump_us, 20);
         // dump clamp contributes 0, restore clamp contributes 20.
         assert_eq!(b.ckpt_wait_us, 20);
@@ -1246,7 +1186,7 @@ mod tests {
             ],
         );
         let span = &c.tasks()[&1];
-        let b = span.blame;
+        let b = span.blame();
         assert_eq!(b.retry_us, 20, "failed attempt is retry, not lost");
         assert_eq!(b.run_us, 50 + 90);
         assert_eq!(b.ckpt_wait_us, 5 + 2);
@@ -1301,7 +1241,7 @@ mod tests {
             ],
         );
         let span = &c.tasks()[&1];
-        let b = span.blame;
+        let b = span.blame();
         assert_eq!(b.retry_us, 20 + 30, "both failed attempts are retry");
         assert_eq!(b.lost_us, 40, "run since resume point dies with the kill");
         assert_eq!(b.run_us, 100);
@@ -1357,7 +1297,7 @@ mod tests {
             ],
         );
         let span = &c.tasks()[&1];
-        let b = span.blame;
+        let b = span.blame();
         assert_eq!(b.retry_us, 15 + 15);
         assert_eq!(
             b.lost_us, 30,
@@ -1480,7 +1420,7 @@ mod tests {
             ],
         );
         let span = &c.tasks()[&1];
-        let b = span.blame;
+        let b = span.blame();
         assert_eq!(b.retry_us, 15 + 10, "failed attempt + truncated read");
         assert_eq!(b.run_us, 130);
         assert_eq!(b.dump_us, 10);
@@ -1527,7 +1467,7 @@ mod tests {
         );
         let span = &c.tasks()[&1];
         assert_eq!(span.escalations, 1);
-        assert_eq!(span.blame.total_us(), 160);
+        assert_eq!(span.blame().total_us(), 160);
         assert_eq!(c.nodes()[&0].repairs, 4);
         assert_eq!(c.nodes()[&0].repair_bytes, 1 << 20);
     }
@@ -1554,11 +1494,24 @@ mod tests {
                 (0, submit(1)),
                 (5, TraceRecord::TaskFinish { task: 1, node: 0 }),
                 (7, evict(9, "kill")), // unknown task
+                // Placed before its submission: the schedule goes back in
+                // time, so it is malformed and the task stays queued.
+                (1_000, submit(2)),
+                (500, sched(2, false)),
+                (2_000, TraceRecord::TaskFinish { task: 2, node: 0 }),
             ],
         );
-        assert_eq!(c.malformed(), 2);
+        assert_eq!(c.malformed(), 4);
         assert_eq!(c.tasks()[&1].malformed, 1);
         assert!(!c.tasks()[&1].finished());
+        let span = &c.tasks()[&2];
+        assert_eq!(span.malformed, 2, "the schedule and the finish");
+        assert!(!span.finished());
+        assert!(
+            span.segments.is_empty(),
+            "a malformed record adds no segment"
+        );
+        assert_eq!(span.blame(), Blame::default());
     }
 
     #[test]
@@ -1571,7 +1524,7 @@ mod tests {
         tracer.finish();
         let collector = shared.take();
         assert_eq!(collector.records(), 3);
-        assert_eq!(collector.tasks()[&3].blame.run_us, 6);
+        assert_eq!(collector.tasks()[&3].blame().run_us, 6);
     }
 
     fn kinds(c: &SpanCollector, task: u64) -> Vec<(SegKind, u64)> {
@@ -1584,7 +1537,7 @@ mod tests {
 
     #[test]
     fn segments_tile_dump_restore_cycle() {
-        let mut c = SpanCollector::new().with_segments();
+        let mut c = SpanCollector::new();
         feed(
             &mut c,
             &[
@@ -1624,22 +1577,13 @@ mod tests {
                 (SegKind::Run, 70),
             ],
         );
-        // Segment sums refine the blame totals exactly.
-        let span = &c.tasks()[&1];
-        let mut per_kind = [0u64; 9];
-        for s in &span.segments {
-            per_kind[s.kind.index()] += s.dur_us();
-        }
-        assert_eq!(per_kind[SegKind::Run.index()], span.blame.run_us);
-        assert_eq!(
-            per_kind[SegKind::DumpQueue.index()] + per_kind[SegKind::RestoreQueue.index()],
-            span.blame.ckpt_wait_us
-        );
+        // Blame folds the dump-side and restore-side queues into one.
+        assert_eq!(c.tasks()[&1].blame().ckpt_wait_us, 10 + 5);
     }
 
     #[test]
     fn segments_mark_aborted_dump_lost() {
-        let mut c = SpanCollector::new().with_segments();
+        let mut c = SpanCollector::new();
         feed(
             &mut c,
             &[
@@ -1664,7 +1608,7 @@ mod tests {
 
     #[test]
     fn segments_reclassify_run_after_lost_image() {
-        let mut c = SpanCollector::new().with_segments();
+        let mut c = SpanCollector::new();
         feed(
             &mut c,
             &[
@@ -1698,7 +1642,7 @@ mod tests {
 
     #[test]
     fn segments_cover_dump_retries() {
-        let mut c = SpanCollector::new().with_segments();
+        let mut c = SpanCollector::new();
         feed(
             &mut c,
             &[
@@ -1750,27 +1694,12 @@ mod tests {
     }
 
     #[test]
-    fn disabled_segments_stay_empty() {
-        let mut c = SpanCollector::new();
-        feed(
-            &mut c,
-            &[
-                (0, submit(1)),
-                (5, sched(1, false)),
-                (50, TraceRecord::TaskFinish { task: 1, node: 0 }),
-            ],
-        );
-        assert!(!c.segments_enabled());
-        assert!(c.tasks()[&1].segments.is_empty());
-    }
-
-    #[test]
     fn evicted_never_rescheduled_holds_partial_blame() {
         // A task killed and never placed again (e.g. the trace was cut
         // short): its blame must stay internally consistent — the run
         // since the resume point is lost, nothing is credited as run —
         // and it must report as unfinished so aggregation excludes it.
-        let mut c = SpanCollector::new().with_segments();
+        let mut c = SpanCollector::new();
         feed(
             &mut c,
             &[
@@ -1782,10 +1711,10 @@ mod tests {
         let span = &c.tasks()[&1];
         assert!(!span.finished());
         assert_eq!(span.response_us(), None);
-        assert_eq!(span.blame.run_us, 0);
-        assert_eq!(span.blame.ready_wait_us, 20);
-        assert_eq!(span.blame.lost_us, 70);
-        assert_eq!(span.blame.total_us(), 90, "blame covers submit..evict");
+        assert_eq!(span.blame().run_us, 0);
+        assert_eq!(span.blame().ready_wait_us, 20);
+        assert_eq!(span.blame().lost_us, 70);
+        assert_eq!(span.blame().total_us(), 90, "blame covers submit..evict");
         assert_eq!(span.kills, 1);
         assert_eq!(
             kinds(&c, 1),

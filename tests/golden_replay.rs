@@ -38,7 +38,7 @@ mod common;
 use cbp::checkpoint::NvramSpec;
 use cbp::core::{ClusterSim, PreemptionPolicy, RunLedger, RunMetrics, RunReport, SimConfig};
 use cbp::faults::FaultSpec;
-use cbp::obs::{paths_to_folded, CritReport, ObsReport, SpanCollector};
+use cbp::obs::{collect_jsonl, paths_to_folded, CritReport, ObsReport, SpanCollector};
 use cbp::simkit::SimDuration;
 use cbp::storage::MediaKind;
 use cbp::telemetry::{JsonlReader, JsonlTracer};
@@ -558,15 +558,15 @@ fn checked_digests(
 /// stacks of those paths. With `strict`, the trace is also replayed
 /// through the strict collector, which panics on a malformed record.
 fn obs_digest(case: &str, sim: &str, trace: &[u8], strict: bool) -> u64 {
-    let collector = cbp::obs::collect_jsonl_with(trace, true)
-        .unwrap_or_else(|e| panic!("{case}, {sim}: trace replay: {e}"));
+    let collector =
+        collect_jsonl(trace).unwrap_or_else(|e| panic!("{case}, {sim}: trace replay: {e}"));
     let report = ObsReport::build(&collector, OBS_TOP_K)
         .with_crit(&collector)
         .unwrap_or_else(|e| panic!("{case}, {sim}: critical paths: {e}"));
     let paths = CritReport::extract_paths(&collector)
         .unwrap_or_else(|e| panic!("{case}, {sim}: critical paths: {e}"));
     if strict {
-        let mut strict = SpanCollector::new().with_segments();
+        let mut strict = SpanCollector::new();
         for item in JsonlReader::new(trace).expect("golden traces have a header") {
             let (t_us, rec) = item.expect("golden traces are well-formed");
             strict.observe(t_us, &rec);
