@@ -1,18 +1,23 @@
-//! Input robustness of `check_bench_files` (`repro bench --check`) and
-//! `diff_reports` (`repro analyze --baseline`): a committed baseline, or
-//! an analysis report generated in-process, that is truncated,
-//! bit-flipped or missing a byte, on either side of the comparison, must
-//! come back as `Ok` or `Err`, never as a panic. The unmutated documents
+//! Input robustness of `check_bench_files` (`repro bench --check`),
+//! `diff_reports` (`repro analyze --baseline`) and the trace analyzer
+//! (`repro analyze --critical-path`): a committed baseline, or an
+//! analysis report generated in-process, that is truncated, bit-flipped
+//! or missing a byte, on either side of the comparison, must come back
+//! as `Ok` or `Err`, never as a panic. So must a trace generated
+//! in-process with one record moved in time. The unmutated documents
 //! must compare clean with themselves.
 
+use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 use std::sync::OnceLock;
 
 use cbp_bench::check_bench_files;
 use cbp_core::{ClusterSim, PreemptionPolicy, SimConfig};
 use cbp_faults::FaultSpec;
-use cbp_obs::{diff_reports, ObsReport, SharedCollector, Tolerances, Verdict};
+use cbp_obs::{collect_jsonl, diff_reports, ObsReport, SharedCollector, Tolerances, Verdict};
 use cbp_storage::MediaKind;
+use cbp_telemetry::JsonlTracer;
 use cbp_workload::google::GoogleTraceConfig;
 use proptest::prelude::*;
 
@@ -158,16 +163,22 @@ proptest! {
     }
 }
 
-/// The JSON `ObsReport`, critical paths included, of a small ClusterSim
-/// run under the heavy fault plan; built once per test binary.
+/// The small ClusterSim run under the heavy fault plan that the
+/// generated report and trace come from.
+fn smoke_sim() -> ClusterSim {
+    let cfg = SimConfig::trace_sim(PreemptionPolicy::Adaptive, MediaKind::Hdd)
+        .with_nodes(4)
+        .with_faults(FaultSpec::heavy());
+    ClusterSim::new(cfg, GoogleTraceConfig::small(40.0).generate(5))
+}
+
+/// The JSON `ObsReport`, critical paths included, of [`smoke_sim`]'s
+/// run; built once per test binary.
 fn report_json() -> &'static str {
     static REPORT: OnceLock<String> = OnceLock::new();
     REPORT.get_or_init(|| {
-        let cfg = SimConfig::trace_sim(PreemptionPolicy::Adaptive, MediaKind::Hdd)
-            .with_nodes(4)
-            .with_faults(FaultSpec::heavy());
         let shared = SharedCollector::new();
-        let mut sim = ClusterSim::new(cfg, GoogleTraceConfig::small(40.0).generate(5));
+        let mut sim = smoke_sim();
         sim.set_tracer(Box::new(shared.clone()));
         sim.run();
         let collector = shared.take();
@@ -176,6 +187,78 @@ fn report_json() -> &'static str {
             .expect("critical paths tile every job")
             .to_json()
     })
+}
+
+/// A `Write` sink whose buffer outlives the boxed tracer.
+#[derive(Clone, Default)]
+struct SharedBuf(Rc<RefCell<Vec<u8>>>);
+
+impl std::io::Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.borrow_mut().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The JSONL trace of [`smoke_sim`]'s run, one line per element (the
+/// schema header first); built once per test binary.
+fn trace_lines() -> &'static [String] {
+    static TRACE: OnceLock<Vec<String>> = OnceLock::new();
+    TRACE.get_or_init(|| {
+        let buf = SharedBuf::default();
+        let mut sim = smoke_sim();
+        sim.set_tracer(Box::new(JsonlTracer::new(buf.clone())));
+        sim.run();
+        let text = String::from_utf8(buf.0.take()).expect("traces are UTF-8");
+        text.lines().map(str::to_string).collect()
+    })
+}
+
+/// Analyzes a JSONL trace as `repro analyze --critical-path` does; an
+/// unreadable trace or a critical-path error is an `Err`.
+fn analyze(trace: &str) -> Result<String, String> {
+    let collector = collect_jsonl(trace.as_bytes()).map_err(|e| e.to_string())?;
+    Ok(ObsReport::build(&collector, 5)
+        .with_crit(&collector)?
+        .to_json())
+}
+
+#[test]
+fn mutated_traces_never_panic_the_analyzer() {
+    let lines = trace_lines();
+    assert!(
+        analyze(&lines.join("\n")).is_ok(),
+        "the unmutated trace analyzes"
+    );
+    for seed in 0..2000u64 {
+        let mut next = draws(seed);
+        // Any record line but the schema header.
+        let at = 1 + next() as usize % (lines.len() - 1);
+        let line = &lines[at];
+        let rest = line
+            .strip_prefix("{\"t_us\":")
+            .expect("every record line starts with its time");
+        let digits = rest
+            .find(|c: char| !c.is_ascii_digit())
+            .expect("a field follows");
+        let t: u64 = rest[..digits].parse().expect("the time is a u64");
+        let moved = match next() % 4 {
+            0 => next() % (t + 1),
+            1 => t.saturating_add(next() % 1_000_000_000),
+            2 => 0,
+            _ => u64::MAX,
+        };
+        let mut mutated = lines.to_vec();
+        mutated[at] = format!("{{\"t_us\":{moved}{}", &rest[digits..]);
+        let outcome = catch_unwind(AssertUnwindSafe(|| analyze(&mutated.join("\n"))));
+        assert!(
+            outcome.is_ok(),
+            "seed {seed}: line {at} moved from {t} to {moved} panicked the analyzer"
+        );
+    }
 }
 
 #[test]

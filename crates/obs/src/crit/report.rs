@@ -94,7 +94,9 @@ impl CritReport {
                 .1;
             acc.jobs += 1;
             for s in &p.segments {
-                acc.path_us[s.kind.index()] += s.dur_us();
+                // Saturates like `Blame::accumulate`.
+                let us = &mut acc.path_us[s.kind.index()];
+                *us = us.saturating_add(s.dur_us());
             }
             acc.responses.push(p.response_us() as f64);
             for (i, pred) in predictions.iter().enumerate() {

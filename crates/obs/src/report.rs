@@ -298,7 +298,7 @@ impl ObsReport {
             totals.blame.accumulate(&blame);
             acc.finished += 1;
             acc.blame.accumulate(&blame);
-            acc.response_us += response;
+            acc.response_us = acc.response_us.saturating_add(response);
             let penalty = blame.penalty_us() as f64;
             acc.p50.observe(penalty);
             acc.p95.observe(penalty);
@@ -308,9 +308,9 @@ impl ObsReport {
             acc.restore_us.push(blame.restore_us as f64);
             acc.task_ids.push((span.task, span.job));
             job.finished += 1;
-            job.penalty_us += blame.penalty_us();
-            job.response_us += response;
-            job.lost_us += blame.lost_us;
+            job.penalty_us = job.penalty_us.saturating_add(blame.penalty_us());
+            job.response_us = job.response_us.saturating_add(response);
+            job.lost_us = job.lost_us.saturating_add(blame.lost_us);
         }
         totals.penalty_us = totals.blame.penalty_us();
 

@@ -137,15 +137,11 @@ pub struct Blame {
 impl Blame {
     /// Sum of all segments. For a finished task this equals
     /// `finish - submit` exactly (the conservation invariant).
+    /// Saturates, like [`Blame::accumulate`].
     pub fn total_us(&self) -> u64 {
-        self.run_us
-            + self.ready_wait_us
-            + self.dump_us
-            + self.ckpt_wait_us
-            + self.restore_us
-            + self.retry_us
-            + self.lost_us
-            + self.suspended_us
+        self.components()
+            .iter()
+            .fold(0, |sum, &(_, us)| sum.saturating_add(us))
     }
 
     /// Everything that is not productive run: the preemption penalty.
@@ -153,16 +149,18 @@ impl Blame {
         self.total_us() - self.run_us
     }
 
-    /// Accumulates another decomposition (for aggregates).
+    /// Accumulates another decomposition (for aggregates). The sums
+    /// saturate at `u64::MAX`: a trace's times may be any `u64`, so sums
+    /// over many tasks may not fit.
     pub fn accumulate(&mut self, other: &Blame) {
-        self.run_us += other.run_us;
-        self.ready_wait_us += other.ready_wait_us;
-        self.dump_us += other.dump_us;
-        self.ckpt_wait_us += other.ckpt_wait_us;
-        self.restore_us += other.restore_us;
-        self.retry_us += other.retry_us;
-        self.lost_us += other.lost_us;
-        self.suspended_us += other.suspended_us;
+        self.run_us = self.run_us.saturating_add(other.run_us);
+        self.ready_wait_us = self.ready_wait_us.saturating_add(other.ready_wait_us);
+        self.dump_us = self.dump_us.saturating_add(other.dump_us);
+        self.ckpt_wait_us = self.ckpt_wait_us.saturating_add(other.ckpt_wait_us);
+        self.restore_us = self.restore_us.saturating_add(other.restore_us);
+        self.retry_us = self.retry_us.saturating_add(other.retry_us);
+        self.lost_us = self.lost_us.saturating_add(other.lost_us);
+        self.suspended_us = self.suspended_us.saturating_add(other.suspended_us);
     }
 
     /// `(name, value)` pairs in canonical report order.
@@ -421,7 +419,8 @@ fn advance(
 
 /// Per-node tallies (service times and eviction counts observed on the
 /// node). Unlike [`Blame`], these do not tile anything: they attribute
-/// activity to the node where it happened.
+/// activity to the node where it happened. The time sums saturate, like
+/// [`Blame::accumulate`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NodeStats {
     /// `task_evict` records on this node (any reason).
@@ -648,7 +647,8 @@ impl SpanCollector {
                 };
                 if let Some(lost) = lost {
                     span.current = Phase::Queued { since: t };
-                    self.node(node).lost_us += lost;
+                    let ns = self.node(node);
+                    ns.lost_us = ns.lost_us.saturating_add(lost);
                 }
                 let ns = self.node(node);
                 ns.evictions += 1;
@@ -677,7 +677,7 @@ impl SpanCollector {
                 span.current = Phase::Queued { since: t };
                 let ns = self.node(node);
                 ns.dumps += 1;
-                ns.dump_us += dump_us;
+                ns.dump_us = ns.dump_us.saturating_add(dump_us);
             }
             TraceRecord::RestoreDone {
                 task,
@@ -698,7 +698,7 @@ impl SpanCollector {
                 span.current = Phase::Running { since: t };
                 let ns = self.node(node);
                 ns.restores += 1;
-                ns.restore_us += restore_us;
+                ns.restore_us = ns.restore_us.saturating_add(restore_us);
             }
             TraceRecord::DumpFallback { task, .. } => {
                 // Always followed by the kill's task_evict (or, on node
@@ -721,7 +721,8 @@ impl SpanCollector {
                 let burnt = span.push(SegKind::Retry, since, t);
                 span.dump_fails += 1;
                 span.current = Phase::DumpWait { since: t, run };
-                self.node(node).retry_us += burnt;
+                let ns = self.node(node);
+                ns.retry_us = ns.retry_us.saturating_add(burnt);
             }
             TraceRecord::RestoreFail {
                 task,
@@ -748,7 +749,8 @@ impl SpanCollector {
                     // the credited run as lost.
                     Phase::Queued { since: t }
                 };
-                self.node(node).retry_us += burnt;
+                let ns = self.node(node);
+                ns.retry_us = ns.retry_us.saturating_add(burnt);
             }
             TraceRecord::AmEscalate { task, .. } => {
                 // The victim keeps running until the forced kill's
