@@ -1517,6 +1517,29 @@ mod tests {
     }
 
     #[test]
+    fn sums_saturate_at_u64_max() {
+        // Two kills on one node whose lost work sums past u64::MAX.
+        let mut c = SpanCollector::new();
+        feed(
+            &mut c,
+            &[
+                (0, submit(1)),
+                (0, sched(1, false)),
+                (u64::MAX, evict(1, "kill")),
+                (0, submit(2)),
+                (0, sched(2, false)),
+                (100, evict(2, "kill")),
+            ],
+        );
+        assert_eq!(c.nodes()[&0].lost_us, u64::MAX);
+        let mut b = c.tasks()[&1].blame();
+        b.accumulate(&c.tasks()[&2].blame());
+        assert_eq!(b.lost_us, u64::MAX);
+        b.run_us = 1;
+        assert_eq!(b.total_us(), u64::MAX);
+    }
+
+    #[test]
     fn shared_collector_round_trips() {
         let shared = SharedCollector::new();
         let mut tracer: Box<dyn Tracer> = Box::new(shared.clone());

@@ -11,11 +11,11 @@ use cbp_workload::Workload;
 use crate::sim::YarnSim;
 
 /// One-way RM ↔ AM RPC latency.
-pub const RPC_DELAY: SimDuration = SimDuration::from_millis(10);
+pub(crate) const RPC_DELAY: SimDuration = SimDuration::from_millis(10);
 
 /// Container startup cost (localizing the job's resources, spawning the
 /// JVM) paid by every fresh launch *and* every restore.
-pub const CONTAINER_STARTUP: SimDuration = SimDuration::from_secs(2);
+pub(crate) const CONTAINER_STARTUP: SimDuration = SimDuration::from_secs(2);
 
 /// Configuration of the YARN analog. Every node draws power by the
 /// default `EnergyModel`, and checkpoints always go through HDFS with the
