@@ -8,15 +8,19 @@
 //! `write → read → write` is byte-identical (tested).
 //!
 //! Each line is decoded in one pass with no allocation per line, by one
-//! of two paths. The line is read into a reused buffer and first offered
-//! to the canonical-line decoder, which matches exactly the bytes
+//! of two paths. The canonical-line decoder matches exactly the bytes
 //! [`crate::JsonlTracer`] writes: the fields of each kind in the order of
 //! the layout table both sides expand (`record_layouts!` in
 //! `trace.rs`), canonical integers, `true`/`false` and vocabulary words
-//! without escapes, and nothing after the closing `}`. A line that
-//! matches is valid JSON that decodes only one way. Any other line goes
-//! to the general path, so records and errors do not depend on which
-//! path a line took; [`JsonlReader::line_counts`] counts both.
+//! without escapes, and nothing after the closing `}` but the line end.
+//! It first reads a line in place, as bytes, from the input's read
+//! buffer, and consumes it only if it decodes. Any other line (split by
+//! the end of the buffer, not canonical, blank, or the truncated tail)
+//! is read into a reused buffer and offered to the canonical decoder
+//! again, then to the general path. A canonical line is valid JSON that
+//! decodes only one way, so records and errors depend neither on the
+//! path a line took nor on the buffer size; [`JsonlReader::line_counts`]
+//! counts both paths.
 //!
 //! The general path validates the line with the strict JSON validator,
 //! which accepts exactly what [`json::is_valid`] accepts and splits the
@@ -126,44 +130,44 @@ impl std::error::Error for TraceReadError {}
 /// seen and reused after that, so the leak is bounded by the number of
 /// distinct strings, not by the length of the trace.
 fn intern(s: &str) -> &'static str {
-    vocabulary(s).unwrap_or_else(|| leak_once(s))
+    vocabulary(s.as_bytes()).unwrap_or_else(|| leak_once(s))
 }
 
 /// `s` as the emitters' own `&'static str`, if it is one of their words.
-fn vocabulary(s: &str) -> Option<&'static str> {
+fn vocabulary(s: &[u8]) -> Option<&'static str> {
     Some(match s {
         // preemption actions / policies / reasons
-        "kill" => "kill",
-        "checkpoint" => "checkpoint",
-        "adaptive" => "adaptive",
-        "wait" => "wait",
-        "policy" => "policy",
-        "progress-at-risk" => "progress-at-risk",
-        "overhead-exceeds-risk" => "overhead-exceeds-risk",
+        b"kill" => "kill",
+        b"checkpoint" => "checkpoint",
+        b"adaptive" => "adaptive",
+        b"wait" => "wait",
+        b"policy" => "policy",
+        b"progress-at-risk" => "progress-at-risk",
+        b"overhead-exceeds-risk" => "overhead-exceeds-risk",
         // eviction reasons
-        "dump" => "dump",
-        "node-fail" => "node-fail",
-        "node-crash" => "node-crash",
+        b"dump" => "dump",
+        b"node-fail" => "node-fail",
+        b"node-crash" => "node-crash",
         // eviction reason for AM-escalation kills (YarnSim)
-        "am-escalate" => "am-escalate",
+        b"am-escalate" => "am-escalate",
         // fallback reasons
-        "no-capacity" => "no-capacity",
-        "storage-full" => "storage-full",
-        "nvram-full" => "nvram-full",
-        "grace-expired" => "grace-expired",
-        "dump-fail" => "dump-fail",
-        "am-unresponsive" => "am-unresponsive",
-        "breaker-open" => "breaker-open",
-        "no-space" => "no-space",
+        b"no-capacity" => "no-capacity",
+        b"storage-full" => "storage-full",
+        b"nvram-full" => "nvram-full",
+        b"grace-expired" => "grace-expired",
+        b"dump-fail" => "dump-fail",
+        b"am-unresponsive" => "am-unresponsive",
+        b"breaker-open" => "breaker-open",
+        b"no-space" => "no-space",
         // restore failure classes
-        "transient" => "transient",
-        "corrupt-image" => "corrupt-image",
-        "blocks-lost" => "blocks-lost",
+        b"transient" => "transient",
+        b"corrupt-image" => "corrupt-image",
+        b"blocks-lost" => "blocks-lost",
         // devices
-        "hdd" => "hdd",
-        "ssd" => "ssd",
-        "nvm" => "nvm",
-        "nvram" => "nvram",
+        b"hdd" => "hdd",
+        b"ssd" => "ssd",
+        b"nvm" => "nvm",
+        b"nvram" => "nvram",
         _ => return None,
     })
 }
@@ -217,7 +221,10 @@ trait Payload {
     fn bool(&mut self, key: Key) -> Result<bool, Self::Error>;
     fn str(&mut self, key: Key) -> Result<&'static str, Self::Error>;
     fn action(&mut self, key: Key) -> Result<PreemptAction, Self::Error>;
-    fn unknown_event(&self, event: &str) -> Self::Error;
+    /// Whether the record is of the kind named `name`.
+    fn event(&mut self, name: &'static str) -> bool;
+    /// The error for a record of no known kind.
+    fn unknown_event(&self) -> Self::Error;
 
     fn sat32(&mut self, key: Key) -> Result<u32, Self::Error> {
         self.u64(key).map(|x| x.min(u32::MAX.into()) as u32)
@@ -230,18 +237,19 @@ trait Payload {
 
 macro_rules! impl_decode_payload {
     ($($variant:ident $name:literal { $($field:ident: $rule:ident),* $(,)? }),* $(,)?) => {
-        /// Decodes the payload of the record kind named `event`, field by
-        /// field in emitted order.
-        fn decode_payload<P: Payload>(event: &str, p: &mut P) -> Result<TraceRecord, P::Error> {
-            Ok(match event {
-                $($name => TraceRecord::$variant {
+        /// Decodes the payload of the record, field by field in emitted
+        /// order, after finding its kind by name in layout order.
+        #[inline(always)]
+        fn decode_payload<P: Payload>(p: &mut P) -> Result<TraceRecord, P::Error> {
+            $(if p.event($name) {
+                return Ok(TraceRecord::$variant {
                     $($field: p.$rule(Key {
                         name: stringify!($field),
                         member: concat!(",\"", stringify!($field), "\":"),
                     })?,)*
-                },)*
-                other => return Err(p.unknown_event(other)),
-            })
+                });
+            })*
+            Err(p.unknown_event())
         }
     };
 }
@@ -252,10 +260,10 @@ crate::trace::record_layouts!(impl_decode_payload);
 /// canonical integers (no sign, no leading zero, the value fits its
 /// field), `true`/`false` and vocabulary words without escapes, then `}`
 /// at the end of the line. Any other text is a miss, and the line goes
-/// to the general path. A line that matches is valid JSON that decodes
-/// only one way, so both paths give it the same record.
+/// to the general path. A line that matches is valid JSON, all ASCII,
+/// that decodes only one way, so both paths give it the same record.
 struct Canonical<'a> {
-    line: &'a str,
+    line: &'a [u8],
     at: usize,
 }
 
@@ -263,80 +271,126 @@ struct Canonical<'a> {
 struct Miss;
 
 impl<'a> Canonical<'a> {
-    /// Decodes `line`, or `None` if it is not in canonical form.
+    /// Decodes `line` (without its end), or `None` if it is not in
+    /// canonical form.
     fn decode(line: &'a str) -> Option<(u64, TraceRecord)> {
-        let mut c = Canonical { line, at: 0 };
-        c.lit("{\"t_us\":")?;
-        let t_us = c.uint()?;
-        c.lit(",\"event\":\"")?;
-        let event = c.str_body()?;
-        let rec = decode_payload(event, &mut c).ok()?;
-        c.lit("}")?;
-        (c.at == line.len()).then_some((t_us, rec))
+        let mut c = Canonical {
+            line: line.as_bytes(),
+            at: 0,
+        };
+        let rec = c.record()?;
+        (c.at == line.len()).then_some(rec)
     }
 
-    fn lit(&mut self, lit: &str) -> Option<()> {
-        let rest = &self.line.as_bytes()[self.at..];
-        rest.starts_with(lit.as_bytes())
+    /// Decodes the canonical line at the start of `buf`, and returns it
+    /// with the length of the line and its `\n` or `\r\n` end. `None` if
+    /// the line is not canonical or `buf` ends before the line does.
+    #[inline(always)]
+    fn decode_prefix(buf: &'a [u8]) -> Option<((u64, TraceRecord), usize)> {
+        let mut c = Canonical { line: buf, at: 0 };
+        let rec = c.record()?;
+        let end = match &buf[c.at..] {
+            [b'\n', ..] => 1,
+            [b'\r', b'\n', ..] => 2,
+            _ => return None,
+        };
+        Some((rec, c.at + end))
+    }
+
+    /// The record up to and including its closing `}`.
+    #[inline(always)]
+    fn record(&mut self) -> Option<(u64, TraceRecord)> {
+        self.lit(b"{\"t_us\":")?;
+        let t_us = self.uint()?;
+        self.lit(b",\"event\":\"")?;
+        let rec = decode_payload(self).ok()?;
+        self.lit(b"}")?;
+        Some((t_us, rec))
+    }
+
+    #[inline(always)]
+    fn lit(&mut self, lit: &[u8]) -> Option<()> {
+        self.line[self.at..]
+            .starts_with(lit)
             .then(|| self.at += lit.len())
     }
 
     /// A canonical unsigned integer that fits `u64`.
+    #[inline(always)]
     fn uint(&mut self) -> Option<u64> {
         let rest = &self.line[self.at..];
-        let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+        let mut x = 0u64;
+        let mut digits = 0;
+        while let Some(d) = rest.get(digits).map(|c| c.wrapping_sub(b'0')) {
+            if d > 9 {
+                break;
+            }
+            // Nineteen digits always fit; only a twentieth can overflow.
+            x = if digits < 19 {
+                x * 10 + u64::from(d)
+            } else {
+                x.checked_mul(10)?.checked_add(u64::from(d))?
+            };
+            digits += 1;
+        }
         // JSON has no leading zeros.
-        if digits > 1 && rest.starts_with('0') {
+        if digits == 0 || (digits > 1 && rest[0] == b'0') {
             return None;
         }
-        let x = json::raw_u64(&rest[..digits])?;
         self.at += digits;
         Some(x)
     }
 
-    /// The text up to the next quote, which it consumes: the body of a
-    /// string whose opening quote was consumed. Only event names and
-    /// vocabulary words are accepted, so a body with escapes never
-    /// matches.
-    fn str_body(&mut self) -> Option<&'a str> {
+    /// The text up to the next quote on the line, which it consumes: the
+    /// body of a string whose opening quote was consumed. Only vocabulary
+    /// words are accepted, so a body with escapes never matches.
+    fn str_body(&mut self) -> Option<&'a [u8]> {
         let start = self.at;
-        let len = self.line.as_bytes()[start..]
+        let len = self.line[start..]
             .iter()
-            .position(|&c| c == b'"')?;
-        self.at += len + 1;
+            .position(|&c| c == b'"' || c == b'\n')?;
+        if self.line[start + len] != b'"' {
+            return None;
+        }
+        self.at = start + len + 1;
         Some(&self.line[start..start + len])
     }
 
     /// The `,"key":` text before a field's value.
+    #[inline(always)]
     fn member(&mut self, key: Key) -> Result<(), Miss> {
-        self.lit(key.member).ok_or(Miss)
+        self.lit(key.member.as_bytes()).ok_or(Miss)
     }
 }
 
 impl Payload for Canonical<'_> {
     type Error = Miss;
 
+    #[inline(always)]
     fn u64(&mut self, key: Key) -> Result<u64, Miss> {
         self.member(key)?;
         self.uint().ok_or(Miss)
     }
 
+    #[inline(always)]
     fn id32(&mut self, key: Key) -> Result<u32, Miss> {
         self.u64(key)?.try_into().map_err(|_| Miss)
     }
 
+    #[inline(always)]
     fn bool(&mut self, key: Key) -> Result<bool, Miss> {
         self.member(key)?;
-        if self.lit("true").is_some() {
+        if self.lit(b"true").is_some() {
             Ok(true)
         } else {
-            self.lit("false").map(|()| false).ok_or(Miss)
+            self.lit(b"false").map(|()| false).ok_or(Miss)
         }
     }
 
+    #[inline(always)]
     fn str(&mut self, key: Key) -> Result<&'static str, Miss> {
         self.member(key)?;
-        self.lit("\"").ok_or(Miss)?;
+        self.lit(b"\"").ok_or(Miss)?;
         // A word outside the vocabulary is left to the general path,
         // which interns it, so this path never leaks.
         self.str_body().and_then(vocabulary).ok_or(Miss)
@@ -350,7 +404,19 @@ impl Payload for Canonical<'_> {
         }
     }
 
-    fn unknown_event(&self, _event: &str) -> Miss {
+    /// The name and its closing quote, which it consumes on a match.
+    #[inline(always)]
+    fn event(&mut self, name: &'static str) -> bool {
+        let rest = &self.line[self.at..];
+        let n = name.len();
+        let hit = rest.starts_with(name.as_bytes()) && rest.get(n) == Some(&b'"');
+        if hit {
+            self.at += n + 1;
+        }
+        hit
+    }
+
+    fn unknown_event(&self) -> Miss {
         Miss
     }
 }
@@ -445,8 +511,12 @@ impl Payload for Fields<'_> {
         }
     }
 
-    fn unknown_event(&self, event: &str) -> TraceReadError {
-        self.err(format!("unknown event {event:?}"))
+    fn event(&mut self, name: &'static str) -> bool {
+        self.event == name
+    }
+
+    fn unknown_event(&self) -> TraceReadError {
+        self.err(format!("unknown event {:?}", self.event))
     }
 }
 
@@ -465,8 +535,8 @@ fn decode(
         .raw("event")
         .and_then(json::raw_str)
         .ok_or_else(|| f.err("missing event".into()))?;
-    f.event = event.clone();
-    Ok((t_us, decode_payload(&event, &mut f)?))
+    f.event = event;
+    Ok((t_us, decode_payload(&mut f)?))
 }
 
 /// How many record lines a [`JsonlReader`] handed to each decoder.
@@ -563,6 +633,21 @@ impl<R: BufRead> Iterator for JsonlReader<R> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
+            // A canonical line wholly inside the read buffer is decoded
+            // there and consumed; any other line is read out by the line
+            // path below, which gives a canonical line the same record.
+            match self.input.fill_buf() {
+                Ok(buf) => {
+                    if let Some((rec, len)) = Canonical::decode_prefix(buf) {
+                        self.input.consume(len);
+                        self.line_no += 1;
+                        self.counts.canonical += 1;
+                        return Some(Ok(rec));
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Some(Err(TraceReadError::Io(e.to_string()))),
+            }
             match read_line(&mut self.input, &mut self.line) {
                 Ok(true) => {}
                 Ok(false) => return None,

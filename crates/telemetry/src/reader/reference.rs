@@ -7,7 +7,7 @@
 //! near-canonical and byte-mutated traces, and which of its two decode
 //! paths each line takes.
 
-use std::io::BufRead;
+use std::io::{BufRead, BufReader};
 
 use proptest::prelude::*;
 
@@ -842,6 +842,38 @@ fn both(bytes: &[u8]) -> (Vec<String>, Vec<String>) {
     )
 }
 
+/// Buffer sizes the reader is checked at: one byte, sizes that split
+/// most lines (a line is about 80 bytes), and a page.
+const CAPACITIES: [usize; 5] = [1, 7, 64, 85, 4096];
+
+/// What the single-pass reader yields for `input`, and its line counts.
+fn read_all(input: impl BufRead, max: usize) -> (Vec<String>, Option<LineCounts>) {
+    match JsonlReader::new(input) {
+        Err(e) => (vec![format!("new: {e:?}")], None),
+        Ok(mut reader) => {
+            let items = outcomes(Ok(reader.by_ref()), max);
+            (items, Some(reader.line_counts()))
+        }
+    }
+}
+
+/// Checks that reading `bytes` through a buffer of each of
+/// [`CAPACITIES`], where lines are split by the buffer's end and decoded
+/// by the line path, gives what reading them as one slice gives.
+fn check_buffered(bytes: &[u8]) -> Result<(), String> {
+    let max = bytes.len() + 2;
+    let whole = read_all(bytes, max);
+    for capacity in CAPACITIES {
+        let buffered = read_all(BufReader::with_capacity(capacity, bytes), max);
+        if buffered != whole {
+            return Err(format!(
+                "capacity {capacity}: {buffered:?}\nas one slice: {whole:?}"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// How many lines of `bytes` the single-pass reader sent down each path.
 fn line_counts(bytes: &[u8]) -> LineCounts {
     let mut reader = JsonlReader::new(bytes).expect("a valid header");
@@ -863,6 +895,7 @@ proptest! {
         let (single, tree) = both(&bytes);
         prop_assert_eq!(&single, &tree, "seed {seed}: written stream");
         prop_assert_eq!(&single, &expected, "seed {seed}: records read back");
+        prop_assert_eq!(check_buffered(&bytes), Ok(()), "seed {seed}: written stream");
 
         // (b) The same records rewritten.
         let rewritten: Vec<Vec<u8>> = written
@@ -872,6 +905,7 @@ proptest! {
         let bytes = assemble(&mut rng, &rewritten);
         let (single, tree) = both(&bytes);
         prop_assert_eq!(&single, &tree, "seed {seed}: rewritten stream");
+        prop_assert_eq!(check_buffered(&bytes), Ok(()), "seed {seed}: rewritten stream");
 
         // (c) Near-canonical lines: the edge of the canonical-line fast
         // path.
@@ -882,6 +916,7 @@ proptest! {
         let bytes = assemble(&mut rng, &near);
         let (single, tree) = both(&bytes);
         prop_assert_eq!(&single, &tree, "seed {seed}: near-canonical stream");
+        prop_assert_eq!(check_buffered(&bytes), Ok(()), "seed {seed}: near-canonical stream");
 
         // (d) Damaged bytes, the final line or the header included.
         let mut damaged = rewritten;
@@ -902,6 +937,7 @@ proptest! {
         }
         let (single, tree) = both(&bytes);
         prop_assert_eq!(&single, &tree, "seed {seed}: damaged stream");
+        prop_assert_eq!(check_buffered(&bytes), Ok(()), "seed {seed}: damaged stream");
     }
 }
 
@@ -919,7 +955,7 @@ fn every_kind_takes_the_canonical_path() {
     let words: Vec<&'static str> = WORDS
         .iter()
         .copied()
-        .filter(|w| vocabulary(w).is_some())
+        .filter(|w| vocabulary(w.as_bytes()).is_some())
         .collect();
     let mut rng = Rng(7);
     for kind in 0..KINDS {
@@ -989,4 +1025,46 @@ fn non_object_lines_are_missing_t_us() {
         assert_eq!(single, tree, "{line}");
         assert!(single[0].contains("missing t_us"), "{line}: {single:?}");
     }
+}
+
+#[test]
+fn buffer_boundaries_do_not_change_what_is_read() {
+    let (_, lines) = written(&mut Rng(11));
+    let header = schema_header();
+    let join = |lines: &[String], end: &str| {
+        let mut text = format!("{header}\n");
+        for line in lines {
+            text.push_str(line);
+            text.push_str(end);
+        }
+        text
+    };
+    let last = lines.len() - 1;
+    let mut cases = vec![("LF", join(&lines, "\n")), ("CRLF", join(&lines, "\r\n"))];
+    let mut open = join(&lines, "\n");
+    open.pop();
+    cases.push(("no final line end", open));
+    let mut cut = join(&lines[..last], "\n");
+    cut.push_str(&lines[last][..lines[last].len() / 2]);
+    cases.push(("truncated last line", cut));
+    let mut bad = lines.clone();
+    bad[last / 2] = "{\"t_us\":1,oops".into();
+    cases.push(("invalid interior line", join(&bad, "\n")));
+    let mut trailing = lines.clone();
+    trailing[last / 2].push_str(" x");
+    trailing[last].push('}');
+    cases.push(("canonical lines with trailing bytes", join(&trailing, "\n")));
+    cases.push(("blank lines", join(&lines, "\n\n \r\n")));
+    for (what, text) in &cases {
+        let (single, tree) = both(text.as_bytes());
+        assert_eq!(single, tree, "{what}");
+        if let Err(e) = check_buffered(text.as_bytes()) {
+            panic!("{what}: {e}");
+        }
+    }
+    // A CRLF end takes no line off the canonical path, split or not.
+    let counts = |text: &str| read_all(BufReader::with_capacity(7, text.as_bytes()), usize::MAX).1;
+    let lf = counts(&cases[0].1).expect("a valid header");
+    assert_eq!(counts(&cases[1].1), Some(lf));
+    assert!(lf.canonical > 0, "{lf:?}");
 }

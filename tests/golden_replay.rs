@@ -35,13 +35,15 @@
 
 mod common;
 
+use std::io::BufReader;
+
 use cbp::checkpoint::NvramSpec;
 use cbp::core::{ClusterSim, PreemptionPolicy, RunLedger, RunMetrics, RunReport, SimConfig};
 use cbp::faults::FaultSpec;
 use cbp::obs::{collect_jsonl, paths_to_folded, CritReport, ObsReport, SpanCollector};
 use cbp::simkit::SimDuration;
 use cbp::storage::MediaKind;
-use cbp::telemetry::{JsonlReader, JsonlTracer};
+use cbp::telemetry::{JsonlReader, JsonlTracer, Tracer};
 use cbp::workload::facebook::FacebookConfig;
 use cbp::workload::google::GoogleTraceConfig;
 use cbp::workload::PriorityBand;
@@ -673,6 +675,27 @@ fn check_fold(case: &str, sim: &str, trace: &[u8], metrics: &RunMetrics) {
         (records, 0),
         "{case}, {sim}: lines decoded by the canonical and the general path"
     );
+    // The reader decodes a line in its input's read buffer when the whole
+    // line is there. Buffers of any size, which split lines anywhere,
+    // give the same records on the same paths.
+    for capacity in [1, 7, 64, 85, 4096] {
+        let mut reader = JsonlReader::new(BufReader::with_capacity(capacity, trace))
+            .expect("golden traces have a header");
+        let mut rewritten = JsonlTracer::new(Vec::new());
+        for item in reader.by_ref() {
+            let (t_us, rec) = item.expect("golden traces are well-formed");
+            rewritten.record(t_us, &rec);
+        }
+        assert!(
+            rewritten.into_inner() == trace,
+            "{case}, {sim}: records read through a {capacity}-byte buffer"
+        );
+        assert_eq!(
+            reader.line_counts(),
+            lines,
+            "{case}, {sim}: line paths through a {capacity}-byte buffer"
+        );
+    }
 }
 
 #[test]
