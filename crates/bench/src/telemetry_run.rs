@@ -203,7 +203,10 @@ fn build_tracer(opts: &TelemetryOptions) -> Result<Sinks, String> {
         sinks.files.push((path.clone(), tracer.status()));
         multi.push(Box::new(tracer));
     }
-    sinks.collector = (opts.analyze.is_some() || opts.wants_crit()).then(SharedCollector::new);
+    // Lenient, like the offline `repro analyze`: a run whose trace has a
+    // malformed record (the known YARN restart-record defect) gives the
+    // same report and malformed count online as offline, not a panic.
+    sinks.collector = (opts.analyze.is_some() || opts.wants_crit()).then(SharedCollector::lenient);
     if let Some(c) = &sinks.collector {
         multi.push(Box::new(c.clone()));
     }

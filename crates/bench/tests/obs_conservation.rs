@@ -24,7 +24,8 @@ use proptest::prelude::*;
 fn check_conservation(collector: &SpanCollector, label: &str) {
     assert_eq!(collector.malformed(), 0, "{label}: malformed trace records");
     let mut finished = 0u64;
-    for (key, span) in collector.tasks() {
+    for span in collector.tasks() {
+        let key = span.task;
         let Some(response) = span.response_us() else {
             continue;
         };

@@ -1,8 +1,9 @@
 //! Per-job critical paths: the ordered segment chain of the task that
 //! determines each job's completion time.
 
-use std::collections::BTreeMap;
+use cbp_simkit::HandleMap;
 
+use super::whatif::WhatIf;
 use crate::span::{Band, Segment, SpanCollector, TaskSpan};
 
 /// The causal chain bounding one job's completion time.
@@ -45,31 +46,139 @@ impl JobPath {
     /// `submit_us..finish_us` exactly — consecutive, gap-free, and
     /// covering the whole interval.
     pub fn check_tiling(&self) -> Result<(), String> {
-        let mut cursor = self.submit_us;
-        for s in &self.segments {
-            if s.start_us != cursor {
-                return Err(format!(
-                    "job {}: critical path has a gap or overlap at {} µs \
-                     (next segment {:?} starts at {})",
-                    self.job, cursor, s.kind, s.start_us
-                ));
-            }
-            if s.end_us <= s.start_us {
-                return Err(format!(
-                    "job {}: empty or inverted segment {:?} at {} µs",
-                    self.job, s.kind, s.start_us
-                ));
-            }
-            cursor = s.end_us;
-        }
-        if cursor != self.finish_us {
+        check_tiling(self.job, self.submit_us, self.finish_us, &self.segments)
+    }
+}
+
+/// [`JobPath::check_tiling`] for job `job`'s chain `segments`.
+fn check_tiling(
+    job: u64,
+    submit_us: u64,
+    finish_us: u64,
+    segments: &[Segment],
+) -> Result<(), String> {
+    let mut cursor = submit_us;
+    for s in segments {
+        if s.start_us != cursor {
             return Err(format!(
-                "job {}: critical path ends at {} µs but the job finishes at {} µs",
-                self.job, cursor, self.finish_us
+                "job {}: critical path has a gap or overlap at {} µs \
+                 (next segment {:?} starts at {})",
+                job, cursor, s.kind, s.start_us
             ));
         }
-        Ok(())
+        if s.end_us <= s.start_us {
+            return Err(format!(
+                "job {}: empty or inverted segment {:?} at {} µs",
+                job, s.kind, s.start_us
+            ));
+        }
+        cursor = s.end_us;
     }
+    if cursor != finish_us {
+        return Err(format!(
+            "job {}: critical path ends at {} µs but the job finishes at {} µs",
+            job, cursor, finish_us
+        ));
+    }
+    Ok(())
+}
+
+/// What one walk over the spans learns about a job: everything critical
+/// paths and the what-if models need.
+#[derive(Debug, Clone)]
+pub(crate) struct JobWalk<'a> {
+    pub(crate) job: u64,
+    /// Earliest submit across the job's tasks (µs).
+    pub(crate) submit_us: u64,
+    /// Every task finished and none carried malformed records.
+    pub(crate) complete: bool,
+    /// The completion-determining task among the finished ones: latest
+    /// finish, lowest task id on ties.
+    pub(crate) crit: Option<&'a TaskSpan>,
+    /// Latest predicted finish of a finished task under each
+    /// counterfactual, in [`WhatIf::ALL`] order (µs; 0 if none).
+    pub(crate) what_if_finish_us: [u64; 3],
+}
+
+impl JobWalk<'_> {
+    /// The critical task of a complete job and its finish time, once its
+    /// segment chain passed the tiling check; `None` if the job is not
+    /// complete.
+    pub(crate) fn critical(&self) -> Option<Result<(&TaskSpan, u64), String>> {
+        let crit = self.crit.filter(|_| self.complete)?;
+        let finish_us = crit.finish_us.expect("finished");
+        Some(
+            check_tiling(self.job, crit.submit_us, finish_us, &crit.segments)
+                .map(|()| (crit, finish_us)),
+        )
+    }
+
+    /// The job's critical path; `None` if the job is not complete.
+    fn path(&self) -> Option<Result<JobPath, String>> {
+        Some(self.critical()?.map(|(crit, finish_us)| JobPath {
+            job: self.job,
+            task: crit.task,
+            priority: crit.priority,
+            submit_us: crit.submit_us,
+            job_submit_us: self.submit_us,
+            finish_us,
+            segments: crit.segments.clone(),
+        }))
+    }
+}
+
+/// Walks the collector's spans once, in ascending task id, and returns
+/// every job's [`JobWalk`] in ascending job id.
+pub(crate) fn walk_jobs(collector: &SpanCollector) -> Vec<JobWalk<'_>> {
+    let mut jobs: Vec<JobWalk<'_>> = Vec::new();
+    let mut index: HandleMap<u64, usize> = HandleMap::default();
+    // Tasks of one job are usually adjacent in id order.
+    let mut last: Option<(u64, usize)> = None;
+    for span in collector.tasks() {
+        let at = match last {
+            Some((job, at)) if job == span.job => at,
+            _ => {
+                let at = *index.entry(span.job).or_insert_with(|| {
+                    jobs.push(JobWalk {
+                        job: span.job,
+                        submit_us: u64::MAX,
+                        complete: true,
+                        crit: None,
+                        what_if_finish_us: [0; 3],
+                    });
+                    jobs.len() - 1
+                });
+                last = Some((span.job, at));
+                at
+            }
+        };
+        let job = &mut jobs[at];
+        job.submit_us = job.submit_us.min(span.submit_us);
+        let Some(finish) = span.finish_us.filter(|_| span.malformed == 0) else {
+            job.complete = false;
+            continue;
+        };
+        let mut kept = [0u64; 3];
+        for s in &span.segments {
+            for (kept, w) in kept.iter_mut().zip(WhatIf::ALL) {
+                if !w.removes(s.kind) {
+                    *kept += s.dur_us();
+                }
+            }
+        }
+        for (at, kept) in job.what_if_finish_us.iter_mut().zip(kept) {
+            *at = (*at).max(span.submit_us + kept);
+        }
+        // Ascending id order: a later task with the same finish loses.
+        if job
+            .crit
+            .is_none_or(|c| finish > c.finish_us.expect("finished"))
+        {
+            job.crit = Some(span);
+        }
+    }
+    jobs.sort_unstable_by_key(|j| j.job);
+    jobs
 }
 
 /// Extraction result: one path per complete job, plus how many jobs
@@ -87,41 +196,14 @@ pub struct JobPaths {
 /// collector. Every returned path has passed [`JobPath::check_tiling`];
 /// a violation is returned as an error (callers treat it as fatal).
 pub fn extract_job_paths(collector: &SpanCollector) -> Result<JobPaths, String> {
-    // Group tasks by job (BTreeMap: deterministic job order).
-    let mut jobs: BTreeMap<u64, Vec<&TaskSpan>> = BTreeMap::new();
-    for span in collector.tasks().values() {
-        jobs.entry(span.job).or_default().push(span);
-    }
+    let jobs = walk_jobs(collector);
     let mut paths = Vec::with_capacity(jobs.len());
-    let mut skipped_jobs = 0u64;
-    for (job, tasks) in jobs {
-        let complete = tasks.iter().all(|t| t.finished() && t.malformed == 0);
-        if !complete {
-            skipped_jobs += 1;
-            continue;
-        }
-        let job_submit_us = tasks.iter().map(|t| t.submit_us).min().expect("non-empty");
-        // Latest finish wins; BTreeMap order makes the lowest task id
-        // the tie-break.
-        let crit = tasks
-            .iter()
-            .max_by_key(|t| (t.finish_us.expect("finished"), std::cmp::Reverse(t.task)))
-            .expect("non-empty");
-        let path = JobPath {
-            job,
-            task: crit.task,
-            priority: crit.priority,
-            submit_us: crit.submit_us,
-            job_submit_us,
-            finish_us: crit.finish_us.expect("finished"),
-            segments: crit.segments.clone(),
-        };
-        path.check_tiling()?;
-        paths.push(path);
+    for path in jobs.iter().filter_map(JobWalk::path) {
+        paths.push(path?);
     }
     Ok(JobPaths {
+        skipped_jobs: (jobs.len() - paths.len()) as u64,
         paths,
-        skipped_jobs,
     })
 }
 

@@ -5,8 +5,8 @@ use std::fmt::Write as _;
 
 use cbp_telemetry::json;
 
-use super::path::{extract_job_paths, JobPath};
-use super::whatif::{predicted_job_responses, WhatIf};
+use super::path::{extract_job_paths, walk_jobs, JobPath};
+use super::whatif::WhatIf;
 use crate::span::{Band, SegKind, SpanCollector};
 
 /// Critical-path attribution for one priority band.
@@ -68,11 +68,7 @@ impl CritReport {
     /// Builds the attribution from a finished collector. Fails if any
     /// job's critical path violates the tiling invariant.
     pub fn build(collector: &SpanCollector) -> Result<CritReport, String> {
-        let jp = extract_job_paths(collector)?;
-        let predictions: Vec<_> = WhatIf::ALL
-            .iter()
-            .map(|w| predicted_job_responses(collector, *w))
-            .collect();
+        let walk = walk_jobs(collector);
 
         #[derive(Default)]
         struct Acc {
@@ -83,31 +79,36 @@ impl CritReport {
         }
         let mut accs: Vec<(Band, Acc)> = Band::ALL.iter().map(|b| (*b, Acc::default())).collect();
 
+        let mut jobs = 0u64;
         let mut makespan_end = 0u64;
         let mut makespan_start = u64::MAX;
         let mut makespan_job = None;
-        for p in &jp.paths {
+        for job in &walk {
+            let Some(critical) = job.critical() else {
+                continue;
+            };
+            let (crit, finish_us) = critical?;
+            jobs += 1;
             let acc = &mut accs
                 .iter_mut()
-                .find(|(b, _)| *b == p.band())
+                .find(|(b, _)| *b == crit.band())
                 .expect("all bands present")
                 .1;
             acc.jobs += 1;
-            for s in &p.segments {
+            for s in &crit.segments {
                 // Saturates like `Blame::accumulate`.
                 let us = &mut acc.path_us[s.kind.index()];
                 *us = us.saturating_add(s.dur_us());
             }
-            acc.responses.push(p.response_us() as f64);
-            for (i, pred) in predictions.iter().enumerate() {
-                let r = *pred.get(&p.job).expect("complete job predicted");
-                acc.what_if[i].push(r as f64);
+            acc.responses.push((finish_us - job.submit_us) as f64);
+            for (what_if, finish) in acc.what_if.iter_mut().zip(job.what_if_finish_us) {
+                what_if.push(finish.saturating_sub(job.submit_us) as f64);
             }
-            if p.finish_us > makespan_end || makespan_job.is_none() {
-                makespan_end = p.finish_us;
-                makespan_job = Some(p.job);
+            if finish_us > makespan_end || makespan_job.is_none() {
+                makespan_end = finish_us;
+                makespan_job = Some(job.job);
             }
-            makespan_start = makespan_start.min(p.job_submit_us);
+            makespan_start = makespan_start.min(job.submit_us);
         }
 
         let bands = accs
@@ -128,8 +129,8 @@ impl CritReport {
             .collect();
 
         Ok(CritReport {
-            jobs: jp.paths.len() as u64,
-            skipped_jobs: jp.skipped_jobs,
+            jobs,
+            skipped_jobs: walk.len() as u64 - jobs,
             makespan_us: if makespan_job.is_some() {
                 makespan_end - makespan_start
             } else {

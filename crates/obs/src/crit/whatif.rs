@@ -12,6 +12,7 @@
 
 use std::collections::BTreeMap;
 
+use super::path::walk_jobs;
 use crate::span::{SegKind, SpanCollector};
 
 /// A counterfactual cost model.
@@ -73,26 +74,14 @@ impl WhatIf {
 /// task. Keyed by job id; jobs with unfinished or malformed tasks are
 /// omitted (same eligibility rule as critical-path extraction).
 pub fn predicted_job_responses(collector: &SpanCollector, w: WhatIf) -> BTreeMap<u64, u64> {
-    // (job) -> (earliest submit, latest predicted finish, complete?)
-    let mut jobs: BTreeMap<u64, (u64, u64, bool)> = BTreeMap::new();
-    for span in collector.tasks().values() {
-        let entry = jobs.entry(span.job).or_insert((u64::MAX, 0, true));
-        entry.0 = entry.0.min(span.submit_us);
-        if !span.finished() || span.malformed > 0 {
-            entry.2 = false;
-            continue;
-        }
-        let kept: u64 = span
-            .segments
-            .iter()
-            .filter(|s| !w.removes(s.kind))
-            .map(|s| s.dur_us())
-            .sum();
-        entry.1 = entry.1.max(span.submit_us + kept);
-    }
-    jobs.into_iter()
-        .filter(|(_, (_, _, complete))| *complete)
-        .map(|(job, (submit, finish, _))| (job, finish.saturating_sub(submit)))
+    let i = WhatIf::ALL
+        .iter()
+        .position(|x| *x == w)
+        .expect("scenario in ALL");
+    walk_jobs(collector)
+        .iter()
+        .filter(|j| j.complete)
+        .map(|j| (j.job, j.what_if_finish_us[i].saturating_sub(j.submit_us)))
         .collect()
 }
 

@@ -56,5 +56,5 @@ pub use report::{
 };
 pub use span::{
     collect_jsonl, Band, Blame, NodeStats, SegKind, Segment, SharedCollector, SpanCollector,
-    TaskSpan,
+    TaskSpan, Tasks,
 };

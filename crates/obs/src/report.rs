@@ -2,13 +2,12 @@
 //! aggregation, top-K worst-penalized jobs, and anomaly flagging.
 //!
 //! [`ObsReport::build`] folds a finished [`SpanCollector`] into a report
-//! in one deterministic pass (tasks are visited in `BTreeMap` key order,
-//! so streaming estimators see the same feed order whether the collector
+//! in one deterministic pass (tasks are visited in ascending task id, so
+//! streaming estimators see the same feed order whether the collector
 //! ran online against a simulator or offline over a JSONL trace), and
 //! [`ObsReport::to_json`] emits byte-stable JSON: same trace, same bytes.
 
-use std::collections::BTreeMap;
-
+use cbp_simkit::HandleMap;
 use cbp_telemetry::{json, Histogram, P2Quantile};
 
 use crate::span::{Band, Blame, SpanCollector};
@@ -196,13 +195,18 @@ fn robust_stats(xs: &[f64]) -> (f64, f64) {
     if xs.is_empty() {
         return (0.0, 0.0);
     }
+    // Values that compare equal are the same value here (no NaN, no
+    // negative zero), so selection finds the sorted sample's middle, and
+    // an unstable sort gives the sorted sample.
+    let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("no NaN");
     let median = |v: &mut Vec<f64>| -> f64 {
-        v.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
         let n = v.len();
+        let (below, &mut mid, _) = v.select_nth_unstable_by(n / 2, cmp);
         if n % 2 == 1 {
-            v[n / 2]
+            mid
         } else {
-            (v[n / 2 - 1] + v[n / 2]) / 2.0
+            let below = below.iter().copied().max_by(cmp).expect("n >= 2");
+            (below + mid) / 2.0
         }
     };
     let mut v = xs.to_vec();
@@ -212,6 +216,8 @@ fn robust_stats(xs: &[f64]) -> (f64, f64) {
     if mad > 0.0 {
         return (med, mad / 0.6745);
     }
+    // Summed in ascending order, as always, so the float sum is the same.
+    dev.sort_unstable_by(cmp);
     let mean_ad = dev.iter().sum::<f64>() / dev.len() as f64;
     (med, mean_ad * 1.2533)
 }
@@ -258,13 +264,18 @@ impl ObsReport {
             ..SourceSummary::default()
         };
         let mut totals = TotalsSummary::default();
-        let mut bands: BTreeMap<Band, BandAcc> =
-            Band::ALL.iter().map(|b| (*b, BandAcc::new())).collect();
-        let mut jobs: BTreeMap<u64, JobSummary> = BTreeMap::new();
+        // Indexed by `Band as usize`, in `Band::ALL` order.
+        let mut bands = Band::ALL.map(|_| BandAcc::new());
+        // Jobs in order of first appearance, found through `job_at`; the
+        // last job seen is checked first, as a job's tasks are usually
+        // adjacent in id order.
+        let mut jobs: Vec<JobSummary> = Vec::new();
+        let mut job_at: HandleMap<u64, usize> = HandleMap::default();
+        let mut last_job: Option<(u64, usize)> = None;
 
-        // BTreeMap order = ascending task id: the P² estimators see a
-        // deterministic feed order regardless of how the records arrived.
-        for span in collector.tasks().values() {
+        // Ascending task id: the P² estimators see a deterministic feed
+        // order regardless of how the records arrived.
+        for span in collector.tasks() {
             source.tasks_seen += 1;
             totals.evictions += span.evictions as u64;
             totals.kills += span.kills as u64;
@@ -274,16 +285,27 @@ impl ObsReport {
             totals.dump_fails += span.dump_fails as u64;
             totals.restore_fails += span.restore_fails as u64;
             totals.escalations += span.escalations as u64;
-            let acc = bands.get_mut(&span.band()).expect("all bands present");
+            let acc = &mut bands[span.band() as usize];
             acc.tasks += 1;
-            let job = jobs.entry(span.job).or_insert(JobSummary {
-                job: span.job,
-                tasks: 0,
-                finished: 0,
-                penalty_us: 0,
-                response_us: 0,
-                lost_us: 0,
-            });
+            let at = match last_job {
+                Some((job, at)) if job == span.job => at,
+                _ => {
+                    let at = *job_at.entry(span.job).or_insert_with(|| {
+                        jobs.push(JobSummary {
+                            job: span.job,
+                            tasks: 0,
+                            finished: 0,
+                            penalty_us: 0,
+                            response_us: 0,
+                            lost_us: 0,
+                        });
+                        jobs.len() - 1
+                    });
+                    last_job = Some((span.job, at));
+                    at
+                }
+            };
+            let job = &mut jobs[at];
             job.tasks += 1;
             if span.malformed > 0 {
                 source.tasks_malformed += 1;
@@ -316,7 +338,7 @@ impl ObsReport {
 
         // Anomalies: one-sided modified z-score per band and metric.
         let mut anomalies = Vec::new();
-        for (band, acc) in &bands {
+        for (band, acc) in Band::ALL.iter().zip(&bands) {
             for (kind, xs) in [
                 ("evictions", &acc.evictions),
                 ("restore_us", &acc.restore_us),
@@ -343,8 +365,9 @@ impl ObsReport {
             }
         }
 
-        let bands = bands
+        let bands = Band::ALL
             .into_iter()
+            .zip(bands)
             .map(|(band, acc)| {
                 let est = |q: &P2Quantile| q.estimate().unwrap_or(0.0);
                 let fin = acc.finished as f64;
@@ -396,7 +419,7 @@ impl ObsReport {
             })
             .collect();
 
-        let mut top_jobs: Vec<JobSummary> = jobs.into_values().collect();
+        let mut top_jobs = jobs;
         top_jobs.sort_by(|a, b| b.penalty_us.cmp(&a.penalty_us).then(a.job.cmp(&b.job)));
         top_jobs.truncate(top_k);
 

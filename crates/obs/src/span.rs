@@ -58,12 +58,17 @@
 //!   previously credited run to lost: that work will be re-executed. At
 //!   `task_finish`, run therefore equals the task's true service time.
 
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::io::BufRead;
 use std::rc::Rc;
 
+use cbp_simkit::HandleMap;
 use cbp_telemetry::{JsonlReader, TraceReadError, TraceRecord, Tracer};
+
+#[cfg(test)]
+mod reference;
 
 /// Priority band, mirroring `cbp_workload::Priority::band` (Google-trace
 /// convention: 0–1 free, 2–8 middle, 9+ production). Redefined here so
@@ -405,12 +410,14 @@ impl TaskSpan {
 /// The span of `task` if a phase record at `t` may advance it, or why the
 /// record is malformed: the task was never submitted, or `t` is earlier
 /// than the start of its current phase.
-fn advance(
-    tasks: &mut BTreeMap<u64, TaskSpan>,
+fn advance<'a>(
+    spans: &'a mut Slab,
+    index: &HandleMap<u64, u32>,
     task: u64,
     t: u64,
-) -> Result<&mut TaskSpan, &'static str> {
-    let span = tasks.get_mut(&task).ok_or("record before task_submit")?;
+) -> Result<&'a mut TaskSpan, &'static str> {
+    let &at = index.get(&task).ok_or("record before task_submit")?;
+    let span = spans.get_mut(at);
     if t < span.current.since() {
         return Err("record earlier than the start of the task's current phase");
     }
@@ -419,8 +426,8 @@ fn advance(
 
 /// Per-node tallies (service times and eviction counts observed on the
 /// node). Unlike [`Blame`], these do not tile anything: they attribute
-/// activity to the node where it happened. The time sums saturate, like
-/// [`Blame::accumulate`].
+/// activity to the node where it happened. The time and byte sums
+/// saturate, like [`Blame::accumulate`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NodeStats {
     /// `task_evict` records on this node (any reason).
@@ -449,18 +456,97 @@ pub struct NodeStats {
     pub finishes: u32,
 }
 
+/// Spans in submit order, in chunks of [`Slab::CHUNK`]: a span never
+/// moves once pushed, a run allocates once per chunk, and no block is
+/// larger than a chunk. (One growing block per collector, freed after
+/// each trace, was handed back to the OS and faulted in again by the
+/// next collector.)
+#[derive(Debug, Default)]
+struct Slab {
+    chunks: Vec<Vec<TaskSpan>>,
+    len: usize,
+}
+
+impl Slab {
+    const CHUNK: usize = 64;
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn push(&mut self, span: TaskSpan) {
+        if self.len.is_multiple_of(Self::CHUNK) {
+            self.chunks.push(Vec::with_capacity(Self::CHUNK));
+        }
+        self.chunks.last_mut().expect("a chunk").push(span);
+        self.len += 1;
+    }
+
+    fn get(&self, at: u32) -> &TaskSpan {
+        let at = at as usize;
+        &self.chunks[at / Self::CHUNK][at % Self::CHUNK]
+    }
+
+    fn get_mut(&mut self, at: u32) -> &mut TaskSpan {
+        let at = at as usize;
+        &mut self.chunks[at / Self::CHUNK][at % Self::CHUNK]
+    }
+
+    fn last(&self) -> Option<&TaskSpan> {
+        self.chunks.last().and_then(|chunk| chunk.last())
+    }
+}
+
 /// Streaming span reconstruction over a trace record stream.
 ///
 /// Feed it records via the [`Tracer`] impl (online) or [`collect_jsonl`]
 /// (offline), then hand it to [`crate::ObsReport::build`].
+///
+/// Spans are kept in submit order and found through an index keyed by
+/// task id. [`SpanCollector::tasks`] lists them in ascending task id, the
+/// order every aggregate is fed in, from one sort made on first use (none
+/// when the submits came in id order, as both simulators emit them).
 #[derive(Debug, Default)]
 pub struct SpanCollector {
-    tasks: BTreeMap<u64, TaskSpan>,
+    /// Spans in submit order.
+    spans: Slab,
+    /// Task id → position in `spans`.
+    index: HandleMap<u64, u32>,
+    /// Whether some submit had a lower task id than the one before it.
+    unordered: bool,
+    /// Positions in `spans` by ascending task id, when `unordered`; made
+    /// by the first [`SpanCollector::tasks`] after the last submit.
+    order: OnceCell<Vec<u32>>,
     nodes: BTreeMap<u32, NodeStats>,
     records: u64,
     malformed: u64,
     strict: bool,
 }
+
+/// The spans of a [`SpanCollector`] in ascending task id.
+#[derive(Debug, Clone)]
+pub struct Tasks<'a> {
+    spans: &'a Slab,
+    /// Positions in `spans` to visit; `None` visits `spans` in order.
+    order: Option<&'a [u32]>,
+    next: std::ops::Range<usize>,
+}
+
+impl<'a> Iterator for Tasks<'a> {
+    type Item = &'a TaskSpan;
+
+    fn next(&mut self) -> Option<&'a TaskSpan> {
+        let i = self.next.next()?;
+        let at = self.order.map_or(i as u32, |order| order[i]);
+        Some(self.spans.get(at))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.next.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Tasks<'_> {}
 
 impl SpanCollector {
     /// A strict collector: malformed transitions panic with context.
@@ -495,9 +581,32 @@ impl SpanCollector {
         self.malformed
     }
 
-    /// The reconstructed spans, keyed by task id.
-    pub fn tasks(&self) -> &BTreeMap<u64, TaskSpan> {
-        &self.tasks
+    /// The reconstructed spans in ascending task id.
+    pub fn tasks(&self) -> Tasks<'_> {
+        let order = self.unordered.then(|| {
+            self.order
+                .get_or_init(|| {
+                    let mut order: Vec<u32> = (0..self.spans.len() as u32).collect();
+                    order.sort_unstable_by_key(|&at| self.spans.get(at).task);
+                    order
+                })
+                .as_slice()
+        });
+        Tasks {
+            spans: &self.spans,
+            order,
+            next: 0..self.spans.len(),
+        }
+    }
+
+    /// The span of task `task`, if it was submitted.
+    pub fn task(&self, task: u64) -> Option<&TaskSpan> {
+        self.index.get(&task).map(|&at| self.spans.get(at))
+    }
+
+    fn task_mut(&mut self, task: u64) -> Option<&mut TaskSpan> {
+        let &at = self.index.get(&task)?;
+        Some(self.spans.get_mut(at))
     }
 
     /// Per-node tallies, keyed by node id.
@@ -510,7 +619,7 @@ impl SpanCollector {
             panic!("malformed trace: {what} for task {task}: {rec:?}");
         }
         self.malformed += 1;
-        if let Some(span) = self.tasks.get_mut(&task) {
+        if let Some(span) = self.task_mut(task) {
             span.malformed += 1;
         }
     }
@@ -529,37 +638,45 @@ impl SpanCollector {
                 job,
                 priority,
             } => {
-                if self.tasks.contains_key(&task) {
-                    self.bad(task, "duplicate task_submit", rec);
-                    return;
+                let at = u32::try_from(self.spans.len()).expect("fewer than 2^32 tasks");
+                let fresh = match self.index.entry(task) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(at);
+                        true
+                    }
+                    Entry::Occupied(_) => false,
+                };
+                if !fresh {
+                    return self.bad(task, "duplicate task_submit", rec);
                 }
-                self.tasks.insert(
+                if self.spans.last().is_some_and(|last| last.task > task) {
+                    self.unordered = true;
+                }
+                self.order.take();
+                self.spans.push(TaskSpan {
                     task,
-                    TaskSpan {
-                        task,
-                        job,
-                        priority,
-                        submit_us: t,
-                        finish_us: None,
-                        evictions: 0,
-                        kills: 0,
-                        dumps: 0,
-                        restores: 0,
-                        fallbacks: 0,
-                        dump_fails: 0,
-                        restore_fails: 0,
-                        escalations: 0,
-                        resumed_bytes: 0,
-                        chunk_refetches: 0,
-                        chain_truncations: 0,
-                        malformed: 0,
-                        segments: Vec::new(),
-                        current: Phase::Queued { since: t },
-                    },
-                );
+                    job,
+                    priority,
+                    submit_us: t,
+                    finish_us: None,
+                    evictions: 0,
+                    kills: 0,
+                    dumps: 0,
+                    restores: 0,
+                    fallbacks: 0,
+                    dump_fails: 0,
+                    restore_fails: 0,
+                    escalations: 0,
+                    resumed_bytes: 0,
+                    chunk_refetches: 0,
+                    chain_truncations: 0,
+                    malformed: 0,
+                    segments: Vec::new(),
+                    current: Phase::Queued { since: t },
+                });
             }
             TraceRecord::TaskSchedule { task, restore, .. } => {
-                let span = match advance(&mut self.tasks, task, t) {
+                let span = match advance(&mut self.spans, &self.index, task, t) {
                     Ok(span) => span,
                     Err(what) => return self.bad(task, what, rec),
                 };
@@ -582,7 +699,7 @@ impl SpanCollector {
                 }
             }
             TraceRecord::TaskFinish { task, node } => {
-                let span = match advance(&mut self.tasks, task, t) {
+                let span = match advance(&mut self.spans, &self.index, task, t) {
                     Ok(span) => span,
                     Err(what) => return self.bad(task, what, rec),
                 };
@@ -614,7 +731,7 @@ impl SpanCollector {
                 self.node(node).finishes += 1;
             }
             TraceRecord::TaskEvict { task, node, reason } => {
-                let span = match advance(&mut self.tasks, task, t) {
+                let span = match advance(&mut self.spans, &self.index, task, t) {
                     Ok(span) => span,
                     Err(what) => return self.bad(task, what, rec),
                 };
@@ -661,7 +778,7 @@ impl SpanCollector {
                 node,
                 start_us,
             } => {
-                let span = match advance(&mut self.tasks, task, t) {
+                let span = match advance(&mut self.spans, &self.index, task, t) {
                     Ok(span) => span,
                     Err(what) => return self.bad(task, what, rec),
                 };
@@ -684,7 +801,7 @@ impl SpanCollector {
                 node,
                 start_us,
             } => {
-                let span = match advance(&mut self.tasks, task, t) {
+                let span = match advance(&mut self.spans, &self.index, task, t) {
                     Ok(span) => span,
                     Err(what) => return self.bad(task, what, rec),
                 };
@@ -703,12 +820,12 @@ impl SpanCollector {
             TraceRecord::DumpFallback { task, .. } => {
                 // Always followed by the kill's task_evict (or, on node
                 // failure, preceded by it); only counted here.
-                if let Some(span) = self.tasks.get_mut(&task) {
+                if let Some(span) = self.task_mut(task) {
                     span.fallbacks += 1;
                 }
             }
             TraceRecord::DumpFail { task, node, .. } => {
-                let span = match advance(&mut self.tasks, task, t) {
+                let span = match advance(&mut self.spans, &self.index, task, t) {
                     Ok(span) => span,
                     Err(what) => return self.bad(task, what, rec),
                 };
@@ -730,7 +847,7 @@ impl SpanCollector {
                 will_retry,
                 ..
             } => {
-                let span = match advance(&mut self.tasks, task, t) {
+                let span = match advance(&mut self.spans, &self.index, task, t) {
                     Ok(span) => span,
                     Err(what) => return self.bad(task, what, rec),
                 };
@@ -755,7 +872,7 @@ impl SpanCollector {
             TraceRecord::AmEscalate { task, .. } => {
                 // The victim keeps running until the forced kill's
                 // task_evict arrives; only counted here.
-                if let Some(span) = self.tasks.get_mut(&task) {
+                if let Some(span) = self.task_mut(task) {
                     span.escalations += 1;
                 }
             }
@@ -765,8 +882,10 @@ impl SpanCollector {
                 bytes,
             } => {
                 let ns = self.node(node);
-                ns.repairs += blocks.min(u32::MAX as u64) as u32;
-                ns.repair_bytes += bytes;
+                ns.repairs = ns
+                    .repairs
+                    .saturating_add(blocks.min(u32::MAX as u64) as u32);
+                ns.repair_bytes = ns.repair_bytes.saturating_add(bytes);
             }
             TraceRecord::ResumeDump {
                 task,
@@ -778,10 +897,11 @@ impl SpanCollector {
                 // shorter retry span (dump_fail → dump_done); credit the
                 // avoided rewrite volume without touching the phase
                 // machine, so the 8-way tiling stays exact.
-                if let Some(span) = self.tasks.get_mut(&task) {
-                    span.resumed_bytes += resumed_bytes;
+                if let Some(span) = self.task_mut(task) {
+                    span.resumed_bytes = span.resumed_bytes.saturating_add(resumed_bytes);
                 }
-                self.node(node).resumed_bytes += resumed_bytes;
+                let ns = self.node(node);
+                ns.resumed_bytes = ns.resumed_bytes.saturating_add(resumed_bytes);
             }
             TraceRecord::ChunkRefetch { task, ok, .. } => {
                 // A successful targeted repair; its transfer time is inside
@@ -789,7 +909,7 @@ impl SpanCollector {
                 // followed by a restore_fail/chain_truncate that carries
                 // the timing, so this is counter-only either way.
                 if ok {
-                    if let Some(span) = self.tasks.get_mut(&task) {
+                    if let Some(span) = self.task_mut(task) {
                         span.chunk_refetches += 1;
                     }
                 }
@@ -797,7 +917,7 @@ impl SpanCollector {
             TraceRecord::ChainTruncate { task, .. } => {
                 // Always paired with a restore_fail(will_retry=true) that
                 // re-arms the restoring phase; only counted here.
-                if let Some(span) = self.tasks.get_mut(&task) {
+                if let Some(span) = self.task_mut(task) {
                     span.chain_truncations += 1;
                 }
             }
@@ -851,6 +971,12 @@ impl SharedCollector {
     /// Wraps a fresh strict collector.
     pub fn new() -> Self {
         SharedCollector(Rc::new(RefCell::new(SpanCollector::new())))
+    }
+
+    /// Wraps a fresh lenient collector: malformed records are counted,
+    /// as [`collect_jsonl`] counts them offline.
+    pub fn lenient() -> Self {
+        SharedCollector(Rc::new(RefCell::new(SpanCollector::lenient())))
     }
 
     /// Takes the collector out, leaving an empty one behind. Call after
@@ -922,7 +1048,7 @@ mod tests {
                 (1_150, TraceRecord::TaskFinish { task: 1, node: 0 }),
             ],
         );
-        let span = &c.tasks()[&1];
+        let span = c.task(1).unwrap();
         assert!(span.finished());
         assert_eq!(span.blame().ready_wait_us, 50);
         assert_eq!(span.blame().run_us, 1_000);
@@ -964,7 +1090,7 @@ mod tests {
                 (300, TraceRecord::TaskFinish { task: 1, node: 0 }),
             ],
         );
-        let b = c.tasks()[&1].blame();
+        let b = c.task(1).unwrap().blame();
         assert_eq!(b.ready_wait_us, 10);
         assert_eq!(b.run_us, 90 + 70);
         assert_eq!(b.ckpt_wait_us, 10 + 5);
@@ -973,8 +1099,8 @@ mod tests {
         assert_eq!(b.restore_us, 25);
         assert_eq!(b.lost_us, 0);
         assert_eq!(b.total_us(), 300);
-        assert_eq!(c.tasks()[&1].dumps, 1);
-        assert_eq!(c.tasks()[&1].restores, 1);
+        assert_eq!(c.task(1).unwrap().dumps, 1);
+        assert_eq!(c.task(1).unwrap().restores, 1);
     }
 
     #[test]
@@ -990,12 +1116,12 @@ mod tests {
                 (250, TraceRecord::TaskFinish { task: 1, node: 0 }),
             ],
         );
-        let b = c.tasks()[&1].blame();
+        let b = c.task(1).unwrap().blame();
         assert_eq!(b.lost_us, 80);
         assert_eq!(b.ready_wait_us, 20);
         assert_eq!(b.run_us, 150);
         assert_eq!(b.total_us(), 250);
-        assert_eq!(c.tasks()[&1].kills, 1);
+        assert_eq!(c.task(1).unwrap().kills, 1);
         assert_eq!(c.nodes()[&0].lost_us, 80);
     }
 
@@ -1023,7 +1149,7 @@ mod tests {
                 (190, TraceRecord::TaskFinish { task: 1, node: 0 }),
             ],
         );
-        let span = &c.tasks()[&1];
+        let span = c.task(1).unwrap();
         assert_eq!(span.blame().lost_us, 80);
         assert_eq!(span.blame().dump_us, 0);
         assert_eq!(span.blame().run_us, 100);
@@ -1057,7 +1183,7 @@ mod tests {
                 (260, TraceRecord::TaskFinish { task: 1, node: 0 }),
             ],
         );
-        let b = c.tasks()[&1].blame();
+        let b = c.task(1).unwrap().blame();
         assert_eq!(b.lost_us, 60);
         assert_eq!(b.run_us, 160);
         assert_eq!(b.dump_us, 10);
@@ -1098,7 +1224,7 @@ mod tests {
                 (200, TraceRecord::TaskFinish { task: 1, node: 0 }),
             ],
         );
-        let b = c.tasks()[&1].blame();
+        let b = c.task(1).unwrap().blame();
         assert_eq!(b.run_us, 40 + 100);
         assert_eq!(b.lost_us, 15, "aborted restore time");
         assert_eq!(b.suspended_us, 10 + 15);
@@ -1106,7 +1232,7 @@ mod tests {
         assert_eq!(b.restore_us, 8);
         assert_eq!(b.dump_us, 10);
         assert_eq!(b.total_us(), 200);
-        assert_eq!(c.tasks()[&1].kills, 1, "node-fail counts as a kill");
+        assert_eq!(c.task(1).unwrap().kills, 1, "node-fail counts as a kill");
     }
 
     #[test]
@@ -1138,7 +1264,7 @@ mod tests {
                 (100, TraceRecord::TaskFinish { task: 1, node: 0 }),
             ],
         );
-        let b = c.tasks()[&1].blame();
+        let b = c.task(1).unwrap().blame();
         assert_eq!(b.dump_us, 20);
         // dump clamp contributes 0, restore clamp contributes 20.
         assert_eq!(b.ckpt_wait_us, 20);
@@ -1187,7 +1313,7 @@ mod tests {
                 (200, TraceRecord::TaskFinish { task: 1, node: 0 }),
             ],
         );
-        let span = &c.tasks()[&1];
+        let span = c.task(1).unwrap();
         let b = span.blame();
         assert_eq!(b.retry_us, 20, "failed attempt is retry, not lost");
         assert_eq!(b.run_us, 50 + 90);
@@ -1242,7 +1368,7 @@ mod tests {
                 (200, TraceRecord::TaskFinish { task: 1, node: 0 }),
             ],
         );
-        let span = &c.tasks()[&1];
+        let span = c.task(1).unwrap();
         let b = span.blame();
         assert_eq!(b.retry_us, 20 + 30, "both failed attempts are retry");
         assert_eq!(b.lost_us, 40, "run since resume point dies with the kill");
@@ -1298,7 +1424,7 @@ mod tests {
                 (230, TraceRecord::TaskFinish { task: 1, node: 0 }),
             ],
         );
-        let span = &c.tasks()[&1];
+        let span = c.task(1).unwrap();
         let b = span.blame();
         assert_eq!(b.retry_us, 15 + 15);
         assert_eq!(
@@ -1421,7 +1547,7 @@ mod tests {
                 (195, TraceRecord::TaskFinish { task: 1, node: 0 }),
             ],
         );
-        let span = &c.tasks()[&1];
+        let span = c.task(1).unwrap();
         let b = span.blame();
         assert_eq!(b.retry_us, 15 + 10, "failed attempt + truncated read");
         assert_eq!(b.run_us, 130);
@@ -1467,7 +1593,7 @@ mod tests {
                 (160, TraceRecord::TaskFinish { task: 1, node: 0 }),
             ],
         );
-        let span = &c.tasks()[&1];
+        let span = c.task(1).unwrap();
         assert_eq!(span.escalations, 1);
         assert_eq!(span.blame().total_us(), 160);
         assert_eq!(c.nodes()[&0].repairs, 4);
@@ -1504,9 +1630,9 @@ mod tests {
             ],
         );
         assert_eq!(c.malformed(), 4);
-        assert_eq!(c.tasks()[&1].malformed, 1);
-        assert!(!c.tasks()[&1].finished());
-        let span = &c.tasks()[&2];
+        assert_eq!(c.task(1).unwrap().malformed, 1);
+        assert!(!c.task(1).unwrap().finished());
+        let span = c.task(2).unwrap();
         assert_eq!(span.malformed, 2, "the schedule and the finish");
         assert!(!span.finished());
         assert!(
@@ -1532,11 +1658,38 @@ mod tests {
             ],
         );
         assert_eq!(c.nodes()[&0].lost_us, u64::MAX);
-        let mut b = c.tasks()[&1].blame();
-        b.accumulate(&c.tasks()[&2].blame());
+        let mut b = c.task(1).unwrap().blame();
+        b.accumulate(&c.task(2).unwrap().blame());
         assert_eq!(b.lost_us, u64::MAX);
         b.run_us = 1;
         assert_eq!(b.total_us(), u64::MAX);
+
+        // Repairs and resumed bytes on one node (and one task) past the
+        // maximum.
+        let big = 1 << 63;
+        for _ in 0..2 {
+            c.observe(
+                200,
+                &TraceRecord::ReplicationRepair {
+                    node: 0,
+                    blocks: u64::MAX,
+                    bytes: big,
+                },
+            );
+            c.observe(
+                200,
+                &TraceRecord::ResumeDump {
+                    task: 1,
+                    node: 0,
+                    resumed_bytes: big,
+                    total_bytes: big,
+                },
+            );
+        }
+        let n = &c.nodes()[&0];
+        assert_eq!((n.repairs, n.repair_bytes), (u32::MAX, u64::MAX));
+        assert_eq!(n.resumed_bytes, u64::MAX);
+        assert_eq!(c.task(1).unwrap().resumed_bytes, u64::MAX);
     }
 
     #[test]
@@ -1549,11 +1702,12 @@ mod tests {
         tracer.finish();
         let collector = shared.take();
         assert_eq!(collector.records(), 3);
-        assert_eq!(collector.tasks()[&3].blame().run_us, 6);
+        assert_eq!(collector.task(3).unwrap().blame().run_us, 6);
     }
 
     fn kinds(c: &SpanCollector, task: u64) -> Vec<(SegKind, u64)> {
-        c.tasks()[&task]
+        c.task(task)
+            .unwrap()
             .segments
             .iter()
             .map(|s| (s.kind, s.dur_us()))
@@ -1603,7 +1757,7 @@ mod tests {
             ],
         );
         // Blame folds the dump-side and restore-side queues into one.
-        assert_eq!(c.tasks()[&1].blame().ckpt_wait_us, 10 + 5);
+        assert_eq!(c.task(1).unwrap().blame().ckpt_wait_us, 10 + 5);
     }
 
     #[test]
@@ -1733,7 +1887,7 @@ mod tests {
                 (90, evict(1, "kill")),
             ],
         );
-        let span = &c.tasks()[&1];
+        let span = c.task(1).unwrap();
         assert!(!span.finished());
         assert_eq!(span.response_us(), None);
         assert_eq!(span.blame().run_us, 0);
