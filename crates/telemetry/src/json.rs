@@ -61,38 +61,45 @@ pub fn push_f64(out: &mut String, x: f64) {
 }
 
 /// `"00"`, `"01"`, …, `"99"`, back to back: two decimal digits per lookup.
-const DIGIT_PAIRS: [u8; 200] = {
-    let mut pairs = [0u8; 200];
-    let mut i = 0;
-    while i < 100 {
-        pairs[2 * i] = b'0' + (i / 10) as u8;
-        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
-        i += 1;
+const DIGIT_PAIRS: &str = {
+    const BYTES: [u8; 200] = {
+        let mut pairs = [0u8; 200];
+        let mut i = 0;
+        while i < 100 {
+            pairs[2 * i] = b'0' + (i / 10) as u8;
+            pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+            i += 1;
+        }
+        pairs
+    };
+    match std::str::from_utf8(&BYTES) {
+        Ok(pairs) => pairs,
+        Err(_) => panic!("decimal digits are ASCII"),
     }
-    pairs
 };
 
 /// Appends `x` as a JSON number.
 pub fn push_u64(out: &mut String, x: u64) {
-    // u64::MAX has 20 digits. They are written from the back, two at a time.
-    let mut buf = [0u8; 20];
-    let mut at = buf.len();
+    // u64::MAX has 20 digits. Their pairs are found from the back, then
+    // appended from the front as two-character slices of the table, so
+    // nothing is copied a character at a time.
+    let mut pairs = [0usize; 10];
+    let mut n = 0;
     let mut x = x;
     while x >= 100 {
-        let pair = (x % 100) as usize * 2;
+        pairs[n] = (x % 100) as usize * 2;
         x /= 100;
-        at -= 2;
-        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        n += 1;
     }
     if x >= 10 {
         let pair = x as usize * 2;
-        at -= 2;
-        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        out.push_str(&DIGIT_PAIRS[pair..pair + 2]);
     } else {
-        at -= 1;
-        buf[at] = b'0' + x as u8;
+        out.push(char::from(b'0' + x as u8));
     }
-    out.extend(buf[at..].iter().map(|&d| char::from(d)));
+    for &pair in pairs[..n].iter().rev() {
+        out.push_str(&DIGIT_PAIRS[pair..pair + 2]);
+    }
 }
 
 /// Appends a `"key":` prefix (escaped) to an object under construction.

@@ -545,6 +545,20 @@ macro_rules! impl_layouts {
                     })*
                 }
             }
+
+            /// [`TraceRecord::push_fields`] after the `,"event":"name"`
+            /// member, which is written as one literal per kind.
+            fn push_event_and_fields(&self, out: &mut String) {
+                match *self {
+                    $(TraceRecord::$variant { $($field),* } => {
+                        out.push_str(concat!(",\"event\":\"", $name, "\""));
+                        $(
+                            out.push_str(concat!(",\"", stringify!($field), "\":"));
+                            $field.push_json(out);
+                        )*
+                    })*
+                }
+            }
         }
     };
 }
@@ -678,10 +692,7 @@ impl<W: Write> Tracer for JsonlTracer<W> {
         self.buf.push_str("{\"t_us\":");
         json::push_u64(&mut self.buf, t_us);
         // Event names are `[a-z_]+`: nothing to escape.
-        self.buf.push_str(",\"event\":\"");
-        self.buf.push_str(rec.name());
-        self.buf.push('"');
-        rec.push_fields(&mut self.buf);
+        rec.push_event_and_fields(&mut self.buf);
         self.buf.push_str("}\n");
         self.out.write_all(self.buf.as_bytes());
     }
