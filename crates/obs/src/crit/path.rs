@@ -1,10 +1,8 @@
 //! Per-job critical paths: the ordered segment chain of the task that
 //! determines each job's completion time.
 
-use cbp_simkit::HandleMap;
-
 use super::whatif::WhatIf;
-use crate::span::{Band, Segment, SpanCollector, TaskSpan};
+use crate::span::{Band, ByJob, Segment, SpanCollector, TaskSpan};
 
 /// The causal chain bounding one job's completion time.
 ///
@@ -130,29 +128,15 @@ impl JobWalk<'_> {
 /// Walks the collector's spans once, in ascending task id, and returns
 /// every job's [`JobWalk`] in ascending job id.
 pub(crate) fn walk_jobs(collector: &SpanCollector) -> Vec<JobWalk<'_>> {
-    let mut jobs: Vec<JobWalk<'_>> = Vec::new();
-    let mut index: HandleMap<u64, usize> = HandleMap::default();
-    // Tasks of one job are usually adjacent in id order.
-    let mut last: Option<(u64, usize)> = None;
+    let mut jobs = ByJob::new();
     for span in collector.tasks() {
-        let at = match last {
-            Some((job, at)) if job == span.job => at,
-            _ => {
-                let at = *index.entry(span.job).or_insert_with(|| {
-                    jobs.push(JobWalk {
-                        job: span.job,
-                        submit_us: u64::MAX,
-                        complete: true,
-                        crit: None,
-                        what_if_finish_us: [0; 3],
-                    });
-                    jobs.len() - 1
-                });
-                last = Some((span.job, at));
-                at
-            }
-        };
-        let job = &mut jobs[at];
+        let job = jobs.get(span.job, || JobWalk {
+            job: span.job,
+            submit_us: u64::MAX,
+            complete: true,
+            crit: None,
+            what_if_finish_us: [0; 3],
+        });
         job.submit_us = job.submit_us.min(span.submit_us);
         let Some(finish) = span.finish_us.filter(|_| span.malformed == 0) else {
             job.complete = false;
@@ -177,6 +161,7 @@ pub(crate) fn walk_jobs(collector: &SpanCollector) -> Vec<JobWalk<'_>> {
             job.crit = Some(span);
         }
     }
+    let mut jobs = jobs.into_vec();
     jobs.sort_unstable_by_key(|j| j.job);
     jobs
 }

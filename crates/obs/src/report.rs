@@ -7,10 +7,9 @@
 //! ran online against a simulator or offline over a JSONL trace), and
 //! [`ObsReport::to_json`] emits byte-stable JSON: same trace, same bytes.
 
-use cbp_simkit::HandleMap;
 use cbp_telemetry::{json, Histogram, P2Quantile};
 
-use crate::span::{Band, Blame, SpanCollector};
+use crate::span::{Band, Blame, ByJob, SpanCollector};
 
 /// Schema name stamped into report JSON.
 pub const REPORT_SCHEMA: &str = "cbp-obs-report";
@@ -266,12 +265,7 @@ impl ObsReport {
         let mut totals = TotalsSummary::default();
         // Indexed by `Band as usize`, in `Band::ALL` order.
         let mut bands = Band::ALL.map(|_| BandAcc::new());
-        // Jobs in order of first appearance, found through `job_at`; the
-        // last job seen is checked first, as a job's tasks are usually
-        // adjacent in id order.
-        let mut jobs: Vec<JobSummary> = Vec::new();
-        let mut job_at: HandleMap<u64, usize> = HandleMap::default();
-        let mut last_job: Option<(u64, usize)> = None;
+        let mut jobs = ByJob::new();
 
         // Ascending task id: the P² estimators see a deterministic feed
         // order regardless of how the records arrived.
@@ -287,25 +281,14 @@ impl ObsReport {
             totals.escalations += span.escalations as u64;
             let acc = &mut bands[span.band() as usize];
             acc.tasks += 1;
-            let at = match last_job {
-                Some((job, at)) if job == span.job => at,
-                _ => {
-                    let at = *job_at.entry(span.job).or_insert_with(|| {
-                        jobs.push(JobSummary {
-                            job: span.job,
-                            tasks: 0,
-                            finished: 0,
-                            penalty_us: 0,
-                            response_us: 0,
-                            lost_us: 0,
-                        });
-                        jobs.len() - 1
-                    });
-                    last_job = Some((span.job, at));
-                    at
-                }
-            };
-            let job = &mut jobs[at];
+            let job = jobs.get(span.job, || JobSummary {
+                job: span.job,
+                tasks: 0,
+                finished: 0,
+                penalty_us: 0,
+                response_us: 0,
+                lost_us: 0,
+            });
             job.tasks += 1;
             if span.malformed > 0 {
                 source.tasks_malformed += 1;
@@ -419,7 +402,7 @@ impl ObsReport {
             })
             .collect();
 
-        let mut top_jobs = jobs;
+        let mut top_jobs = jobs.into_vec();
         top_jobs.sort_by(|a, b| b.penalty_us.cmp(&a.penalty_us).then(a.job.cmp(&b.job)));
         top_jobs.truncate(top_k);
 

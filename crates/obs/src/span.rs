@@ -497,6 +497,47 @@ impl Slab {
     }
 }
 
+/// One accumulator per job, in order of first appearance, found by job
+/// id. The job asked for last is checked first: walking spans in task-id
+/// order meets a job's tasks one after another.
+pub(crate) struct ByJob<T> {
+    items: Vec<T>,
+    index: HandleMap<u64, usize>,
+    last: Option<(u64, usize)>,
+}
+
+impl<T> ByJob<T> {
+    pub(crate) fn new() -> Self {
+        ByJob {
+            items: Vec::new(),
+            index: HandleMap::default(),
+            last: None,
+        }
+    }
+
+    /// The accumulator of `job`, made by `new` on first use.
+    pub(crate) fn get(&mut self, job: u64, new: impl FnOnce() -> T) -> &mut T {
+        let at = match self.last {
+            Some((last, at)) if last == job => at,
+            _ => {
+                let items = &mut self.items;
+                let at = *self.index.entry(job).or_insert_with(|| {
+                    items.push(new());
+                    items.len() - 1
+                });
+                self.last = Some((job, at));
+                at
+            }
+        };
+        &mut self.items[at]
+    }
+
+    /// The accumulators, in order of first appearance.
+    pub(crate) fn into_vec(self) -> Vec<T> {
+        self.items
+    }
+}
+
 /// Streaming span reconstruction over a trace record stream.
 ///
 /// Feed it records via the [`Tracer`] impl (online) or [`collect_jsonl`]

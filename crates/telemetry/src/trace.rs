@@ -535,23 +535,14 @@ macro_rules! impl_layouts {
             /// Appends the record's payload fields as `"key":value` pairs
             /// (comma-prefixed) to a JSON object under construction, in
             /// the order of [`record_layouts`], so output is byte-stable.
-            fn push_fields(&self, out: &mut String) {
+            /// With `event`, the `,"event":"name"` member comes first,
+            /// written as one literal.
+            fn push_fields(&self, event: bool, out: &mut String) {
                 match *self {
                     $(TraceRecord::$variant { $($field),* } => {
-                        $(
-                            out.push_str(concat!(",\"", stringify!($field), "\":"));
-                            $field.push_json(out);
-                        )*
-                    })*
-                }
-            }
-
-            /// [`TraceRecord::push_fields`] after the `,"event":"name"`
-            /// member, which is written as one literal per kind.
-            fn push_event_and_fields(&self, out: &mut String) {
-                match *self {
-                    $(TraceRecord::$variant { $($field),* } => {
-                        out.push_str(concat!(",\"event\":\"", $name, "\""));
+                        if event {
+                            out.push_str(concat!(",\"event\":\"", $name, "\""));
+                        }
                         $(
                             out.push_str(concat!(",\"", stringify!($field), "\":"));
                             $field.push_json(out);
@@ -692,7 +683,7 @@ impl<W: Write> Tracer for JsonlTracer<W> {
         self.buf.push_str("{\"t_us\":");
         json::push_u64(&mut self.buf, t_us);
         // Event names are `[a-z_]+`: nothing to escape.
-        rec.push_event_and_fields(&mut self.buf);
+        rec.push_fields(true, &mut self.buf);
         self.buf.push_str("}\n");
         self.out.write_all(self.buf.as_bytes());
     }
@@ -847,7 +838,7 @@ impl<W: Write> Tracer for ChromeTraceTracer<W> {
                 // payload as args.
                 extra.push_str(",\"s\":\"t\",\"args\":{");
                 let mut obj = String::new();
-                rec.push_fields(&mut obj);
+                rec.push_fields(false, &mut obj);
                 // push_fields comma-prefixes every pair; drop the leading
                 // comma to form a valid object body.
                 extra.push_str(obj.strip_prefix(',').unwrap_or(&obj));
