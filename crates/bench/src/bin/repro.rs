@@ -34,6 +34,16 @@
 //! the same run. With `--baseline` it diffs against an archived report
 //! and exits 1 on a regression verdict.
 //!
+//! A trace record that does not fit its task's lifecycle is malformed:
+//! the analysis counts it and leaves its task out of the report. Online
+//! and offline, it prints the same verdict line on stderr with the count
+//! and the first such record (`warning: malformed trace records: 1 (...);
+//! first: record N: <reason>: <record>`, N counting records from 0). The
+//! exit code stays 0. A dedicated one waits for the fix of the YARN
+//! restart-record defect (DESIGN.md §7): the `heavy` and `chaos` fault
+//! plans on `fig8` still write one such record, and CI requires those
+//! runs to exit 0.
+//!
 //! Exit codes: 0 on success; 1 on a regression verdict (`analyze
 //! --baseline`, `bench --check`); 2 on a usage or input error, including
 //! a `--scale` that leaves a Google-trace experiment an empty workload
@@ -45,11 +55,11 @@
 use std::fmt::Write as _;
 
 use cbp_bench::{
-    analyze_trace_collector, check_bench_files, check_scale, emit_crit_extras, experiments_json,
+    analyze_trace_collector, check_bench_files, check_scale, emit_analysis, experiments_json,
     find_scenario, run_all, run_instrumented, run_one, run_scenario, standard_matrix, tiny_matrix,
-    BenchOptions, Scale, TelemetryOptions, ANALYZE_TOP_K, EXPERIMENT_IDS,
+    BenchOptions, Scale, TelemetryOptions, EXPERIMENT_IDS,
 };
-use cbp_obs::{diff_reports, ObsReport, Tolerances, Verdict, WhatIf};
+use cbp_obs::{diff_reports, Tolerances, Verdict, WhatIf};
 
 // Installed only for allocator-peak benchmarking: every BENCH json then
 // reports `alloc_peak_bytes` instead of null.
@@ -152,27 +162,6 @@ fn main() {
                         .unwrap_or_else(|| die("missing --analyze path")),
                 );
             }
-            "--critical-path" => {
-                telemetry.critical_path = true;
-            }
-            "--flamegraph-out" => {
-                i += 1;
-                telemetry.flamegraph_out = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("missing --flamegraph-out path")),
-                );
-            }
-            "--what-if" => {
-                i += 1;
-                let spec = args.get(i).unwrap_or_else(|| {
-                    die("missing --what-if scenario (dump0|iobw-inf|faults-off)")
-                });
-                telemetry.what_if.push(
-                    WhatIf::parse(spec)
-                        .unwrap_or_else(|| die(&format!("unknown --what-if scenario '{spec}'"))),
-                );
-            }
             "--faults" => {
                 i += 1;
                 let spec = args.get(i).unwrap_or_else(|| {
@@ -184,6 +173,7 @@ fn main() {
             "--no-lifecycle" => {
                 telemetry.no_lifecycle = true;
             }
+            _ if parse_crit_flag(&args, &mut i, &mut telemetry) => {}
             other => die(&format!("unknown argument: {other}")),
         }
         i += 1;
@@ -416,37 +406,16 @@ fn bench_cmd(args: &[String]) {
 /// file through the `cbp-obs` span collector.
 fn analyze_cmd(args: &[String]) {
     let mut trace: Option<String> = None;
-    let mut report_path: Option<String> = None;
     let mut baseline_path: Option<String> = None;
     let mut tol = Tolerances::default();
-    let mut crit = TelemetryOptions::default();
+    // `--report` is where the online `--analyze` path writes its report.
+    let mut opts = TelemetryOptions::default();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--critical-path" => {
-                crit.critical_path = true;
-            }
-            "--flamegraph-out" => {
-                i += 1;
-                crit.flamegraph_out = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("missing --flamegraph-out path")),
-                );
-            }
-            "--what-if" => {
-                i += 1;
-                let spec = args.get(i).unwrap_or_else(|| {
-                    die("missing --what-if scenario (dump0|iobw-inf|faults-off)")
-                });
-                crit.what_if.push(
-                    WhatIf::parse(spec)
-                        .unwrap_or_else(|| die(&format!("unknown --what-if scenario '{spec}'"))),
-                );
-            }
             "--report" => {
                 i += 1;
-                report_path = Some(
+                opts.analyze = Some(
                     args.get(i)
                         .cloned()
                         .unwrap_or_else(|| die("missing --report path")),
@@ -474,6 +443,7 @@ fn analyze_cmd(args: &[String]) {
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| die("invalid --tol-abs-us value"));
             }
+            _ if parse_crit_flag(args, &mut i, &mut opts) => {}
             other if other.starts_with('-') => die(&format!("unknown argument: {other}")),
             other if trace.is_none() => trace = Some(other.to_string()),
             other => die(&format!("unexpected argument: {other}")),
@@ -482,17 +452,7 @@ fn analyze_cmd(args: &[String]) {
     }
     let trace = trace.unwrap_or_else(|| die("usage: repro analyze <trace.jsonl> [...]"));
     let collector = analyze_trace_collector(&trace).unwrap_or_else(|e| die(&e));
-    let mut report = ObsReport::build(&collector, ANALYZE_TOP_K);
-    if crit.wants_crit() {
-        report = report.with_crit(&collector).unwrap_or_else(|e| die(&e));
-    }
-    print!("{}", report.render_table());
-    emit_crit_extras(&report, &collector, &crit).unwrap_or_else(|e| die(&e));
-    if let Some(path) = &report_path {
-        std::fs::write(path, report.to_json())
-            .unwrap_or_else(|e| die(&format!("write {path}: {e}")));
-        eprintln!("wrote {path}");
-    }
+    let report = emit_analysis(&collector, &opts).unwrap_or_else(|e| die(&e));
     if let Some(path) = &baseline_path {
         let baseline =
             std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("read {path}: {e}")));
@@ -502,6 +462,36 @@ fn analyze_cmd(args: &[String]) {
             std::process::exit(1);
         }
     }
+}
+
+/// Parses `args[*i]` into `opts` if it is a critical-path flag
+/// (`--critical-path`, `--flamegraph-out PATH`, `--what-if SCENARIO`),
+/// moving `*i` onto its value; both the experiment flags and `repro
+/// analyze` take them.
+fn parse_crit_flag(args: &[String], i: &mut usize, opts: &mut TelemetryOptions) -> bool {
+    match args[*i].as_str() {
+        "--critical-path" => opts.critical_path = true,
+        "--flamegraph-out" => {
+            *i += 1;
+            opts.flamegraph_out = Some(
+                args.get(*i)
+                    .cloned()
+                    .unwrap_or_else(|| die("missing --flamegraph-out path")),
+            );
+        }
+        "--what-if" => {
+            *i += 1;
+            let spec = args
+                .get(*i)
+                .unwrap_or_else(|| die("missing --what-if scenario (dump0|iobw-inf|faults-off)"));
+            opts.what_if.push(
+                WhatIf::parse(spec)
+                    .unwrap_or_else(|| die(&format!("unknown --what-if scenario '{spec}'"))),
+            );
+        }
+        _ => return false,
+    }
+    true
 }
 
 fn usage() {

@@ -21,8 +21,8 @@ pub use bench_run::{
 };
 pub use table::{experiments_json, Experiment, Table};
 pub use telemetry_run::{
-    analyze_trace_collector, analyze_trace_file, emit_crit_extras, run_instrumented,
-    InstrumentError, TelemetryOptions, ANALYZE_TOP_K,
+    analyze_trace_collector, emit_analysis, run_instrumented, InstrumentError, TelemetryOptions,
+    ANALYZE_TOP_K,
 };
 
 /// Scale of an experiment run.

@@ -19,7 +19,9 @@ use std::io::{BufReader, BufWriter};
 
 use cbp_core::{ClusterSim, PreemptionPolicy, TelemetryReport};
 use cbp_faults::FaultSpec;
-use cbp_obs::{paths_to_folded, ObsReport, SharedCollector, SpanCollector, WhatIf};
+use cbp_obs::{
+    extract_job_paths, paths_to_folded, ObsReport, SharedCollector, SpanCollector, WhatIf,
+};
 use cbp_simkit::SimDuration;
 use cbp_telemetry::{ChromeTraceTracer, JsonlTracer, MultiTracer, SinkStatus, Tracer};
 use cbp_yarn::YarnSim;
@@ -44,7 +46,7 @@ pub struct TelemetryOptions {
     /// `--telemetry`: print the metrics registry and engine throughput.
     pub telemetry: bool,
     /// `--analyze PATH`: write the `cbp-obs` analysis report and print
-    /// the penalty table.
+    /// the penalty table. `repro analyze` puts its `--report PATH` here.
     pub analyze: Option<String>,
     /// `--critical-path`: extract per-job critical paths and print the
     /// attribution table (the report JSON gains its `"crit"` section).
@@ -203,10 +205,7 @@ fn build_tracer(opts: &TelemetryOptions) -> Result<Sinks, String> {
         sinks.files.push((path.clone(), tracer.status()));
         multi.push(Box::new(tracer));
     }
-    // Lenient, like the offline `repro analyze`: a run whose trace has a
-    // malformed record (the known YARN restart-record defect) gives the
-    // same report and malformed count online as offline, not a panic.
-    sinks.collector = (opts.analyze.is_some() || opts.wants_crit()).then(SharedCollector::lenient);
+    sinks.collector = (opts.analyze.is_some() || opts.wants_crit()).then(SharedCollector::new);
     if let Some(c) = &sinks.collector {
         multi.push(Box::new(c.clone()));
     }
@@ -265,13 +264,6 @@ fn run_yarn(
     Ok((telemetry, sinks.collector))
 }
 
-/// Replays a `--trace-out` JSONL file offline and builds the same
-/// [`ObsReport`] the online `--analyze` path produces. Entry point for
-/// the `repro analyze` subcommand.
-pub fn analyze_trace_file(path: &str, top_k: usize) -> Result<ObsReport, String> {
-    Ok(ObsReport::build(&analyze_trace_collector(path)?, top_k))
-}
-
 /// Replays a `--trace-out` JSONL file into a [`SpanCollector`]. The
 /// offline collector state is identical to the online one for the same
 /// run, so reports built either way are byte-identical.
@@ -281,8 +273,8 @@ pub fn analyze_trace_collector(path: &str) -> Result<SpanCollector, String> {
 }
 
 /// Writes the time series (if requested), prints the registry table and
-/// engine throughput (if requested), and writes + prints the `cbp-obs`
-/// analysis report (if `--analyze` was given).
+/// engine throughput (if requested), and emits the `cbp-obs` analysis
+/// (if `--analyze` or a critical-path flag was given).
 fn emit(
     telemetry: &TelemetryReport,
     collector: Option<SharedCollector>,
@@ -316,48 +308,54 @@ fn emit(
             telemetry.events_per_sec()
         );
     }
-    if opts.analyze.is_some() || opts.wants_crit() {
-        let collector = collector
-            .expect("analysis flags always install a collector")
-            .take();
-        let mut report = ObsReport::build(&collector, ANALYZE_TOP_K);
-        if opts.wants_crit() {
-            report = report.with_crit(&collector)?;
-        }
-        if let Some(path) = &opts.analyze {
-            std::fs::write(path, report.to_json()).map_err(|e| format!("write {path}: {e}"))?;
-            eprintln!("wrote {path}");
-        }
+    // The analysis flags install a collector.
+    if let Some(collector) = collector {
         println!("################ analysis ################");
-        print!("{}", report.render_table());
-        emit_crit_extras(&report, &collector, opts)?;
+        emit_analysis(&collector.take(), opts)?;
     }
     Ok(())
 }
 
-/// Folded-stack export and what-if tables behind the critical-path
-/// flags. Shared by the online (`--analyze`) and offline (`repro
-/// analyze`) paths.
-pub fn emit_crit_extras(
-    report: &ObsReport,
+/// Builds the `cbp-obs` report of a finished collector, with its
+/// `"crit"` section when a critical-path flag asks for it, and emits it:
+/// a warning on stderr with the malformed-record count and the first
+/// malformed record, the report JSON to `opts.analyze`, the penalty table
+/// on stdout, then the folded stacks and the what-if tables. Online
+/// `--analyze` and offline `repro analyze` both come here, so one run
+/// gives the same bytes either way.
+pub fn emit_analysis(
     collector: &SpanCollector,
     opts: &TelemetryOptions,
-) -> Result<(), String> {
-    if let Some(path) = &opts.flamegraph_out {
-        let paths = cbp_obs::CritReport::extract_paths(collector)?;
-        std::fs::write(path, paths_to_folded(&paths)).map_err(|e| format!("write {path}: {e}"))?;
-        eprintln!("wrote {path}");
+) -> Result<ObsReport, String> {
+    if let Some(first) = collector.first_malformed() {
+        eprintln!(
+            "warning: malformed trace records: {} (their tasks are left out of the \
+             report); first: {first}",
+            collector.malformed()
+        );
     }
-    if !opts.what_if.is_empty() {
-        let crit = report
-            .crit
-            .as_ref()
-            .expect("what-if requires the crit section");
+    let mut report = ObsReport::build(collector, ANALYZE_TOP_K);
+    if opts.wants_crit() {
+        report = report.with_crit(collector)?;
+    }
+    let write = |path: &str, text: &str| {
+        std::fs::write(path, text).map_err(|e| format!("write {path}: {e}"))?;
+        eprintln!("wrote {path}");
+        Ok::<_, String>(())
+    };
+    if let Some(path) = &opts.analyze {
+        write(path, &report.to_json())?;
+    }
+    print!("{}", report.render_table());
+    if let Some(path) = &opts.flamegraph_out {
+        write(path, &paths_to_folded(&extract_job_paths(collector)?.paths))?;
+    }
+    if let Some(crit) = &report.crit {
         for w in &opts.what_if {
             print!("{}", crit.render_what_if(*w));
         }
     }
-    Ok(())
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -460,7 +458,10 @@ mod tests {
             &collector.expect("collector installed").take(),
             ANALYZE_TOP_K,
         );
-        let offline = analyze_trace_file(trace.to_str().unwrap(), ANALYZE_TOP_K).unwrap();
+        let offline = ObsReport::build(
+            &analyze_trace_collector(trace.to_str().unwrap()).unwrap(),
+            ANALYZE_TOP_K,
+        );
         assert_eq!(
             online.to_json(),
             offline.to_json(),
@@ -501,10 +502,8 @@ mod tests {
             online.to_json().contains("\"crit\":{"),
             "report must carry the crit section"
         );
-        let online_folded =
-            paths_to_folded(&cbp_obs::CritReport::extract_paths(&online_c).unwrap());
-        let offline_folded =
-            paths_to_folded(&cbp_obs::CritReport::extract_paths(&offline_c).unwrap());
+        let online_folded = paths_to_folded(&extract_job_paths(&online_c).unwrap().paths);
+        let offline_folded = paths_to_folded(&extract_job_paths(&offline_c).unwrap().paths);
         assert_eq!(online_folded, offline_folded);
         assert!(!online_folded.is_empty(), "smoke run yields folded stacks");
         let _ = std::fs::remove_dir_all(&dir);

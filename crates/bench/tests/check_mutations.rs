@@ -12,10 +12,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::OnceLock;
 
-use cbp_bench::check_bench_files;
+use cbp_bench::{check_bench_files, emit_analysis, TelemetryOptions};
 use cbp_core::{ClusterSim, PreemptionPolicy, SimConfig};
 use cbp_faults::FaultSpec;
-use cbp_obs::{collect_jsonl, diff_reports, ObsReport, SharedCollector, Tolerances, Verdict};
+use cbp_obs::{
+    collect_jsonl, diff_reports, ObsReport, SharedCollector, Tolerances, Verdict, WhatIf,
+};
 use cbp_storage::MediaKind;
 use cbp_telemetry::JsonlTracer;
 use cbp_workload::google::GoogleTraceConfig;
@@ -182,6 +184,12 @@ fn report_json() -> &'static str {
         sim.set_tracer(Box::new(shared.clone()));
         sim.run();
         let collector = shared.take();
+        assert_eq!(
+            collector.malformed(),
+            0,
+            "malformed records; first: {:?}",
+            collector.first_malformed()
+        );
         ObsReport::build(&collector, 5)
             .with_crit(&collector)
             .expect("critical paths tile every job")
@@ -217,13 +225,17 @@ fn trace_lines() -> &'static [String] {
     })
 }
 
-/// Analyzes a JSONL trace as `repro analyze --critical-path` does; an
-/// unreadable trace or a critical-path error is an `Err`.
-fn analyze(trace: &str) -> Result<String, String> {
+/// Analyzes a JSONL trace through `repro analyze`'s path with
+/// `--critical-path` and every `--what-if`; an unreadable trace or a
+/// critical-path error is an `Err`.
+fn analyze(trace: &str) -> Result<ObsReport, String> {
     let collector = collect_jsonl(trace.as_bytes()).map_err(|e| e.to_string())?;
-    Ok(ObsReport::build(&collector, 5)
-        .with_crit(&collector)?
-        .to_json())
+    let opts = TelemetryOptions {
+        critical_path: true,
+        what_if: WhatIf::ALL.to_vec(),
+        ..TelemetryOptions::default()
+    };
+    emit_analysis(&collector, &opts)
 }
 
 #[test]

@@ -40,7 +40,7 @@ fn collect_cluster(cfg: SimConfig, workload: Workload) -> SpanCollector {
     let mut sim = ClusterSim::new(cfg, workload);
     sim.set_tracer(Box::new(shared.clone()));
     let _ = sim.run();
-    shared.take()
+    well_formed(shared.take())
 }
 
 /// Runs the YARN protocol simulator with a span collector attached.
@@ -49,7 +49,18 @@ fn collect_yarn(cfg: YarnConfig, workload: Workload) -> SpanCollector {
     let mut sim = YarnSim::new(cfg, workload);
     sim.set_tracer(Box::new(shared.clone()));
     let _ = sim.run();
-    shared.take()
+    well_formed(shared.take())
+}
+
+/// `collector`, after asserting that it met no malformed record.
+fn well_formed(collector: SpanCollector) -> SpanCollector {
+    assert_eq!(
+        collector.malformed(),
+        0,
+        "malformed records; first: {:?}",
+        collector.first_malformed()
+    );
+    collector
 }
 
 /// The fig8-style YARN smoke setup (contended Facebook draw on a tiny
@@ -162,7 +173,7 @@ fn crit_report_and_folded_are_byte_stable() {
         let cfg = SimConfig::trace_sim(PreemptionPolicy::Adaptive, MediaKind::Hdd).with_nodes(5);
         let c = collect_cluster(cfg, GoogleTraceConfig::small(80.0).generate(9));
         let report = ObsReport::build(&c, 10).with_crit(&c).unwrap();
-        let folded = paths_to_folded(&CritReport::extract_paths(&c).unwrap());
+        let folded = paths_to_folded(&extract_job_paths(&c).unwrap().paths);
         (report.to_json(), folded)
     };
     let (json_a, folded_a) = build_cluster();
@@ -176,7 +187,7 @@ fn crit_report_and_folded_are_byte_stable() {
         let (cfg, workload) = yarn_smoke(PreemptionPolicy::Adaptive, MediaKind::Hdd, 17);
         let c = collect_yarn(cfg, workload);
         let report = ObsReport::build(&c, 10).with_crit(&c).unwrap();
-        let folded = paths_to_folded(&CritReport::extract_paths(&c).unwrap());
+        let folded = paths_to_folded(&extract_job_paths(&c).unwrap().paths);
         (report.to_json(), folded)
     };
     let (json_a, folded_a) = build_yarn();

@@ -19,10 +19,16 @@ use cbp_workload::google::GoogleTraceConfig;
 use cbp_yarn::{YarnConfig, YarnSim};
 use proptest::prelude::*;
 
-/// Re-checks conservation explicitly for every finished span (the strict
-/// collector already asserted it online) and sanity-checks the counters.
+/// Asserts that the collector met no malformed record, re-checks
+/// conservation explicitly for every finished span (the collector's tiling
+/// assertion already held at each finish) and sanity-checks the counters.
 fn check_conservation(collector: &SpanCollector, label: &str) {
-    assert_eq!(collector.malformed(), 0, "{label}: malformed trace records");
+    assert_eq!(
+        collector.malformed(),
+        0,
+        "{label}: malformed trace records; first: {:?}",
+        collector.first_malformed()
+    );
     let mut finished = 0u64;
     for span in collector.tasks() {
         let key = span.task;

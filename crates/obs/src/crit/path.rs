@@ -90,9 +90,9 @@ pub(crate) struct JobWalk<'a> {
     pub(crate) submit_us: u64,
     /// Every task finished and none carried malformed records.
     pub(crate) complete: bool,
-    /// The completion-determining task among the finished ones: latest
-    /// finish, lowest task id on ties.
-    pub(crate) crit: Option<&'a TaskSpan>,
+    /// The completion-determining task among the finished ones and its
+    /// finish (µs): latest finish, lowest task id on ties.
+    pub(crate) crit: Option<(&'a TaskSpan, u64)>,
     /// Latest predicted finish of a finished task under each
     /// counterfactual, in [`WhatIf::ALL`] order (µs; 0 if none).
     pub(crate) what_if_finish_us: [u64; 3],
@@ -103,8 +103,7 @@ impl JobWalk<'_> {
     /// segment chain passed the tiling check; `None` if the job is not
     /// complete.
     pub(crate) fn critical(&self) -> Option<Result<(&TaskSpan, u64), String>> {
-        let crit = self.crit.filter(|_| self.complete)?;
-        let finish_us = crit.finish_us.expect("finished");
+        let (crit, finish_us) = self.crit.filter(|_| self.complete)?;
         Some(
             check_tiling(self.job, crit.submit_us, finish_us, &crit.segments)
                 .map(|()| (crit, finish_us)),
@@ -154,11 +153,8 @@ pub(crate) fn walk_jobs(collector: &SpanCollector) -> Vec<JobWalk<'_>> {
             *at = (*at).max(span.submit_us + kept);
         }
         // Ascending id order: a later task with the same finish loses.
-        if job
-            .crit
-            .is_none_or(|c| finish > c.finish_us.expect("finished"))
-        {
-            job.crit = Some(span);
+        if job.crit.is_none_or(|(_, at)| finish > at) {
+            job.crit = Some((span, finish));
         }
     }
     let mut jobs = jobs.into_vec();

@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 
 use cbp_telemetry::json;
 
-use super::path::{extract_job_paths, walk_jobs, JobPath};
+use super::path::walk_jobs;
 use super::whatif::WhatIf;
 use crate::span::{Band, SegKind, SpanCollector};
 
@@ -59,7 +59,9 @@ fn percentile(xs: &mut [f64], p: f64) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+    // The values are `u64` µs: no NaN and no negative zero, so this is
+    // the numeric order.
+    xs.sort_by(f64::total_cmp);
     let idx = ((p * xs.len() as f64).ceil() as usize).clamp(1, xs.len()) - 1;
     xs[idx]
 }
@@ -77,7 +79,8 @@ impl CritReport {
             responses: Vec<f64>,
             what_if: [Vec<f64>; 3],
         }
-        let mut accs: Vec<(Band, Acc)> = Band::ALL.iter().map(|b| (*b, Acc::default())).collect();
+        // Indexed by `Band as usize`, in `Band::ALL` order.
+        let mut accs = Band::ALL.map(|_| Acc::default());
 
         let mut jobs = 0u64;
         let mut makespan_end = 0u64;
@@ -89,11 +92,7 @@ impl CritReport {
             };
             let (crit, finish_us) = critical?;
             jobs += 1;
-            let acc = &mut accs
-                .iter_mut()
-                .find(|(b, _)| *b == crit.band())
-                .expect("all bands present")
-                .1;
+            let acc = &mut accs[crit.band() as usize];
             acc.jobs += 1;
             for s in &crit.segments {
                 // Saturates like `Blame::accumulate`.
@@ -111,8 +110,9 @@ impl CritReport {
             makespan_start = makespan_start.min(job.submit_us);
         }
 
-        let bands = accs
+        let bands = Band::ALL
             .into_iter()
+            .zip(accs)
             .filter(|(_, a)| a.jobs > 0)
             .map(|(band, mut a)| CritBand {
                 band,
@@ -139,12 +139,6 @@ impl CritReport {
             makespan_job,
             bands,
         })
-    }
-
-    /// The extracted paths backing this report (re-derived; used by the
-    /// CLI for folded-stack export so the collector is walked once).
-    pub fn extract_paths(collector: &SpanCollector) -> Result<Vec<JobPath>, String> {
-        Ok(extract_job_paths(collector)?.paths)
     }
 
     /// Appends the report as one JSON object (byte-stable; same
@@ -250,10 +244,7 @@ impl CritReport {
 
     /// Renders the predicted per-band deltas for one counterfactual.
     pub fn render_what_if(&self, w: WhatIf) -> String {
-        let idx = WhatIf::ALL
-            .iter()
-            .position(|x| *x == w)
-            .expect("scenario in ALL");
+        let idx = w.index();
         let mut out = String::new();
         let _ = writeln!(
             out,

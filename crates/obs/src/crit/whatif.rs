@@ -50,6 +50,12 @@ impl WhatIf {
         }
     }
 
+    /// The scenario's position in [`WhatIf::ALL`]: the variants are
+    /// declared in that order.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Parses a CLI spelling.
     pub fn parse(s: &str) -> Option<WhatIf> {
         WhatIf::ALL.into_iter().find(|w| w.cli_name() == s)
@@ -74,10 +80,7 @@ impl WhatIf {
 /// task. Keyed by job id; jobs with unfinished or malformed tasks are
 /// omitted (same eligibility rule as critical-path extraction).
 pub fn predicted_job_responses(collector: &SpanCollector, w: WhatIf) -> BTreeMap<u64, u64> {
-    let i = WhatIf::ALL
-        .iter()
-        .position(|x| *x == w)
-        .expect("scenario in ALL");
+    let i = w.index();
     walk_jobs(collector)
         .iter()
         .filter(|j| j.complete)
@@ -176,6 +179,7 @@ mod tests {
     fn parse_round_trips_cli_names() {
         for w in WhatIf::ALL {
             assert_eq!(WhatIf::parse(w.cli_name()), Some(w));
+            assert_eq!(WhatIf::ALL[w.index()], w);
         }
         assert_eq!(WhatIf::parse("bogus"), None);
     }

@@ -55,6 +55,6 @@ pub use report::{
     ANOMALY_K, REPORT_SCHEMA, REPORT_VERSION,
 };
 pub use span::{
-    collect_jsonl, Band, Blame, NodeStats, SegKind, Segment, SharedCollector, SpanCollector,
-    TaskSpan, Tasks,
+    collect_jsonl, Band, Blame, MalformedRecord, NodeStats, SegKind, Segment, SharedCollector,
+    SpanCollector, TaskSpan, Tasks,
 };

@@ -37,7 +37,7 @@ fn penalty_histogram() -> Histogram {
 pub struct SourceSummary {
     /// Trace records consumed.
     pub records: u64,
-    /// Records the collector could not apply (0 for strict collectors).
+    /// Malformed records: ones the collector could not apply.
     pub malformed_records: u64,
     /// Distinct tasks seen.
     pub tasks_seen: u64,

@@ -240,19 +240,10 @@ impl SegKind {
         }
     }
 
-    /// Index into [`SegKind::ALL`] (for fixed-size accumulators).
+    /// Index into [`SegKind::ALL`] (for fixed-size accumulators): the
+    /// variants are declared in that order.
     pub fn index(self) -> usize {
-        match self {
-            SegKind::Run => 0,
-            SegKind::ReadyWait => 1,
-            SegKind::DumpQueue => 2,
-            SegKind::Dump => 3,
-            SegKind::Suspended => 4,
-            SegKind::RestoreQueue => 5,
-            SegKind::Restore => 6,
-            SegKind::Retry => 7,
-            SegKind::Lost => 8,
-        }
+        self as usize
     }
 }
 
@@ -561,7 +552,29 @@ pub struct SpanCollector {
     nodes: BTreeMap<u32, NodeStats>,
     records: u64,
     malformed: u64,
-    strict: bool,
+    first_malformed: Option<MalformedRecord>,
+}
+
+/// The first malformed record a [`SpanCollector`] met: the witness
+/// behind its [`SpanCollector::malformed`] count.
+#[derive(Debug, Clone, Copy)]
+pub struct MalformedRecord {
+    /// The record's position in the stream, counting from 0.
+    pub index: u64,
+    /// Why the record is malformed.
+    pub reason: &'static str,
+    /// The record itself.
+    pub record: TraceRecord,
+}
+
+impl std::fmt::Display for MalformedRecord {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "record {}: {}: {:?}",
+            self.index, self.reason, self.record
+        )
+    }
 }
 
 /// The spans of a [`SpanCollector`] in ascending task id.
@@ -590,24 +603,22 @@ impl<'a> Iterator for Tasks<'a> {
 impl ExactSizeIterator for Tasks<'_> {}
 
 impl SpanCollector {
-    /// A strict collector: malformed transitions panic with context.
-    /// Use for simulator-emitted streams, which must be well-formed.
+    /// An empty collector. A malformed record is counted, on the
+    /// collector and on its task (which is then left out of
+    /// aggregation), and the first one is kept as the witness.
     pub fn new() -> Self {
-        SpanCollector {
-            strict: true,
-            ..SpanCollector::default()
-        }
+        SpanCollector::default()
     }
 
-    /// A lenient collector: malformed transitions are counted on the
-    /// task (excluding it from aggregation) instead of panicking. Use
-    /// for traces of unknown provenance.
+    /// The same as [`SpanCollector::new`]: there is one mode. Kept only
+    /// for the benchmark harness, which still calls it.
     pub fn lenient() -> Self {
         SpanCollector::default()
     }
 
     /// Returns the collector unchanged: segment timelines are always
-    /// recorded. Kept only for existing callers.
+    /// recorded. Kept only for the benchmark harness, which still calls
+    /// it.
     pub fn with_segments(self) -> Self {
         self
     }
@@ -617,9 +628,14 @@ impl SpanCollector {
         self.records
     }
 
-    /// Malformed records seen so far (always 0 in strict mode).
+    /// Malformed records seen so far.
     pub fn malformed(&self) -> u64 {
         self.malformed
+    }
+
+    /// The first malformed record seen, if any.
+    pub fn first_malformed(&self) -> Option<&MalformedRecord> {
+        self.first_malformed.as_ref()
     }
 
     /// The reconstructed spans in ascending task id.
@@ -655,11 +671,14 @@ impl SpanCollector {
         &self.nodes
     }
 
-    fn bad(&mut self, task: u64, what: &str, rec: &TraceRecord) {
-        if self.strict {
-            panic!("malformed trace: {what} for task {task}: {rec:?}");
-        }
+    fn bad(&mut self, task: u64, reason: &'static str, rec: &TraceRecord) {
         self.malformed += 1;
+        let index = self.records - 1;
+        self.first_malformed.get_or_insert(MalformedRecord {
+            index,
+            reason,
+            record: *rec,
+        });
         if let Some(span) = self.task_mut(task) {
             span.malformed += 1;
         }
@@ -680,16 +699,10 @@ impl SpanCollector {
                 priority,
             } => {
                 let at = u32::try_from(self.spans.len()).expect("fewer than 2^32 tasks");
-                let fresh = match self.index.entry(task) {
-                    Entry::Vacant(slot) => {
-                        slot.insert(at);
-                        true
-                    }
-                    Entry::Occupied(_) => false,
-                };
-                if !fresh {
+                let Entry::Vacant(slot) = self.index.entry(task) else {
                     return self.bad(task, "duplicate task_submit", rec);
-                }
+                };
+                slot.insert(at);
                 if self.spans.last().is_some_and(|last| last.task > task) {
                     self.unordered = true;
                 }
@@ -1009,15 +1022,9 @@ impl Tracer for SpanCollector {
 pub struct SharedCollector(Rc<RefCell<SpanCollector>>);
 
 impl SharedCollector {
-    /// Wraps a fresh strict collector.
+    /// Wraps a fresh collector.
     pub fn new() -> Self {
-        SharedCollector(Rc::new(RefCell::new(SpanCollector::new())))
-    }
-
-    /// Wraps a fresh lenient collector: malformed records are counted,
-    /// as [`collect_jsonl`] counts them offline.
-    pub fn lenient() -> Self {
-        SharedCollector(Rc::new(RefCell::new(SpanCollector::lenient())))
+        SharedCollector::default()
     }
 
     /// Takes the collector out, leaving an empty one behind. Call after
@@ -1034,9 +1041,9 @@ impl Tracer for SharedCollector {
 }
 
 /// Replays a JSONL trace (as written by `cbp_telemetry::JsonlTracer`)
-/// into a lenient [`SpanCollector`].
+/// into a [`SpanCollector`].
 pub fn collect_jsonl<R: BufRead>(input: R) -> Result<SpanCollector, TraceReadError> {
-    let mut collector = SpanCollector::lenient();
+    let mut collector = SpanCollector::new();
     for item in JsonlReader::new(input)? {
         let (t_us, rec) = item?;
         collector.observe(t_us, &rec);
@@ -1642,8 +1649,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "malformed trace")]
-    fn strict_mode_panics_on_wrong_phase() {
+    fn malformed_records_are_counted_and_excluded() {
+        // A finish with no schedule: one malformed record, kept as the
+        // witness.
         let mut c = SpanCollector::new();
         feed(
             &mut c,
@@ -1652,11 +1660,23 @@ mod tests {
                 (5, TraceRecord::TaskFinish { task: 1, node: 0 }),
             ],
         );
-    }
+        assert_eq!(c.malformed(), 1);
+        let first = c.first_malformed().expect("a witness");
+        assert_eq!(
+            (first.index, first.reason),
+            (1, "task_finish while not running")
+        );
+        assert!(matches!(
+            first.record,
+            TraceRecord::TaskFinish { task: 1, node: 0 }
+        ));
+        assert_eq!(
+            first.to_string(),
+            "record 1: task_finish while not running: TaskFinish { task: 1, node: 0 }"
+        );
 
-    #[test]
-    fn lenient_mode_counts_malformed_and_excludes() {
-        let mut c = SpanCollector::lenient();
+        let mut c = SpanCollector::new();
+        assert!(c.first_malformed().is_none());
         feed(
             &mut c,
             &[
@@ -1671,6 +1691,7 @@ mod tests {
             ],
         );
         assert_eq!(c.malformed(), 4);
+        assert_eq!(c.first_malformed().unwrap().index, 1, "the first is kept");
         assert_eq!(c.task(1).unwrap().malformed, 1);
         assert!(!c.task(1).unwrap().finished());
         let span = c.task(2).unwrap();
@@ -1744,6 +1765,13 @@ mod tests {
         let collector = shared.take();
         assert_eq!(collector.records(), 3);
         assert_eq!(collector.task(3).unwrap().blame().run_us, 6);
+    }
+
+    #[test]
+    fn kinds_index_their_place_in_all() {
+        for (i, kind) in SegKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.index(), i);
+        }
     }
 
     fn kinds(c: &SpanCollector, task: u64) -> Vec<(SegKind, u64)> {

@@ -1,13 +1,13 @@
 //! The `BTreeMap`-keyed collector [`super::SpanCollector`] replaced,
 //! kept as a test reference with the critical-path and what-if walks that
-//! read it (one `BTreeMap` of jobs per walk). Only its lenient mode is
-//! kept: the property below feeds it malformed streams. The property
+//! read it (one `BTreeMap` of jobs per walk). It counts malformed records
+//! and keeps the first, as the indexed collector does. The property
 //! checks that the indexed collector keeps the same spans, lists them in
-//! the same (ascending task id) order, and gives the same node tallies,
-//! critical paths, what-if predictions, report JSON and folded stacks on
-//! random streams with duplicate submits, records before their submit,
-//! out-of-order and sparse task ids, and moved, dropped and retimed
-//! records.
+//! the same (ascending task id) order, and gives the same malformed count
+//! and witness, node tallies, critical paths, what-if predictions, report
+//! JSON and folded stacks on random streams with duplicate submits,
+//! records before their submit, out-of-order and sparse task ids, and
+//! moved, dropped and retimed records.
 
 use std::collections::BTreeMap;
 
@@ -20,14 +20,16 @@ use crate::crit::{
 };
 use crate::ObsReport;
 
-/// The previous `SpanCollector` in lenient mode, unchanged but for its
-/// name and the strict flag.
+/// The previous `SpanCollector`, unchanged but for its name, its strict
+/// mode (gone) and the witness: the index and reason of the first
+/// malformed record.
 #[derive(Debug, Default)]
 struct TreeCollector {
     tasks: BTreeMap<u64, TaskSpan>,
     nodes: BTreeMap<u32, NodeStats>,
     records: u64,
     malformed: u64,
+    first_malformed: Option<(u64, &'static str)>,
 }
 
 /// The span of `task` if a phase record at `t` may advance it, or why the
@@ -46,8 +48,9 @@ fn advance(
 }
 
 impl TreeCollector {
-    fn bad(&mut self, task: u64, _what: &str, _rec: &TraceRecord) {
+    fn bad(&mut self, task: u64, what: &'static str, _rec: &TraceRecord) {
         self.malformed += 1;
+        self.first_malformed.get_or_insert((self.records - 1, what));
         if let Some(span) = self.tasks.get_mut(&task) {
             span.malformed += 1;
         }
@@ -372,7 +375,7 @@ impl TreeCollector {
     /// A [`SpanCollector`] holding the same spans, submitted in ascending
     /// task id, so the report code reads them in storage order.
     fn in_id_order(&self) -> SpanCollector {
-        let mut c = SpanCollector::lenient();
+        let mut c = SpanCollector::new();
         for (at, span) in self.tasks.values().enumerate() {
             c.index.insert(span.task, at as u32);
             c.spans.push(span.clone());
@@ -727,7 +730,7 @@ proptest! {
         let mut rng = Rng(seed);
         let records = stream(&mut rng);
         let mut tree = TreeCollector::default();
-        let mut indexed = SpanCollector::lenient();
+        let mut indexed = SpanCollector::new();
         for (t, rec) in &records {
             tree.observe(*t, rec);
             indexed.observe(*t, rec);
@@ -735,6 +738,11 @@ proptest! {
 
         prop_assert_eq!(indexed.records(), tree.records, "seed {}", seed);
         prop_assert_eq!(indexed.malformed(), tree.malformed, "seed {}", seed);
+        prop_assert_eq!(
+            indexed.first_malformed().map(|m| (m.index, m.reason)),
+            tree.first_malformed,
+            "seed {}", seed
+        );
         prop_assert_eq!(debug(indexed.tasks()), debug(tree.tasks.values()), "seed {}", seed);
         prop_assert_eq!(indexed.tasks().len(), tree.tasks.len(), "seed {}", seed);
         for (id, span) in &tree.tasks {
@@ -771,7 +779,7 @@ proptest! {
 fn streams_cover_the_collector_cases() {
     let (mut unordered, mut malformed, mut dumped, mut paths) = (0, 0, 0, 0);
     for seed in 0..256 {
-        let mut c = SpanCollector::lenient();
+        let mut c = SpanCollector::new();
         for (t, rec) in stream(&mut Rng(seed)) {
             c.observe(t, &rec);
         }

@@ -19,11 +19,13 @@
 //! `RunCounts`, and that a second run with no tracer attached gives the same
 //! registry and report bytes.
 //!
-//! Each run's trace is also replayed through the lenient `cbp-obs`
-//! collector, and its analysis report (critical paths included) and the
-//! folded stacks of its critical paths are pinned as one more digest.
-//! The trace simulator's traces also go through the strict collector,
-//! which panics on any malformed record.
+//! Each run's trace is also replayed through the `cbp-obs` collector,
+//! and its analysis report (critical paths included) and the folded
+//! stacks of its critical paths are pinned as one more digest. The replay
+//! must count exactly the case's malformed records: none for the trace
+//! simulator, and for the YARN analog the count its restart-record
+//! defect gives today (DESIGN.md §7), so that it cannot grow unseen. On
+//! a wrong count the test prints the first malformed record.
 //!
 //! On a mismatch the test names every failing case and prints the
 //! observed digests.
@@ -40,7 +42,7 @@ use std::io::BufReader;
 use cbp::checkpoint::NvramSpec;
 use cbp::core::{ClusterSim, PreemptionPolicy, RunLedger, RunMetrics, RunReport, SimConfig};
 use cbp::faults::FaultSpec;
-use cbp::obs::{collect_jsonl, paths_to_folded, CritReport, ObsReport, SpanCollector};
+use cbp::obs::{collect_jsonl, extract_job_paths, paths_to_folded, ObsReport};
 use cbp::simkit::SimDuration;
 use cbp::storage::MediaKind;
 use cbp::telemetry::{JsonlReader, JsonlTracer, Tracer};
@@ -80,6 +82,11 @@ struct Case {
     /// The YARN NodeManager's grace period before it force-kills a dump
     /// still in flight, in seconds (none: dumps are never cut short).
     grace_secs: Option<u64>,
+    /// Malformed records in the YARN analog's trace, as the analysis
+    /// counts them. They come from the restart-record defect (DESIGN.md
+    /// §7) and are pinned so that the count cannot grow unseen. The trace
+    /// simulator's traces have none.
+    yarn_malformed: u64,
     /// Digests: cluster trace, cluster registry, yarn trace, yarn
     /// registry, cluster report, yarn report, cluster analysis, yarn
     /// analysis.
@@ -108,6 +115,7 @@ const CASES: &[Case] = &[
         nodes: [5, 4],
         store: Store::Dfs,
         grace_secs: None,
+        yarn_malformed: 0,
         golden: [
             0xbda4445e1bce42fd,
             0x69efb84ae242d78d,
@@ -128,6 +136,7 @@ const CASES: &[Case] = &[
         nodes: [5, 4],
         store: Store::Dfs,
         grace_secs: None,
+        yarn_malformed: 0,
         golden: [
             0x4f9cbe3ef9d4b02a,
             0xe73d12c89f2ad589,
@@ -148,6 +157,7 @@ const CASES: &[Case] = &[
         nodes: [5, 4],
         store: Store::Dfs,
         grace_secs: None,
+        yarn_malformed: 0,
         golden: [
             0x68b31cb412ba92ad,
             0x54e76f9f03ce8f4b,
@@ -168,6 +178,7 @@ const CASES: &[Case] = &[
         nodes: [5, 4],
         store: Store::Dfs,
         grace_secs: None,
+        yarn_malformed: 4,
         golden: [
             0xe4ba231b7ff33626,
             0xeadb4508737bcec7,
@@ -190,6 +201,7 @@ const CASES: &[Case] = &[
         nodes: [2, 2],
         store: Store::Dfs,
         grace_secs: None,
+        yarn_malformed: 1,
         golden: [
             0x6aa46df3bf775179,
             0x74e73aad010d9f48,
@@ -214,6 +226,7 @@ const CASES: &[Case] = &[
         nodes: [5, 4],
         store: Store::Dfs,
         grace_secs: None,
+        yarn_malformed: 0,
         golden: [
             0x4fc9e9615effcd13,
             0xd08f5eb0ab053b99,
@@ -234,6 +247,7 @@ const CASES: &[Case] = &[
         nodes: [5, 4],
         store: Store::Dfs,
         grace_secs: None,
+        yarn_malformed: 0,
         golden: [
             0x057113946e733dc6,
             0x97dd3c6cab055888,
@@ -254,6 +268,7 @@ const CASES: &[Case] = &[
         nodes: [5, 4],
         store: Store::LocalFs,
         grace_secs: None,
+        yarn_malformed: 0,
         golden: [
             0x177d43bf2bcc5740,
             0x4f8dbd17cab5b3f3,
@@ -274,6 +289,7 @@ const CASES: &[Case] = &[
         nodes: [5, 4],
         store: Store::Dfs,
         grace_secs: None,
+        yarn_malformed: 3,
         golden: [
             0x4740b6cbb1ce3081,
             0x3d8f12d823c711b9,
@@ -294,6 +310,7 @@ const CASES: &[Case] = &[
         nodes: [5, 4],
         store: Store::LocalFs,
         grace_secs: None,
+        yarn_malformed: 3,
         golden: [
             0x5b5a48040bcde053,
             0x6e6e2ac04f1f1e04,
@@ -314,6 +331,7 @@ const CASES: &[Case] = &[
         nodes: [5, 4],
         store: Store::Nvram,
         grace_secs: None,
+        yarn_malformed: 0,
         golden: [
             0xd9eee67b7dea7b64,
             0xacfd768f18dc53d0,
@@ -334,6 +352,7 @@ const CASES: &[Case] = &[
         nodes: [5, 4],
         store: Store::Dfs,
         grace_secs: None,
+        yarn_malformed: 0,
         golden: [
             0x28a4d6906c12e1fb,
             0xe49051a75e725f78,
@@ -354,6 +373,7 @@ const CASES: &[Case] = &[
         nodes: [5, 4],
         store: Store::Dfs,
         grace_secs: None,
+        yarn_malformed: 0,
         golden: [
             0xd82ddcea1ee477fd,
             0x1d7f740ceaf3995b,
@@ -375,6 +395,7 @@ const CASES: &[Case] = &[
         nodes: [5, 4],
         store: Store::Dfs,
         grace_secs: None,
+        yarn_malformed: 0,
         golden: [
             0xcd113e6b53f2d624,
             0x517bdf79d8b57b7f,
@@ -398,6 +419,7 @@ const CASES: &[Case] = &[
         nodes: [5, 4],
         store: Store::Dfs,
         grace_secs: None,
+        yarn_malformed: 15,
         golden: [
             0xe4ba231b7ff33626,
             0xeadb4508737bcec7,
@@ -421,6 +443,7 @@ const CASES: &[Case] = &[
         nodes: [5, 4],
         store: Store::Dfs,
         grace_secs: None,
+        yarn_malformed: 4,
         golden: [
             0x3d2e0fac92f7426c,
             0xa1171cfdee357497,
@@ -445,6 +468,7 @@ const CASES: &[Case] = &[
         nodes: [5, 4],
         store: Store::Dfs,
         grace_secs: Some(GRACE_SECS),
+        yarn_malformed: 0,
         golden: [
             0x4f9cbe3ef9d4b02a,
             0xe73d12c89f2ad589,
@@ -476,7 +500,7 @@ fn digests(case: &Case) -> [u64; 8] {
         Store::LocalFs => cfg.via_dfs = false,
         Store::Nvram => cfg = cfg.with_nvram(NvramSpec::default()),
     }
-    let (cluster, _) = checked_digests(case.name, "cluster", w.job_count(), true, |buf| {
+    let (cluster, _) = checked_digests(case.name, "cluster", w.job_count(), 0, |buf| {
         let mut sim = ClusterSim::new(cfg.clone(), w.clone());
         if let Some(buf) = buf {
             sim.set_tracer(Box::new(JsonlTracer::new(buf)));
@@ -500,13 +524,19 @@ fn digests(case: &Case) -> [u64; 8] {
     if let Some(secs) = case.grace_secs {
         ycfg = ycfg.with_graceful_timeout(SimDuration::from_secs(secs));
     }
-    let (yarn, metrics) = checked_digests(case.name, "yarn", fw.job_count(), false, |buf| {
-        let mut sim = YarnSim::new(ycfg.clone(), fw.clone());
-        if let Some(buf) = buf {
-            sim.set_tracer(Box::new(JsonlTracer::new(buf)));
-        }
-        sim.run()
-    });
+    let (yarn, metrics) = checked_digests(
+        case.name,
+        "yarn",
+        fw.job_count(),
+        case.yarn_malformed,
+        |buf| {
+            let mut sim = YarnSim::new(ycfg.clone(), fw.clone());
+            if let Some(buf) = buf {
+                sim.set_tracer(Box::new(JsonlTracer::new(buf)));
+            }
+            sim.run()
+        },
+    );
     if case.grace_secs.is_some() {
         assert!(
             metrics.force_kills > 0,
@@ -523,14 +553,14 @@ fn digests(case: &Case) -> [u64; 8] {
 /// Runs one simulator of `case` through `run`, traced into the buffer it
 /// is given, and returns the digests of the trace, the registry, the
 /// report and the trace's analysis, and the report's metrics. Checks that
-/// the run finished all `jobs`, that its trace folds to its counters, and
-/// that `run` with no tracer gives the same registry and report. With
-/// `strict`, the trace must also replay through the strict collector.
+/// the run finished all `jobs`, that its trace folds to its counters, that
+/// `run` with no tracer gives the same registry and report, and that the
+/// trace's analysis counts exactly `malformed` malformed records.
 fn checked_digests(
     case: &str,
     sim: &str,
     jobs: usize,
-    strict: bool,
+    malformed: u64,
     run: impl Fn(Option<SharedBuf>) -> RunReport,
 ) -> ([u64; 4], RunMetrics) {
     let buf = SharedBuf::default();
@@ -551,34 +581,28 @@ fn checked_digests(
         (registry, words),
         "{case}, {sim}: an untraced run's registry and report digests differ from the traced run's"
     );
-    let analysis = obs_digest(case, sim, &trace, strict);
+    let analysis = obs_digest(case, sim, &trace, malformed);
     ([fnv1a(&trace), registry, words, analysis], report.metrics)
 }
 
-/// FNV-1a over the analysis report of `trace`, replayed through the
-/// lenient collector with its critical paths, followed by the folded
-/// stacks of those paths. With `strict`, the trace is also replayed
-/// through the strict collector, which panics on a malformed record.
-fn obs_digest(case: &str, sim: &str, trace: &[u8], strict: bool) -> u64 {
+/// FNV-1a over the analysis report of `trace` with its critical paths,
+/// followed by the folded stacks of those paths. Asserts that the replay
+/// counts exactly `malformed` malformed records.
+fn obs_digest(case: &str, sim: &str, trace: &[u8], malformed: u64) -> u64 {
     let collector =
         collect_jsonl(trace).unwrap_or_else(|e| panic!("{case}, {sim}: trace replay: {e}"));
     let report = ObsReport::build(&collector, OBS_TOP_K)
         .with_crit(&collector)
         .unwrap_or_else(|e| panic!("{case}, {sim}: critical paths: {e}"));
-    let paths = CritReport::extract_paths(&collector)
-        .unwrap_or_else(|e| panic!("{case}, {sim}: critical paths: {e}"));
-    if strict {
-        let mut strict = SpanCollector::new();
-        for item in JsonlReader::new(trace).expect("golden traces have a header") {
-            let (t_us, rec) = item.expect("golden traces are well-formed");
-            strict.observe(t_us, &rec);
-        }
-        assert_eq!(
-            strict.records(),
-            collector.records(),
-            "{case}, {sim}: records replayed strictly and leniently"
-        );
-    }
+    let paths = extract_job_paths(&collector)
+        .unwrap_or_else(|e| panic!("{case}, {sim}: critical paths: {e}"))
+        .paths;
+    assert_eq!(
+        collector.malformed(),
+        malformed,
+        "{case}, {sim}: malformed records; first: {:?}",
+        collector.first_malformed()
+    );
     let mut bytes = report.to_json().into_bytes();
     bytes.extend_from_slice(paths_to_folded(&paths).as_bytes());
     fnv1a(&bytes)
