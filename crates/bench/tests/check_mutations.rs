@@ -226,16 +226,17 @@ fn trace_lines() -> &'static [String] {
 }
 
 /// Analyzes a JSONL trace through `repro analyze`'s path with
-/// `--critical-path` and every `--what-if`; an unreadable trace or a
+/// `--critical-path` and every `--what-if`, and returns the JSON report
+/// that `--analyze` / `--report` would write; an unreadable trace or a
 /// critical-path error is an `Err`.
-fn analyze(trace: &str) -> Result<ObsReport, String> {
+fn analyze(trace: &str) -> Result<String, String> {
     let collector = collect_jsonl(trace.as_bytes()).map_err(|e| e.to_string())?;
     let opts = TelemetryOptions {
         critical_path: true,
         what_if: WhatIf::ALL.to_vec(),
         ..TelemetryOptions::default()
     };
-    emit_analysis(&collector, &opts)
+    emit_analysis(&collector, &opts).map(|report| report.to_json())
 }
 
 #[test]

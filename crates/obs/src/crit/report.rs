@@ -345,6 +345,7 @@ mod tests {
         for (t, rec) in stream {
             c.observe(t, &rec);
         }
+        assert_eq!(c.malformed(), 0, "first: {:?}", c.first_malformed());
         c
     }
 

@@ -385,6 +385,7 @@ mod tests {
             }
             c.observe(t + 1_000_000, &TraceRecord::TaskFinish { task: i, node: 0 });
         }
+        assert_eq!(c.malformed(), 0, "first: {:?}", c.first_malformed());
         ObsReport::build(&c, 5).to_json()
     }
 

@@ -771,6 +771,7 @@ mod tests {
                 );
             }
         }
+        assert_eq!(c.malformed(), 0, "first: {:?}", c.first_malformed());
         c
     }
 
@@ -863,6 +864,7 @@ mod tests {
             }
             c.observe(t + 500, &TraceRecord::TaskFinish { task: i, node: 0 });
         }
+        assert_eq!(c.malformed(), 0, "first: {:?}", c.first_malformed());
         let r = ObsReport::build(&c, 10);
         assert!(
             r.anomalies

@@ -1055,7 +1055,20 @@ pub fn collect_jsonl<R: BufRead>(input: R) -> Result<SpanCollector, TraceReadErr
 mod tests {
     use super::*;
 
+    /// Feeds a stream that must be well formed: a record the collector
+    /// rejects fails the test with its witness.
     fn feed(collector: &mut SpanCollector, stream: &[(u64, TraceRecord)]) {
+        feed_any(collector, stream);
+        assert_eq!(
+            collector.malformed(),
+            0,
+            "first: {:?}",
+            collector.first_malformed()
+        );
+    }
+
+    /// Feeds a stream that may hold malformed records.
+    fn feed_any(collector: &mut SpanCollector, stream: &[(u64, TraceRecord)]) {
         for (t, rec) in stream {
             collector.observe(*t, rec);
         }
@@ -1653,7 +1666,7 @@ mod tests {
         // A finish with no schedule: one malformed record, kept as the
         // witness.
         let mut c = SpanCollector::new();
-        feed(
+        feed_any(
             &mut c,
             &[
                 (0, submit(1)),
@@ -1677,7 +1690,7 @@ mod tests {
 
         let mut c = SpanCollector::new();
         assert!(c.first_malformed().is_none());
-        feed(
+        feed_any(
             &mut c,
             &[
                 (0, submit(1)),
@@ -1752,6 +1765,7 @@ mod tests {
         assert_eq!((n.repairs, n.repair_bytes), (u32::MAX, u64::MAX));
         assert_eq!(n.resumed_bytes, u64::MAX);
         assert_eq!(c.task(1).unwrap().resumed_bytes, u64::MAX);
+        assert_eq!(c.malformed(), 0, "first: {:?}", c.first_malformed());
     }
 
     #[test]
