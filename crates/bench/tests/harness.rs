@@ -126,3 +126,131 @@ fn empty_workload_scale_is_rejected() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("empty Google trace"), "{stderr}");
 }
+
+/// Every input `repro` rejects exits 2 with nothing on stdout and names
+/// the flag, key or file at fault on stderr. Each case stops before any
+/// simulation runs.
+#[test]
+fn cli_rejects_bad_input_with_exit_2() {
+    let dir = std::env::temp_dir().join(format!("cbp-cli-reject-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let headerless = dir.join("headerless.jsonl");
+    std::fs::write(&headerless, "{\"t_us\":0,\"event\":\"task_submit\"}\n").unwrap();
+    let not_json = dir.join("not-json.json");
+    std::fs::write(&not_json, "not json\n").unwrap();
+    let missing = dir.join("missing.jsonl");
+    let (headerless, not_json, missing) = (
+        headerless.to_str().unwrap(),
+        not_json.to_str().unwrap(),
+        missing.to_str().unwrap(),
+    );
+
+    // (arguments, what stderr must name)
+    let mut cases: Vec<(Vec<&str>, &str)> = vec![
+        (vec!["fig3", "--scale", "0"], "--scale"),
+        (vec!["fig3", "--scale", "nan"], "--scale"),
+        (vec!["fig3", "--scale", "-1"], "--scale"),
+        (vec!["fig3", "--scale", "2"], "--scale"),
+        (vec!["fig3", "--scale", "smoke", "--seed", "-1"], "--seed"),
+        (vec!["fig3", "--scale", "smoke", "--seed", "abc"], "--seed"),
+        (vec!["fig3", "--what-if", "bogus"], "--what-if"),
+        (vec!["all", "--scale", "smoke", "--telemetry"], "'all'"),
+        (
+            vec!["all", "--scale", "smoke", "--trace-out", "t.jsonl"],
+            "'all'",
+        ),
+        (
+            vec!["fig3", "--scale", "smoke", "--faults", "heavy"],
+            "--faults",
+        ),
+        (
+            vec!["fig3", "--scale", "smoke", "--no-lifecycle"],
+            "--no-lifecycle",
+        ),
+        (vec!["bogus", "--scale", "smoke"], "bogus"),
+        (vec!["bench", "--check", not_json], "--candidate"),
+        (vec!["bench", "--reps", "0"], "--reps"),
+        (vec!["bench", "--tol-pct", "-1"], "--tol-pct"),
+        (vec!["bench", "--matrix", "bogus"], "matrix"),
+        (vec!["analyze", missing], missing),
+        (vec!["analyze", headerless], headerless),
+        (vec!["analyze", headerless, headerless], headerless),
+        (
+            vec!["bench", "--check", not_json, "--candidate", not_json],
+            "baseline",
+        ),
+    ];
+    for (spec, key) in [
+        ("seed=-1", "seed"),
+        ("rack-size=0", "rack-size"),
+        ("breaker-min=0", "breaker-min"),
+        ("cap=0", "cap"),
+        ("chunk-mb=0", "chunk-mb"),
+        ("crash=2", "crash"),
+        ("bogus=1", "bogus"),
+        ("extreme", "extreme"),
+    ] {
+        cases.push((
+            vec!["fig3", "--scale", "smoke", "--telemetry", "--faults", spec],
+            key,
+        ));
+    }
+    for cmd in [vec!["fig3"], vec!["bench"], vec!["analyze", headerless]] {
+        let mut args = cmd.clone();
+        args.push("--bogus");
+        cases.push((args, "--bogus"));
+    }
+    for flag in [
+        "--scale",
+        "--seed",
+        "--md",
+        "--json",
+        "--trace-out",
+        "--chrome-trace",
+        "--timeseries",
+        "--analyze",
+        "--faults",
+        "--flamegraph-out",
+        "--what-if",
+    ] {
+        cases.push((vec!["fig3", flag], flag));
+    }
+    for flag in [
+        "--matrix",
+        "--scenario",
+        "--reps",
+        "--warmup",
+        "--out",
+        "--check",
+        "--candidate",
+        "--tol-pct",
+    ] {
+        cases.push((vec!["bench", flag], flag));
+    }
+    for flag in [
+        "--report",
+        "--baseline",
+        "--tol-rel",
+        "--tol-abs-us",
+        "--flamegraph-out",
+        "--what-if",
+    ] {
+        cases.push((vec!["analyze", headerless, flag], flag));
+    }
+
+    for (args, key) in &cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+        assert!(
+            stderr.contains(key),
+            "{args:?}: stderr does not name {key}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
