@@ -1,38 +1,16 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
-//! ```text
-//! repro <experiment-id|all> [--scale full|small|smoke|<0..1>] [--seed N] [--md PATH] [--json PATH]
-//!       [--trace-out PATH] [--chrome-trace PATH] [--timeseries PATH] [--telemetry]
-//!       [--analyze PATH] [--critical-path] [--flamegraph-out PATH] [--what-if SCENARIO]
-//!       [--faults SPEC] [--no-lifecycle]
-//! repro analyze <trace.jsonl> [--report PATH] [--baseline PATH] [--tol-rel F] [--tol-abs-us F]
-//!       [--critical-path] [--flamegraph-out PATH] [--what-if SCENARIO]
-//! ```
-//!
-//! Experiment ids: fig1 table1 table2 fig2 table3 fig3 fig4 fig5 fig6
-//! fig8 fig9 fig10 fig11 fig12 ablate mapreduce qos faults.
-//!
-//! `--faults SPEC` attaches a deterministic fault plan (a chaos profile
-//! `off`/`light`/`heavy`/`chaos`, optionally tuned: `heavy,seed=7,dump=0.3`
-//! or `chaos,crash=0.2,rack=0.1,partition=0.3,breaker=0.5`) to the
-//! instrumented run, so chaos runs can be traced, analyzed, and
-//! replayed byte-identically. The `chaos` profile layers failure-domain
-//! chaos (correlated node/rack crash-recover cycles, rack partitions)
-//! and the checkpoint-path circuit breaker on top of `heavy`; the
-//! `pressure` profile shrinks every node's checkpoint store and leaks
-//! reservations into it (keys: `cap`, `leak`, `leak-gb`, `leak-window`),
-//! exercising the image-lifecycle GC → evict → spill ladder.
-//! `--no-lifecycle` disables that ladder for ablation.
+//! `repro --help` prints the usage of every command, `repro <command>
+//! --help` the usage of one, and `repro --list` the experiment ids. The
+//! usage is generated from the flag tables below, the fault keys of
+//! `FaultSpec::help` and the experiments of [`cbp_bench::EXPERIMENTS`],
+//! so each flag, key and id is declared once.
 //!
 //! The telemetry flags add **one instrumented run** of the requested
 //! experiment's simulation (see `cbp_bench::telemetry_run`); without them
-//! no tracing code runs at all. Unknown flags are rejected.
-//!
-//! `repro analyze` replays a `--trace-out` JSONL file offline through the
-//! `cbp-obs` span collector and prints the same penalty analysis that
-//! `--analyze` produces online — the two reports are byte-identical for
-//! the same run. With `--baseline` it diffs against an archived report
-//! and exits 1 on a regression verdict.
+//! no tracing code runs at all. `repro analyze` replays a `--trace-out`
+//! file offline and prints the same analysis as `--analyze` does online:
+//! the two reports are byte-identical for the same run.
 //!
 //! A trace record that does not fit its task's lifecycle is malformed:
 //! the analysis counts it and leaves its task out of the report. Online
@@ -44,21 +22,24 @@
 //! plans on `fig8` still write one such record, and CI requires those
 //! runs to exit 0.
 //!
-//! Exit codes: 0 on success; 1 on a regression verdict (`analyze
-//! --baseline`, `bench --check`); 2 on a usage or input error, including
-//! a `--scale` that leaves a Google-trace experiment an empty workload
-//! (`repro fig3 --scale 1e-9`), which would otherwise print all-zero
-//! tables; 3 when writing a `--trace-out` or `--chrome-trace` file fails
-//! mid-run (`--trace-out /dev/full`): the run completes, and the file
-//! ends at the failed write.
+//! Exit codes: 0 on success, and on `--help`; 1 on a regression verdict
+//! (`analyze --baseline`, `bench --check`); 2 on a usage or input error,
+//! including a `--scale` that leaves a Google-trace experiment an empty
+//! workload (`repro fig3 --scale 1e-9`), which would otherwise print
+//! all-zero tables; 3 when writing a `--trace-out` or `--chrome-trace`
+//! file fails mid-run (`--trace-out /dev/full`): the run completes, and
+//! the file ends at the failed write.
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
+use std::process::ExitCode;
+use std::str::FromStr;
 
 use cbp_bench::{
-    analyze_trace_collector, check_bench_files, check_scale, emit_analysis, experiments_json,
-    find_scenario, run_all, run_instrumented, run_one, run_scenario, standard_matrix, tiny_matrix,
-    BenchOptions, Scale, TelemetryOptions, EXPERIMENT_IDS,
+    analyze_trace_collector, check_bench_files, check_scale, emit_analysis, experiment_ids,
+    experiments_json, find_experiment, find_scenario, run_all, run_instrumented, run_scenario,
+    standard_matrix, tiny_matrix, BenchOptions, InstrumentError, Scale, TelemetryOptions,
 };
+use cbp_faults::FaultSpec;
 use cbp_obs::{diff_reports, Tolerances, Verdict, WhatIf};
 
 // Installed only for allocator-peak benchmarking: every BENCH json then
@@ -67,181 +48,377 @@ use cbp_obs::{diff_reports, Tolerances, Verdict, WhatIf};
 #[global_allocator]
 static ALLOC: cbp_prof::alloc::CountingAllocator = cbp_prof::alloc::CountingAllocator;
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() || args[0] == "--help" || args[0] == "-h" {
-        usage();
-        return;
-    }
-    if args[0] == "--list" {
-        for id in EXPERIMENT_IDS {
-            println!("{id}");
+    match run(&args) {
+        Ok(code) => ExitCode::from(code),
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::from(e.exit_code())
         }
-        return;
     }
-    if args[0] == "analyze" {
-        analyze_cmd(&args[1..]);
-        return;
+}
+
+/// Runs the command `args` name and returns its exit code: 0, or 1 on a
+/// regression verdict.
+fn run(args: &[String]) -> Result<u8, InstrumentError> {
+    let (word, rest) = match args.split_first() {
+        Some((word, rest)) => (word.as_str(), rest),
+        None => ("--help", args),
+    };
+    let command = match word {
+        "--help" | "-h" => {
+            eprint!("{}", usage());
+            return Ok(0);
+        }
+        "--list" => {
+            for id in experiment_ids() {
+                println!("{id}");
+            }
+            return Ok(0);
+        }
+        "analyze" => &ANALYZE,
+        "bench" => &BENCH,
+        _ => &EXPERIMENT,
+    };
+    let mut a = Args::default();
+    if !command.parse(rest, &mut a)? {
+        eprint!("{}", command.usage());
+        return Ok(0);
     }
-    if args[0] == "bench" {
-        bench_cmd(&args[1..]);
-        return;
+    (command.run)(word, a)
+}
+
+/// Everything a command line sets. Each command's flags reach only the
+/// fields that command reads.
+struct Args {
+    scale: Scale,
+    seed: u64,
+    md: Option<String>,
+    json: Option<String>,
+    /// The instrumented run's sinks and flags; `repro analyze` keeps its
+    /// report path and critical-path flags here too.
+    telemetry: TelemetryOptions,
+    /// `repro analyze`'s trace file.
+    trace: Option<String>,
+    baseline: Option<String>,
+    tol: Tolerances,
+    matrix: Option<String>,
+    scenarios: Vec<String>,
+    bench: BenchOptions,
+    out_dir: Option<String>,
+    profile: bool,
+    check: Option<String>,
+    candidate: Option<String>,
+    tol_pct: f64,
+}
+
+impl Default for Args {
+    fn default() -> Self {
+        Args {
+            scale: Scale::SMALL,
+            seed: 42,
+            md: None,
+            json: None,
+            telemetry: TelemetryOptions::default(),
+            trace: None,
+            baseline: None,
+            tol: Tolerances::default(),
+            matrix: None,
+            scenarios: Vec::new(),
+            bench: BenchOptions::default(),
+            out_dir: None,
+            profile: false,
+            check: None,
+            candidate: None,
+            tol_pct: 5.0,
+        }
+    }
+}
+
+/// One command: its usage line, its flags in groups, and what runs it.
+struct Command {
+    /// What follows `repro` on the usage line.
+    synopsis: &'static str,
+    /// Whether a trace file may stand among the flags (`repro analyze`).
+    takes_trace: bool,
+    /// Flag groups, each under a heading (none for the first).
+    groups: &'static [(&'static str, &'static [Flag])],
+    /// Usage text after the flags.
+    footer: fn() -> String,
+    /// Runs the command on its first word (the experiment id) and flags.
+    run: fn(&str, Args) -> Result<u8, InstrumentError>,
+}
+
+impl Command {
+    fn flags(&self) -> impl Iterator<Item = &Flag> {
+        self.groups.iter().flat_map(|(_, flags)| flags.iter())
     }
 
-    let id = args[0].clone();
-    let mut scale = Scale::SMALL;
-    let mut seed = 42u64;
-    let mut md_path: Option<String> = None;
-    let mut json_path: Option<String> = None;
-    let mut telemetry = TelemetryOptions::default();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale = args
-                    .get(i)
-                    .and_then(|s| Scale::parse(s))
-                    .unwrap_or_else(|| die("invalid --scale value"));
+    /// Parses `args` into `a`; `Ok(false)` if they ask for `--help`.
+    fn parse(&self, args: &[String], a: &mut Args) -> Result<bool, String> {
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if arg == "--help" {
+                return Ok(false);
             }
-            "--seed" => {
-                i += 1;
-                seed = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("invalid --seed value"));
-            }
-            "--md" => {
-                i += 1;
-                md_path = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("missing --md path")),
-                );
-            }
-            "--json" => {
-                i += 1;
-                json_path = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("missing --json path")),
-                );
-            }
-            "--trace-out" => {
-                i += 1;
-                telemetry.trace_out = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("missing --trace-out path")),
-                );
-            }
-            "--chrome-trace" => {
-                i += 1;
-                telemetry.chrome_trace = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("missing --chrome-trace path")),
-                );
-            }
-            "--timeseries" => {
-                i += 1;
-                telemetry.timeseries = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("missing --timeseries path")),
-                );
-            }
-            "--telemetry" => {
-                telemetry.telemetry = true;
-            }
-            "--analyze" => {
-                i += 1;
-                telemetry.analyze = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("missing --analyze path")),
-                );
-            }
-            "--faults" => {
-                i += 1;
-                let spec = args.get(i).unwrap_or_else(|| {
-                    die("missing --faults spec (off|light|heavy|chaos|key=value,...)")
-                });
-                telemetry.faults =
-                    Some(cbp_faults::FaultSpec::parse(spec).unwrap_or_else(|e| die(&e)));
-            }
-            "--no-lifecycle" => {
-                telemetry.no_lifecycle = true;
-            }
-            _ if parse_crit_flag(&args, &mut i, &mut telemetry) => {}
-            other => die(&format!("unknown argument: {other}")),
+            let Some(flag) = self.flags().find(|f| f.name == arg) else {
+                if arg.starts_with('-') || !self.takes_trace {
+                    return Err(format!("unknown argument: {arg}"));
+                }
+                if a.trace.is_some() {
+                    return Err(format!("unexpected argument: {arg}"));
+                }
+                a.trace = Some(arg.clone());
+                continue;
+            };
+            let value = match flag.value {
+                "" => "",
+                what => args
+                    .next()
+                    .ok_or_else(|| format!("missing {what} after {}", flag.name))?,
+            };
+            (flag.set)(a, value)
+                .map_err(|e| format!("invalid {} value {value:?}: {e}", flag.name))?;
         }
-        i += 1;
+        Ok(true)
     }
 
-    if telemetry.any() && id == "all" {
-        die("telemetry flags need a single experiment id, not 'all'");
-    }
-    if telemetry.faults.is_some() && !telemetry.any() {
-        die(
-            "--faults applies to the instrumented run; add a telemetry sink \
-             (--trace-out/--chrome-trace/--timeseries/--telemetry/--analyze)",
-        );
-    }
-    if telemetry.no_lifecycle && !telemetry.any() {
-        die(
-            "--no-lifecycle applies to the instrumented run; add a telemetry sink \
-             (--trace-out/--chrome-trace/--timeseries/--telemetry/--analyze)",
-        );
-    }
-
-    if let Err(e) = check_scale(&id, scale, seed) {
-        die(&e.to_string());
-    }
-    let experiments = if id == "all" {
-        run_all(scale, seed)
-    } else {
-        match run_one(&id, scale, seed) {
-            Some(e) => vec![e],
-            None => die(&format!(
-                "unknown experiment '{id}'; valid: all {}",
-                EXPERIMENT_IDS.join(" ")
-            )),
+    fn usage(&self) -> String {
+        let mut out = format!("usage: repro {} [flags]\n", self.synopsis);
+        for (heading, flags) in self.groups {
+            if !heading.is_empty() {
+                let _ = writeln!(out, "\n{heading}");
+            }
+            for f in *flags {
+                let name = format!("{} {}", f.name, f.value);
+                let help = f.help.replace('\n', &format!("\n{:26}", ""));
+                let _ = writeln!(out, "  {:<23} {help}", name.trim_end());
+            }
         }
+        out + &(self.footer)()
+    }
+}
+
+/// The usage of every command.
+fn usage() -> String {
+    let commands = [&EXPERIMENT, &ANALYZE, &BENCH].map(Command::usage);
+    format!(
+        "usage: repro --list   print the experiment ids\n\n{}",
+        commands.join("\n")
+    )
+}
+
+/// One flag: its name, its value's placeholder (empty for a switch), its
+/// help, and the setter that stores its value.
+struct Flag {
+    name: &'static str,
+    value: &'static str,
+    /// One line of help; a `\n` continues it on the next line.
+    help: &'static str,
+    set: fn(&mut Args, &str) -> Result<(), String>,
+}
+
+const fn flag(
+    name: &'static str,
+    value: &'static str,
+    help: &'static str,
+    set: fn(&mut Args, &str) -> Result<(), String>,
+) -> Flag {
+    Flag {
+        name,
+        value,
+        help,
+        set,
+    }
+}
+
+fn path(slot: &mut Option<String>, v: &str) -> Result<(), String> {
+    *slot = Some(v.into());
+    Ok(())
+}
+
+fn num<T: FromStr>(slot: &mut T, v: &str) -> Result<(), String> {
+    *slot = v
+        .parse()
+        .map_err(|_| format!("expected {}", std::any::type_name::<T>()))?;
+    Ok(())
+}
+
+fn at_least<T: FromStr + PartialOrd + Display>(
+    slot: &mut T,
+    v: &str,
+    min: T,
+) -> Result<(), String> {
+    match v.parse() {
+        Ok(x) if x >= min => *slot = x,
+        _ => return Err(format!("expected a number >= {min}")),
+    }
+    Ok(())
+}
+
+fn on(slot: &mut bool) -> Result<(), String> {
+    *slot = true;
+    Ok(())
+}
+
+// The flag tables keep one flag a line.
+#[rustfmt::skip]
+const RUN_FLAGS: &[Flag] = &[
+    flag("--scale", "SCALE", "full, small (default), smoke or a factor in (0,1]", |a, v| {
+        a.scale = Scale::parse(v).ok_or("expected full, small, smoke or (0,1]")?;
+        Ok(())
+    }),
+    flag("--seed", "N", "workload seed (default 42)", |a, v| num(&mut a.seed, v)),
+    flag("--md", "PATH", "write the tables as markdown", |a, v| path(&mut a.md, v)),
+    flag("--json", "PATH", "write the tables as JSON", |a, v| path(&mut a.json, v)),
+];
+
+#[rustfmt::skip]
+const TELEMETRY_FLAGS: &[Flag] = &[
+    flag("--trace-out", "PATH", "JSONL trace, one record per line", |a, v| path(&mut a.telemetry.trace_out, v)),
+    flag("--chrome-trace", "PATH", "Chrome/Perfetto trace.json", |a, v| path(&mut a.telemetry.chrome_trace, v)),
+    flag("--timeseries", "PATH", "columnar time-series JSON", |a, v| path(&mut a.telemetry.timeseries, v)),
+    flag("--telemetry", "", "print the metrics registry and engine throughput", |a, _| on(&mut a.telemetry.telemetry)),
+    flag("--analyze", "PATH", "write the blame report; print its tables", |a, v| path(&mut a.telemetry.analyze, v)),
+    flag("--faults", "SPEC", "attach a fault plan (see fault plans below)", |a, v| {
+        a.telemetry.faults = Some(FaultSpec::parse(v)?);
+        Ok(())
+    }),
+    flag("--no-lifecycle", "", "disable GC -> evict -> spill (ablation)", |a, _| on(&mut a.telemetry.no_lifecycle)),
+];
+
+#[rustfmt::skip]
+const CRIT_FLAGS: &[Flag] = &[
+    flag("--critical-path", "", "per-job critical paths (report gains \"crit\")", |a, _| on(&mut a.telemetry.critical_path)),
+    flag("--flamegraph-out", "PATH", "write them as inferno folded stacks", |a, v| path(&mut a.telemetry.flamegraph_out, v)),
+    flag("--what-if", "SCENARIO", "p95 under dump0|iobw-inf|faults-off", |a, v| {
+        let names = WhatIf::ALL.map(WhatIf::cli_name).join("|");
+        a.telemetry.what_if.push(WhatIf::parse(v).ok_or(format!("expected {names}"))?);
+        Ok(())
+    }),
+];
+
+#[rustfmt::skip]
+const ANALYZE_FLAGS: &[Flag] = &[
+    flag("--report", "PATH", "write the report JSON (archive it)", |a, v| path(&mut a.telemetry.analyze, v)),
+    flag("--baseline", "PATH", "diff against an archived report", |a, v| path(&mut a.baseline, v)),
+    flag("--tol-rel", "F", "relative tolerance (default 0.05)", |a, v| num(&mut a.tol.rel, v)),
+    flag("--tol-abs-us", "F", "tolerance of *_us keys (default 1000)", |a, v| num(&mut a.tol.abs_us, v)),
+];
+
+#[rustfmt::skip]
+const BENCH_FLAGS: &[Flag] = &[
+    flag("--matrix", "tiny|standard", "scenario matrix (default tiny)", |a, v| path(&mut a.matrix, v)),
+    flag("--scenario", "NAME", "run this scenario instead; repeatable", |a, v| {
+        a.scenarios.push(v.into());
+        Ok(())
+    }),
+    flag("--reps", "N", "timed repetitions", |a, v| at_least(&mut a.bench.reps, v, 1)),
+    flag("--warmup", "N", "discarded warm-up repetitions", |a, v| num(&mut a.bench.warmup, v)),
+    flag("--out", "DIR", "where to write BENCH files (default .)", |a, v| path(&mut a.out_dir, v)),
+    flag("--profile", "", "also print the top self-time scopes", |a, _| on(&mut a.profile)),
+    flag("--check", "PATH", "compare this baseline BENCH file ...", |a, v| path(&mut a.check, v)),
+    flag("--candidate", "PATH", "... with this one", |a, v| path(&mut a.candidate, v)),
+    flag("--tol-pct", "P", "--check tolerance in percent (default 5)", |a, v| at_least(&mut a.tol_pct, v, 0.0)),
+];
+
+const EXPERIMENT: Command = Command {
+    synopsis: "<experiment-id|all>",
+    takes_trace: false,
+    groups: &[
+        ("", RUN_FLAGS),
+        (
+            "telemetry (one experiment only; adds one instrumented run):",
+            TELEMETRY_FLAGS,
+        ),
+        ("critical paths (add an instrumented run too):", CRIT_FLAGS),
+    ],
+    footer: || {
+        let ids: Vec<&str> = experiment_ids().collect();
+        format!(
+            "\nfault plans (--faults SPEC): a profile, then key=value items, such as\n\
+             heavy,seed=7,dump=0.3\n{}\nexperiments: all {}\n",
+            FaultSpec::help(),
+            ids.join(" ")
+        )
+    },
+    run: experiment,
+};
+
+const ANALYZE: Command = Command {
+    synopsis: "analyze <trace.jsonl>",
+    takes_trace: true,
+    groups: &[
+        (
+            "offline analysis (replays a --trace-out file; byte-identical to --analyze):",
+            ANALYZE_FLAGS,
+        ),
+        ("critical paths:", CRIT_FLAGS),
+    ],
+    footer: String::new,
+    run: |_, a| analyze(a),
+};
+
+const BENCH: Command = Command {
+    synopsis: "bench",
+    takes_trace: false,
+    groups: &[(
+        "perf harness (wall-clock; writes schema-versioned BENCH_<scenario>.json):",
+        BENCH_FLAGS,
+    )],
+    footer: String::new,
+    run: |_, a| bench(a),
+};
+
+/// `repro <experiment-id|all>`: runs the experiments, prints their
+/// tables, and adds the instrumented run the telemetry flags ask for.
+fn experiment(id: &str, a: Args) -> Result<u8, InstrumentError> {
+    let t = &a.telemetry;
+    let sinks =
+        "add a telemetry sink (--trace-out/--chrome-trace/--timeseries/--telemetry/--analyze)";
+    if t.any() && id == "all" {
+        return Err("telemetry flags need a single experiment id, not 'all'".into());
+    }
+    if t.faults.is_some() && !t.any() {
+        return Err(format!("--faults applies to the instrumented run; {sinks}").into());
+    }
+    if t.no_lifecycle && !t.any() {
+        return Err(format!("--no-lifecycle applies to the instrumented run; {sinks}").into());
+    }
+    let def = find_experiment(id);
+    if def.is_none() && id != "all" {
+        let ids: Vec<&str> = experiment_ids().collect();
+        return Err(format!("unknown experiment '{id}'; valid: all {}", ids.join(" ")).into());
+    }
+    check_scale(id, a.scale, a.seed).map_err(|e| e.to_string())?;
+    let experiments = match def {
+        Some(def) => vec![(def.run)(a.scale, a.seed)],
+        None => run_all(a.scale, a.seed),
     };
 
     for exp in &experiments {
         println!("################ {} ################", exp.id);
         println!("paper: {}\n", exp.paper_claim);
-        for t in &exp.tables {
-            println!("{}", t.text());
+        for table in &exp.tables {
+            println!("{}", table.text());
         }
     }
 
-    if telemetry.any() {
-        match run_instrumented(&id, scale, seed, &telemetry) {
-            Ok(true) => {}
-            Ok(false) => {
-                eprintln!("warning: '{id}' is analytic (no simulation); telemetry flags ignored")
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(e.exit_code());
-            }
+    if let Some(def) = def.filter(|_| t.any()) {
+        if !run_instrumented(def.substrate, a.scale, a.seed, t)? {
+            eprintln!("warning: '{id}' is analytic (no simulation); telemetry flags ignored");
         }
     }
 
-    if let Some(path) = json_path {
-        std::fs::write(&path, experiments_json(&experiments))
-            .unwrap_or_else(|e| die(&format!("write {path}: {e}")));
-        eprintln!("wrote {path}");
+    if let Some(path) = &a.json {
+        write(path, &experiments_json(&experiments))?;
     }
-
-    if let Some(path) = md_path {
+    if let Some(path) = &a.md {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "# Reproduced experiments\n\nGenerated by `repro all --scale {} --seed {seed}`. \
+            "# Reproduced experiments\n\nGenerated by `repro all --scale {} --seed {}`. \
              Absolute numbers come from the simulated substrates; compare *shapes* \
              (orderings, crossovers, rough factors) against the paper's anchors quoted \
              with each experiment.\n\nAll tables report *simulated* time. For the \
@@ -249,144 +426,49 @@ fn main() {
              the `BENCH_*.json` trajectory and its regression gate — see `repro bench` \
              (README \"Perf\" section, DESIGN.md §5.2) and the `telemetry_overhead` \
              Criterion bench's throughput report.\n",
-            scale.factor
+            a.scale.factor, a.seed
         );
         for exp in &experiments {
             out.push_str(&exp.markdown());
         }
-        std::fs::write(&path, out).unwrap_or_else(|e| die(&format!("write {path}: {e}")));
-        eprintln!("wrote {path}");
+        write(path, &out)?;
     }
+    Ok(0)
 }
 
-/// `repro bench` — the wall-clock perf harness.
-///
-/// ```text
-/// repro bench [--matrix tiny|standard] [--scenario NAME]... [--reps N]
-///             [--warmup N] [--out DIR] [--profile]
-/// repro bench --check <baseline.json> --candidate <candidate.json> [--tol-pct P]
-/// ```
-///
-/// Run mode benchmarks each scenario and writes `BENCH_<scenario>.json`
-/// under `--out` (default: current directory). Check mode compares two
-/// BENCH files direction-aware and exits 1 on regression.
-fn bench_cmd(args: &[String]) {
-    let mut matrix: Option<String> = None;
-    let mut scenarios: Vec<String> = Vec::new();
-    let mut opts = BenchOptions::default();
-    let mut out_dir = String::from(".");
-    let mut profile = false;
-    let mut check: Option<String> = None;
-    let mut candidate: Option<String> = None;
-    let mut tol_pct = 5.0;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--matrix" => {
-                i += 1;
-                matrix = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("missing --matrix value (tiny|standard)")),
-                );
-            }
-            "--scenario" => {
-                i += 1;
-                scenarios.push(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("missing --scenario name")),
-                );
-            }
-            "--reps" => {
-                i += 1;
-                opts.reps = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|n| *n >= 1)
-                    .unwrap_or_else(|| die("invalid --reps value"));
-            }
-            "--warmup" => {
-                i += 1;
-                opts.warmup = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("invalid --warmup value"));
-            }
-            "--out" => {
-                i += 1;
-                out_dir = args
-                    .get(i)
-                    .cloned()
-                    .unwrap_or_else(|| die("missing --out dir"));
-            }
-            "--profile" => profile = true,
-            "--check" => {
-                i += 1;
-                check = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("missing --check baseline path")),
-                );
-            }
-            "--candidate" => {
-                i += 1;
-                candidate = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("missing --candidate path")),
-                );
-            }
-            "--tol-pct" => {
-                i += 1;
-                tol_pct = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|p: &f64| *p >= 0.0)
-                    .unwrap_or_else(|| die("invalid --tol-pct value"));
-            }
-            other => die(&format!("unknown argument: {other}")),
-        }
-        i += 1;
-    }
-
-    if let Some(baseline_path) = check {
-        let candidate_path =
-            candidate.unwrap_or_else(|| die("--check needs --candidate <bench.json>"));
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| die(&format!("read {baseline_path}: {e}")));
-        let cand = std::fs::read_to_string(&candidate_path)
-            .unwrap_or_else(|e| die(&format!("read {candidate_path}: {e}")));
-        let diff = check_bench_files(&baseline, &cand, tol_pct).unwrap_or_else(|e| die(&e));
+/// `repro bench`: benchmarks each scenario and writes
+/// `BENCH_<scenario>.json` under `--out`, or with `--check` compares two
+/// BENCH files and exits 1 on a regression.
+fn bench(a: Args) -> Result<u8, InstrumentError> {
+    if let Some(baseline) = &a.check {
+        let candidate = a
+            .candidate
+            .as_deref()
+            .ok_or("--check needs --candidate <bench.json>")?;
+        let diff = check_bench_files(&read(baseline)?, &read(candidate)?, a.tol_pct)?;
         print!("{}", diff.render());
-        if diff.regressed() {
-            std::process::exit(1);
-        }
-        return;
+        return Ok(u8::from(diff.regressed()));
     }
 
-    let selected = if !scenarios.is_empty() {
-        scenarios
-            .iter()
-            .map(|n| {
-                find_scenario(n)
-                    .unwrap_or_else(|| die(&format!("unknown scenario '{n}'; see --matrix lists")))
-            })
-            .collect()
-    } else {
-        match matrix.as_deref().unwrap_or("tiny") {
+    let selected = if a.scenarios.is_empty() {
+        match a.matrix.as_deref().unwrap_or("tiny") {
             "tiny" => tiny_matrix(),
             "standard" => standard_matrix(),
-            other => die(&format!("unknown matrix '{other}' (tiny|standard)")),
+            other => return Err(format!("unknown matrix '{other}' (tiny|standard)").into()),
         }
+    } else {
+        let find = |n: &String| {
+            find_scenario(n).ok_or_else(|| format!("unknown scenario '{n}'; see --matrix lists"))
+        };
+        a.scenarios.iter().map(find).collect::<Result<_, _>>()?
     };
 
-    std::fs::create_dir_all(&out_dir)
-        .unwrap_or_else(|e| die(&format!("create --out dir {out_dir}: {e}")));
+    let out_dir = a.out_dir.as_deref().unwrap_or(".");
+    std::fs::create_dir_all(out_dir).map_err(|e| format!("create --out dir {out_dir}: {e}"))?;
     for s in &selected {
-        let result = run_scenario(s, opts);
+        let result = run_scenario(s, a.bench);
         println!("{}", result.render_line());
-        if profile {
+        if a.profile {
             for t in &result.top_scopes {
                 println!(
                     "    {:<40} {:>10} calls  {:>9.2} ms self  {:>5.1}%",
@@ -394,165 +476,34 @@ fn bench_cmd(args: &[String]) {
                 );
             }
         }
-        let path = format!("{out_dir}/BENCH_{}.json", s.name);
-        std::fs::write(&path, result.to_json())
-            .unwrap_or_else(|e| die(&format!("write {path}: {e}")));
-        eprintln!("wrote {path}");
+        write(
+            &format!("{out_dir}/BENCH_{}.json", s.name),
+            &result.to_json(),
+        )?;
     }
+    Ok(0)
 }
 
-/// `repro analyze <trace.jsonl> [--report PATH] [--baseline PATH]
-/// [--tol-rel F] [--tol-abs-us F]` — offline replay of a `--trace-out`
-/// file through the `cbp-obs` span collector.
-fn analyze_cmd(args: &[String]) {
-    let mut trace: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
-    let mut tol = Tolerances::default();
-    // `--report` is where the online `--analyze` path writes its report.
-    let mut opts = TelemetryOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--report" => {
-                i += 1;
-                opts.analyze = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("missing --report path")),
-                );
-            }
-            "--baseline" => {
-                i += 1;
-                baseline_path = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("missing --baseline path")),
-                );
-            }
-            "--tol-rel" => {
-                i += 1;
-                tol.rel = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("invalid --tol-rel value"));
-            }
-            "--tol-abs-us" => {
-                i += 1;
-                tol.abs_us = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("invalid --tol-abs-us value"));
-            }
-            _ if parse_crit_flag(args, &mut i, &mut opts) => {}
-            other if other.starts_with('-') => die(&format!("unknown argument: {other}")),
-            other if trace.is_none() => trace = Some(other.to_string()),
-            other => die(&format!("unexpected argument: {other}")),
-        }
-        i += 1;
-    }
-    let trace = trace.unwrap_or_else(|| die("usage: repro analyze <trace.jsonl> [...]"));
-    let collector = analyze_trace_collector(&trace).unwrap_or_else(|e| die(&e));
-    let report = emit_analysis(&collector, &opts).unwrap_or_else(|e| die(&e));
-    if let Some(path) = &baseline_path {
-        let baseline =
-            std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("read {path}: {e}")));
-        let diff = diff_reports(&baseline, &report.to_json(), tol).unwrap_or_else(|e| die(&e));
-        print!("{}", diff.render());
-        if diff.verdict() == Verdict::Regressed {
-            std::process::exit(1);
-        }
-    }
+/// `repro analyze`: replays a `--trace-out` file through the `cbp-obs`
+/// span collector and, with `--baseline`, diffs the report against an
+/// archived one.
+fn analyze(a: Args) -> Result<u8, InstrumentError> {
+    let trace = a.trace.ok_or("usage: repro analyze <trace.jsonl> [...]")?;
+    let report = emit_analysis(&analyze_trace_collector(&trace)?, &a.telemetry)?;
+    let Some(path) = &a.baseline else {
+        return Ok(0);
+    };
+    let diff = diff_reports(&read(path)?, &report.to_json(), a.tol)?;
+    print!("{}", diff.render());
+    Ok(u8::from(diff.verdict() == Verdict::Regressed))
 }
 
-/// Parses `args[*i]` into `opts` if it is a critical-path flag
-/// (`--critical-path`, `--flamegraph-out PATH`, `--what-if SCENARIO`),
-/// moving `*i` onto its value; both the experiment flags and `repro
-/// analyze` take them.
-fn parse_crit_flag(args: &[String], i: &mut usize, opts: &mut TelemetryOptions) -> bool {
-    match args[*i].as_str() {
-        "--critical-path" => opts.critical_path = true,
-        "--flamegraph-out" => {
-            *i += 1;
-            opts.flamegraph_out = Some(
-                args.get(*i)
-                    .cloned()
-                    .unwrap_or_else(|| die("missing --flamegraph-out path")),
-            );
-        }
-        "--what-if" => {
-            *i += 1;
-            let spec = args
-                .get(*i)
-                .unwrap_or_else(|| die("missing --what-if scenario (dump0|iobw-inf|faults-off)"));
-            opts.what_if.push(
-                WhatIf::parse(spec)
-                    .unwrap_or_else(|| die(&format!("unknown --what-if scenario '{spec}'"))),
-            );
-        }
-        _ => return false,
-    }
-    true
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))
 }
 
-fn usage() {
-    eprintln!(
-        "usage: repro <experiment-id|all> [--scale full|small|smoke|<0..1>] [--seed N] \
-         [--md PATH] [--json PATH]\n\
-         \x20            [--trace-out PATH] [--chrome-trace PATH] [--timeseries PATH] [--telemetry]\n\
-         \x20            [--analyze PATH] [--faults SPEC] [--no-lifecycle]\n\
-         \x20      repro analyze <trace.jsonl> [--report PATH] [--baseline PATH] [--tol-rel F] \
-         [--tol-abs-us F]\n\
-         \x20      repro bench [--matrix tiny|standard] [--scenario NAME]... [--reps N] \
-         [--warmup N] [--out DIR] [--profile]\n\
-         \x20      repro bench --check <baseline.json> --candidate <candidate.json> [--tol-pct P]\n\
-         \n\
-         perf harness (wall-clock; writes schema-versioned BENCH_<scenario>.json):\n\
-         \x20 --matrix tiny        one smoke scenario per simulator (default; CI)\n\
-         \x20 --matrix standard    both simulators x small/large x faults off/light\n\
-         \x20 --profile            also print the top self-time scopes per scenario\n\
-         \x20 --check/--candidate  compare two BENCH files direction-aware; exit 1 on\n\
-         \x20                      regression (wall/alloc up or events/s down > --tol-pct)\n\
-         \n\
-         telemetry flags (single experiment only; one extra instrumented run):\n\
-         \x20 --trace-out PATH     structured JSONL trace ({{\"t_us\":..,\"event\":..}} per line)\n\
-         \x20 --chrome-trace PATH  Chrome/Perfetto trace.json (open at https://ui.perfetto.dev)\n\
-         \x20 --timeseries PATH    columnar time-series JSON (utilization, queue depth, ...)\n\
-         \x20 --telemetry          print the `subsystem.metric` registry and engine throughput\n\
-         \x20 --analyze PATH       write the cbp-obs blame/penalty report and print its tables\n\
-         \x20 --critical-path      extract per-job critical paths; print the attribution table\n\
-         \x20                      (the report JSON gains a \"crit\" section)\n\
-         \x20 --flamegraph-out P   write critical paths as inferno folded stacks (implies\n\
-         \x20                      --critical-path; render with inferno-flamegraph < P)\n\
-         \x20 --what-if SCENARIO   predict per-band p95 responses under a counterfactual\n\
-         \x20                      (dump0|iobw-inf|faults-off; repeatable; implies --critical-path)\n\
-         \x20 --faults SPEC        attach a deterministic fault plan to the instrumented run\n\
-         \x20                      (off|light|heavy|chaos|pressure, tunable:\n\
-         \x20                      heavy,seed=7,dump=0.3,stall=0.2)\n\
-         \x20                      chaos adds failure domains + the checkpoint-path breaker; keys:\n\
-         \x20                      crash, rack, downtime, crash-window, partition, penalty,\n\
-         \x20                      partition-window, rack-size, breaker, breaker-min,\n\
-         \x20                      breaker-cooldown, breaker-decay\n\
-         \x20                      pressure shrinks checkpoint stores and leaks reservations;\n\
-         \x20                      keys: cap, leak, leak-gb, leak-window\n\
-         \x20                      integrity keys on --faults: chunk-mb=N, resume=true|false\n\
-         \x20                      (resume=false: failed dumps rewrite from byte zero and\n\
-         \x20                      corrupt images are total losses)\n\
-         \x20 --no-lifecycle       disable the image-lifecycle ladder (GC -> evict -> spill)\n\
-         \x20                      for the instrumented run (ablation baseline)\n\
-         \n\
-         offline analysis (replays a --trace-out file; byte-identical to --analyze,\n\
-         also accepts --critical-path / --flamegraph-out / --what-if):\n\
-         \x20 --report PATH        write the report JSON (archive as a baseline)\n\
-         \x20 --baseline PATH      diff against an archived report; exit 1 on regression\n\
-         \x20 --tol-rel F          relative tolerance for the diff (default 0.05)\n\
-         \x20 --tol-abs-us F       absolute tolerance for *_us keys (default 1000)\n\
-         \n\
-         experiments: all {}",
-        EXPERIMENT_IDS.join(" ")
-    );
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
+fn write(path: &str, text: &str) -> Result<(), String> {
+    std::fs::write(path, text).map_err(|e| format!("write {path}: {e}"))?;
+    eprintln!("wrote {path}");
+    Ok(())
 }

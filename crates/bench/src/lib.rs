@@ -47,57 +47,90 @@ impl Scale {
     }
 }
 
+/// What an experiment simulates. It picks the simulator of the
+/// instrumented run behind `repro`'s telemetry flags, and whether a
+/// `--scale` can leave the experiment without work.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Substrate {
+    /// `ClusterSim` on the Google trace of [`experiments::google_setup`].
+    GoogleTrace,
+    /// `YarnSim` on the Facebook workload of [`experiments::yarn_setup`].
+    Yarn,
+    /// An analytic model or a microbenchmark table: nothing to simulate.
+    Analytic,
+}
+
+/// One experiment: the ids that select it, what it simulates, and the
+/// function that runs it.
+#[derive(Debug)]
+pub struct ExperimentDef {
+    /// The ids that select it, in the order `repro --list` prints them.
+    pub ids: &'static [&'static str],
+    /// What it simulates.
+    pub substrate: Substrate,
+    /// Runs it at a scale and seed.
+    pub run: fn(Scale, u64) -> Experiment,
+}
+
+const fn def(
+    ids: &'static [&'static str],
+    substrate: Substrate,
+    run: fn(Scale, u64) -> Experiment,
+) -> ExperimentDef {
+    ExperimentDef {
+        ids,
+        substrate,
+        run,
+    }
+}
+
+/// Every experiment, in paper order.
+pub static EXPERIMENTS: [ExperimentDef; 16] = {
+    use experiments::*;
+    use Substrate::{Analytic, GoogleTrace, Yarn};
+    [
+        def(
+            &["fig1", "table1", "table2"],
+            GoogleTrace,
+            characterize::fig1_tables12,
+        ),
+        def(&["fig2"], Analytic, |_, _| micro::fig2()),
+        def(&["table3"], Analytic, |_, _| micro::table3()),
+        def(&["fig3"], GoogleTrace, tracesim::fig3),
+        def(&["fig4"], Analytic, |_, _| sensitivity::fig4()),
+        def(&["fig5"], GoogleTrace, tracesim::fig5),
+        def(&["fig6"], Analytic, |_, _| sensitivity::fig6()),
+        def(&["fig8"], Yarn, yarnexp::fig8),
+        def(&["fig9"], Yarn, yarnexp::fig9),
+        def(&["fig10"], Yarn, yarnexp::fig10),
+        def(&["fig11"], Yarn, yarnexp::fig11),
+        def(&["fig12"], Yarn, yarnexp::fig12),
+        def(&["ablate"], GoogleTrace, ablate::ablations),
+        def(&["mapreduce"], Yarn, extensions::mapreduce),
+        def(&["qos"], GoogleTrace, qos::qos),
+        def(&["faults"], GoogleTrace, extensions::faults),
+    ]
+};
+
+/// The experiment `id` selects.
+pub fn find_experiment(id: &str) -> Option<&'static ExperimentDef> {
+    EXPERIMENTS.iter().find(|e| e.ids.contains(&id))
+}
+
+/// Every experiment id, in paper order.
+pub fn experiment_ids() -> impl Iterator<Item = &'static str> {
+    EXPERIMENTS.iter().flat_map(|e| e.ids.iter().copied())
+}
+
 /// Runs every experiment at the given scale, in paper order.
 pub fn run_all(scale: Scale, seed: u64) -> Vec<Experiment> {
-    vec![
-        experiments::characterize::fig1_tables12(scale, seed),
-        experiments::micro::fig2(),
-        experiments::micro::table3(),
-        experiments::tracesim::fig3(scale, seed),
-        experiments::sensitivity::fig4(),
-        experiments::tracesim::fig5(scale, seed),
-        experiments::sensitivity::fig6(),
-        experiments::yarnexp::fig8(scale, seed),
-        experiments::yarnexp::fig9(scale, seed),
-        experiments::yarnexp::fig10(scale, seed),
-        experiments::yarnexp::fig11(scale, seed),
-        experiments::yarnexp::fig12(scale, seed),
-        experiments::ablate::ablations(scale, seed),
-        experiments::extensions::mapreduce(scale, seed),
-        experiments::qos::qos(scale, seed),
-        experiments::extensions::faults(scale, seed),
-    ]
+    EXPERIMENTS.iter().map(|e| (e.run)(scale, seed)).collect()
 }
 
-/// Looks up one experiment by id (`fig1`, `table3`, `fig8`, `ablate`, ...).
+/// Runs one experiment by id (`fig1`, `table3`, `fig8`, `ablate`, ...).
 pub fn run_one(id: &str, scale: Scale, seed: u64) -> Option<Experiment> {
-    let exp = match id {
-        "fig1" | "table1" | "table2" => experiments::characterize::fig1_tables12(scale, seed),
-        "fig2" => experiments::micro::fig2(),
-        "table3" => experiments::micro::table3(),
-        "fig3" => experiments::tracesim::fig3(scale, seed),
-        "fig4" => experiments::sensitivity::fig4(),
-        "fig5" => experiments::tracesim::fig5(scale, seed),
-        "fig6" => experiments::sensitivity::fig6(),
-        "fig8" => experiments::yarnexp::fig8(scale, seed),
-        "fig9" => experiments::yarnexp::fig9(scale, seed),
-        "fig10" => experiments::yarnexp::fig10(scale, seed),
-        "fig11" => experiments::yarnexp::fig11(scale, seed),
-        "fig12" => experiments::yarnexp::fig12(scale, seed),
-        "ablate" => experiments::ablate::ablations(scale, seed),
-        "mapreduce" => experiments::extensions::mapreduce(scale, seed),
-        "qos" => experiments::qos::qos(scale, seed),
-        "faults" => experiments::extensions::faults(scale, seed),
-        _ => return None,
-    };
-    Some(exp)
+    find_experiment(id).map(|e| (e.run)(scale, seed))
 }
-
-/// The experiment ids that simulate the Google trace (see
-/// [`experiments::google_setup`]).
-const GOOGLE_TRACE_IDS: [&str; 8] = [
-    "fig1", "table1", "table2", "fig3", "fig5", "ablate", "qos", "faults",
-];
 
 /// A `--scale` so small that the Google trace it scales has no job: every
 /// table of the experiments that simulate it would be zeros.
@@ -131,7 +164,7 @@ impl std::error::Error for EmptyWorkload {}
 ///
 /// [`EmptyWorkload`] if the scaled trace is empty.
 pub fn check_scale(id: &str, scale: Scale, seed: u64) -> Result<(), EmptyWorkload> {
-    if id != "all" && !GOOGLE_TRACE_IDS.contains(&id) {
+    if id != "all" && find_experiment(id).is_none_or(|e| e.substrate != Substrate::GoogleTrace) {
         return Ok(());
     }
     let (workload, _) = experiments::google_setup(scale, seed);
@@ -144,28 +177,6 @@ pub fn check_scale(id: &str, scale: Scale, seed: u64) -> Result<(), EmptyWorkloa
         Ok(())
     }
 }
-
-/// All experiment ids accepted by [`run_one`].
-pub const EXPERIMENT_IDS: [&str; 18] = [
-    "fig1",
-    "table1",
-    "table2",
-    "fig2",
-    "table3",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "ablate",
-    "mapreduce",
-    "qos",
-    "faults",
-];
 
 impl Scale {
     /// Parses `full` / `small` / `smoke` / a float factor.

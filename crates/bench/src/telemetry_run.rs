@@ -27,7 +27,7 @@ use cbp_telemetry::{ChromeTraceTracer, JsonlTracer, MultiTracer, SinkStatus, Tra
 use cbp_yarn::YarnSim;
 
 use crate::experiments::{google_setup, yarn_setup};
-use crate::Scale;
+use crate::{Scale, Substrate};
 
 /// Jobs listed in the analysis report's worst-penalized table. Shared by
 /// the online (`--analyze`) and offline (`repro analyze`) paths so both
@@ -84,21 +84,15 @@ impl TelemetryOptions {
     }
 }
 
-/// Experiments driven by the YARN protocol simulator.
-const YARN_IDS: [&str; 6] = ["fig8", "fig9", "fig10", "fig11", "fig12", "mapreduce"];
-
-/// Experiments with no backing discrete-event simulation (analytic models
-/// and microbenchmark tables); there is nothing to trace.
-const ANALYTIC_IDS: [&str; 4] = ["fig2", "table3", "fig4", "fig6"];
-
 /// Sim-time gap between time-series samples.
 const SAMPLE_INTERVAL_SECS: u64 = 60;
 
 /// Why an instrumented run failed.
 #[derive(Debug)]
 pub enum InstrumentError {
-    /// Any other failure: an output file that could not be created or
-    /// written, or a critical-path error (`repro` exits 2).
+    /// Any other failure: a usage or input error, an output file that
+    /// could not be created or written, or a critical-path error
+    /// (`repro` exits 2).
     Other(String),
     /// Writing the trace file at `path` failed during the run, so the
     /// file ends early (`repro` exits 3). The run itself completed.
@@ -112,7 +106,7 @@ pub enum InstrumentError {
 
 impl InstrumentError {
     /// The exit code `repro` reports this error with.
-    pub fn exit_code(&self) -> i32 {
+    pub fn exit_code(&self) -> u8 {
         match self {
             InstrumentError::Other(_) => 2,
             InstrumentError::TraceWrite { .. } => 3,
@@ -139,22 +133,25 @@ impl From<String> for InstrumentError {
     }
 }
 
-/// Runs one instrumented simulation representative of `id` and emits the
-/// artifacts selected in `opts`. Returns `Ok(false)` if the experiment has
-/// no backing simulation (nothing was written).
+impl From<&str> for InstrumentError {
+    fn from(msg: &str) -> Self {
+        InstrumentError::Other(msg.into())
+    }
+}
+
+/// Runs one instrumented simulation on an experiment's `substrate` and
+/// emits the artifacts selected in `opts`. Returns `Ok(false)` if the
+/// substrate is analytic (nothing was written).
 pub fn run_instrumented(
-    id: &str,
+    substrate: Substrate,
     scale: Scale,
     seed: u64,
     opts: &TelemetryOptions,
 ) -> Result<bool, InstrumentError> {
-    if ANALYTIC_IDS.contains(&id) {
-        return Ok(false);
-    }
-    let (telemetry, collector) = if YARN_IDS.contains(&id) {
-        run_yarn(scale, seed, opts)?
-    } else {
-        run_trace_sim(scale, seed, opts)?
+    let (telemetry, collector) = match substrate {
+        Substrate::Analytic => return Ok(false),
+        Substrate::Yarn => run_yarn(scale, seed, opts)?,
+        Substrate::GoogleTrace => run_trace_sim(scale, seed, opts)?,
     };
     emit(&telemetry, collector, opts)?;
     Ok(true)

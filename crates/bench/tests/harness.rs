@@ -1,15 +1,15 @@
 //! Harness smoke tests: the cheap experiments produce well-formed tables
 //! whose headline numbers sit where the paper puts them.
 
-use cbp_bench::{run_one, Scale, EXPERIMENT_IDS};
+use cbp_bench::{experiment_ids, run_one, Scale};
 
 #[test]
 fn experiment_ids_dispatch() {
     // Every id resolves; unknown ids do not. (Only the cheap experiments
     // are actually *run* here; the expensive ones are covered by `repro`.)
     assert!(run_one("bogus", Scale::SMOKE, 1).is_none());
-    assert!(EXPERIMENT_IDS.contains(&"fig3"));
-    assert!(EXPERIMENT_IDS.contains(&"mapreduce"));
+    assert!(experiment_ids().any(|id| id == "fig3"));
+    assert!(experiment_ids().any(|id| id == "mapreduce"));
 }
 
 #[test]
@@ -253,4 +253,27 @@ fn cli_rejects_bad_input_with_exit_2() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `repro --help` and each command's `--help` print the command's
+/// generated usage on stderr and exit 0.
+#[test]
+fn help_prints_usage_and_exits_0() {
+    let cases: [(&[&str], &str); 4] = [
+        (&["--help"], "repro bench"),
+        (&["bench", "--help"], "--tol-pct"),
+        (&["analyze", "--help"], "--baseline"),
+        (&["fig3", "--help"], "chunk-mb"),
+    ];
+    for (args, flag) in cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+        assert!(stderr.starts_with("usage: repro"), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?}: usage leaves out {flag}");
+    }
 }

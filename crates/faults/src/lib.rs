@@ -29,7 +29,8 @@ pub mod health;
 
 pub use health::{Breaker, BreakerState, BreakerTransition, HealthEvent, HealthMonitor};
 
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::ops::RangeInclusive;
 
 use cbp_simkit::units::ByteSize;
 use cbp_simkit::{SimDuration, SimTime};
@@ -343,40 +344,8 @@ impl FaultSpec {
     ///
     /// Accepts a named profile (`off`, `light`, `heavy`, `chaos`,
     /// `pressure`) or a comma-separated `key=value` list, optionally
-    /// starting from a profile (`heavy,seed=7`). Keys:
-    ///
-    /// | key | meaning |
-    /// |---|---|
-    /// | `seed` | fault-plan seed (u64) |
-    /// | `dump` | dump failure probability |
-    /// | `restore` | restore failure probability |
-    /// | `corrupt` | corrupted-image probability |
-    /// | `am` | AM-unresponsive probability |
-    /// | `stall` | device stall-window probability |
-    /// | `slowdown` | stalled-window service multiplier |
-    /// | `window` | stall window length, seconds |
-    /// | `dump-retries` | dump retry budget |
-    /// | `restore-retries` | restore retry budget |
-    /// | `backoff` | base dump retry backoff, seconds |
-    /// | `escalation` | AM escalation deadline, seconds |
-    /// | `crash` | per-(node, window) crash probability |
-    /// | `rack` | per-(rack, window) whole-rack crash probability |
-    /// | `downtime` | crash downtime, seconds (< crash window) |
-    /// | `crash-window` | crash window length, seconds |
-    /// | `partition` | per-window rack-partition probability |
-    /// | `penalty` | cross-partition service multiplier (>= 1) |
-    /// | `partition-window` | partition window length, seconds |
-    /// | `rack-size` | nodes per rack (failure-domain granularity) |
-    /// | `breaker` | breaker failure-rate threshold (enables breakers) |
-    /// | `breaker-min` | breaker minimum sample mass |
-    /// | `breaker-cooldown` | breaker open -> half-open cooldown, seconds |
-    /// | `breaker-decay` | breaker window decay, in (0, 1] |
-    /// | `cap` | checkpoint-capacity multiplier, in (0, 1] |
-    /// | `leak` | per-(node, window) leaked-reservation probability |
-    /// | `leak-gb` | leaked reservation size, GB (at least one byte) |
-    /// | `leak-window` | leak window length, seconds |
-    /// | `chunk-mb` | checkpoint transfer chunk size, MB (at least one byte) |
-    /// | `resume` | resumable transfers + targeted repair (`true`/`false`) |
+    /// starting from a profile (`heavy,seed=7`). [`FaultSpec::help`]
+    /// lists every profile and key with its range.
     pub fn parse(text: &str) -> Result<FaultSpec, String> {
         let mut spec = FaultSpec::default();
         for (i, part) in text.split(',').enumerate() {
@@ -384,238 +353,24 @@ impl FaultSpec {
             if part.is_empty() {
                 continue;
             }
-            match part {
-                "off" => {
-                    spec = FaultSpec::default();
-                    continue;
-                }
-                "light" => {
-                    spec = FaultSpec::light();
-                    continue;
-                }
-                "heavy" => {
-                    spec = FaultSpec::heavy();
-                    continue;
-                }
-                "chaos" => {
-                    spec = FaultSpec::chaos();
-                    continue;
-                }
-                "pressure" => {
-                    spec = FaultSpec::pressure();
-                    continue;
-                }
-                _ => {}
+            if let Some((_, _, profile)) = PROFILES.iter().find(|p| p.0 == part) {
+                spec = profile();
+                continue;
             }
-            let Some((key, value)) = part.split_once('=') else {
+            let Some((name, value)) = part.split_once('=') else {
+                let names = PROFILES.map(|p| p.0);
                 return Err(format!(
-                    "fault spec item {i} ({part:?}): expected profile \
-                     (off/light/heavy) or key=value"
+                    "fault spec item {i} ({part:?}): expected profile ({}) or key=value",
+                    names.join("/")
                 ));
             };
-            let prob = |v: &str| -> Result<f64, String> {
-                v.parse::<f64>()
-                    .ok()
-                    .filter(|p| (0.0..=1.0).contains(p))
-                    .ok_or_else(|| format!("fault spec {key}={v}: expected probability in [0,1]"))
-            };
-            let secs = |v: &str| -> Result<SimDuration, String> {
-                v.parse::<f64>()
-                    .ok()
-                    .filter(|s| *s >= 0.0)
-                    .map(SimDuration::from_secs_f64)
-                    .ok_or_else(|| format!("fault spec {key}={v}: expected seconds >= 0"))
-            };
-            match key {
-                "seed" => {
-                    spec.seed = value
-                        .parse()
-                        .map_err(|_| format!("fault spec seed={value}: expected u64"))?;
-                }
-                "dump" => spec.dump_fail_prob = prob(value)?,
-                "restore" => spec.restore_fail_prob = prob(value)?,
-                "corrupt" => spec.corrupt_image_prob = prob(value)?,
-                "am" => spec.am_unresponsive_prob = prob(value)?,
-                "stall" => {
-                    spec.stall.get_or_insert_with(StallSpec::default).prob = prob(value)?;
-                }
-                "slowdown" => {
-                    let s = value
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|s| *s >= 1.0)
-                        .ok_or_else(|| {
-                            format!("fault spec slowdown={value}: expected factor >= 1")
-                        })?;
-                    spec.stall.get_or_insert_with(StallSpec::default).slowdown = s;
-                }
-                "window" => {
-                    let w = secs(value)?;
-                    if w.is_zero() {
-                        return Err("fault spec window=0: window must be positive".into());
-                    }
-                    spec.stall.get_or_insert_with(StallSpec::default).window = w;
-                }
-                "dump-retries" => {
-                    spec.max_dump_retries = value
-                        .parse()
-                        .map_err(|_| format!("fault spec dump-retries={value}: expected u32"))?;
-                }
-                "restore-retries" => {
-                    spec.max_restore_retries = value
-                        .parse()
-                        .map_err(|_| format!("fault spec restore-retries={value}: expected u32"))?;
-                }
-                "backoff" => spec.dump_retry_backoff = secs(value)?,
-                "escalation" => spec.escalation_timeout = secs(value)?,
-                "crash" => {
-                    spec.crash.get_or_insert_with(CrashSpec::default).node_prob = prob(value)?;
-                }
-                "rack" => {
-                    spec.crash.get_or_insert_with(CrashSpec::default).rack_prob = prob(value)?;
-                }
-                "downtime" => {
-                    spec.crash.get_or_insert_with(CrashSpec::default).downtime = secs(value)?;
-                }
-                "crash-window" => {
-                    let w = secs(value)?;
-                    if w.is_zero() {
-                        return Err("fault spec crash-window=0: window must be positive".into());
-                    }
-                    spec.crash.get_or_insert_with(CrashSpec::default).window = w;
-                }
-                "partition" => {
-                    spec.partition
-                        .get_or_insert_with(PartitionSpec::default)
-                        .prob = prob(value)?;
-                }
-                "penalty" => {
-                    let p = value
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|p| *p >= 1.0)
-                        .ok_or_else(|| {
-                            format!("fault spec penalty={value}: expected factor >= 1")
-                        })?;
-                    spec.partition
-                        .get_or_insert_with(PartitionSpec::default)
-                        .penalty = p;
-                }
-                "partition-window" => {
-                    let w = secs(value)?;
-                    if w.is_zero() {
-                        return Err("fault spec partition-window=0: window must be positive".into());
-                    }
-                    spec.partition
-                        .get_or_insert_with(PartitionSpec::default)
-                        .window = w;
-                }
-                "rack-size" => {
-                    spec.rack_size =
-                        value
-                            .parse::<u32>()
-                            .ok()
-                            .filter(|r| *r >= 1)
-                            .ok_or_else(|| {
-                                format!("fault spec rack-size={value}: expected integer >= 1")
-                            })?;
-                }
-                "breaker" => {
-                    spec.breaker
-                        .get_or_insert_with(BreakerSpec::default)
-                        .threshold = prob(value)?;
-                }
-                "breaker-min" => {
-                    let m = value
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|m| *m >= 1.0)
-                        .ok_or_else(|| {
-                            format!("fault spec breaker-min={value}: expected samples >= 1")
-                        })?;
-                    spec.breaker
-                        .get_or_insert_with(BreakerSpec::default)
-                        .min_samples = m;
-                }
-                "breaker-cooldown" => {
-                    spec.breaker
-                        .get_or_insert_with(BreakerSpec::default)
-                        .cooldown = secs(value)?;
-                }
-                "breaker-decay" => {
-                    let d = value
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|d| *d > 0.0 && *d <= 1.0)
-                        .ok_or_else(|| {
-                            format!("fault spec breaker-decay={value}: expected factor in (0,1]")
-                        })?;
-                    spec.breaker.get_or_insert_with(BreakerSpec::default).decay = d;
-                }
-                "cap" => {
-                    let c = value
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|c| *c > 0.0 && *c <= 1.0)
-                        .ok_or_else(|| {
-                            format!("fault spec cap={value}: expected fraction in (0,1]")
-                        })?;
-                    spec.pressure
-                        .get_or_insert_with(PressureSpec::default)
-                        .capacity_frac = c;
-                }
-                "leak" => {
-                    spec.pressure
-                        .get_or_insert_with(PressureSpec::default)
-                        .leak_prob = prob(value)?;
-                }
-                "leak-gb" => {
-                    // A non-finite size, or one that rounds to zero bytes,
-                    // would leave the leak chain running with nothing to
-                    // leak.
-                    let bytes = value
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|g| g.is_finite())
-                        .map(ByteSize::from_gb_f64)
-                        .filter(|b| b.as_u64() > 0)
-                        .ok_or_else(|| {
-                            format!("fault spec leak-gb={value}: expected GB of at least one byte")
-                        })?;
-                    spec.pressure
-                        .get_or_insert_with(PressureSpec::default)
-                        .leak_bytes = bytes;
-                }
-                "leak-window" => {
-                    let w = secs(value)?;
-                    if w.is_zero() {
-                        return Err("fault spec leak-window=0: window must be positive".into());
-                    }
-                    spec.pressure
-                        .get_or_insert_with(PressureSpec::default)
-                        .window = w;
-                }
-                "chunk-mb" => {
-                    // A size that truncates to zero bytes would silently
-                    // fall back to one-byte chunks.
-                    let bytes = value
-                        .parse::<f64>()
-                        .ok()
-                        .filter(|m| m.is_finite())
-                        .map(|mb| (mb * 1e6) as u64)
-                        .filter(|b| *b > 0)
-                        .ok_or_else(|| {
-                            format!("fault spec chunk-mb={value}: expected MB of at least one byte")
-                        })?;
-                    spec.chunk_bytes = ByteSize::from_bytes(bytes);
-                }
-                "resume" => {
-                    spec.resume = value.parse::<bool>().map_err(|_| {
-                        format!("fault spec resume={value}: expected true or false")
-                    })?;
-                }
-                other => return Err(format!("fault spec: unknown key {other:?}")),
-            }
+            let key = KEYS
+                .iter()
+                .find(|k| k.name == name)
+                .ok_or_else(|| format!("fault spec: unknown key {name:?}"))?;
+            (key.field)(&mut spec)
+                .set(value)
+                .map_err(|e| format!("fault spec {name}={value}: {e}"))?;
         }
         if let Some(c) = spec.crash {
             // Liveness validity limit: a node must be up for part of
@@ -630,6 +385,21 @@ impl FaultSpec {
             }
         }
         Ok(spec)
+    }
+
+    /// The usage text of a fault spec: each profile and each key, one a
+    /// line, with its help and the range of its value.
+    pub fn help() -> String {
+        let mut out = String::from("  profiles:\n");
+        for (name, help, _) in &PROFILES {
+            let _ = writeln!(out, "    {name:<21} {help}");
+        }
+        out.push_str("  keys (key=value):\n");
+        for k in &KEYS {
+            let what = (k.field)(&mut FaultSpec::default()).what();
+            let _ = writeln!(out, "    {:<21} {} ({what})", k.name, k.help);
+        }
+        out
     }
 
     /// True if every fault probability is zero (the plan injects
@@ -655,73 +425,215 @@ impl FaultSpec {
     }
 }
 
+/// Prints each key whose value differs from [`FaultSpec::default`] as
+/// `key=value`, comma-separated, in the order of [`FaultSpec::help`]; the
+/// text parses back to the same spec.
 impl fmt::Display for FaultSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "seed={} dump={} restore={} corrupt={} am={}",
-            self.seed,
-            self.dump_fail_prob,
-            self.restore_fail_prob,
-            self.corrupt_image_prob,
-            self.am_unresponsive_prob,
-        )?;
-        if let Some(s) = self.stall {
-            write!(
-                f,
-                " stall={} slowdown={} window={}s",
-                s.prob,
-                s.slowdown,
-                s.window.as_secs_f64()
-            )?;
-        }
-        if let Some(c) = self.crash {
-            write!(
-                f,
-                " crash={} rack={} downtime={}s crash-window={}s rack-size={}",
-                c.node_prob,
-                c.rack_prob,
-                c.downtime.as_secs_f64(),
-                c.window.as_secs_f64(),
-                self.rack_size
-            )?;
-        }
-        if let Some(p) = self.partition {
-            write!(
-                f,
-                " partition={} penalty={} partition-window={}s",
-                p.prob,
-                p.penalty,
-                p.window.as_secs_f64()
-            )?;
-        }
-        if let Some(p) = self.pressure {
-            write!(
-                f,
-                " cap={} leak={} leak-gb={} leak-window={}s",
-                p.capacity_frac,
-                p.leak_prob,
-                p.leak_bytes.as_gb_f64(),
-                p.window.as_secs_f64()
-            )?;
-        }
-        if let Some(b) = self.breaker {
-            write!(
-                f,
-                " breaker={} min={} cooldown={}s decay={}",
-                b.threshold,
-                b.min_samples,
-                b.cooldown.as_secs_f64(),
-                b.decay
-            )?;
-        }
-        if self.chunk_bytes != ByteSize::from_mb(64) {
-            write!(f, " chunk-mb={}", self.chunk_bytes.as_u64() as f64 / 1e6)?;
-        }
-        if !self.resume {
-            write!(f, " resume=false")?;
+        let default = FaultSpec::default();
+        let mut sep = "";
+        for key in &KEYS {
+            let value = key.value(self);
+            if value.is_some() && value != key.value(&default) {
+                write!(f, "{sep}{}={}", key.name, value.unwrap_or_default())?;
+                sep = ",";
+            }
         }
         Ok(())
+    }
+}
+
+/// A named profile: name, help, spec.
+type Profile = (&'static str, &'static str, fn() -> FaultSpec);
+
+/// Every profile [`FaultSpec::parse`] accepts.
+#[rustfmt::skip]
+const PROFILES: [Profile; 5] = [
+    ("off", "no faults (the default)", FaultSpec::default),
+    ("light", "occasional faults, quick recovery", FaultSpec::light),
+    ("heavy", "the hostile regime where checkpoint value can invert", FaultSpec::heavy),
+    ("chaos", "heavy, plus node/rack crashes, rack partitions and circuit breakers", FaultSpec::chaos),
+    ("pressure", "scarce checkpoint storage: shrunk stores, leaked reservations", FaultSpec::pressure),
+];
+
+/// One `key=value` item of a fault spec: the key, its help line and the
+/// field it sets.
+struct Key {
+    name: &'static str,
+    help: &'static str,
+    /// The field, with its value's kind and range. A key of an optional
+    /// group (`stall`, `crash`, ...) inserts the group's default first.
+    field: fn(&mut FaultSpec) -> Field<'_>,
+}
+
+impl Key {
+    /// The key's value in `spec` as text, or `None` if it belongs to a
+    /// group `spec` leaves out (reading it would insert the group).
+    fn value(&self, spec: &FaultSpec) -> Option<String> {
+        let mut probe = spec.clone();
+        let text = (self.field)(&mut probe).to_string();
+        (probe == *spec).then_some(text)
+    }
+}
+
+const fn key(
+    name: &'static str,
+    help: &'static str,
+    field: fn(&mut FaultSpec) -> Field<'_>,
+) -> Key {
+    Key { name, help, field }
+}
+
+/// Every key [`FaultSpec::parse`] accepts, one a line, in the order
+/// `Display` and [`FaultSpec::help`] list them.
+#[rustfmt::skip]
+const KEYS: [Key; 30] = {
+    use Field::*;
+    [
+        key("seed", "fault-plan seed", |s| U64(&mut s.seed)),
+        key("dump", "dump failure probability", |s| F64(&mut s.dump_fail_prob, PROB)),
+        key("restore", "restore failure probability", |s| F64(&mut s.restore_fail_prob, PROB)),
+        key("corrupt", "corrupted-image probability", |s| F64(&mut s.corrupt_image_prob, PROB)),
+        key("am", "AM-unresponsive probability", |s| F64(&mut s.am_unresponsive_prob, PROB)),
+        key("stall", "device stall-window probability", |s| F64(&mut s.stall.get_or_insert_default().prob, PROB)),
+        key("slowdown", "stalled-window service multiplier", |s| F64(&mut s.stall.get_or_insert_default().slowdown, FACTOR)),
+        key("window", "stall window length", |s| Secs(&mut s.stall.get_or_insert_default().window, true)),
+        key("dump-retries", "dump retry budget", |s| U32(&mut s.max_dump_retries, false)),
+        key("restore-retries", "restore retry budget", |s| U32(&mut s.max_restore_retries, false)),
+        key("backoff", "base dump retry backoff", |s| Secs(&mut s.dump_retry_backoff, false)),
+        key("escalation", "AM escalation deadline", |s| Secs(&mut s.escalation_timeout, false)),
+        key("crash", "per-(node, window) crash probability", |s| F64(&mut s.crash.get_or_insert_default().node_prob, PROB)),
+        key("rack", "per-(rack, window) whole-rack crash probability", |s| F64(&mut s.crash.get_or_insert_default().rack_prob, PROB)),
+        key("downtime", "crash downtime, below crash-window", |s| Secs(&mut s.crash.get_or_insert_default().downtime, false)),
+        key("crash-window", "crash window length", |s| Secs(&mut s.crash.get_or_insert_default().window, true)),
+        key("partition", "per-window rack-partition probability", |s| F64(&mut s.partition.get_or_insert_default().prob, PROB)),
+        key("penalty", "cross-partition service multiplier", |s| F64(&mut s.partition.get_or_insert_default().penalty, FACTOR)),
+        key("partition-window", "partition window length", |s| Secs(&mut s.partition.get_or_insert_default().window, true)),
+        key("rack-size", "nodes per rack, the failure-domain granularity", |s| U32(&mut s.rack_size, true)),
+        key("breaker", "breaker failure-rate threshold; enables breakers", |s| F64(&mut s.breaker.get_or_insert_default().threshold, PROB)),
+        key("breaker-min", "breaker minimum sample mass", |s| F64(&mut s.breaker.get_or_insert_default().min_samples, SAMPLES)),
+        key("breaker-cooldown", "breaker open -> half-open cooldown", |s| Secs(&mut s.breaker.get_or_insert_default().cooldown, false)),
+        key("breaker-decay", "breaker window decay per observation", |s| F64(&mut s.breaker.get_or_insert_default().decay, DECAY)),
+        key("cap", "checkpoint-capacity multiplier", |s| F64(&mut s.pressure.get_or_insert_default().capacity_frac, FRACTION)),
+        key("leak", "per-(node, window) leaked-reservation probability", |s| F64(&mut s.pressure.get_or_insert_default().leak_prob, PROB)),
+        key("leak-gb", "leaked reservation size", |s| Gb(&mut s.pressure.get_or_insert_default().leak_bytes)),
+        key("leak-window", "leak window length", |s| Secs(&mut s.pressure.get_or_insert_default().window, true)),
+        key("chunk-mb", "checkpoint transfer chunk size", |s| Mb(&mut s.chunk_bytes)),
+        key("resume", "resumable transfers and targeted repair", |s| Bool(&mut s.resume)),
+    ]
+};
+
+/// The field a [`Key`] sets: how its value parses and prints, and the
+/// range it must lie in.
+enum Field<'a> {
+    U64(&'a mut u64),
+    /// At least 1 if the flag is set.
+    U32(&'a mut u32, bool),
+    F64(&'a mut f64, Range),
+    /// Seconds; above zero (a window length) if the flag is set.
+    Secs(&'a mut SimDuration, bool),
+    /// A size in GB, rounded to bytes; at least one byte.
+    Gb(&'a mut ByteSize),
+    /// A size in MB, truncated to bytes; at least one byte.
+    Mb(&'a mut ByteSize),
+    Bool(&'a mut bool),
+}
+
+/// The `f64` values a key accepts, and what such a value is, as in
+/// "expected probability in [0,1]".
+type Range = (RangeInclusive<f64>, &'static str);
+
+const PROB: Range = (0.0..=1.0, "probability in [0,1]");
+const FACTOR: Range = (1.0..=f64::INFINITY, "factor >= 1");
+const SAMPLES: Range = (1.0..=f64::INFINITY, "samples >= 1");
+// The least positive f64 makes (0,1] a closed range.
+const FRACTION: Range = (f64::from_bits(1)..=1.0, "fraction in (0,1]");
+const DECAY: Range = (f64::from_bits(1)..=1.0, "factor in (0,1]");
+
+impl Field<'_> {
+    /// What a valid value is, as in "expected u64".
+    fn what(&self) -> &'static str {
+        match self {
+            Field::U64(_) => "u64",
+            Field::U32(_, false) => "u32",
+            Field::U32(_, true) => "integer >= 1",
+            Field::F64(_, (_, what)) => what,
+            Field::Secs(_, false) => "seconds >= 0",
+            Field::Secs(_, true) => "seconds > 0",
+            Field::Gb(_) => "GB of at least one byte",
+            Field::Mb(_) => "MB of at least one byte",
+            Field::Bool(_) => "true or false",
+        }
+    }
+
+    /// Parses `text` into the field, or says what a valid value is.
+    fn set(self, text: &str) -> Result<(), String> {
+        let what = self.what();
+        let num = text.parse::<f64>().ok();
+        let done = match self {
+            Field::U64(x) => text.parse().map(|v| *x = v).is_ok(),
+            Field::U32(x, positive) => text
+                .parse()
+                .ok()
+                .filter(|&v| v >= u32::from(positive))
+                .map(|v| *x = v)
+                .is_some(),
+            Field::F64(x, (range, _)) => {
+                num.filter(|v| range.contains(v)).map(|v| *x = v).is_some()
+            }
+            Field::Secs(x, positive) => num
+                .filter(|&s| s >= 0.0)
+                .map(SimDuration::from_secs_f64)
+                .filter(|d| !(positive && d.is_zero()))
+                .map(|d| *x = d)
+                .is_some(),
+            // A non-finite size, or one that rounds to zero bytes, would
+            // leave the leak chain running with nothing to leak.
+            Field::Gb(x) => num
+                .filter(|g| g.is_finite())
+                .map(ByteSize::from_gb_f64)
+                .filter(|b| b.as_u64() > 0)
+                .map(|b| *x = b)
+                .is_some(),
+            // A size that truncates to zero bytes would silently fall
+            // back to one-byte chunks.
+            Field::Mb(x) => num
+                .filter(|m| m.is_finite())
+                .map(|mb| (mb * 1e6) as u64)
+                .filter(|&b| b > 0)
+                .map(|b| *x = ByteSize::from_bytes(b))
+                .is_some(),
+            Field::Bool(x) => text.parse().map(|v| *x = v).is_ok(),
+        };
+        if done {
+            Ok(())
+        } else {
+            Err(format!("expected {what}"))
+        }
+    }
+}
+
+/// The value as `parse` reads it back.
+impl fmt::Display for Field<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Field::U64(x) => write!(f, "{x}"),
+            Field::U32(x, _) => write!(f, "{x}"),
+            Field::F64(x, _) => write!(f, "{x}"),
+            Field::Secs(x, _) => write!(f, "{}", x.as_secs_f64()),
+            Field::Gb(x) => write!(f, "{}", x.as_gb_f64()),
+            Field::Mb(x) => {
+                // `parse` truncates MB * 1e6 to bytes: print the least
+                // f64 that truncates back to this many bytes.
+                let bytes = x.as_u64();
+                let mut mb = bytes as f64 / 1e6;
+                while ((mb * 1e6) as u64) < bytes {
+                    mb = mb.next_up();
+                }
+                write!(f, "{mb}")
+            }
+            Field::Bool(x) => write!(f, "{x}"),
+        }
     }
 }
 
@@ -1544,5 +1456,76 @@ mod tests {
         assert_eq!(plan.rack_of(3), 0);
         assert_eq!(plan.rack_of(4), 1);
         assert_eq!(plan.rack_of(11), 2);
+    }
+
+    /// Every key parses at both ends of its range and is rejected just
+    /// outside it. The test only parses: no simulation runs.
+    #[test]
+    fn every_key_parses_at_its_range_ends_and_not_beyond() {
+        let floats = |vs: &[f64]| vs.iter().map(|v| format!("{v:e}")).collect::<Vec<_>>();
+        let strs = |vs: &[&str]| vs.iter().map(|v| v.to_string()).collect::<Vec<_>>();
+        for key in &KEYS {
+            let (ok, bad) = match (key.field)(&mut FaultSpec::default()) {
+                Field::U64(_) => (
+                    strs(&["0", "18446744073709551615"]),
+                    strs(&["-1", "18446744073709551616"]),
+                ),
+                Field::U32(_, false) => (strs(&["0", "4294967295"]), strs(&["-1", "4294967296"])),
+                Field::U32(_, true) => (strs(&["1", "4294967295"]), strs(&["0", "4294967296"])),
+                Field::F64(_, (range, _)) => {
+                    let (lo, hi) = (*range.start(), *range.end());
+                    // An unbounded range still rejects NaN.
+                    let hi_bad = if hi.is_finite() {
+                        hi.next_up()
+                    } else {
+                        f64::NAN
+                    };
+                    (floats(&[lo, hi]), floats(&[lo.next_down(), hi_bad]))
+                }
+                // One microsecond is the least positive duration.
+                Field::Secs(_, false) => (floats(&[0.0, 1e12]), floats(&[-1e-6, f64::NAN])),
+                Field::Secs(_, true) => (floats(&[1e-6, 1e12]), floats(&[0.0, 4e-7, -1e-6])),
+                // One byte is the least size.
+                Field::Gb(_) => (floats(&[1e-9, 1e300]), floats(&[4e-10, f64::INFINITY])),
+                Field::Mb(_) => (floats(&[1e-6, 1e300]), floats(&[9e-7, f64::INFINITY])),
+                Field::Bool(_) => (strs(&["true", "false"]), strs(&["1"])),
+            };
+            // The liveness limit ties downtime to crash-window: leave room.
+            let context = "downtime=0,crash-window=1e13,";
+            for v in &ok {
+                let spec = format!("{context}{}={v}", key.name);
+                assert!(FaultSpec::parse(&spec).is_ok(), "{spec} rejected");
+            }
+            for v in &bad {
+                let spec = format!("{context}{}={v}", key.name);
+                let err = FaultSpec::parse(&spec).expect_err(&spec);
+                assert!(err.contains(key.name), "{spec}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn keys_and_profiles_are_named_once() {
+        let mut names: Vec<&str> = KEYS.iter().map(|k| k.name).collect();
+        names.extend(PROFILES.map(|p| p.0));
+        let count = names.len();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), count, "a name is declared twice");
+        let help = FaultSpec::help();
+        for name in names {
+            assert!(
+                help.contains(&format!("    {name} ")),
+                "help leaves out {name}"
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_profile_error_names_every_profile() {
+        let err = FaultSpec::parse("extreme").unwrap_err();
+        for (name, _, _) in &PROFILES {
+            assert!(err.contains(name), "{err}");
+        }
     }
 }
