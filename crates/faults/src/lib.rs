@@ -540,7 +540,7 @@ enum Field<'a> {
 }
 
 /// The `f64` values a key accepts, and what such a value is, as in
-/// "expected probability in [0,1]".
+/// `expected probability in [0,1]`.
 type Range = (RangeInclusive<f64>, &'static str);
 
 const PROB: Range = (0.0..=1.0, "probability in [0,1]");
