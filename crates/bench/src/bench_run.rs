@@ -30,7 +30,7 @@ use crate::Scale;
 /// Schema tag stamped into every BENCH json document.
 pub const BENCH_SCHEMA: &str = "cbp-bench";
 /// Schema version stamped into every BENCH json document.
-pub const BENCH_VERSION: u64 = 1;
+pub const BENCH_VERSION: u64 = 2;
 
 /// Scopes listed in the `top_scopes` breakdown of each BENCH file.
 pub const TOP_SCOPES: usize = 10;
@@ -332,9 +332,16 @@ pub fn run_scenario(s: &BenchScenario, opts: BenchOptions) -> BenchResult {
     }
 }
 
+/// The median of `xs`: the middle value, or the mean of the two middle
+/// values when the count is even.
 fn median(xs: &mut [f64]) -> f64 {
     xs.sort_by(|a, b| a.total_cmp(b));
-    xs[xs.len() / 2]
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[mid]
+    } else {
+        (xs[mid - 1] + xs[mid]) / 2.0
+    }
 }
 
 impl BenchResult {
@@ -462,8 +469,9 @@ pub enum BenchVerdict {
 /// One compared metric in a [`BenchDiff`].
 #[derive(Debug, Clone)]
 pub struct BenchDiffRow {
-    /// Metric key (as in the `measured` object).
-    pub metric: &'static str,
+    /// Metric key (as in the `measured` object; `work.<counter>` for a
+    /// counter of its `work` object).
+    pub metric: String,
     /// Baseline value.
     pub baseline: f64,
     /// Candidate value.
@@ -499,7 +507,7 @@ impl BenchDiff {
         for r in &self.rows {
             let _ = writeln!(
                 out,
-                "  {:<18} {:>14.3} -> {:>14.3}  {:>+8.2}%  {}",
+                "  {:<20} {:>14.3} -> {:>14.3}  {:>+8.2}%  {}",
                 r.metric,
                 r.baseline,
                 r.candidate,
@@ -625,7 +633,7 @@ pub fn check_bench_files(
             _ => BenchVerdict::Pass,
         };
         rows.push(BenchDiffRow {
-            metric: key,
+            metric: key.to_string(),
             baseline: b,
             candidate: c,
             delta_pct,
@@ -636,12 +644,12 @@ pub fn check_bench_files(
     match (work(&base), work(&cand)) {
         (None, None) => {}
         (Some(b), Some(c)) => {
-            for (key, metric) in WORK_ROWS {
+            for (key, _) in PassWork::default().fields() {
                 let b = work_counter(&b, key)?;
                 let c = work_counter(&c, key)?;
                 let delta_pct = if b != 0.0 { (c - b) * 100.0 / b } else { 0.0 };
                 rows.push(BenchDiffRow {
-                    metric,
+                    metric: format!("work.{key}"),
                     baseline: b,
                     candidate: c,
                     delta_pct,
@@ -661,17 +669,6 @@ pub fn check_bench_files(
         rows,
     })
 }
-
-/// The `work` counters [`check_bench_files`] compares, with their row
-/// names (the keys of [`PassWork::fields`]).
-const WORK_ROWS: [(&str, &str); 6] = [
-    ("passes", "work.passes"),
-    ("keys_scanned", "work.keys_scanned"),
-    ("keys_visited", "work.keys_visited"),
-    ("keys_jumped", "work.keys_jumped"),
-    ("walk_draws", "work.walk_draws"),
-    ("searches", "work.searches"),
-];
 
 fn work_counter(work: &Value, key: &str) -> Result<f64, String> {
     work.get(key)
@@ -700,7 +697,8 @@ mod tests {
     fn bench_json_is_schema_tagged_and_valid() {
         let r = smoke_result();
         let j = r.to_json();
-        assert!(j.starts_with("{\"schema\":\"cbp-bench\",\"version\":1,"));
+        let head = format!("{{\"schema\":\"cbp-bench\",\"version\":{BENCH_VERSION},");
+        assert!(j.starts_with(&head), "{j}");
         assert!(cbp_telemetry::json::is_valid(&j));
         assert!(r.events > 0);
         assert!(r.median_wall_ms > 0.0);
@@ -747,15 +745,30 @@ mod tests {
     fn pass_work_is_written_and_compared_exactly() {
         let r = smoke_result();
         let work = r.work.expect("trace scenarios count their pass work");
-        assert!(work.passes > 0 && work.keys_scanned > 0);
         assert_eq!(work.keys_scanned, work.keys_visited + work.keys_jumped);
         let j = r.to_json();
-        let field = format!("\"passes\":{},", work.passes);
-        assert!(j.contains(&field), "{j}");
-        // One pass more is a behaviour change, whatever the tolerance.
-        let more = j.replace(&field, &format!("\"passes\":{},", work.passes + 1));
-        let diff = check_bench_files(&j, &more, 300.0).unwrap();
-        assert!(diff.regressed(), "{}", diff.render());
+        // Each counter is written, and one more of it is a behaviour
+        // change, whatever the tolerance, on its own row alone.
+        for (key, value) in work.fields() {
+            assert!(value > 0, "the smoke run leaves {key} at 0");
+            let field = format!("\"{key}\":{value}");
+            let at = j.find(&field).expect("counter is written");
+            assert!(matches!(j.as_bytes()[at + field.len()], b',' | b'}'), "{j}");
+            let more = format!(
+                "{}\"{key}\":{}{}",
+                &j[..at],
+                value + 1,
+                &j[at + field.len()..]
+            );
+            let diff = check_bench_files(&j, &more, 300.0).unwrap();
+            let failed: Vec<&str> = diff
+                .rows
+                .iter()
+                .filter(|r| r.verdict == BenchVerdict::Regressed)
+                .map(|r| r.metric.as_str())
+                .collect();
+            assert_eq!(failed, [format!("work.{key}")], "{}", diff.render());
+        }
         // A work object on one side only is a config error.
         let start = j.find("\"work\":{").unwrap();
         let end = start + j[start..].find("},").unwrap() + 2;
@@ -765,15 +778,36 @@ mod tests {
         assert!(err.contains("baseline only"), "{err}");
         let err = check_bench_files(&without, &j, 0.0).unwrap_err();
         assert!(err.contains("candidate only"), "{err}");
+        // A version-1 file, written before the search and front counters
+        // (the five after `searches`), is refused for its version, not for
+        // a missing counter.
+        let mut v1 = j.replacen(
+            &format!("\"version\":{BENCH_VERSION},"),
+            "\"version\":1,",
+            1,
+        );
+        for (key, value) in &work.fields()[6..] {
+            v1 = v1.replacen(&format!(",\"{key}\":{value}"), "", 1);
+        }
+        assert!(!v1.contains("nodes_scanned"), "{v1}");
+        let err = check_bench_files(&v1, &j, 300.0).unwrap_err();
+        assert!(
+            err.contains("baseline: unsupported schema version Some(1)"),
+            "{err}"
+        );
+        let err = check_bench_files(&j, &v1, 300.0).unwrap_err();
+        assert!(
+            err.contains("candidate: unsupported schema version Some(1)"),
+            "{err}"
+        );
     }
 
     #[test]
-    fn work_rows_name_every_counter() {
-        let keys = PassWork::default().fields().map(|(k, _)| k);
-        assert_eq!(keys, WORK_ROWS.map(|(k, _)| k));
-        for (key, metric) in WORK_ROWS {
-            assert_eq!(metric, format!("work.{key}"));
-        }
+    fn median_of_an_even_count_is_the_mean_of_the_middle_two() {
+        assert_eq!(median(&mut [3.0, 1.0]), 2.0);
+        assert_eq!(median(&mut [4.0, 1.0, 3.0, 2.0]), 2.5);
+        assert_eq!(median(&mut [5.0, 1.0, 3.0]), 3.0);
+        assert_eq!(median(&mut [7.0]), 7.0);
     }
 
     #[test]

@@ -393,7 +393,7 @@ fn experiment(id: &str, a: Args) -> Result<u8, InstrumentError> {
     }
     check_scale(id, a.scale, a.seed).map_err(|e| e.to_string())?;
     let experiments = match def {
-        Some(def) => vec![(def.run)(a.scale, a.seed)],
+        Some(def) => vec![def.run(a.scale, a.seed)],
         None => run_all(a.scale, a.seed),
     };
 
@@ -424,8 +424,8 @@ fn experiment(id: &str, a: Args) -> Result<u8, InstrumentError> {
              with each experiment.\n\nAll tables report *simulated* time. For the \
              simulators' own wall-clock cost — events/sec, per-scope self time, \
              the `BENCH_*.json` trajectory and its regression gate — see `repro bench` \
-             (README \"Perf\" section, DESIGN.md §5.2) and the `telemetry_overhead` \
-             Criterion bench's throughput report.\n",
+             (README \"Perf\" section, DESIGN.md §5.2) and the per-layer report of \
+             the `perfbench/` benchmark.\n",
             a.scale.factor, a.seed
         );
         for exp in &experiments {

@@ -20,7 +20,6 @@ pub fn ablations(scale: Scale, seed: u64) -> Experiment {
         .with_media(MediaKind::Hdd.spec());
 
     let mut exp = Experiment::new(
-        "ablate",
         "each adaptive-machinery piece carries its weight: incremental dumps \
          shrink checkpoint overhead, cost-aware eviction picks cheaper \
          victims, and cost-aware restore placement unblocks suspended tasks",

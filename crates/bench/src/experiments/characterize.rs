@@ -20,7 +20,6 @@ pub fn fig1_tables12(scale: Scale, seed: u64) -> Experiment {
     let (_, analysis) = config.run_analyzed(&workload, SimDuration::from_secs(3_600));
 
     let mut exp = Experiment::new(
-        "fig1",
         "12.4% of scheduled tasks are preempted overall; low priority ≈20%, \
          >90% of preemptions hit priorities 0–1, 43.5% of preempted tasks \
          are preempted more than once, and waste reaches ≈35% of usage",

@@ -23,7 +23,6 @@ pub fn mapreduce(scale: Scale, seed: u64) -> Experiment {
     let nodes = scale.apply(8, 2);
 
     let mut exp = Experiment::new(
-        "mapreduce",
         "(extension; paper §7 future work) two-phase MapReduce jobs: reduces \
          wait for every map, so killed maps delay whole jobs; suspend-resume \
          keeps the barrier moving",
@@ -118,7 +117,6 @@ pub fn mapreduce(scale: Scale, seed: u64) -> Experiment {
 pub fn faults(scale: Scale, seed: u64) -> Experiment {
     let (workload, base) = google_setup(scale, seed);
     let mut exp = Experiment::new(
-        "faults",
         "(extension; robustness) checkpointing's CPU-waste win over kill-based \
          preemption must survive an imperfect substrate: failed dumps fall back \
          to kills, failed restores retry from surviving replicas or restart from \

@@ -14,7 +14,6 @@ const SIZES_GB: [f64; 6] = [0.5, 1.0, 2.5, 5.0, 7.5, 10.0];
 /// Fig. 2a/2b: total dump+restore time vs image size, local FS and HDFS.
 pub fn fig2() -> Experiment {
     let mut exp = Experiment::new(
-        "fig2",
         "suspend+restore time is linear in memory size; SSD is 3-4x faster \
          than HDD and NVM 10-15x faster than SSD; HDFS adds overhead over \
          the local file system on every medium",
@@ -81,7 +80,6 @@ pub fn fig2() -> Experiment {
 /// 5 GB program.
 pub fn table3() -> Experiment {
     let mut exp = Experiment::new(
-        "table3",
         "with 10% of memory modified, the second (incremental) checkpoint is \
          about an order of magnitude faster: 169.18->15.34 s (HDD), \
          43.73->4.08 s (SSD), 2.92->0.28 s (PMFS)",

@@ -21,7 +21,6 @@ pub fn qos(scale: Scale, seed: u64) -> Experiment {
         .run(&workload);
 
     let mut exp = Experiment::new(
-        "qos",
         "(extension of Table 2's observation) latency-sensitive jobs suffer \
          most from kill-based preemption; checkpointing on fast storage \
          restores their response times",

@@ -65,7 +65,6 @@ fn sweep_tables(id_prefix: &str, policies: &[PreemptionPolicy]) -> Vec<Table> {
 /// Fig. 4: wait / kill / always-checkpoint over 1–5 GB/s.
 pub fn fig4() -> Experiment {
     let mut exp = Experiment::new(
-        "fig4",
         "kill is always best for the high-priority job; waiting costs it \
          >1.5x; checkpointing is worse than kill at low bandwidth and \
          approaches it as bandwidth grows; for the low-priority job \
@@ -88,7 +87,6 @@ pub fn fig4() -> Experiment {
 /// Fig. 6: Fig. 4 plus the adaptive policy.
 pub fn fig6() -> Experiment {
     let mut exp = Experiment::new(
-        "fig6",
         "adaptive kills at low bandwidth and checkpoints at high bandwidth: \
          the high-priority job is never worse than under wait, and energy is \
          never worse than under kill",

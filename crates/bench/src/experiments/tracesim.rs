@@ -37,7 +37,6 @@ pub fn fig3(scale: Scale, seed: u64) -> Experiment {
         .collect();
 
     let mut exp = Experiment::new(
-        "fig3",
         "kill wastes ~35% of capacity; checkpointing reduces wastage to \
          14.6/11.1/8.5% on HDD/SSD/NVM; NVM cuts energy ~5% and reduces \
          low/medium-priority response by 74%/23% at comparable high-priority \
@@ -110,7 +109,6 @@ pub fn fig3(scale: Scale, seed: u64) -> Experiment {
 pub fn fig5(scale: Scale, seed: u64) -> Experiment {
     let (workload, base) = google_setup(scale, seed);
     let mut exp = Experiment::new(
-        "fig5",
         "adaptive cuts response times vs basic checkpointing: low priority \
          -36/-12/-3% and medium -55/-17/-8% on HDD/SSD/NVM, high priority \
          -29/-8% on HDD/SSD",

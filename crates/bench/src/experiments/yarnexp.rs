@@ -34,7 +34,6 @@ pub fn fig8(scale: Scale, seed: u64) -> Experiment {
         .collect();
 
     let mut exp = Experiment::new(
-        "fig8",
         "stock YARN wastes ~28% of CPU time; checkpointing reduces wastage \
          by 50/65/67% and energy by 21/29/34% on HDD/SSD/NVM; NVM cuts \
          low-priority response 61% at comparable high-priority response",
@@ -111,7 +110,6 @@ pub fn fig8(scale: Scale, seed: u64) -> Experiment {
 pub fn fig9(scale: Scale, seed: u64) -> Experiment {
     let (w, base) = yarn_setup(scale, seed);
     let mut exp = Experiment::new(
-        "fig9",
         "the whole response-time CDF improves under checkpoint-based \
          preemption, NVM most of all",
     );
@@ -140,7 +138,6 @@ pub fn fig9(scale: Scale, seed: u64) -> Experiment {
 pub fn fig10(scale: Scale, seed: u64) -> Experiment {
     let (w, base) = yarn_setup(scale, seed);
     let mut exp = Experiment::new(
-        "fig10",
         "adaptive reduces low-priority response by 28/16/20% and \
          high-priority by 7/8/14% over basic checkpointing on HDD/SSD/NVM",
     );
@@ -175,10 +172,8 @@ pub fn fig10(scale: Scale, seed: u64) -> Experiment {
 /// Fig. 11: response CDFs of kill / basic / adaptive per medium.
 pub fn fig11(scale: Scale, seed: u64) -> Experiment {
     let (w, base) = yarn_setup(scale, seed);
-    let mut exp = Experiment::new(
-        "fig11",
-        "adaptive improves the whole response CDF over basic on every medium",
-    );
+    let mut exp =
+        Experiment::new("adaptive improves the whole response CDF over basic on every medium");
     for m in MediaKind::ALL {
         let mut kill = run(&base, &w, PreemptionPolicy::Kill, m).all_responses();
         let mut basic = run(&base, &w, PreemptionPolicy::Checkpoint, m).all_responses();
@@ -205,7 +200,6 @@ pub fn fig11(scale: Scale, seed: u64) -> Experiment {
 pub fn fig12(scale: Scale, seed: u64) -> Experiment {
     let (w, base) = yarn_setup(scale, seed);
     let mut exp = Experiment::new(
-        "fig12",
         "basic checkpointing costs 17/4/0.4% CPU overhead on HDD/SSD/NVM \
          (adaptive: 5.1/2.3/~0%) and 37/14/2.2% worst-case I/O bandwidth \
          (adaptive: 15.7/8.3/negligible); checkpoints use 5-10% of storage",

@@ -68,8 +68,18 @@ pub struct ExperimentDef {
     pub ids: &'static [&'static str],
     /// What it simulates.
     pub substrate: Substrate,
-    /// Runs it at a scale and seed.
-    pub run: fn(Scale, u64) -> Experiment,
+    /// Runs it at a scale and seed; the result is unlabelled.
+    run: fn(Scale, u64) -> Experiment,
+}
+
+impl ExperimentDef {
+    /// Runs it at a scale and seed, labelled with its first id.
+    pub fn run(&self, scale: Scale, seed: u64) -> Experiment {
+        Experiment {
+            id: self.ids[0].to_string(),
+            ..(self.run)(scale, seed)
+        }
+    }
 }
 
 const fn def(
@@ -124,12 +134,12 @@ pub fn experiment_ids() -> impl Iterator<Item = &'static str> {
 
 /// Runs every experiment at the given scale, in paper order.
 pub fn run_all(scale: Scale, seed: u64) -> Vec<Experiment> {
-    EXPERIMENTS.iter().map(|e| (e.run)(scale, seed)).collect()
+    EXPERIMENTS.iter().map(|e| e.run(scale, seed)).collect()
 }
 
 /// Runs one experiment by id (`fig1`, `table3`, `fig8`, `ablate`, ...).
 pub fn run_one(id: &str, scale: Scale, seed: u64) -> Option<Experiment> {
-    find_experiment(id).map(|e| (e.run)(scale, seed))
+    find_experiment(id).map(|e| e.run(scale, seed))
 }
 
 /// A `--scale` so small that the Google trace it scales has no job: every

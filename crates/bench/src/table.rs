@@ -122,10 +122,11 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// Creates an experiment shell.
-    pub fn new(id: impl Into<String>, paper_claim: impl Into<String>) -> Self {
+    /// Creates an experiment shell. [`crate::ExperimentDef::run`] sets
+    /// its id.
+    pub fn new(paper_claim: impl Into<String>) -> Self {
         Experiment {
-            id: id.into(),
+            id: String::new(),
             paper_claim: paper_claim.into(),
             tables: Vec::new(),
         }
@@ -251,6 +252,13 @@ mod tests {
         t
     }
 
+    fn labeled(id: &str, paper_claim: &str) -> Experiment {
+        Experiment {
+            id: id.into(),
+            ..Experiment::new(paper_claim)
+        }
+    }
+
     #[test]
     fn markdown_shape() {
         let md = sample().markdown();
@@ -276,7 +284,7 @@ mod tests {
 
     #[test]
     fn experiment_markdown() {
-        let mut e = Experiment::new("fig0", "claim");
+        let mut e = labeled("fig0", "claim");
         e.push(sample());
         let md = e.markdown();
         assert!(md.starts_with("## fig0"));
@@ -294,10 +302,10 @@ mod tests {
     /// and cells that need escaping (quote, backslash, newline, U+0001)
     /// next to one that does not (`≈`).
     fn pinned_json() -> Vec<(Vec<Experiment>, &'static str)> {
-        let bare = Experiment::new("e0", "no tables");
-        let mut empty = Experiment::new("e1", "claim");
+        let bare = labeled("e0", "no tables");
+        let mut empty = labeled("e1", "claim");
         empty.push(Table::new("t1", "Empty", &["a"]));
-        let mut escaped = Experiment::new("e2", "≈ \"quoted\"");
+        let mut escaped = labeled("e2", "≈ \"quoted\"");
         let mut t = Table::new("t2", "Esc\\aped", &["x", "y"]);
         t.row(vec!["q\"b\\s".into(), "n\nu\u{1}≈".into()]);
         t.note("tab\there");

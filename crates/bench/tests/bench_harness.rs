@@ -41,7 +41,10 @@ fn bench_emits_schema_valid_json_that_self_checks_at_zero_tolerance() {
     let path = dir.join("BENCH_fig8_smoke.json");
     let json = std::fs::read_to_string(&path).expect("BENCH file written");
     assert!(
-        json.starts_with("{\"schema\":\"cbp-bench\",\"version\":1,"),
+        json.starts_with(&format!(
+            "{{\"schema\":\"cbp-bench\",\"version\":{},",
+            cbp_bench::BENCH_VERSION
+        )),
         "schema header missing: {}",
         &json[..json.len().min(80)]
     );

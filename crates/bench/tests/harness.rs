@@ -15,6 +15,7 @@ fn experiment_ids_dispatch() {
 #[test]
 fn table3_matches_paper_anchors() {
     let exp = run_one("table3", Scale::SMOKE, 1).unwrap();
+    assert_eq!(exp.id, "table3");
     let t = &exp.tables[0];
     assert_eq!(t.columns.len(), 5);
     assert_eq!(t.rows.len(), 3);

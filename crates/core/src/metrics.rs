@@ -186,11 +186,21 @@ pub struct PassWork {
     pub walk_draws: u64,
     /// Preemption searches (calls of the victim search).
     pub searches: u64,
+    /// Up nodes the victim search looked at.
+    pub nodes_scanned: u64,
+    /// Nodes whose victims the search costed and sorted.
+    pub nodes_ranked: u64,
+    /// Victims the search costed.
+    pub victims_costed: u64,
+    /// Rebuilds of the pass's free and reach fronts.
+    pub front_rebuilds: u64,
+    /// Nodes fed into those rebuilds.
+    pub front_points: u64,
 }
 
 impl PassWork {
     /// The counters as `(name, value)` pairs, in a fixed order.
-    pub fn fields(&self) -> [(&'static str, u64); 6] {
+    pub fn fields(&self) -> [(&'static str, u64); 11] {
         [
             ("passes", self.passes),
             ("keys_scanned", self.keys_scanned),
@@ -198,6 +208,11 @@ impl PassWork {
             ("keys_jumped", self.keys_jumped),
             ("walk_draws", self.walk_draws),
             ("searches", self.searches),
+            ("nodes_scanned", self.nodes_scanned),
+            ("nodes_ranked", self.nodes_ranked),
+            ("victims_costed", self.victims_costed),
+            ("front_rebuilds", self.front_rebuilds),
+            ("front_points", self.front_points),
         ]
     }
 }

@@ -175,11 +175,14 @@ struct FreeFront {
 }
 
 impl FreeFront {
-    /// Makes this the front of `free`, reusing the buffer.
-    fn rebuild(&mut self, free: impl IntoIterator<Item = Resources>) {
+    /// Makes this the front of `free`, reusing the buffer. Returns the
+    /// number of vectors fed in.
+    fn rebuild(&mut self, free: impl IntoIterator<Item = Resources>) -> usize {
+        let _prof = cbp_prof::scope("front_rebuild");
         let points = &mut self.points;
         points.clear();
         points.extend(free);
+        let fed = points.len();
         points.sort_unstable_by_key(|r| Reverse((r.cpu_milli(), r.mem())));
         // Sweeping by cpu descending, a vector is on the front iff it has
         // more memory than every vector before it.
@@ -192,6 +195,7 @@ impl FreeFront {
             }
         }
         points.truncate(kept);
+        fed
     }
 
     /// True if `demand` fits in at least one of the vectors.
@@ -624,9 +628,11 @@ impl ClusterSim {
     fn build_free_front(&mut self) {
         if !self.free_front_ok {
             let mut front = std::mem::take(&mut self.free_front);
-            front.rebuild((0..self.nodes.len()).map(|i| self.unreserved_free(i)));
+            let fed = front.rebuild((0..self.nodes.len()).map(|i| self.unreserved_free(i)));
             self.free_front = front;
             self.free_front_ok = true;
+            self.work.front_rebuilds += 1;
+            self.work.front_points += fed as u64;
         }
     }
 
@@ -1078,6 +1084,41 @@ impl ClusterSim {
         if self.own_reservation(t).is_some() {
             return false; // a drain is already in flight for this task
         }
+        let Some((node, victims)) = self.victim_search(t, now) else {
+            return false;
+        };
+        // The victims are about to change status and release capacity.
+        self.drop_fronts();
+        let mut drains = 0u32;
+        for (v, container) in victims {
+            let sync = self.preempt_victim(v, node, container, now, q);
+            if !sync {
+                drains += 1;
+                self.drain_owner.insert(v, t);
+            }
+        }
+        if drains > 0 {
+            // Earmark the whole demand on this node so backfill cannot
+            // steal the capacity the drains are freeing.
+            self.reserve(
+                t,
+                Reservation {
+                    node,
+                    amount: self.tasks[t as usize].exec.spec.resources,
+                    drains_left: drains,
+                },
+            );
+            false
+        } else {
+            true
+        }
+    }
+
+    /// The node where freeing room for pending task `t` costs least, and
+    /// the victims to preempt there in the order they are taken; `None` if
+    /// preempting lower-priority victims frees room on no node.
+    fn victim_search(&mut self, t: u32, now: SimTime) -> Option<(usize, Vec<Victim>)> {
+        let _prof = cbp_prof::scope("victim_search");
         let demand = self.tasks[t as usize].exec.spec.resources;
         let priority = self.tasks[t as usize].priority;
 
@@ -1103,6 +1144,7 @@ impl ClusterSim {
                     continue;
                 }
             }
+            self.work.nodes_scanned += 1;
             let avail = self.free_for(i, t);
             let needed = demand.saturating_sub(&avail);
             if needed.is_zero() {
@@ -1122,6 +1164,7 @@ impl ClusterSim {
             if best.as_ref().is_some_and(|(c, _, _)| at.floor() >= *c) {
                 continue;
             }
+            self.work.nodes_ranked += 1;
             // The preemptible lower-priority victims, each with its cost
             // and container, in the order they are taken.
             let victims = self.nodes[i]
@@ -1141,6 +1184,7 @@ impl ClusterSim {
                         .victim_cost_secs(&self.tasks[v as usize].exec, incremental, &at);
                 (cost, v, container)
             }));
+            self.work.victims_costed += ranked.len() as u64;
             match self.cfg.victim_selection {
                 // §5.2.2: lowest checkpoint cost first.
                 VictimSelection::CostAware => {
@@ -1176,34 +1220,7 @@ impl ClusterSim {
             }
         }
 
-        let Some((_, node, victims)) = best else {
-            return false;
-        };
-        // The victims are about to change status and release capacity.
-        self.drop_fronts();
-        let mut drains = 0u32;
-        for (v, container) in victims {
-            let sync = self.preempt_victim(v, node, container, now, q);
-            if !sync {
-                drains += 1;
-                self.drain_owner.insert(v, t);
-            }
-        }
-        if drains > 0 {
-            // Earmark the whole demand on this node so backfill cannot
-            // steal the capacity the drains are freeing.
-            self.reserve(
-                t,
-                Reservation {
-                    node,
-                    amount: demand,
-                    drains_left: drains,
-                },
-            );
-            false
-        } else {
-            true
-        }
+        best.map(|(_, node, victims)| (node, victims))
     }
 
     // ---- fault handling (checkpoint failure recovery policies) ---------
@@ -1480,6 +1497,7 @@ impl ClusterSim {
         budget: &mut usize,
         max_avail: &Resources,
     ) -> Option<PendingKey> {
+        let _prof = cbp_prof::scope("pass_walk");
         let may_search = self.cfg.policy != PreemptionPolicy::Wait;
         #[cfg(any(test, debug_assertions))]
         if self.reference_walk {
@@ -1741,13 +1759,15 @@ impl ClusterSim {
     fn reach_front(&mut self, p: Priority) -> &FreeFront {
         if self.reach_at != Some(p) {
             let mut front = std::mem::take(&mut self.reach);
-            front.rebuild(
+            let fed = front.rebuild(
                 (0..self.nodes.len())
                     .filter(|&i| self.nodes[i].up)
                     .map(|i| self.unreserved_free(i) + self.victim_capacity(i, p)),
             );
             self.reach = front;
             self.reach_at = Some(p);
+            self.work.front_rebuilds += 1;
+            self.work.front_points += fed as u64;
         }
         &self.reach
     }
